@@ -69,7 +69,7 @@ func (a *App) NumItems() int { return a.n }
 
 // FileSize implements core.Application.
 func (a *App) FileSize(item int) int64 {
-	return int64(a.fileDist.Sample(stats.HashRNG(a.seed, uint64(item), 0xfa57a)))
+	return int64(stats.HashSample(a.fileDist, a.seed, uint64(item), 0xfa57a))
 }
 
 // ItemSize implements core.Application.
@@ -80,7 +80,7 @@ func (a *App) ResultSize() int64 { return 32 }
 
 // ParseTime implements core.Application.
 func (a *App) ParseTime(item int) sim.Time {
-	return sim.Millis(a.parseDist.Sample(stats.HashRNG(a.seed, uint64(item), 0x9a45e)))
+	return sim.Millis(stats.HashSample(a.parseDist, a.seed, uint64(item), 0x9a45e))
 }
 
 // PreprocessTime implements core.Application: the application works
@@ -90,7 +90,7 @@ func (a *App) PreprocessTime(item int) sim.Time { return 0 }
 
 // CompareTime implements core.Application.
 func (a *App) CompareTime(i, j int) sim.Time {
-	return sim.Millis(a.cmpDist.Sample(stats.HashRNG(a.seed, uint64(i), uint64(j))))
+	return sim.Millis(stats.HashSample(a.cmpDist, a.seed, uint64(i), uint64(j)))
 }
 
 // PostprocessTime implements core.Application.

@@ -16,15 +16,25 @@ type GateOptions struct {
 	PerfIsFatal bool
 }
 
+// maxAllocsRegress is the tolerated relative allocs_per_op growth per
+// experiment. Allocation counts repeat to within 0.2% run over run (map
+// growth and the runtime's own bookkeeping move them by a few objects), so
+// 2% is far outside noise and any excess is a real change in the code.
+const maxAllocsRegress = 0.02
+
 // GateRow is one experiment's comparison.
 type GateRow struct {
 	ID        string
 	Baseline  int64 // baseline ns_per_op
 	Candidate int64 // candidate ns_per_op
 	Ratio     float64
+	// BaselineAllocs and CandidateAllocs are the two allocs_per_op.
+	BaselineAllocs  uint64
+	CandidateAllocs uint64
 	// Verdict is "ok", "faster", "slower" (beyond MaxRegress), "drift"
-	// (output_sha256 mismatch), "missing" (in baseline, not candidate),
-	// or "new" (no baseline to compare against).
+	// (output_sha256 mismatch), "allocs" (allocs_per_op beyond
+	// maxAllocsRegress), "missing" (in baseline, not candidate), or "new"
+	// (no baseline to compare against).
 	Verdict string
 }
 
@@ -61,8 +71,16 @@ func (g GateResult) Failed() bool { return len(g.Failures) > 0 }
 
 // Gate compares a candidate run against the committed baseline:
 // determinism first (every shared experiment's output_sha256 must match,
-// and nothing from the baseline may disappear), then per-experiment
-// ns_per_op within opts.MaxRegress.
+// and nothing from the baseline may disappear), then the other
+// deterministic column — allocs_per_op may not grow beyond
+// maxAllocsRegress; a drop shows in the row and is not gated — and last
+// per-experiment ns_per_op within opts.MaxRegress.
+//
+// Allocation growth is fatal like sha drift when both reports were taken
+// at the same GOMAXPROCS. The experiments on the sharded engine start
+// goroutines per OS thread, so their counts move by up to a fifth with the
+// thread count; across different GOMAXPROCS the excess is a warning that
+// says so.
 func Gate(baseline, candidate Report, opts GateOptions) GateResult {
 	var g GateResult
 	base := make(map[string]ExpResult, len(baseline.Experiments))
@@ -80,19 +98,34 @@ func Gate(baseline, candidate Report, opts GateOptions) GateResult {
 		seen[c.ID] = true
 		b, ok := base[c.ID]
 		if !ok {
-			g.Rows = append(g.Rows, GateRow{ID: c.ID, Candidate: c.NsPerOp, Verdict: "new"})
+			g.Rows = append(g.Rows, GateRow{ID: c.ID, Candidate: c.NsPerOp, CandidateAllocs: c.AllocsPerOp, Verdict: "new"})
 			continue
 		}
-		row := GateRow{ID: c.ID, Baseline: b.NsPerOp, Candidate: c.NsPerOp}
+		row := GateRow{ID: c.ID, Baseline: b.NsPerOp, Candidate: c.NsPerOp,
+			BaselineAllocs: b.AllocsPerOp, CandidateAllocs: c.AllocsPerOp}
 		if b.NsPerOp > 0 {
 			row.Ratio = float64(c.NsPerOp) / float64(b.NsPerOp)
 		}
+		allocsUp := b.AllocsPerOp > 0 &&
+			float64(c.AllocsPerOp) > float64(b.AllocsPerOp)*(1+maxAllocsRegress)
 		switch {
 		case b.OutputSHA256 != c.OutputSHA256:
 			row.Verdict = "drift"
 			g.Failures = append(g.Failures, fmt.Sprintf(
 				"%s: output_sha256 drifted (%.12s… -> %.12s…): results are no longer bit-identical to the baseline",
 				c.ID, b.OutputSHA256, c.OutputSHA256))
+		case allocsUp:
+			row.Verdict = "allocs"
+			msg := fmt.Sprintf("%s: allocs_per_op grew %.1f%% (%d -> %d, limit %.0f%%)",
+				c.ID, 100*(float64(c.AllocsPerOp)/float64(b.AllocsPerOp)-1),
+				b.AllocsPerOp, c.AllocsPerOp, 100*maxAllocsRegress)
+			if baseline.GoMaxProcs == candidate.GoMaxProcs {
+				g.Failures = append(g.Failures, msg)
+			} else {
+				g.Warnings = append(g.Warnings, fmt.Sprintf(
+					"%s; not gated: baseline taken at GOMAXPROCS=%d, candidate at %d",
+					msg, baseline.GoMaxProcs, candidate.GoMaxProcs))
+			}
 		case row.Ratio > 1+opts.MaxRegress:
 			row.Verdict = "slower"
 			msg := fmt.Sprintf("%s: ns_per_op regressed %.0f%% (%.2fms -> %.2fms, limit %.0f%%)",
@@ -299,15 +332,15 @@ func (g GateResult) Markdown() string {
 	for _, w := range g.Warnings {
 		fmt.Fprintf(&b, "- :warning: %s\n", w)
 	}
-	b.WriteString("\n| experiment | baseline ms | candidate ms | ratio | verdict |\n")
-	b.WriteString("|---|---:|---:|---:|---|\n")
+	b.WriteString("\n| experiment | baseline ms | candidate ms | ratio | baseline allocs | candidate allocs | verdict |\n")
+	b.WriteString("|---|---:|---:|---:|---:|---:|---|\n")
 	for _, r := range g.Rows {
 		ratio := "-"
 		if r.Ratio > 0 {
 			ratio = fmt.Sprintf("%.2fx", r.Ratio)
 		}
-		fmt.Fprintf(&b, "| %s | %s | %s | %s | %s |\n",
-			r.ID, ms(r.Baseline), ms(r.Candidate), ratio, r.Verdict)
+		fmt.Fprintf(&b, "| %s | %s | %s | %s | %d | %d | %s |\n",
+			r.ID, ms(r.Baseline), ms(r.Candidate), ratio, r.BaselineAllocs, r.CandidateAllocs, r.Verdict)
 	}
 	if g.ShardNote != "" {
 		fmt.Fprintf(&b, "\n%s\n", g.ShardNote)
@@ -347,7 +380,8 @@ func (g GateResult) Text() string {
 		if r.Ratio > 0 {
 			ratio = fmt.Sprintf("%5.2fx", r.Ratio)
 		}
-		fmt.Fprintf(&b, "%-18s %12s -> %12s ms  %s  %s\n", r.ID, ms(r.Baseline), ms(r.Candidate), ratio, r.Verdict)
+		fmt.Fprintf(&b, "%-18s %12s -> %12s ms  %s  %9d -> %9d allocs  %s\n",
+			r.ID, ms(r.Baseline), ms(r.Candidate), ratio, r.BaselineAllocs, r.CandidateAllocs, r.Verdict)
 	}
 	if g.ShardNote != "" {
 		fmt.Fprintf(&b, "%s\n", g.ShardNote)

@@ -66,6 +66,51 @@ func TestGatePerfRegressionWarnsThenFails(t *testing.T) {
 	}
 }
 
+// The second deterministic column: allocs_per_op beyond 2% of the
+// baseline fails like sha drift, whatever the timing says; a drop only
+// shows in the row.
+func TestGateAllocsGrowthIsFatal(t *testing.T) {
+	withAllocs := func(n uint64) Report {
+		e := exp("fig12", 100, "aa")
+		e.AllocsPerOp = n
+		r := report(e)
+		r.GoMaxProcs = 2
+		return r
+	}
+	base := withAllocs(100000)
+	g := Gate(base, withAllocs(102001), GateOptions{MaxRegress: 0.25})
+	if !g.Failed() || g.Rows[0].Verdict != "allocs" {
+		t.Fatalf("+2.001%% allocs did not fail the gate: %+v", g)
+	}
+	if !strings.Contains(g.Failures[0], "fig12") || !strings.Contains(g.Failures[0], "allocs_per_op") {
+		t.Fatalf("failures: %v", g.Failures)
+	}
+	if ok := Gate(base, withAllocs(102000), GateOptions{MaxRegress: 0.25}); ok.Failed() || len(ok.Warnings) != 0 {
+		t.Fatalf("+2%% allocs is within the limit: %+v", ok)
+	}
+	drop := Gate(base, withAllocs(7000), GateOptions{MaxRegress: 0.25})
+	if drop.Failed() || len(drop.Warnings) != 0 || drop.Rows[0].Verdict != "ok" {
+		t.Fatalf("an allocation drop was gated: %+v", drop)
+	}
+	if !strings.Contains(drop.Text(), "100000 ->      7000 allocs") {
+		t.Fatalf("the drop is not reported:\n%s", drop.Text())
+	}
+	// Sha drift keeps priority over the allocation verdict.
+	drifted := withAllocs(150000)
+	drifted.Experiments[0].OutputSHA256 = "bb"
+	if d := Gate(base, drifted, GateOptions{}); d.Rows[0].Verdict != "drift" {
+		t.Fatalf("verdict %q, want drift", d.Rows[0].Verdict)
+	}
+	// The sharded experiments' counts depend on the thread count, so a
+	// report taken at another GOMAXPROCS warns and says why.
+	other := withAllocs(150000)
+	other.GoMaxProcs = 8
+	w := Gate(base, other, GateOptions{MaxRegress: 0.25})
+	if w.Failed() || len(w.Warnings) != 1 || !strings.Contains(w.Warnings[0], "GOMAXPROCS=2") {
+		t.Fatalf("cross-GOMAXPROCS allocation growth: %+v", w)
+	}
+}
+
 func TestGateMissingAndNewExperiments(t *testing.T) {
 	base := report(exp("fig6", 100, "aa"), exp("fig8", 200, "bb"))
 	cand := report(exp("fig6", 100, "aa"), exp("resilience", 300, "cc"))

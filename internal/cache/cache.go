@@ -49,9 +49,10 @@ type slot struct {
 	// nil while the slot is pinned or mid-write. Intrusive links avoid a
 	// container/list element allocation on every pin/release cycle.
 	prev, next *slot
-	// turned becomes non-nil while a writer is filling the slot; waiters
-	// block on it and re-check state when it fires.
-	turned *sim.Signal
+	// waiting holds the acquisitions suspended while a writer fills the
+	// slot; Publish and Abort wake them to re-check its state. The backing
+	// array is kept across fills.
+	waiting []acquirer
 }
 
 // lruList is an intrusive doubly-linked list of evictable slots, least
@@ -117,11 +118,13 @@ type Stats struct {
 	Stalls    uint64 // acquisitions that had to wait for a free slot
 }
 
-// waiter is a party blocked because every slot was pinned: a parked
-// process or a retry callback. Exactly one of p and fn is set.
-type waiter struct {
-	p  *sim.Proc
-	fn func()
+// acquirer is one suspended acquisition: a parked process that retries
+// by itself once unparked, or the arguments of an AcquireFunc call to
+// re-attempt. Exactly one of p and fn is set.
+type acquirer struct {
+	p    *sim.Proc
+	item int
+	fn   func(h Handle, hit bool)
 }
 
 // Cache is a fixed-capacity slot cache. It is not safe for OS-level
@@ -135,11 +138,18 @@ type Cache struct {
 	// lru holds evictable slots (READ with zero readers, or empty), least
 	// recently used at the front.
 	lru lruList
-	// freeWaiters are parties blocked because every slot was pinned.
-	freeWaiters []waiter
-	stats       Stats
-	policy      Policy
-	rng         *stats.RNG
+	// freeWaiters are acquisitions suspended because every slot was pinned.
+	freeWaiters []acquirer
+	// retries queues woken AcquireFunc calls until their retry event
+	// dispatches: each wake-up pushes one entry and defers retryFn once, so
+	// entries pop in event order. retryFn is retryNext bound once, which
+	// keeps waking a callback free of a closure per wake-up.
+	retries   []acquirer
+	retryHead int
+	retryFn   func()
+	stats     Stats
+	policy    Policy
+	rng       *stats.RNG
 }
 
 // New returns an LRU cache with the given number of slots, each slotSize
@@ -168,6 +178,7 @@ func NewWithPolicy(name string, capacity int, slotSize int64, policy Policy, rng
 		rng:      rng,
 	}
 	c.lru.init()
+	c.retryFn = c.retryNext
 	for i := 0; i < capacity; i++ {
 		s := &slot{item: -1, st: stateEmpty}
 		c.lru.pushBack(s)
@@ -197,6 +208,10 @@ func (c *Cache) Contains(item int) bool {
 
 // Resident returns the number of items currently stored (READ or WRITE).
 func (c *Cache) Resident() int { return len(c.index) }
+
+// Pinned returns the number of slots held by a lease (read or write) and
+// therefore not evictable; an idle cache reports zero.
+func (c *Cache) Pinned() int { return len(c.slots) - c.lru.len() }
 
 // Items returns up to max resident READ items in ascending order (0 = no
 // limit). Used by cache-aware stealing to describe a node's working set.
@@ -258,7 +273,9 @@ func (c *Cache) Peek(item int) interface{} {
 // Handle is a lease on a slot. A read lease (Write == false) grants access
 // to the slot's data until Release. A write lease (Write == true) obliges
 // the holder to fill the slot and then call Publish (keeping a read lease)
-// or Abort.
+// or Abort. A Handle is a plain value owned by whoever acquired it: store
+// it in place and end it exactly once — a copy is a second reference to
+// the same lease, not a second lease.
 type Handle struct {
 	c     *Cache
 	s     *slot
@@ -288,20 +305,20 @@ func (h *Handle) SetData(d interface{}) {
 // absent and the handle is a write lease on a freshly assigned slot.
 // Acquire blocks while the item is being written by another job, and
 // blocks when no slot can be evicted (every slot pinned).
-func (c *Cache) Acquire(p *sim.Proc, item int) (*Handle, bool) {
+func (c *Cache) Acquire(p *sim.Proc, item int) (Handle, bool) {
 	c.validateAcquire(item)
 	for {
-		h, hit, turn := c.tryOnce(item)
-		if h != nil {
+		h, hit, writing, ok := c.tryOnce(item)
+		if ok {
 			return h, hit
 		}
-		if turn != nil {
-			// Another job is loading this item; wait for the turn signal,
-			// then retry (the write may have been aborted).
-			p.WaitSignal(turn)
-			continue
+		if writing != nil {
+			// Another job is loading this item; wait for it to publish or
+			// abort, then retry (the write may have been aborted).
+			writing.waiting = append(writing.waiting, acquirer{p: p})
+		} else {
+			c.freeWaiters = append(c.freeWaiters, acquirer{p: p})
 		}
-		c.freeWaiters = append(c.freeWaiters, waiter{p: p})
 		p.Park()
 	}
 }
@@ -310,25 +327,51 @@ func (c *Cache) Acquire(p *sim.Proc, item int) (*Handle, bool) {
 // and hit flag once the item is available. When the item is resident in
 // READ state, or a slot is immediately evictable, fn runs inline before
 // AcquireFunc returns — mirroring Acquire's non-blocking paths. Otherwise
-// fn is re-attempted in scheduler context each time the blocking condition
-// (a write in progress, or every slot pinned) clears. fn must not block.
-func (c *Cache) AcquireFunc(e *sim.Env, item int, fn func(h *Handle, hit bool)) {
+// the acquisition is re-attempted in scheduler context each time the
+// blocking condition (a write in progress, or every slot pinned) clears.
+// fn must not block.
+func (c *Cache) AcquireFunc(item int, fn func(h Handle, hit bool)) {
 	c.validateAcquire(item)
-	c.acquireStep(e, item, fn)
+	c.acquireStep(acquirer{item: item, fn: fn})
 }
 
-func (c *Cache) acquireStep(e *sim.Env, item int, fn func(h *Handle, hit bool)) {
-	h, hit, turn := c.tryOnce(item)
-	if h != nil {
-		fn(h, hit)
-		return
+func (c *Cache) acquireStep(a acquirer) {
+	h, hit, writing, ok := c.tryOnce(a.item)
+	switch {
+	case ok:
+		a.fn(h, hit)
+	case writing != nil:
+		writing.waiting = append(writing.waiting, a)
+	default:
+		c.freeWaiters = append(c.freeWaiters, a)
 	}
-	retry := func() { c.acquireStep(e, item, fn) }
-	if turn != nil {
-		turn.OnFire(e, retry)
-		return
+}
+
+// wake resumes suspended acquisitions in the order they suspended:
+// processes are unparked, callbacks get one retry event each.
+func (c *Cache) wake(e *sim.Env, ws []acquirer) {
+	for _, w := range ws {
+		if w.p != nil {
+			e.Unpark(w.p)
+		} else {
+			c.retries = append(c.retries, w)
+			e.Defer(c.retryFn)
+		}
 	}
-	c.freeWaiters = append(c.freeWaiters, waiter{fn: retry})
+	clear(ws)
+}
+
+// retryNext re-attempts the longest-woken AcquireFunc call.
+func (c *Cache) retryNext() {
+	a := c.retries[c.retryHead]
+	c.retries[c.retryHead] = acquirer{}
+	c.retryHead++
+	if c.retryHead == len(c.retries) {
+		// Every wake-up of an instant has been retried by the time the
+		// clock moves on, so the queue empties and its buffer is reused.
+		c.retries, c.retryHead = c.retries[:0], 0
+	}
+	c.acquireStep(a)
 }
 
 func (c *Cache) validateAcquire(item int) {
@@ -340,19 +383,20 @@ func (c *Cache) validateAcquire(item int) {
 	}
 }
 
-// tryOnce performs one non-blocking acquisition attempt. It returns a
-// handle on success; a turn signal when the item is mid-write; or neither
-// when every slot is pinned (the caller must park on freeWaiters).
-func (c *Cache) tryOnce(item int) (*Handle, bool, *sim.Signal) {
-	if s, ok := c.index[item]; ok {
+// tryOnce performs one non-blocking acquisition attempt. ok reports
+// success; otherwise writing is the slot another job is filling with the
+// item, or nil when every slot is pinned (the caller suspends on the slot,
+// or on freeWaiters).
+func (c *Cache) tryOnce(item int) (h Handle, hit bool, writing *slot, ok bool) {
+	if s, found := c.index[item]; found {
 		switch s.st {
 		case stateRead:
 			c.stats.Hits++
 			c.pin(s)
-			return &Handle{c: c, s: s, item: item}, true, nil
+			return Handle{c: c, s: s, item: item}, true, nil, true
 		case stateWrite:
 			c.stats.WaitHits++
-			return nil, false, s.turned
+			return Handle{}, false, s, false
 		default:
 			panic(fmt.Sprintf("cache %q: indexed slot in empty state", c.name))
 		}
@@ -361,7 +405,7 @@ func (c *Cache) tryOnce(item int) (*Handle, bool, *sim.Signal) {
 	s := c.victim()
 	if s == nil {
 		c.stats.Stalls++
-		return nil, false, nil
+		return Handle{}, false, nil, false
 	}
 	c.lru.remove(s)
 	if s.item >= 0 {
@@ -373,9 +417,8 @@ func (c *Cache) tryOnce(item int) (*Handle, bool, *sim.Signal) {
 	s.st = stateWrite
 	s.readers = 0
 	s.data = nil
-	s.turned = sim.NewSignal()
 	c.index[item] = s
-	return &Handle{c: c, s: s, item: item, Write: true}, false, nil
+	return Handle{c: c, s: s, item: item, Write: true}, false, nil, true
 }
 
 // victim selects the slot to evict: the list front for LRU (least
@@ -416,9 +459,8 @@ func (h *Handle) Publish(e *sim.Env) {
 	s := h.s
 	s.st = stateRead
 	s.readers = 1
-	turned := s.turned
-	s.turned = nil
-	turned.Fire(e)
+	h.c.wake(e, s.waiting)
+	s.waiting = s.waiting[:0]
 }
 
 // Abort cancels a write lease (for example the load failed); the slot
@@ -434,10 +476,9 @@ func (h *Handle) Abort(e *sim.Env) {
 	s.st = stateEmpty
 	s.readers = 0
 	s.data = nil
-	turned := s.turned
-	s.turned = nil
 	c.lru.pushFront(s) // empty slots are the first eviction choice
-	turned.Fire(e)
+	c.wake(e, s.waiting)
+	s.waiting = s.waiting[:0]
 	c.wakeFreeWaiters(e)
 }
 
@@ -463,18 +504,8 @@ func (h *Handle) Release(e *sim.Env) {
 }
 
 func (c *Cache) wakeFreeWaiters(e *sim.Env) {
-	if len(c.freeWaiters) == 0 {
-		return
-	}
-	waiters := c.freeWaiters
-	c.freeWaiters = nil
-	for _, w := range waiters {
-		if w.p != nil {
-			e.Unpark(w.p)
-		} else {
-			e.Defer(w.fn)
-		}
-	}
+	c.wake(e, c.freeWaiters)
+	c.freeWaiters = c.freeWaiters[:0]
 }
 
 // checkInvariants validates internal consistency; used by tests.
@@ -495,9 +526,6 @@ func (c *Cache) checkInvariants() error {
 			}
 			if s.onList() {
 				return fmt.Errorf("WRITE slot on LRU list")
-			}
-			if s.turned == nil {
-				return fmt.Errorf("WRITE slot without turn signal")
 			}
 		case stateRead:
 			if s.readers > 0 && s.onList() {

@@ -459,7 +459,7 @@ func TestAcquireFuncMirrorsAcquire(t *testing.T) {
 		var times []sim.Time
 		acquire := func(item int, hold sim.Time) {
 			if callback {
-				c.AcquireFunc(e, item, func(h *Handle, hit bool) {
+				c.AcquireFunc(item, func(h Handle, hit bool) {
 					times = append(times, e.Now())
 					if !hit {
 						e.After(hold, func() {
@@ -510,7 +510,7 @@ func TestAcquireFuncWaitsForFreeSlot(t *testing.T) {
 	}
 	var grantedAt sim.Time
 	granted := false
-	c.AcquireFunc(e, 2, func(h2 *Handle, hit bool) {
+	c.AcquireFunc(2, func(h2 Handle, hit bool) {
 		granted, grantedAt = true, e.Now()
 		if hit {
 			t.Error("item 2 cannot hit")
@@ -534,17 +534,17 @@ func TestAcquireFuncWaitsForFreeSlot(t *testing.T) {
 
 // writeAndPublish inserts item via a write lease and publishes it, keeping
 // the read lease (pinning the slot).
-func writeAndPublish(t *testing.T, e *sim.Env, c *Cache, item int) (*Handle, bool) {
+func writeAndPublish(t *testing.T, e *sim.Env, c *Cache, item int) (Handle, bool) {
 	t.Helper()
-	var h *Handle
-	var hit bool
-	c.AcquireFunc(e, item, func(got *Handle, gotHit bool) {
-		h, hit = got, gotHit
+	var h Handle
+	var hit, done bool
+	c.AcquireFunc(item, func(got Handle, gotHit bool) {
 		if !gotHit {
 			got.Publish(e)
 		}
+		h, hit, done = got, gotHit, true
 	})
-	if h == nil {
+	if !done {
 		t.Fatal("acquire did not complete inline on an empty cache")
 	}
 	return h, hit

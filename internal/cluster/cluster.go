@@ -52,10 +52,13 @@ type Node struct {
 	Inbox *sim.Mailbox
 	// GPUs are the node's devices.
 	GPUs []*gpu.Device
+	// name is the trace identifier, formatted once by AddNode: trace and
+	// span naming asks for it on hot paths.
+	name string
 }
 
 // Name returns the node's trace identifier, e.g. "node3".
-func (n *Node) Name() string { return fmt.Sprintf("node%d", n.ID) }
+func (n *Node) Name() string { return n.name }
 
 // Cluster is the set of nodes plus the fabrics connecting them. Nodes is
 // append-only (IDs are dense, node i at index i); grow it through AddNode
@@ -120,16 +123,18 @@ func (c *Cluster) AddNode(s NodeSpec) (*Node, error) {
 		return nil, err
 	}
 	i := len(c.Nodes)
+	name := fmt.Sprintf("node%d", i)
 	n := &Node{
 		ID:    i,
 		Spec:  s,
-		CPU:   sim.NewResource(fmt.Sprintf("node%d/cpu", i), s.Cores),
-		IO:    sim.NewResource(fmt.Sprintf("node%d/io", i), 1),
-		NIC:   sim.NewResource(fmt.Sprintf("node%d/nic", i), 1),
-		Inbox: sim.NewMailbox(fmt.Sprintf("node%d/inbox", i)),
+		CPU:   sim.NewResource(name+"/cpu", s.Cores),
+		IO:    sim.NewResource(name+"/io", 1),
+		NIC:   sim.NewResource(name+"/nic", 1),
+		Inbox: sim.NewMailbox(name + "/inbox"),
+		name:  name,
 	}
 	for g, m := range s.GPUs {
-		d := gpu.New(fmt.Sprintf("node%d/gpu%d", i, g), m)
+		d := gpu.New(fmt.Sprintf("%s/gpu%d", name, g), m)
 		n.GPUs = append(n.GPUs, d)
 		c.totalGPUs++
 		c.totalSpeed += d.Speed

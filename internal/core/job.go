@@ -20,13 +20,49 @@ import (
 // is via the callback-completion primitives (sim.Resource.UseFunc,
 // cache.AcquireFunc, dht.FetchFunc, cluster ReadFunc/SendAsync).
 //
+// A job is also a pooled object. The chain is strictly sequential — at any
+// moment a job has at most one continuation outstanding — so where it is
+// in the pipeline is one stage field, what it is working on is a handful
+// of plain fields, and its continuations are four method values (one per
+// callback signature) bound when the object is first created. A pair
+// therefore allocates nothing: startJob takes a job from its device's
+// free list and finish/fail put it back.
+//
+// Ownership: a job returns to its device's pool only from finish or fail,
+// after its last continuation has fired, and cache leases are Handle
+// values stored in the job, released before it is recycled. Resuming a
+// recycled job, or recycling one twice, panics (see stale and recycle).
+//
 // Fault semantics: a job is pinned to its node's epoch. When the node
 // crashes, the epoch advances and every suspended step of the old epoch
 // quenches at its next resumption — it stops without touching the rebuilt
 // caches or token pool (its own handles reference only the orphaned
 // objects) and, for the one cluster-durable resource it may hold (the I/O
-// thread), releases it first. The crashed pair itself is re-exposed by
-// recovery, so nothing is double-counted and nothing is lost.
+// thread), releases it first. A quenched job is never recycled: it is
+// dropped together with the orphaned pool of the device it belonged to.
+// The crashed pair itself is re-exposed by recovery, so nothing is
+// double-counted and nothing is lost.
+
+// stage names the one continuation a job is waiting for.
+type stage uint8
+
+const (
+	stFree       stage = iota // in its device's pool
+	stStart                   // dispatched; first step deferred one event
+	stDevice                  // device-cache acquisition
+	stHost                    // host-cache acquisition
+	stFetch                   // distributed-cache lookup
+	stIOWait                  // queued for the node's I/O thread
+	stRead                    // storage read
+	stParse                   // CPU parse of the file
+	stStage                   // H2D copy of the parsed file
+	stPreprocess              // GPU pre-processing kernel
+	stFill                    // H2D copy of a payload the host level supplied
+	stWriteBack               // D2H copy of a loaded item into the host cache
+	stCompare                 // comparison kernel
+	stResult                  // D2H copy of the comparison result
+	stPost                    // CPU post-processing
+)
 
 // job carries one comparison (i, j) through the pipeline of Fig. 2
 // (bottom): acquire both items via the cache hierarchy, run the compare
@@ -36,100 +72,337 @@ type job struct {
 	d     *devRT
 	epoch int
 	i, j  int
-	hi    *cache.Handle
-	hj    *cache.Handle
+	stage stage
+	// second is set once the lease on i is held and j is being acquired.
+	second bool
+	// hi and hj are the device read leases on the two items.
+	hi, hj cache.Handle
+
+	// Acquisition state of the item in flight: the device write lease to
+	// fill, the host lease (read on a host hit, else write), the payload on
+	// its way to the device, and the start of the open I/O or fetch span.
+	item   int
+	dh, hh cache.Handle
+	data   interface{}
+	t0     sim.Time
+
+	// The continuations, bound once per object: step for func() waits,
+	// used for timed resource holds, leased for cache acquisitions,
+	// fetched for the distributed-cache reply.
+	step    func()
+	used    func(start sim.Time)
+	leased  func(h cache.Handle, hit bool)
+	fetched func(data interface{}, hop int, ok bool)
+}
+
+// takeJob returns a free job of device d, creating one when every pooled
+// job is in flight. The job-token limit bounds the jobs in flight, and so
+// the pool.
+func (n *nodeRT) takeJob(d *devRT) *job {
+	if k := len(d.free); k > 0 {
+		jb := d.free[k-1]
+		d.free = d.free[:k-1]
+		return jb
+	}
+	// devRTs are rebuilt on every crash, so the epoch a device was built
+	// in is the epoch of every job it ever pools.
+	jb := &job{n: n, d: d, epoch: n.epoch}
+	jb.step, jb.used, jb.leased, jb.fetched = jb.run, jb.onUse, jb.onLease, jb.onFetch
+	return jb
+}
+
+// recycle returns a finished job to its device's pool.
+func (jb *job) recycle() {
+	if jb.stage == stFree {
+		panic(fmt.Sprintf("core: job (%d, %d) recycled twice", jb.i, jb.j))
+	}
+	jb.stage = stFree
+	jb.second = false
+	jb.d.free = append(jb.d.free, jb)
 }
 
 // startJob launches the job chain for pair (i, j) on worker w's device.
 // The first step is deferred one event, exactly where the per-job process
 // used to be scheduled to start, so dispatch order is unchanged.
 func (n *nodeRT) startJob(w int, i, j int) {
-	jb := &job{n: n, d: n.devs[w], epoch: n.epoch, i: i, j: j}
+	jb := n.takeJob(n.devs[w])
+	jb.i, jb.j, jb.stage = i, j, stStart
 	if n.rt.inj != nil {
-		n.inflight[pairIJ{i, j}] = struct{}{}
+		n.inflight[pairIJ{i, j}] = jb
 	}
-	n.rt.env.Defer(jb.start)
+	n.rt.env.Defer(jb.step)
 }
 
 // stale reports whether the job belongs to a crashed incarnation of its
 // node. Stale steps stop silently; recovery already re-exposed the pair.
-func (jb *job) stale() bool { return jb.epoch != jb.n.epoch }
+// Every continuation asks before it touches anything, which makes this the
+// place that catches a continuation outliving its job.
+func (jb *job) stale() bool {
+	if jb.stage == stFree {
+		panic(fmt.Sprintf("core: job (%d, %d) resumed after recycling", jb.i, jb.j))
+	}
+	return jb.epoch != jb.n.epoch
+}
 
-func (jb *job) start() {
+// run continues the job after a func() wait.
+func (jb *job) run() {
+	rt := jb.n.rt
+	switch jb.stage {
+	case stStart:
+		if !jb.stale() {
+			jb.acquire(jb.i)
+		}
+	case stIOWait:
+		if jb.stale() {
+			// The I/O thread outlives the crash (it belongs to the cluster
+			// node, not the epoch); hand it back before quenching.
+			jb.n.node.IO.Release(rt.env)
+			return
+		}
+		// Remote I/O through this node's I/O thread. The interval covers
+		// the whole storage interaction including server-side queueing:
+		// that is exactly the time the paper's I/O thread is occupied.
+		jb.t0 = rt.env.Now()
+		jb.stage = stRead
+		rt.cl.Storage.ReadFunc(rt.env, rt.app.FileSize(jb.item), jb.step)
+	case stRead:
+		jb.n.node.IO.Release(rt.env)
+		if jb.stale() {
+			return
+		}
+		rt.tracer.Record(trace.Task{
+			Resource: jb.n.node.IO.Name(), Class: trace.ClassIO, Kind: trace.KindIO,
+			Item: jb.item, Item2: -1, Start: jb.t0, End: rt.env.Now(),
+		})
+		if pt := rt.app.ParseTime(jb.item); pt > 0 {
+			jb.stage = stParse
+			jb.n.node.CPU.UseFunc(rt.env, pt, jb.used)
+			return
+		}
+		jb.copyIn(stStage)
+	default:
+		panic(fmt.Sprintf("core: job (%d, %d) stepped in stage %d", jb.i, jb.j, jb.stage))
+	}
+}
+
+// onUse continues the job after a timed hold of a device engine or the
+// CPU pool that was granted at start.
+func (jb *job) onUse(start sim.Time) {
 	if jb.stale() {
 		return
 	}
-	jb.acquireItemFunc(jb.i, func(h *cache.Handle, err error) {
-		if err != nil {
-			jb.fail(err)
+	rt, dev := jb.n.rt, jb.d.dev
+	switch jb.stage {
+	case stParse:
+		jb.record(jb.n.node.CPU.Name(), trace.ClassCPU, trace.KindParse, start)
+		jb.copyIn(stStage)
+	case stStage:
+		jb.record(dev.H2D.Name(), trace.ClassH2D, trace.KindH2D, start)
+		if ppt := rt.app.PreprocessTime(jb.item); ppt > 0 {
+			jb.stage = stPreprocess
+			dev.LaunchKernel(rt.env, ppt, jb.used)
 			return
 		}
-		jb.hi = h
-		jb.acquireItemFunc(jb.j, func(h *cache.Handle, err error) {
-			if err != nil {
-				jb.hi.Release(jb.n.rt.env)
-				jb.fail(err)
-				return
-			}
-			jb.hj = h
-			jb.compare()
-		})
-	})
-}
-
-// compare runs the comparison kernel on the GPU.
-func (jb *job) compare() {
-	rt := jb.n.rt
-	jb.d.dev.LaunchKernel(rt.env, rt.app.CompareTime(jb.i, jb.j), func(start sim.Time) {
-		if jb.stale() {
+		jb.materialize()
+	case stPreprocess:
+		jb.record(dev.ID, trace.ClassGPU, trace.KindPreprocess, start)
+		jb.materialize()
+	case stFill:
+		jb.record(dev.H2D.Name(), trace.ClassH2D, trace.KindH2D, start)
+		jb.dh.SetData(jb.data)
+		jb.dh.Publish(rt.env)
+		jb.hh.Release(rt.env)
+		jb.acquired(jb.dh)
+	case stWriteBack:
+		jb.record(dev.D2H.Name(), trace.ClassD2H, trace.KindD2H, start)
+		jb.hh.SetData(jb.data)
+		jb.hh.Publish(rt.env)
+		jb.hh.Release(rt.env)
+		jb.acquired(jb.dh)
+	case stCompare:
+		jb.record(dev.ID, trace.ClassGPU, trace.KindCompare, start)
+		// Transfer the comparison result device -> host.
+		if rs := rt.app.ResultSize(); rs > 0 {
+			jb.stage = stResult
+			dev.CopyD2H(rt.env, rs, jb.used)
 			return
 		}
-		rt.tracer.Record(trace.Task{
-			Resource: jb.d.dev.ID, Class: trace.ClassGPU, Kind: trace.KindCompare,
-			Item: jb.i, Item2: jb.j, Start: start, End: rt.env.Now(),
-		})
-		jb.resultOut()
-	})
-}
-
-// resultOut transfers the comparison result device -> host.
-func (jb *job) resultOut() {
-	rt := jb.n.rt
-	rs := rt.app.ResultSize()
-	if rs <= 0 {
 		jb.post()
+	case stResult:
+		jb.record(dev.D2H.Name(), trace.ClassD2H, trace.KindD2H, start)
+		jb.post()
+	case stPost:
+		jb.record(jb.n.node.CPU.Name(), trace.ClassCPU, trace.KindPost, start)
+		jb.finish()
+	default:
+		panic(fmt.Sprintf("core: job (%d, %d) held a resource in stage %d", jb.i, jb.j, jb.stage))
+	}
+}
+
+// record logs the interval [start, now] of the current stage: against the
+// item being loaded up to the comparison, against the pair from there on.
+// The resource names are the ones the devices and nodes were built with.
+func (jb *job) record(resource string, class trace.Class, kind trace.Kind, start sim.Time) {
+	item, item2 := jb.item, -1
+	if jb.stage >= stCompare {
+		item, item2 = jb.i, jb.j
+	}
+	jb.n.rt.tracer.Record(trace.Task{
+		Resource: resource, Class: class, Kind: kind,
+		Item: item, Item2: item2, Start: start, End: jb.n.rt.env.Now(),
+	})
+}
+
+// acquire obtains a read lease for item on the job's device, walking the
+// hierarchy of Fig. 4: device cache, host cache, distributed cache, and
+// finally the full load pipeline. It ends in acquired, or in fail when a
+// real-kernel load errors.
+func (jb *job) acquire(item int) {
+	jb.item = item
+	jb.stage = stDevice
+	jb.d.cache.AcquireFunc(item, jb.leased)
+}
+
+// onLease continues the walk with the lease a cache level granted.
+func (jb *job) onLease(h cache.Handle, hit bool) {
+	if jb.stale() {
 		return
 	}
-	jb.d.dev.CopyD2H(rt.env, rs, func(start sim.Time) {
-		if jb.stale() {
+	rt := jb.n.rt
+	switch jb.stage {
+	case stDevice:
+		if hit {
+			jb.acquired(h)
 			return
 		}
-		rt.tracer.Record(trace.Task{
-			Resource: jb.d.dev.ID + "/d2h", Class: trace.ClassD2H, Kind: trace.KindD2H,
-			Item: jb.i, Item2: jb.j, Start: start, End: rt.env.Now(),
-		})
-		jb.post()
+		// Device miss: the device write lease is ours to fill.
+		jb.dh = h
+		if jb.n.host == nil {
+			// No host cache: load straight through to the device.
+			jb.load()
+			return
+		}
+		jb.stage = stHost
+		jb.n.host.AcquireFunc(jb.item, jb.leased)
+	case stHost:
+		jb.hh = h
+		if hit {
+			jb.data = h.Data()
+			jb.copyIn(stFill)
+			return
+		}
+		// Host miss: we hold the host write lease; try the distributed
+		// cache.
+		if jb.n.dht != nil {
+			jb.t0 = rt.env.Now()
+			jb.stage = stFetch
+			jb.n.dht.FetchFunc(rt.env, jb.item, jb.fetched)
+			return
+		}
+		jb.load()
+	default:
+		panic(fmt.Sprintf("core: job (%d, %d) granted a lease in stage %d", jb.i, jb.j, jb.stage))
+	}
+}
+
+// onFetch continues after the distributed-cache lookup: a peer's copy
+// fills the host slot and moves on to the device, a miss falls back to the
+// load pipeline.
+func (jb *job) onFetch(data interface{}, hop int, ok bool) {
+	if jb.stale() {
+		return
+	}
+	rt := jb.n.rt
+	rt.tracer.Record(trace.Task{
+		Resource: jb.n.netName, Class: trace.ClassNet, Kind: trace.KindFetch,
+		Item: jb.item, Item2: -1, Start: jb.t0, End: rt.env.Now(),
 	})
+	if !ok {
+		jb.load()
+		return
+	}
+	jb.hh.SetData(data)
+	jb.hh.Publish(rt.env)
+	jb.data = data
+	jb.copyIn(stFill)
+}
+
+// copyIn charges the host-to-device transfer of one item as stage st: the
+// parsed file on its way to pre-processing (stStage), or a payload the
+// host level supplied, jb.hh being a read lease on it (stFill).
+func (jb *job) copyIn(st stage) {
+	rt := jb.n.rt
+	jb.stage = st
+	jb.d.dev.CopyH2D(rt.env, rt.app.ItemSize(), jb.used)
+}
+
+// load executes the load pipeline ell(item) of Fig. 2: remote I/O, CPU
+// parse, host-to-device transfer, and the GPU pre-processing kernel. The
+// result lands on the device first (the last stage runs there), then is
+// copied back so the host cache — and thus the distributed cache — can
+// serve it (§4.1.2).
+func (jb *job) load() {
+	rt := jb.n.rt
+	rt.loads++
+	jb.stage = stIOWait
+	jb.n.node.IO.AcquireFunc(rt.env, jb.step)
+}
+
+// materialize ends the load pipeline: it produces the payload for
+// real-kernel applications, publishes the device slot, and writes the item
+// back to the host cache when there is one.
+func (jb *job) materialize() {
+	rt := jb.n.rt
+	var data interface{}
+	if rt.comp != nil {
+		var err error
+		if data, err = rt.comp.LoadItem(jb.item); err != nil {
+			jb.dh.Abort(rt.env)
+			if jb.n.host != nil {
+				jb.hh.Abort(rt.env)
+			}
+			if jb.second {
+				jb.hi.Release(rt.env)
+			}
+			jb.fail(fmt.Errorf("load item %d: %w", jb.item, err))
+			return
+		}
+	}
+	jb.dh.SetData(data)
+	jb.dh.Publish(rt.env)
+	if jb.n.host == nil {
+		jb.acquired(jb.dh)
+		return
+	}
+	jb.data = data
+	jb.stage = stWriteBack
+	jb.d.dev.CopyD2H(rt.env, rt.app.ItemSize(), jb.used)
+}
+
+// acquired takes the device read lease on the item in flight: the first
+// goes on to acquire j, the second to the comparison kernel on the GPU.
+func (jb *job) acquired(h cache.Handle) {
+	jb.data = nil
+	if !jb.second {
+		jb.hi, jb.second = h, true
+		jb.acquire(jb.j)
+		return
+	}
+	jb.hj = h
+	rt := jb.n.rt
+	jb.stage = stCompare
+	jb.d.dev.LaunchKernel(rt.env, rt.app.CompareTime(jb.i, jb.j), jb.used)
 }
 
 // post runs the post-processing step on the CPU pool.
 func (jb *job) post() {
 	rt := jb.n.rt
-	pt := rt.app.PostprocessTime(jb.i, jb.j)
-	if pt <= 0 {
-		jb.finish()
+	if pt := rt.app.PostprocessTime(jb.i, jb.j); pt > 0 {
+		jb.stage = stPost
+		jb.n.node.CPU.UseFunc(rt.env, pt, jb.used)
 		return
 	}
-	jb.n.node.CPU.UseFunc(rt.env, pt, func(start sim.Time) {
-		if jb.stale() {
-			return
-		}
-		rt.tracer.Record(trace.Task{
-			Resource: jb.n.node.Name() + "/cpu", Class: trace.ClassCPU, Kind: trace.KindPost,
-			Item: jb.i, Item2: jb.j, Start: start, End: rt.env.Now(),
-		})
-		jb.finish()
-	})
+	jb.finish()
 }
 
 // finish runs real kernels when provided, releases both leases, and
@@ -158,6 +431,7 @@ func (jb *job) finish() {
 	jb.hj.Release(rt.env)
 	jb.n.pairCompleted(jb)
 	jb.d.jobTokens.Release(rt.env)
+	jb.recycle()
 }
 
 // fail records the error and returns the job token.
@@ -168,6 +442,7 @@ func (jb *job) fail(err error) {
 	}
 	rt.fail(err)
 	jb.d.jobTokens.Release(rt.env)
+	jb.recycle()
 }
 
 // pairCompleted updates counters, the per-device throughput series, and
@@ -212,219 +487,4 @@ func (rt *runtime) fail(err error) {
 	}
 	rt.markFinished()
 	rt.done.Fire(rt.env)
-}
-
-// acquireItemFunc obtains a read lease for item on the job's device,
-// walking the hierarchy of Fig. 4: device cache, host cache, distributed
-// cache, and finally the full load pipeline. fn receives the device-level
-// read lease (or the first error).
-func (jb *job) acquireItemFunc(item int, fn func(*cache.Handle, error)) {
-	rt := jb.n.rt
-	jb.d.cache.AcquireFunc(rt.env, item, func(dh *cache.Handle, hit bool) {
-		if jb.stale() {
-			return
-		}
-		if hit {
-			fn(dh, nil)
-			return
-		}
-		// Device miss: the device write lease is ours to fill.
-		if jb.n.host == nil {
-			// No host cache: load straight through to the device.
-			jb.loadFunc(item, func(data interface{}, err error) {
-				if err != nil {
-					dh.Abort(rt.env)
-					fn(nil, err)
-					return
-				}
-				dh.SetData(data)
-				dh.Publish(rt.env)
-				fn(dh, nil)
-			})
-			return
-		}
-		jb.n.host.AcquireFunc(rt.env, item, func(hh *cache.Handle, hostHit bool) {
-			if jb.stale() {
-				return
-			}
-			if hostHit {
-				jb.copyH2D(item, func() {
-					dh.SetData(hh.Data())
-					dh.Publish(rt.env)
-					hh.Release(rt.env)
-					fn(dh, nil)
-				})
-				return
-			}
-			// Host miss: we hold the host write lease; try the distributed
-			// cache.
-			if jb.n.dht != nil {
-				start := rt.env.Now()
-				jb.n.dht.FetchFunc(rt.env, item, func(data interface{}, hop int, ok bool) {
-					if jb.stale() {
-						return
-					}
-					rt.tracer.Record(trace.Task{
-						Resource: jb.n.node.Name() + "/net", Class: trace.ClassNet, Kind: trace.KindFetch,
-						Item: item, Item2: -1, Start: start, End: rt.env.Now(),
-					})
-					if ok {
-						hh.SetData(data)
-						hh.Publish(rt.env)
-						jb.copyH2D(item, func() {
-							dh.SetData(data)
-							dh.Publish(rt.env)
-							hh.Release(rt.env)
-							fn(dh, nil)
-						})
-						return
-					}
-					jb.loadThrough(item, dh, hh, fn)
-				})
-				return
-			}
-			jb.loadThrough(item, dh, hh, fn)
-		})
-	})
-}
-
-// loadThrough executes the full load pipeline; the result lands on the
-// device first (the last stage runs there), then is copied back so the
-// host cache — and thus the distributed cache — can serve it (§4.1.2).
-func (jb *job) loadThrough(item int, dh, hh *cache.Handle, fn func(*cache.Handle, error)) {
-	rt := jb.n.rt
-	jb.loadFunc(item, func(data interface{}, err error) {
-		if err != nil {
-			dh.Abort(rt.env)
-			hh.Abort(rt.env)
-			fn(nil, err)
-			return
-		}
-		dh.SetData(data)
-		dh.Publish(rt.env)
-		jb.copyD2H(item, func() {
-			hh.SetData(data)
-			hh.Publish(rt.env)
-			hh.Release(rt.env)
-			fn(dh, nil)
-		})
-	})
-}
-
-// loadFunc executes the load pipeline ell(item) of Fig. 2: remote I/O, CPU
-// parse, host-to-device transfer, and the GPU pre-processing kernel.
-func (jb *job) loadFunc(item int, fn func(interface{}, error)) {
-	rt := jb.n.rt
-	rt.loads++
-
-	// Remote I/O through this node's I/O thread. The interval covers the
-	// whole storage interaction including server-side queueing: that is
-	// exactly the time the paper's I/O thread is occupied.
-	jb.n.node.IO.AcquireFunc(rt.env, func() {
-		if jb.stale() {
-			// The I/O thread outlives the crash (it belongs to the cluster
-			// node, not the epoch); hand it back before quenching.
-			jb.n.node.IO.Release(rt.env)
-			return
-		}
-		start := rt.env.Now()
-		rt.cl.Storage.ReadFunc(rt.env, rt.app.FileSize(item), func() {
-			jb.n.node.IO.Release(rt.env)
-			if jb.stale() {
-				return
-			}
-			rt.tracer.Record(trace.Task{
-				Resource: jb.n.node.Name() + "/io", Class: trace.ClassIO, Kind: trace.KindIO,
-				Item: item, Item2: -1, Start: start, End: rt.env.Now(),
-			})
-			jb.parseAndStage(item, fn)
-		})
-	})
-}
-
-// parseAndStage continues the load pipeline after the I/O stage.
-func (jb *job) parseAndStage(item int, fn func(interface{}, error)) {
-	rt := jb.n.rt
-	stage := func() {
-		jb.copyH2D(item, func() {
-			jb.preprocess(item, fn)
-		})
-	}
-	if pt := rt.app.ParseTime(item); pt > 0 {
-		jb.n.node.CPU.UseFunc(rt.env, pt, func(start sim.Time) {
-			if jb.stale() {
-				return
-			}
-			rt.tracer.Record(trace.Task{
-				Resource: jb.n.node.Name() + "/cpu", Class: trace.ClassCPU, Kind: trace.KindParse,
-				Item: item, Item2: -1, Start: start, End: rt.env.Now(),
-			})
-			stage()
-		})
-		return
-	}
-	stage()
-}
-
-// preprocess runs the GPU pre-processing kernel and materializes the
-// payload for real-kernel applications.
-func (jb *job) preprocess(item int, fn func(interface{}, error)) {
-	rt := jb.n.rt
-	materialize := func() {
-		if rt.comp != nil {
-			data, err := rt.comp.LoadItem(item)
-			if err != nil {
-				fn(nil, fmt.Errorf("load item %d: %w", item, err))
-				return
-			}
-			fn(data, nil)
-			return
-		}
-		fn(nil, nil)
-	}
-	if ppt := rt.app.PreprocessTime(item); ppt > 0 {
-		jb.d.dev.LaunchKernel(rt.env, ppt, func(start sim.Time) {
-			if jb.stale() {
-				return
-			}
-			rt.tracer.Record(trace.Task{
-				Resource: jb.d.dev.ID, Class: trace.ClassGPU, Kind: trace.KindPreprocess,
-				Item: item, Item2: -1, Start: start, End: rt.env.Now(),
-			})
-			materialize()
-		})
-		return
-	}
-	materialize()
-}
-
-// copyH2D charges a host-to-device transfer of one item.
-func (jb *job) copyH2D(item int, fn func()) {
-	rt := jb.n.rt
-	jb.d.dev.CopyH2D(rt.env, rt.app.ItemSize(), func(start sim.Time) {
-		if jb.stale() {
-			return
-		}
-		rt.tracer.Record(trace.Task{
-			Resource: jb.d.dev.ID + "/h2d", Class: trace.ClassH2D, Kind: trace.KindH2D,
-			Item: item, Item2: -1, Start: start, End: rt.env.Now(),
-		})
-		fn()
-	})
-}
-
-// copyD2H charges a device-to-host transfer of one item (write-back into
-// the host cache after pre-processing).
-func (jb *job) copyD2H(item int, fn func()) {
-	rt := jb.n.rt
-	jb.d.dev.CopyD2H(rt.env, rt.app.ItemSize(), func(start sim.Time) {
-		if jb.stale() {
-			return
-		}
-		rt.tracer.Record(trace.Task{
-			Resource: jb.d.dev.ID + "/d2h", Class: trace.ClassD2H, Kind: trace.KindD2H,
-			Item: item, Item2: -1, Start: start, End: rt.env.Now(),
-		})
-		fn()
-	})
 }

@@ -104,19 +104,26 @@ type nodeRT struct {
 	workers []*worker
 	// inflight tracks pairs handed to job chains but not yet completed,
 	// so a crash can re-expose them. Populated only under fault injection.
-	inflight map[pairIJ]struct{}
+	inflight map[pairIJ]*job
+	// netName and stealName are the trace resources of distributed-cache
+	// fetches and steal round-trips, formatted once instead of per event.
+	netName, stealName string
 	// onMsg is the inbox handler, allocated once at startServer; it stays
 	// registered across crash/restart (the fabric never delivers to a dead
 	// node, so it simply lies dormant while down).
 	onMsg func(raw interface{})
 }
 
-// devRT pairs a device with its level-1 cache and its concurrent-job
-// limit (back-pressure, §4.2).
+// devRT pairs a device with its level-1 cache, its concurrent-job limit
+// (back-pressure, §4.2), and the pool of job objects that limit bounds.
+// The pool grows lazily, one job per token actually in use, and is
+// rebuilt empty with the rest of the device state on a crash, so jobs of
+// a crashed epoch are never handed out again.
 type devRT struct {
 	dev       *gpu.Device
 	cache     *cache.Cache
 	jobTokens *sim.Resource
+	free      []*job
 }
 
 // Steal-protocol messages exchanged between nodes.
@@ -139,6 +146,18 @@ type (
 // collected metrics. The cluster must be freshly built (its accounting is
 // cumulative).
 func Run(cfg Config) (*Metrics, error) {
+	rt, err := launch(cfg)
+	if err != nil {
+		return nil, err
+	}
+	rt.env.Run()
+	return rt.collect()
+}
+
+// launch builds the runtime and schedules its first events; the run is
+// ready for env.Run. Split from Run so tests can stop the clock mid-run
+// and look at the state machines.
+func launch(cfg Config) (*runtime, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
@@ -226,8 +245,12 @@ func Run(cfg Config) (*Metrics, error) {
 			n.startWorker(w)
 		}
 	}
+	return rt, nil
+}
 
-	rt.env.Run()
+// collect gathers the metrics of a run whose event queue has drained and
+// reports how it ended.
+func (rt *runtime) collect() (*Metrics, error) {
 	m := rt.aggregate()
 	rt.env.Close()
 	if rt.err != nil {
@@ -247,6 +270,8 @@ func (rt *runtime) newNodeRT(node *cluster.Node, rng *stats.RNG) (*nodeRT, error
 		alive:     true,
 		rootRNG:   rng,
 		victimRNG: rng.Fork(),
+		netName:   node.Name() + "/net",
+		stealName: node.Name() + "/steal",
 	}
 	if err := n.buildVolatile(); err != nil {
 		return nil, err
@@ -264,7 +289,7 @@ func (n *nodeRT) buildVolatile() error {
 	node := n.node
 	n.group = steal.NewGroup(len(node.GPUs))
 	n.pendingSteals = make(map[uint64]*sim.Signal)
-	n.inflight = make(map[pairIJ]struct{})
+	n.inflight = make(map[pairIJ]*job)
 	policy := cache.PolicyLRU
 	if rt.cfg.EvictRandom {
 		policy = cache.PolicyRandom
@@ -448,14 +473,19 @@ type worker struct {
 	// any success resets the backoff.
 	backoff    sim.Time
 	maxBackoff sim.Time
-	// stepFn caches the step method value so backoff rescheduling does
-	// not allocate a closure per idle round.
-	stepFn func()
+	// stepFn and tokenFn cache the step and onToken method values so
+	// backoff rescheduling and token waits do not allocate a closure each.
+	stepFn  func()
+	tokenFn func()
 	// pendingList/pendingK record a leaf submission suspended on the
-	// job-token limit, so crash recovery can harvest the unsubmitted tail
-	// list[pendingK:]. pendingList is nil while nothing is suspended.
+	// job-token limit: onToken resumes from them, and crash recovery
+	// harvests the unsubmitted tail list[pendingK:]. pendingList is nil
+	// while nothing is suspended.
 	pendingList []pairIJ
 	pendingK    int
+	// leaf is the buffer submitLeaf lists a region's pairs into; a worker
+	// has finished (or lost to a crash) one leaf before it lists the next.
+	leaf []pairIJ
 }
 
 // startWorker launches worker w's state machine, deferred one event to
@@ -468,7 +498,7 @@ func (n *nodeRT) startWorker(w int) {
 		backoff:    n.rt.cfg.StealBackoff,
 		maxBackoff: 256 * n.rt.cfg.StealBackoff,
 	}
-	wk.stepFn = wk.step
+	wk.stepFn, wk.tokenFn = wk.step, wk.onToken
 	n.workers = append(n.workers, wk)
 	n.rt.env.Defer(wk.begin)
 }
@@ -558,14 +588,15 @@ func (wk *worker) onSteal(region pairs.Region, ok bool) {
 // chain, suspending on the concurrent-job limit (back-pressure). It
 // reports whether it completed inline.
 func (wk *worker) submitLeaf(region pairs.Region) bool {
-	list := make([]pairIJ, 0, region.Count())
+	list := wk.leaf[:0]
 	region.Each(func(i, j int) { list = append(list, pairIJ{i, j}) })
+	wk.leaf = list
 	return wk.submitFrom(list, 0)
 }
 
 // submitFrom submits list[k:], suspending when the job-token pool is
-// exhausted; the continuation resumes at the same pair once a token frees
-// up, and re-enters the work loop after the last pair.
+// exhausted; onToken resumes at the same pair once a token frees up, and
+// re-enters the work loop after the last pair.
 func (wk *worker) submitFrom(list []pairIJ, k int) bool {
 	rt := wk.n.rt
 	tokens := wk.n.devs[wk.w].jobTokens
@@ -581,24 +612,27 @@ func (wk *worker) submitFrom(list []pairIJ, k int) bool {
 			wk.n.startJob(wk.w, i, j)
 			continue
 		}
-		k := k
 		wk.pendingList, wk.pendingK = list, k
-		tokens.AcquireFunc(rt.env, func() {
-			if wk.stale() {
-				// Crash recovery harvested list[k:]; this grant arrived on
-				// the orphaned token pool and simply dies with it.
-				return
-			}
-			wk.pendingList = nil
-			wk.n.startJob(wk.w, list[k].i, list[k].j)
-			if wk.submitFrom(list, k+1) {
-				wk.step()
-			}
-		})
+		tokens.AcquireFunc(rt.env, wk.tokenFn)
 		return false
 	}
 	wk.pendingList = nil
 	return true
+}
+
+// onToken continues a leaf submission with the job token it waited for.
+func (wk *worker) onToken() {
+	if wk.stale() {
+		// Crash recovery harvested the pending tail; this grant arrived on
+		// the orphaned token pool and simply dies with it.
+		return
+	}
+	list, k := wk.pendingList, wk.pendingK
+	wk.pendingList = nil
+	wk.n.startJob(wk.w, list[k].i, list[k].j)
+	if wk.submitFrom(list, k+1) {
+		wk.step()
+	}
 }
 
 type pairIJ struct{ i, j int }
@@ -657,7 +691,7 @@ func (n *nodeRT) stealFunc(w int, fn func(pairs.Region, bool)) {
 		sig.OnFire(rt.env, func() {
 			rep := sig.Value.(stealReply)
 			rt.tracer.Record(trace.Task{
-				Resource: n.node.Name() + "/steal",
+				Resource: n.stealName,
 				Class:    trace.ClassNet,
 				Kind:     trace.KindSteal,
 				Item:     victim, Item2: -1,

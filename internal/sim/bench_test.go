@@ -45,6 +45,33 @@ func TestZeroAllocResourceGrant(t *testing.T) {
 	}
 }
 
+// A contended resource queues its waiters in a ring: a queue that drains
+// and refills for a whole run — the GPU compute queue behind 48 job tokens —
+// must settle on one buffer instead of reslicing its front away and
+// regrowing, for timed holds and plain acquisitions alike.
+func TestZeroAllocContendedResource(t *testing.T) {
+	e := NewEnv()
+	r := NewResource("r", 1)
+	held := func(Time) {}
+	release := func() { r.Release(e) }
+	round := func() {
+		// The first UseFunc takes the unit; the other seven calls queue.
+		for i := 0; i < 4; i++ {
+			r.UseFunc(e, 1, held)
+			r.AcquireFunc(e, release)
+		}
+		for e.Step() {
+		}
+	}
+	round() // grow the ring and the event queue to steady-state capacity
+	if allocs := testing.AllocsPerRun(100000, round); allocs != 0 {
+		t.Fatalf("a drain-and-refill round of a contended resource allocates %.2f objects, want 0", allocs)
+	}
+	if r.InUse() != 0 || r.QueueLen() != 0 || r.Acquires() != 8*100002 {
+		t.Fatalf("resource did not drain: in use %d, queued %d, acquires %d", r.InUse(), r.QueueLen(), r.Acquires())
+	}
+}
+
 func TestZeroAllocWaitDispatch(t *testing.T) {
 	e := NewEnv()
 	e.Spawn("p", func(p *Proc) {

@@ -65,13 +65,14 @@ const (
 	evUseEnd                    // timed hold over: release res, call useFn(useStart)
 )
 
-// event is one entry of the queue. The use variants exist so the hot
+// event is the payload of one queue entry; its ordering key (at, seq)
+// lives in the heap's eventRef. The use variants exist so the hot
 // "occupy a resource for d, then continue" pattern costs zero closure
 // allocations: the resource, continuation, and grant time ride inline in
-// the event (see Resource.UseFunc).
+// the event (see Resource.UseFunc). Each kind sets only its own fields on
+// push and Step clears only those on pop, so queueing never copies or
+// zeroes a whole event.
 type event struct {
-	at    Time
-	seq   uint64
 	kind  eventKind
 	proc  *Proc
 	fn    func()
@@ -149,26 +150,29 @@ func (e *Env) schedule(at Time, p *Proc, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past: %v < %v", at, e.now))
 	}
-	kind := evFn
-	if p != nil {
-		kind = evProc
-	}
 	e.seq++
-	e.events.push(event{at: at, seq: e.seq, kind: kind, proc: p, fn: fn})
+	ev := e.events.push(at, e.seq)
+	if p != nil {
+		ev.kind, ev.proc = evProc, p
+	} else {
+		ev.kind, ev.fn = evFn, fn
+	}
 }
 
 // scheduleUseGrant enqueues the hand-off of a resource unit to a queued
 // UseFunc continuation, at the slot where a process wake-up would go.
 func (e *Env) scheduleUseGrant(r *Resource, d Time, fn func(start Time)) {
 	e.seq++
-	e.events.push(event{at: e.now, seq: e.seq, kind: evUseGrant, res: r, useFn: fn, useDur: d})
+	ev := e.events.push(e.now, e.seq)
+	ev.kind, ev.res, ev.useFn, ev.useDur = evUseGrant, r, fn, d
 }
 
 // scheduleUseEnd enqueues the completion of a timed resource hold that
 // was granted at start.
 func (e *Env) scheduleUseEnd(r *Resource, d Time, fn func(start Time), start Time) {
 	e.seq++
-	e.events.push(event{at: e.now + d, seq: e.seq, kind: evUseEnd, res: r, useFn: fn, useStart: start})
+	ev := e.events.push(e.now+d, e.seq)
+	ev.kind, ev.res, ev.useFn, ev.useStart = evUseEnd, r, fn, start
 }
 
 // At schedules fn to run in scheduler context at virtual time t (>= now).
@@ -247,32 +251,52 @@ func (e *Env) Step() bool {
 	if e.events.Len() == 0 {
 		return false
 	}
-	ev := e.events.pop()
-	e.now = ev.at
+	at, idx := e.events.pop()
+	e.now = at
+	// Copy out what the kind needs, clear its pointers so the slot is
+	// zero for its next user (and holds nothing live for the GC), and
+	// release it before calling out: a continuation may push, and a push
+	// may reuse the slot or move the slab.
+	ev := &e.events.slab[idx]
 	switch ev.kind {
 	case evProc:
-		if ev.proc.done {
+		p := ev.proc
+		ev.proc = nil
+		e.events.release(idx)
+		if p.done {
 			return true // stale wake-up for a finished process: skip, uncounted
 		}
 		e.eventsProcessed++
-		e.resumeProc(ev.proc, false)
+		e.resumeProc(p, false)
 	case evTimer:
-		if ev.timer.state != timerPending {
+		t := ev.timer
+		ev.timer = nil
+		e.events.release(idx)
+		if t.state != timerPending {
 			return true // stopped timer: skip, uncounted
 		}
-		ev.timer.state = timerFired
+		t.state = timerFired
 		e.eventsProcessed++
-		ev.timer.fn()
+		t.fn()
 	case evUseGrant:
+		r, fn, d := ev.res, ev.useFn, ev.useDur
+		ev.res, ev.useFn = nil, nil
+		e.events.release(idx)
 		e.eventsProcessed++
-		e.scheduleUseEnd(ev.res, ev.useDur, ev.useFn, e.now)
+		e.scheduleUseEnd(r, d, fn, e.now)
 	case evUseEnd:
+		r, fn, start := ev.res, ev.useFn, ev.useStart
+		ev.res, ev.useFn = nil, nil
+		e.events.release(idx)
 		e.eventsProcessed++
-		ev.res.Release(e)
-		ev.useFn(ev.useStart)
+		r.Release(e)
+		fn(start)
 	default:
+		fn := ev.fn
+		ev.fn = nil
+		e.events.release(idx)
 		e.eventsProcessed++
-		ev.fn()
+		fn()
 	}
 	return true
 }

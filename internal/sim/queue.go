@@ -51,25 +51,29 @@ func (q *eventQueue) less(i, j int) bool {
 	return q.heap[i].seq < q.heap[j].seq
 }
 
-// push inserts ev, growing the backing arrays in bulk when full.
-func (q *eventQueue) push(ev event) {
+// push queues an event ordered at (at, seq) and returns its payload slot
+// for the caller to fill in, growing the backing arrays in bulk when full.
+// The slot is zero on return — release clears exactly the fields each
+// kind sets — so the caller writes only what its kind uses instead of
+// copying a whole event. The pointer is valid until the next push.
+func (q *eventQueue) push(at Time, seq uint64) *event {
 	var idx int32
 	if n := len(q.free); n > 0 {
 		idx = q.free[n-1]
 		q.free = q.free[:n-1]
-		q.slab[idx] = ev
 	} else {
 		idx = int32(len(q.slab))
 		if len(q.slab) == cap(q.slab) {
 			q.slab = append(make([]event, 0, growCap(cap(q.slab))), q.slab...)
 		}
-		q.slab = append(q.slab, ev)
+		q.slab = q.slab[:idx+1]
 	}
 	if len(q.heap) == cap(q.heap) {
 		q.heap = append(make([]eventRef, 0, growCap(cap(q.heap))), q.heap...)
 	}
-	q.heap = append(q.heap, eventRef{at: ev.at, seq: ev.seq, idx: idx})
+	q.heap = append(q.heap, eventRef{at: at, seq: seq, idx: idx})
 	q.siftUp(len(q.heap) - 1)
+	return &q.slab[idx]
 }
 
 func growCap(c int) int {
@@ -79,9 +83,12 @@ func growCap(c int) int {
 	return 2 * c
 }
 
-// pop removes and returns the minimum event. The caller must ensure the
-// queue is non-empty.
-func (q *eventQueue) pop() event {
+// pop removes the minimum event from the heap and returns its timestamp
+// and payload slot. The slot stays reserved until release; the caller
+// copies out the fields its kind needs, releases, and only then calls
+// out (a continuation may push and so grow the slab). The caller must
+// ensure the queue is non-empty.
+func (q *eventQueue) pop() (Time, int32) {
 	ref := q.heap[0]
 	n := len(q.heap) - 1
 	q.heap[0] = q.heap[n]
@@ -89,10 +96,14 @@ func (q *eventQueue) pop() event {
 	if n > 1 {
 		q.siftDown(0)
 	}
-	ev := q.slab[ref.idx]
-	q.slab[ref.idx] = event{} // release proc/fn/timer references to the GC
-	q.free = append(q.free, ref.idx)
-	return ev
+	return ref.at, ref.idx
+}
+
+// release returns a popped slot to the free stack. The caller has
+// already cleared the pointer fields of the slot's kind, so the slot is
+// zero again apart from scalars the next push overwrites or ignores.
+func (q *eventQueue) release(idx int32) {
+	q.free = append(q.free, idx)
 }
 
 func (q *eventQueue) siftUp(i int) {

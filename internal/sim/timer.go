@@ -30,7 +30,8 @@ func (e *Env) AfterFunc(d Time, fn func()) *Timer {
 	}
 	t := &Timer{env: e, when: e.now + d, fn: fn}
 	e.seq++
-	e.events.push(event{at: t.when, seq: e.seq, kind: evTimer, timer: t})
+	ev := e.events.push(t.when, e.seq)
+	ev.kind, ev.timer = evTimer, t
 	return t
 }
 

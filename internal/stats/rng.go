@@ -24,7 +24,12 @@ type RNG struct {
 // NewRNG returns a generator seeded from the given seed. Distinct seeds give
 // independent-looking streams.
 func NewRNG(seed uint64) *RNG {
-	r := &RNG{}
+	r := seeded(seed)
+	return &r
+}
+
+// seeded returns the generator NewRNG(seed) points to, as a value.
+func seeded(seed uint64) (r RNG) {
 	// splitmix64 to spread the seed over the full state.
 	x := seed
 	for i := 0; i < 4; i++ {
@@ -120,10 +125,25 @@ func (r *RNG) NormFloat64() float64 {
 // deterministic randomness regardless of execution order — for example the
 // comparison time of pair (i, j) must not depend on which GPU runs it.
 func HashRNG(seed uint64, a, b uint64) *RNG {
-	h := seed
-	h = mix(h, a)
-	h = mix(h, b)
-	return NewRNG(h)
+	return NewRNG(mix(mix(seed, a), b))
+}
+
+// HashSample returns d.Sample(HashRNG(seed, a, b)), bit for bit, without
+// the generator reaching the heap: through the Dist interface it escapes,
+// which cost the cost models one allocation per sampled duration. The
+// distributions the cost models use are sampled from a generator on the
+// stack; any other Dist takes the allocating path.
+func HashSample(d Dist, seed uint64, a, b uint64) float64 {
+	h := mix(mix(seed, a), b)
+	switch d := d.(type) {
+	case Normal:
+		r := seeded(h)
+		return d.Sample(&r)
+	case LogNormal:
+		r := seeded(h)
+		return d.Sample(&r)
+	}
+	return d.Sample(NewRNG(h))
 }
 
 func mix(h, v uint64) uint64 {

@@ -116,6 +116,63 @@ func TestHashRNGOrderIndependence(t *testing.T) {
 	}
 }
 
+// TestHashSampleStreamIdentity pins the hashed-sample streams of every
+// distribution the three cost models draw from (Table 1 parameters): the
+// goldens are d.Sample(HashRNG(seed, a, b)) as the allocating path computed
+// them before HashSample existed, so a change to the generator, the hash,
+// or a distribution's draw order fails here before it moves an experiment.
+func TestHashSampleStreamIdentity(t *testing.T) {
+	triples := [5][3]uint64{{1, 0, 1}, {1, 7, 0x9a45e}, {2, 1659, 0xf11e}, {0xdeadbeef, 123, 456}, {0, 0, 0}}
+	cases := []struct {
+		d    Dist
+		want [5]uint64
+	}{
+		// forensics: parse, pre-process, compare, file size.
+		{Normal{Mu: 130.8, Sigma: 14.11, Min: 1}, [5]uint64{0x40603f1476807fbd, 0x4064c6c54178ea96, 0x40603ec87ecd8233, 0x405ed66b58c316c5, 0x40611a8a77e9af34}},
+		{Normal{Mu: 20.5, Sigma: 0.02, Min: 0.1}, [5]uint64{0x40347fb303c6620b, 0x40348cd97cbb97b0, 0x40347fb2273f8b9e, 0x40347d4bf9ae7224, 0x4034823016d75c3b}},
+		{Normal{Mu: 1.1, Sigma: 0.01, Min: 0.1}, [5]uint64{0x3ff19731b7cca9f1, 0x3ff200657f76571b, 0x3ff1972ad395f68c, 0x3ff183f9670d2aba, 0x3ff1ab1a50547b73}},
+		{Normal{Mu: 3900000, Sigma: 400000, Min: 1 << 20}, [5]uint64{0x414d934cfb82571f, 0x4152b4eff59b2ca0, 0x414d92c989cdc194, 0x414c24b569dcd37d, 0x414f0f06d54c5ecc}},
+		// phylo: parse, pre-process, compare, file size.
+		{Normal{Mu: 36.9, Sigma: 14.79, Min: 1}, [5]uint64{0x40420401e6fb4e79, 0x405281298d92c4ea, 0x404202c3633b1b1a, 0x403d175e25d11d74, 0x40459c2830c0a986}},
+		{Normal{Mu: 27.0, Sigma: 4.90, Min: 1}, [5]uint64{0x403ab6529cdbd473, 0x4043a6122fc415c7, 0x403ab57f8fd09e82, 0x403869b5f3f33c79, 0x403d1805dc1b448a}},
+		{LogNormal{MeanV: 2.1, StdV: 0.79}, [5]uint64{0x3ffec8909fd52312, 0x4013977a10664db2, 0x3ffec6ae4deec321, 0x3ff9f3cdc30b6827, 0x40025e731986f104}},
+		{LogNormal{MeanV: 720000, StdV: 400000}, [5]uint64{0x4122a19adacb1598, 0x4141a5f2a38d0552, 0x41229ffab9d80393, 0x411d36968a095dbd, 0x4127f914bce2c102}},
+		// microscopy: parse, compare, file size.
+		{Normal{Mu: 27.4, Sigma: 1.56, Min: 1}, [5]uint64{0x403b4ef18cd845ba, 0x403f50aa678e9e0f, 0x403b4eae5bc2f0a2, 0x403a938c798d2d60, 0x403c110d5c048066}},
+		{LogNormal{MeanV: 564.3, StdV: 348}, [5]uint64{0x407d08edd33ac9e4, 0x409f32a70e20d76f, 0x407d0627f9d24140, 0x40763ea0b9121728, 0x4083217216b2477c}},
+		{Normal{Mu: 586000, Sigma: 60000, Min: 10000}, [5]uint64{0x4121c697ca1b0113, 0x41267a898d209bf3, 0x4121c648ec4840f2, 0x4120eaa33f847ee5, 0x4122aa6db32dd27b}},
+	}
+	for _, c := range cases {
+		for k, tr := range triples {
+			got := HashSample(c.d, tr[0], tr[1], tr[2])
+			if math.Float64bits(got) != c.want[k] {
+				t.Errorf("%v HashSample%v = %#x, want %#x", c.d, tr, math.Float64bits(got), c.want[k])
+			}
+			if ref := c.d.Sample(HashRNG(tr[0], tr[1], tr[2])); ref != got {
+				t.Errorf("%v HashSample%v = %v, HashRNG path gives %v", c.d, tr, got, ref)
+			}
+		}
+	}
+	// The remaining distributions and a Dist from outside the package
+	// must agree with the allocating path too.
+	for _, d := range []Dist{Uniform{Lo: 2, Hi: 5}, Exponential{MeanV: 3}, Constant{V: 7}, shifted{Normal{Mu: 1, Sigma: 1, Min: -10}}} {
+		if got, ref := HashSample(d, 9, 8, 7), d.Sample(HashRNG(9, 8, 7)); got != ref {
+			t.Errorf("%v HashSample = %v, HashRNG path gives %v", d, got, ref)
+		}
+	}
+	d := Dist(LogNormal{MeanV: 2.1, StdV: 0.79})
+	if n := testing.AllocsPerRun(100, func() { sink = HashSample(d, 1, 2, 3) }); n != 0 {
+		t.Errorf("HashSample allocates %.1f objects per draw, want 0", n)
+	}
+}
+
+var sink float64
+
+// shifted is a Dist HashSample has no stack path for.
+type shifted struct{ Normal }
+
+func (s shifted) Sample(r *RNG) float64 { return s.Normal.Sample(r) + 1 }
+
 func TestForkIndependence(t *testing.T) {
 	r := NewRNG(1)
 	f := r.Fork()
