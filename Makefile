@@ -8,10 +8,6 @@ GO ?= go
 ROCKET_SCALE ?= 50
 BENCH_RUN ?= local
 BENCH_BASELINE ?= BENCH_pr12.json
-# The committed baseline was taken at this GOMAXPROCS. The experiments on
-# the sharded engine allocate per OS thread, so allocs_per_op is only
-# comparable (and only hard-gated) at the baseline's thread count.
-BENCH_GOMAXPROCS ?= 2
 COVERAGE_FLOOR ?= 75.0
 
 .PHONY: build test race-stress bench bench-sim bench-shards bench-json bench-gate coverage smoke smoke-scenarios smoke-elastic smoke-incremental smoke-pairstore smoke-trace fuzz-smoke lint ci fmt
@@ -47,16 +43,18 @@ bench-shards:
 	$(GO) test -bench=BenchmarkShardScaling -benchtime=3x -count=1 -run='^$$' ./internal/fleet/
 
 # Machine-readable perf trajectory: per-experiment ns/op, allocs/op, and
-# events/sec written to BENCH_$(BENCH_RUN).json.
+# events/sec written to BENCH_$(BENCH_RUN).json. GOMAXPROCS is pinned: the
+# sharded-engine experiments allocate per OS thread, and benchgate refuses
+# to compare reports taken at different thread counts.
 bench-json:
-	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) run ./cmd/rocketbench -exp all -scale $(ROCKET_SCALE) -json $(BENCH_RUN) -q
+	GOMAXPROCS=2 $(GO) run ./cmd/rocketbench -exp all -scale $(ROCKET_SCALE) -json $(BENCH_RUN) -q
 
 # Mirrors the workflow's bench-gate job: regenerate BENCH_ci.json and gate
 # it against the committed baseline — fail on output_sha256 drift and on
 # allocs_per_op more than 2% above the baseline, warn on >25% ns_per_op
 # regressions.
 bench-gate:
-	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) run ./cmd/rocketbench -exp all -scale $(ROCKET_SCALE) -json ci -q
+	GOMAXPROCS=2 $(GO) run ./cmd/rocketbench -exp all -scale $(ROCKET_SCALE) -json ci -q
 	$(GO) run ./cmd/benchgate -baseline $(BENCH_BASELINE) -candidate BENCH_ci.json -max-regress 0.25
 
 # Mirrors the workflow's coverage job: total statement coverage across all

@@ -12,12 +12,12 @@
 //
 //   - determinism (always fatal): every experiment present in the baseline
 //     must exist in the candidate with a bit-identical output_sha256;
-//   - allocations (fatal at equal GOMAXPROCS): each experiment's
-//     allocs_per_op may exceed the baseline's by at most 2% — the count
-//     repeats to a fraction of a percent, so more is a change in the code,
-//     not noise. A drop is printed in the row and not gated. Reports taken
-//     at different GOMAXPROCS only warn: the sharded-engine experiments
-//     allocate per OS thread;
+//   - allocations (always fatal): each experiment's allocs_per_op may
+//     exceed the baseline's by at most 2% — the count repeats to a fraction
+//     of a percent, so more is a change in the code, not noise. A drop is
+//     printed in the row and not gated. Reports taken at different
+//     GOMAXPROCS (or scale, or seed) are refused as incomparable: the
+//     sharded-engine experiments allocate per OS thread;
 //   - performance (warning by default, fatal with -strict-perf): each
 //     experiment's ns_per_op may grow at most -max-regress (default 25%).
 //     Wall time on shared CI runners is noisy, which is why timing alone

@@ -76,21 +76,21 @@ func (g GateResult) Failed() bool { return len(g.Failures) > 0 }
 // maxAllocsRegress; a drop shows in the row and is not gated — and last
 // per-experiment ns_per_op within opts.MaxRegress.
 //
-// Allocation growth is fatal like sha drift when both reports were taken
-// at the same GOMAXPROCS. The experiments on the sharded engine start
-// goroutines per OS thread, so their counts move by up to a fifth with the
-// thread count; across different GOMAXPROCS the excess is a warning that
-// says so.
+// Reports taken at different GOMAXPROCS are not comparable: the experiments
+// on the sharded engine start goroutines per OS thread, so their allocation
+// counts move by up to a fifth with the thread count.
 func Gate(baseline, candidate Report, opts GateOptions) GateResult {
 	var g GateResult
 	base := make(map[string]ExpResult, len(baseline.Experiments))
 	for _, e := range baseline.Experiments {
 		base[e.ID] = e
 	}
-	if baseline.Scale != candidate.Scale || baseline.Seed != candidate.Seed {
+	if baseline.Scale != candidate.Scale || baseline.Seed != candidate.Seed ||
+		baseline.GoMaxProcs != candidate.GoMaxProcs {
 		g.Failures = append(g.Failures, fmt.Sprintf(
-			"incomparable runs: baseline scale/seed %d/%d vs candidate %d/%d",
-			baseline.Scale, baseline.Seed, candidate.Scale, candidate.Seed))
+			"incomparable runs: baseline scale/seed/GOMAXPROCS %d/%d/%d vs candidate %d/%d/%d",
+			baseline.Scale, baseline.Seed, baseline.GoMaxProcs,
+			candidate.Scale, candidate.Seed, candidate.GoMaxProcs))
 		return g
 	}
 	seen := make(map[string]bool, len(candidate.Experiments))
@@ -116,16 +116,10 @@ func Gate(baseline, candidate Report, opts GateOptions) GateResult {
 				c.ID, b.OutputSHA256, c.OutputSHA256))
 		case allocsUp:
 			row.Verdict = "allocs"
-			msg := fmt.Sprintf("%s: allocs_per_op grew %.1f%% (%d -> %d, limit %.0f%%)",
+			g.Failures = append(g.Failures, fmt.Sprintf(
+				"%s: allocs_per_op grew %.1f%% (%d -> %d, limit %.0f%%)",
 				c.ID, 100*(float64(c.AllocsPerOp)/float64(b.AllocsPerOp)-1),
-				b.AllocsPerOp, c.AllocsPerOp, 100*maxAllocsRegress)
-			if baseline.GoMaxProcs == candidate.GoMaxProcs {
-				g.Failures = append(g.Failures, msg)
-			} else {
-				g.Warnings = append(g.Warnings, fmt.Sprintf(
-					"%s; not gated: baseline taken at GOMAXPROCS=%d, candidate at %d",
-					msg, baseline.GoMaxProcs, candidate.GoMaxProcs))
-			}
+				b.AllocsPerOp, c.AllocsPerOp, 100*maxAllocsRegress))
 		case row.Ratio > 1+opts.MaxRegress:
 			row.Verdict = "slower"
 			msg := fmt.Sprintf("%s: ns_per_op regressed %.0f%% (%.2fms -> %.2fms, limit %.0f%%)",

@@ -50,8 +50,7 @@ type slot struct {
 	// container/list element allocation on every pin/release cycle.
 	prev, next *slot
 	// waiting holds the acquisitions suspended while a writer fills the
-	// slot; Publish and Abort wake them to re-check its state. The backing
-	// array is kept across fills.
+	// slot; Publish and Abort wake them to re-check its state.
 	waiting []acquirer
 }
 
@@ -141,9 +140,8 @@ type Cache struct {
 	// freeWaiters are acquisitions suspended because every slot was pinned.
 	freeWaiters []acquirer
 	// retries queues woken AcquireFunc calls until their retry event
-	// dispatches: each wake-up pushes one entry and defers retryFn once, so
-	// entries pop in event order. retryFn is retryNext bound once, which
-	// keeps waking a callback free of a closure per wake-up.
+	// dispatches: each wake-up pushes one entry and defers retryFn
+	// (retryNext, bound once) once, so entries pop in event order.
 	retries   []acquirer
 	retryHead int
 	retryFn   func()
@@ -273,9 +271,8 @@ func (c *Cache) Peek(item int) interface{} {
 // Handle is a lease on a slot. A read lease (Write == false) grants access
 // to the slot's data until Release. A write lease (Write == true) obliges
 // the holder to fill the slot and then call Publish (keeping a read lease)
-// or Abort. A Handle is a plain value owned by whoever acquired it: store
-// it in place and end it exactly once — a copy is a second reference to
-// the same lease, not a second lease.
+// or Abort. A Handle is a value owned by whoever acquired it; a copy is a
+// second reference to the same lease, not a second lease.
 type Handle struct {
 	c     *Cache
 	s     *slot
@@ -367,8 +364,7 @@ func (c *Cache) retryNext() {
 	c.retries[c.retryHead] = acquirer{}
 	c.retryHead++
 	if c.retryHead == len(c.retries) {
-		// Every wake-up of an instant has been retried by the time the
-		// clock moves on, so the queue empties and its buffer is reused.
+		// Drained (at the latest when the clock moves on): reuse the buffer.
 		c.retries, c.retryHead = c.retries[:0], 0
 	}
 	c.acquireStep(a)

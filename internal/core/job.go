@@ -20,28 +20,19 @@ import (
 // is via the callback-completion primitives (sim.Resource.UseFunc,
 // cache.AcquireFunc, dht.FetchFunc, cluster ReadFunc/SendAsync).
 //
-// A job is also a pooled object. The chain is strictly sequential — at any
-// moment a job has at most one continuation outstanding — so where it is
-// in the pipeline is one stage field, what it is working on is a handful
-// of plain fields, and its continuations are four method values (one per
-// callback signature) bound when the object is first created. A pair
-// therefore allocates nothing: startJob takes a job from its device's
-// free list and finish/fail put it back.
-//
-// Ownership: a job returns to its device's pool only from finish or fail,
-// after its last continuation has fired, and cache leases are Handle
-// values stored in the job, released before it is recycled. Resuming a
-// recycled job, or recycling one twice, panics (see stale and recycle).
+// A job is a pooled object: the chain is strictly sequential, so where it
+// is in the pipeline is one stage field and its continuations are four
+// method values bound once. It returns to its device's pool only from
+// finish or fail (ownership rules: DESIGN.md §3).
 //
 // Fault semantics: a job is pinned to its node's epoch. When the node
 // crashes, the epoch advances and every suspended step of the old epoch
 // quenches at its next resumption — it stops without touching the rebuilt
 // caches or token pool (its own handles reference only the orphaned
 // objects) and, for the one cluster-durable resource it may hold (the I/O
-// thread), releases it first. A quenched job is never recycled: it is
-// dropped together with the orphaned pool of the device it belonged to.
-// The crashed pair itself is re-exposed by recovery, so nothing is
-// double-counted and nothing is lost.
+// thread), releases it first. A quenched job is never recycled. The crashed
+// pair itself is re-exposed by recovery, so nothing is double-counted and
+// nothing is lost.
 
 // stage names the one continuation a job is waiting for.
 type stage uint8
@@ -86,9 +77,7 @@ type job struct {
 	data   interface{}
 	t0     sim.Time
 
-	// The continuations, bound once per object: step for func() waits,
-	// used for timed resource holds, leased for cache acquisitions,
-	// fetched for the distributed-cache reply.
+	// The continuations (run, onUse, onLease, onFetch), bound once.
 	step    func()
 	used    func(start sim.Time)
 	leased  func(h cache.Handle, hit bool)
@@ -96,8 +85,7 @@ type job struct {
 }
 
 // takeJob returns a free job of device d, creating one when every pooled
-// job is in flight. The job-token limit bounds the jobs in flight, and so
-// the pool.
+// job is in flight; the job-token limit bounds both.
 func (n *nodeRT) takeJob(d *devRT) *job {
 	if k := len(d.free); k > 0 {
 		jb := d.free[k-1]
@@ -128,15 +116,16 @@ func (n *nodeRT) startJob(w int, i, j int) {
 	jb := n.takeJob(n.devs[w])
 	jb.i, jb.j, jb.stage = i, j, stStart
 	if n.rt.inj != nil {
-		n.inflight[pairIJ{i, j}] = jb
+		n.inflight[pairIJ{i, j}] = struct{}{}
 	}
 	n.rt.env.Defer(jb.step)
 }
 
 // stale reports whether the job belongs to a crashed incarnation of its
 // node. Stale steps stop silently; recovery already re-exposed the pair.
-// Every continuation asks before it touches anything, which makes this the
-// place that catches a continuation outliving its job.
+// Every continuation asks first, so this also catches one that outlives
+// its job — while the job sits in the pool; a stray continuation arriving
+// after takeJob reissued the object is not detected.
 func (jb *job) stale() bool {
 	if jb.stage == stFree {
 		panic(fmt.Sprintf("core: job (%d, %d) resumed after recycling", jb.i, jb.j))
@@ -241,7 +230,6 @@ func (jb *job) onUse(start sim.Time) {
 
 // record logs the interval [start, now] of the current stage: against the
 // item being loaded up to the comparison, against the pair from there on.
-// The resource names are the ones the devices and nodes were built with.
 func (jb *job) record(resource string, class trace.Class, kind trace.Kind, start sim.Time) {
 	item, item2 := jb.item, -1
 	if jb.stage >= stCompare {

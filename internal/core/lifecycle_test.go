@@ -85,10 +85,15 @@ func TestPooledJobLifecycle(t *testing.T) {
 				for _, wk := range nd.workers {
 					caught.tokenWait = caught.tokenWait || wk.pendingList != nil
 				}
-				for _, jb := range nd.inflight {
-					caught.kernel = caught.kernel || jb.stage == stCompare
-					caught.load = caught.load || (jb.stage >= stIOWait && jb.stage <= stWriteBack)
+				// In-flight jobs are reachable only through what they hold: a
+				// busy GPU stream is a job in a kernel, a busy I/O thread,
+				// CPU pool or H2D engine a job loading an item (post-
+				// processing, the CPU's other user, takes no time here).
+				for _, d := range nd.devs {
+					caught.kernel = caught.kernel || d.dev.Compute.InUse() > 0
+					caught.load = caught.load || d.dev.H2D.InUse() > 0
 				}
+				caught.load = caught.load || nd.node.IO.InUse() > 0 || nd.node.CPU.InUse() > 0
 			}
 			if len(c.crashes) > 0 && !(caught.tokenWait && caught.kernel && caught.load) {
 				t.Fatalf("the crashes must catch jobs token-suspended, mid-kernel and mid-load; caught %+v", caught)

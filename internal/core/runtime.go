@@ -104,7 +104,7 @@ type nodeRT struct {
 	workers []*worker
 	// inflight tracks pairs handed to job chains but not yet completed,
 	// so a crash can re-expose them. Populated only under fault injection.
-	inflight map[pairIJ]*job
+	inflight map[pairIJ]struct{}
 	// netName and stealName are the trace resources of distributed-cache
 	// fetches and steal round-trips, formatted once instead of per event.
 	netName, stealName string
@@ -115,10 +115,8 @@ type nodeRT struct {
 }
 
 // devRT pairs a device with its level-1 cache, its concurrent-job limit
-// (back-pressure, §4.2), and the pool of job objects that limit bounds.
-// The pool grows lazily, one job per token actually in use, and is
-// rebuilt empty with the rest of the device state on a crash, so jobs of
-// a crashed epoch are never handed out again.
+// (back-pressure, §4.2), and the pool of job objects that limit bounds;
+// like the rest it is rebuilt (empty) on a crash.
 type devRT struct {
 	dev       *gpu.Device
 	cache     *cache.Cache
@@ -154,9 +152,8 @@ func Run(cfg Config) (*Metrics, error) {
 	return rt.collect()
 }
 
-// launch builds the runtime and schedules its first events; the run is
-// ready for env.Run. Split from Run so tests can stop the clock mid-run
-// and look at the state machines.
+// launch builds the runtime and schedules its first events. Split from
+// Run so tests can stop the clock mid-run and inspect the pools after it.
 func launch(cfg Config) (*runtime, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -248,8 +245,7 @@ func launch(cfg Config) (*runtime, error) {
 	return rt, nil
 }
 
-// collect gathers the metrics of a run whose event queue has drained and
-// reports how it ended.
+// collect gathers the metrics of a drained run and reports how it ended.
 func (rt *runtime) collect() (*Metrics, error) {
 	m := rt.aggregate()
 	rt.env.Close()
@@ -289,7 +285,7 @@ func (n *nodeRT) buildVolatile() error {
 	node := n.node
 	n.group = steal.NewGroup(len(node.GPUs))
 	n.pendingSteals = make(map[uint64]*sim.Signal)
-	n.inflight = make(map[pairIJ]*job)
+	n.inflight = make(map[pairIJ]struct{})
 	policy := cache.PolicyLRU
 	if rt.cfg.EvictRandom {
 		policy = cache.PolicyRandom

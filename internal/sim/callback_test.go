@@ -390,3 +390,35 @@ func TestReentrancyPanics(t *testing.T) {
 	check("RunUntil", func(e *Env) { e.RunUntil(Millis(1)) })
 	check("Close", func(e *Env) { e.Close() })
 }
+
+// push hands out slab slots unzeroed and relies on Step having cleared
+// the pointer fields of whatever kind last used the slot. Drive every
+// event kind (including the skipped ones: a stopped timer, a wake-up for a
+// finished process) through a small slab and require every slot to come
+// back pointer-free, so a kind that forgets a field fails here instead of
+// leaking a live pointer into the slot's next user.
+func TestReleasedEventSlotsHoldNoPointers(t *testing.T) {
+	e := NewEnv()
+	r := NewResource("r", 1)
+	for k := 0; k < 100; k++ {
+		d := Time(k%7 + 1)
+		e.After(d, func() {})
+		e.AfterFunc(d, func() {})
+		e.AfterFunc(d, func() {}).Stop()
+		r.UseFunc(e, d, func(Time) {})
+		r.AcquireFunc(e, func() { r.Release(e) })
+		e.Spawn("p", func(p *Proc) {
+			p.Wait(d)
+			p.Use(r, d)
+		})
+	}
+	e.Run()
+	if len(e.events.free) != len(e.events.slab) {
+		t.Fatalf("%d of %d slots released", len(e.events.free), len(e.events.slab))
+	}
+	for i, ev := range e.events.slab {
+		if ev.proc != nil || ev.fn != nil || ev.timer != nil || ev.res != nil || ev.useFn != nil {
+			t.Fatalf("released slot %d (kind %d) still holds a pointer: %+v", i, ev.kind, ev)
+		}
+	}
+}

@@ -51,11 +51,10 @@ func (q *eventQueue) less(i, j int) bool {
 	return q.heap[i].seq < q.heap[j].seq
 }
 
-// push queues an event ordered at (at, seq) and returns its payload slot
-// for the caller to fill in, growing the backing arrays in bulk when full.
-// The slot is zero on return — release clears exactly the fields each
-// kind sets — so the caller writes only what its kind uses instead of
-// copying a whole event. The pointer is valid until the next push.
+// push queues an event ordered at (at, seq) and returns its payload slot,
+// growing the backing arrays in bulk when full. The slot's pointer fields
+// are nil (Step clears what each kind sets), so the caller writes only
+// what its kind uses. The pointer is valid until the next push.
 func (q *eventQueue) push(at Time, seq uint64) *event {
 	var idx int32
 	if n := len(q.free); n > 0 {
@@ -84,9 +83,7 @@ func growCap(c int) int {
 }
 
 // pop removes the minimum event from the heap and returns its timestamp
-// and payload slot. The slot stays reserved until release; the caller
-// copies out the fields its kind needs, releases, and only then calls
-// out (a continuation may push and so grow the slab). The caller must
+// and payload slot, which stays reserved until release. The caller must
 // ensure the queue is non-empty.
 func (q *eventQueue) pop() (Time, int32) {
 	ref := q.heap[0]
@@ -99,9 +96,8 @@ func (q *eventQueue) pop() (Time, int32) {
 	return ref.at, ref.idx
 }
 
-// release returns a popped slot to the free stack. The caller has
-// already cleared the pointer fields of the slot's kind, so the slot is
-// zero again apart from scalars the next push overwrites or ignores.
+// release returns a popped slot, its pointer fields cleared by the
+// caller, to the free stack.
 func (q *eventQueue) release(idx int32) {
 	q.free = append(q.free, idx)
 }
