@@ -7,7 +7,7 @@
 GO ?= go
 ROCKET_SCALE ?= 50
 BENCH_RUN ?= local
-BENCH_BASELINE ?= BENCH_pr12.json
+BENCH_BASELINE ?= BENCH_pr15.json
 COVERAGE_FLOOR ?= 75.0
 
 .PHONY: build test race-stress bench bench-sim bench-shards bench-json bench-gate coverage smoke smoke-scenarios smoke-elastic smoke-incremental smoke-pairstore smoke-trace fuzz-smoke lint ci fmt

@@ -169,6 +169,8 @@ func main() {
 				PlanNsPerOp:        sr.PlanNs,
 				PlanHash:           sr.PlanHash,
 				BloomHitRate:       sr.BloomHitRate,
+				Blocks:             sr.Blocks,
+				BlockDecodes:       sr.BlockDecodes,
 			})
 			fmt.Fprintf(os.Stderr, "storage trajectory: pairs=%-9d %6.2f bytes/pair  plan %8v  index %8d B  hash=%.16s\n",
 				sr.Pairs, sr.BytesPerPair, time.Duration(sr.PlanNs).Round(time.Millisecond),

@@ -69,6 +69,13 @@ type StoragePoint struct {
 	// BloomHitRate is the share of segment probes the bloom filters
 	// answered without a block decode during planning.
 	BloomHitRate float64 `json:"bloom_hit_rate"`
+	// Blocks is the number of segment blocks the plan ran against and
+	// BlockDecodes how many block inflations the plan caused. Both are
+	// deterministic, and a plan whose blocks fit the store's block cache
+	// decodes each at most once — the gate holds it to that (absent from
+	// reports predating the block cache).
+	Blocks       int    `json:"blocks,omitempty"`
+	BlockDecodes uint64 `json:"block_decodes,omitempty"`
 }
 
 // Report is the top-level BENCH_<run>.json document.

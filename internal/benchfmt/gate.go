@@ -61,8 +61,9 @@ type StorageGateRow struct {
 	BaselinePlan  int64 // baseline plan ns
 	CandidatePlan int64
 	IndexBytes    int64
-	// Verdict is "ok", "new", "bloat" (bytes/pair gate), "drift" (plan
-	// hash), or "slower" (plan latency beyond MaxRegress).
+	// Verdict is "ok", "new", "bloat" (bytes/pair gate), "redecode" (a
+	// plan inflated a block more than once), "drift" (plan hash), or
+	// "slower" (plan latency beyond MaxRegress).
 	Verdict string
 }
 
@@ -205,7 +206,7 @@ const (
 	maxBytesPerPairRegress = 0.10
 )
 
-// gateStorage checks the pairstore scaling trajectory. Three
+// gateStorage checks the pairstore scaling trajectory. Four
 // properties:
 //
 //  1. Determinism (always fatal): the planned-residency hash at a
@@ -218,6 +219,9 @@ const (
 //  3. Plan latency (tracked): drift beyond opts.MaxRegress is a warning
 //     (or a failure under PerfIsFatal) — it shares a runner with every
 //     other wall-clock figure.
+//  4. Block decodes (always fatal): the plan may inflate each block at
+//     most once. The count repeats exactly, so it is the planning budget
+//     a noisy runner can hold where a ns/pair budget cannot.
 func gateStorage(baseline, candidate Report, opts GateOptions, g *GateResult) {
 	if len(candidate.StorageTrajectory) == 0 {
 		if len(baseline.StorageTrajectory) > 0 {
@@ -248,9 +252,17 @@ func gateStorage(baseline, candidate Report, opts GateOptions, g *GateResult) {
 				"storage: %.2f bytes/pair at %d pairs exceeds the %.0f bytes/pair capability floor",
 				c.BytesPerPair, c.Pairs, maxBytesPerPairAtScale))
 		}
+		if c.BlockDecodes > uint64(c.Blocks) {
+			row.Verdict = "redecode"
+			g.Failures = append(g.Failures, fmt.Sprintf(
+				"storage: planning %d pairs decoded %d blocks of %d: the block cache no longer holds each block for the whole plan",
+				c.Pairs, c.BlockDecodes, c.Blocks))
+		}
 		b, ok := base[c.Pairs]
 		if !ok {
-			row.Verdict = "new"
+			if row.Verdict == "ok" {
+				row.Verdict = "new"
+			}
 			g.StorageRows = append(g.StorageRows, row)
 			continue
 		}

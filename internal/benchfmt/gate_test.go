@@ -305,6 +305,26 @@ func TestGateStoragePlanLatencyWarnsThenFails(t *testing.T) {
 	}
 }
 
+// A plan that inflates a block twice fails like plan-hash drift, with or
+// without a matching baseline point; up to one decode per block passes.
+func TestGateStorageBlockRedecodeFails(t *testing.T) {
+	b := report(exp("fig6", 100, "aa"))
+	b.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.5, 5e8, "h1")}
+	c := report(exp("fig6", 100, "aa"))
+	ok := storagePoint(1_000_000, 2.5, 5e8, "h1")
+	ok.Blocks, ok.BlockDecodes = 245, 245
+	bad := storagePoint(100_000, 2.2, 5e7, "h2")
+	bad.Blocks, bad.BlockDecodes = 25, 26
+	c.StorageTrajectory = []StoragePoint{ok, bad}
+	g := Gate(b, c, GateOptions{MaxRegress: 0.25})
+	if !g.Failed() || len(g.Failures) != 1 || !strings.Contains(g.Failures[0], "decoded 26 blocks of 25") {
+		t.Fatalf("block re-decode not gated: %+v", g)
+	}
+	if g.StorageRows[0].Verdict != "ok" || g.StorageRows[1].Verdict != "redecode" {
+		t.Fatalf("storage rows = %+v", g.StorageRows)
+	}
+}
+
 func TestGateStorageTrajectoryMustNotVanish(t *testing.T) {
 	b := report(exp("fig6", 100, "aa"))
 	b.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.5, 5e8, "h1")}

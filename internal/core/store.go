@@ -67,9 +67,9 @@ func buildStorePlan(cfg Config) (*storePlan, error) {
 		// Probe the snapshot in chunks so the store lock is taken once
 		// per batch, not once per pair (the base region is O(base²)).
 		// HasMany sorts each chunk internally and resolves it against
-		// sealed columnar segments with one merge-walk per segment —
-		// predicate pushdown by fence and bloom — so larger chunks also
-		// mean fewer block decodes per resident pair.
+		// sealed columnar segments with one merge-walk per segment over
+		// the store's cached key columns, so each block is decoded once
+		// per plan however many chunks return to it.
 		const probeChunk = 4096
 		var (
 			keys = make([]pairstore.Key, 0, probeChunk)

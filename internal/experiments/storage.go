@@ -36,6 +36,10 @@ type StorageResult struct {
 	// Pairs, when the store is intact.
 	Served       int64
 	BloomHitRate float64
+	// Blocks is the number of blocks in the reloaded store's segments;
+	// BlockDecodes the block inflations the plan caused.
+	Blocks       int
+	BlockDecodes uint64
 	Seals        uint64
 	Levels       int
 	Segments     int
@@ -90,6 +94,7 @@ func MeasureStorage(pairs int64, seed uint64, dir string) (StorageResult, error)
 	res.Seals = st.Seals
 	res.Levels = st.Levels
 	res.Segments = st.Segments
+	res.Blocks = st.Blocks
 
 	// Plan a 10% pair delta: the dataset grows ~10% in pairs, and the
 	// delta job's plan verifies every base-region pair against the
@@ -132,7 +137,9 @@ func MeasureStorage(pairs int64, seed uint64, dir string) (StorageResult, error)
 	res.PlanNs = time.Since(start).Nanoseconds()
 	res.PlanHash = fmt.Sprintf("%x", h.Sum(nil))
 	res.Served = served
-	res.BloomHitRate = r.Stats().BloomHitRate
+	after := r.Stats()
+	res.BloomHitRate = after.BloomHitRate
+	res.BlockDecodes = after.BlockDecodes - st.BlockDecodes
 	return res, nil
 }
 

@@ -228,9 +228,19 @@ func compressBlock(dst, payload []byte) []byte {
 	return append(dst, stored...)
 }
 
+// inflater is the reusable half of block decompression: the flate
+// reader with its 32KB window and the output buffer. The probe cache
+// owns one, so a cache miss allocates neither.
+type inflater struct {
+	zr  io.ReadCloser
+	src bytes.Reader
+	buf []byte
+}
+
 // decompressBlock reverses compressBlock, verifying the checksum and
-// the decompressed length.
-func decompressBlock(b []byte) ([]byte, error) {
+// the decompressed length. With a non-nil z the result lives in z's
+// buffer and is valid only until z's next use.
+func decompressBlock(b []byte, z *inflater) ([]byte, error) {
 	r := &byteReader{b: b}
 	codecB, err := r.bytes(1, "block")
 	if err != nil {
@@ -266,26 +276,38 @@ func decompressBlock(b []byte) ([]byte, error) {
 		}
 		return stored, nil
 	case codecFlate:
-		zr := flate.NewReader(bytes.NewReader(stored))
-		out := make([]byte, 0, rawLen)
-		buf := make([]byte, 32*1024)
+		if z == nil {
+			z = &inflater{}
+		}
+		z.src.Reset(stored)
+		if z.zr == nil {
+			z.zr = flate.NewReader(&z.src)
+		} else if err := z.zr.(flate.Resetter).Reset(&z.src, nil); err != nil {
+			return nil, corrupt("block", "flate: %v", err)
+		}
+		// One byte of slack, so a stream running past rawLen is caught
+		// without growing the buffer.
+		if uint64(cap(z.buf)) <= rawLen {
+			z.buf = make([]byte, rawLen+1)
+		}
+		buf, n := z.buf[:rawLen+1], 0
 		for {
-			n, err := zr.Read(buf)
-			out = append(out, buf[:n]...)
-			if uint64(len(out)) > rawLen {
-				return nil, corrupt("block", "decompressed past declared length %d", rawLen)
-			}
+			m, err := z.zr.Read(buf[n:])
+			n += m
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
 				return nil, corrupt("block", "flate: %v", err)
 			}
+			if n == len(buf) {
+				return nil, corrupt("block", "decompressed past declared length %d", rawLen)
+			}
 		}
-		if uint64(len(out)) != rawLen {
-			return nil, corrupt("block", "decompressed %d bytes, declared %d", len(out), rawLen)
+		if uint64(n) != rawLen {
+			return nil, corrupt("block", "decompressed %d bytes, declared %d", n, rawLen)
 		}
-		return out, nil
+		return z.buf[:n], nil
 	default:
 		return nil, corrupt("block", "unknown codec %d", codecB[0])
 	}

@@ -13,7 +13,9 @@ import (
 // with a structured *CorruptError — never a panic, never a silently
 // wrong segment. Segment files survive process restarts and (in the
 // replication design) network transfer, so the decoder is a trust
-// boundary.
+// boundary. Both block decoders stand behind it — the full one and the
+// probe-side key-column one — so each is driven over every block, intact
+// and damaged: they must agree where they succeed and fail together.
 func FuzzSegmentRoundTrip(f *testing.F) {
 	seed := func(pairs ...uint64) []byte {
 		var b []byte
@@ -27,6 +29,14 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 	f.Add(seed(1<<63, 1, 1, 1<<63))              // extreme digests both orders
 	f.Add(append(seed(7, 8, 9, 10), 0xff, 0x03)) // trailing mutation directive
 	f.Add([]byte{})
+	// Two blocks and a bit: 4 200 pairs over 70 digests, then a directive.
+	var multi []uint64
+	for i := uint64(0); i < 70; i++ {
+		for j := uint64(0); j < 60; j++ {
+			multi = append(multi, i*0x9e3779b97f4a7c15, (j+3)*0xbf58476d1ce4e5b9)
+		}
+	}
+	f.Add(append(seed(multi...), 0x90, 0x21))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// Interpret the input as little-endian digest pairs; leftover
@@ -82,8 +92,39 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 			}
 		}
 
+		for blk := range dec.blocks {
+			if err := keyColsMatch(dec, blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+
 		// Mutation directive from the leftover bytes: position and mask.
 		rest := raw[i:]
+		if len(rest) >= 2 && len(enc) > 0 {
+			// Damage past the section checksums (a torn write the file
+			// layer did not see): flip one byte of the block data, then cut
+			// it short. Every block the damage reaches must fail in both
+			// decoders; the others must still decode, identically.
+			pos := int(rest[0]) * len(dec.data) / 256
+			for _, cut := range []bool{false, true} {
+				mut := *dec
+				if mut.data = append([]byte(nil), dec.data...); cut {
+					mut.data = mut.data[:pos]
+				} else if rest[1] != 0 {
+					mut.data[pos] ^= rest[1]
+				}
+				for blk, m := range mut.blocks {
+					failed, err := corruptOrEqual(&mut, blk)
+					if err != nil {
+						t.Fatalf("data damaged at %d (cut=%v): %v", pos, cut, err)
+					}
+					hit := pos < m.off+m.length && (cut || pos >= m.off) && (cut || rest[1] != 0)
+					if failed != hit {
+						t.Fatalf("data damaged at %d (cut=%v): block %d [%d,%d) failed=%v", pos, cut, blk, m.off, m.off+m.length, failed)
+					}
+				}
+			}
+		}
 		if len(rest) >= 2 && len(enc) > 0 {
 			pos := int(rest[0]) * len(enc) / 256
 			mask := rest[1]

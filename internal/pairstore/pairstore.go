@@ -49,7 +49,7 @@ package pairstore
 
 import (
 	"encoding/json"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -187,15 +187,28 @@ type Stats struct {
 	// entries plus eliminated tombstones).
 	Compactions   uint64 `json:"compactions"`
 	CompactedAway uint64 `json:"compacted_away"`
-	// BloomProbes counts segment point probes that consulted a bloom
-	// filter; BloomNegatives the probes the filter answered "definitely
+	// BloomProbes counts segment probes that consulted a bloom filter:
+	// every point probe (Get, Has, Put's duplicate check) and the
+	// HasMany probes whose block was not in the block cache.
+	// BloomNegatives are the probes the filter answered "definitely
 	// absent" without decoding a block; BloomFalsePositives the probes
-	// that decoded a block (or searched the dictionary) and found
-	// nothing. BloomHitRate is BloomNegatives / BloomProbes.
+	// that went on to the exact lookup and found nothing. BloomHitRate
+	// is BloomNegatives / BloomProbes.
 	BloomProbes         uint64  `json:"bloom_probes"`
 	BloomNegatives      uint64  `json:"bloom_negatives"`
 	BloomFalsePositives uint64  `json:"bloom_false_positives"`
 	BloomHitRate        float64 `json:"bloom_hit_rate"`
+	// Blocks is the number of blocks across the sealed segments.
+	// BlockDecodes counts the blocks probes inflated (block-cache misses,
+	// plus the row decode behind each Get hit in a segment) and
+	// BlockCacheHits the block lookups the cache answered; a plan whose
+	// blocks fit the cache decodes each at most once. BlockCacheBytes is
+	// the decoded key columns currently cached, at most blockCacheLimit
+	// (8 MiB).
+	Blocks          int    `json:"blocks,omitempty"`
+	BlockDecodes    uint64 `json:"block_decodes,omitempty"`
+	BlockCacheHits  uint64 `json:"block_cache_hits,omitempty"`
+	BlockCacheBytes int64  `json:"block_cache_bytes,omitempty"`
 }
 
 // memEntry is one mutable-log slot: the entry plus a link to the
@@ -267,6 +280,7 @@ type Store struct {
 	live     int // distinct keys visible (puts − deletes)
 	autoSeal int
 	stats    Stats
+	cache    blockCache // decoded key columns of sealed blocks (blockcache.go)
 	// onSeal/onCompact, when non-nil, observe maintenance: onSeal fires
 	// after each mutable-log seal with the number of rows promoted,
 	// onCompact after each tier merge or full compaction with the number
@@ -288,7 +302,9 @@ func (s *Store) SetMaintenanceHooks(onSeal func(rows int), onCompact func(inputs
 
 // New returns an empty store with one open mutable log.
 func New() *Store {
-	return &Store{mem: newMemtable(), autoSeal: defaultAutoSeal}
+	s := &Store{mem: newMemtable(), autoSeal: defaultAutoSeal}
+	s.cache.init(&s.stats)
+	return s
 }
 
 // SetAutoSealThreshold overrides the memtable size at which Put seals
@@ -321,14 +337,16 @@ func (s *Store) segmentsNewestFirst() []*segment {
 }
 
 // lookupLocked resolves k against the memtable and every segment,
-// newest first. found=false means no record at all.
-func (s *Store) lookupLocked(k Key) (Entry, bool) {
+// newest first. found=false means no record at all. Without wantRow a
+// sealed record comes back as its key and tombstone flag only, which
+// spares the full decode of its block.
+func (s *Store) lookupLocked(k Key, wantRow bool) (Entry, bool) {
 	if e, ok := s.mem.lookup(k, len(s.mem.entries)); ok {
 		return e, true
 	}
 	for _, level := range s.levels {
 		for i := len(level) - 1; i >= 0; i-- {
-			if r, ok := level[i].get(k, &s.stats); ok {
+			if r, ok := level[i].get(k, &s.cache, wantRow); ok {
 				return rowEntry(r), true
 			}
 		}
@@ -354,7 +372,7 @@ func (s *Store) Put(e Entry) bool {
 }
 
 func (s *Store) putLocked(e Entry) bool {
-	if cur, ok := s.lookupLocked(e.Key); ok && !cur.Tombstone {
+	if cur, ok := s.lookupLocked(e.Key, false); ok && !cur.Tombstone {
 		s.stats.DupPuts++
 		return false
 	}
@@ -374,7 +392,7 @@ func (s *Store) putLocked(e Entry) bool {
 func (s *Store) Delete(k Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cur, ok := s.lookupLocked(k); !ok || cur.Tombstone {
+	if cur, ok := s.lookupLocked(k, false); !ok || cur.Tombstone {
 		return false
 	}
 	s.mem.add(Entry{Key: k, Tombstone: true})
@@ -404,7 +422,7 @@ func (s *Store) Merge(b *Batch) int {
 func (s *Store) Get(k Key) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.lookupLocked(k)
+	e, ok := s.lookupLocked(k, true)
 	if !ok || e.Tombstone {
 		return Entry{}, false
 	}
@@ -415,7 +433,7 @@ func (s *Store) Get(k Key) (Entry, bool) {
 func (s *Store) Has(k Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.lookupLocked(k)
+	e, ok := s.lookupLocked(k, false)
 	return ok && !e.Tombstone
 }
 
@@ -513,6 +531,7 @@ func (s *Store) maybeTierLocked() {
 		}
 		merged, dropped := mergeSegments(s.nextSeg, inputs, dropTombs)
 		s.nextSeg++
+		s.cache.drop(inputs)
 		if merged != nil {
 			s.levels[l+1] = append(s.levels[l+1], merged)
 		}
@@ -555,6 +574,7 @@ func (s *Store) Compact() int {
 	}
 	merged, dropped := mergeSegments(s.nextSeg, inputs, true)
 	s.nextSeg++
+	s.cache.drop(inputs)
 	if merged != nil {
 		s.levels = [][]*segment{{merged}}
 	} else {
@@ -576,8 +596,8 @@ func mergeSegments(id uint64, inputs []*segment, dropTombs bool) (*segment, int)
 	for _, in := range inputs {
 		dict = append(dict, in.dict...)
 	}
-	sort.Slice(dict, func(i, j int) bool { return dict[i] < dict[j] })
-	dict = dedupU64(dict)
+	slices.Sort(dict)
+	dict = slices.Compact(dict)
 
 	est := 0
 	iters := make([]*segIter, len(inputs))
@@ -649,6 +669,7 @@ func (s *Store) Stats() Stats {
 	st.LogEntries = len(s.mem.entries)
 	st.Bytes = s.mem.modeled
 	st.Tombstones = s.mem.tombs
+	st.BlockCacheBytes = s.cache.bytes
 	segCount, diskRows := 0, 0
 	for _, level := range s.levels {
 		if len(level) > 0 {
@@ -660,6 +681,7 @@ func (s *Store) Stats() Stats {
 			st.Bytes += seg.modeled
 			st.Tombstones += seg.tombs
 			st.IndexResidentBytes += seg.indexBytes()
+			st.Blocks += len(seg.blocks)
 			if seg.diskBytes > 0 {
 				st.DiskBytes += seg.diskBytes
 				diskRows += seg.rows
@@ -708,12 +730,12 @@ type Snapshot struct {
 }
 
 // resolve returns the winning record for k at snapshot time.
-func (sn *Snapshot) resolve(k Key) (Entry, bool) {
+func (sn *Snapshot) resolve(k Key, wantRow bool) (Entry, bool) {
 	if e, ok := sn.mem.lookup(k, sn.memLen); ok {
 		return e, true
 	}
 	for _, seg := range sn.segs {
-		if r, ok := seg.get(k, &sn.s.stats); ok {
+		if r, ok := seg.get(k, &sn.s.cache, wantRow); ok {
 			return rowEntry(r), true
 		}
 	}
@@ -727,7 +749,7 @@ func (sn *Snapshot) Has(k Key) bool {
 	}
 	sn.s.mu.Lock()
 	defer sn.s.mu.Unlock()
-	e, ok := sn.resolve(k)
+	e, ok := sn.resolve(k, false)
 	return ok && !e.Tombstone
 }
 
@@ -738,7 +760,7 @@ func (sn *Snapshot) Get(k Key) (Entry, bool) {
 	}
 	sn.s.mu.Lock()
 	defer sn.s.mu.Unlock()
-	e, ok := sn.resolve(k)
+	e, ok := sn.resolve(k, true)
 	if !ok || e.Tombstone {
 		return Entry{}, false
 	}
@@ -749,9 +771,9 @@ func (sn *Snapshot) Get(k Key) (Entry, bool) {
 // writing into out (which must be at least len(keys) long). It takes
 // the store lock once for the whole batch — delta planners probe
 // O(base²) keys at job start, where per-key locking would dominate —
-// and probes sealed segments with one sorted merge-walk each, so every
-// needed block is decoded at most once per segment (predicate pushdown:
-// segments are skipped by fence and bloom, blocks by fence).
+// and probes sealed segments with one sorted merge-walk each over the
+// block cache's key columns (predicate pushdown: segments and blocks
+// are skipped by fence and dictionary, uncached blocks by bloom).
 func (sn *Snapshot) HasMany(keys []Key, out []bool) {
 	if sn == nil || sn.s == nil {
 		for i := range keys {
@@ -764,38 +786,28 @@ func (sn *Snapshot) HasMany(keys []Key, out []bool) {
 
 	// The mutable log resolves by map lookup; unresolved keys fall
 	// through to the sealed segments.
-	var pending []int
+	c := &sn.s.cache
+	probes := c.probes[:0]
 	for i, k := range keys {
 		if e, ok := sn.mem.lookup(k, sn.memLen); ok {
 			out[i] = !e.Tombstone
 		} else {
 			out[i] = false
-			if len(sn.segs) > 0 {
-				pending = append(pending, i)
-			}
+			probes = append(probes, probe{k, i})
 		}
 	}
-	if len(pending) == 0 {
+	c.probes = probes[:0]
+	if len(sn.segs) == 0 {
 		return
 	}
 	// Sort the unresolved probes once; each segment is then a single
 	// ordered merge-walk, newest segment first (first record wins).
-	sort.Slice(pending, func(a, b int) bool {
-		return keyLess(keys[pending[a]], keys[pending[b]])
-	})
+	slices.SortFunc(probes, func(a, b probe) int { return keyCmp(a.k, b.k) })
 	for _, seg := range sn.segs {
-		if len(pending) == 0 {
+		if len(probes) == 0 {
 			break
 		}
-		next := pending[:0]
-		seg.probeSorted(keys, pending, &sn.s.stats, func(i int, r row, found bool) {
-			if found {
-				out[i] = !r.tomb
-			} else {
-				next = append(next, i)
-			}
-		})
-		pending = next
+		probes = seg.probeSorted(probes, out, c)
 	}
 }
 
@@ -805,60 +817,6 @@ func (sn *Snapshot) Len() int {
 		return 0
 	}
 	return sn.live
-}
-
-// probeSorted resolves the given probe indices (pre-sorted by key)
-// against the segment: handle is called once per index, with the row
-// when the segment holds the key. Blocks are decoded at most once.
-func (s *segment) probeSorted(keys []Key, idx []int, st *Stats, handle func(i int, r row, found bool)) {
-	blk := 0
-	for _, i := range idx {
-		k := keys[i]
-		if keyLess(k, s.minKey) || keyLess(s.maxKey, k) {
-			handle(i, row{}, false)
-			continue
-		}
-		st.BloomProbes++
-		if !s.filter.test(k) {
-			st.BloomNegatives++
-			handle(i, row{}, false)
-			continue
-		}
-		for blk < len(s.blocks) && keyLess(s.blocks[blk].last, k) {
-			blk++
-		}
-		if blk == len(s.blocks) || keyLess(k, s.blocks[blk].first) {
-			st.BloomFalsePositives++
-			handle(i, row{}, false)
-			continue
-		}
-		ai := dictIndex(s.dict, k.A)
-		bi := dictIndex(s.dict, k.B)
-		if int(ai) >= len(s.dict) || s.dict[ai] != uint64(k.A) ||
-			int(bi) >= len(s.dict) || s.dict[bi] != uint64(k.B) {
-			st.BloomFalsePositives++
-			handle(i, row{}, false)
-			continue
-		}
-		d, err := s.decodeBlock(blk)
-		if err != nil {
-			handle(i, row{}, false)
-			continue
-		}
-		n := len(d.aIdx)
-		r := sort.Search(n, func(x int) bool {
-			if d.aIdx[x] != ai {
-				return d.aIdx[x] > ai
-			}
-			return d.bIdx[x] >= bi
-		})
-		if r == n || d.aIdx[r] != ai || d.bIdx[r] != bi {
-			st.BloomFalsePositives++
-			handle(i, row{}, false)
-			continue
-		}
-		handle(i, s.rowAt(d, r), true)
-	}
 }
 
 // Batch collects the entries one run emits, in completion order. It is

@@ -254,6 +254,8 @@ func resetDerivedStats(st *Stats) {
 	st.DiskBytes = 0
 	st.BytesPerPair = 0
 	st.IndexResidentBytes = 0
+	st.Blocks = 0
+	st.BlockCacheBytes = 0
 	st.Tombstones = 0
 	st.BloomHitRate = 0
 }

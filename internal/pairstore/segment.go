@@ -20,14 +20,16 @@ package pairstore
 //
 // Resident footprint. Only the fence index (per-block first/last keys),
 // the digest dictionary, and the bloom filter stay decoded in memory;
-// the block payloads are opaque bytes decoded on demand (one block
-// cached per segment). That bounded index is what lets delta planning
-// push predicates down — skip whole segments by fence and bloom, whole
-// blocks by fence — instead of holding a per-pair map resident.
+// the block payloads are opaque bytes decoded on demand (their key
+// columns held in the store's bounded block cache, blockcache.go). That
+// bounded index is what lets delta planning push predicates down — skip
+// whole segments by fence and bloom, whole blocks by fence — instead of
+// holding a per-pair map resident.
 
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"sort"
 )
 
@@ -75,11 +77,12 @@ type segment struct {
 	file      string
 	diskBytes int64
 
-	// One-block decode cache: probes under the store lock are strongly
-	// sequential (sorted planner batches), so caching the last decoded
-	// block turns a merge-walk into one decode per block.
-	cacheBlk int
-	cache    *decodedBlock
+	// kb holds the block cache's entries for this segment, by block
+	// (nil until the first is cached); dead marks a segment compaction
+	// has replaced, which only older snapshots still read and the cache
+	// no longer admits. Both are guarded by the store lock.
+	kb   []*keyBlock
+	dead bool
 }
 
 type decodedBlock struct {
@@ -151,7 +154,7 @@ func newSegBuilder(id uint64, dict []uint64, estRows int) *segBuilder {
 }
 
 func dictIndex(dict []uint64, d Digest) uint64 {
-	i := sort.Search(len(dict), func(k int) bool { return dict[k] >= uint64(d) })
+	i, _ := slices.BinarySearch(dict, uint64(d))
 	return uint64(i)
 }
 
@@ -243,8 +246,6 @@ func (b *segBuilder) finish() *segment {
 		blocks:  b.blocks,
 		data:    b.data,
 		filter:  b.filter,
-
-		cacheBlk: -1,
 	}
 }
 
@@ -252,13 +253,20 @@ func (b *segBuilder) finish() *segment {
 // reference each key at most once (the memtable collapses chains before
 // sealing).
 func buildSegment(id uint64, rows []row) *segment {
-	sort.Slice(rows, func(i, j int) bool { return keyLess(rows[i].key, rows[j].key) })
-	dict := make([]uint64, 0, 2*len(rows))
+	slices.SortFunc(rows, func(a, b row) int { return keyCmp(a.key, b.key) })
+	// Dictionary: rows reference far fewer digests than there are rows
+	// (≈ √(2·rows)), so dedupe first and sort only the distinct ones.
+	seen := make(map[uint64]struct{})
+	var dict []uint64
 	for _, r := range rows {
-		dict = append(dict, uint64(r.key.A), uint64(r.key.B))
+		for _, d := range [2]uint64{uint64(r.key.A), uint64(r.key.B)} {
+			if _, ok := seen[d]; !ok {
+				seen[d] = struct{}{}
+				dict = append(dict, d)
+			}
+		}
 	}
-	sort.Slice(dict, func(i, j int) bool { return dict[i] < dict[j] })
-	dict = dedupU64(dict)
+	slices.Sort(dict)
 	b := newSegBuilder(id, dict, len(rows))
 	for _, r := range rows {
 		b.add(r)
@@ -266,48 +274,36 @@ func buildSegment(id uint64, rows []row) *segment {
 	return b.finish()
 }
 
-func dedupU64(s []uint64) []uint64 {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// decodeBlock decodes block i, going through the one-block cache.
-func (s *segment) decodeBlock(i int) (*decodedBlock, error) {
-	if s.cacheBlk == i && s.cache != nil {
-		return s.cache, nil
-	}
-	d, err := s.decodeBlockUncached(i)
-	if err != nil {
-		return nil, err
-	}
-	s.cacheBlk, s.cache = i, d
-	return d, nil
-}
-
-// decodeBlockUncached decodes without touching the probe cache (block
-// iterators use it so merges do not evict the probe cache).
-func (s *segment) decodeBlockUncached(i int) (*decodedBlock, error) {
+// blockPayload returns a reader over block i's decompressed payload,
+// positioned after the row count, which it checks against the index.
+func (s *segment) blockPayload(i int, z *inflater) (*byteReader, int, error) {
 	m := s.blocks[i]
 	if m.off < 0 || m.off+m.length > len(s.data) {
-		return nil, corrupt("block", "block %d spans [%d,%d) of %d data bytes", i, m.off, m.off+m.length, len(s.data))
+		return nil, 0, corrupt("block", "block %d spans [%d,%d) of %d data bytes", i, m.off, m.off+m.length, len(s.data))
 	}
-	payload, err := decompressBlock(s.data[m.off : m.off+m.length])
+	payload, err := decompressBlock(s.data[m.off:m.off+m.length], z)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	r := &byteReader{b: payload}
 	nU, err := r.uvarint("block")
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	n := int(nU)
 	if n != m.rows || n <= 0 || n > blockRows {
-		return nil, corrupt("block", "block %d declares %d rows, index says %d", i, n, m.rows)
+		return nil, 0, corrupt("block", "block %d declares %d rows, index says %d", i, n, m.rows)
+	}
+	return r, n, nil
+}
+
+// decodeBlock decodes every column of block i: what Get hits, block
+// iterators and merges need. Probes decide membership from the key
+// columns alone (decodeKeyCols).
+func (s *segment) decodeBlock(i int) (*decodedBlock, error) {
+	r, n, err := s.blockPayload(i, nil)
+	if err != nil {
+		return nil, err
 	}
 	d := &decodedBlock{
 		aIdx:   make([]uint64, n),
@@ -387,61 +383,53 @@ func (s *segment) findBlock(k Key) int {
 	return i
 }
 
-// get returns the row for k, if present. bloomStats receives the
-// filter outcome (probe, negative, false positive) when non-nil.
-func (s *segment) get(k Key, st *Stats) (row, bool) {
+// find locates k through the block cache's key columns: the block and
+// row holding it and whether that row is a tombstone. Point probes keep
+// the bloom filter in front — most are for absent keys (ingestion's
+// duplicate checks), where it spares the dictionary and fence searches
+// and, on a cold block, the inflate.
+func (s *segment) find(k Key, c *blockCache) (blk, r int, tomb, ok bool) {
 	if keyLess(k, s.minKey) || keyLess(s.maxKey, k) {
-		return row{}, false
+		return 0, 0, false, false
 	}
-	if st != nil {
-		st.BloomProbes++
-	}
+	c.st.BloomProbes++
 	if !s.filter.test(k) {
-		if st != nil {
-			st.BloomNegatives++
-		}
-		return row{}, false
+		c.st.BloomNegatives++
+		return 0, 0, false, false
 	}
 	// The dictionary is a second cheap filter: a digest absent from it
 	// cannot key any row.
-	ai := dictIndex(s.dict, k.A)
-	bi := dictIndex(s.dict, k.B)
-	if int(ai) >= len(s.dict) || s.dict[ai] != uint64(k.A) ||
-		int(bi) >= len(s.dict) || s.dict[bi] != uint64(k.B) {
-		if st != nil {
-			st.BloomFalsePositives++
+	ai, okA := slices.BinarySearch(s.dict, uint64(k.A))
+	bi, okB := slices.BinarySearch(s.dict, uint64(k.B))
+	if blk = s.findBlock(k); okA && okB && blk >= 0 {
+		if kb, err := c.keyCols(s, blk); err == nil {
+			if _, r, ok = kb.seek(0, 0, uint32(ai), uint32(bi)); ok {
+				return blk, r, kb.isTomb(r), true
+			}
 		}
-		return row{}, false
 	}
-	bIdx := s.findBlock(k)
-	if bIdx < 0 {
-		if st != nil {
-			st.BloomFalsePositives++
-		}
-		return row{}, false
+	c.st.BloomFalsePositives++
+	return 0, 0, false, false
+}
+
+// get returns the row for k, if present. Only a hit that wants the
+// row's version and value pays a full block decode; otherwise the row
+// carries just the key and the tombstone flag.
+func (s *segment) get(k Key, c *blockCache, wantRow bool) (row, bool) {
+	blk, r, tomb, ok := s.find(k, c)
+	if !ok || !wantRow {
+		return row{key: k, tomb: tomb}, ok
 	}
-	d, err := s.decodeBlock(bIdx)
+	c.st.BlockDecodes++
+	d, err := s.decodeBlock(blk)
 	if err != nil {
 		return row{}, false
 	}
-	n := len(d.aIdx)
-	i := sort.Search(n, func(r int) bool {
-		if d.aIdx[r] != ai {
-			return d.aIdx[r] > ai
-		}
-		return d.bIdx[r] >= bi
-	})
-	if i == n || d.aIdx[i] != ai || d.bIdx[i] != bi {
-		if st != nil {
-			st.BloomFalsePositives++
-		}
-		return row{}, false
-	}
-	return s.rowAt(d, i), true
+	return s.rowAt(d, r), true
 }
 
 // segIter streams a segment's rows in key order, one decoded block at
-// a time (bypassing the probe cache so merges do not evict it).
+// a time.
 type segIter struct {
 	seg *segment
 	blk int
@@ -463,7 +451,7 @@ func (it *segIter) next() (row, bool) {
 		if it.err != nil || it.blk >= len(it.seg.blocks) {
 			return row{}, false
 		}
-		d, err := it.seg.decodeBlockUncached(it.blk)
+		d, err := it.seg.decodeBlock(it.blk)
 		if err != nil {
 			it.err = err
 			return row{}, false
@@ -552,7 +540,7 @@ func decodeSegmentFile(raw []byte) (*segment, error) {
 	if !bytes.Equal(magic, segMagic) {
 		return nil, corrupt("magic", "not a pairstore segment (magic %q)", magic)
 	}
-	s := &segment{cacheBlk: -1}
+	s := &segment{}
 
 	head, err := readSection(r, "HEAD")
 	if err != nil {
@@ -589,7 +577,7 @@ func decodeSegmentFile(raw []byte) (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	dictRaw, err := decompressBlock(dictSec)
+	dictRaw, err := decompressBlock(dictSec, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -35,6 +35,14 @@ func randRows(seed int64, n, universe int) []row {
 	return rows
 }
 
+// newTestCache is a block cache outside any store, for probing bare
+// segments.
+func newTestCache() *blockCache {
+	c := &blockCache{}
+	c.init(&Stats{})
+	return c
+}
+
 func sameRow(a, b row) bool {
 	return a.key == b.key && a.ver == b.ver && a.tomb == b.tomb && string(a.val) == string(b.val)
 }
@@ -63,14 +71,14 @@ func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("n=%d: iterator overruns", n)
 		}
 		// Point probes agree with the iterator.
-		var st Stats
+		c := newTestCache()
 		for _, r := range rows[:min(64, n)] {
-			got, ok := dec.get(r.key, &st)
+			got, ok := dec.get(r.key, c, true)
 			if !ok || !sameRow(got, r) {
 				t.Fatalf("n=%d: get(%v) = %+v ok=%v, want %+v", n, r.key, got, ok, r)
 			}
 		}
-		if _, ok := dec.get(Key{A: 1<<63 + 11, B: 3}, &st); ok {
+		if _, ok := dec.get(Key{A: 1<<63 + 11, B: 3}, c, true); ok {
 			t.Fatalf("n=%d: get of absent key succeeded", n)
 		}
 	}

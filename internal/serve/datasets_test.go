@@ -152,6 +152,8 @@ func TestIncrementalServeAndReplay(t *testing.T) {
 		"rocketd_store_index_resident_bytes ",
 		"rocketd_store_seals_total ",
 		"rocketd_store_compactions_total ",
+		"# TYPE rocketd_store_block_decodes_total counter\nrocketd_store_block_decodes_total ",
+		"# TYPE rocketd_store_block_cache_bytes gauge\nrocketd_store_block_cache_bytes ",
 	} {
 		if !strings.Contains(buf.String(), gauge) {
 			t.Fatalf("store gauge %q missing from /metrics:\n%s", gauge, buf.String())

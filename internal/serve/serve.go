@@ -470,8 +470,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "rocketd_store_bytes_per_pair %g\n", st.BytesPerPair)
 	fmt.Fprintf(w, "# HELP rocketd_store_index_resident_bytes Resident probe-index footprint (fences, dictionaries, bloom filters).\n# TYPE rocketd_store_index_resident_bytes gauge\n")
 	fmt.Fprintf(w, "rocketd_store_index_resident_bytes %d\n", st.IndexResidentBytes)
-	fmt.Fprintf(w, "# HELP rocketd_store_bloom_hit_rate Share of segment probes answered absent by bloom filters without a block decode.\n# TYPE rocketd_store_bloom_hit_rate gauge\n")
+	fmt.Fprintf(w, "# HELP rocketd_store_bloom_hit_rate Share of bloom-filter consultations answered absent without a block decode; point probes (Get, Has, Put duplicate checks) always consult the filter, batch planning probes only for blocks missing from the block cache.\n# TYPE rocketd_store_bloom_hit_rate gauge\n")
 	fmt.Fprintf(w, "rocketd_store_bloom_hit_rate %g\n", st.BloomHitRate)
+	fmt.Fprintf(w, "# HELP rocketd_store_block_decodes_total Segment blocks inflated to answer probes (block-cache misses plus the row decode behind each Get hit).\n# TYPE rocketd_store_block_decodes_total counter\n")
+	fmt.Fprintf(w, "rocketd_store_block_decodes_total %d\n", st.BlockDecodes)
+	fmt.Fprintf(w, "# HELP rocketd_store_block_cache_bytes Decoded key columns held by the store's bounded block cache.\n# TYPE rocketd_store_block_cache_bytes gauge\n")
+	fmt.Fprintf(w, "rocketd_store_block_cache_bytes %d\n", st.BlockCacheBytes)
 	fmt.Fprintf(w, "# HELP rocketd_store_seals_total Mutable-log promotions into sorted columnar segments.\n# TYPE rocketd_store_seals_total counter\n")
 	fmt.Fprintf(w, "rocketd_store_seals_total %d\n", st.Seals)
 	fmt.Fprintf(w, "# HELP rocketd_store_compactions_total Tier merges and full compactions.\n# TYPE rocketd_store_compactions_total counter\n")
