@@ -10,7 +10,7 @@ BENCH_RUN ?= local
 BENCH_BASELINE ?= BENCH_pr15.json
 COVERAGE_FLOOR ?= 75.0
 
-.PHONY: build test race-stress bench bench-sim bench-shards bench-json bench-gate coverage smoke smoke-scenarios smoke-elastic smoke-incremental smoke-pairstore smoke-trace fuzz-smoke lint ci fmt
+.PHONY: build test race-stress bench bench-sim bench-shards bench-repo bench-json bench-gate loc coverage smoke smoke-scenarios smoke-elastic smoke-incremental smoke-pairstore smoke-trace fuzz-smoke lint ci fmt
 
 build:
 	$(GO) build ./...
@@ -31,10 +31,20 @@ race-stress:
 bench: bench-sim
 	$(GO) test -bench=. -benchmem -count=1 -run='^$$' .
 
-# Engine microbenchmarks: event dispatch, Wait ping-pong, resource
-# contention (callback vs process), mailbox throughput.
+# Engine microbenchmarks: event dispatch, deep-queue churn, contended
+# resource hand-off, mailbox throughput.
 bench-sim:
 	$(GO) test -bench=. -benchmem -count=1 -run='^$$' ./internal/sim/
+
+# The repo benchmark (BENCHMARK.json): all six workloads, one process each,
+# built into .bench_build/. The timing reference; see bench/README.md.
+bench-repo:
+	bash bench/run.sh --seed 1
+
+# Non-test Go lines outside bench/: the counter every deletion PR reports
+# against (24 710 before PR 20).
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l
 
 # Shard-scaling benchmark: the fixed 1024-node fleet at engine widths
 # 1, 2, 4, 8, hash-checked for shard invariance. Wall-clock speedup
@@ -211,6 +221,7 @@ lint:
 	else echo "lint: staticcheck not on PATH, skipped (CI installs it)"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "lint: govulncheck not on PATH, skipped (CI installs it)"; fi
+	@echo "non-test Go lines outside bench/: $$($(MAKE) -s loc)"
 
 fmt:
 	gofmt -w .

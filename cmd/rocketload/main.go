@@ -127,13 +127,15 @@ func submit(base string, spec jobspec.Spec) (string, error) {
 	defer resp.Body.Close()
 	var reply struct {
 		ID    string `json:"id"`
-		Error string `json:"error"`
+		Error struct {
+			Message string `json:"message"`
+		} `json:"error"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
 		return "", err
 	}
 	if resp.StatusCode != http.StatusAccepted {
-		return "", fmt.Errorf("%w: %s (%d)", errRefused, reply.Error, resp.StatusCode)
+		return "", fmt.Errorf("%w: %s (%d)", errRefused, reply.Error.Message, resp.StatusCode)
 	}
 	return reply.ID, nil
 }

@@ -117,18 +117,16 @@ type Stats struct {
 	Stalls    uint64 // acquisitions that had to wait for a free slot
 }
 
-// acquirer is one suspended acquisition: a parked process that retries
-// by itself once unparked, or the arguments of an AcquireFunc call to
-// re-attempt. Exactly one of p and fn is set.
+// acquirer is one suspended acquisition: the arguments of an AcquireFunc
+// call to re-attempt.
 type acquirer struct {
-	p    *sim.Proc
 	item int
 	fn   func(h Handle, hit bool)
 }
 
 // Cache is a fixed-capacity slot cache. It is not safe for OS-level
-// concurrency; all access happens in simulation context (processes or
-// scheduler callbacks).
+// concurrency; all access happens in simulation context (scheduler
+// callbacks).
 type Cache struct {
 	name     string
 	slotSize int64
@@ -231,7 +229,7 @@ func (c *Cache) Items(max int) []int {
 // pipeline cost, taking an evictable slot. It models a persistent cache
 // surviving from a previous run. It reports false when the item is
 // already present or no slot is free, and must only be used during
-// initialization (before any process blocks on the cache).
+// initialization (before any acquisition suspends on the cache).
 func (c *Cache) Warm(item int, data interface{}) bool {
 	if item < 0 {
 		panic(fmt.Sprintf("cache %q: negative item %d", c.name, item))
@@ -297,36 +295,14 @@ func (h *Handle) SetData(d interface{}) {
 	h.s.data = d
 }
 
-// Acquire obtains item from the cache. The boolean reports a hit: when
-// true, the returned handle is a read lease; when false the item was
-// absent and the handle is a write lease on a freshly assigned slot.
-// Acquire blocks while the item is being written by another job, and
-// blocks when no slot can be evicted (every slot pinned).
-func (c *Cache) Acquire(p *sim.Proc, item int) (Handle, bool) {
-	c.validateAcquire(item)
-	for {
-		h, hit, writing, ok := c.tryOnce(item)
-		if ok {
-			return h, hit
-		}
-		if writing != nil {
-			// Another job is loading this item; wait for it to publish or
-			// abort, then retry (the write may have been aborted).
-			writing.waiting = append(writing.waiting, acquirer{p: p})
-		} else {
-			c.freeWaiters = append(c.freeWaiters, acquirer{p: p})
-		}
-		p.Park()
-	}
-}
-
-// AcquireFunc is the callback analogue of Acquire: fn receives the handle
-// and hit flag once the item is available. When the item is resident in
-// READ state, or a slot is immediately evictable, fn runs inline before
-// AcquireFunc returns — mirroring Acquire's non-blocking paths. Otherwise
-// the acquisition is re-attempted in scheduler context each time the
-// blocking condition (a write in progress, or every slot pinned) clears.
-// fn must not block.
+// AcquireFunc obtains item from the cache: fn receives the handle and the
+// hit flag once the item is available. On a hit the handle is a read
+// lease; on a miss the item was absent and the handle is a write lease on
+// a freshly assigned slot. When the item is resident in READ state, or a
+// slot is immediately evictable, fn runs inline before AcquireFunc
+// returns. Otherwise the acquisition is re-attempted in scheduler context
+// each time the blocking condition (a write in progress, or every slot
+// pinned) clears. fn must not block.
 func (c *Cache) AcquireFunc(item int, fn func(h Handle, hit bool)) {
 	c.validateAcquire(item)
 	c.acquireStep(acquirer{item: item, fn: fn})
@@ -344,16 +320,12 @@ func (c *Cache) acquireStep(a acquirer) {
 	}
 }
 
-// wake resumes suspended acquisitions in the order they suspended:
-// processes are unparked, callbacks get one retry event each.
+// wake resumes suspended acquisitions in the order they suspended, one
+// retry event each.
 func (c *Cache) wake(e *sim.Env, ws []acquirer) {
 	for _, w := range ws {
-		if w.p != nil {
-			e.Unpark(w.p)
-		} else {
-			c.retries = append(c.retries, w)
-			e.Defer(c.retryFn)
-		}
+		c.retries = append(c.retries, w)
+		e.Defer(c.retryFn)
 	}
 	clear(ws)
 }

@@ -53,18 +53,19 @@ func TestClusterShape(t *testing.T) {
 	}
 }
 
+// recvAt registers a receiver on the node's inbox and records the message
+// and its delivery time.
+func recvAt(e *sim.Env, n *Node, got *Message, at *sim.Time) {
+	n.Inbox.RecvFunc(e, func(v interface{}) { *got, *at = v.(Message), e.Now() })
+}
+
 func TestNetworkSendDelivers(t *testing.T) {
 	c := twoNodeCluster(t)
 	e := sim.NewEnv()
 	var gotAt sim.Time
 	var got Message
-	e.Spawn("recv", func(p *sim.Proc) {
-		got = p.Recv(c.Nodes[1].Inbox).(Message)
-		gotAt = p.Now()
-	})
-	e.Spawn("send", func(p *sim.Proc) {
-		c.Net.Send(p, c.Nodes[0], c.Nodes[1], 7e9, "hello") // 1s at 7 GB/s
-	})
+	recvAt(e, c.Nodes[1], &got, &gotAt)
+	c.Net.SendFunc(e, c.Nodes[0], c.Nodes[1], 7e9, "hello", func() {}) // 1s at 7 GB/s
 	e.Run()
 	e.Close()
 	if got.Payload != "hello" || got.From != 0 || got.To != 1 {
@@ -82,17 +83,13 @@ func TestNetworkSendDelivers(t *testing.T) {
 func TestNetworkLocalSendImmediate(t *testing.T) {
 	c := twoNodeCluster(t)
 	e := sim.NewEnv()
-	e.Spawn("self", func(p *sim.Proc) {
-		c.Net.Send(p, c.Nodes[0], c.Nodes[0], 1e9, "x")
-		if p.Now() != 0 {
-			t.Errorf("local send took %v", p.Now())
-		}
-		if c.Nodes[0].Inbox.Len() != 1 {
-			t.Error("local message not delivered")
-		}
-	})
-	e.Run()
-	e.Close()
+	c.Net.SendFunc(e, c.Nodes[0], c.Nodes[0], 1e9, "x", func() {})
+	if c.Nodes[0].Inbox.Len() != 1 {
+		t.Error("local message not delivered immediately")
+	}
+	if e.PendingEvents() != 0 {
+		t.Errorf("local send queued %d events", e.PendingEvents())
+	}
 	if c.Net.BytesSent() != 0 {
 		t.Error("local send counted as network traffic")
 	}
@@ -103,14 +100,11 @@ func TestNetworkNICSerializes(t *testing.T) {
 	e := sim.NewEnv()
 	var done []sim.Time
 	for i := 0; i < 2; i++ {
-		e.Spawn("send", func(p *sim.Proc) {
-			c.Net.Send(p, c.Nodes[0], c.Nodes[1], 7e9, i)
-			done = append(done, p.Now())
-		})
+		c.Net.SendFunc(e, c.Nodes[0], c.Nodes[1], 7e9, i, func() { done = append(done, e.Now()) })
 	}
 	e.Run()
 	e.Close()
-	if done[0] != sim.Second || done[1] != 2*sim.Second {
+	if len(done) != 2 || done[0] != sim.Second || done[1] != 2*sim.Second {
 		t.Fatalf("send completions %v; NIC must serialize", done)
 	}
 }
@@ -118,20 +112,18 @@ func TestNetworkNICSerializes(t *testing.T) {
 func TestSendAsyncDoesNotBlock(t *testing.T) {
 	c := twoNodeCluster(t)
 	e := sim.NewEnv()
-	e.Spawn("send", func(p *sim.Proc) {
-		c.Net.SendAsync(p.Env(), c.Nodes[0], c.Nodes[1], 7e9, "big")
-		if p.Now() != 0 {
-			t.Errorf("SendAsync blocked caller until %v", p.Now())
-		}
-	})
-	e.Spawn("recv", func(p *sim.Proc) {
-		p.Recv(c.Nodes[1].Inbox)
-		if p.Now() != sim.Second+c.Net.Latency {
-			t.Errorf("async delivery at %v", p.Now())
-		}
-	})
+	var got Message
+	var gotAt sim.Time
+	recvAt(e, c.Nodes[1], &got, &gotAt)
+	c.Net.SendAsync(e, c.Nodes[0], c.Nodes[1], 7e9, "big")
+	if c.Nodes[0].NIC.InUse() != 0 {
+		t.Error("SendAsync took the NIC before returning to its caller")
+	}
 	e.Run()
 	e.Close()
+	if got.Payload != "big" || gotAt != sim.Second+c.Net.Latency {
+		t.Errorf("async delivery of %v at %v", got.Payload, gotAt)
+	}
 }
 
 func TestStorageAccountsAndQueues(t *testing.T) {
@@ -139,14 +131,11 @@ func TestStorageAccountsAndQueues(t *testing.T) {
 	e := sim.NewEnv()
 	var done []sim.Time
 	for i := 0; i < 2; i++ {
-		e.Spawn("reader", func(p *sim.Proc) {
-			s.Read(p, 2e9) // 1s each at 2 GB/s shared
-			done = append(done, p.Now())
-		})
+		s.ReadFunc(e, 2e9, func() { done = append(done, e.Now()) }) // 1s each at 2 GB/s shared
 	}
 	e.Run()
 	e.Close()
-	if done[0] != sim.Second || done[1] != 2*sim.Second {
+	if len(done) != 2 || done[0] != sim.Second || done[1] != 2*sim.Second {
 		t.Fatalf("reads completed at %v; bandwidth must be shared", done)
 	}
 	if s.BytesRead() != 4e9 || s.Reads() != 2 {
@@ -157,15 +146,13 @@ func TestStorageAccountsAndQueues(t *testing.T) {
 func TestStorageLatencyApplied(t *testing.T) {
 	s := NewStorage(sim.Millis(1), 1e9)
 	e := sim.NewEnv()
-	e.Spawn("r", func(p *sim.Proc) {
-		s.Read(p, 1e9)
-		want := sim.Millis(1) + sim.Second
-		if p.Now() != want {
-			t.Errorf("read took %v, want %v", p.Now(), want)
-		}
-	})
+	var doneAt sim.Time
+	s.ReadFunc(e, 1e9, func() { doneAt = e.Now() })
 	e.Run()
 	e.Close()
+	if want := sim.Millis(1) + sim.Second; doneAt != want {
+		t.Errorf("read took %v, want %v", doneAt, want)
+	}
 }
 
 func TestDefaultConfigSane(t *testing.T) {
@@ -182,22 +169,20 @@ func TestSendFuncMirrorsBlockingSend(t *testing.T) {
 	c := twoNodeCluster(t)
 	e := sim.NewEnv()
 	var returned, delivered sim.Time
+	var got Message
 	e.At(0, func() {
 		c.Net.SendFunc(e, c.Nodes[0], c.Nodes[1], 7e9, "big", func() {
 			returned = e.Now()
 		})
 	})
-	e.Spawn("recv", func(p *sim.Proc) {
-		p.Recv(c.Nodes[1].Inbox)
-		delivered = p.Now()
-	})
+	recvAt(e, c.Nodes[1], &got, &delivered)
 	e.Run()
 	e.Close()
 	if returned != sim.Second {
 		t.Errorf("SendFunc continuation at %v, want 1s (after serialization)", returned)
 	}
-	if delivered != sim.Second+c.Net.Latency {
-		t.Errorf("delivery at %v, want 1s + latency", delivered)
+	if got.Payload != "big" || delivered != sim.Second+c.Net.Latency {
+		t.Errorf("delivery of %v at %v, want big at 1s + latency", got.Payload, delivered)
 	}
 }
 
@@ -219,30 +204,18 @@ func TestSendFuncLocalInline(t *testing.T) {
 }
 
 func TestStorageReadFuncMatchesRead(t *testing.T) {
-	run := func(callback bool) []sim.Time {
-		s := NewStorage(sim.Millis(1), 2e9)
-		e := sim.NewEnv()
-		var done []sim.Time
-		for i := 0; i < 3; i++ {
-			if callback {
-				s.ReadFunc(e, 2e9, func() { done = append(done, e.Now()) })
-			} else {
-				e.Spawn("r", func(p *sim.Proc) {
-					s.Read(p, 2e9)
-					done = append(done, p.Now())
-				})
-			}
-		}
-		e.Run()
-		e.Close()
-		return done
+	s := NewStorage(sim.Millis(1), 2e9)
+	e := sim.NewEnv()
+	var done []sim.Time
+	for i := 0; i < 3; i++ {
+		s.ReadFunc(e, 2e9, func() { done = append(done, e.Now()) })
 	}
-	procs, cbs := run(false), run(true)
-	if fmt.Sprint(procs) != fmt.Sprint(cbs) {
-		t.Fatalf("Read %v vs ReadFunc %v: completion times must match", procs, cbs)
-	}
-	if len(cbs) != 3 || cbs[2] != sim.Millis(1)+3*sim.Second {
-		t.Fatalf("shared-bandwidth queueing broken: %v", cbs)
+	e.Run()
+	e.Close()
+	// All three pay the latency concurrently, then queue for 1s each.
+	want := []sim.Time{sim.Millis(1) + sim.Second, sim.Millis(1) + 2*sim.Second, sim.Millis(1) + 3*sim.Second}
+	if fmt.Sprint(done) != fmt.Sprint(want) {
+		t.Fatalf("ReadFunc completions %v, want %v", done, want)
 	}
 }
 
@@ -252,9 +225,6 @@ func TestStorageReadFuncMatchesRead(t *testing.T) {
 func TestNetworkCountersAgreeOnLocalSends(t *testing.T) {
 	c := twoNodeCluster(t)
 	e := sim.NewEnv()
-	e.Spawn("local", func(p *sim.Proc) {
-		c.Net.Send(p, c.Nodes[0], c.Nodes[0], 1e6, "a")
-	})
 	c.Net.SendFunc(e, c.Nodes[0], c.Nodes[0], 1e6, "b", func() {})
 	c.Net.SendAsync(e, c.Nodes[0], c.Nodes[0], 1e6, "c")
 	e.Run()
@@ -262,19 +232,16 @@ func TestNetworkCountersAgreeOnLocalSends(t *testing.T) {
 		t.Fatalf("loopback counted: messages=%d bytes=%d, want 0/0",
 			c.Net.Messages(), c.Net.BytesSent())
 	}
-	e.Spawn("remote", func(p *sim.Proc) {
-		c.Net.Send(p, c.Nodes[0], c.Nodes[1], 1e6, "d")
-	})
 	c.Net.SendFunc(e, c.Nodes[0], c.Nodes[1], 2e6, "e", func() {})
 	c.Net.SendAsync(e, c.Nodes[0], c.Nodes[1], 3e6, "f")
 	e.Run()
 	e.Close()
-	if c.Net.Messages() != 3 || c.Net.BytesSent() != 6e6 {
-		t.Fatalf("fabric accounting: messages=%d bytes=%d, want 3/6e6",
+	if c.Net.Messages() != 2 || c.Net.BytesSent() != 5e6 {
+		t.Fatalf("fabric accounting: messages=%d bytes=%d, want 2/5e6",
 			c.Net.Messages(), c.Net.BytesSent())
 	}
-	if c.Nodes[0].Inbox.Len() != 3 || c.Nodes[1].Inbox.Len() != 3 {
-		t.Fatalf("deliveries: local=%d remote=%d, want 3/3",
+	if c.Nodes[0].Inbox.Len() != 2 || c.Nodes[1].Inbox.Len() != 2 {
+		t.Fatalf("deliveries: local=%d remote=%d, want 2/2",
 			c.Nodes[0].Inbox.Len(), c.Nodes[1].Inbox.Len())
 	}
 }
@@ -339,15 +306,13 @@ func TestNetworkLinkPartitionAndDegradation(t *testing.T) {
 	// Degraded: 2x latency, 4x serialization.
 	state = LinkState{Up: true, LatencyFactor: 2, BandwidthFactor: 4}
 	var gotAt sim.Time
-	e.Spawn("recv", func(p *sim.Proc) {
-		p.Recv(c.Nodes[1].Inbox)
-		gotAt = p.Now()
-	})
+	var got Message
+	recvAt(e, c.Nodes[1], &got, &gotAt)
 	c.Net.SendAsync(e, c.Nodes[0], c.Nodes[1], 7e9, "slow") // 1s healthy
 	e.Run()
 	e.Close()
 	want := 4*sim.Second + 2*c.Net.Latency
-	if gotAt != want {
-		t.Fatalf("degraded delivery at %v, want %v", gotAt, want)
+	if got.Payload != "slow" || gotAt != want {
+		t.Fatalf("degraded delivery of %v at %v, want slow at %v", got.Payload, gotAt, want)
 	}
 }

@@ -142,39 +142,14 @@ func (nw *Network) deliver(e *sim.Env, to *Node, msg Message) {
 	to.Inbox.Send(e, msg)
 }
 
-// Send transmits payload from one node to another, blocking the calling
-// process for the sender-side serialization time. Delivery into to.Inbox
-// happens Latency after serialization completes. Local sends (from == to)
-// are delivered immediately without occupying the NIC or touching the
-// fabric counters.
-func (nw *Network) Send(p *sim.Proc, from, to *Node, size int64, payload interface{}) {
-	msg := Message{From: from.ID, To: to.ID, Size: size, Payload: payload}
-	env := p.Env()
-	if from == to {
-		to.Inbox.Send(env, msg)
-		return
-	}
-	ls, ok := nw.admit(env, msg)
-	if !ok {
-		return
-	}
-	nw.messages++
-	nw.bytesSent += size
-	p.Acquire(from.NIC)
-	p.Wait(scaled(nw.TransferTime(size), ls.BandwidthFactor))
-	from.NIC.Release(env)
-	env.After(scaled(nw.Latency, ls.LatencyFactor), func() {
-		nw.deliver(env, to, msg)
-	})
-}
-
-// SendFunc is the callback analogue of Send: it occupies the sender's NIC
-// for the serialization time, schedules delivery Latency later, and then
-// calls fn — at the point where Send would have returned to the blocked
-// caller. Local sends (from == to) deliver immediately and call fn inline.
-// A message refused by the fabric (dead endpoint, partitioned link) still
-// calls fn inline — the local send completed; the loss surfaces through
-// the drop notifier. fn must not block.
+// SendFunc transmits payload from one node to another: it occupies the
+// sender's NIC for the serialization time, schedules delivery into
+// to.Inbox Latency later, and then calls fn — the sender-side completion.
+// Local sends (from == to) deliver immediately, without occupying the NIC
+// or touching the fabric counters, and call fn inline. A message refused
+// by the fabric (dead endpoint, partitioned link) still calls fn inline —
+// the local send completed; the loss surfaces through the drop notifier.
+// fn must not block.
 func (nw *Network) SendFunc(e *sim.Env, from, to *Node, size int64, payload interface{}, fn func()) {
 	msg := Message{From: from.ID, To: to.ID, Size: size, Payload: payload}
 	if from == to {
@@ -197,16 +172,15 @@ func (nw *Network) SendFunc(e *sim.Env, from, to *Node, size int64, payload inte
 	})
 }
 
-// SendAsync transmits without blocking the caller: the transfer runs as a
-// callback chain — queue for the sender's NIC, occupy it for the
-// serialization time, then deliver after the propagation latency — with no
-// helper goroutine. Use it when the sender must continue immediately (e.g.
+// SendAsync is SendFunc without a completion: queue for the sender's NIC,
+// occupy it for the serialization time, then deliver after the propagation
+// latency. Use it when the sender must continue immediately (e.g.
 // forwarding while serving other requests).
 func (nw *Network) SendAsync(env *sim.Env, from, to *Node, size int64, payload interface{}) {
-	// The whole transfer is deferred one event so a burst of SendAsync
-	// calls from a single scheduler slice contends for the NIC (and
-	// delivers local messages) in the same order a burst of spawned sender
-	// processes would have.
+	// The whole transfer is deferred one event: a burst of SendAsync calls
+	// from a single scheduler slice contends for the NIC (and delivers
+	// local messages) after everything already queued at this instant, an
+	// ordering the experiment hashes pin.
 	env.Defer(func() {
 		msg := Message{From: from.ID, To: to.ID, Size: size, Payload: payload}
 		if from == to {

@@ -140,16 +140,16 @@ func TestShardMapChurnInvariants(t *testing.T) {
 		// member, then one more joiner lands in that range. Its shard is
 		// decided by ShardOf alone and every prior assignment is unchanged.
 		lo, hi := m.Range(0)
-		roster := NewMembership(nodes, make([]bool, nodes))
+		present := make([]bool, nodes)
 		for i := lo; i < hi; i++ {
-			roster.Join(i)
+			present[i] = true
 		}
 		before := make([]int, nodes)
 		for i := 0; i < nodes; i++ {
 			before[i] = m.ShardOf(i)
 		}
 		joiner := lo // rejoin of a full shard's own slot
-		if !roster.Present(joiner) {
+		if !present[joiner] {
 			t.Fatalf("width %d: slot %d should be present", width, joiner)
 		}
 		for i := 0; i < nodes; i++ {
@@ -164,7 +164,7 @@ func TestShardMapChurnInvariants(t *testing.T) {
 		// blind, so in-flight sends keyed by slot ID still merge in the
 		// same canonical order.
 		for i := lo; i < hi; i++ {
-			roster.Leave(i)
+			present[i] = false
 		}
 		for i := lo; i < hi; i++ {
 			if got := m.ShardOf(i); got != 0 {
@@ -174,9 +174,6 @@ func TestShardMapChurnInvariants(t *testing.T) {
 		rlo, rhi := m.Range(0)
 		if rlo != lo || rhi != hi {
 			t.Fatalf("width %d: empty shard range moved to [%d,%d)", width, rlo, rhi)
-		}
-		if roster.Leaves() != hi-lo || roster.Count() != 0 {
-			t.Fatalf("width %d: roster leaves=%d count=%d", width, roster.Leaves(), roster.Count())
 		}
 	}
 }
@@ -218,25 +215,6 @@ func TestShardMapDeterministicAcrossWidths(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestMembershipRoster(t *testing.T) {
-	m := NewMembership(4, []bool{true, true, false, false})
-	if m.Count() != 2 || !m.Present(0) || m.Present(2) {
-		t.Fatalf("initial roster wrong: count=%d", m.Count())
-	}
-	if !m.Join(2) || m.Join(2) {
-		t.Fatal("join must flip once")
-	}
-	if !m.Leave(0) || m.Leave(0) {
-		t.Fatal("leave must flip once")
-	}
-	if m.Count() != 2 || m.Joins() != 1 || m.Leaves() != 1 {
-		t.Fatalf("count=%d joins=%d leaves=%d", m.Count(), m.Joins(), m.Leaves())
-	}
-	if NewMembership(3, nil).Count() != 3 {
-		t.Fatal("nil initial roster must mean all present")
 	}
 }
 

@@ -34,18 +34,9 @@ func NewStorage(latency sim.Time, bandwidth float64) *Storage {
 	}
 }
 
-// Read simulates fetching size bytes, blocking the calling process for the
-// request latency plus queueing plus transfer time, and accounts the bytes.
-func (s *Storage) Read(p *sim.Proc, size int64) {
-	s.reads++
-	s.bytesRead += size
-	p.Wait(s.Latency)
-	p.Use(s.server, sim.Seconds(float64(size)/s.Bandwidth))
-}
-
-// ReadFunc is the callback analogue of Read: it charges the request
-// latency, queues on the shared server bandwidth, and calls fn when the
-// transfer completes — no goroutine involved. fn must not block.
+// ReadFunc simulates fetching size bytes: it accounts the bytes, charges
+// the request latency, queues on the shared server bandwidth, and calls fn
+// when the transfer completes. fn must not block.
 func (s *Storage) ReadFunc(e *sim.Env, size int64, fn func()) {
 	s.reads++
 	s.bytesRead += size

@@ -13,8 +13,8 @@ import (
 // a resource for a span of virtual time or waits on a cache/network
 // condition, then continues. Jobs therefore run as callback chains on the
 // scheduler — no goroutine, no channel handoff per step — which is what
-// lets a run dispatch millions of pair jobs cheaply. Only the worker and
-// server control loops remain processes.
+// lets a run dispatch millions of pair jobs cheaply. The worker and server
+// control loops are callback chains too (runtime.go).
 //
 // Chain steps run in scheduler context and must never block; all waiting
 // is via the callback-completion primitives (sim.Resource.UseFunc,
@@ -110,8 +110,8 @@ func (jb *job) recycle() {
 }
 
 // startJob launches the job chain for pair (i, j) on worker w's device.
-// The first step is deferred one event, exactly where the per-job process
-// used to be scheduled to start, so dispatch order is unchanged.
+// The first step is deferred one event, a slot in the dispatch order that
+// the experiment hashes pin.
 func (n *nodeRT) startJob(w int, i, j int) {
 	jb := n.takeJob(n.devs[w])
 	jb.i, jb.j, jb.stage = i, j, stStart
@@ -394,8 +394,7 @@ func (jb *job) post() {
 }
 
 // finish runs real kernels when provided, releases both leases, and
-// accounts the completed pair. The job token is returned last, mirroring
-// the deferred release of the former per-job process.
+// accounts the completed pair. The job token is returned last.
 func (jb *job) finish() {
 	rt := jb.n.rt
 	var value interface{}

@@ -388,12 +388,11 @@ func (rt *runtime) prewarm() error {
 	return nil
 }
 
-// startServer registers the node's message handler on its inbox. The
-// server is a callback chain, not a process: no message ever blocks it
-// (all protocol replies go through asynchronous sends), so each inbound
-// message is handled inline in scheduler context. Registration is
-// deferred one event, where the server process used to be scheduled to
-// start.
+// startServer registers the node's message handler on its inbox. No
+// message ever blocks the server (all protocol replies go through
+// asynchronous sends), so each inbound message is handled inline in
+// scheduler context. Registration is deferred one event, a slot in the
+// dispatch order that the experiment hashes pin.
 func (n *nodeRT) startServer() {
 	n.onMsg = func(raw interface{}) { n.handleMessage(raw) }
 	n.rt.env.Defer(func() { n.node.Inbox.RecvFunc(n.rt.env, n.onMsg) })
@@ -401,8 +400,7 @@ func (n *nodeRT) startServer() {
 
 // handleMessage demultiplexes one inbox message — distributed-cache
 // protocol traffic and steal requests/replies — then re-arms the
-// receiver. Queued bursts drain inline, exactly like the former server
-// process draining its inbox within one wake-up.
+// receiver. Queued bursts drain inline, within one dispatch.
 func (n *nodeRT) handleMessage(raw interface{}) {
 	env := n.rt.env
 	msg := raw.(cluster.Message)
@@ -484,8 +482,8 @@ type worker struct {
 	leaf []pairIJ
 }
 
-// startWorker launches worker w's state machine, deferred one event to
-// the slot where the worker process used to be scheduled to start.
+// startWorker launches worker w's state machine, deferred one event (a
+// slot in the dispatch order that the experiment hashes pin).
 func (n *nodeRT) startWorker(w int) {
 	wk := &worker{
 		n: n, w: w,

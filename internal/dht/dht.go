@@ -141,21 +141,10 @@ func (e *Engine) CandidateList(item int) []int {
 	return append([]int(nil), e.candidates[item]...)
 }
 
-// Fetch performs a blocking distributed lookup for item. It returns the
-// payload, the hop at which the item was found (1-based), and whether the
-// lookup succeeded. On failure the caller must execute the load pipeline
-// locally.
-func (e *Engine) Fetch(p *sim.Proc, item int) (interface{}, int, bool) {
-	sig := e.beginFetch(p.Env(), item)
-	p.WaitSignal(sig)
-	rep := sig.Value.(Reply)
-	return e.endFetch(rep)
-}
-
-// FetchFunc is the callback analogue of Fetch: fn receives the payload,
-// the hop the item was found at, and the success flag once the reply
-// arrives. The requesting side never blocks a goroutine; the lookup is a
-// pure message chain. fn must not block.
+// FetchFunc performs a distributed lookup for item: fn receives the
+// payload, the hop the item was found at (1-based), and the success flag
+// once the reply arrives. On failure the caller must execute the load
+// pipeline locally. fn must not block.
 func (e *Engine) FetchFunc(env *sim.Env, item int, fn func(data interface{}, hop int, ok bool)) {
 	sig := e.beginFetch(env, item)
 	sig.OnFire(env, func() {

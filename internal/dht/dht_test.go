@@ -75,23 +75,23 @@ func buildHarness(t *testing.T, n, hops int, liveness bool) *harness {
 			t.Fatal(err)
 		}
 		h.engines[i] = eng
-		h.env.Spawn("server", func(p *sim.Proc) {
-			for {
-				msg := p.Recv(h.inboxes[i])
-				if !h.engines[i].Handle(p.Env(), msg) {
-					t.Errorf("node %d: unhandled message %v", i, msg)
-				}
+		var serve func(msg interface{})
+		serve = func(msg interface{}) {
+			if !eng.Handle(h.env, msg) {
+				t.Errorf("node %d: unhandled message %v", i, msg)
 			}
-		})
+			h.inboxes[i].RecvFunc(h.env, serve)
+		}
+		h.inboxes[i].RecvFunc(h.env, serve)
 	}
 	return h
 }
 
-// fetch runs a Fetch from the given node inside the simulation and returns
-// the outcome.
+// fetch runs a lookup from the given node and returns the outcome after
+// the protocol completes.
 func (h *harness) fetch(node, item int) (data interface{}, hop int, ok bool) {
-	h.env.Spawn("client", func(p *sim.Proc) {
-		data, hop, ok = h.engines[node].Fetch(p, item)
+	h.engines[node].FetchFunc(h.env, item, func(d interface{}, hp int, o bool) {
+		data, hop, ok = d, hp, o
 	})
 	h.env.Run()
 	return data, hop, ok
@@ -248,21 +248,13 @@ func TestWrongMediatorPanics(t *testing.T) {
 			t.Fatal("expected panic for misrouted request")
 		}
 	}()
-	e.Spawn("x", func(p *sim.Proc) {
-		eng.Handle(p.Env(), Request{ID: 1, Item: 8, Requester: 0}) // 8 mod 4 = 0, not 1
-	})
-	e.Run()
+	eng.Handle(e, Request{ID: 1, Item: 8, Requester: 0}) // 8 mod 4 = 0, not 1
 }
 
 func TestUnknownPayloadIgnored(t *testing.T) {
 	h := newHarness(t, 2, 1)
 	defer h.env.Close()
-	handled := true
-	h.env.Spawn("x", func(p *sim.Proc) {
-		handled = h.engines[0].Handle(p.Env(), "not a dht message")
-	})
-	h.env.Run()
-	if handled {
+	if h.engines[0].Handle(h.env, "not a dht message") {
 		t.Fatal("non-DHT payload reported as handled")
 	}
 }
@@ -314,46 +306,29 @@ func TestQuickProtocolBounds(t *testing.T) {
 	}
 }
 
-// fetchFunc runs a callback-style lookup and returns the outcome after the
-// protocol completes.
-func (h *harness) fetchFunc(node, item int) (data interface{}, hop int, ok bool) {
-	h.engines[node].FetchFunc(h.env, item, func(d interface{}, hp int, o bool) {
-		data, hop, ok = d, hp, o
-	})
-	h.env.Run()
-	return data, hop, ok
-}
-
+// FetchFunc calls its continuation once, not before the lookup's three 5us
+// messages have travelled, and leaves nothing in the pending table.
 func TestFetchFuncMatchesFetch(t *testing.T) {
-	build := func() *harness {
-		h := newHarness(t, 4, 2)
-		h.holdings[1][5] = "payload" // item 5 mediated by node 1
-		return h
+	h := newHarness(t, 4, 2)
+	defer h.env.Close()
+	h.holdings[1][5] = "payload" // item 5 mediated by node 1
+	h.fetch(1, 5)                // registers node 1 as a candidate
+	start, calls := h.env.Now(), 0
+	h.engines[0].FetchFunc(h.env, 5, func(d interface{}, hop int, ok bool) {
+		calls++
+		if !ok || hop != 1 || d != "payload" {
+			t.Errorf("FetchFunc = (%v, %d, %v), want (payload, 1, true)", d, hop, ok)
+		}
+		if took := h.env.Now() - start; took != sim.Micros(15) {
+			t.Errorf("resolved after %v, want 15us", took)
+		}
+	})
+	if calls != 0 {
+		t.Fatal("continuation ran before the request was answered")
 	}
-	// Prime both the same way: a first fetch from node 1 registers it as a
-	// candidate, so the second fetch (from node 0) hits at hop 1.
-	hp := build()
-	hp.fetch(1, 5)
-	d1, hop1, ok1 := hp.fetch(0, 5)
-	m1 := hp.engines[0].Metrics()
-	msgs1 := hp.messages
-	hp.env.Close()
-
-	hf := build()
-	hf.fetchFunc(1, 5)
-	d2, hop2, ok2 := hf.fetchFunc(0, 5)
-	m2 := hf.engines[0].Metrics()
-	msgs2 := hf.messages
-	hf.env.Close()
-
-	if d1 != d2 || hop1 != hop2 || ok1 != ok2 {
-		t.Fatalf("Fetch (%v,%d,%v) vs FetchFunc (%v,%d,%v)", d1, hop1, ok1, d2, hop2, ok2)
-	}
-	if !ok2 || d2 != "payload" {
-		t.Fatalf("lookup failed: %v %v", d2, ok2)
-	}
-	if m1.Requests != m2.Requests || m1.Misses != m2.Misses || msgs1 != msgs2 {
-		t.Fatalf("metrics diverge: %+v/%d vs %+v/%d", m1, msgs1, m2, msgs2)
+	h.env.Run()
+	if calls != 1 || len(h.engines[0].pending) != 0 {
+		t.Fatalf("continuation ran %d times, %d lookups still pending", calls, len(h.engines[0].pending))
 	}
 }
 

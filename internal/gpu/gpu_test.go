@@ -62,14 +62,8 @@ func TestDeviceResourcesIndependent(t *testing.T) {
 	d := New("n0/gpu0", TitanXMaxwell)
 	e := sim.NewEnv()
 	var kernelEnd, copyEnd sim.Time
-	e.Spawn("kernel", func(p *sim.Proc) {
-		p.Use(d.Compute, sim.Millis(10))
-		kernelEnd = p.Now()
-	})
-	e.Spawn("copy", func(p *sim.Proc) {
-		p.Use(d.H2D, sim.Millis(10))
-		copyEnd = p.Now()
-	})
+	d.Compute.UseFunc(e, sim.Millis(10), func(sim.Time) { kernelEnd = e.Now() })
+	d.H2D.UseFunc(e, sim.Millis(10), func(sim.Time) { copyEnd = e.Now() })
 	e.Run()
 	if kernelEnd != sim.Millis(10) || copyEnd != sim.Millis(10) {
 		t.Errorf("compute and copy engines must overlap: kernel %v copy %v", kernelEnd, copyEnd)

@@ -15,9 +15,8 @@ package pairstore
 // Every write is temp-file + rename in the same directory, the same
 // atomicity protocol the rest of the repo uses for manifests.
 //
-// Format 1 (the pre-columnar JSON segment log) is still read: legacy
-// entries are replayed into the mutable log first-write-wins, and the
-// next Save rewrites the store in format 2.
+// Format 2 is the only format: Load refuses any other manifest with an
+// error naming the path and the format it found, and writes nothing.
 
 import (
 	"crypto/sha256"
@@ -26,16 +25,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
-const (
-	manifestFormatLegacy   = 1
-	manifestFormatColumnar = 2
-)
+const manifestFormat = 2
 
-// manifestDoc is the format-2 manifest.
+// manifestDoc is the manifest.
 type manifestDoc struct {
 	Format int `json:"format"`
 	// Levels lists the sealed segment filenames per tier, innermost
@@ -47,17 +42,6 @@ type manifestDoc struct {
 	NextSeg uint64  `json:"next_seg"`
 	Live    int     `json:"live"`
 	Stats   Stats   `json:"stats"`
-}
-
-// legacyDoc is the format-1 on-disk form.
-type legacyDoc struct {
-	Format   int `json:"format"`
-	Segments []struct {
-		ID      int     `json:"id"`
-		Sealed  bool    `json:"sealed"`
-		Entries []Entry `json:"entries"`
-	} `json:"segments"`
-	Stats Stats `json:"stats"`
 }
 
 // segmentDir is the sidecar directory holding a store's segment files.
@@ -102,7 +86,7 @@ func (s *Store) Save(path string) error {
 	}
 
 	doc := manifestDoc{
-		Format:  manifestFormatColumnar,
+		Format:  manifestFormat,
 		Levels:  make([][]string, len(s.levels)),
 		NextSeg: s.nextSeg,
 		Live:    s.live,
@@ -165,26 +149,12 @@ func Load(path string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	var probe struct {
-		Format int `json:"format"`
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		return nil, fmt.Errorf("pairstore: %s: %w", path, err)
-	}
-	switch probe.Format {
-	case manifestFormatColumnar:
-		return loadColumnar(path, raw)
-	case manifestFormatLegacy:
-		return loadLegacy(path, raw)
-	default:
-		return nil, fmt.Errorf("pairstore: %s: unknown format %d", path, probe.Format)
-	}
-}
-
-func loadColumnar(path string, raw []byte) (*Store, error) {
 	var doc manifestDoc
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		return nil, fmt.Errorf("pairstore: %s: %w", path, err)
+	}
+	if doc.Format != manifestFormat {
+		return nil, fmt.Errorf("pairstore: %s: unknown format %d", path, doc.Format)
 	}
 	s := New()
 	dir := segmentDir(path)
@@ -212,32 +182,6 @@ func loadColumnar(path string, raw []byte) (*Store, error) {
 	}
 	s.nextSeg = doc.NextSeg
 	s.live = doc.Live
-	s.stats = doc.Stats
-	resetDerivedStats(&s.stats)
-	return s, nil
-}
-
-func loadLegacy(path string, raw []byte) (*Store, error) {
-	var doc legacyDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, fmt.Errorf("pairstore: %s: %w", path, err)
-	}
-	s := New()
-	sort.SliceStable(doc.Segments, func(i, j int) bool {
-		return doc.Segments[i].ID < doc.Segments[j].ID
-	})
-	// Replay the legacy log first-write-wins into the mutable log; the
-	// next Save rewrites it columnar.
-	for _, seg := range doc.Segments {
-		for _, e := range seg.Entries {
-			if _, ok := s.mem.index[e.Key]; ok {
-				continue
-			}
-			e.Tombstone = false
-			s.mem.add(e)
-			s.live++
-		}
-	}
 	s.stats = doc.Stats
 	resetDerivedStats(&s.stats)
 	return s, nil

@@ -157,41 +157,30 @@ func TestLoadCorruptSegment(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyFormat1 keeps warm restarts working across the engine
-// swap: stores saved by the pre-columnar code must load.
-func TestLoadLegacyFormat1(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.json")
+// TestLoadRejectsFormat1: format 1 (the pre-columnar JSON segment log) is
+// not a format Load reads. It fails closed, naming the file and the format
+// it found, and leaves the directory as it was.
+func TestLoadRejectsFormat1(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "store.json")
 	legacy := `{"format":1,"segments":[` +
-		`{"id":1,"sealed":true,"entries":[{"key":{"a":5,"b":6},"version":2,"value":{"x":1}}]},` +
-		`{"id":0,"sealed":true,"entries":[{"key":{"a":1,"b":2},"version":1},{"key":{"a":5,"b":6},"version":1,"value":{"x":0}}]}` +
-		`],"stats":{"puts":3,"dup_puts":4,"served_pairs":7}}`
+		`{"id":0,"sealed":true,"entries":[{"key":{"a":1,"b":2},"version":1}]}` +
+		`],"stats":{"puts":1}}`
 	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Load(path)
+	if err == nil || s != nil {
+		t.Fatalf("Load of a format-1 manifest = (%v, %v), want (nil, error)", s, err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, "unknown format 1") {
+		t.Fatalf("error %q does not name the path and the format", msg)
+	}
+	names, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 2 {
-		t.Fatalf("legacy len = %d, want 2", s.Len())
-	}
-	// First write wins, in segment-ID order: segment 0's value for (5,6).
-	if e, ok := s.Get(Key{A: 5, B: 6}); !ok || string(e.Value) != `{"x":0}` {
-		t.Fatalf("legacy first-write-wins broken: %+v ok=%v", e, ok)
-	}
-	st := s.Stats()
-	if st.Puts != 3 || st.DupPuts != 4 || st.ServedPairs != 7 {
-		t.Fatalf("legacy counters lost: %+v", st)
-	}
-	// A columnar re-save upgrades the format in place.
-	if err := s.SealAndSave(path); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 2 || !r.Has(Key{A: 1, B: 2}) {
-		t.Fatal("format upgrade lost entries")
+	if raw, _ := os.ReadFile(path); len(names) != 1 || string(raw) != legacy {
+		t.Fatalf("Load touched the directory: %d entries, manifest %q", len(names), raw)
 	}
 }

@@ -117,38 +117,3 @@ func (t *Table) CSV() string {
 	}
 	return b.String()
 }
-
-// Series writes an ASCII bar chart of labeled values, used for quick
-// visual checks of figure shapes in bench output.
-func Series(w io.Writer, title string, labels []string, values []float64, width int) error {
-	if _, err := fmt.Fprintf(w, "## %s\n", title); err != nil {
-		return err
-	}
-	var peak float64
-	for _, v := range values {
-		if v > peak {
-			peak = v
-		}
-	}
-	labelW := 0
-	for _, l := range labels {
-		if len(l) > labelW {
-			labelW = len(l)
-		}
-	}
-	for i, v := range values {
-		bar := 0
-		if peak > 0 {
-			bar = int(float64(width) * v / peak)
-		}
-		label := ""
-		if i < len(labels) {
-			label = labels[i]
-		}
-		if _, err := fmt.Fprintf(w, "%-*s | %-*s %s\n",
-			labelW, label, width, strings.Repeat("#", bar), formatFloat(v)); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -47,30 +47,3 @@ func TestCSV(t *testing.T) {
 		t.Fatalf("csv = %q", csv)
 	}
 }
-
-func TestSeries(t *testing.T) {
-	var b strings.Builder
-	err := Series(&b, "chart", []string{"x", "yy"}, []float64{1, 2}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "##########") {
-		t.Errorf("peak bar not full width:\n%s", out)
-	}
-	if !strings.Contains(out, "#####") {
-		t.Errorf("half bar missing:\n%s", out)
-	}
-}
-
-func TestSeriesAllZero(t *testing.T) {
-	var b strings.Builder
-	if err := Series(&b, "z", []string{"a"}, []float64{0}, 5); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(b.String(), "\n") {
-		if i := strings.Index(line, "|"); i >= 0 && strings.Contains(line[i:], "#") {
-			t.Errorf("zero series drew bars: %q", line)
-		}
-	}
-}

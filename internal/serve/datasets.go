@@ -54,7 +54,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true
@@ -67,16 +67,16 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.ID == "" {
-		writeError(w, r, http.StatusBadRequest, fmt.Errorf("dataset id is required"))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("dataset id is required"))
 		return
 	}
 	if req.Items < 2 {
-		writeError(w, r, http.StatusBadRequest, fmt.Errorf("dataset needs at least 2 items, got %d", req.Items))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("dataset needs at least 2 items, got %d", req.Items))
 		return
 	}
 	// Validate the app name by building a probe spec.
 	if _, err := (jobspec.Spec{App: req.App, Items: req.Items}).BuildApp(1); err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	seed := req.Seed
@@ -88,7 +88,7 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.datasets[req.ID]; dup {
-		writeError(w, r, http.StatusConflict, fmt.Errorf("dataset %q already exists", req.ID))
+		writeError(w, http.StatusConflict, fmt.Errorf("dataset %q already exists", req.ID))
 		return
 	}
 	ds := &Dataset{ID: req.ID, App: req.App, Seed: seed, Items: req.Items}
@@ -106,14 +106,14 @@ func (s *Server) handleDatasetAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Items <= 0 {
-		writeError(w, r, http.StatusBadRequest, fmt.Errorf("append needs a positive item count, got %d", req.Items))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("append needs a positive item count, got %d", req.Items))
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ds, ok := s.datasets[r.PathValue("id")]
 	if !ok {
-		writeError(w, r, http.StatusNotFound, fmt.Errorf("unknown dataset %q", r.PathValue("id")))
+		writeError(w, http.StatusNotFound, fmt.Errorf("unknown dataset %q", r.PathValue("id")))
 		return
 	}
 	ds.Items += req.Items
@@ -136,11 +136,11 @@ func (s *Server) handleDatasetJob(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	ds, ok := s.datasets[r.PathValue("id")]
 	if !ok {
-		writeError(w, r, http.StatusNotFound, fmt.Errorf("unknown dataset %q", r.PathValue("id")))
+		writeError(w, http.StatusNotFound, fmt.Errorf("unknown dataset %q", r.PathValue("id")))
 		return
 	}
 	if ds.Computed == ds.Items {
-		writeError(w, r, http.StatusConflict,
+		writeError(w, http.StatusConflict,
 			fmt.Errorf("dataset %q has no new items (version %d fully computed)", ds.ID, ds.Items))
 		return
 	}
@@ -154,7 +154,7 @@ func (s *Server) handleDatasetJob(w http.ResponseWriter, r *http.Request) {
 		DatasetVersion: ds.Items,
 		BaseVersion:    ds.Computed,
 	}
-	if _, ok := s.submitSpecLocked(w, r, spec); !ok {
+	if _, ok := s.submitSpecLocked(w, spec); !ok {
 		return
 	}
 	// The submitted job covers the dataset up to its current version;
@@ -189,7 +189,7 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	ds, ok := s.datasets[r.PathValue("id")]
 	if !ok {
-		writeError(w, r, http.StatusNotFound, fmt.Errorf("unknown dataset %q", r.PathValue("id")))
+		writeError(w, http.StatusNotFound, fmt.Errorf("unknown dataset %q", r.PathValue("id")))
 		return
 	}
 	writeJSON(w, http.StatusOK, ds)

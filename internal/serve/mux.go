@@ -1,14 +1,9 @@
 package serve
 
-import (
-	"net/http"
-	"strings"
-)
+import "net/http"
 
-// MediaV1 is the vendor media type of API version 1. Clients that send
-// it in Accept opt into the structured error envelope
-// {"error":{"code","message"}}; all other clients get the legacy
-// {"error":"message"} shape, so PR 4/5 clients keep working unchanged.
+// MediaV1 is the vendor media type of API version 1, advertised by
+// /v1/capabilities.
 const MediaV1 = "application/vnd.rocket.v1+json"
 
 // apiV1 is the complete version-1 surface: one method per endpoint.
@@ -85,14 +80,8 @@ func Routes() []string {
 	return out
 }
 
-// acceptsV1 reports whether the client opted into the structured
-// version-1 media type.
-func acceptsV1(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), MediaV1)
-}
-
 // errorCode maps an HTTP status to a stable machine-readable code for
-// the structured envelope.
+// the error envelope.
 func errorCode(status int) string {
 	switch status {
 	case http.StatusBadRequest:

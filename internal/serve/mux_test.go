@@ -104,58 +104,39 @@ func TestCapabilitiesDefaultsShardsToOne(t *testing.T) {
 	}
 }
 
-// TestErrorEnvelopeNegotiation: the legacy {"error":"message"} string
-// shape stays the default (PR 4/5 clients), and the structured
-// {"error":{"code","message"}} envelope is opt-in via Accept.
-func TestErrorEnvelopeNegotiation(t *testing.T) {
+// TestErrorEnvelope: every error is the one {"error":{"code","message"}}
+// shape, whatever the client's Accept header says.
+func TestErrorEnvelope(t *testing.T) {
 	_, ts := newTestServer(t, Config{Nodes: 2, Seed: 1, TimeScale: 0})
-
-	// Legacy client: no Accept header -> string error.
-	resp, err := http.Get(ts.URL + "/v1/jobs/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var legacy struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(body, &legacy); err != nil || legacy.Error == "" {
-		t.Fatalf("legacy envelope not a string error: %s (%v)", body, err)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("legacy Content-Type = %q", ct)
-	}
-
-	// v1 client: Accept the vendor type -> structured envelope.
-	req, _ := http.NewRequest("GET", ts.URL+"/v1/jobs/nope", nil)
-	req.Header.Set("Accept", MediaV1)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var structured struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
-	if err := json.Unmarshal(body, &structured); err != nil {
-		t.Fatalf("structured envelope: %s (%v)", body, err)
-	}
-	if structured.Error.Code != "not_found" || !strings.Contains(structured.Error.Message, "nope") {
-		t.Fatalf("structured envelope: %+v", structured.Error)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != MediaV1 {
-		t.Fatalf("structured Content-Type = %q", ct)
+	for _, accept := range []string{"", MediaV1} {
+		req, _ := http.NewRequest("GET", ts.URL+"/v1/jobs/nope", nil)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("Accept %q: status %d", accept, resp.StatusCode)
+		}
+		var doc struct {
+			Error struct {
+				Code    string `json:"code"`
+				Message string `json:"message"`
+			} `json:"error"`
+		}
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatalf("Accept %q: envelope %s (%v)", accept, body, err)
+		}
+		if doc.Error.Code != "not_found" || !strings.Contains(doc.Error.Message, "nope") {
+			t.Fatalf("Accept %q: envelope %+v", accept, doc.Error)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("Accept %q: Content-Type = %q", accept, ct)
+		}
 	}
 }
 
@@ -168,7 +149,6 @@ func TestErrorCodesByStatus(t *testing.T) {
 	structuredErr := func(method, url, body string) (int, string) {
 		t.Helper()
 		req, _ := http.NewRequest(method, ts.URL+url, strings.NewReader(body))
-		req.Header.Set("Accept", MediaV1)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)

@@ -17,10 +17,8 @@
 //	GET  /healthz             liveness; 503 while draining
 //
 // The full method+pattern table lives in one place (Mux); the dataset
-// endpoints are documented in datasets.go. Errors default to the legacy
-// {"error":"message"} envelope; clients that send Accept:
-// application/vnd.rocket.v1+json receive the structured
-// {"error":{"code","message"}} form instead (see MediaV1).
+// endpoints are documented in datasets.go. Every error is a
+// {"error":{"code","message"}} document with the matching HTTP status.
 //
 // Every submission is recorded as a jobspec.Spec; once the scheduler
 // assigns its virtual arrival, the submission becomes part of the arrival
@@ -151,25 +149,16 @@ func (s *Server) Queue() *sched.Online { return s.queue }
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// writeJSON writes v with the given status. A Content-Type set by the
-// caller (the negotiated vendor type, say) is kept.
+// writeJSON writes v with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	if w.Header().Get("Content-Type") == "" {
-		w.Header().Set("Content-Type", "application/json")
-	}
+	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
 }
 
-// errorDoc is the legacy error envelope, the default shape since PR 4.
-type errorDoc struct {
-	Error string `json:"error"`
-}
-
-// errorEnvelope is the structured version-1 envelope, returned when the
-// request's Accept header names MediaV1.
+// errorEnvelope is the body of every error response.
 type errorEnvelope struct {
 	Error errorBody `json:"error"`
 }
@@ -179,20 +168,13 @@ type errorBody struct {
 	Message string `json:"message"`
 }
 
-// writeError negotiates the error shape on the request's Accept header:
-// legacy {"error":"message"} by default (existing PR 4/5 clients parse
-// it), structured {"error":{"code","message"}} for clients sending
-// Accept: application/vnd.rocket.v1+json.
-func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
-	if acceptsV1(r) {
-		w.Header().Set("Content-Type", MediaV1)
-		writeJSON(w, status, errorEnvelope{Error: errorBody{
-			Code:    errorCode(status),
-			Message: err.Error(),
-		}})
-		return
-	}
-	writeJSON(w, status, errorDoc{Error: err.Error()})
+// writeError writes err as {"error":{"code","message"}}, the code derived
+// from the status.
+func writeError(w http.ResponseWriter, status int, err error) {
+	writeJSON(w, status, errorEnvelope{Error: errorBody{
+		Code:    errorCode(status),
+		Message: err.Error(),
+	}})
 }
 
 // submitReply is the 202 body of a submission.
@@ -209,29 +191,29 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
 		return
 	}
 	if spec.ArrivalNS != 0 || spec.ArrivalMS != 0 {
-		writeError(w, r, http.StatusBadRequest,
+		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("online submissions cannot carry arrival times; the scheduler assigns them"))
 		return
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.submitSpecLocked(w, r, spec)
+	s.submitSpecLocked(w, spec)
 }
 
 // submitSpecLocked converts the spec to a job, submits it, and records
 // the spec in the arrival log. One lock spans spec->job conversion and
 // Submit so the recorded spec order matches the scheduler's submission
 // indices (both drive seed/ID derivation on replay); callers hold s.mu.
-func (s *Server) submitSpecLocked(w http.ResponseWriter, r *http.Request, spec jobspec.Spec) (string, bool) {
+func (s *Server) submitSpecLocked(w http.ResponseWriter, spec jobspec.Spec) (string, bool) {
 	index := len(s.specs)
 	job, err := spec.Job(index, s.cfg.Seed)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		writeError(w, http.StatusBadRequest, err)
 		return "", false
 	}
 	id, err := s.queue.Submit(job)
@@ -240,7 +222,7 @@ func (s *Server) submitSpecLocked(w http.ResponseWriter, r *http.Request, spec j
 		if errors.Is(err, sched.ErrShuttingDown) {
 			status = http.StatusServiceUnavailable
 		}
-		writeError(w, r, status, err)
+		writeError(w, status, err)
 		return "", false
 	}
 	spec.ID = id
@@ -264,7 +246,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	info, ok := s.queue.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, r, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -274,7 +256,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	info, ok := s.queue.Job(id)
 	if !ok {
-		writeError(w, r, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
+		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
 	}
 	jm, ok := s.queue.JobMetrics(id)
@@ -327,7 +309,7 @@ func (s *Server) Log() jobspec.Manifest {
 func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 	buf, err := s.Log().JSON()
 	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -386,7 +368,7 @@ func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 // Without Config.Trace there is no recorder and the endpoint is 404.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if s.spans == nil {
-		writeError(w, r, http.StatusNotFound,
+		writeError(w, http.StatusNotFound,
 			fmt.Errorf("tracing disabled; start rocketd with -trace"))
 		return
 	}
@@ -515,7 +497,7 @@ func (s *Server) handleAllEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.queue.Job(id); !ok {
-		writeError(w, r, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
+		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
 	}
 	s.streamEvents(w, r, id)
@@ -528,7 +510,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, jobID string) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, r, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")

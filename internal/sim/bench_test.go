@@ -7,7 +7,6 @@ import "testing"
 //
 //   - dispatching a plain callback event costs zero heap allocations once
 //     the queue has grown to its steady-state capacity;
-//   - process resume/yield costs two channel handoffs but no allocations;
 //   - the callback-completion primitives allocate only their continuation
 //     closures, never per-event queue boxes.
 
@@ -72,23 +71,6 @@ func TestZeroAllocContendedResource(t *testing.T) {
 	}
 }
 
-func TestZeroAllocWaitDispatch(t *testing.T) {
-	e := NewEnv()
-	e.Spawn("p", func(p *Proc) {
-		for {
-			p.Wait(1)
-		}
-	})
-	e.Step() // start the process; it parks in Wait
-	allocs := testing.AllocsPerRun(1000, func() {
-		e.Step() // resume, re-Wait, yield
-	})
-	if allocs != 0 {
-		t.Fatalf("process Wait dispatch allocates %.1f objects/event, want 0", allocs)
-	}
-	e.Close()
-}
-
 // BenchmarkEventDispatch measures the raw queue push+pop+call cycle.
 func BenchmarkEventDispatch(b *testing.B) {
 	e := NewEnv()
@@ -116,43 +98,6 @@ func BenchmarkEventQueueChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkWaitPingPong measures the goroutine process path: one resume +
-// one yield (two channel handoffs) per simulated Wait.
-func BenchmarkWaitPingPong(b *testing.B) {
-	e := NewEnv()
-	e.Spawn("p", func(p *Proc) {
-		for {
-			p.Wait(1)
-		}
-	})
-	e.Step()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-	b.StopTimer()
-	e.Close()
-}
-
-// BenchmarkTimerChain measures AfterFunc self-rescheduling, the pattern
-// callback state machines reduce to.
-func BenchmarkTimerChain(b *testing.B) {
-	e := NewEnv()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		e.AfterFunc(1, tick)
-	}
-	e.AfterFunc(1, tick)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
-
 // BenchmarkResourceContentionCallback measures a capacity-1 resource with
 // a deep callback wait queue: one grant hand-off per Step pair.
 func BenchmarkResourceContentionCallback(b *testing.B) {
@@ -170,31 +115,6 @@ func BenchmarkResourceContentionCallback(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Step()
 	}
-}
-
-// BenchmarkResourceContentionProcs is the process-based counterpart of
-// BenchmarkResourceContentionCallback: the same contended semaphore, paid
-// for with goroutine handoffs.
-func BenchmarkResourceContentionProcs(b *testing.B) {
-	e := NewEnv()
-	r := NewResource("r", 1)
-	for i := 0; i < 64; i++ {
-		e.Spawn("u", func(p *Proc) {
-			for {
-				p.Use(r, 1)
-			}
-		})
-	}
-	for i := 0; i < 64; i++ {
-		e.Step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-	b.StopTimer()
-	e.Close()
 }
 
 // BenchmarkMailboxThroughput measures send → callback-deliver cycles.

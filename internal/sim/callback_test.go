@@ -2,64 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
-
-func TestAfterFuncFires(t *testing.T) {
-	e := NewEnv()
-	var fired Time
-	tm := e.AfterFunc(Millis(3), func() { fired = e.Now() })
-	if !tm.Active() || tm.When() != Millis(3) {
-		t.Fatalf("timer not pending at 3ms: active=%v when=%v", tm.Active(), tm.When())
-	}
-	e.Run()
-	if fired != Millis(3) {
-		t.Fatalf("fired at %v, want 3ms", fired)
-	}
-	if tm.Active() || tm.Stop() {
-		t.Fatal("fired timer still active / stoppable")
-	}
-}
-
-func TestAfterFuncStop(t *testing.T) {
-	e := NewEnv()
-	ran := false
-	tm := e.AfterFunc(Millis(3), func() { ran = true })
-	if !tm.Stop() {
-		t.Fatal("Stop on pending timer returned false")
-	}
-	if tm.Stop() {
-		t.Fatal("second Stop returned true")
-	}
-	e.After(Millis(5), func() {}) // keep the clock moving past the timer
-	e.Run()
-	if ran {
-		t.Fatal("stopped timer fired")
-	}
-	if e.Now() != Millis(5) {
-		t.Fatalf("Now = %v, want 5ms", e.Now())
-	}
-}
-
-func TestStoppedTimerNotCounted(t *testing.T) {
-	e := NewEnv()
-	tm := e.AfterFunc(Millis(1), func() {})
-	e.AfterFunc(Millis(2), func() {})
-	tm.Stop()
-	e.Run()
-	if got := e.EventsProcessed(); got != 1 {
-		t.Fatalf("EventsProcessed = %d, want 1 (stopped timer must not count)", got)
-	}
-}
-
-func TestNegativeAfterFuncPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for negative delay")
-		}
-	}()
-	NewEnv().AfterFunc(-1, func() {})
-}
 
 func TestAcquireFuncInlineWhenFree(t *testing.T) {
 	e := NewEnv()
@@ -73,40 +18,6 @@ func TestAcquireFuncInlineWhenFree(t *testing.T) {
 		t.Fatalf("InUse = %d, want 1", r.InUse())
 	}
 	r.Release(e)
-}
-
-func TestAcquireFuncFIFOWithProcs(t *testing.T) {
-	e := NewEnv()
-	r := NewResource("r", 1)
-	var order []string
-	e.Spawn("p1", func(p *Proc) {
-		p.Acquire(r)
-		order = append(order, "p1")
-		p.Wait(Millis(1))
-		r.Release(p.Env())
-	})
-	e.Spawn("p2", func(p *Proc) {
-		p.Acquire(r)
-		order = append(order, "p2")
-		p.Wait(Millis(1))
-		r.Release(p.Env())
-	})
-	e.At(0, func() {
-		r.AcquireFunc(e, func() {
-			order = append(order, "cb")
-			r.Release(e)
-		})
-	})
-	e.Spawn("p3", func(p *Proc) {
-		p.Acquire(r)
-		order = append(order, "p3")
-		r.Release(p.Env())
-	})
-	e.Run()
-	want := []string{"p1", "p2", "cb", "p3"}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Fatalf("grant order %v, want %v (FIFO across procs and callbacks)", order, want)
-	}
 }
 
 func TestTryAcquire(t *testing.T) {
@@ -157,16 +68,13 @@ func TestOnFire(t *testing.T) {
 	s := NewSignal()
 	var order []string
 	s.OnFire(e, func() { order = append(order, "cb1") })
-	e.Spawn("w", func(p *Proc) {
-		p.WaitSignal(s)
-		order = append(order, "proc")
-	})
+	e.Defer(func() { s.OnFire(e, func() { order = append(order, "cb2") }) })
 	e.At(Millis(1), func() {
-		s.OnFire(e, func() { order = append(order, "cb2") })
+		s.OnFire(e, func() { order = append(order, "cb3") })
 		s.Fire(e)
 	})
 	e.Run()
-	want := []string{"cb1", "proc", "cb2"}
+	want := []string{"cb1", "cb2", "cb3"}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("wake order %v, want %v (registration order)", order, want)
 	}
@@ -195,134 +103,34 @@ func TestRecvFuncInlineAndBlocked(t *testing.T) {
 	}
 }
 
-func TestRecvFuncFIFOWithProcs(t *testing.T) {
-	e := NewEnv()
-	m := NewMailbox("m")
-	var got []string
-	e.Spawn("r1", func(p *Proc) {
-		got = append(got, fmt.Sprintf("r1=%v", p.Recv(m)))
-	})
-	e.At(0, func() {
-		m.RecvFunc(e, func(v interface{}) { got = append(got, fmt.Sprintf("cb=%v", v)) })
-	})
-	e.Spawn("r2", func(p *Proc) {
-		got = append(got, fmt.Sprintf("r2=%v", p.Recv(m)))
-	})
-	e.At(Millis(1), func() {
-		m.Send(e, 1)
-		m.Send(e, 2)
-		m.Send(e, 3)
-	})
-	e.Run()
-	want := []string{"r1=1", "cb=2", "r2=3"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("delivery %v, want %v (FIFO across procs and callbacks)", got, want)
-	}
-}
-
 func TestRecvFuncRequeuesWhenSnatched(t *testing.T) {
 	e := NewEnv()
 	m := NewMailbox("m")
-	var got []int
+	var got, snatched []int
 	m.RecvFunc(e, func(v interface{}) { got = append(got, v.(int)) })
 	e.At(Millis(1), func() {
 		m.Send(e, 1)
-		// Snatch the message before the woken callback's delivery event
-		// dispatches (the TryRecv race).
-		m.q = m.q[1:]
+		// Snatch the message before the woken receiver's delivery event
+		// dispatches: a RecvFunc that finds a message queued runs inline.
+		m.RecvFunc(e, func(v interface{}) { snatched = append(snatched, v.(int)) })
 	})
 	e.At(Millis(2), func() { m.Send(e, 2) })
 	e.Run()
+	if len(snatched) != 1 || snatched[0] != 1 {
+		t.Fatalf("snatched %v, want [1]", snatched)
+	}
 	if len(got) != 1 || got[0] != 2 {
-		t.Fatalf("got %v, want [2] (callback must re-queue after snatch)", got)
-	}
-}
-
-// TestCallbackProcEquivalence runs the same contended workload twice — once
-// with blocking processes, once as callback chains — and checks that both
-// observe identical grant times, occupancy, and completion order. This is
-// the engine's core guarantee: the two waiting styles are interchangeable
-// without perturbing the simulation.
-func TestCallbackProcEquivalence(t *testing.T) {
-	run := func(callbacks bool) []string {
-		e := NewEnv()
-		var log []string
-		r := NewResource("r", 2)
-		s := NewSignal()
-		for i := 0; i < 6; i++ {
-			i := i
-			dur := Time(1+i%3) * Millisecond
-			record := func(start Time) {
-				log = append(log, fmt.Sprintf("%d:[%v,%v]", i, start, e.Now()))
-				if len(log) == 6 {
-					s.Fire(e)
-				}
-			}
-			if callbacks {
-				r.UseFunc(e, dur, record)
-			} else {
-				e.Spawn(fmt.Sprintf("u%d", i), func(p *Proc) {
-					p.Acquire(r)
-					start := p.Now()
-					p.Wait(dur)
-					r.Release(p.Env())
-					record(start)
-				})
-			}
-		}
-		done := func() { log = append(log, fmt.Sprintf("done@%v", e.Now())) }
-		if callbacks {
-			s.OnFire(e, done)
-		} else {
-			e.Spawn("waiter", func(p *Proc) {
-				p.WaitSignal(s)
-				done()
-			})
-		}
-		e.Run()
-		e.Close()
-		return log
-	}
-	procs, cbs := run(false), run(true)
-	if fmt.Sprint(procs) != fmt.Sprint(cbs) {
-		t.Fatalf("proc and callback traces diverge:\nprocs: %v\ncbs:   %v", procs, cbs)
-	}
-}
-
-func TestStaleWakeupSkippedUncounted(t *testing.T) {
-	e := NewEnv()
-	p := e.Spawn("p", func(p *Proc) {})
-	e.Run()
-	if e.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs = %d", e.LiveProcs())
-	}
-	// White-box: enqueue a wake-up for the finished process, plus a real
-	// callback behind it.
-	e.schedule(e.now, p, nil)
-	ran := false
-	e.Defer(func() { ran = true })
-	before := e.EventsProcessed()
-	if !e.Step() {
-		t.Fatal("Step with a stale event returned false")
-	}
-	if e.EventsProcessed() != before {
-		t.Fatal("stale wake-up inflated EventsProcessed")
-	}
-	if !e.Step() || !ran {
-		t.Fatal("callback after stale event did not run")
-	}
-	if e.EventsProcessed() != before+1 {
-		t.Fatalf("EventsProcessed = %d, want %d", e.EventsProcessed(), before+1)
+		t.Fatalf("got %v, want [2] (receiver must re-queue after snatch)", got)
 	}
 }
 
 func TestCloseDropsPendingCallbacksAndTimers(t *testing.T) {
 	e := NewEnv()
-	e.Spawn("p", func(p *Proc) { p.Wait(Millis(1)) })
+	e.After(Millis(1), func() {})
 	e.RunUntil(Millis(1))
 	ran := false
 	e.After(Millis(5), func() { ran = true })
-	e.AfterFunc(Millis(5), func() { ran = true })
+	NewResource("r", 1).UseFunc(e, Millis(5), func(Time) { ran = true })
 	e.Defer(func() { ran = true })
 	if e.PendingEvents() != 3 {
 		t.Fatalf("PendingEvents = %d, want 3", e.PendingEvents())
@@ -371,18 +179,18 @@ func TestRunUntilEmptyQueueAdvancesClock(t *testing.T) {
 	}
 }
 
+// recovered runs fn and returns what it panicked with, nil if it did not.
+func recovered(fn func()) (r interface{}) {
+	defer func() { r = recover() }()
+	fn()
+	return nil
+}
+
 func TestReentrancyPanics(t *testing.T) {
-	// Reentrant calls panic inside the process; the scheduler forwards the
-	// panic to the goroutine driving Run, where we catch it.
 	check := func(name string, inner func(e *Env)) {
 		e := NewEnv()
-		var got interface{}
-		e.Spawn("p", func(p *Proc) { inner(e) })
-		func() {
-			defer func() { got = recover() }()
-			e.Run()
-		}()
-		if got == nil {
+		e.Defer(func() { inner(e) })
+		if recovered(e.Run) == nil {
 			t.Errorf("%s from inside a running simulation did not panic", name)
 		}
 	}
@@ -391,34 +199,143 @@ func TestReentrancyPanics(t *testing.T) {
 	check("Close", func(e *Env) { e.Close() })
 }
 
-// push hands out slab slots unzeroed and relies on Step having cleared
-// the pointer fields of whatever kind last used the slot. Drive every
-// event kind (including the skipped ones: a stopped timer, a wake-up for a
-// finished process) through a small slab and require every slot to come
-// back pointer-free, so a kind that forgets a field fails here instead of
-// leaking a live pointer into the slot's next user.
-func TestReleasedEventSlotsHoldNoPointers(t *testing.T) {
-	e := NewEnv()
+// mixedWorkload queues a little of everything the engine offers: plain
+// callbacks, timed holds and plain acquisitions contending for one unit, a
+// signal with waiters, and a mailbox receiver that re-arms itself.
+func mixedWorkload(e *Env) {
 	r := NewResource("r", 1)
+	s := NewSignal()
+	m := NewMailbox("m")
+	var recv func(v interface{})
+	recv = func(interface{}) { m.RecvFunc(e, recv) }
+	m.RecvFunc(e, recv)
 	for k := 0; k < 100; k++ {
 		d := Time(k%7 + 1)
-		e.After(d, func() {})
-		e.AfterFunc(d, func() {})
-		e.AfterFunc(d, func() {}).Stop()
+		e.After(d, func() { m.Send(e, k) })
+		e.Defer(func() {})
 		r.UseFunc(e, d, func(Time) {})
 		r.AcquireFunc(e, func() { r.Release(e) })
-		e.Spawn("p", func(p *Proc) {
-			p.Wait(d)
-			p.Use(r, d)
-		})
+		s.OnFire(e, func() {})
 	}
-	e.Run()
+	e.After(3, func() { s.Fire(e) })
+}
+
+// Every event popped from the queue is dispatched and counted: there is no
+// kind of entry the loop consumes silently.
+func TestEveryPopIsADispatch(t *testing.T) {
+	// pops reads how many entries left the queue since (pending, seq).
+	pops := func(e *Env, pending int, seq uint64) uint64 {
+		return uint64(pending) + (e.seq - seq) - uint64(e.PendingEvents())
+	}
+	e := NewEnv()
+	mixedWorkload(e)
+	var steps uint64
+	for e.Step() {
+		steps++
+	}
+	if steps == 0 || e.EventsProcessed() != steps {
+		t.Fatalf("EventsProcessed = %d after %d Steps returned true", e.EventsProcessed(), steps)
+	}
+	if got := pops(e, 0, 0); got != steps {
+		t.Fatalf("%d entries left the queue in %d Steps", got, steps)
+	}
+
+	e = NewEnv()
+	mixedWorkload(e)
+	var total uint64
+	for _, until := range []Time{2, 3, 50, 1000} {
+		pending, seq := e.PendingEvents(), e.seq
+		n := e.RunUntil(until)
+		if got := pops(e, pending, seq); n != got {
+			t.Fatalf("RunUntil(%v) returned %d, popped %d", until, n, got)
+		}
+		total += n
+	}
+	if total != steps || e.EventsProcessed() != steps {
+		t.Fatalf("RunUntil dispatched %d (EventsProcessed %d), Step loop %d", total, e.EventsProcessed(), steps)
+	}
+}
+
+// push hands out slab slots unzeroed and relies on Step having cleared
+// the pointer fields of whatever kind last used the slot. Drive every
+// event kind through a small slab and require every slot to come back
+// pointer-free, so a kind that forgets a field fails here instead of
+// leaking a live pointer into the slot's next user. The fields are
+// enumerated by reflection: a new one is checked without editing this test.
+func TestReleasedEventSlotsHoldNoPointers(t *testing.T) {
+	kinds := map[eventKind]bool{}
+	e := NewEnv()
+	mixedWorkload(e)
+	for e.events.Len() > 0 {
+		kinds[e.events.slab[e.events.heap[0].idx].kind] = true
+		e.Step()
+	}
+	if !kinds[evFn] || !kinds[evUseGrant] || !kinds[evUseEnd] || len(kinds) != 3 {
+		t.Fatalf("workload dispatched kinds %v, want all three", kinds)
+	}
 	if len(e.events.free) != len(e.events.slab) {
 		t.Fatalf("%d of %d slots released", len(e.events.free), len(e.events.slab))
 	}
-	for i, ev := range e.events.slab {
-		if ev.proc != nil || ev.fn != nil || ev.timer != nil || ev.res != nil || ev.useFn != nil {
-			t.Fatalf("released slot %d (kind %d) still holds a pointer: %+v", i, ev.kind, ev)
+	for i := range e.events.slab {
+		ev := reflect.ValueOf(&e.events.slab[i]).Elem()
+		for f := 0; f < ev.NumField(); f++ {
+			name := ev.Type().Field(f).Name
+			switch v := ev.Field(f); v.Kind() {
+			case reflect.Pointer, reflect.Func, reflect.Interface, reflect.Slice,
+				reflect.Map, reflect.Chan, reflect.UnsafePointer:
+				if !v.IsNil() {
+					t.Fatalf("released slot %d (kind %d) still holds event.%s", i, ev.Field(0).Uint(), name)
+				}
+			case reflect.Struct, reflect.Array, reflect.String:
+				t.Fatalf("event.%s is a %s: this test cannot tell whether it holds a pointer", name, v.Kind())
+			}
+		}
+	}
+}
+
+// An event queued on a closed Env could never run, so every entry point
+// that would queue one refuses.
+func TestScheduleOnClosedEnvPanics(t *testing.T) {
+	e := NewEnv()
+	held := NewResource("held", 1)
+	held.AcquireFunc(e, func() {})
+	held.AcquireFunc(e, func() {}) // queued behind the first
+	e.Close()
+	for name, fn := range map[string]func(){
+		"At":      func() { e.At(Millis(1), func() {}) },
+		"After":   func() { e.After(Millis(1), func() {}) },
+		"Defer":   func() { e.Defer(func() {}) },
+		"UseFunc": func() { NewResource("r", 1).UseFunc(e, 1, func(Time) {}) },
+		"Release": func() { held.Release(e) }, // grants the queued AcquireFunc
+	} {
+		if r := recovered(fn); r != "sim: schedule on closed Env" {
+			t.Errorf("%s on a closed Env: recovered %v", name, r)
+		}
+	}
+	if e.PendingEvents() != 0 || e.Step() {
+		t.Fatalf("closed Env holds %d events", e.PendingEvents())
+	}
+}
+
+// A popped message, receiver or woken receiver must not stay reachable
+// through the backing array the reslice leaves behind.
+func TestMailboxPopClearsVacatedSlot(t *testing.T) {
+	e := NewEnv()
+	m := NewMailbox("m")
+	m.RecvFunc(e, func(interface{}) {})
+	m.RecvFunc(e, func(interface{}) {})
+	waiters := m.waiters
+	m.Send(e, new(int))
+	m.Send(e, new(int))
+	q, pending := m.q, m.pendingFn
+	e.Run()
+	if m.Len() != 0 || len(m.waiters) != 0 || len(m.pendingFn) != 0 {
+		t.Fatalf("mailbox not drained: %d messages, %d waiters, %d woken", m.Len(), len(m.waiters), len(m.pendingFn))
+	}
+	for i := 0; i < 2; i++ {
+		if q[i] != nil || waiters[i] != nil || pending[i] != nil {
+			t.Fatalf("slot %d still pinned: message %v, waiter set %v, woken set %v",
+				i, q[i], waiters[i] != nil, pending[i] != nil)
 		}
 	}
 }

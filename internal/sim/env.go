@@ -5,25 +5,17 @@ import (
 	"sync/atomic"
 )
 
-// Env is a discrete-event simulation environment. All processes, resources,
+// Env is a discrete-event simulation environment. All callbacks, resources,
 // and mailboxes belong to exactly one Env, and an Env must only be driven
 // from a single OS goroutine (the one that calls Run or Step).
 type Env struct {
 	now     Time
 	events  eventQueue
 	seq     uint64
-	live    map[*Proc]struct{}
-	yield   chan yieldKind
 	running bool
 	closed  bool
-	// A non-killed panic inside a process is captured here and re-raised on
-	// the goroutine driving the scheduler, so user panics surface normally.
-	panicked bool
-	panicVal interface{}
-	// eventsProcessed counts scheduler dispatches: process resumes, timer
-	// firings, and inline callbacks. Stale wake-ups for finished processes
-	// and stopped timers are skipped without being counted, so the metric
-	// reflects useful dispatch work only.
+	// eventsProcessed counts scheduler dispatches; every event popped from
+	// the queue is one.
 	eventsProcessed uint64
 	// flushed tracks how much of eventsProcessed has been added to the
 	// process-wide counter (see GlobalEvents).
@@ -47,20 +39,11 @@ var globalEvents atomic.Uint64
 // and after a run to derive an events/second rate.
 func GlobalEvents() uint64 { return globalEvents.Load() }
 
-type yieldKind int
-
-const (
-	yieldBlocked yieldKind = iota // process blocked; wake-up already arranged
-	yieldDone                     // process function returned
-)
-
 // eventKind discriminates the queue entry variants.
 type eventKind uint8
 
 const (
-	evFn       eventKind = iota // run fn inline in scheduler context
-	evProc                      // resume proc (skip if finished)
-	evTimer                     // fire timer (skip if stopped)
+	evFn       eventKind = iota // run fn in scheduler context
 	evUseGrant                  // unit of res granted: begin the timed hold
 	evUseEnd                    // timed hold over: release res, call useFn(useStart)
 )
@@ -74,9 +57,7 @@ const (
 // zeroes a whole event.
 type event struct {
 	kind  eventKind
-	proc  *Proc
 	fn    func()
-	timer *Timer
 	res   *Resource
 	useFn func(start Time)
 	// useStart is the grant time for evUseEnd; useDur the hold duration
@@ -105,20 +86,7 @@ func NewEnv(opts ...EnvOption) *Env {
 		// makes width-1 runs the determinism baseline for width-N.
 		return newShardSet(cfg).root
 	}
-	return &Env{
-		live:  make(map[*Proc]struct{}),
-		yield: make(chan yieldKind),
-		seed:  cfg.seed,
-	}
-}
-
-// newMemberEnv returns a bare environment for one shard of a set.
-func newMemberEnv(seed uint64) *Env {
-	return &Env{
-		live:  make(map[*Proc]struct{}),
-		yield: make(chan yieldKind),
-		seed:  seed,
-	}
+	return &Env{seed: cfg.seed}
 }
 
 // Sharded returns the ShardSet this Env belongs to, or nil for a classic
@@ -133,117 +101,61 @@ func (e *Env) Sharded() *ShardSet {
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
 
-// EventsProcessed returns the number of scheduler dispatches so far. Stale
-// wake-ups (events for processes that already finished) and stopped timers
-// are not counted.
+// EventsProcessed returns the number of scheduler dispatches so far: one
+// per event popped from the queue.
 func (e *Env) EventsProcessed() uint64 { return e.eventsProcessed }
 
-// PendingEvents returns the number of queued events, including not yet
-// skipped stale wake-ups and stopped timers.
+// PendingEvents returns the number of queued events.
 func (e *Env) PendingEvents() int { return e.events.Len() }
 
-// LiveProcs returns the number of processes that have been spawned and have
-// not yet finished.
-func (e *Env) LiveProcs() int { return len(e.live) }
-
-func (e *Env) schedule(at Time, p *Proc, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event in the past: %v < %v", at, e.now))
+// push queues an event at (at, next seq) and returns its payload slot for
+// the caller to fill. An event queued on a closed Env could never run, so
+// that is a bug in the caller and panics, like Sender.Send on a closed
+// ShardSet.
+func (e *Env) push(at Time) *event {
+	if e.closed {
+		panic("sim: schedule on closed Env")
 	}
 	e.seq++
-	ev := e.events.push(at, e.seq)
-	if p != nil {
-		ev.kind, ev.proc = evProc, p
-	} else {
-		ev.kind, ev.fn = evFn, fn
-	}
+	return e.events.push(at, e.seq)
 }
 
 // scheduleUseGrant enqueues the hand-off of a resource unit to a queued
-// UseFunc continuation, at the slot where a process wake-up would go.
+// UseFunc continuation.
 func (e *Env) scheduleUseGrant(r *Resource, d Time, fn func(start Time)) {
-	e.seq++
-	ev := e.events.push(e.now, e.seq)
+	ev := e.push(e.now)
 	ev.kind, ev.res, ev.useFn, ev.useDur = evUseGrant, r, fn, d
 }
 
 // scheduleUseEnd enqueues the completion of a timed resource hold that
 // was granted at start.
 func (e *Env) scheduleUseEnd(r *Resource, d Time, fn func(start Time), start Time) {
-	e.seq++
-	ev := e.events.push(e.now+d, e.seq)
+	ev := e.push(e.now + d)
 	ev.kind, ev.res, ev.useFn, ev.useStart = evUseEnd, r, fn, start
 }
 
 // At schedules fn to run in scheduler context at virtual time t (>= now).
-// fn must not block; it may wake processes, fire signals, send to
-// mailboxes, and schedule further callbacks.
+// fn must not block; it may fire signals, send to mailboxes, release
+// resources, and schedule further callbacks.
 func (e *Env) At(t Time, fn func()) {
-	e.schedule(t, nil, fn)
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event in the past: %v < %v", t, e.now))
+	}
+	ev := e.push(t)
+	ev.kind, ev.fn = evFn, fn
 }
 
 // After schedules fn to run d from now. See At.
 func (e *Env) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
 // Defer schedules fn at the current virtual time, after the events already
-// queued at this instant. It is the callback analogue of waking a process
-// "now": completion callbacks granted by resources, signals, and mailboxes
-// run through Defer-like events so that callback and process waiters
-// interleave in the same FIFO order.
-func (e *Env) Defer(fn func()) { e.schedule(e.now, nil, fn) }
-
-// wake arranges for p to resume at the current virtual time. It must be
-// called at most once per blocked period of p; Signal, Resource, and
-// Mailbox enforce this by removing waiters from their lists when waking.
-func (e *Env) wake(p *Proc) {
-	e.schedule(e.now, p, nil)
-}
-
-// Unpark wakes a process blocked in Park at the current virtual time. It
-// must be called exactly once per Park, by the party that holds the parked
-// process (e.g. a wait list).
-func (e *Env) Unpark(p *Proc) {
-	e.wake(p)
-}
-
-// Spawn creates a new process executing fn and schedules it to start at the
-// current virtual time. It may be called before Run or from inside a running
-// process.
-//
-// A process costs a goroutine plus two channel handoffs per resume. Work
-// that only sleeps and continues — a transfer, a cache fill, a timer chain
-// — is much cheaper as a callback chain via AfterFunc, Resource.UseFunc,
-// Signal.OnFire, and Mailbox.RecvFunc; reserve Spawn for control loops
-// that genuinely block mid-stack.
-func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	if e.closed {
-		panic("sim: Spawn on closed Env")
-	}
-	p := &Proc{name: name, env: e, resume: make(chan resumeMsg)}
-	e.live[p] = struct{}{}
-	go p.run(fn)
-	e.schedule(e.now, p, nil)
-	return p
-}
-
-// resumeProc hands control to p and waits for it to block or finish.
-func (e *Env) resumeProc(p *Proc, kill bool) {
-	p.resume <- resumeMsg{kill: kill}
-	kind := <-e.yield
-	if kind == yieldDone {
-		p.done = true
-		delete(e.live, p)
-	}
-	if e.panicked {
-		e.panicked = false
-		panic(e.panicVal)
-	}
-}
+// queued at this instant. Completions granted by resources, signals, and
+// mailboxes run through Defer-like events, so waiters are served in the
+// order they were woken.
+func (e *Env) Defer(fn func()) { e.At(e.now, fn) }
 
 // Step executes the next pending event, advancing virtual time. It returns
-// false if the event queue is empty. A stale wake-up (the process already
-// finished) or a stopped timer consumes the queue entry and advances the
-// clock to its timestamp, but does not count as a dispatch.
+// false if the event queue is empty.
 func (e *Env) Step() bool {
 	if e.closed {
 		return false
@@ -253,58 +165,38 @@ func (e *Env) Step() bool {
 	}
 	at, idx := e.events.pop()
 	e.now = at
+	e.eventsProcessed++
 	// Copy out what the kind needs, clear its pointers so the slot is
 	// zero for its next user (and holds nothing live for the GC), and
 	// release it before calling out: a continuation may push, and a push
 	// may reuse the slot or move the slab.
 	ev := &e.events.slab[idx]
 	switch ev.kind {
-	case evProc:
-		p := ev.proc
-		ev.proc = nil
-		e.events.release(idx)
-		if p.done {
-			return true // stale wake-up for a finished process: skip, uncounted
-		}
-		e.eventsProcessed++
-		e.resumeProc(p, false)
-	case evTimer:
-		t := ev.timer
-		ev.timer = nil
-		e.events.release(idx)
-		if t.state != timerPending {
-			return true // stopped timer: skip, uncounted
-		}
-		t.state = timerFired
-		e.eventsProcessed++
-		t.fn()
 	case evUseGrant:
 		r, fn, d := ev.res, ev.useFn, ev.useDur
 		ev.res, ev.useFn = nil, nil
 		e.events.release(idx)
-		e.eventsProcessed++
 		e.scheduleUseEnd(r, d, fn, e.now)
 	case evUseEnd:
 		r, fn, start := ev.res, ev.useFn, ev.useStart
 		ev.res, ev.useFn = nil, nil
 		e.events.release(idx)
-		e.eventsProcessed++
 		r.Release(e)
 		fn(start)
 	default:
 		fn := ev.fn
 		ev.fn = nil
 		e.events.release(idx)
-		e.eventsProcessed++
 		fn()
 	}
 	return true
 }
 
-// Run executes events until the queue is empty. Processes still blocked on
-// conditions (for example server loops waiting on a Mailbox) remain alive;
-// call Close to terminate them. On the root Env of a ShardSet, Run drives
-// all shards in parallel conservative windows until every shard is idle.
+// Run executes events until the queue is empty. Continuations still
+// registered on a Resource, Signal, or Mailbox (for example a server's
+// RecvFunc loop) simply never run. On the root Env of a ShardSet, Run
+// drives all shards in parallel conservative windows until every shard is
+// idle.
 func (e *Env) Run() {
 	if e.shard != nil {
 		e.shard.set.runRoot(e, 0, false)
@@ -332,10 +224,9 @@ func (e *Env) nextTime() (Time, bool) {
 }
 
 // RunUntil executes events with timestamps <= t and then sets the clock to
-// t. It returns the number of events dispatched (stale wake-ups and
-// stopped timers excluded). Events scheduled exactly at t are executed. On
-// the root Env of a ShardSet, every shard advances to t and the returned
-// count sums all shards' dispatches.
+// t. It returns the number of events dispatched. Events scheduled exactly
+// at t are executed. On the root Env of a ShardSet, every shard advances
+// to t and the returned count sums all shards' dispatches.
 func (e *Env) RunUntil(t Time) uint64 {
 	if e.shard != nil {
 		return e.shard.set.runRoot(e, t, true)
@@ -358,19 +249,17 @@ func (e *Env) RunUntil(t Time) uint64 {
 	return e.eventsProcessed - start
 }
 
-// Close terminates all still-live processes by unwinding them with a
-// sentinel panic at their next blocking point, then marks the Env unusable.
-// All pending events are dropped: callbacks scheduled with At/After/Defer
-// and timers armed with AfterFunc never run. It is safe to call Close
-// multiple times. Close must not be called from inside a process or while
-// Run or RunUntil is executing.
+// Close drops all pending events — callbacks scheduled with At/After/Defer
+// and queued resource holds never run — and marks the Env unusable:
+// scheduling on it afterwards panics. It is safe to call Close multiple
+// times. Close must not be called while Run or RunUntil is executing.
 //
 // On the root Env of a ShardSet, Close first drains the couplers — every
 // cross-shard batch still in flight is merged into its destination shard's
 // queue — and then drops all pending work on every shard, local events and
-// undelivered cross-shard messages alike, before unwinding processes. The
-// drain step means drop semantics are well-defined: a message either ran
-// before Close or is accounted as dropped on its destination shard
+// undelivered cross-shard messages alike. The drain step means drop
+// semantics are well-defined: a message either ran before Close or is
+// accounted as dropped on its destination shard
 // (ShardSet.DroppedDeliveries); it is never lost in an intermediate buffer.
 func (e *Env) Close() {
 	if e.shard != nil {
@@ -389,15 +278,7 @@ func (e *Env) closeLocal() {
 	if e.closed {
 		return
 	}
-	// Drop pending wake-ups, callbacks, and timers so no process is resumed
-	// twice and no fn runs after shutdown.
-	e.events = eventQueue{}
-	for p := range e.live {
-		e.resumeProc(p, true)
-	}
-	if len(e.live) != 0 {
-		panic(fmt.Sprintf("sim: %d processes survived Close", len(e.live)))
-	}
+	e.events = eventQueue{} // no fn runs after shutdown
 	e.closed = true
 	e.flushGlobalEvents()
 }

@@ -6,12 +6,13 @@ import (
 	"testing"
 )
 
-// goldenWorkload drives a fixed mixed workload — timed waits, contended
-// resources, signal broadcast, mailbox hand-off, inline callbacks, yields,
-// and same-timestamp ties — and records every observable step in dispatch
+// goldenWorkload drives a fixed mixed workload — delays, contended timed
+// holds, signal broadcast, mailbox hand-off, deferred callbacks, and
+// same-timestamp ties — and records every observable step in dispatch
 // order. The recorded trace pins the engine's (time, seq) determinism: any
 // change to event ordering (a different heap arity is fine, a different
-// tie-break is not) shows up as a trace diff.
+// tie-break is not) shows up as a trace diff. The 24 experiment hashes in
+// BENCH_*.json, not this list, are the cross-PR ordering contract.
 func goldenWorkload() []string {
 	e := NewEnv()
 	var log []string
@@ -25,46 +26,42 @@ func goldenWorkload() []string {
 
 	for i := 0; i < 4; i++ {
 		i := i
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			p.Wait(Time(i) * Millisecond)
+		e.After(Time(i)*Millisecond, func() {
 			rec("w%d waited", i)
-			p.Use(r, Time(3+i)*Millisecond)
-			rec("w%d used r", i)
-			m.Send(p.Env(), i)
-			p.WaitSignal(s)
-			rec("w%d signalled", i)
+			r.UseFunc(e, Time(3+i)*Millisecond, func(Time) {
+				rec("w%d used r", i)
+				m.Send(e, i)
+				s.OnFire(e, func() { rec("w%d signalled", i) })
+			})
 		})
 	}
-	e.Spawn("recv", func(p *Proc) {
-		for j := 0; j < 4; j++ {
-			v := p.Recv(m)
-			rec("recv %v", v)
+	recvN(e, m, 4, func(v interface{}) {
+		rec("recv %v", v)
+		if v == 3 {
+			s.Fire(e)
+			rec("fired")
 		}
-		s.Fire(p.Env())
-		rec("fired")
 	})
-	e.Spawn("tie", func(p *Proc) {
-		// Land exactly on w2's wake-up time to exercise the seq tie-break.
-		p.WaitUntil(2 * Millisecond)
+	// Land exactly on w2's wake-up time to exercise the seq tie-break.
+	e.At(2*Millisecond, func() {
 		rec("tie at 2ms")
-		p.Yield()
-		rec("tie after yield")
+		e.Defer(func() { rec("tie after defer") })
 	})
 	e.At(5*Millisecond, func() { rec("cb at 5ms") })
 	e.After(Millisecond, func() { rec("cb after 1ms") })
 	e.Run()
-	rec("done live=%d events=%d", e.LiveProcs(), e.EventsProcessed())
+	rec("done events=%d", e.EventsProcessed())
 	e.Close()
 	return log
 }
 
 var goldenTrace = []string{
 	"0ns w0 waited",
-	"1.000ms cb after 1ms",
 	"1.000ms w1 waited",
+	"1.000ms cb after 1ms",
 	"2.000ms w2 waited",
 	"2.000ms tie at 2ms",
-	"2.000ms tie after yield",
+	"2.000ms tie after defer",
 	"3.000ms w3 waited",
 	"3.000ms w0 used r",
 	"3.000ms recv 0",
@@ -80,7 +77,7 @@ var goldenTrace = []string{
 	"11.000ms w1 signalled",
 	"11.000ms w2 signalled",
 	"11.000ms w3 signalled",
-	"11.000ms done live=0 events=28",
+	"11.000ms done events=22",
 }
 
 func TestGoldenTrace(t *testing.T) {

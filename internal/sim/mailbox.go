@@ -1,25 +1,17 @@
 package sim
 
-// mwaiter is one blocked receiver: a process or a callback. Exactly one of
-// p and fn is set.
-type mwaiter struct {
-	p  *Proc
-	fn func(v interface{})
-}
-
 // Mailbox is an unbounded FIFO message queue. Any simulation code may Send;
-// processes block in Recv (and callbacks register with RecvFunc) until a
-// message is available. Messages are delivered in send order, and blocked
-// receivers — processes and callbacks alike — are served FIFO.
+// receivers register with RecvFunc and run when a message is available.
+// Messages are delivered in send order, and waiting receivers are served
+// FIFO.
 type Mailbox struct {
 	name    string
 	q       []interface{}
-	waiters []mwaiter
+	waiters []func(v interface{})
 	sent    uint64
-	// pendingFn holds callback receivers that have been woken by a Send
-	// but whose delivery event has not dispatched yet; deliverFn is the
-	// single reusable dispatcher closure, so waking a callback receiver
-	// allocates nothing.
+	// pendingFn holds receivers that have been woken by a Send but whose
+	// delivery event has not dispatched yet; deliverFn is the single
+	// reusable dispatcher closure, so waking a receiver allocates nothing.
 	pendingFn []func(v interface{})
 	deliverFn func()
 }
@@ -36,73 +28,50 @@ func (m *Mailbox) Len() int { return len(m.q) }
 // Sent returns the total number of messages ever sent.
 func (m *Mailbox) Sent() uint64 { return m.sent }
 
+// pop removes and returns the head of a FIFO slice. It clears the vacated
+// slot: the backing array outlives the reslice, and a delivered message (an
+// item's data) or a receiver closure must not stay reachable through it.
+func pop[T any](q *[]T) T {
+	var zero T
+	v := (*q)[0]
+	(*q)[0] = zero
+	*q = (*q)[1:]
+	return v
+}
+
 // Send enqueues v and wakes the longest-waiting receiver, if any.
 func (m *Mailbox) Send(e *Env, v interface{}) {
 	m.sent++
 	m.q = append(m.q, v)
 	if len(m.waiters) > 0 {
-		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
-		if w.p != nil {
-			e.wake(w.p)
-		} else {
-			m.pendingFn = append(m.pendingFn, w.fn)
-			if m.deliverFn == nil {
-				m.deliverFn = m.deliverNext
-			}
-			e.Defer(m.deliverFn)
+		m.pendingFn = append(m.pendingFn, pop(&m.waiters))
+		if m.deliverFn == nil {
+			m.deliverFn = m.deliverNext
 		}
+		e.Defer(m.deliverFn)
 	}
 }
 
-// deliverNext runs the longest-woken callback receiver: like a woken
-// process it takes the head message at dispatch time, and re-queues the
-// receiver if the message was snatched (e.g. by TryRecv) between wake-up
-// and dispatch.
+// deliverNext runs the longest-woken receiver: it takes the head message
+// at dispatch time, and re-queues the receiver if the message was snatched
+// (by an inline RecvFunc) between wake-up and dispatch.
 func (m *Mailbox) deliverNext() {
-	fn := m.pendingFn[0]
-	m.pendingFn[0] = nil
-	m.pendingFn = m.pendingFn[1:]
+	fn := pop(&m.pendingFn)
 	if len(m.q) == 0 {
-		m.waiters = append(m.waiters, mwaiter{fn: fn})
+		m.waiters = append(m.waiters, fn)
 		return
 	}
-	v := m.q[0]
-	m.q = m.q[1:]
-	fn(v)
-}
-
-// Recv blocks until a message is available and returns it.
-func (p *Proc) Recv(m *Mailbox) interface{} {
-	for len(m.q) == 0 {
-		m.waiters = append(m.waiters, mwaiter{p: p})
-		p.yieldBlockedAndWait()
-	}
-	v := m.q[0]
-	m.q = m.q[1:]
-	return v
+	fn(pop(&m.q))
 }
 
 // RecvFunc delivers the next message to fn. When a message is already
-// queued, fn runs inline before RecvFunc returns — mirroring Recv's
-// non-blocking path. Otherwise fn joins the FIFO receiver queue and runs
-// in scheduler context when a message arrives. fn must not block.
+// queued, fn runs inline before RecvFunc returns. Otherwise fn joins the
+// FIFO receiver queue and runs in scheduler context when a message
+// arrives. fn must not block.
 func (m *Mailbox) RecvFunc(e *Env, fn func(v interface{})) {
 	if len(m.q) > 0 {
-		v := m.q[0]
-		m.q = m.q[1:]
-		fn(v)
+		fn(pop(&m.q))
 		return
 	}
-	m.waiters = append(m.waiters, mwaiter{fn: fn})
-}
-
-// TryRecv returns the next message if one is queued, without blocking.
-func (p *Proc) TryRecv(m *Mailbox) (interface{}, bool) {
-	if len(m.q) == 0 {
-		return nil, false
-	}
-	v := m.q[0]
-	m.q = m.q[1:]
-	return v, true
+	m.waiters = append(m.waiters, fn)
 }

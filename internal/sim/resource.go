@@ -2,15 +2,14 @@ package sim
 
 import "fmt"
 
-// rwaiter is one entry of a resource's FIFO wait queue: a blocked process
-// (p), a completion callback (fn), or a queued timed hold (useFn + useDur,
-// from UseFunc). Exactly one of p, fn, and useFn is set.
+// rwaiter is one entry of a resource's FIFO wait queue: a completion
+// callback (fn, from AcquireFunc) or a queued timed hold (useFn + useDur,
+// from UseFunc). Exactly one of fn and useFn is set.
 type rwaiter struct {
-	p      *Proc
 	fn     func()
 	useFn  func(start Time)
 	useDur Time
-	start  Time // enqueue time, for queued-time accounting of callbacks
+	start  Time // enqueue time, for queued-time accounting
 }
 
 // waitq is the FIFO of a resource's waiters: a ring over a power-of-two
@@ -46,9 +45,9 @@ func (q *waitq) pop() rwaiter {
 // Resource is a counting semaphore with a FIFO wait queue, used to model
 // exclusive or capacity-limited hardware: a GPU compute queue (capacity 1),
 // a CPU thread pool (capacity = cores), a NIC or PCIe copy engine, or the
-// shared bandwidth of a storage server. Process waiters (Acquire) and
-// callback waiters (AcquireFunc) share one queue and are granted units in
-// strict arrival order.
+// shared bandwidth of a storage server. Plain acquisitions (AcquireFunc)
+// and timed holds (UseFunc) share one queue and are granted units in strict
+// arrival order.
 type Resource struct {
 	name    string
 	cap     int
@@ -59,7 +58,7 @@ type Resource struct {
 	busy      Time // total (units x time) the resource spent occupied
 	lastStamp Time
 	acquires  uint64
-	waited    Time // total time processes spent queued
+	waited    Time // total time waiters spent queued
 }
 
 // NewResource returns a resource with the given capacity (>= 1).
@@ -79,8 +78,7 @@ func (r *Resource) Cap() int { return r.cap }
 // InUse returns the number of currently held units.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of waiters (processes and callbacks) queued
-// to acquire.
+// QueueLen returns the number of waiters queued to acquire.
 func (r *Resource) QueueLen() int { return r.waiters.n }
 
 // Acquires returns the total number of successful acquisitions.
@@ -102,25 +100,8 @@ func (r *Resource) account(now Time) {
 	r.lastStamp = now
 }
 
-// Acquire blocks the process until a unit of r is available, then holds it.
-// Units are granted in strict FIFO order.
-func (p *Proc) Acquire(r *Resource) {
-	e := p.env
-	if r.inUse < r.cap && r.waiters.n == 0 {
-		r.account(e.now)
-		r.inUse++
-		r.acquires++
-		return
-	}
-	start := e.now
-	r.waiters.push(rwaiter{p: p, start: start})
-	p.yieldBlockedAndWait()
-	r.waited += e.now - start
-	// The releasing process transferred the unit to us (see Release).
-}
-
 // TryAcquire takes a unit of r if one is free and nobody is queued ahead,
-// reporting whether it succeeded. It never blocks and never queues.
+// reporting whether it succeeded. It never queues.
 func (r *Resource) TryAcquire(e *Env) bool {
 	if r.inUse < r.cap && r.waiters.n == 0 {
 		r.account(e.now)
@@ -132,11 +113,9 @@ func (r *Resource) TryAcquire(e *Env) bool {
 }
 
 // AcquireFunc obtains a unit of r and then calls fn. When a unit is free
-// and nobody is queued, fn runs inline before AcquireFunc returns — the
-// same semantics as Acquire returning without blocking. Otherwise fn is
-// queued FIFO alongside blocked processes and runs in scheduler context
-// when a unit is granted. fn must not block; it must eventually lead to a
-// Release.
+// and nobody is queued, fn runs inline before AcquireFunc returns.
+// Otherwise fn is queued FIFO and runs in scheduler context when a unit is
+// granted. fn must not block; it must eventually lead to a Release.
 func (r *Resource) AcquireFunc(e *Env, fn func()) {
 	if r.inUse < r.cap && r.waiters.n == 0 {
 		r.account(e.now)
@@ -148,9 +127,9 @@ func (r *Resource) AcquireFunc(e *Env, fn func()) {
 	r.waiters.push(rwaiter{fn: fn, start: e.now})
 }
 
-// Release returns one unit of r, waking the longest-waiting process or
-// scheduling the longest-waiting callback, if any. The unit is transferred
-// directly to the woken waiter, preserving FIFO fairness.
+// Release returns one unit of r, scheduling the longest-waiting waiter, if
+// any. The unit is transferred directly to that waiter, preserving FIFO
+// fairness.
 func (r *Resource) Release(e *Env) {
 	if r.inUse <= 0 {
 		panic(fmt.Sprintf("sim: release of idle resource %q", r.name))
@@ -160,14 +139,10 @@ func (r *Resource) Release(e *Env) {
 		// Hand the unit to the next waiter without dropping inUse.
 		next := r.waiters.pop()
 		r.acquires++
-		switch {
-		case next.p != nil:
-			e.wake(next.p)
-		case next.useFn != nil:
-			r.waited += e.now - next.start
+		r.waited += e.now - next.start
+		if next.useFn != nil {
 			e.scheduleUseGrant(r, next.useDur, next.useFn)
-		default:
-			r.waited += e.now - next.start
+		} else {
 			e.Defer(next.fn)
 		}
 		return
@@ -175,19 +150,12 @@ func (r *Resource) Release(e *Env) {
 	r.inUse--
 }
 
-// Use acquires r, holds it for d of virtual time, and releases it. It is
-// the common pattern for "run this task on that device".
-func (p *Proc) Use(r *Resource, d Time) {
-	p.Acquire(r)
-	p.Wait(d)
-	r.Release(p.env)
-}
-
-// UseFunc is the callback analogue of Use: it acquires r, holds it for d of
-// virtual time, releases it, and then calls fn with the time the unit was
-// granted (occupancy ran [start, start+d]). No goroutine or closure is
-// involved: the grant, hold, and completion ride inline in one or two
-// queue entries (zero allocations — the engine's hottest pattern).
+// UseFunc is the common pattern for "run this task on that device": it
+// acquires r, holds it for d of virtual time, releases it, and then calls
+// fn with the time the unit was granted (occupancy ran [start, start+d]).
+// No closure is involved: the grant, hold, and completion ride inline in
+// one or two queue entries (zero allocations — the engine's hottest
+// pattern).
 func (r *Resource) UseFunc(e *Env, d Time, fn func(start Time)) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative UseFunc duration %v", d))

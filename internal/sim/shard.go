@@ -105,7 +105,7 @@ func newShardSet(cfg envConfig) *ShardSet {
 	ss := &ShardSet{lookahead: la, windowHook: cfg.windowHook}
 	ss.shards = make([]*Shard, cfg.shards)
 	for i := range ss.shards {
-		sh := &Shard{set: ss, id: i, env: newMemberEnv(cfg.seed)}
+		sh := &Shard{set: ss, id: i, env: &Env{seed: cfg.seed}}
 		sh.env.shard = sh
 		sh.out = make([]Coupler, cfg.shards)
 		ss.shards[i] = sh
@@ -376,11 +376,10 @@ func (ss *ShardSet) runRoot(e *Env, until Time, hasUntil bool) uint64 {
 //
 // Shard state is touched only by the goroutine that claimed it during the
 // window; the WaitGroup provides the happens-before edges for the barrier
-// that follows. A panic inside any shard (a workload bug surfacing, or a
-// process panic re-raised by its env) is re-raised on the driving
-// goroutine once all shards have stopped; when several shards panic in
-// one window the lowest-numbered shard's panic wins, so the reported
-// failure is stable across runs.
+// that follows. A panic inside any shard (a workload bug surfacing) is
+// re-raised on the driving goroutine once all shards have stopped; when
+// several shards panic in one window the lowest-numbered shard's panic
+// wins, so the reported failure is stable across runs.
 func (ss *ShardSet) runWindows(bound Time) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(ss.shards) {
@@ -430,7 +429,7 @@ func (ss *ShardSet) runWindows(bound Time) {
 // closeRoot implements Close for sharded environments: drain the couplers
 // so every in-flight batch reaches its destination queue, account and drop
 // the undelivered messages, then close each member env (dropping its local
-// events and unwinding its processes). Idempotent.
+// events). Idempotent.
 func (ss *ShardSet) closeRoot(e *Env) {
 	if e != ss.root {
 		panic("sim: Close on a member shard Env; close the set through its root Env")

@@ -1,19 +1,11 @@
 package sim
 
-// swaiter is one party waiting on a signal: a blocked process or a
-// callback. Exactly one of p and fn is set.
-type swaiter struct {
-	p  *Proc
-	fn func()
-}
-
-// Signal is a one-shot broadcast condition. Processes block on WaitSignal
-// and callbacks register with OnFire until Fire is called, after which all
-// current and future waiters proceed immediately. The zero value is an
-// unfired signal.
+// Signal is a one-shot broadcast condition. Callbacks register with OnFire
+// until Fire is called, after which all current and future waiters proceed
+// immediately. The zero value is an unfired signal.
 type Signal struct {
 	fired   bool
-	waiters []swaiter
+	waiters []func()
 	// Value optionally carries a payload set by the firing party, e.g. the
 	// result of an asynchronous operation.
 	Value interface{}
@@ -25,41 +17,26 @@ func NewSignal() *Signal { return &Signal{} }
 // Fired reports whether the signal has been fired.
 func (s *Signal) Fired() bool { return s.fired }
 
-// Fire marks the signal fired and wakes all waiters at the current virtual
-// time, in registration order: blocked processes resume and callbacks run
-// in scheduler context. Firing an already-fired signal is a no-op.
+// Fire marks the signal fired and schedules all waiters at the current
+// virtual time, in registration order. Firing an already-fired signal is a
+// no-op.
 func (s *Signal) Fire(e *Env) {
 	if s.fired {
 		return
 	}
 	s.fired = true
-	for _, w := range s.waiters {
-		if w.p != nil {
-			e.wake(w.p)
-		} else {
-			e.Defer(w.fn)
-		}
+	for _, fn := range s.waiters {
+		e.Defer(fn)
 	}
 	s.waiters = nil
 }
 
-// WaitSignal blocks the process until the signal fires. If the signal has
-// already fired it returns immediately without yielding.
-func (p *Proc) WaitSignal(s *Signal) {
-	if s.fired {
-		return
-	}
-	s.waiters = append(s.waiters, swaiter{p: p})
-	p.yieldBlockedAndWait()
-}
-
 // OnFire arranges for fn to run when the signal fires. If the signal has
-// already fired, fn runs inline before OnFire returns — mirroring
-// WaitSignal's immediate return. fn must not block.
+// already fired, fn runs inline before OnFire returns. fn must not block.
 func (s *Signal) OnFire(e *Env, fn func()) {
 	if s.fired {
 		fn()
 		return
 	}
-	s.waiters = append(s.waiters, swaiter{fn: fn})
+	s.waiters = append(s.waiters, fn)
 }

@@ -41,13 +41,10 @@ func TestTimeConversions(t *testing.T) {
 func TestWaitAdvancesClock(t *testing.T) {
 	e := NewEnv()
 	var at Time
-	e.Spawn("a", func(p *Proc) {
-		p.Wait(Millis(5))
-		at = p.Now()
-	})
+	e.After(Millis(5), func() { at = e.Now() })
 	e.Run()
 	if at != Millis(5) {
-		t.Fatalf("process observed time %v, want 5ms", at)
+		t.Fatalf("callback observed time %v, want 5ms", at)
 	}
 	if e.Now() != Millis(5) {
 		t.Fatalf("env time %v, want 5ms", e.Now())
@@ -59,44 +56,14 @@ func TestEventOrderingFIFOAtSameTime(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			order = append(order, i)
-		})
+		e.Defer(func() { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
 		if v != i {
-			t.Fatalf("order = %v; same-time events must run in spawn order", order)
+			t.Fatalf("order = %v; same-time events must run in schedule order", order)
 		}
 	}
-}
-
-func TestSpawnFromProcess(t *testing.T) {
-	e := NewEnv()
-	var log []string
-	e.Spawn("parent", func(p *Proc) {
-		p.Env().Spawn("child", func(c *Proc) {
-			c.Wait(Millis(1))
-			log = append(log, "child")
-		})
-		log = append(log, "parent")
-	})
-	e.Run()
-	if len(log) != 2 || log[0] != "parent" || log[1] != "child" {
-		t.Fatalf("log = %v", log)
-	}
-}
-
-func TestWaitUntilPastClampsToNow(t *testing.T) {
-	e := NewEnv()
-	e.Spawn("a", func(p *Proc) {
-		p.Wait(Millis(10))
-		p.WaitUntil(Millis(3)) // in the past
-		if p.Now() != Millis(10) {
-			t.Errorf("WaitUntil(past) moved clock to %v", p.Now())
-		}
-	})
-	e.Run()
 }
 
 func TestSignalBroadcast(t *testing.T) {
@@ -104,18 +71,16 @@ func TestSignalBroadcast(t *testing.T) {
 	s := NewSignal()
 	woken := 0
 	for i := 0; i < 5; i++ {
-		e.Spawn("waiter", func(p *Proc) {
-			p.WaitSignal(s)
-			if p.Now() != Millis(7) {
-				t.Errorf("waiter woke at %v, want 7ms", p.Now())
+		s.OnFire(e, func() {
+			if e.Now() != Millis(7) {
+				t.Errorf("waiter woke at %v, want 7ms", e.Now())
 			}
 			woken++
 		})
 	}
-	e.Spawn("firer", func(p *Proc) {
-		p.Wait(Millis(7))
+	e.After(Millis(7), func() {
 		s.Value = "payload"
-		s.Fire(p.Env())
+		s.Fire(e)
 	})
 	e.Run()
 	if woken != 5 {
@@ -129,35 +94,35 @@ func TestSignalBroadcast(t *testing.T) {
 func TestSignalAlreadyFiredDoesNotBlock(t *testing.T) {
 	e := NewEnv()
 	s := NewSignal()
+	s.Fire(e)
+	s.Fire(e) // idempotent
 	ran := false
-	e.Spawn("a", func(p *Proc) {
-		s.Fire(p.Env())
-		s.Fire(p.Env()) // idempotent
-		p.WaitSignal(s)
-		ran = true
-	})
-	e.Run()
+	s.OnFire(e, func() { ran = true })
 	if !ran {
-		t.Fatal("process blocked on fired signal")
+		t.Fatal("OnFire queued behind a fired signal")
 	}
+	if e.PendingEvents() != 0 {
+		t.Fatalf("firing a signal nobody waits on queued %d events", e.PendingEvents())
+	}
+}
+
+// useAll starts n timed holds of d on r and returns the completion times.
+func useAll(e *Env, r *Resource, n int, d Time) []Time {
+	var finish []Time
+	for i := 0; i < n; i++ {
+		r.UseFunc(e, d, func(Time) { finish = append(finish, e.Now()) })
+	}
+	e.Run()
+	return finish
 }
 
 func TestResourceExclusive(t *testing.T) {
 	e := NewEnv()
 	r := NewResource("gpu", 1)
-	var finish []Time
-	for i := 0; i < 3; i++ {
-		e.Spawn("user", func(p *Proc) {
-			p.Use(r, Millis(10))
-			finish = append(finish, p.Now())
-		})
-	}
-	e.Run()
+	finish := useAll(e, r, 3, Millis(10))
 	want := []Time{Millis(10), Millis(20), Millis(30)}
-	for i := range want {
-		if finish[i] != want[i] {
-			t.Fatalf("finish times %v, want %v (strict serialization)", finish, want)
-		}
+	if fmt.Sprint(finish) != fmt.Sprint(want) {
+		t.Fatalf("finish times %v, want %v (strict serialization)", finish, want)
 	}
 	if got := r.BusyTime(e.Now()); got != Millis(30) {
 		t.Fatalf("busy time %v, want 30ms", got)
@@ -169,20 +134,10 @@ func TestResourceExclusive(t *testing.T) {
 
 func TestResourceCapacityTwoOverlaps(t *testing.T) {
 	e := NewEnv()
-	r := NewResource("cpus", 2)
-	var finish []Time
-	for i := 0; i < 4; i++ {
-		e.Spawn("user", func(p *Proc) {
-			p.Use(r, Millis(10))
-			finish = append(finish, p.Now())
-		})
-	}
-	e.Run()
+	finish := useAll(e, NewResource("cpus", 2), 4, Millis(10))
 	want := []Time{Millis(10), Millis(10), Millis(20), Millis(20)}
-	for i := range want {
-		if finish[i] != want[i] {
-			t.Fatalf("finish times %v, want %v", finish, want)
-		}
+	if fmt.Sprint(finish) != fmt.Sprint(want) {
+		t.Fatalf("finish times %v, want %v", finish, want)
 	}
 }
 
@@ -192,14 +147,15 @@ func TestResourceFIFOFairness(t *testing.T) {
 	var order []int
 	for i := 0; i < 6; i++ {
 		i := i
-		e.Spawn("u", func(p *Proc) {
-			p.Acquire(r)
+		r.AcquireFunc(e, func() {
 			order = append(order, i)
-			p.Wait(Millis(1))
-			r.Release(p.Env())
+			e.After(Millis(1), func() { r.Release(e) })
 		})
 	}
 	e.Run()
+	if len(order) != 6 {
+		t.Fatalf("only %d of 6 acquisitions granted", len(order))
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("acquisition order %v, want FIFO", order)
@@ -210,9 +166,7 @@ func TestResourceFIFOFairness(t *testing.T) {
 func TestResourceWaitedTime(t *testing.T) {
 	e := NewEnv()
 	r := NewResource("x", 1)
-	e.Spawn("a", func(p *Proc) { p.Use(r, Millis(10)) })
-	e.Spawn("b", func(p *Proc) { p.Use(r, Millis(10)) })
-	e.Run()
+	useAll(e, r, 2, Millis(10))
 	if r.WaitedTime() != Millis(10) {
 		t.Fatalf("waited = %v, want 10ms", r.WaitedTime())
 	}
@@ -238,21 +192,27 @@ func TestResourceBadCapacityPanics(t *testing.T) {
 	NewResource("bad", 0)
 }
 
+// recvN registers a receiver on m that takes n messages, one after the
+// other, the way a server loop re-arms itself from its own continuation.
+func recvN(e *Env, m *Mailbox, n int, got func(v interface{})) {
+	if n == 0 {
+		return
+	}
+	m.RecvFunc(e, func(v interface{}) {
+		got(v)
+		recvN(e, m, n-1, got)
+	})
+}
+
 func TestMailboxDeliveryOrder(t *testing.T) {
 	e := NewEnv()
 	m := NewMailbox("box")
 	var got []int
-	e.Spawn("recv", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, p.Recv(m).(int))
-		}
-	})
-	e.Spawn("send", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			p.Wait(Millis(1))
-			m.Send(p.Env(), i)
-		}
-	})
+	recvN(e, m, 3, func(v interface{}) { got = append(got, v.(int)) })
+	for i := 0; i < 3; i++ {
+		i := i
+		e.After(Time(i+1)*Millisecond, func() { m.Send(e, i) })
+	}
 	e.Run()
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Fatalf("got %v", got)
@@ -271,29 +231,10 @@ func TestMailboxBufferedBeforeRecv(t *testing.T) {
 		t.Fatalf("Len = %d", m.Len())
 	}
 	var got []string
-	e.Spawn("r", func(p *Proc) {
-		got = append(got, p.Recv(m).(string), p.Recv(m).(string))
-	})
-	e.Run()
-	if got[0] != "a" || got[1] != "b" {
-		t.Fatalf("got %v", got)
+	recvN(e, m, 2, func(v interface{}) { got = append(got, v.(string)) })
+	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("got %v (buffered messages must be delivered inline, in order)", got)
 	}
-}
-
-func TestMailboxTryRecv(t *testing.T) {
-	e := NewEnv()
-	m := NewMailbox("box")
-	e.Spawn("a", func(p *Proc) {
-		if _, ok := p.TryRecv(m); ok {
-			t.Error("TryRecv on empty box returned ok")
-		}
-		m.Send(p.Env(), 42)
-		v, ok := p.TryRecv(m)
-		if !ok || v.(int) != 42 {
-			t.Errorf("TryRecv = %v, %v", v, ok)
-		}
-	})
-	e.Run()
 }
 
 func TestMailboxMultipleReceiversFIFO(t *testing.T) {
@@ -302,44 +243,18 @@ func TestMailboxMultipleReceiversFIFO(t *testing.T) {
 	var got []string
 	for _, name := range []string{"r1", "r2"} {
 		name := name
-		e.Spawn(name, func(p *Proc) {
-			v := p.Recv(m)
+		m.RecvFunc(e, func(v interface{}) {
 			got = append(got, fmt.Sprintf("%s=%v", name, v))
 		})
 	}
-	e.Spawn("s", func(p *Proc) {
-		p.Wait(Millis(1))
-		m.Send(p.Env(), 1)
-		m.Send(p.Env(), 2)
+	e.After(Millis(1), func() {
+		m.Send(e, 1)
+		m.Send(e, 2)
 	})
 	e.Run()
 	if len(got) != 2 || got[0] != "r1=1" || got[1] != "r2=2" {
 		t.Fatalf("got %v (receivers must be served FIFO)", got)
 	}
-}
-
-func TestCloseUnwindsBlockedProcesses(t *testing.T) {
-	e := NewEnv()
-	m := NewMailbox("never")
-	cleaned := false
-	e.Spawn("server", func(p *Proc) {
-		defer func() { cleaned = true }()
-		for {
-			p.Recv(m)
-		}
-	})
-	e.Run()
-	if e.LiveProcs() != 1 {
-		t.Fatalf("LiveProcs = %d, want 1 blocked server", e.LiveProcs())
-	}
-	e.Close()
-	if !cleaned {
-		t.Fatal("deferred cleanup did not run on Close")
-	}
-	if e.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs after Close = %d", e.LiveProcs())
-	}
-	e.Close() // idempotent
 }
 
 func TestAtCallback(t *testing.T) {
@@ -355,19 +270,18 @@ func TestAtCallback(t *testing.T) {
 func TestAfterCallback(t *testing.T) {
 	e := NewEnv()
 	var fired Time
-	e.Spawn("a", func(p *Proc) {
-		p.Wait(Millis(2))
-		p.Env().After(Millis(3), func() { fired = p.Env().Now() })
+	e.After(Millis(2), func() {
+		e.After(Millis(3), func() { fired = e.Now() })
 	})
 	e.Run()
 	if fired != Millis(5) {
-		t.Fatalf("callback at %v, want 5ms", fired)
+		t.Fatalf("callback at %v, want 5ms (After is relative to the scheduling instant)", fired)
 	}
 }
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEnv()
-	e.Spawn("a", func(p *Proc) { p.Wait(Millis(5)) })
+	e.After(Millis(5), func() {})
 	e.Run()
 	defer func() {
 		if recover() == nil {
@@ -377,36 +291,31 @@ func TestSchedulePastPanics(t *testing.T) {
 	e.At(Millis(1), func() {})
 }
 
+// A negative duration is refused at both remaining entry points: UseFunc
+// checks it, After reaches the scheduling-in-the-past check.
 func TestNegativeWaitPanics(t *testing.T) {
 	e := NewEnv()
-	panicked := make(chan bool, 1)
-	e.Spawn("a", func(p *Proc) {
-		defer func() { panicked <- recover() != nil }()
-		p.Wait(-1)
-	})
-	func() {
-		defer func() { recover() }() // run may re-panic through scheduler
-		e.Run()
-	}()
-	select {
-	case ok := <-panicked:
-		if !ok {
-			t.Fatal("negative Wait did not panic")
-		}
-	default:
-		t.Fatal("process did not run")
+	if recovered(func() { NewResource("r", 1).UseFunc(e, -1, func(Time) {}) }) == nil {
+		t.Error("UseFunc with a negative duration did not panic")
+	}
+	if recovered(func() { e.After(-1, func() {}) }) == nil {
+		t.Error("After with a negative duration did not panic")
+	}
+	if e.PendingEvents() != 0 {
+		t.Fatalf("a refused call left %d events queued", e.PendingEvents())
 	}
 }
 
 func TestRunUntil(t *testing.T) {
 	e := NewEnv()
 	ticks := 0
-	e.Spawn("ticker", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Wait(Millis(10))
-			ticks++
+	var tick func()
+	tick = func() {
+		if ticks++; ticks < 10 {
+			e.After(Millis(10), tick)
 		}
-	})
+	}
+	e.After(Millis(10), tick)
 	e.RunUntil(Millis(35))
 	if ticks != 3 {
 		t.Fatalf("ticks = %d at t=35ms, want 3", ticks)
@@ -415,26 +324,6 @@ func TestRunUntil(t *testing.T) {
 		t.Fatalf("Now = %v, want 35ms", e.Now())
 	}
 	e.Close()
-}
-
-func TestYieldLetsOthersRun(t *testing.T) {
-	e := NewEnv()
-	var order []string
-	e.Spawn("a", func(p *Proc) {
-		order = append(order, "a1")
-		p.Yield()
-		order = append(order, "a2")
-	})
-	e.Spawn("b", func(p *Proc) {
-		order = append(order, "b")
-	})
-	e.Run()
-	want := []string{"a1", "b", "a2"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
 }
 
 // TestDeterminism runs a randomized workload twice and checks the event
@@ -447,25 +336,22 @@ func TestDeterminism(t *testing.T) {
 		m := NewMailbox("m")
 		for i := 0; i < 20; i++ {
 			i := i
-			e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-				p.Wait(Time(i%7) * Millisecond)
-				p.Use(r, Time(1+i%3)*Millisecond)
-				m.Send(p.Env(), i)
-				log = append(log, fmt.Sprintf("%d@%v", i, p.Now()))
+			e.After(Time(i%7)*Millisecond, func() {
+				r.UseFunc(e, Time(1+i%3)*Millisecond, func(Time) {
+					m.Send(e, i)
+					log = append(log, fmt.Sprintf("%d@%v", i, e.Now()))
+				})
 			})
 		}
-		e.Spawn("drain", func(p *Proc) {
-			for j := 0; j < 20; j++ {
-				v := p.Recv(m)
-				log = append(log, fmt.Sprintf("recv%v@%v", v, p.Now()))
-			}
+		recvN(e, m, 20, func(v interface{}) {
+			log = append(log, fmt.Sprintf("recv%v@%v", v, e.Now()))
 		})
 		e.Run()
 		return log
 	}
 	a, b := trace(), trace()
-	if len(a) != len(b) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
+	if len(a) != 40 || len(b) != 40 {
+		t.Fatalf("trace lengths %d and %d, want 40 (20 completions + 20 deliveries)", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
@@ -474,9 +360,8 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// Property: for any set of wait durations, processes complete in
-// nondecreasing time order equal to their duration, and the env clock ends
-// at the max.
+// Property: for any set of delays, every callback runs at exactly its
+// delay, and the env clock ends at the max.
 func TestQuickWaitCompletion(t *testing.T) {
 	f := func(durs []uint16) bool {
 		e := NewEnv()
@@ -487,9 +372,8 @@ func TestQuickWaitCompletion(t *testing.T) {
 			if d > max {
 				max = d
 			}
-			e.Spawn("w", func(p *Proc) {
-				p.Wait(d)
-				if p.Now() != d {
+			e.After(d, func() {
+				if e.Now() != d {
 					ok = false
 				}
 			})
@@ -512,18 +396,16 @@ func TestQuickResourceThroughput(t *testing.T) {
 		r := NewResource("r", capacity)
 		overCap := false
 		for i := 0; i < users; i++ {
-			e.Spawn("u", func(p *Proc) {
-				p.Acquire(r)
+			r.AcquireFunc(e, func() {
 				if r.InUse() > capacity {
 					overCap = true
 				}
-				p.Wait(Millisecond)
-				r.Release(p.Env())
+				e.After(Millisecond, func() { r.Release(e) })
 			})
 		}
 		e.Run()
 		wantEnd := Time((users+capacity-1)/capacity) * Millisecond
-		return !overCap && e.Now() == wantEnd
+		return !overCap && e.Now() == wantEnd && r.Acquires() == uint64(users)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

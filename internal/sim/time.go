@@ -2,9 +2,10 @@
 // kernel used as the substrate for the simulated cluster, GPUs, network,
 // and storage on which the Rocket runtime executes.
 //
-// The engine is cooperative and single-threaded: exactly one simulated
-// process runs at a time, and processes hand control back to the scheduler
-// whenever they block on virtual time, a Signal, a Resource, or a Mailbox.
+// The engine is single-threaded: simulated activities are callback chains
+// that the scheduler runs one event at a time, each registering its
+// continuation with virtual time (At/After), a Signal, a Resource, or a
+// Mailbox instead of blocking. There are no simulated goroutines.
 // With all randomness injected from outside, a simulation with the same
 // inputs replays the exact same event order, which the test suite verifies.
 package sim
