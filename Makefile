@@ -7,7 +7,7 @@
 GO ?= go
 ROCKET_SCALE ?= 50
 BENCH_RUN ?= local
-BENCH_BASELINE ?= BENCH_pr15.json
+BENCH_BASELINE ?= BENCH_pr21.json
 COVERAGE_FLOOR ?= 75.0
 
 .PHONY: build test race-stress bench bench-sim bench-shards bench-repo bench-json bench-gate loc coverage smoke smoke-scenarios smoke-elastic smoke-incremental smoke-pairstore smoke-trace fuzz-smoke lint ci fmt
@@ -32,7 +32,7 @@ bench: bench-sim
 	$(GO) test -bench=. -benchmem -count=1 -run='^$$' .
 
 # Engine microbenchmarks: event dispatch, deep-queue churn, contended
-# resource hand-off, mailbox throughput.
+# resource hand-off, typed-mailbox throughput; -benchmem reads 0 on all.
 bench-sim:
 	$(GO) test -bench=. -benchmem -count=1 -run='^$$' ./internal/sim/
 

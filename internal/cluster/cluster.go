@@ -49,12 +49,19 @@ type Node struct {
 	// NIC serializes outbound network transfers.
 	NIC *sim.Resource
 	// Inbox receives messages from peer nodes.
-	Inbox *sim.Mailbox
+	Inbox *sim.Mailbox[Message]
 	// GPUs are the node's devices.
 	GPUs []*gpu.Device
 	// name is the trace identifier, formatted once by AddNode: trace and
 	// span naming asks for it on hot paths.
 	name string
+	// net is the fabric the node sends on; nicq lists, oldest first, the
+	// transfer slots whose serialization holds are queued on or occupying
+	// NIC, and sentFn is the continuation of those holds, bound on the
+	// node's first remote send (see Network.transmit).
+	net    *Network
+	nicq   sim.Ring[uint32]
+	sentFn func(start sim.Time)
 }
 
 // Name returns the node's trace identifier, e.g. "node3".
@@ -130,8 +137,9 @@ func (c *Cluster) AddNode(s NodeSpec) (*Node, error) {
 		CPU:   sim.NewResource(name+"/cpu", s.Cores),
 		IO:    sim.NewResource(name+"/io", 1),
 		NIC:   sim.NewResource(name+"/nic", 1),
-		Inbox: sim.NewMailbox(name + "/inbox"),
+		Inbox: sim.NewMailbox[Message](name + "/inbox"),
 		name:  name,
+		net:   c.Net,
 	}
 	for g, m := range s.GPUs {
 		d := gpu.New(fmt.Sprintf("%s/gpu%d", name, g), m)

@@ -56,7 +56,7 @@ func TestClusterShape(t *testing.T) {
 // recvAt registers a receiver on the node's inbox and records the message
 // and its delivery time.
 func recvAt(e *sim.Env, n *Node, got *Message, at *sim.Time) {
-	n.Inbox.RecvFunc(e, func(v interface{}) { *got, *at = v.(Message), e.Now() })
+	n.Inbox.RecvFunc(e, func(m Message) { *got, *at = m, e.Now() })
 }
 
 func TestNetworkSendDelivers(t *testing.T) {
@@ -315,4 +315,74 @@ func TestNetworkLinkPartitionAndDegradation(t *testing.T) {
 	if got.Payload != "slow" || gotAt != want {
 		t.Fatalf("degraded delivery of %v at %v, want slow at %v", got.Payload, gotAt, want)
 	}
+}
+
+// The message path end to end — remote send, NIC hold, propagation,
+// inbox, dispatch; a loopback send; a refused send and its notification;
+// a storage read — builds no closure and boxes nothing once the slot
+// table, the rings and the event queue have grown: the payload is a
+// pointer to a record the protocol layer pools.
+func TestZeroAllocMessagePath(t *testing.T) {
+	c := twoNodeCluster(t)
+	e := sim.NewEnv()
+	defer e.Close()
+	type record struct{ hops int }
+	rec := new(record)
+	var serve [2]func(Message)
+	for i, n := range c.Nodes {
+		i, n := i, n
+		serve[i] = func(m Message) {
+			m.Payload.(*record).hops++
+			n.Inbox.RecvFunc(e, serve[i])
+		}
+		n.Inbox.RecvFunc(e, serve[i])
+	}
+	up := true
+	c.Net.SetLinkFunc(func(from, to int) LinkState { return LinkState{Up: up, LatencyFactor: 1, BandwidthFactor: 1} })
+	c.Net.SetDropFunc(func(_ *sim.Env, m Message) { m.Payload.(*record).hops-- })
+	sent, read := 0, 0
+	onSent, onRead := func() { sent++ }, func() { read++ }
+	round := func() {
+		for k := 0; k < 4; k++ { // four transfers queue on one NIC
+			c.Net.SendAsync(e, c.Nodes[0], c.Nodes[1], 1e6, rec)
+			c.Net.SendFunc(e, c.Nodes[1], c.Nodes[0], 1e6, rec, onSent)
+		}
+		c.Net.SendAsync(e, c.Nodes[0], c.Nodes[0], 1e6, rec)
+		c.Net.SendFunc(e, c.Nodes[1], c.Nodes[1], 1e6, rec, onSent)
+		e.RunUntil(e.Now()) // a deferred send meets the link as it is then
+		up = false
+		c.Net.SendAsync(e, c.Nodes[0], c.Nodes[1], 1e6, rec)
+		c.Net.SendFunc(e, c.Nodes[1], c.Nodes[0], 1e6, rec, nil)
+		e.RunUntil(e.Now())
+		up = true
+		c.Storage.ReadFunc(e, 1e6, onRead)
+		c.Storage.WriteFunc(e, 1e6, onRead)
+		e.Run()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("a round of sends and reads allocates %.2f objects, want 0", allocs)
+	}
+	const rounds = 102
+	if rec.hops != 8*rounds || sent != 5*rounds || read != 2*rounds {
+		t.Fatalf("after %d rounds: %d deliveries net of drops, %d send completions, %d transfers", rounds, rec.hops, sent, read)
+	}
+	if c.Net.Dropped() != 2*rounds || len(c.Net.free) != len(c.Net.slots) {
+		t.Fatalf("%d drops, %d of %d slots free", c.Net.Dropped(), len(c.Net.free), len(c.Net.slots))
+	}
+}
+
+// A transfer slot returns to the table exactly once.
+func TestTransferSlotDoubleFreePanics(t *testing.T) {
+	c := twoNodeCluster(t)
+	e := sim.NewEnv()
+	defer e.Close()
+	h := c.Net.take(e, c.Nodes[0], c.Nodes[1], 1, nil, nil)
+	c.Net.release(h)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second release of one slot did not panic")
+		}
+	}()
+	c.Net.release(h)
 }

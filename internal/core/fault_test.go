@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"rocket/internal/cluster"
 	"rocket/internal/fault"
 	"rocket/internal/gpu"
 	"rocket/internal/pairs"
@@ -314,5 +315,117 @@ func TestRecoveredPairsHonorPairFilter(t *testing.T) {
 	}
 	if m.RecoveredPairs != want {
 		t.Fatalf("recovered pairs = %d, want %d (filtered total)", m.RecoveredPairs, want)
+	}
+}
+
+// Lookup and steal state live on pooled jobs and workers, so a reply to a
+// crashed incarnation must never resume anything of the restarted one: it
+// may only count as stale. Crash a node at a moment it has a distributed-
+// cache fetch and a remote steal in flight, then restart it either before
+// the replies land (they arrive at a node that has forgotten them) or
+// after (the fabric drops them and notifies). Either way every pair
+// completes exactly once, and no wire record or transfer slot is returned
+// twice (a second return panics).
+func TestRepliesToCrashedRequesterAreStale(t *testing.T) {
+	const n, nodes, victim = 48, 4, 0
+	config := func(crashAt, downFor sim.Time) Config {
+		s := new(fault.Schedule).Crash(victim, crashAt).Restart(victim, crashAt+downFor)
+		// A worker steals with its own jobs past their fetches, so the node
+		// needs a second one; a slow fabric stretches the round trips.
+		fabric := cluster.DefaultConfig()
+		fabric.NetLatency = sim.Micros(200)
+		specs := make([]cluster.NodeSpec, nodes)
+		for i := range specs {
+			specs[i] = cluster.NodeSpec{Cores: 16, HostCacheBytes: 2 << 30, GPUs: []gpu.Model{gpu.TitanXMaxwell, gpu.TitanXMaxwell}}
+		}
+		cl, err := cluster.New(specs, fabric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Config{App: defaultTestApp(n), Cluster: cl, Seed: 1,
+			DistCache: true, DeviceSlots: 8, HostSlots: 12, Hops: 2, Faults: s}
+	}
+	// inFlight reports the victim's unresolved lookups and steal attempts.
+	inFlight := func(rt *runtime) (fetches uint64, steals int) {
+		nd := rt.nodes[victim]
+		dm := nd.dht.Metrics()
+		fetches = dm.Requests - dm.Misses
+		for _, h := range dm.HitAtHop {
+			fetches -= h
+		}
+		for _, wk := range nd.workers {
+			if wk.stealMsg.ID != 0 {
+				steals++
+			}
+		}
+		return fetches, steals
+	}
+
+	// Find such a moment on a run whose crash lies beyond the search; the
+	// injector is armed in both, so up to the crash the runs are the same.
+	probe, err := launch(config(sim.Hour, sim.Microsecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var crashAt sim.Time
+	for at := sim.Millis(50); crashAt == 0; at += sim.Micros(10) {
+		probe.env.RunUntil(at)
+		if probe.done.Fired() {
+			t.Fatal("the run never had a fetch and a steal in flight on one node")
+		}
+		if f, s := inFlight(probe); f > 0 && s > 0 {
+			crashAt = at + 1
+		}
+	}
+	probe.env.Close()
+
+	for _, c := range []struct {
+		name    string
+		downFor sim.Time
+	}{
+		{"restart-before-replies", sim.Microsecond},
+		{"restart-after-drops", sim.Millis(5)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := config(crashAt, c.downFor)
+			seen := make(map[pairIJ]int)
+			cfg.OnResult = func(i, j int, _ interface{}) { seen[pairIJ{i, j}]++ }
+			rt, err := launch(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.env.RunUntil(crashAt - 1)
+			if f, s := inFlight(rt); f == 0 || s == 0 {
+				t.Fatalf("the crash catches %d fetches and %d steals in flight, want both", f, s)
+			}
+			old := rt.nodes[victim].workers
+			rt.env.Run()
+			m, err := rt.collect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := pairs.TotalPairs(n); int64(len(seen)) != want || m.Pairs != uint64(want) {
+				t.Fatalf("%d distinct pairs emitted, %d counted, want %d", len(seen), m.Pairs, want)
+			}
+			for p, k := range seen {
+				if k != 1 {
+					t.Fatalf("pair (%d, %d) completed %d times", p.i, p.j, k)
+				}
+			}
+			for _, wk := range old {
+				if !wk.stale() {
+					t.Fatal("a worker of the crashed incarnation survived")
+				}
+			}
+			t.Logf("stale replies: %d fetch, %d steal; %d messages dropped", m.DHT.StaleReplies, m.StaleStealReplies, m.DroppedMessages)
+			if c.downFor < rt.cl.Net.Latency {
+				// Whatever was on the wire to the victim outlived the outage.
+				if m.DHT.StaleReplies == 0 || m.StaleStealReplies == 0 {
+					t.Errorf("stale replies: %d fetch, %d steal, want both counted", m.DHT.StaleReplies, m.StaleStealReplies)
+				}
+			} else if m.DroppedMessages == 0 {
+				t.Error("no message to the dead node was dropped")
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rocket/internal/cache"
+	"rocket/internal/dht"
 	"rocket/internal/sim"
 	"rocket/internal/stats"
 	"rocket/internal/trace"
@@ -18,12 +19,14 @@ import (
 //
 // Chain steps run in scheduler context and must never block; all waiting
 // is via the callback-completion primitives (sim.Resource.UseFunc,
-// cache.AcquireFunc, dht.FetchFunc, cluster ReadFunc/SendAsync).
+// cache.AcquireFunc, dht.Engine.Fetch, cluster ReadFunc/SendAsync).
 //
 // A job is a pooled object: the chain is strictly sequential, so where it
-// is in the pipeline is one stage field and its continuations are four
-// method values bound once. It returns to its device's pool only from
-// finish or fail (ownership rules: DESIGN.md §3).
+// is in the pipeline is one stage field and its continuations are three
+// method values bound once; a distributed-cache lookup in flight is the
+// job's own lookup field, which the node's engine resolves and resumes
+// through step. It returns to its device's pool only from finish or fail
+// (ownership rules: DESIGN.md §3).
 //
 // Fault semantics: a job is pinned to its node's epoch. When the node
 // crashes, the epoch advances and every suspended step of the old epoch
@@ -76,12 +79,13 @@ type job struct {
 	dh, hh cache.Handle
 	data   interface{}
 	t0     sim.Time
+	// lookup is the distributed-cache fetch of item; it resumes step.
+	lookup dht.Lookup
 
-	// The continuations (run, onUse, onLease, onFetch), bound once.
-	step    func()
-	used    func(start sim.Time)
-	leased  func(h cache.Handle, hit bool)
-	fetched func(data interface{}, hop int, ok bool)
+	// The continuations (run, onUse, onLease), bound once.
+	step   func()
+	used   func(start sim.Time)
+	leased func(h cache.Handle, hit bool)
 }
 
 // takeJob returns a free job of device d, creating one when every pooled
@@ -95,7 +99,8 @@ func (n *nodeRT) takeJob(d *devRT) *job {
 	// devRTs are rebuilt on every crash, so the epoch a device was built
 	// in is the epoch of every job it ever pools.
 	jb := &job{n: n, d: d, epoch: n.epoch}
-	jb.step, jb.used, jb.leased, jb.fetched = jb.run, jb.onUse, jb.onLease, jb.onFetch
+	jb.step, jb.used, jb.leased = jb.run, jb.onUse, jb.onLease
+	jb.lookup.Resume = jb.step
 	return jb
 }
 
@@ -103,6 +108,9 @@ func (n *nodeRT) takeJob(d *devRT) *job {
 func (jb *job) recycle() {
 	if jb.stage == stFree {
 		panic(fmt.Sprintf("core: job (%d, %d) recycled twice", jb.i, jb.j))
+	}
+	if jb.lookup.Pending() {
+		panic(fmt.Sprintf("core: job (%d, %d) recycled with its lookup of item %d pending", jb.i, jb.j, jb.item))
 	}
 	jb.stage = stFree
 	jb.second = false
@@ -124,8 +132,11 @@ func (n *nodeRT) startJob(w int, i, j int) {
 // stale reports whether the job belongs to a crashed incarnation of its
 // node. Stale steps stop silently; recovery already re-exposed the pair.
 // Every continuation asks first, so this also catches one that outlives
-// its job — while the job sits in the pool; a stray continuation arriving
-// after takeJob reissued the object is not detected.
+// its job while the job sits in the pool. None can arrive after takeJob
+// reissued the object: a resource or cache continuation is queued exactly
+// once per wait, and a lookup resumes its job only through the engine's
+// pending table, which holds the lookup for one request ID, lets go of it
+// when that request resolves, and is emptied by a crash.
 func (jb *job) stale() bool {
 	if jb.stage == stFree {
 		panic(fmt.Sprintf("core: job (%d, %d) resumed after recycling", jb.i, jb.j))
@@ -140,6 +151,10 @@ func (jb *job) run() {
 	case stStart:
 		if !jb.stale() {
 			jb.acquire(jb.i)
+		}
+	case stFetch:
+		if !jb.stale() {
+			jb.onFetch()
 		}
 	case stIOWait:
 		if jb.stale() {
@@ -284,7 +299,7 @@ func (jb *job) onLease(h cache.Handle, hit bool) {
 		if jb.n.dht != nil {
 			jb.t0 = rt.env.Now()
 			jb.stage = stFetch
-			jb.n.dht.FetchFunc(rt.env, jb.item, jb.fetched)
+			jb.n.dht.Fetch(rt.env, jb.item, &jb.lookup)
 			return
 		}
 		jb.load()
@@ -296,22 +311,19 @@ func (jb *job) onLease(h cache.Handle, hit bool) {
 // onFetch continues after the distributed-cache lookup: a peer's copy
 // fills the host slot and moves on to the device, a miss falls back to the
 // load pipeline.
-func (jb *job) onFetch(data interface{}, hop int, ok bool) {
-	if jb.stale() {
-		return
-	}
+func (jb *job) onFetch() {
 	rt := jb.n.rt
 	rt.tracer.Record(trace.Task{
 		Resource: jb.n.netName, Class: trace.ClassNet, Kind: trace.KindFetch,
 		Item: jb.item, Item2: -1, Start: jb.t0, End: rt.env.Now(),
 	})
-	if !ok {
+	if !jb.lookup.Hit {
 		jb.load()
 		return
 	}
-	jb.hh.SetData(data)
+	jb.data, jb.lookup.Data = jb.lookup.Data, nil
+	jb.hh.SetData(jb.data)
 	jb.hh.Publish(rt.env)
-	jb.data = data
 	jb.copyIn(stFill)
 }
 

@@ -171,5 +171,5 @@ func TestRecycledJobPanics(t *testing.T) {
 	mustPanic("recycling a pooled job", jb.recycle)
 	mustPanic("stepping a pooled job", jb.step)
 	mustPanic("a resource grant to a pooled job", func() { jb.used(0) })
-	mustPanic("a fetch reply to a pooled job", func() { jb.fetched(nil, 0, false) })
+	mustPanic("a fetch reply to a pooled job", jb.lookup.Resume)
 }

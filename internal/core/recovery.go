@@ -182,54 +182,38 @@ func (rt *runtime) countablePairs(r pairs.Region) int64 {
 // will never come.
 func (rt *runtime) onDrop(env *sim.Env, msg cluster.Message) {
 	switch m := msg.Payload.(type) {
-	case stealRequest:
-		// The victim is unreachable: the thief's attempt fails and it
-		// backs off (unless the thief itself died meanwhile).
+	case *stealMsg:
+		// A request: the victim is unreachable, so the thief's attempt
+		// fails and it backs off (unless the thief itself died meanwhile).
+		// A reply: it cannot reach the thief — it died, or the link to it
+		// partitioned. If the thief is still alive (link fault), fail its
+		// pending attempt so the worker backs off instead of waiting
+		// forever; and a granted region already left the victim's deque,
+		// so re-expose it.
+		region, granted := m.Region, m.reply && m.OK
 		if th := rt.nodes[m.Thief]; th.alive {
 			th.failPendingSteal(env, m.ID)
 		}
-	case stealReply:
-		// The reply cannot reach the thief — it died, or the link to it
-		// partitioned. A granted region already left the victim's deque,
-		// so re-expose it; and if the thief is still alive (link fault),
-		// fail its pending attempt so the worker backs off instead of
-		// waiting forever on a reply that will never come.
-		if th := rt.nodes[msg.To]; th.alive {
-			th.failPendingSteal(env, m.ID)
+		if granted {
+			rt.recoverRegions([]pairs.Region{region})
 		}
-		if m.OK {
-			rt.recoverRegions([]pairs.Region{m.Region})
-		}
-	case dht.Request:
-		rt.failDHTFetch(env, m.Requester, m.ID)
-	case dht.Forward:
-		rt.failDHTFetch(env, m.Requester, m.ID)
-	case dht.Reply:
-		// The reply's payload was a cached copy — nothing to recover. If
-		// the requester is still alive (the drop was a partitioned link,
-		// not its death), resolve its fetch as a miss so the job chain
+	case *dht.Msg:
+		// Whatever leg of the lookup was lost — a reply's payload was a
+		// cached copy, nothing to recover — resolve it as a miss if the
+		// requester is still alive (it is when the drop was the mediator's
+		// or a candidate's death, or a partitioned link), so the job chain
 		// falls back to loading instead of hanging on its cache leases.
-		rt.failDHTFetch(env, msg.To, m.ID)
-	}
-}
-
-// failDHTFetch resolves a requester's pending distributed-cache lookup as
-// a miss after the fabric dropped a message of its chain.
-func (rt *runtime) failDHTFetch(env *sim.Env, requester int, id uint64) {
-	n := rt.nodes[requester]
-	if n.alive && n.dht != nil {
-		n.dht.FailPending(env, id)
+		if n := rt.nodes[m.Requester]; n.alive && n.dht != nil {
+			n.dht.FailPending(env, m.ID)
+		}
 	}
 }
 
 // failPendingSteal resolves one pending remote steal as failed. Unknown
-// IDs (the table was lost to a crash) are ignored.
+// IDs (the attempt was lost to a crash) are ignored.
 func (n *nodeRT) failPendingSteal(env *sim.Env, id uint64) {
-	sig, ok := n.pendingSteals[id]
-	if !ok {
-		return
+	if wk := n.stealer(id); wk != nil {
+		wk.stealMsg.OK = false
+		wk.stolen(env)
 	}
-	delete(n.pendingSteals, id)
-	sig.Value = stealReply{ID: id, OK: false}
-	sig.Fire(env)
 }

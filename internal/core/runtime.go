@@ -96,10 +96,13 @@ type nodeRT struct {
 	// group holds the work-stealing deques, one per worker (= per GPU).
 	group *steal.Group
 	// dht is the level-3 engine; nil when the distributed cache is off.
-	dht           *dht.Engine
-	pendingSteals map[uint64]*sim.Signal
-	stealSeq      uint64
-	victimRNG     *stats.RNG
+	dht *dht.Engine
+	// stealSeq numbers the node's remote steal attempts across all its
+	// incarnations: a reply to one a crash forgot matches no new worker.
+	stealSeq  uint64
+	victimRNG *stats.RNG
+	// victims is pickVictim's scratch list of live candidates.
+	victims []int
 	// workers are the live worker state machines of the current epoch.
 	workers []*worker
 	// inflight tracks pairs handed to job chains but not yet completed,
@@ -111,7 +114,7 @@ type nodeRT struct {
 	// onMsg is the inbox handler, allocated once at startServer; it stays
 	// registered across crash/restart (the fabric never delivers to a dead
 	// node, so it simply lies dormant while down).
-	onMsg func(raw interface{})
+	onMsg func(msg cluster.Message)
 }
 
 // devRT pairs a device with its level-1 cache, its concurrent-job limit
@@ -124,21 +127,24 @@ type devRT struct {
 	free      []*job
 }
 
-// Steal-protocol messages exchanged between nodes.
-type (
-	stealRequest struct {
-		ID    uint64
-		Thief int
-		// Resident samples the thief's host-cache working set
-		// (cache-aware stealing only, nil otherwise).
-		Resident []int
-	}
-	stealReply struct {
-		ID     uint64
-		Region pairs.Region
-		OK     bool
-	}
-)
+// stealMsg is the wire record of the steal protocol; it travels by pointer
+// as the payload of a cluster message. It is a field of the thief's
+// worker, which has one attempt in flight at most: the victim turns the
+// request it received into the reply it sends back, and the record is at
+// rest again when the attempt resolves.
+type stealMsg struct {
+	// reply is false on the way to the victim, true on the way back.
+	reply bool
+	// ID is the attempt's, zero while the worker has none in flight.
+	ID    uint64
+	Thief int
+	// Resident samples the thief's host-cache working set (requests of
+	// cache-aware stealing only, nil otherwise).
+	Resident []int
+	// Region and OK are the reply's outcome.
+	Region pairs.Region
+	OK     bool
+}
 
 // Run executes the all-pairs application on the cluster and returns the
 // collected metrics. The cluster must be freshly built (its accounting is
@@ -276,15 +282,14 @@ func (rt *runtime) newNodeRT(node *cluster.Node, rng *stats.RNG) (*nodeRT, error
 }
 
 // buildVolatile (re)creates the node's crash-volatile state: deques,
-// caches, job-token pools, the pending-steal table, and the DHT engine.
-// It runs once at startup and again on every crash, so a restarted node
-// rejoins cold while any surviving chains of the old epoch reference only
-// the orphaned objects.
+// caches, job-token pools, and the DHT engine's tables. It runs once at
+// startup and again on every crash, so a restarted node rejoins cold
+// while any surviving chains of the old epoch reference only the orphaned
+// objects.
 func (n *nodeRT) buildVolatile() error {
 	rt := n.rt
 	node := n.node
 	n.group = steal.NewGroup(len(node.GPUs))
-	n.pendingSteals = make(map[uint64]*sim.Signal)
 	n.inflight = make(map[pairIJ]struct{})
 	policy := cache.PolicyLRU
 	if rt.cfg.EvictRandom {
@@ -308,8 +313,9 @@ func (n *nodeRT) buildVolatile() error {
 		})
 	}
 
-	n.dht = nil
-	if rt.cfg.DistCache && n.host != nil {
+	if n.dht != nil {
+		n.dht.Reset() // the engine stays and forgets its tables
+	} else if rt.cfg.DistCache && n.host != nil {
 		eng, err := dht.New(dht.Config{
 			NodeID:   node.ID,
 			NumNodes: len(rt.cl.Nodes),
@@ -317,8 +323,8 @@ func (n *nodeRT) buildVolatile() error {
 			CtrlSize: rt.cfg.ctrlMsgSize,
 			DataSize: rt.cfg.App.ItemSize(),
 			Alive:    rt.nodeAliveFn(),
-			Send: func(e *sim.Env, to int, size int64, payload interface{}) {
-				rt.cl.Net.SendAsync(e, node, rt.cl.Nodes[to], size, payload)
+			Send: func(e *sim.Env, to int, size int64, m *dht.Msg) {
+				rt.cl.Net.SendAsync(e, node, rt.cl.Nodes[to], size, m)
 			},
 			Lookup: func(item int) (interface{}, bool) {
 				if n.host.Contains(item) {
@@ -394,58 +400,67 @@ func (rt *runtime) prewarm() error {
 // scheduler context. Registration is deferred one event, a slot in the
 // dispatch order that the experiment hashes pin.
 func (n *nodeRT) startServer() {
-	n.onMsg = func(raw interface{}) { n.handleMessage(raw) }
-	n.rt.env.Defer(func() { n.node.Inbox.RecvFunc(n.rt.env, n.onMsg) })
+	n.onMsg = n.handleMessage
+	n.rt.env.Defer(n.armServer)
 }
+
+// armServer registers the message handler for the next inbox message.
+func (n *nodeRT) armServer() { n.node.Inbox.RecvFunc(n.rt.env, n.onMsg) }
 
 // handleMessage demultiplexes one inbox message — distributed-cache
 // protocol traffic and steal requests/replies — then re-arms the
 // receiver. Queued bursts drain inline, within one dispatch.
-func (n *nodeRT) handleMessage(raw interface{}) {
-	env := n.rt.env
-	msg := raw.(cluster.Message)
-	if n.dht != nil && n.dht.Handle(env, msg.Payload) {
-		n.node.Inbox.RecvFunc(env, n.onMsg)
-		return
-	}
-	rt := n.rt
+func (n *nodeRT) handleMessage(msg cluster.Message) {
+	rt, env := n.rt, n.rt.env
 	switch m := msg.Payload.(type) {
-	case stealRequest:
-		var region pairs.Region
-		var ok bool
-		if m.Resident != nil {
-			region, ok = n.group.StealBestOverlap(m.Resident)
-		} else {
-			region, ok = n.group.StealLocal(-1)
+	case *dht.Msg:
+		if n.dht == nil {
+			rt.fail(fmt.Errorf("%w: %s runs no distributed cache but received %+v", ErrProtocol, n.node.Name(), *m))
+			break
 		}
-		reply := stealReply{ID: m.ID, Region: region, OK: ok}
-		rt.cl.Net.SendAsync(env, n.node, rt.cl.Nodes[m.Thief], rt.cfg.ctrlMsgSize, reply)
-	case stealReply:
-		sig, ok := n.pendingSteals[m.ID]
-		if !ok {
-			// Reachable once nodes can crash with replies in flight: a
-			// thief that crashed and restarted has lost its pending table.
+		n.dht.Handle(env, m)
+	case *stealMsg:
+		if !m.reply {
+			if m.Resident != nil {
+				m.Region, m.OK = n.group.StealBestOverlap(m.Resident)
+			} else {
+				m.Region, m.OK = n.group.StealLocal(-1)
+			}
+			m.reply, m.Resident = true, nil
+			rt.cl.Net.SendAsync(env, n.node, rt.cl.Nodes[m.Thief], rt.cfg.ctrlMsgSize, m)
+			break
+		}
+		if wk := n.stealer(m.ID); wk != nil {
+			wk.stolen(env)
+		} else if rt.inj != nil {
+			// Reachable once nodes can crash with replies in flight: the
+			// attempt belonged to an incarnation of the thief that is gone.
 			// Salvage the region (it left the victim's deque) and drop the
 			// reply; in a failure-free run the same condition is a protocol
 			// violation surfaced through the run result.
-			if rt.inj != nil {
-				rt.staleStealReplies++
-				if m.OK {
-					rt.recoverRegions([]pairs.Region{m.Region})
-				}
-			} else {
-				rt.fail(fmt.Errorf("%w: %s received unexpected steal reply %d",
-					ErrProtocol, n.node.Name(), m.ID))
+			rt.staleStealReplies++
+			if m.OK {
+				rt.recoverRegions([]pairs.Region{m.Region})
 			}
-			break
+		} else {
+			rt.fail(fmt.Errorf("%w: %s received unexpected steal reply %d",
+				ErrProtocol, n.node.Name(), m.ID))
 		}
-		delete(n.pendingSteals, m.ID)
-		sig.Value = m
-		sig.Fire(env)
 	default:
 		rt.fail(fmt.Errorf("%w: %s received unknown message %T", ErrProtocol, n.node.Name(), m))
 	}
-	n.node.Inbox.RecvFunc(env, n.onMsg)
+	n.armServer()
+}
+
+// stealer returns the live worker waiting on remote steal attempt id, or
+// nil: the attempt was already resolved, or a crash forgot it.
+func (n *nodeRT) stealer(id uint64) *worker {
+	for _, wk := range n.workers {
+		if wk.stealMsg.ID == id {
+			return wk
+		}
+	}
+	return nil
 }
 
 // worker is the per-GPU Constellation-style work loop: pop local work,
@@ -467,10 +482,18 @@ type worker struct {
 	// any success resets the backoff.
 	backoff    sim.Time
 	maxBackoff sim.Time
-	// stepFn and tokenFn cache the step and onToken method values so
-	// backoff rescheduling and token waits do not allocate a closure each.
-	stepFn  func()
-	tokenFn func()
+	// stepFn, tokenFn and stolenFn cache the step, onToken and onStolen
+	// method values so backoff rescheduling, token waits and steal replies
+	// do not allocate a closure each.
+	stepFn   func()
+	tokenFn  func()
+	stolenFn func()
+	// stealMsg is the wire record of the worker's remote steal attempt;
+	// it holds the outcome once the reply (or a drop notification) has
+	// arrived. stealVictim and stealStart describe the attempt's span.
+	stealMsg    stealMsg
+	stealVictim int
+	stealStart  sim.Time
 	// pendingList/pendingK record a leaf submission suspended on the
 	// job-token limit: onToken resumes from them, and crash recovery
 	// harvests the unsubmitted tail list[pendingK:]. pendingList is nil
@@ -492,7 +515,7 @@ func (n *nodeRT) startWorker(w int) {
 		backoff:    n.rt.cfg.StealBackoff,
 		maxBackoff: 256 * n.rt.cfg.StealBackoff,
 	}
-	wk.stepFn, wk.tokenFn = wk.step, wk.onToken
+	wk.stepFn, wk.tokenFn, wk.stolenFn = wk.step, wk.onToken, wk.onStolen
 	n.workers = append(n.workers, wk)
 	n.rt.env.Defer(wk.begin)
 }
@@ -520,7 +543,7 @@ func (wk *worker) step() {
 	for !rt.done.Fired() && rt.err == nil {
 		region, ok := wk.deque.PopBottom()
 		if !ok {
-			wk.n.stealFunc(wk.w, wk.onSteal)
+			wk.steal()
 			return
 		}
 		if !wk.dispatch(region) {
@@ -631,75 +654,77 @@ func (wk *worker) onToken() {
 
 type pairIJ struct{ i, j int }
 
-// stealFunc implements victim selection: same-node workers first, then a
+// steal implements victim selection: same-node workers first, then a
 // random remote node (StealHierarchical), or a uniformly random node
-// (StealFlat). Local outcomes complete inline; a remote attempt suspends
-// until the reply arrives and then calls fn in scheduler context.
-func (n *nodeRT) stealFunc(w int, fn func(pairs.Region, bool)) {
-	rt := n.rt
-	if rt.cfg.StealPolicy != StealFlat {
-		if r, ok := n.group.StealLocal(w); ok {
-			rt.localSteals++
-			fn(r, true)
-			return
-		}
-	}
-	if len(rt.nodes) == 1 {
-		if rt.cfg.StealPolicy == StealFlat {
-			if r, ok := n.group.StealLocal(w); ok {
-				rt.localSteals++
-				fn(r, true)
-				return
-			}
-		}
-		fn(pairs.Region{}, false)
+// (StealFlat). Local outcomes continue in onSteal inline; a remote attempt
+// suspends the worker until stolen resumes it with the reply.
+func (wk *worker) steal() {
+	n, rt := wk.n, wk.n.rt
+	if rt.cfg.StealPolicy != StealFlat && wk.stealLocal() {
 		return
 	}
-	victim := n.pickVictim()
-	if victim < 0 {
-		// Fault-aware selection found no live peer to target.
-		fn(pairs.Region{}, false)
+	victim := -1
+	if len(rt.nodes) > 1 {
+		// -1: fault-aware selection found no live peer to target.
+		victim = n.pickVictim()
+	} else if rt.cfg.StealPolicy == StealFlat {
+		victim = n.node.ID
+	}
+	if victim == n.node.ID && wk.stealLocal() {
 		return
 	}
-	if victim == n.node.ID {
-		if r, ok := n.group.StealLocal(w); ok {
-			rt.localSteals++
-			fn(r, true)
-			return
-		}
-		fn(pairs.Region{}, false)
+	if victim < 0 || victim == n.node.ID {
+		wk.onSteal(pairs.Region{}, false)
 		return
 	}
 	n.stealSeq++
-	id := n.stealSeq
-	sig := sim.NewSignal()
-	n.pendingSteals[id] = sig
-	req := stealRequest{ID: id, Thief: n.node.ID}
+	wk.stealVictim, wk.stealStart = victim, rt.env.Now()
+	req := &wk.stealMsg
+	*req = stealMsg{ID: n.stealSeq, Thief: n.node.ID}
 	size := rt.cfg.ctrlMsgSize
 	if rt.cfg.StealPolicy == StealCacheAware && n.host != nil {
 		req.Resident = n.host.Items(residentSampleMax)
 		size += 8 * int64(len(req.Resident))
 	}
-	start := rt.env.Now()
-	rt.cl.Net.SendFunc(rt.env, n.node, rt.cl.Nodes[victim], size, req, func() {
-		sig.OnFire(rt.env, func() {
-			rep := sig.Value.(stealReply)
-			rt.tracer.Record(trace.Task{
-				Resource: n.stealName,
-				Class:    trace.ClassNet,
-				Kind:     trace.KindSteal,
-				Item:     victim, Item2: -1,
-				Start: start, End: rt.env.Now(),
-			})
-			if !rep.OK {
-				rt.failedSteals++
-				fn(pairs.Region{}, false)
-				return
-			}
-			rt.remoteSteals++
-			fn(rep.Region, true)
-		})
+	rt.cl.Net.SendFunc(rt.env, n.node, rt.cl.Nodes[victim], size, req, nil)
+}
+
+// stealLocal takes work from a sibling worker's deque and continues with
+// it, reporting whether there was any.
+func (wk *worker) stealLocal() bool {
+	r, ok := wk.n.group.StealLocal(wk.w)
+	if ok {
+		wk.n.rt.localSteals++
+		wk.onSteal(r, true)
+	}
+	return ok
+}
+
+// stolen resolves the worker's remote steal attempt — its record holds
+// the victim's answer or, from the drop notifier, a failure — and resumes
+// the worker one event later.
+func (wk *worker) stolen(env *sim.Env) {
+	wk.stealMsg.ID = 0
+	env.Defer(wk.stolenFn)
+}
+
+// onStolen continues the worker after a remote steal round-trip.
+func (wk *worker) onStolen() {
+	rt := wk.n.rt
+	rt.tracer.Record(trace.Task{
+		Resource: wk.n.stealName,
+		Class:    trace.ClassNet,
+		Kind:     trace.KindSteal,
+		Item:     wk.stealVictim, Item2: -1,
+		Start: wk.stealStart, End: rt.env.Now(),
 	})
+	if !wk.stealMsg.OK {
+		rt.failedSteals++
+		wk.onSteal(pairs.Region{}, false)
+		return
+	}
+	rt.remoteSteals++
+	wk.onSteal(wk.stealMsg.Region, true)
 }
 
 // pickVictim selects a steal target according to the policy; -1 means no
@@ -720,7 +745,7 @@ func (n *nodeRT) pickVictim() int {
 		}
 		return v
 	}
-	cands := make([]int, 0, len(rt.nodes))
+	cands := n.victims[:0]
 	for _, peer := range rt.nodes {
 		if !peer.alive {
 			continue
@@ -730,6 +755,7 @@ func (n *nodeRT) pickVictim() int {
 		}
 		cands = append(cands, peer.node.ID)
 	}
+	n.victims = cands
 	if len(cands) == 0 {
 		return -1
 	}

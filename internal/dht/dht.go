@@ -18,39 +18,45 @@ import (
 	"rocket/internal/sim"
 )
 
-// Message types exchanged by the protocol. They travel as payloads of
-// cluster messages.
-type (
-	// Request is sent by the requester to the item's mediator.
-	Request struct {
-		ID        uint64
-		Item      int
-		Requester int
-	}
-	// Forward carries the request along the candidate chain. Hop is
-	// 1-based: the first candidate contacted sees Hop == 1.
-	Forward struct {
-		ID        uint64
-		Item      int
-		Requester int
-		Chain     []int
-		Hop       int
-	}
-	// Reply terminates a request: either a candidate found the item (Hit,
-	// with Data and the Hop it was found at) or the search failed.
-	Reply struct {
-		ID   uint64
-		Item int
-		Hit  bool
-		Hop  int
-		Data interface{}
-	}
+// Kind tells the three protocol messages apart.
+type Kind uint8
+
+const (
+	// KindRequest is sent by the requester to the item's mediator.
+	KindRequest Kind = iota + 1
+	// KindForward carries the request along the candidate chain.
+	KindForward
+	// KindReply terminates a request: either a candidate found the item
+	// or the search failed.
+	KindReply
 )
 
-// SendFunc transmits a payload of the given size to a peer node without
+// Msg is the wire record of the protocol; it travels, by pointer, as the
+// payload of a cluster message. One record carries a lookup through its
+// whole life: the requester's Lookup holds it, the mediator turns the
+// Request it received into the Forward it sends on, each candidate
+// advances it or turns it into the Reply, and it is at rest again when the
+// lookup resolves: nothing is allocated or freed per message.
+type Msg struct {
+	Kind      Kind
+	ID        uint64
+	Item      int
+	Requester int
+	// Chain lists the candidates a Forward has yet to visit, in the
+	// record's own backing array.
+	Chain []int
+	// Hop is 1-based: the first candidate contacted sees Hop == 1; a
+	// Reply reports the hop the item was found (or the walk ended) at.
+	Hop int
+	// Hit and Data are a Reply's outcome.
+	Hit  bool
+	Data interface{}
+}
+
+// SendFunc transmits a message of the given size to a peer node without
 // blocking the caller beyond local bookkeeping (the core runtime wires
 // this to an asynchronous network send, which runs as a callback chain).
-type SendFunc func(e *sim.Env, to int, size int64, payload interface{})
+type SendFunc func(e *sim.Env, to int, size int64, m *Msg)
 
 // LookupFunc checks the local host cache for an item and returns its
 // payload. In synthetic (cost-model) runs the payload is nil and only the
@@ -93,6 +99,30 @@ type Metrics struct {
 	StaleReplies uint64
 }
 
+// Lookup is the requester-side state of one fetch, wire record included.
+// It lives in the caller's own (pooled) object: the caller binds Resume
+// once, passes the Lookup to Fetch, and reads the outcome when Resume
+// runs. A Lookup serves one fetch at a time.
+type Lookup struct {
+	// Resume continues the caller once the lookup has resolved: deferred
+	// one event after the reply (or the drop notification) arrives, or
+	// called inline by Fetch when the mediator is known to be dead.
+	Resume func()
+	// Data, Hop and Hit are the outcome: the payload, the 1-based hop the
+	// item was found at, and whether it was found at all. On a miss the
+	// caller must execute the load pipeline locally.
+	Data interface{}
+	Hop  int
+	Hit  bool
+
+	// id is the request ID while the lookup is pending, zero otherwise.
+	id  uint64
+	msg Msg
+}
+
+// Pending reports whether a fetch on lk is still unresolved.
+func (lk *Lookup) Pending() bool { return lk.id != 0 }
+
 // Engine is the per-node protocol state machine. One engine instance
 // handles both roles: client (Fetch) and server (Handle, called by the
 // node's message loop for every inbound protocol message).
@@ -101,9 +131,14 @@ type Engine struct {
 	// candidates holds the mediator bookkeeping for items this node is
 	// responsible for (item mod p == NodeID).
 	candidates map[int][]int
-	pending    map[uint64]*sim.Signal
-	nextID     uint64
-	metrics    Metrics
+	// pending is the table of unresolved lookups. A request ID is the
+	// lookup's index here below a sequence number no other lookup of this
+	// engine shares: a reply finds its lookup in one step, and a reply to
+	// one already resolved, failed, or lost to Reset matches nothing.
+	pending []*Lookup
+	free    []uint32
+	seq     uint64
+	metrics Metrics
 }
 
 // New validates cfg and returns an engine.
@@ -123,9 +158,22 @@ func New(cfg Config) (*Engine, error) {
 	return &Engine{
 		cfg:        cfg,
 		candidates: make(map[int][]int),
-		pending:    make(map[uint64]*sim.Signal),
 		metrics:    Metrics{HitAtHop: make([]uint64, cfg.Hops)},
 	}, nil
+}
+
+// Reset forgets what a crash loses — candidate lists, pending table,
+// counters — so the node rejoins cold. The request sequence survives: a
+// reply addressed to the old incarnation never matches a new lookup.
+func (e *Engine) Reset() {
+	for _, lk := range e.pending {
+		if lk != nil {
+			lk.id = 0
+		}
+	}
+	e.pending, e.free = nil, nil
+	e.candidates = make(map[int][]int)
+	e.metrics = Metrics{HitAtHop: make([]uint64, e.cfg.Hops)}
 }
 
 // Metrics returns a copy of the outcome counters.
@@ -141,179 +189,178 @@ func (e *Engine) CandidateList(item int) []int {
 	return append([]int(nil), e.candidates[item]...)
 }
 
-// FetchFunc performs a distributed lookup for item: fn receives the
-// payload, the hop the item was found at (1-based), and the success flag
-// once the reply arrives. On failure the caller must execute the load
-// pipeline locally. fn must not block.
-func (e *Engine) FetchFunc(env *sim.Env, item int, fn func(data interface{}, hop int, ok bool)) {
-	sig := e.beginFetch(env, item)
-	sig.OnFire(env, func() {
-		fn(e.endFetch(sig.Value.(Reply)))
-	})
-}
-
 // alive reports reachability of a peer (always true without an AliveFunc).
 func (e *Engine) alive(node int) bool {
 	return e.cfg.Alive == nil || e.cfg.Alive(node)
 }
 
-// beginFetch registers a pending request, sends it to the mediator, and
-// returns the signal the reply will fire. A dead mediator resolves as an
-// immediate local miss: the requester routes around it and falls back to
-// the load pipeline without spending a message.
-func (e *Engine) beginFetch(env *sim.Env, item int) *sim.Signal {
+// Fetch performs a distributed lookup for item on behalf of lk: it
+// registers lk as pending and sends the request to the mediator;
+// lk.Resume runs once the outcome is in lk. A dead mediator resolves as an
+// immediate local miss, without spending a message.
+func (e *Engine) Fetch(env *sim.Env, item int, lk *Lookup) {
+	if lk.id != 0 {
+		panic(fmt.Sprintf("dht: lookup of item %d started on a Lookup still pending as request %d", item, lk.id))
+	}
 	e.metrics.Requests++
-	e.nextID++
-	id := e.nextID
-	sig := sim.NewSignal()
 	mediator := item % e.cfg.NumNodes
 	if !e.alive(mediator) {
-		sig.Value = Reply{ID: id, Item: item}
-		sig.Fire(env)
-		return sig
-	}
-	e.pending[id] = sig
-	e.cfg.Send(env, mediator, e.cfg.CtrlSize, Request{ID: id, Item: item, Requester: e.cfg.NodeID})
-	return sig
-}
-
-// FailPending resolves a pending fetch as a miss. The runtime calls it
-// when the fabric drops a Request or Forward carrying the lookup (the
-// mediator or a candidate died with the message in flight), so the
-// requester falls back to loading instead of hanging. Unknown IDs are
-// ignored (the fetch may have resolved through another path).
-func (e *Engine) FailPending(env *sim.Env, id uint64) {
-	sig, ok := e.pending[id]
-	if !ok {
+		e.resolve(lk, nil)
+		lk.Resume()
 		return
 	}
-	delete(e.pending, id)
-	sig.Value = Reply{ID: id}
-	sig.Fire(env)
+	var slot uint32
+	if k := len(e.free); k > 0 {
+		slot = e.free[k-1]
+		e.free = e.free[:k-1]
+	} else {
+		slot = uint32(len(e.pending))
+		e.pending = append(e.pending, nil)
+	}
+	e.seq++
+	lk.id = e.seq<<32 | uint64(slot)
+	e.pending[slot] = lk
+	lk.msg = Msg{Kind: KindRequest, ID: lk.id, Item: item, Requester: e.cfg.NodeID, Chain: lk.msg.Chain[:0]}
+	e.cfg.Send(env, mediator, e.cfg.CtrlSize, &lk.msg)
 }
 
-// endFetch accounts a reply and unpacks it.
-func (e *Engine) endFetch(rep Reply) (interface{}, int, bool) {
-	if !rep.Hit {
-		e.metrics.Misses++
-		return nil, 0, false
+// settle resolves the pending lookup of request id with rep (nil: a miss
+// that never got a reply) and resumes its caller one event later; false
+// when there is none: the request already resolved, or a crash forgot it.
+func (e *Engine) settle(env *sim.Env, id uint64, rep *Msg) bool {
+	slot := uint32(id)
+	if int(slot) >= len(e.pending) || e.pending[slot] == nil || e.pending[slot].id != id {
+		return false
 	}
+	lk := e.pending[slot]
+	e.pending[slot] = nil
+	e.free = append(e.free, slot)
+	lk.id = 0
+	e.resolve(lk, rep)
+	env.Defer(lk.Resume)
+	return true
+}
+
+// resolve records the outcome of a lookup — a Reply, or nil for a miss
+// that never got one — in lk and in the counters.
+func (e *Engine) resolve(lk *Lookup, rep *Msg) {
+	if rep == nil || !rep.Hit {
+		lk.Data, lk.Hop, lk.Hit = nil, 0, false
+		e.metrics.Misses++
+		return
+	}
+	lk.Data, lk.Hop, lk.Hit = rep.Data, rep.Hop, true
+	rep.Data = nil
 	if rep.Hop >= 1 && rep.Hop <= e.cfg.Hops {
 		e.metrics.HitAtHop[rep.Hop-1]++
 	}
-	return rep.Data, rep.Hop, true
 }
 
-// Handle processes one inbound protocol message and returns true if the
-// payload was a DHT message. It never blocks on the network: all sends go
-// through the asynchronous SendFunc.
-func (e *Engine) Handle(env *sim.Env, payload interface{}) bool {
-	switch m := payload.(type) {
-	case Request:
+// FailPending resolves a pending fetch as a miss. The runtime calls it
+// when the fabric drops a message carrying the lookup, so the requester
+// falls back to loading instead of hanging. Unknown IDs are ignored.
+func (e *Engine) FailPending(env *sim.Env, id uint64) { e.settle(env, id, nil) }
+
+// Handle processes one inbound protocol message: it sends the record on
+// as the next message of the lookup or, for a Reply, resolves the lookup.
+// It never blocks on the network: all sends go through SendFunc.
+func (e *Engine) Handle(env *sim.Env, m *Msg) {
+	switch m.Kind {
+	case KindRequest:
 		e.handleRequest(env, m)
-	case Forward:
+	case KindForward:
 		e.handleForward(env, m)
-	case Reply:
+	case KindReply:
 		e.handleReply(env, m)
 	default:
-		return false
+		panic(fmt.Sprintf("dht: node %d received a message of kind %d", e.cfg.NodeID, m.Kind))
 	}
-	return true
 }
 
 // handleRequest implements the mediator role. Dead candidates are dropped
 // from the walk (the fault layer's routing): the request visits only
 // reachable nodes, and an all-dead candidate list is an immediate miss.
-func (e *Engine) handleRequest(env *sim.Env, m Request) {
+func (e *Engine) handleRequest(env *sim.Env, m *Msg) {
 	if m.Item%e.cfg.NumNodes != e.cfg.NodeID {
 		panic(fmt.Sprintf("dht: node %d received request for item %d mediated by node %d",
 			e.cfg.NodeID, m.Item, m.Item%e.cfg.NumNodes))
 	}
-	chain := e.candidates[m.Item]
-	// Record the requester as the most recent (and thus most likely future)
-	// holder, deduplicating and bounding the list at h entries.
-	e.candidates[m.Item] = prepend(chain, m.Requester, e.cfg.Hops)
-	if e.cfg.Alive != nil {
-		chain = e.aliveOnly(chain)
-	}
-	if len(chain) == 0 {
-		e.cfg.Send(env, m.Requester, e.cfg.CtrlSize, Reply{ID: m.ID, Item: m.Item})
-		return
-	}
-	fwd := Forward{
-		ID:        m.ID,
-		Item:      m.Item,
-		Requester: m.Requester,
-		Chain:     chain[1:],
-		Hop:       1,
-	}
-	e.cfg.Send(env, chain[0], e.cfg.CtrlSize, fwd)
-}
-
-// aliveOnly filters a candidate chain down to reachable nodes.
-func (e *Engine) aliveOnly(chain []int) []int {
-	out := make([]int, 0, len(chain))
-	for _, n := range chain {
+	// The walk visits the candidates as they stand before this request.
+	list := e.candidates[m.Item]
+	m.Chain = m.Chain[:0]
+	for _, n := range list {
 		if e.alive(n) {
-			out = append(out, n)
+			m.Chain = append(m.Chain, n)
 		}
 	}
-	return out
+	// Record the requester as the most recent (and thus most likely future)
+	// holder, deduplicating and bounding the list at h entries.
+	if list == nil {
+		list = make([]int, 0, e.cfg.Hops)
+	}
+	e.candidates[m.Item] = prepend(list, m.Requester, e.cfg.Hops)
+	e.forward(env, m, 1)
 }
 
-// handleForward implements the candidate role. Candidates that died after
-// the chain was built are skipped; Hop counts nodes actually visited, so
-// HitAtHop keeps measuring real message cost.
-func (e *Engine) handleForward(env *sim.Env, m Forward) {
+// forward sends m on to the next reachable candidate of its chain as hop
+// number hop, or back to the requester as a miss when none is left.
+// Candidates that died after the chain was built are skipped; Hop counts
+// nodes actually visited, so HitAtHop keeps measuring real message cost.
+func (e *Engine) forward(env *sim.Env, m *Msg, hop int) {
+	k := 0
+	for k < len(m.Chain) && !e.alive(m.Chain[k]) {
+		k++
+	}
+	if k == len(m.Chain) {
+		m.Kind, m.Chain = KindReply, m.Chain[:0]
+		e.cfg.Send(env, m.Requester, e.cfg.CtrlSize, m)
+		return
+	}
+	next := m.Chain[k]
+	m.Chain = m.Chain[:copy(m.Chain, m.Chain[k+1:])]
+	m.Kind, m.Hop = KindForward, hop
+	e.cfg.Send(env, next, e.cfg.CtrlSize, m)
+}
+
+// handleForward implements the candidate role.
+func (e *Engine) handleForward(env *sim.Env, m *Msg) {
 	if data, ok := e.cfg.Lookup(m.Item); ok {
-		e.cfg.Send(env, m.Requester, e.cfg.DataSize,
-			Reply{ID: m.ID, Item: m.Item, Hit: true, Hop: m.Hop, Data: data})
+		m.Kind, m.Chain, m.Hit, m.Data = KindReply, m.Chain[:0], true, data
+		e.cfg.Send(env, m.Requester, e.cfg.DataSize, m)
 		return
 	}
-	chain := m.Chain
-	for len(chain) > 0 && !e.alive(chain[0]) {
-		chain = chain[1:]
-	}
-	if len(chain) > 0 {
-		e.cfg.Send(env, chain[0], e.cfg.CtrlSize, Forward{
-			ID:        m.ID,
-			Item:      m.Item,
-			Requester: m.Requester,
-			Chain:     chain[1:],
-			Hop:       m.Hop + 1,
-		})
-		return
-	}
-	e.cfg.Send(env, m.Requester, e.cfg.CtrlSize, Reply{ID: m.ID, Item: m.Item, Hop: m.Hop})
+	e.forward(env, m, m.Hop+1)
 }
 
 // handleReply completes a pending Fetch. Replies for IDs no longer pending
 // are stale — the requester crashed and restarted (losing its pending
 // table), or the fetch was already failed by a message drop — and are
 // counted and discarded rather than treated as fatal.
-func (e *Engine) handleReply(env *sim.Env, m Reply) {
-	sig, ok := e.pending[m.ID]
-	if !ok {
+func (e *Engine) handleReply(env *sim.Env, m *Msg) {
+	if !e.settle(env, m.ID, m) {
 		e.metrics.StaleReplies++
-		return
 	}
-	delete(e.pending, m.ID)
-	sig.Value = m
-	sig.Fire(env)
 }
 
-// prepend inserts v at the front of list, removing an existing occurrence
-// of v and truncating to at most max entries.
+// prepend moves v to the front of list in place, inserting it when absent
+// and dropping the last entry of a list already max long. list must have
+// capacity max.
 func prepend(list []int, v, max int) []int {
-	out := make([]int, 0, max)
-	out = append(out, v)
-	for _, x := range list {
-		if len(out) >= max {
+	at := len(list)
+	for i, x := range list {
+		if x == v {
+			at = i
 			break
 		}
-		if x != v {
-			out = append(out, x)
+	}
+	if at == len(list) {
+		if at < max {
+			list = list[:at+1]
+		} else {
+			at--
 		}
 	}
-	return out
+	copy(list[1:at+1], list[:at])
+	list[0] = v
+	return list
 }

@@ -88,14 +88,14 @@ func TestOnFire(t *testing.T) {
 
 func TestRecvFuncInlineAndBlocked(t *testing.T) {
 	e := NewEnv()
-	m := NewMailbox("m")
+	m := NewMailbox[int]("m")
 	m.Send(e, 1)
 	var got []int
-	m.RecvFunc(e, func(v interface{}) { got = append(got, v.(int)) })
+	m.RecvFunc(e, func(v int) { got = append(got, v) })
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("inline RecvFunc got %v", got)
 	}
-	m.RecvFunc(e, func(v interface{}) { got = append(got, v.(int)) })
+	m.RecvFunc(e, func(v int) { got = append(got, v) })
 	e.At(Millis(2), func() { m.Send(e, 2) })
 	e.Run()
 	if len(got) != 2 || got[1] != 2 {
@@ -105,14 +105,14 @@ func TestRecvFuncInlineAndBlocked(t *testing.T) {
 
 func TestRecvFuncRequeuesWhenSnatched(t *testing.T) {
 	e := NewEnv()
-	m := NewMailbox("m")
+	m := NewMailbox[int]("m")
 	var got, snatched []int
-	m.RecvFunc(e, func(v interface{}) { got = append(got, v.(int)) })
+	m.RecvFunc(e, func(v int) { got = append(got, v) })
 	e.At(Millis(1), func() {
 		m.Send(e, 1)
 		// Snatch the message before the woken receiver's delivery event
 		// dispatches: a RecvFunc that finds a message queued runs inline.
-		m.RecvFunc(e, func(v interface{}) { snatched = append(snatched, v.(int)) })
+		m.RecvFunc(e, func(v int) { snatched = append(snatched, v) })
 	})
 	e.At(Millis(2), func() { m.Send(e, 2) })
 	e.Run()
@@ -200,18 +200,20 @@ func TestReentrancyPanics(t *testing.T) {
 }
 
 // mixedWorkload queues a little of everything the engine offers: plain
-// callbacks, timed holds and plain acquisitions contending for one unit, a
-// signal with waiters, and a mailbox receiver that re-arms itself.
+// callbacks with and without an argument, timed holds and plain
+// acquisitions contending for one unit, a signal with waiters, and a
+// mailbox receiver that re-arms itself.
 func mixedWorkload(e *Env) {
 	r := NewResource("r", 1)
 	s := NewSignal()
-	m := NewMailbox("m")
-	var recv func(v interface{})
-	recv = func(interface{}) { m.RecvFunc(e, recv) }
+	m := NewMailbox[int]("m")
+	var recv func(v int)
+	recv = func(int) { m.RecvFunc(e, recv) }
 	m.RecvFunc(e, recv)
+	send := func(k uint64) { m.Send(e, int(k)) }
 	for k := 0; k < 100; k++ {
 		d := Time(k%7 + 1)
-		e.After(d, func() { m.Send(e, k) })
+		e.AtArg(e.Now()+d, send, uint64(k))
 		e.Defer(func() {})
 		r.UseFunc(e, d, func(Time) {})
 		r.AcquireFunc(e, func() { r.Release(e) })
@@ -270,8 +272,8 @@ func TestReleasedEventSlotsHoldNoPointers(t *testing.T) {
 		kinds[e.events.slab[e.events.heap[0].idx].kind] = true
 		e.Step()
 	}
-	if !kinds[evFn] || !kinds[evUseGrant] || !kinds[evUseEnd] || len(kinds) != 3 {
-		t.Fatalf("workload dispatched kinds %v, want all three", kinds)
+	if !kinds[evFn] || !kinds[evArg] || !kinds[evUseGrant] || !kinds[evUseEnd] || len(kinds) != 4 {
+		t.Fatalf("workload dispatched kinds %v, want all four", kinds)
 	}
 	if len(e.events.free) != len(e.events.slab) {
 		t.Fatalf("%d of %d slots released", len(e.events.free), len(e.events.slab))
@@ -318,24 +320,22 @@ func TestScheduleOnClosedEnvPanics(t *testing.T) {
 }
 
 // A popped message, receiver or woken receiver must not stay reachable
-// through the backing array the reslice leaves behind.
+// through the ring buffers, which outlive them.
 func TestMailboxPopClearsVacatedSlot(t *testing.T) {
 	e := NewEnv()
-	m := NewMailbox("m")
-	m.RecvFunc(e, func(interface{}) {})
-	m.RecvFunc(e, func(interface{}) {})
-	waiters := m.waiters
+	m := NewMailbox[*int]("m")
+	m.RecvFunc(e, func(*int) {})
+	m.RecvFunc(e, func(*int) {})
 	m.Send(e, new(int))
 	m.Send(e, new(int))
-	q, pending := m.q, m.pendingFn
 	e.Run()
-	if m.Len() != 0 || len(m.waiters) != 0 || len(m.pendingFn) != 0 {
-		t.Fatalf("mailbox not drained: %d messages, %d waiters, %d woken", m.Len(), len(m.waiters), len(m.pendingFn))
+	if m.Len() != 0 || m.waiters.Len() != 0 || m.woken.Len() != 0 {
+		t.Fatalf("mailbox not drained: %d messages, %d waiters, %d woken", m.Len(), m.waiters.Len(), m.woken.Len())
 	}
 	for i := 0; i < 2; i++ {
-		if q[i] != nil || waiters[i] != nil || pending[i] != nil {
+		if m.q.buf[i] != nil || m.waiters.buf[i] != nil || m.woken.buf[i] != nil {
 			t.Fatalf("slot %d still pinned: message %v, waiter set %v, woken set %v",
-				i, q[i], waiters[i] != nil, pending[i] != nil)
+				i, m.q.buf[i], m.waiters.buf[i] != nil, m.woken.buf[i] != nil)
 		}
 	}
 }

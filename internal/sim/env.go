@@ -44,26 +44,28 @@ type eventKind uint8
 
 const (
 	evFn       eventKind = iota // run fn in scheduler context
+	evArg                       // run argFn(word) in scheduler context
 	evUseGrant                  // unit of res granted: begin the timed hold
-	evUseEnd                    // timed hold over: release res, call useFn(useStart)
+	evUseEnd                    // timed hold over: release res, call useFn(word)
 )
 
 // event is the payload of one queue entry; its ordering key (at, seq)
-// lives in the heap's eventRef. The use variants exist so the hot
-// "occupy a resource for d, then continue" pattern costs zero closure
-// allocations: the resource, continuation, and grant time ride inline in
-// the event (see Resource.UseFunc). Each kind sets only its own fields on
-// push and Step clears only those on pop, so queueing never copies or
-// zeroes a whole event.
+// lives in the heap's eventRef. The arg and use variants exist so the hot
+// patterns cost zero closure allocations: "continue this record" carries
+// a handle beside a continuation bound once (AtArg), and "occupy a
+// resource for d, then continue" carries the resource, continuation and
+// grant time inline (Resource.UseFunc). Each kind sets only its own
+// fields on push and Step clears only those on pop, so queueing never
+// copies or zeroes a whole event.
 type event struct {
 	kind  eventKind
 	fn    func()
+	argFn func(arg uint64)
 	res   *Resource
 	useFn func(start Time)
-	// useStart is the grant time for evUseEnd; useDur the hold duration
-	// for evUseGrant.
-	useStart Time
-	useDur   Time
+	// word is the one scalar a kind carries: the argument for evArg, the
+	// hold duration for evUseGrant, the grant time for evUseEnd.
+	word uint64
 }
 
 // NewEnv returns an empty environment at virtual time zero. Without
@@ -124,14 +126,14 @@ func (e *Env) push(at Time) *event {
 // UseFunc continuation.
 func (e *Env) scheduleUseGrant(r *Resource, d Time, fn func(start Time)) {
 	ev := e.push(e.now)
-	ev.kind, ev.res, ev.useFn, ev.useDur = evUseGrant, r, fn, d
+	ev.kind, ev.res, ev.useFn, ev.word = evUseGrant, r, fn, uint64(d)
 }
 
 // scheduleUseEnd enqueues the completion of a timed resource hold that
 // was granted at start.
 func (e *Env) scheduleUseEnd(r *Resource, d Time, fn func(start Time), start Time) {
 	ev := e.push(e.now + d)
-	ev.kind, ev.res, ev.useFn, ev.useStart = evUseEnd, r, fn, start
+	ev.kind, ev.res, ev.useFn, ev.word = evUseEnd, r, fn, uint64(start)
 }
 
 // At schedules fn to run in scheduler context at virtual time t (>= now).
@@ -154,6 +156,18 @@ func (e *Env) After(d Time, fn func()) { e.At(e.now+d, fn) }
 // order they were woken.
 func (e *Env) Defer(fn func()) { e.At(e.now, fn) }
 
+// AtArg is At for a continuation that takes one argument: fn(arg) runs at
+// t. The argument rides in the event, so a method value bound once plus a
+// handle (a slot index, say) continues any number of records without a
+// closure per continuation.
+func (e *Env) AtArg(t Time, fn func(arg uint64), arg uint64) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event in the past: %v < %v", t, e.now))
+	}
+	ev := e.push(t)
+	ev.kind, ev.argFn, ev.word = evArg, fn, arg
+}
+
 // Step executes the next pending event, advancing virtual time. It returns
 // false if the event queue is empty.
 func (e *Env) Step() bool {
@@ -172,13 +186,18 @@ func (e *Env) Step() bool {
 	// may reuse the slot or move the slab.
 	ev := &e.events.slab[idx]
 	switch ev.kind {
+	case evArg:
+		fn, arg := ev.argFn, ev.word
+		ev.argFn = nil
+		e.events.release(idx)
+		fn(arg)
 	case evUseGrant:
-		r, fn, d := ev.res, ev.useFn, ev.useDur
+		r, fn, d := ev.res, ev.useFn, Time(ev.word)
 		ev.res, ev.useFn = nil, nil
 		e.events.release(idx)
 		e.scheduleUseEnd(r, d, fn, e.now)
 	case evUseEnd:
-		r, fn, start := ev.res, ev.useFn, ev.useStart
+		r, fn, start := ev.res, ev.useFn, Time(ev.word)
 		ev.res, ev.useFn = nil, nil
 		e.events.release(idx)
 		r.Release(e)

@@ -22,7 +22,7 @@ func goldenWorkload() []string {
 
 	r := NewResource("r", 2)
 	s := NewSignal()
-	m := NewMailbox("m")
+	m := NewMailbox[int]("m")
 
 	for i := 0; i < 4; i++ {
 		i := i
@@ -35,7 +35,7 @@ func goldenWorkload() []string {
 			})
 		})
 	}
-	recvN(e, m, 4, func(v interface{}) {
+	recvN(e, m, 4, func(v int) {
 		rec("recv %v", v)
 		if v == 3 {
 			s.Fire(e)

@@ -12,36 +12,6 @@ type rwaiter struct {
 	start  Time // enqueue time, for queued-time accounting
 }
 
-// waitq is the FIFO of a resource's waiters: a ring over a power-of-two
-// buffer indexed from head, so a queue that drains and refills for a whole
-// run reuses one buffer instead of reslicing its front away and regrowing.
-type waitq struct {
-	buf  []rwaiter
-	head int
-	n    int
-}
-
-func (q *waitq) push(w rwaiter) {
-	if q.n == len(q.buf) {
-		grown := make([]rwaiter, max(8, 2*len(q.buf)))
-		for i := 0; i < q.n; i++ {
-			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-		}
-		q.buf, q.head = grown, 0
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = w
-	q.n++
-}
-
-// pop removes the longest-waiting entry. The queue must be non-empty.
-func (q *waitq) pop() rwaiter {
-	w := q.buf[q.head]
-	q.buf[q.head] = rwaiter{} // drop the continuation for the GC
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return w
-}
-
 // Resource is a counting semaphore with a FIFO wait queue, used to model
 // exclusive or capacity-limited hardware: a GPU compute queue (capacity 1),
 // a CPU thread pool (capacity = cores), a NIC or PCIe copy engine, or the
@@ -52,7 +22,7 @@ type Resource struct {
 	name    string
 	cap     int
 	inUse   int
-	waiters waitq
+	waiters Ring[rwaiter]
 
 	// Accounting.
 	busy      Time // total (units x time) the resource spent occupied
@@ -79,7 +49,7 @@ func (r *Resource) Cap() int { return r.cap }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of waiters queued to acquire.
-func (r *Resource) QueueLen() int { return r.waiters.n }
+func (r *Resource) QueueLen() int { return r.waiters.Len() }
 
 // Acquires returns the total number of successful acquisitions.
 func (r *Resource) Acquires() uint64 { return r.acquires }
@@ -103,7 +73,7 @@ func (r *Resource) account(now Time) {
 // TryAcquire takes a unit of r if one is free and nobody is queued ahead,
 // reporting whether it succeeded. It never queues.
 func (r *Resource) TryAcquire(e *Env) bool {
-	if r.inUse < r.cap && r.waiters.n == 0 {
+	if r.inUse < r.cap && r.waiters.Len() == 0 {
 		r.account(e.now)
 		r.inUse++
 		r.acquires++
@@ -117,14 +87,14 @@ func (r *Resource) TryAcquire(e *Env) bool {
 // Otherwise fn is queued FIFO and runs in scheduler context when a unit is
 // granted. fn must not block; it must eventually lead to a Release.
 func (r *Resource) AcquireFunc(e *Env, fn func()) {
-	if r.inUse < r.cap && r.waiters.n == 0 {
+	if r.inUse < r.cap && r.waiters.Len() == 0 {
 		r.account(e.now)
 		r.inUse++
 		r.acquires++
 		fn()
 		return
 	}
-	r.waiters.push(rwaiter{fn: fn, start: e.now})
+	r.waiters.Push(rwaiter{fn: fn, start: e.now})
 }
 
 // Release returns one unit of r, scheduling the longest-waiting waiter, if
@@ -135,9 +105,9 @@ func (r *Resource) Release(e *Env) {
 		panic(fmt.Sprintf("sim: release of idle resource %q", r.name))
 	}
 	r.account(e.now)
-	if r.waiters.n > 0 {
+	if r.waiters.Len() > 0 {
 		// Hand the unit to the next waiter without dropping inUse.
-		next := r.waiters.pop()
+		next := r.waiters.Pop()
 		r.acquires++
 		r.waited += e.now - next.start
 		if next.useFn != nil {
@@ -160,12 +130,12 @@ func (r *Resource) UseFunc(e *Env, d Time, fn func(start Time)) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative UseFunc duration %v", d))
 	}
-	if r.inUse < r.cap && r.waiters.n == 0 {
+	if r.inUse < r.cap && r.waiters.Len() == 0 {
 		r.account(e.now)
 		r.inUse++
 		r.acquires++
 		e.scheduleUseEnd(r, d, fn, e.now)
 		return
 	}
-	r.waiters.push(rwaiter{useFn: fn, useDur: d, start: e.now})
+	r.waiters.Push(rwaiter{useFn: fn, useDur: d, start: e.now})
 }

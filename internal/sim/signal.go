@@ -6,9 +6,6 @@ package sim
 type Signal struct {
 	fired   bool
 	waiters []func()
-	// Value optionally carries a payload set by the firing party, e.g. the
-	// result of an asynchronous operation.
-	Value interface{}
 }
 
 // NewSignal returns an unfired signal.

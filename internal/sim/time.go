@@ -4,8 +4,10 @@
 //
 // The engine is single-threaded: simulated activities are callback chains
 // that the scheduler runs one event at a time, each registering its
-// continuation with virtual time (At/After), a Signal, a Resource, or a
-// Mailbox instead of blocking. There are no simulated goroutines.
+// continuation with virtual time (At/After, or AtArg when one bound
+// continuation serves many records), a Signal, a Resource, or a typed
+// Mailbox instead of blocking. There are no simulated goroutines, and
+// every queue is a Ring: the steady state of a run allocates nothing.
 // With all randomness injected from outside, a simulation with the same
 // inputs replays the exact same event order, which the test suite verifies.
 package sim
