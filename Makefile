@@ -7,7 +7,7 @@
 GO ?= go
 ROCKET_SCALE ?= 50
 BENCH_RUN ?= local
-BENCH_BASELINE ?= BENCH_pr21.json
+BENCH_BASELINE ?= BENCH_pr23.json
 COVERAGE_FLOOR ?= 75.0
 
 .PHONY: build test race-stress bench bench-sim bench-shards bench-repo bench-json bench-gate loc coverage smoke smoke-scenarios smoke-elastic smoke-incremental smoke-pairstore smoke-trace fuzz-smoke lint ci fmt

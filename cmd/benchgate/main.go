@@ -18,6 +18,10 @@
 //     printed in the row and not gated. Reports taken at different
 //     GOMAXPROCS (or scale, or seed) are refused as incomparable: the
 //     sharded-engine experiments allocate per OS thread;
+//   - heap pushes (always fatal): each experiment's heap_pushes — how many
+//     of its events the engine ordered through its heap rather than its
+//     now-lane, exact at a seed — may not exceed the baseline's. Skipped
+//     for a baseline that predates the column;
 //   - performance (warning by default, fatal with -strict-perf): each
 //     experiment's ns_per_op may grow at most -max-regress (default 25%).
 //     Wall time on shared CI runners is noisy, which is why timing alone

@@ -95,7 +95,7 @@ func main() {
 	for _, e := range toRun {
 		runtime.ReadMemStats(&mem)
 		allocs0 := mem.Mallocs
-		events0 := sim.GlobalEvents()
+		events0, heap0 := sim.GlobalEvents(), sim.GlobalHeapPushes()
 		start := time.Now()
 		out, err := e.Run(opts)
 		wall := time.Since(start)
@@ -111,6 +111,7 @@ func main() {
 			NsPerOp:      wall.Nanoseconds(),
 			AllocsPerOp:  mem.Mallocs - allocs0,
 			Events:       events,
+			HeapPushes:   sim.GlobalHeapPushes() - heap0,
 			EventsPerSec: float64(events) / wall.Seconds(),
 			OutputSHA256: fmt.Sprintf("%x", sha256.Sum256([]byte(out))),
 		}

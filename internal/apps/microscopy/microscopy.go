@@ -56,7 +56,7 @@ func New(p Params) *App {
 		// Registration is compute-intensive and heavily data-dependent
 		// (Fig. 7, right: a long right tail), hence the log-normal.
 		parseDist: stats.Normal{Mu: 27.4, Sigma: 1.56, Min: 1},
-		cmpDist:   stats.LogNormal{MeanV: 564.3, StdV: 348},
+		cmpDist:   stats.NewLogNormal(564.3, 348),
 		fileDist:  stats.Normal{Mu: MeanFileBytes, Sigma: 60000, Min: 10000},
 	}
 }

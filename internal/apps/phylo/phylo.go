@@ -61,8 +61,8 @@ func New(p Params) *App {
 		// irregular (Fig. 7): log-normal comparison times.
 		parseDist: stats.Normal{Mu: 36.9, Sigma: 14.79, Min: 1},
 		preDist:   stats.Normal{Mu: 27.0, Sigma: 4.90, Min: 1},
-		cmpDist:   stats.LogNormal{MeanV: 2.1, StdV: 0.79},
-		fileDist:  stats.LogNormal{MeanV: MeanFileBytes, StdV: 400000},
+		cmpDist:   stats.NewLogNormal(2.1, 0.79),
+		fileDist:  stats.NewLogNormal(MeanFileBytes, 400000),
 	}
 }
 

@@ -22,6 +22,11 @@ type ExpResult struct {
 	// Events is the number of simulation events dispatched by the run
 	// (summed over all inner environments).
 	Events uint64 `json:"events"`
+	// HeapPushes is how many of the run's events were ordered through an
+	// engine's heap; the rest were scheduled for the instant they were
+	// pushed at and queued in its now-lane. Exact at a seed, like Events
+	// (absent from reports predating the lane).
+	HeapPushes uint64 `json:"heap_pushes,omitempty"`
 	// EventsPerSec is the dispatch throughput: Events / wall seconds.
 	EventsPerSec float64 `json:"events_per_sec"`
 	// OutputSHA256 fingerprints the rendered experiment output, so runs

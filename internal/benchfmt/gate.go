@@ -33,8 +33,9 @@ type GateRow struct {
 	CandidateAllocs uint64
 	// Verdict is "ok", "faster", "slower" (beyond MaxRegress), "drift"
 	// (output_sha256 mismatch), "allocs" (allocs_per_op beyond
-	// maxAllocsRegress), "missing" (in baseline, not candidate), or "new"
-	// (no baseline to compare against).
+	// maxAllocsRegress), "heap" (heap_pushes above the baseline's),
+	// "missing" (in baseline, not candidate), or "new" (no baseline to
+	// compare against).
 	Verdict string
 }
 
@@ -73,9 +74,10 @@ func (g GateResult) Failed() bool { return len(g.Failures) > 0 }
 // Gate compares a candidate run against the committed baseline:
 // determinism first (every shared experiment's output_sha256 must match,
 // and nothing from the baseline may disappear), then the other
-// deterministic column — allocs_per_op may not grow beyond
-// maxAllocsRegress; a drop shows in the row and is not gated — and last
-// per-experiment ns_per_op within opts.MaxRegress.
+// deterministic columns — allocs_per_op may not grow beyond
+// maxAllocsRegress and heap_pushes, an exact count, may not grow at all
+// (a baseline that predates the column is not held to it); drops are not
+// gated — and last per-experiment ns_per_op within opts.MaxRegress.
 //
 // Reports taken at different GOMAXPROCS are not comparable: the experiments
 // on the sharded engine start goroutines per OS thread, so their allocation
@@ -121,6 +123,11 @@ func Gate(baseline, candidate Report, opts GateOptions) GateResult {
 				"%s: allocs_per_op grew %.1f%% (%d -> %d, limit %.0f%%)",
 				c.ID, 100*(float64(c.AllocsPerOp)/float64(b.AllocsPerOp)-1),
 				b.AllocsPerOp, c.AllocsPerOp, 100*maxAllocsRegress))
+		case b.HeapPushes > 0 && c.HeapPushes > b.HeapPushes:
+			row.Verdict = "heap"
+			g.Failures = append(g.Failures, fmt.Sprintf(
+				"%s: heap_pushes grew (%d -> %d of %d events): more events are ordered through the engine's heap than at the baseline",
+				c.ID, b.HeapPushes, c.HeapPushes, c.Events))
 		case row.Ratio > 1+opts.MaxRegress:
 			row.Verdict = "slower"
 			msg := fmt.Sprintf("%s: ns_per_op regressed %.0f%% (%.2fms -> %.2fms, limit %.0f%%)",

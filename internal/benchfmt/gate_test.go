@@ -111,6 +111,30 @@ func TestGateAllocsGrowthIsFatal(t *testing.T) {
 	}
 }
 
+// The third deterministic column: heap_pushes is exact at a seed, so any
+// growth over the baseline fails; a baseline written before the column
+// existed reads zero and is not compared.
+func TestGateHeapPushesGrowthIsFatal(t *testing.T) {
+	withPushes := func(n uint64) Report {
+		e := exp("fig12", 100, "aa")
+		e.Events, e.HeapPushes = 1000, n
+		return report(e)
+	}
+	g := Gate(withPushes(250), withPushes(251), GateOptions{MaxRegress: 0.25})
+	if !g.Failed() || g.Rows[0].Verdict != "heap" ||
+		!strings.Contains(g.Failures[0], "fig12") || !strings.Contains(g.Failures[0], "heap_pushes") {
+		t.Fatalf("one more heap push did not fail the gate: %+v", g)
+	}
+	for _, cand := range []uint64{250, 100} {
+		if ok := Gate(withPushes(250), withPushes(cand), GateOptions{MaxRegress: 0.25}); ok.Failed() || ok.Rows[0].Verdict != "ok" {
+			t.Fatalf("%d heap pushes against 250 were gated: %+v", cand, ok)
+		}
+	}
+	if old := Gate(withPushes(0), withPushes(250), GateOptions{MaxRegress: 0.25}); old.Failed() || old.Rows[0].Verdict != "ok" {
+		t.Fatalf("a baseline without the column was compared: %+v", old)
+	}
+}
+
 func TestGateMissingAndNewExperiments(t *testing.T) {
 	base := report(exp("fig6", 100, "aa"), exp("fig8", 200, "bb"))
 	cand := report(exp("fig6", 100, "aa"), exp("resilience", 300, "cc"))

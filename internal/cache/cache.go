@@ -12,7 +12,7 @@ package cache
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"rocket/internal/sim"
 	"rocket/internal/stats"
@@ -131,7 +131,12 @@ type Cache struct {
 	name     string
 	slotSize int64
 	slots    []*slot
-	index    map[int]*slot
+	// index[item] is the slot holding item (READ or WRITE), nil when the
+	// item is absent or beyond the table, which grows on demand to the
+	// largest item ever stored; resident counts its non-nil entries. Items
+	// are dense small integers, so a lookup is one bounds check and a load.
+	index    []*slot
+	resident int
 	// lru holds evictable slots (READ with zero readers, or empty), least
 	// recently used at the front.
 	lru lruList
@@ -169,7 +174,6 @@ func NewWithPolicy(name string, capacity int, slotSize int64, policy Policy, rng
 	c := &Cache{
 		name:     name,
 		slotSize: slotSize,
-		index:    make(map[int]*slot, capacity),
 		policy:   policy,
 		rng:      rng,
 	}
@@ -198,12 +202,46 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Contains reports whether item is present in READ state (a peek that does
 // not pin or touch LRU order), used by the distributed cache server.
 func (c *Cache) Contains(item int) bool {
-	s, ok := c.index[item]
-	return ok && s.st == stateRead
+	s := c.lookup(item)
+	return s != nil && s.st == stateRead
+}
+
+// lookup returns the slot holding item, or nil.
+func (c *Cache) lookup(item int) *slot {
+	if uint(item) < uint(len(c.index)) {
+		return c.index[item]
+	}
+	return nil
+}
+
+// bind records s as the slot holding item.
+func (c *Cache) bind(item int, s *slot) {
+	if item >= len(c.index) {
+		c.Reserve(max(item+1, 2*len(c.index)))
+	}
+	c.index[item] = s
+	c.resident++
+}
+
+// unbind forgets the resident item.
+func (c *Cache) unbind(item int) {
+	c.index[item] = nil
+	c.resident--
 }
 
 // Resident returns the number of items currently stored (READ or WRITE).
-func (c *Cache) Resident() int { return len(c.index) }
+func (c *Cache) Resident() int { return c.resident }
+
+// Reserve sizes the item index for the items below n. A caller that knows
+// how many items its data set has pays for the index once; without the
+// call, and for items beyond n, the index grows as items arrive.
+func (c *Cache) Reserve(n int) {
+	if n > len(c.index) {
+		grown := make([]*slot, n)
+		copy(grown, c.index)
+		c.index = grown
+	}
+}
 
 // Pinned returns the number of slots held by a lease (read or write) and
 // therefore not evictable; an idle cache reports zero.
@@ -212,13 +250,13 @@ func (c *Cache) Pinned() int { return len(c.slots) - c.lru.len() }
 // Items returns up to max resident READ items in ascending order (0 = no
 // limit). Used by cache-aware stealing to describe a node's working set.
 func (c *Cache) Items(max int) []int {
-	out := make([]int, 0, len(c.index))
-	for item, s := range c.index {
+	out := make([]int, 0, c.resident)
+	for _, s := range c.slots {
 		if s.st == stateRead {
-			out = append(out, item)
+			out = append(out, s.item)
 		}
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	if max > 0 && len(out) > max {
 		out = out[:max]
 	}
@@ -234,7 +272,7 @@ func (c *Cache) Warm(item int, data interface{}) bool {
 	if item < 0 {
 		panic(fmt.Sprintf("cache %q: negative item %d", c.name, item))
 	}
-	if _, ok := c.index[item]; ok {
+	if c.lookup(item) != nil {
 		return false
 	}
 	s := c.lru.front()
@@ -249,7 +287,7 @@ func (c *Cache) Warm(item int, data interface{}) bool {
 	s.st = stateRead
 	s.readers = 0
 	s.data = data
-	c.index[item] = s
+	c.bind(item, s)
 	c.lru.moveToBack(s)
 	return true
 }
@@ -259,8 +297,8 @@ func (c *Cache) Warm(item int, data interface{}) bool {
 // written. Peeked payloads must be immutable: they may be shared with a
 // concurrent eviction.
 func (c *Cache) Peek(item int) interface{} {
-	s, ok := c.index[item]
-	if !ok || s.st != stateRead {
+	s := c.lookup(item)
+	if s == nil || s.st != stateRead {
 		return nil
 	}
 	return s.data
@@ -356,7 +394,7 @@ func (c *Cache) validateAcquire(item int) {
 // item, or nil when every slot is pinned (the caller suspends on the slot,
 // or on freeWaiters).
 func (c *Cache) tryOnce(item int) (h Handle, hit bool, writing *slot, ok bool) {
-	if s, found := c.index[item]; found {
+	if s := c.lookup(item); s != nil {
 		switch s.st {
 		case stateRead:
 			c.stats.Hits++
@@ -378,14 +416,14 @@ func (c *Cache) tryOnce(item int) (h Handle, hit bool, writing *slot, ok bool) {
 	c.lru.remove(s)
 	if s.item >= 0 {
 		c.stats.Evictions++
-		delete(c.index, s.item)
+		c.unbind(s.item)
 	}
 	c.stats.Misses++
 	s.item = item
 	s.st = stateWrite
 	s.readers = 0
 	s.data = nil
-	c.index[item] = s
+	c.bind(item, s)
 	return Handle{c: c, s: s, item: item, Write: true}, false, nil, true
 }
 
@@ -439,7 +477,7 @@ func (h *Handle) Abort(e *sim.Env) {
 	}
 	h.done = true
 	c, s := h.c, h.s
-	delete(c.index, s.item)
+	c.unbind(s.item)
 	s.item = -1
 	s.st = stateEmpty
 	s.readers = 0
@@ -483,7 +521,7 @@ func (c *Cache) checkInvariants() error {
 	for _, s := range c.slots {
 		if s.item >= 0 {
 			resident++
-			if c.index[s.item] != s {
+			if c.lookup(s.item) != s {
 				return fmt.Errorf("slot item %d not indexed", s.item)
 			}
 		}
@@ -514,8 +552,14 @@ func (c *Cache) checkInvariants() error {
 			evictable++
 		}
 	}
-	if resident != len(c.index) {
-		return fmt.Errorf("index size %d != resident %d", len(c.index), resident)
+	indexed := 0
+	for _, s := range c.index {
+		if s != nil {
+			indexed++
+		}
+	}
+	if resident != indexed || resident != c.resident {
+		return fmt.Errorf("%d slots hold an item, %d are indexed, resident count %d", resident, indexed, c.resident)
 	}
 	if evictable != c.lru.len() {
 		return fmt.Errorf("lru list length %d != evictable %d", c.lru.len(), evictable)

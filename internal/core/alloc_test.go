@@ -2,10 +2,12 @@ package core
 
 import (
 	goruntime "runtime"
+	"slices"
 	"testing"
 
 	"rocket/internal/apps/forensics"
 	"rocket/internal/apps/phylo"
+	"rocket/internal/gpu"
 )
 
 // countRun runs cfg and returns the heap objects and bytes the whole Run
@@ -87,5 +89,34 @@ func TestRunFixedCost(t *testing.T) {
 	t.Logf("%.0f objects, %.0f bytes, %.0f pairs", objs, bytes, pairs)
 	if objs > 350 {
 		t.Errorf("a 4-node, 4-item run allocates %.0f objects, want <= 350", objs)
+	}
+}
+
+// fig15 was the one row of the benchmark trajectory whose allocs_per_op
+// did not repeat (25 803–25 815 objects at scale 50, run over run, a dozen
+// apart on its widest point alone): cache.Cache.index and
+// dht.Engine.candidates were hash maps, and a map grows overflow buckets
+// by its random seed. Both are item-indexed tables now, so a run shaped
+// like that point — the Cartesius data set at scale 50 on 48 nodes of two
+// GPUs: 96 device and 48 host caches, a candidate table per node —
+// allocates the same number of objects every time, to the object.
+//
+// About one run in a hundred the Go runtime allocates something of its own
+// meanwhile (a goroutine, a timer). That only ever adds, so of five runs
+// the three cheapest have to agree.
+func TestAllocationsRepeatExactly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	run := func() float64 {
+		objs, _, _ := countRun(t, Config{App: phylo.New(phylo.Params{N: phylo.CartesiusN / 50, Seed: 1}),
+			Cluster: newCluster(t, 48, gpu.K40m, gpu.K40m), Seed: 1, DistCache: true, DeviceSlots: 4, HostSlots: 11})
+		return objs
+	}
+	run() // whatever the process initializes once
+	objects := []float64{run(), run(), run(), run(), run()}
+	slices.Sort(objects)
+	if objects[0] != objects[2] {
+		t.Fatalf("five runs of one configuration allocated %.0f objects", objects)
 	}
 }

@@ -97,6 +97,12 @@ type Metrics struct {
 
 	// Events is the number of simulation events processed (cost metric).
 	Events uint64
+	// HeapPushes and LanePushes split the events scheduled during the run
+	// by how the engine queued them: ordered through its heap, or — those
+	// scheduled for the instant they were pushed at — appended to its
+	// now-lane. Exact at a seed, like Events.
+	HeapPushes uint64
+	LanePushes uint64
 }
 
 // Throughput returns average pairs/second over the whole run.
@@ -130,6 +136,8 @@ func (rt *runtime) aggregate() *Metrics {
 		Results:           rt.results,
 		DeviceThroughput:  rt.throughput,
 		Events:            rt.env.EventsProcessed(),
+		HeapPushes:        rt.env.HeapPushes(),
+		LanePushes:        rt.env.LanePushes(),
 		JobLimit:          rt.nodes[0].devs[0].jobTokens.Cap(),
 	}
 	if p := rt.plan; p != nil {

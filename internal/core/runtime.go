@@ -296,7 +296,9 @@ func (n *nodeRT) buildVolatile() error {
 		policy = cache.PolicyRandom
 	}
 	newCache := func(name string, slots int) *cache.Cache {
-		return cache.NewWithPolicy(name, slots, rt.cfg.App.ItemSize(), policy, n.rootRNG.Fork())
+		c := cache.NewWithPolicy(name, slots, rt.cfg.App.ItemSize(), policy, n.rootRNG.Fork())
+		c.Reserve(rt.cfg.App.NumItems())
+		return c
 	}
 	hostSlots := rt.cfg.hostSlotsFor(node.Spec.HostCacheBytes)
 	n.host = nil
@@ -319,6 +321,7 @@ func (n *nodeRT) buildVolatile() error {
 		eng, err := dht.New(dht.Config{
 			NodeID:   node.ID,
 			NumNodes: len(rt.cl.Nodes),
+			NumItems: rt.cfg.App.NumItems(),
 			Hops:     rt.cfg.Hops,
 			CtrlSize: rt.cfg.ctrlMsgSize,
 			DataSize: rt.cfg.App.ItemSize(),

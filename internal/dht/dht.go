@@ -73,6 +73,10 @@ type AliveFunc func(node int) bool
 type Config struct {
 	NodeID   int
 	NumNodes int
+	// NumItems, when known, sizes the mediator's table once for the items
+	// below it; otherwise, and for items beyond it, the table grows as
+	// requests arrive.
+	NumItems int
 	// Hops is the paper's h: the maximum number of candidates visited.
 	Hops int
 	// CtrlSize is the wire size of control messages (request/forward/fail).
@@ -128,9 +132,11 @@ func (lk *Lookup) Pending() bool { return lk.id != 0 }
 // node's message loop for every inbound protocol message).
 type Engine struct {
 	cfg Config
-	// candidates holds the mediator bookkeeping for items this node is
-	// responsible for (item mod p == NodeID).
-	candidates map[int][]int
+	// candidates holds the mediator bookkeeping for the items this node is
+	// responsible for (item mod p == NodeID), indexed by item / p: its
+	// items are every p-th one, so the table is dense. An item never
+	// requested has a nil list.
+	candidates [][]int
 	// pending is the table of unresolved lookups. A request ID is the
 	// lookup's index here below a sequence number no other lookup of this
 	// engine shares: a reply finds its lookup in one step, and a reply to
@@ -155,11 +161,9 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Send == nil || cfg.Lookup == nil {
 		return nil, fmt.Errorf("dht: Send and Lookup are required")
 	}
-	return &Engine{
-		cfg:        cfg,
-		candidates: make(map[int][]int),
-		metrics:    Metrics{HitAtHop: make([]uint64, cfg.Hops)},
-	}, nil
+	e := &Engine{cfg: cfg}
+	e.Reset()
+	return e, nil
 }
 
 // Reset forgets what a crash loses — candidate lists, pending table,
@@ -172,7 +176,7 @@ func (e *Engine) Reset() {
 		}
 	}
 	e.pending, e.free = nil, nil
-	e.candidates = make(map[int][]int)
+	e.candidates = make([][]int, (e.cfg.NumItems+e.cfg.NumNodes-1)/e.cfg.NumNodes)
 	e.metrics = Metrics{HitAtHop: make([]uint64, e.cfg.Hops)}
 }
 
@@ -186,7 +190,10 @@ func (e *Engine) Metrics() Metrics {
 // CandidateList returns the mediator's current candidate list for an item
 // (nil when unknown). Exposed for tests and introspection.
 func (e *Engine) CandidateList(item int) []int {
-	return append([]int(nil), e.candidates[item]...)
+	if k := item / e.cfg.NumNodes; item%e.cfg.NumNodes == e.cfg.NodeID && k < len(e.candidates) {
+		return append([]int(nil), e.candidates[k]...)
+	}
+	return nil
 }
 
 // alive reports reachability of a peer (always true without an AliveFunc).
@@ -286,7 +293,11 @@ func (e *Engine) handleRequest(env *sim.Env, m *Msg) {
 			e.cfg.NodeID, m.Item, m.Item%e.cfg.NumNodes))
 	}
 	// The walk visits the candidates as they stand before this request.
-	list := e.candidates[m.Item]
+	k := m.Item / e.cfg.NumNodes
+	if k >= len(e.candidates) {
+		e.candidates = append(e.candidates, make([][]int, k+1-len(e.candidates))...)
+	}
+	list := e.candidates[k]
 	m.Chain = m.Chain[:0]
 	for _, n := range list {
 		if e.alive(n) {
@@ -298,7 +309,7 @@ func (e *Engine) handleRequest(env *sim.Env, m *Msg) {
 	if list == nil {
 		list = make([]int, 0, e.cfg.Hops)
 	}
-	e.candidates[m.Item] = prepend(list, m.Requester, e.cfg.Hops)
+	e.candidates[k] = prepend(list, m.Requester, e.cfg.Hops)
 	e.forward(env, m, 1)
 }
 

@@ -446,6 +446,16 @@ func (o *Online) WaitStats() WaitStats {
 // it). At the default, the window is a few MB at most.
 var eventCap = 1 << 16
 
+// SetEventCap replaces the bound on the retained event window and returns
+// a function that puts the old one back. It exists for tests, here and in
+// the packages that follow the stream, which need the window to slide
+// after a handful of jobs; call it while no Online is running.
+func SetEventCap(n int) (restore func()) {
+	old := eventCap
+	eventCap = n
+	return func() { eventCap = old }
+}
+
 // EventsSince returns a copy of the event stream from sequence number i
 // on, plus a channel that is closed when further events are appended.
 // Events that have already slid out of the retention window are skipped

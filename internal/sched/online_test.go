@@ -394,9 +394,7 @@ func TestOnlineWallClockBridge(t *testing.T) {
 // must not retain events forever, and lagging subscribers skip the gap
 // instead of faulting.
 func TestOnlineEventWindowBounded(t *testing.T) {
-	old := eventCap
-	eventCap = 16
-	defer func() { eventCap = old }()
+	defer SetEventCap(16)()
 	o, err := StartOnline(onlineConfig(2))
 	if err != nil {
 		t.Fatal(err)
@@ -428,5 +426,53 @@ func TestOnlineEventWindowBounded(t *testing.T) {
 	evs2, _ := o.EventsSince(base - 1)
 	if len(evs2) != len(evs) {
 		t.Fatalf("lagging cursor returned %d events, want %d", len(evs2), len(evs))
+	}
+}
+
+// The cursor EventsSince takes is a sequence number. A follower that
+// joins after the window has slid and advances by how many events it got
+// (the arithmetic that is right only while nothing was ever trimmed) falls
+// behind the window and is served part of it again; one that advances to
+// the last delivered Seq + 1 sees every event once.
+func TestOnlineEventCursorAfterWindowSlides(t *testing.T) {
+	defer SetEventCap(16)()
+	o, err := StartOnline(onlineConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			id, err := o.Submit(Job{App: smallApp("j", 4, sim.Millis(1))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for info, _ := o.Job(id); !info.Status.Terminal(); info, _ = o.Job(id) {
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+	}
+	submit(10)
+	first, _ := o.EventsSince(0)
+	if len(first) == 0 || first[0].Seq == 0 {
+		t.Fatalf("the window has not slid: %d events from seq 0", len(first))
+	}
+	cursor := first[len(first)-1].Seq + 1
+	if again, _ := o.EventsSince(len(first)); len(again) != len(first) {
+		t.Fatalf("a count used as a cursor: %d events, want the window's %d over again", len(again), len(first))
+	}
+	if fresh, _ := o.EventsSince(cursor); len(fresh) != 0 {
+		t.Fatalf("cursor %d: %d events, want none yet", cursor, len(fresh))
+	}
+	submit(1) // fewer events than the window holds: nothing is lost
+	shutdownNow(t, o)
+	rest, _ := o.EventsSince(cursor)
+	if len(rest) == 0 || rest[0].Seq != cursor || rest[len(rest)-1].Type != EventShutdown {
+		t.Fatalf("cursor %d resumed with %+v", cursor, rest)
+	}
+	for i, e := range rest {
+		if e.Seq != cursor+i {
+			t.Fatalf("event %d after the cursor has seq %d, want %d", i, e.Seq, cursor+i)
+		}
 	}
 }

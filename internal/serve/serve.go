@@ -542,7 +542,11 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, jobID stri
 	i := 0
 	for {
 		evs, wake := s.queue.EventsSince(i)
-		i += len(evs)
+		if n := len(evs); n > 0 {
+			// The cursor is a sequence number, not a count: a stream
+			// opened after the window slid starts above zero.
+			i = evs[n-1].Seq + 1
+		}
 		if emit(evs) {
 			return
 		}

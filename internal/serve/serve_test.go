@@ -288,6 +288,45 @@ func TestJobEventStream(t *testing.T) {
 	}
 }
 
+// A stream opened after the event window has slid starts at the window's
+// base, not at zero; it must go on from the last sequence number it
+// delivered and never send an event twice.
+func TestEventStreamAfterWindowSlides(t *testing.T) {
+	defer sched.SetEventCap(16)()
+	s, ts := newTestServer(t, Config{Nodes: 2, Seed: 1})
+	for i := 0; i < 10; i++ { // ~4 events each: well past the cap of 16
+		id, _ := postJob(t, ts.URL, jobspec.Spec{App: "forensics", Items: 4})
+		waitTerminal(t, ts.URL, id)
+	}
+	resp, err := http.Get(ts.URL + "/v1/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	// The stream ends with the scheduler: two more events, then EOF.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var ids []int
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var id int
+		if _, err := fmt.Sscanf(sc.Text(), "id: %d", &id); err == nil {
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) < 3 || ids[0] == 0 {
+		t.Fatalf("stream ids %v: want a window that starts above zero", ids)
+	}
+	for i := 1; i < len(ids); i++ {
+		if ids[i] != ids[i-1]+1 {
+			t.Fatalf("stream ids %v: %d follows %d", ids, ids[i], ids[i-1])
+		}
+	}
+}
+
 // Draining: once Shutdown begins, healthz flips to 503 and submissions
 // are refused with 503.
 func TestDrainingRejectsNewWork(t *testing.T) {

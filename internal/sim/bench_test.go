@@ -143,19 +143,74 @@ func BenchmarkEventDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkEventQueueChurn measures push/pop with a deep queue (realistic
-// steady state: thousands of in-flight events).
+// requireZeroAllocs fails the benchmark when a round of its loop body,
+// run on the warmed engine, allocates.
+func requireZeroAllocs(b *testing.B, round func()) {
+	b.Helper()
+	if n := testing.AllocsPerRun(1000, round); n != 0 {
+		b.Fatalf("one round allocates %.2f objects, want 0", n)
+	}
+}
+
+// BenchmarkEventQueueChurn measures push/pop in the fleet's regime: a deep
+// queue (about 2 000 events in flight) that nearly every event enters for
+// a later instant, one push in 256 for the current one. Here the heap does
+// the work and the now-lane costs its one branch per pop.
 func BenchmarkEventQueueChurn(b *testing.B) {
 	e := NewEnv()
 	fn := func() {}
-	for i := 0; i < 4096; i++ {
+	for i := 0; i < 2048; i++ {
 		e.After(Time(i), fn)
 	}
+	n := 0
+	round := func() {
+		if n++; n%256 == 0 {
+			e.Defer(fn)
+		} else {
+			e.After(2048, fn)
+		}
+		e.Step()
+	}
+	requireZeroAllocs(b, round)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.After(4096, fn)
-		e.Step()
+		round()
+	}
+	if e.PendingEvents() != 2048 {
+		b.Fatalf("%d events in flight, want 2048", e.PendingEvents())
+	}
+}
+
+// BenchmarkSameInstantChain measures dispatch in the pair workloads'
+// regime: a shallow queue (64 timers pending) and continuations that mostly
+// follow one another at the same instant — four hops for the current
+// instant, then one a tick later. Here the now-lane does the work: four
+// events in five never touch the heap.
+func BenchmarkSameInstantChain(b *testing.B) {
+	e := NewEnv()
+	idle := func() {}
+	for i := 1; i <= 64; i++ {
+		e.At(Time(i)<<40, idle)
+	}
+	var hop func(n uint64)
+	hop = func(n uint64) {
+		if n%5 == 0 {
+			e.AtArg(e.Now()+1, hop, n+1)
+		} else {
+			e.AtArg(e.Now(), hop, n+1)
+		}
+	}
+	e.AtArg(0, hop, 1)
+	round := func() { e.Step() }
+	requireZeroAllocs(b, round)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	if e.PendingEvents() != 65 || e.LanePushes() < 3*e.HeapPushes() {
+		b.Fatalf("%d events pending, %d lane and %d heap pushes", e.PendingEvents(), e.LanePushes(), e.HeapPushes())
 	}
 }
 

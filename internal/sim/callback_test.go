@@ -200,7 +200,7 @@ func TestReentrancyPanics(t *testing.T) {
 }
 
 // mixedWorkload queues a little of everything the engine offers: plain
-// callbacks with and without an argument, timed holds and plain
+// callbacks with and without an argument, now and later, timed holds and plain
 // acquisitions contending for one unit, a signal with waiters, and a
 // mailbox receiver that re-arms itself.
 func mixedWorkload(e *Env) {
@@ -215,6 +215,7 @@ func mixedWorkload(e *Env) {
 		d := Time(k%7 + 1)
 		e.AtArg(e.Now()+d, send, uint64(k))
 		e.Defer(func() {})
+		e.AtArg(e.Now(), func(uint64) {}, 0)
 		r.UseFunc(e, d, func(Time) {})
 		r.AcquireFunc(e, func() { r.Release(e) })
 		s.OnFire(e, func() {})
@@ -241,6 +242,10 @@ func TestEveryPopIsADispatch(t *testing.T) {
 	if got := pops(e, 0, 0); got != steps {
 		t.Fatalf("%d entries left the queue in %d Steps", got, steps)
 	}
+	// Both halves of the queue took part.
+	if e.HeapPushes() == 0 || e.LanePushes() == 0 {
+		t.Fatalf("%d heap and %d lane pushes", e.HeapPushes(), e.LanePushes())
+	}
 
 	e = NewEnv()
 	mixedWorkload(e)
@@ -266,14 +271,30 @@ func TestEveryPopIsADispatch(t *testing.T) {
 // enumerated by reflection: a new one is checked without editing this test.
 func TestReleasedEventSlotsHoldNoPointers(t *testing.T) {
 	kinds := map[eventKind]bool{}
+	fromLane := map[eventKind]bool{}
 	e := NewEnv()
 	mixedWorkload(e)
 	for e.events.Len() > 0 {
-		kinds[e.events.slab[e.events.heap[0].idx].kind] = true
+		// The slot Step is about to pop: the lane front unless a heap
+		// entry shares the current instant.
+		q := &e.events
+		var idx int32
+		if q.lane.Len() > 0 && (len(q.heap) == 0 || q.heap[0].at != e.now) {
+			idx = q.lane.buf[q.lane.head]
+			fromLane[q.slab[idx].kind] = true
+		} else {
+			idx = q.heap[0].idx
+		}
+		kinds[q.slab[idx].kind] = true
 		e.Step()
 	}
 	if !kinds[evFn] || !kinds[evArg] || !kinds[evUseGrant] || !kinds[evUseEnd] || len(kinds) != 4 {
 		t.Fatalf("workload dispatched kinds %v, want all four", kinds)
+	}
+	// The kinds that can be scheduled for the current instant went
+	// through the lane (a timed hold never ends at the instant it began).
+	if !fromLane[evFn] || !fromLane[evArg] || !fromLane[evUseGrant] {
+		t.Fatalf("kinds dispatched from the lane: %v", fromLane)
 	}
 	if len(e.events.free) != len(e.events.slab) {
 		t.Fatalf("%d of %d slots released", len(e.events.free), len(e.events.slab))

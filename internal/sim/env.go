@@ -9,17 +9,22 @@ import (
 // and mailboxes belong to exactly one Env, and an Env must only be driven
 // from a single OS goroutine (the one that calls Run or Step).
 type Env struct {
-	now     Time
-	events  eventQueue
-	seq     uint64
-	running bool
-	closed  bool
+	now    Time
+	events eventQueue
+	// seq numbers every push; heapPushes counts the ones that entered
+	// the heap, the rest went to the now-lane (see eventQueue).
+	seq        uint64
+	heapPushes uint64
+	running    bool
+	closed     bool
 	// eventsProcessed counts scheduler dispatches; every event popped from
 	// the queue is one.
 	eventsProcessed uint64
-	// flushed tracks how much of eventsProcessed has been added to the
-	// process-wide counter (see GlobalEvents).
-	flushed uint64
+	// flushed and flushedHeap track how much of eventsProcessed and
+	// heapPushes has been added to the process-wide counters (see
+	// GlobalEvents).
+	flushed     uint64
+	flushedHeap uint64
 	// seed is the value recorded by WithSeed (see Seed).
 	seed uint64
 	// shard is non-nil when this Env is a member of a ShardSet; the root
@@ -38,6 +43,15 @@ var globalEvents atomic.Uint64
 // environments in this process so far. Benchmark harnesses read it before
 // and after a run to derive an events/second rate.
 func GlobalEvents() uint64 { return globalEvents.Load() }
+
+// globalHeapPushes accumulates HeapPushes over all Envs in the process,
+// published together with globalEvents.
+var globalHeapPushes atomic.Uint64
+
+// GlobalHeapPushes returns the total number of events all environments in
+// this process have ordered through their heaps so far: GlobalEvents'
+// companion, the part of the dispatch count that paid for a comparison.
+func GlobalHeapPushes() uint64 { return globalHeapPushes.Load() }
 
 // eventKind discriminates the queue entry variants.
 type eventKind uint8
@@ -110,6 +124,14 @@ func (e *Env) EventsProcessed() uint64 { return e.eventsProcessed }
 // PendingEvents returns the number of queued events.
 func (e *Env) PendingEvents() int { return e.events.Len() }
 
+// HeapPushes returns how many events were scheduled after the instant
+// they were pushed at, and so were ordered by the heap.
+func (e *Env) HeapPushes() uint64 { return e.heapPushes }
+
+// LanePushes returns how many events were scheduled at the instant they
+// were pushed at, and so queued in the now-lane without a comparison.
+func (e *Env) LanePushes() uint64 { return e.seq - e.heapPushes }
+
 // push queues an event at (at, next seq) and returns its payload slot for
 // the caller to fill. An event queued on a closed Env could never run, so
 // that is a bug in the caller and panics, like Sender.Send on a closed
@@ -119,7 +141,21 @@ func (e *Env) push(at Time) *event {
 		panic("sim: schedule on closed Env")
 	}
 	e.seq++
+	if at == e.now {
+		return e.events.pushNow()
+	}
+	e.heapPushes++
 	return e.events.push(at, e.seq)
+}
+
+// setNow moves the clock to t without dispatching an event: RunUntil's
+// final step, or a cross-shard delivery. The now-lane holds events of the
+// instant being left, so it has to be empty.
+func (e *Env) setNow(t Time) {
+	if t != e.now && e.events.lane.Len() > 0 {
+		panic(fmt.Sprintf("sim: clock moves %v -> %v with %d events pending at the current instant", e.now, t, e.events.lane.Len()))
+	}
+	e.now = t
 }
 
 // scheduleUseGrant enqueues the hand-off of a resource unit to a queued
@@ -174,11 +210,11 @@ func (e *Env) Step() bool {
 	if e.closed {
 		return false
 	}
-	if e.events.Len() == 0 {
+	at, idx, ok := e.events.pop(e.now)
+	if !ok {
 		return false
 	}
-	at, idx := e.events.pop()
-	e.now = at
+	e.now = at // moves only on a heap pop with the lane empty, see pop
 	e.eventsProcessed++
 	// Copy out what the kind needs, clear its pointers so the slot is
 	// zero for its next user (and holds nothing live for the GC), and
@@ -239,7 +275,7 @@ func (e *Env) nextTime() (Time, bool) {
 	if e.events.Len() == 0 {
 		return 0, false
 	}
-	return e.events.minTime(), true
+	return e.events.minTime(e.now), true
 }
 
 // RunUntil executes events with timestamps <= t and then sets the clock to
@@ -259,11 +295,11 @@ func (e *Env) RunUntil(t Time) uint64 {
 		e.running = false
 		e.flushGlobalEvents()
 	}()
-	for e.events.Len() > 0 && e.events.minTime() <= t {
+	for e.events.Len() > 0 && e.events.minTime(e.now) <= t {
 		e.Step()
 	}
 	if e.now < t {
-		e.now = t
+		e.setNow(t)
 	}
 	return e.eventsProcessed - start
 }
@@ -302,11 +338,15 @@ func (e *Env) closeLocal() {
 	e.flushGlobalEvents()
 }
 
-// flushGlobalEvents publishes this Env's dispatch count increments to the
-// process-wide counter.
+// flushGlobalEvents publishes this Env's dispatch and heap-push count
+// increments to the process-wide counters.
 func (e *Env) flushGlobalEvents() {
 	if d := e.eventsProcessed - e.flushed; d > 0 {
 		globalEvents.Add(d)
 		e.flushed = e.eventsProcessed
+	}
+	if d := e.heapPushes - e.flushedHeap; d > 0 {
+		globalHeapPushes.Add(d)
+		e.flushedHeap = e.heapPushes
 	}
 }

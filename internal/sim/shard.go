@@ -67,6 +67,9 @@ type ShardSet struct {
 	// windowHook, when non-nil, observes each shard's non-empty windows
 	// (WithWindowHook).
 	windowHook WindowHook
+	// panics[i] holds what shard i's window panicked with, until the
+	// driving goroutine re-raises it (see runWindows).
+	panics []interface{}
 }
 
 // Shard is one partition of a ShardSet: a private Env plus the inbound
@@ -102,7 +105,7 @@ func newShardSet(cfg envConfig) *ShardSet {
 	if la <= 0 {
 		la = DefaultLookahead
 	}
-	ss := &ShardSet{lookahead: la, windowHook: cfg.windowHook}
+	ss := &ShardSet{lookahead: la, windowHook: cfg.windowHook, panics: make([]interface{}, cfg.shards)}
 	ss.shards = make([]*Shard, cfg.shards)
 	for i := range ss.shards {
 		sh := &Shard{set: ss, id: i, env: &Env{seed: cfg.seed}}
@@ -274,7 +277,7 @@ func (sh *Shard) runWindowEvents(bound Time) {
 func (sh *Shard) applyDelivery() {
 	d := sh.merge.pop()
 	e := sh.env
-	e.now = d.at
+	e.setNow(d.at)
 	e.eventsProcessed++
 	sh.delivered++
 	d.fn(e)
@@ -359,7 +362,7 @@ func (ss *ShardSet) runRoot(e *Env, until Time, hasUntil bool) uint64 {
 	var after uint64
 	for _, sh := range ss.shards {
 		if hasUntil && sh.env.now < until {
-			sh.env.now = until
+			sh.env.setNow(until)
 		}
 		after += sh.env.eventsProcessed
 	}
@@ -392,7 +395,6 @@ func (ss *ShardSet) runWindows(bound Time) {
 		return
 	}
 	var next atomic.Int32
-	panics := make([]interface{}, len(ss.shards))
 	claim := func() {
 		for {
 			i := int(next.Add(1)) - 1
@@ -402,7 +404,7 @@ func (ss *ShardSet) runWindows(bound Time) {
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
-						panics[i] = r
+						ss.panics[i] = r
 					}
 				}()
 				ss.shards[i].runWindow(bound)
@@ -419,8 +421,9 @@ func (ss *ShardSet) runWindows(bound Time) {
 	}
 	claim()
 	wg.Wait()
-	for _, p := range panics {
+	for _, p := range ss.panics {
 		if p != nil {
+			clear(ss.panics)
 			panic(p)
 		}
 	}

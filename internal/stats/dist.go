@@ -53,29 +53,33 @@ func (n Normal) String() string { return fmt.Sprintf("Normal(%g, %g)", n.Mu, n.S
 // LogNormal is a log-normal distribution parameterized directly by the
 // desired mean and standard deviation of the resulting (not log) variable.
 // It models the heavy-tailed, irregular kernel times of the bioinformatics
-// and microscopy applications (Fig. 7).
+// and microscopy applications (Fig. 7). Build one with NewLogNormal, which
+// derives the parameters of the underlying normal once; a draw is then one
+// normal variate and one math.Exp.
 type LogNormal struct {
-	MeanV, StdV float64
+	mean, std float64
+	mu, sigma float64 // of the underlying normal
 }
 
-func (l LogNormal) params() (mu, sigma float64) {
-	v := l.StdV * l.StdV
-	m2 := l.MeanV * l.MeanV
+// NewLogNormal returns the log-normal distribution with the given mean and
+// standard deviation.
+func NewLogNormal(mean, std float64) LogNormal {
+	v := std * std
+	m2 := mean * mean
 	sigma2 := math.Log(1 + v/m2)
-	mu = math.Log(l.MeanV) - sigma2/2
-	return mu, math.Sqrt(sigma2)
+	mu := math.Log(mean) - sigma2/2
+	return LogNormal{mean: mean, std: std, mu: mu, sigma: math.Sqrt(sigma2)}
 }
 
 // Sample implements Dist.
 func (l LogNormal) Sample(r *RNG) float64 {
-	mu, sigma := l.params()
-	return math.Exp(mu + sigma*r.NormFloat64())
+	return math.Exp(l.mu + l.sigma*r.NormFloat64())
 }
 
 // Mean implements Dist.
-func (l LogNormal) Mean() float64 { return l.MeanV }
+func (l LogNormal) Mean() float64 { return l.mean }
 
-func (l LogNormal) String() string { return fmt.Sprintf("LogNormal(%g, %g)", l.MeanV, l.StdV) }
+func (l LogNormal) String() string { return fmt.Sprintf("LogNormal(%g, %g)", l.mean, l.std) }
 
 // Uniform is a uniform distribution over [Lo, Hi).
 type Uniform struct{ Lo, Hi float64 }

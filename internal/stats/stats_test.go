@@ -135,11 +135,11 @@ func TestHashSampleStreamIdentity(t *testing.T) {
 		// phylo: parse, pre-process, compare, file size.
 		{Normal{Mu: 36.9, Sigma: 14.79, Min: 1}, [5]uint64{0x40420401e6fb4e79, 0x405281298d92c4ea, 0x404202c3633b1b1a, 0x403d175e25d11d74, 0x40459c2830c0a986}},
 		{Normal{Mu: 27.0, Sigma: 4.90, Min: 1}, [5]uint64{0x403ab6529cdbd473, 0x4043a6122fc415c7, 0x403ab57f8fd09e82, 0x403869b5f3f33c79, 0x403d1805dc1b448a}},
-		{LogNormal{MeanV: 2.1, StdV: 0.79}, [5]uint64{0x3ffec8909fd52312, 0x4013977a10664db2, 0x3ffec6ae4deec321, 0x3ff9f3cdc30b6827, 0x40025e731986f104}},
-		{LogNormal{MeanV: 720000, StdV: 400000}, [5]uint64{0x4122a19adacb1598, 0x4141a5f2a38d0552, 0x41229ffab9d80393, 0x411d36968a095dbd, 0x4127f914bce2c102}},
+		{NewLogNormal(2.1, 0.79), [5]uint64{0x3ffec8909fd52312, 0x4013977a10664db2, 0x3ffec6ae4deec321, 0x3ff9f3cdc30b6827, 0x40025e731986f104}},
+		{NewLogNormal(720000, 400000), [5]uint64{0x4122a19adacb1598, 0x4141a5f2a38d0552, 0x41229ffab9d80393, 0x411d36968a095dbd, 0x4127f914bce2c102}},
 		// microscopy: parse, compare, file size.
 		{Normal{Mu: 27.4, Sigma: 1.56, Min: 1}, [5]uint64{0x403b4ef18cd845ba, 0x403f50aa678e9e0f, 0x403b4eae5bc2f0a2, 0x403a938c798d2d60, 0x403c110d5c048066}},
-		{LogNormal{MeanV: 564.3, StdV: 348}, [5]uint64{0x407d08edd33ac9e4, 0x409f32a70e20d76f, 0x407d0627f9d24140, 0x40763ea0b9121728, 0x4083217216b2477c}},
+		{NewLogNormal(564.3, 348), [5]uint64{0x407d08edd33ac9e4, 0x409f32a70e20d76f, 0x407d0627f9d24140, 0x40763ea0b9121728, 0x4083217216b2477c}},
 		{Normal{Mu: 586000, Sigma: 60000, Min: 10000}, [5]uint64{0x4121c697ca1b0113, 0x41267a898d209bf3, 0x4121c648ec4840f2, 0x4120eaa33f847ee5, 0x4122aa6db32dd27b}},
 	}
 	for _, c := range cases {
@@ -160,7 +160,7 @@ func TestHashSampleStreamIdentity(t *testing.T) {
 			t.Errorf("%v HashSample = %v, HashRNG path gives %v", d, got, ref)
 		}
 	}
-	d := Dist(LogNormal{MeanV: 2.1, StdV: 0.79})
+	d := Dist(NewLogNormal(2.1, 0.79))
 	if n := testing.AllocsPerRun(100, func() { sink = HashSample(d, 1, 2, 3) }); n != 0 {
 		t.Errorf("HashSample allocates %.1f objects per draw, want 0", n)
 	}
@@ -214,7 +214,7 @@ func TestNormalClampsAtMin(t *testing.T) {
 }
 
 func TestLogNormalMoments(t *testing.T) {
-	d := LogNormal{MeanV: 564.3, StdV: 348}
+	d := NewLogNormal(564.3, 348)
 	r := NewRNG(4)
 	var s Summary
 	for i := 0; i < 300000; i++ {
@@ -228,6 +228,39 @@ func TestLogNormalMoments(t *testing.T) {
 	}
 	if s.Min() <= 0 {
 		t.Errorf("log-normal produced non-positive sample %v", s.Min())
+	}
+}
+
+// perDrawLogNormal is the log-normal as it sampled before NewLogNormal
+// existed: the parameters of the underlying normal derived again on every
+// draw.
+type perDrawLogNormal struct{ meanV, stdV float64 }
+
+func (l perDrawLogNormal) Sample(r *RNG) float64 {
+	v := l.stdV * l.stdV
+	m2 := l.meanV * l.meanV
+	sigma2 := math.Log(1 + v/m2)
+	mu := math.Log(l.meanV) - sigma2/2
+	sigma := math.Sqrt(sigma2)
+	return math.Exp(mu + sigma*r.NormFloat64())
+}
+
+func (l perDrawLogNormal) Mean() float64  { return l.meanV }
+func (l perDrawLogNormal) String() string { return "perDrawLogNormal" }
+
+// Deriving the parameters once is the same arithmetic in the same order,
+// so every draw of the three log-normals the cost models use is the same
+// float, bit for bit, as when they were derived per draw.
+func TestLogNormalHoistedParamsBitIdentical(t *testing.T) {
+	for _, p := range [][2]float64{{2.1, 0.79}, {720000, 400000}, {564.3, 348}} {
+		d, ref := Dist(NewLogNormal(p[0], p[1])), perDrawLogNormal{p[0], p[1]}
+		for k := uint64(0); k < 10000; k++ {
+			seed, a, b := k%3, k*2654435761, k^0xfa57a
+			got, want := HashSample(d, seed, a, b), ref.Sample(HashRNG(seed, a, b))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v draw (%d, %d, %d) = %#x, derived per draw %#x", d, seed, a, b, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
 	}
 }
 
