@@ -1,12 +1,14 @@
 // Command benchgate is the CI benchmark regression gate: it compares a
 // candidate BENCH_<run>.json (freshly produced by rocketbench) against
-// the committed baseline and fails the build when determinism or
-// performance regressed.
+// the committed baseline and fails the build when a count that repeats
+// exactly — output bytes, allocations, heap pushes, disk bytes — moved.
+// Times are printed beside them and never judged: one wall-clock sample
+// on a shared runner decides nothing (bench/ is the timing reference).
 //
 // Usage:
 //
 //	benchgate -baseline BENCH_pr2.json -candidate BENCH_ci.json
-//	benchgate ... -max-regress 0.25 -strict-perf -summary "$GITHUB_STEP_SUMMARY"
+//	benchgate ... -summary "$GITHUB_STEP_SUMMARY"
 //
 // Gates:
 //
@@ -22,16 +24,13 @@
 //     of its events the engine ordered through its heap rather than its
 //     now-lane, exact at a seed — may not exceed the baseline's. Skipped
 //     for a baseline that predates the column;
-//   - performance (warning by default, fatal with -strict-perf): each
-//     experiment's ns_per_op may grow at most -max-regress (default 25%).
-//     Wall time on shared CI runners is noisy, which is why timing alone
-//     does not fail the build unless asked to;
-//   - storage (always fatal where deterministic): the pairstore scaling
-//     trajectory's bytes/pair must stay under the 8 bytes/pair capability
-//     floor at 10^6+ pairs and within 10% of the baseline at matched
-//     sizes, and the delta-plan hash must match the baseline exactly.
-//     Plan latency is wall-clock and therefore tracked like performance:
-//     a drift beyond -max-regress warns (fails under -strict-perf).
+//   - shards (always fatal): every width of the shard-scaling trajectory
+//     must report the same state hash;
+//   - storage (always fatal): the pairstore scaling trajectory's
+//     bytes/pair must stay under the 8 bytes/pair capability floor at
+//     10^6+ pairs and within 10% of the baseline at matched sizes, a plan
+//     may decode each block at most once, and the delta-plan hash must
+//     match the baseline exactly.
 //
 // -summary appends a markdown table to the given file (pass
 // $GITHUB_STEP_SUMMARY in CI to surface the diff on the job page).
@@ -47,11 +46,9 @@ import (
 
 func run() error {
 	var (
-		baseline   = flag.String("baseline", "BENCH_pr2.json", "committed baseline BENCH json")
-		candidate  = flag.String("candidate", "BENCH_ci.json", "freshly produced BENCH json")
-		maxRegress = flag.Float64("max-regress", 0.25, "tolerated fractional ns_per_op growth per experiment")
-		strictPerf = flag.Bool("strict-perf", false, "fail (not warn) on perf regressions")
-		summary    = flag.String("summary", "", "append a markdown summary to this file")
+		baseline  = flag.String("baseline", "BENCH_pr2.json", "committed baseline BENCH json")
+		candidate = flag.String("candidate", "BENCH_ci.json", "freshly produced BENCH json")
+		summary   = flag.String("summary", "", "append a markdown summary to this file")
 	)
 	flag.Parse()
 
@@ -63,10 +60,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	g := benchfmt.Gate(base, cand, benchfmt.GateOptions{
-		MaxRegress:  *maxRegress,
-		PerfIsFatal: *strictPerf,
-	})
+	g := benchfmt.Gate(base, cand)
 	fmt.Print(g.Text())
 	if *summary != "" {
 		f, err := os.OpenFile(*summary, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)

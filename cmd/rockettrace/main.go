@@ -1,16 +1,16 @@
 // Command rockettrace inspects Rocket's virtual-time instrumentation.
+// Every subcommand runs a workload with the flight recorder attached and
+// renders the recorded spans.
 //
-// Legacy mode (no subcommand) runs a small all-pairs workload with
-// detailed profiling enabled and dumps the per-resource task timeline —
-// the Fig. 6 view of Rocket's asynchronous processing:
+// timeline runs a small all-pairs workload and dumps the per-resource
+// task timeline — the Fig. 6 view of Rocket's asynchronous processing:
 //
-//	rockettrace -app forensics -nodes 2 -n 24 -limit 120
+//	rockettrace timeline -app forensics -nodes 2 -n 24 -limit 120
 //
-// The subcommands run a declarative scenario with the flight recorder
-// attached and render the recorded spans. Because the recorded timeline
-// is deterministic, exporting the same scenario twice (at any engine
-// width) yields byte-identical output — CI diffs two exports to prove
-// it.
+// The other subcommands run a declarative scenario. Because the recorded
+// timeline is deterministic, exporting the same scenario twice (at any
+// engine width) yields byte-identical output — CI diffs two exports to
+// prove it.
 //
 //	rockettrace spans  [-scenario file] [-shards N] [-seed N] [-limit N] [-engine]
 //	rockettrace export [-scenario file] [-shards N] [-seed N] [-o out.json] [-engine]
@@ -36,12 +36,12 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run dispatches subcommands; anything else (including flags) is the
-// legacy Fig. 6 timeline mode, kept verbatim so existing invocations and
-// the Makefile smoke target are untouched.
+// run dispatches subcommands; anything else is a usage error.
 func run(args []string, out, errw io.Writer) int {
 	if len(args) > 0 {
 		switch args[0] {
+		case "timeline":
+			return cmdTimeline(args[1:], out, errw)
 		case "spans":
 			return cmdSpans(args[1:], out, errw)
 		case "export":
@@ -53,12 +53,13 @@ func run(args []string, out, errw io.Writer) int {
 			return 0
 		}
 	}
-	return legacy(args, out, errw)
+	usage(errw)
+	return 2
 }
 
 func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage:
-  rockettrace [-app NAME] [-nodes N] [-n N] [-limit N] [-seed N]   (Fig. 6 timeline)
+  rockettrace timeline [-app NAME] [-nodes N] [-n N] [-limit N] [-seed N] [-cap N]
   rockettrace spans  [-scenario file] [-shards N] [-seed N] [-limit N] [-engine]
   rockettrace export [-scenario file] [-shards N] [-seed N] [-o out.json] [-engine]
   rockettrace top    [-scenario file] [-shards N] [-seed N] [-by kind|track] [-limit N]`)
@@ -80,9 +81,7 @@ func (f *spanFlags) register(fs *flag.FlagSet) {
 }
 
 // record runs the scenario with a flight recorder attached and returns
-// the canonical snapshot. A non-empty drop count is warned about: an
-// overflowing ring still exports, but the width-invariance guarantee is
-// off for that recording.
+// the canonical snapshot.
 func (f *spanFlags) record(errw io.Writer) (rocket.SpanSnapshot, error) {
 	data, err := os.ReadFile(f.scenario)
 	if err != nil {
@@ -100,12 +99,19 @@ func (f *spanFlags) record(errw io.Writer) (rocket.SpanSnapshot, error) {
 	if _, err := scenario.Run(sc, scenario.RunOptions{Seed: f.seed, Shards: f.shards, Spans: rec}); err != nil {
 		return rocket.SpanSnapshot{}, err
 	}
+	return snapshot(rec, errw), nil
+}
+
+// snapshot takes the recorder's canonical snapshot. A non-empty drop
+// count is warned about: an overflowing ring still exports, but the
+// width-invariance guarantee is off for that recording.
+func snapshot(rec *rocket.SpanRecorder, errw io.Writer) rocket.SpanSnapshot {
 	snap := rec.Snapshot()
 	if snap.Dropped > 0 {
 		fmt.Fprintf(errw, "rockettrace: ring overflow: %d spans dropped (raise -cap for a lossless, width-invariant export)\n",
 			snap.Dropped)
 	}
-	return snap, nil
+	return snap
 }
 
 func cmdSpans(args []string, out, errw io.Writer) int {
@@ -182,19 +188,24 @@ func cmdTop(args []string, out, errw io.Writer) int {
 	return 0
 }
 
-// legacy is the original rockettrace: the per-resource task timeline of
-// one profiled run.
-func legacy(args []string, out, errw io.Writer) int {
-	fs := flag.NewFlagSet("rockettrace", flag.ContinueOnError)
+// cmdTimeline prints the per-resource task timeline of one small
+// all-pairs run.
+func cmdTimeline(args []string, out, errw io.Writer) int {
+	fs := flag.NewFlagSet("timeline", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	var (
-		app   = fs.String("app", "forensics", "application: forensics, bioinformatics, or microscopy")
-		nodes = fs.Int("nodes", 1, "number of simulated nodes")
-		n     = fs.Int("n", 24, "approximate number of items (microscopy always runs its full 256)")
-		limit = fs.Int("limit", 200, "maximum timeline rows to print (0 = all)")
-		seed  = fs.Uint64("seed", 1, "random seed")
+		app      = fs.String("app", "forensics", "application: forensics, bioinformatics, or microscopy")
+		nodes    = fs.Int("nodes", 1, "number of simulated nodes")
+		n        = fs.Int("n", 24, "approximate number of items (microscopy always runs its full 256)")
+		limit    = fs.Int("limit", 200, "maximum timeline rows to print (0 = all)")
+		seed     = fs.Uint64("seed", 1, "random seed")
+		capacity = fs.Int("cap", 0, "span capacity (0 = 64Ki); oldest spans are overwritten")
 	)
 	if fs.Parse(args) != nil {
+		return 2
+	}
+	if *n < 1 || *nodes < 1 {
+		fmt.Fprintf(errw, "rockettrace: -n %d -nodes %d (want both >= 1)\n", *n, *nodes)
 		return 2
 	}
 
@@ -209,14 +220,15 @@ func legacy(args []string, out, errw io.Writer) int {
 		fmt.Fprintln(errw, err)
 		return 1
 	}
+	rec := rocket.NewSpanRecorder(1, *capacity)
 	m, err := core.Run(core.Config{
-		App:           setup.App,
-		Cluster:       cl,
-		DeviceSlots:   setup.DevSlots,
-		HostSlots:     setup.HostSlots,
-		DistCache:     *nodes > 1,
-		Seed:          *seed,
-		DetailedTrace: true,
+		App:         setup.App,
+		Cluster:     cl,
+		DeviceSlots: setup.DevSlots,
+		HostSlots:   setup.HostSlots,
+		DistCache:   *nodes > 1,
+		Seed:        *seed,
+		Spans:       rec,
 	})
 	if err != nil {
 		fmt.Fprintln(errw, err)
@@ -225,9 +237,9 @@ func legacy(args []string, out, errw io.Writer) int {
 	fmt.Fprintf(out, "app=%s nodes=%d items=%d pairs=%d runtime=%v R=%.2f\n\n",
 		*app, *nodes, setup.App.NumItems(), m.Pairs, m.Runtime, m.R)
 	fmt.Fprintln(out, "busy time per thread class:")
-	fmt.Fprint(out, m.Tracer.Summary())
+	fmt.Fprint(out, m.Phases.Summary())
 	fmt.Fprintln(out, "\ntask timeline (Fig. 6 view):")
-	if err := m.Tracer.WriteTimeline(out, *limit); err != nil {
+	if err := snapshot(rec, errw).WriteTimeline(out, *limit); err != nil {
 		fmt.Fprintln(errw, err)
 		return 1
 	}
@@ -244,7 +256,7 @@ func experimentsScaleFor(n int, app string) int {
 		"bioinformatics-cartesius": 6818,
 	}
 	total, ok := defaults[app]
-	if !ok || n <= 0 || n >= total {
+	if !ok || n >= total {
 		return 1
 	}
 	return total / n

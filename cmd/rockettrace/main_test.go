@@ -74,11 +74,48 @@ func TestTopAggregates(t *testing.T) {
 	}
 }
 
-// TestLegacyModeStillWorks: the original flag-style invocation (used by
-// `make smoke`) is untouched by the subcommand dispatch.
-func TestLegacyModeStillWorks(t *testing.T) {
-	out := runCmd(t, "-app", "forensics", "-n", "8", "-limit", "5")
-	if !strings.Contains(out, "task timeline (Fig. 6 view):") {
-		t.Fatalf("legacy output:\n%s", out)
+// TestTimelineGolden pins the Fig. 6 timeline bytes: the golden was
+// captured from the flag-style invocation before the timeline was
+// rendered from a span snapshot.
+func TestTimelineGolden(t *testing.T) {
+	checkGolden(t, "timeline.golden",
+		runCmd(t, "timeline", "-app", "forensics", "-nodes", "2", "-n", "8", "-limit", "0"))
+}
+
+// TestUsageErrors: a bare flag-style invocation and out-of-range sizes
+// exit 2 with a message on stderr and nothing on stdout.
+func TestUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-app", "forensics", "-n", "8"}, "usage:"},
+		{nil, "usage:"},
+		{[]string{"timeline", "-n", "0"}, "-n 0"},
+		{[]string{"timeline", "-n", "-3"}, "-n -3"},
+		{[]string{"timeline", "-nodes", "0"}, "-nodes 0"},
+	} {
+		var out, errw bytes.Buffer
+		if code := run(tc.args, &out, &errw); code != 2 {
+			t.Errorf("rockettrace %v: exit %d, want 2", tc.args, code)
+		}
+		if out.Len() != 0 || !strings.Contains(errw.String(), tc.want) {
+			t.Errorf("rockettrace %v: stdout %q, stderr %q (want %q on stderr)", tc.args, out.String(), errw.String(), tc.want)
+		}
+	}
+}
+
+// TestTimelineDropWarning: a ring too small for the run still prints a
+// timeline, and says on stderr how many spans it lost.
+func TestTimelineDropWarning(t *testing.T) {
+	var out, errw bytes.Buffer
+	if code := run([]string{"timeline", "-n", "8", "-cap", "16"}, &out, &errw); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errw.String())
+	}
+	if !strings.Contains(errw.String(), "spans dropped") {
+		t.Errorf("no drop warning on stderr: %q", errw.String())
+	}
+	if rows := strings.Count(out.String(), " .. "); rows != 16 {
+		t.Errorf("timeline has %d rows, want the 16 retained", rows)
 	}
 }

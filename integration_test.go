@@ -14,7 +14,6 @@ import (
 	"rocket/internal/apps/phylo"
 	"rocket/internal/core"
 	"rocket/internal/experiments"
-	"rocket/internal/trace"
 )
 
 // tinyOptions keeps integration runs fast.
@@ -99,12 +98,11 @@ func TestIntegrationAccountingIdentities(t *testing.T) {
 		t.Errorf("host misses %d > device misses %d (host is only consulted on device miss)",
 			m.HostCache.Misses, m.DevCache.Misses)
 	}
-	if m.Tracer.Count(trace.ClassGPU, trace.KindCompare) != m.Pairs {
-		t.Errorf("compare kernels %d != pairs %d",
-			m.Tracer.Count(trace.ClassGPU, trace.KindCompare), m.Pairs)
+	if m.Phases.Count(core.PhaseCompare) != m.Pairs {
+		t.Errorf("compare kernels %d != pairs %d", m.Phases.Count(core.PhaseCompare), m.Pairs)
 	}
-	if m.Tracer.Count(trace.ClassIO, trace.KindIO) != m.Loads {
-		t.Errorf("IO tasks %d != loads %d", m.Tracer.Count(trace.ClassIO, trace.KindIO), m.Loads)
+	if m.Phases.Count(core.PhaseIO) != m.Loads {
+		t.Errorf("IO tasks %d != loads %d", m.Phases.Count(core.PhaseIO), m.Loads)
 	}
 }
 
@@ -197,18 +195,19 @@ func TestIntegrationExperimentOutputsDeterministic(t *testing.T) {
 func TestIntegrationRockettraceStyleRun(t *testing.T) {
 	// Mirror what cmd/rockettrace does and check timeline rendering.
 	s := experiments.ForensicsSetup(experiments.Options{Scale: 100, Seed: 1})
-	m, err := rocket.New(
+	rec := rocket.NewSpanRecorder(1, 0)
+	_, err := rocket.New(
 		rocket.WithHomogeneous(1, rocket.DAS5Node(rocket.TitanXMaxwell)),
 		rocket.WithSeed(1),
 		rocket.WithDeviceSlots(s.DevSlots),
 		rocket.WithHostSlots(s.HostSlots),
-		rocket.WithConfig(func(c *rocket.Config) { c.DetailedTrace = true }),
+		rocket.WithSpans(rec),
 	).Run(s.App)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := m.Tracer.WriteTimeline(&b, 0); err != nil {
+	if err := rec.Snapshot().WriteTimeline(&b, 0); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

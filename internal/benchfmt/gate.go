@@ -5,17 +5,6 @@ import (
 	"strings"
 )
 
-// GateOptions tunes the regression gate.
-type GateOptions struct {
-	// MaxRegress is the tolerated fractional ns_per_op growth per
-	// experiment (e.g. 0.25 = 25%); beyond it the experiment regressed.
-	MaxRegress float64
-	// PerfIsFatal promotes perf regressions from warnings to failures.
-	// Determinism drift (output_sha256 mismatch) is always a failure:
-	// shared CI runners make wall time noisy, but output bytes never are.
-	PerfIsFatal bool
-}
-
 // maxAllocsRegress is the tolerated relative allocs_per_op growth per
 // experiment. Allocation counts repeat to within 0.2% run over run (map
 // growth and the runtime's own bookkeeping move them by a few objects), so
@@ -31,11 +20,11 @@ type GateRow struct {
 	// BaselineAllocs and CandidateAllocs are the two allocs_per_op.
 	BaselineAllocs  uint64
 	CandidateAllocs uint64
-	// Verdict is "ok", "faster", "slower" (beyond MaxRegress), "drift"
-	// (output_sha256 mismatch), "allocs" (allocs_per_op beyond
-	// maxAllocsRegress), "heap" (heap_pushes above the baseline's),
-	// "missing" (in baseline, not candidate), or "new" (no baseline to
-	// compare against).
+	// Verdict is "ok", "drift" (output_sha256 mismatch), "allocs"
+	// (allocs_per_op beyond maxAllocsRegress), "heap" (heap_pushes above
+	// the baseline's), "missing" (in baseline, not candidate), or "new"
+	// (no baseline to compare against). Times are printed, never judged:
+	// one wall-clock sample on a shared runner decides nothing.
 	Verdict string
 }
 
@@ -43,7 +32,6 @@ type GateRow struct {
 type GateResult struct {
 	Rows     []GateRow
 	Failures []string
-	Warnings []string
 	// ShardNote summarizes the shard-scaling trajectory comparison (empty
 	// when the candidate has no trajectory).
 	ShardNote string
@@ -63,8 +51,7 @@ type StorageGateRow struct {
 	CandidatePlan int64
 	IndexBytes    int64
 	// Verdict is "ok", "new", "bloat" (bytes/pair gate), "redecode" (a
-	// plan inflated a block more than once), "drift" (plan hash), or
-	// "slower" (plan latency beyond MaxRegress).
+	// plan inflated a block more than once), or "drift" (plan hash).
 	Verdict string
 }
 
@@ -77,12 +64,12 @@ func (g GateResult) Failed() bool { return len(g.Failures) > 0 }
 // deterministic columns — allocs_per_op may not grow beyond
 // maxAllocsRegress and heap_pushes, an exact count, may not grow at all
 // (a baseline that predates the column is not held to it); drops are not
-// gated — and last per-experiment ns_per_op within opts.MaxRegress.
+// gated. ns_per_op is carried into the rows for display only.
 //
 // Reports taken at different GOMAXPROCS are not comparable: the experiments
 // on the sharded engine start goroutines per OS thread, so their allocation
 // counts move by up to a fifth with the thread count.
-func Gate(baseline, candidate Report, opts GateOptions) GateResult {
+func Gate(baseline, candidate Report) GateResult {
 	var g GateResult
 	base := make(map[string]ExpResult, len(baseline.Experiments))
 	for _, e := range baseline.Experiments {
@@ -128,18 +115,6 @@ func Gate(baseline, candidate Report, opts GateOptions) GateResult {
 			g.Failures = append(g.Failures, fmt.Sprintf(
 				"%s: heap_pushes grew (%d -> %d of %d events): more events are ordered through the engine's heap than at the baseline",
 				c.ID, b.HeapPushes, c.HeapPushes, c.Events))
-		case row.Ratio > 1+opts.MaxRegress:
-			row.Verdict = "slower"
-			msg := fmt.Sprintf("%s: ns_per_op regressed %.0f%% (%.2fms -> %.2fms, limit %.0f%%)",
-				c.ID, 100*(row.Ratio-1), float64(b.NsPerOp)/1e6, float64(c.NsPerOp)/1e6,
-				100*opts.MaxRegress)
-			if opts.PerfIsFatal {
-				g.Failures = append(g.Failures, msg)
-			} else {
-				g.Warnings = append(g.Warnings, msg)
-			}
-		case row.Ratio > 0 && row.Ratio < 1-opts.MaxRegress:
-			row.Verdict = "faster"
 		default:
 			row.Verdict = "ok"
 		}
@@ -152,23 +127,18 @@ func Gate(baseline, candidate Report, opts GateOptions) GateResult {
 				"%s: present in baseline but missing from candidate run", b.ID))
 		}
 	}
-	gateShards(baseline, candidate, opts, &g)
-	gateStorage(baseline, candidate, opts, &g)
+	gateShards(baseline, candidate, &g)
+	gateStorage(baseline, candidate, &g)
 	return g
 }
 
-// gateShards checks the shard-scaling trajectory. Two properties:
-//
-//  1. Determinism (always fatal): every width in the candidate trajectory
-//     must report the same state hash — a divergence means the engine's
-//     shard invariance broke, the exact regression this PR's acceptance
-//     bar forbids. A trajectory present in the baseline must not vanish.
-//  2. Speedup (tracked): the widest-point events/sec relative to width 1
-//     is compared against the baseline's and reported, so scaling is
-//     recorded run over run instead of claimed once. Wall-clock speedup
-//     depends on the runner's GOMAXPROCS, so a drop is a warning (or a
-//     failure under PerfIsFatal), never silently ignored.
-func gateShards(baseline, candidate Report, opts GateOptions, g *GateResult) {
+// gateShards checks the shard-scaling trajectory: every width in the
+// candidate trajectory must report the same state hash — a divergence
+// means the engine's shard invariance broke — and a trajectory present in
+// the baseline must not vanish. The widest-point events/sec relative to
+// width 1 is printed next to the baseline's, so scaling is recorded run
+// over run; it is wall-clock, so it is not judged.
+func gateShards(baseline, candidate Report, g *GateResult) {
 	if len(candidate.ShardTrajectory) == 0 {
 		if len(baseline.ShardTrajectory) > 0 {
 			g.Failures = append(g.Failures,
@@ -184,19 +154,8 @@ func gateShards(baseline, candidate Report, opts GateOptions, g *GateResult) {
 				p.Shards, p.StateHash, base.Shards, base.StateHash))
 		}
 	}
-	cand := candidate.ShardSpeedup()
-	prev := baseline.ShardSpeedup()
 	g.ShardNote = fmt.Sprintf("shard speedup %.2fx at GOMAXPROCS=%d (baseline %.2fx at GOMAXPROCS=%d)",
-		cand, candidate.GoMaxProcs, prev, baseline.GoMaxProcs)
-	if prev > 0 && cand < prev*(1-opts.MaxRegress) {
-		msg := fmt.Sprintf("shard speedup regressed: %.2fx -> %.2fx (limit -%.0f%%)",
-			prev, cand, 100*opts.MaxRegress)
-		if opts.PerfIsFatal {
-			g.Failures = append(g.Failures, msg)
-		} else {
-			g.Warnings = append(g.Warnings, msg)
-		}
-	}
+		candidate.ShardSpeedup(), candidate.GoMaxProcs, baseline.ShardSpeedup(), baseline.GoMaxProcs)
 }
 
 // maxBytesPerPairAtScale is the absolute storage-efficiency floor: at
@@ -213,8 +172,9 @@ const (
 	maxBytesPerPairRegress = 0.10
 )
 
-// gateStorage checks the pairstore scaling trajectory. Four
-// properties:
+// gateStorage checks the pairstore scaling trajectory. Three
+// properties, all fatal (plan latency is printed beside them, wall-clock
+// and so not judged):
 //
 //  1. Determinism (always fatal): the planned-residency hash at a
 //     matched dataset size must equal the baseline's, and a trajectory
@@ -223,13 +183,10 @@ const (
 //     pairs, and within maxBytesPerPairRegress of the baseline at
 //     matched sizes. Disk bytes are noise-free, so this gates hard
 //     where wall time cannot.
-//  3. Plan latency (tracked): drift beyond opts.MaxRegress is a warning
-//     (or a failure under PerfIsFatal) — it shares a runner with every
-//     other wall-clock figure.
-//  4. Block decodes (always fatal): the plan may inflate each block at
+//  3. Block decodes (always fatal): the plan may inflate each block at
 //     most once. The count repeats exactly, so it is the planning budget
 //     a noisy runner can hold where a ns/pair budget cannot.
-func gateStorage(baseline, candidate Report, opts GateOptions, g *GateResult) {
+func gateStorage(baseline, candidate Report, g *GateResult) {
 	if len(candidate.StorageTrajectory) == 0 {
 		if len(baseline.StorageTrajectory) > 0 {
 			g.Failures = append(g.Failures,
@@ -288,23 +245,6 @@ func gateStorage(baseline, candidate Report, opts GateOptions, g *GateResult) {
 				c.Pairs, 100*(c.BytesPerPair/b.BytesPerPair-1), b.BytesPerPair, c.BytesPerPair,
 				100*maxBytesPerPairRegress))
 		}
-		if b.PlanNsPerOp > 0 {
-			ratio := float64(c.PlanNsPerOp) / float64(b.PlanNsPerOp)
-			if ratio > 1+opts.MaxRegress {
-				if row.Verdict == "ok" {
-					row.Verdict = "slower"
-				}
-				msg := fmt.Sprintf(
-					"storage: plan latency at %d pairs drifted %.0f%% (%.2fms -> %.2fms, limit %.0f%%)",
-					c.Pairs, 100*(ratio-1), float64(b.PlanNsPerOp)/1e6, float64(c.PlanNsPerOp)/1e6,
-					100*opts.MaxRegress)
-				if opts.PerfIsFatal {
-					g.Failures = append(g.Failures, msg)
-				} else {
-					g.Warnings = append(g.Warnings, msg)
-				}
-			}
-		}
 		g.StorageRows = append(g.StorageRows, row)
 	}
 	if widest.Pairs > 0 {
@@ -334,16 +274,11 @@ func (g GateResult) Markdown() string {
 	b.WriteString("## bench gate\n\n")
 	if g.Failed() {
 		b.WriteString("**FAILED**\n\n")
-	} else if len(g.Warnings) > 0 {
-		b.WriteString("passed with warnings\n\n")
 	} else {
 		b.WriteString("passed\n\n")
 	}
 	for _, f := range g.Failures {
 		fmt.Fprintf(&b, "- :x: %s\n", f)
-	}
-	for _, w := range g.Warnings {
-		fmt.Fprintf(&b, "- :warning: %s\n", w)
 	}
 	b.WriteString("\n| experiment | baseline ms | candidate ms | ratio | baseline allocs | candidate allocs | verdict |\n")
 	b.WriteString("|---|---:|---:|---:|---:|---:|---|\n")
@@ -409,9 +344,6 @@ func (g GateResult) Text() string {
 	}
 	if g.StorageNote != "" {
 		fmt.Fprintf(&b, "%s\n", g.StorageNote)
-	}
-	for _, w := range g.Warnings {
-		fmt.Fprintf(&b, "WARN: %s\n", w)
 	}
 	for _, f := range g.Failures {
 		fmt.Fprintf(&b, "FAIL: %s\n", f)

@@ -4,15 +4,17 @@ import (
 	goruntime "runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"rocket/internal/apps/forensics"
 	"rocket/internal/apps/phylo"
 	"rocket/internal/gpu"
+	"rocket/internal/obs"
 )
 
 // countRun runs cfg and returns the heap objects and bytes the whole Run
-// allocated, with the pairs it completed.
-func countRun(t *testing.T, cfg Config) (mallocs, bytes, pairs float64) {
+// allocated, with its metrics.
+func countRun(t *testing.T, cfg Config) (mallocs, bytes float64, m *Metrics) {
 	t.Helper()
 	var before, after goruntime.MemStats
 	goruntime.GC()
@@ -22,7 +24,7 @@ func countRun(t *testing.T, cfg Config) (mallocs, bytes, pairs float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc), float64(m.Pairs)
+	return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc), m
 }
 
 // The allocation gates of the per-pair path: a cost model at n and at 2n
@@ -58,8 +60,9 @@ func TestAllocationsPerPair(t *testing.T) {
 		}, 2.0, 96},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			m1, b1, p1 := countRun(t, c.cfg(c.n))
-			m2, b2, p2 := countRun(t, c.cfg(2*c.n))
+			m1, b1, r1 := countRun(t, c.cfg(c.n))
+			m2, b2, r2 := countRun(t, c.cfg(2*c.n))
+			p1, p2 := float64(r1.Pairs), float64(r2.Pairs)
 			perPair, bytesPerPair := (m2-m1)/(p2-p1), (b2-b1)/(p2-p1)
 			t.Logf("n=%d: %.0f objects, %.0f bytes, %.0f pairs; n=%d: %.0f, %.0f, %.0f; per added pair %.3f objects, %.1f bytes",
 				c.n, m1, b1, p1, 2*c.n, m2, b2, p2, perPair, bytesPerPair)
@@ -85,10 +88,44 @@ func TestRunFixedCost(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	objs, bytes, pairs := countRun(t, Config{App: forensics.New(forensics.Params{N: 4, Seed: 1}), Cluster: newCluster(t, 4), Seed: 1, DistCache: true})
-	t.Logf("%.0f objects, %.0f bytes, %.0f pairs", objs, bytes, pairs)
+	objs, bytes, m := countRun(t, Config{App: forensics.New(forensics.Params{N: 4, Seed: 1}), Cluster: newCluster(t, 4), Seed: 1, DistCache: true})
+	t.Logf("%.0f objects, %.0f bytes, %d pairs", objs, bytes, m.Pairs)
 	if objs > 350 {
 		t.Errorf("a 4-node, 4-item run allocates %.0f objects, want <= 350", objs)
+	}
+}
+
+// A flight recorder retains what its ring holds and nothing else: a run
+// with a 64-span recorder attached allocates the ring's one backing array
+// over the same run without it, whatever the data-set size — every task
+// interval goes into a slot that already exists — and reports the same
+// outcome. The slack is for what the Go runtime allocates on its own.
+func TestSpansAllocateOnlyTheRing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const ringCap, slackObjs, slackBytes = 64, 8, 2048
+	ringBytes := float64(ringCap * unsafe.Sizeof(obs.Span{}))
+	for _, n := range []int{60, 120} {
+		cfg := func(rec *obs.Recorder) Config {
+			return Config{App: forensics.New(forensics.Params{N: n, Seed: 1}), Cluster: newCluster(t, 4), Seed: 1, DistCache: true, Spans: rec}
+		}
+		objs, bytes, plain := countRun(t, cfg(nil))
+		rec := obs.New(1, ringCap)
+		tObjs, tBytes, traced := countRun(t, cfg(rec))
+		snap := rec.Snapshot()
+		t.Logf("n=%d: %.0f objects, %.0f bytes; with spans %.0f, %.0f (%d recorded, %d retained)",
+			n, objs, bytes, tObjs, tBytes, snap.Recorded, len(snap.Spans))
+		if snap.Recorded < traced.Pairs || len(snap.Spans) != ringCap {
+			t.Errorf("n=%d: recorder saw %d spans and retains %d, want >= %d and %d", n, snap.Recorded, len(snap.Spans), traced.Pairs, ringCap)
+		}
+		if tObjs > objs+1+slackObjs || tBytes > bytes+ringBytes+slackBytes {
+			t.Errorf("n=%d: spans cost %.0f objects and %.0f bytes, want <= 1 object and %.0f bytes (the ring)",
+				n, tObjs-objs, tBytes-bytes, ringBytes)
+		}
+		if traced.Summary() != plain.Summary() {
+			t.Errorf("n=%d: summary with spans %+v, without %+v", n, traced.Summary(), plain.Summary())
+		}
 	}
 }
 

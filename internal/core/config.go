@@ -105,13 +105,10 @@ type Config struct {
 	// Seed drives all randomized behavior (durations, victim selection).
 	Seed uint64
 
-	// DetailedTrace retains every task interval for timeline rendering
-	// (the paper's profiling flag). Aggregate busy times are always kept.
-	DetailedTrace bool
-	// Spans, when non-nil, receives the run's task intervals as
-	// virtual-time spans in the flight recorder once at metrics
-	// aggregation (implies DetailedTrace). Nil — the default — keeps
-	// the observability layer entirely off the hot path.
+	// Spans, when non-nil, receives every task interval of the run as a
+	// virtual-time span on lane 0 of the flight recorder, as it completes
+	// (the paper's profiling flag). Nil — the default — retains nothing
+	// but the per-phase busy times and counts.
 	Spans *obs.Recorder
 	// CollectResults stores comparison outputs (real-kernel runs).
 	CollectResults bool
@@ -171,11 +168,6 @@ func (cfg Config) normalize() (Config, error) {
 	}
 	if cfg.LeafPairs < 1 {
 		return cfg, fmt.Errorf("core: LeafPairs must be >= 1")
-	}
-	if cfg.Spans != nil {
-		// The flight recorder is fed from the detailed task list at
-		// aggregation time, so recording spans requires retaining it.
-		cfg.DetailedTrace = true
 	}
 	if cfg.StealBackoff == 0 {
 		cfg.StealBackoff = sim.Micros(100)

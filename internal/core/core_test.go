@@ -9,9 +9,9 @@ import (
 
 	"rocket/internal/cluster"
 	"rocket/internal/gpu"
+	"rocket/internal/obs"
 	"rocket/internal/pairs"
 	"rocket/internal/sim"
-	"rocket/internal/trace"
 )
 
 // testApp is a synthetic application with uniform costs.
@@ -349,23 +349,30 @@ func TestHeterogeneousFasterGPUDoesMoreWork(t *testing.T) {
 	}
 }
 
-func TestDetailedTraceRecordsPipeline(t *testing.T) {
+// TestSpansRecordPipeline: with a recorder attached every task interval
+// lands in it as one span, and the always-on phase table agrees with what
+// the run did.
+func TestSpansRecordPipeline(t *testing.T) {
 	app := defaultTestApp(8)
-	m, err := Run(Config{App: app, Cluster: newCluster(t, 1), Seed: 1, DetailedTrace: true})
+	rec := obs.New(1, 0)
+	m, err := Run(Config{App: app, Cluster: newCluster(t, 1), Seed: 1, Spans: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Tracer.Tasks()) == 0 {
-		t.Fatal("no tasks recorded")
+	var tasks uint64
+	for p := Phase(0); p < numPhases; p++ {
+		tasks += m.Phases.Count(p)
 	}
-	if m.Tracer.Count(trace.ClassGPU, trace.KindCompare) != m.Pairs {
-		t.Fatalf("compare tasks %d != pairs %d",
-			m.Tracer.Count(trace.ClassGPU, trace.KindCompare), m.Pairs)
+	if snap := rec.Snapshot(); tasks == 0 || snap.Recorded != tasks || snap.Dropped != 0 {
+		t.Fatalf("recorded %d spans (%d dropped) for %d tasks", snap.Recorded, snap.Dropped, tasks)
 	}
-	if m.Tracer.Count(trace.ClassIO, trace.KindIO) != m.Loads {
-		t.Fatalf("io tasks %d != loads %d", m.Tracer.Count(trace.ClassIO, trace.KindIO), m.Loads)
+	if m.Phases.Count(PhaseCompare) != m.Pairs {
+		t.Fatalf("compare tasks %d != pairs %d", m.Phases.Count(PhaseCompare), m.Pairs)
 	}
-	if m.Tracer.Busy(trace.ClassCPU) == 0 {
+	if m.Phases.Count(PhaseIO) != m.Loads {
+		t.Fatalf("io tasks %d != loads %d", m.Phases.Count(PhaseIO), m.Loads)
+	}
+	if m.Phases.Busy(ClassCPU) == 0 {
 		t.Fatal("no CPU busy time")
 	}
 }
@@ -378,7 +385,7 @@ func TestGPUBusyMatchesModel(t *testing.T) {
 	}
 	// With perfect reuse: n preprocess kernels + C(n,2) comparisons.
 	want := sim.Time(16)*app.pre + sim.Time(pairs.TotalPairs(16))*app.cmp
-	if got := m.Tracer.Busy(trace.ClassGPU); got != want {
+	if got := m.Phases.Busy(ClassGPU); got != want {
 		t.Fatalf("GPU busy = %v, want %v", got, want)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"rocket/internal/dht"
 	"rocket/internal/sim"
 	"rocket/internal/stats"
-	"rocket/internal/trace"
 )
 
 // A comparison job is a pure delay state machine: every step either holds
@@ -174,10 +173,7 @@ func (jb *job) run() {
 		if jb.stale() {
 			return
 		}
-		rt.tracer.Record(trace.Task{
-			Resource: jb.n.node.IO.Name(), Class: trace.ClassIO, Kind: trace.KindIO,
-			Item: jb.item, Item2: -1, Start: jb.t0, End: rt.env.Now(),
-		})
+		rt.record(PhaseIO, jb.n.node.IO.Name(), jb.item, -1, jb.t0)
 		if pt := rt.app.ParseTime(jb.item); pt > 0 {
 			jb.stage = stParse
 			jb.n.node.CPU.UseFunc(rt.env, pt, jb.used)
@@ -198,10 +194,10 @@ func (jb *job) onUse(start sim.Time) {
 	rt, dev := jb.n.rt, jb.d.dev
 	switch jb.stage {
 	case stParse:
-		jb.record(jb.n.node.CPU.Name(), trace.ClassCPU, trace.KindParse, start)
+		jb.record(PhaseParse, jb.n.node.CPU.Name(), start)
 		jb.copyIn(stStage)
 	case stStage:
-		jb.record(dev.H2D.Name(), trace.ClassH2D, trace.KindH2D, start)
+		jb.record(PhaseH2D, dev.H2D.Name(), start)
 		if ppt := rt.app.PreprocessTime(jb.item); ppt > 0 {
 			jb.stage = stPreprocess
 			dev.LaunchKernel(rt.env, ppt, jb.used)
@@ -209,22 +205,22 @@ func (jb *job) onUse(start sim.Time) {
 		}
 		jb.materialize()
 	case stPreprocess:
-		jb.record(dev.ID, trace.ClassGPU, trace.KindPreprocess, start)
+		jb.record(PhasePreprocess, dev.ID, start)
 		jb.materialize()
 	case stFill:
-		jb.record(dev.H2D.Name(), trace.ClassH2D, trace.KindH2D, start)
+		jb.record(PhaseH2D, dev.H2D.Name(), start)
 		jb.dh.SetData(jb.data)
 		jb.dh.Publish(rt.env)
 		jb.hh.Release(rt.env)
 		jb.acquired(jb.dh)
 	case stWriteBack:
-		jb.record(dev.D2H.Name(), trace.ClassD2H, trace.KindD2H, start)
+		jb.record(PhaseD2H, dev.D2H.Name(), start)
 		jb.hh.SetData(jb.data)
 		jb.hh.Publish(rt.env)
 		jb.hh.Release(rt.env)
 		jb.acquired(jb.dh)
 	case stCompare:
-		jb.record(dev.ID, trace.ClassGPU, trace.KindCompare, start)
+		jb.record(PhaseCompare, dev.ID, start)
 		// Transfer the comparison result device -> host.
 		if rs := rt.app.ResultSize(); rs > 0 {
 			jb.stage = stResult
@@ -233,10 +229,10 @@ func (jb *job) onUse(start sim.Time) {
 		}
 		jb.post()
 	case stResult:
-		jb.record(dev.D2H.Name(), trace.ClassD2H, trace.KindD2H, start)
+		jb.record(PhaseD2H, dev.D2H.Name(), start)
 		jb.post()
 	case stPost:
-		jb.record(jb.n.node.CPU.Name(), trace.ClassCPU, trace.KindPost, start)
+		jb.record(PhasePost, jb.n.node.CPU.Name(), start)
 		jb.finish()
 	default:
 		panic(fmt.Sprintf("core: job (%d, %d) held a resource in stage %d", jb.i, jb.j, jb.stage))
@@ -245,15 +241,12 @@ func (jb *job) onUse(start sim.Time) {
 
 // record logs the interval [start, now] of the current stage: against the
 // item being loaded up to the comparison, against the pair from there on.
-func (jb *job) record(resource string, class trace.Class, kind trace.Kind, start sim.Time) {
+func (jb *job) record(p Phase, resource string, start sim.Time) {
 	item, item2 := jb.item, -1
 	if jb.stage >= stCompare {
 		item, item2 = jb.i, jb.j
 	}
-	jb.n.rt.tracer.Record(trace.Task{
-		Resource: resource, Class: class, Kind: kind,
-		Item: item, Item2: item2, Start: start, End: jb.n.rt.env.Now(),
-	})
+	jb.n.rt.record(p, resource, item, item2, start)
 }
 
 // acquire obtains a read lease for item on the job's device, walking the
@@ -313,10 +306,7 @@ func (jb *job) onLease(h cache.Handle, hit bool) {
 // load pipeline.
 func (jb *job) onFetch() {
 	rt := jb.n.rt
-	rt.tracer.Record(trace.Task{
-		Resource: jb.n.netName, Class: trace.ClassNet, Kind: trace.KindFetch,
-		Item: jb.item, Item2: -1, Start: jb.t0, End: rt.env.Now(),
-	})
+	rt.record(PhaseFetch, jb.n.netName, jb.item, -1, jb.t0)
 	if !jb.lookup.Hit {
 		jb.load()
 		return

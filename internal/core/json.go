@@ -6,7 +6,7 @@ import "rocket/internal/cache"
 // scalar outcomes, with explicit JSON field names so serialized results
 // can be compared byte-for-byte across runs (the online scheduler's
 // replay-fidelity argument) and consumed by HTTP clients. Large or
-// pointer-heavy diagnostics (tracer timelines, throughput series) are
+// pointer-heavy diagnostics (phase tables, throughput series) are
 // deliberately excluded.
 type MetricsSummary struct {
 	RuntimeNS int64   `json:"runtime_ns"`

@@ -5,10 +5,8 @@ import (
 
 	"rocket/internal/cache"
 	"rocket/internal/dht"
-	"rocket/internal/obs"
 	"rocket/internal/sim"
 	"rocket/internal/stats"
-	"rocket/internal/trace"
 )
 
 // Metrics is the outcome of one runtime execution.
@@ -74,9 +72,8 @@ type Metrics struct {
 	// BaseItems echoes the delta plan's resident prefix (0 = full run).
 	BaseItems int
 
-	// Tracer holds per-class busy times (and task timelines when detailed
-	// tracing was enabled).
-	Tracer *trace.Tracer
+	// Phases holds the busy time and task count of every pipeline phase.
+	Phases PhaseTable
 
 	// DeviceThroughput maps device ID to its completed-pairs time series
 	// (only when Config.ThroughputWindow > 0).
@@ -123,7 +120,7 @@ func (rt *runtime) aggregate() *Metrics {
 		IOBytes:           rt.cl.Storage.BytesRead() + rt.cl.Storage.BytesWritten(),
 		IOReads:           rt.cl.Storage.Reads(),
 		NetBytes:          rt.cl.Net.BytesSent(),
-		Tracer:            rt.tracer,
+		Phases:            rt.phases,
 		LocalSteals:       rt.localSteals,
 		RemoteSteals:      rt.remoteSteals,
 		FailedSteals:      rt.failedSteals,
@@ -188,9 +185,5 @@ func (rt *runtime) aggregate() *Metrics {
 	if rt.nodes[0].host != nil {
 		m.HostSlots = rt.nodes[0].host.Cap()
 	}
-	// Bridge the detailed task list into the flight recorder in one shot:
-	// the hot path keeps recording into the tracer exactly as before, so
-	// span collection adds zero per-event work inside the run.
-	obs.FromTasks(rt.cfg.Spans, 0, rt.tracer.Tasks())
 	return m
 }

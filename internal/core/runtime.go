@@ -13,7 +13,6 @@ import (
 	"rocket/internal/sim"
 	"rocket/internal/stats"
 	"rocket/internal/steal"
-	"rocket/internal/trace"
 )
 
 // Sentinel errors surfaced through the run result. Both are wrapped with
@@ -39,7 +38,7 @@ type runtime struct {
 	cl     *cluster.Cluster
 	app    Application
 	comp   Computer // nil for cost-model-only runs
-	tracer *trace.Tracer
+	phases PhaseTable
 
 	nodes      []*nodeRT
 	totalPairs int64
@@ -170,7 +169,6 @@ func launch(cfg Config) (*runtime, error) {
 		env:        sim.NewEnv(),
 		cl:         cfg.Cluster,
 		app:        cfg.App,
-		tracer:     trace.New(cfg.DetailedTrace),
 		totalPairs: pairs.TotalPairs(cfg.App.NumItems()),
 		done:       sim.NewSignal(),
 	}
@@ -714,13 +712,7 @@ func (wk *worker) stolen(env *sim.Env) {
 // onStolen continues the worker after a remote steal round-trip.
 func (wk *worker) onStolen() {
 	rt := wk.n.rt
-	rt.tracer.Record(trace.Task{
-		Resource: wk.n.stealName,
-		Class:    trace.ClassNet,
-		Kind:     trace.KindSteal,
-		Item:     wk.stealVictim, Item2: -1,
-		Start: wk.stealStart, End: rt.env.Now(),
-	})
+	rt.record(PhaseSteal, wk.n.stealName, wk.stealVictim, -1, wk.stealStart)
 	if !wk.stealMsg.OK {
 		rt.failedSteals++
 		wk.onSteal(pairs.Region{}, false)

@@ -6,7 +6,6 @@ import (
 
 	"rocket/internal/pairs"
 	"rocket/internal/pairstore"
-	"rocket/internal/trace"
 )
 
 // storePlan is one run's resolved incremental plan: which pairs are
@@ -174,10 +173,7 @@ func (rt *runtime) chargeStoreRead() {
 			start := rt.env.Now()
 			rt.cl.Storage.ReadFunc(rt.env, rt.plan.readBytes, func() {
 				n.node.IO.Release(rt.env)
-				rt.tracer.Record(trace.Task{
-					Resource: n.node.Name() + "/store", Class: trace.ClassIO, Kind: trace.KindStoreRead,
-					Item: -1, Item2: -1, Start: start, End: rt.env.Now(),
-				})
+				rt.record(PhaseStoreRead, n.node.Name()+"/store", -1, -1, start)
 			})
 		})
 	})
@@ -200,10 +196,7 @@ func (rt *runtime) flushStore() {
 		rt.cl.Storage.WriteFunc(rt.env, bytes, func() {
 			n.node.IO.Release(rt.env)
 			p.writeBytes = bytes
-			rt.tracer.Record(trace.Task{
-				Resource: n.node.Name() + "/store", Class: trace.ClassIO, Kind: trace.KindStoreWrite,
-				Item: -1, Item2: -1, Start: start, End: rt.env.Now(),
-			})
+			rt.record(PhaseStoreWrite, n.node.Name()+"/store", -1, -1, start)
 		})
 	})
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"rocket/internal/obs"
 	"rocket/internal/pairstore"
-	"rocket/internal/trace"
 )
 
 // storeDigest is the digest function the store tests share.
@@ -191,12 +191,13 @@ func TestTrustedBaseWithoutStoreMatchesWarmStore(t *testing.T) {
 func TestEmptyStoreLeavesRunByteIdentical(t *testing.T) {
 	// The golden-trace invariant: attaching an empty store (no resident
 	// pairs, no batch) must not perturb the run at all.
-	run := func(withStore bool) *Metrics {
+	run := func(withStore bool) (*Metrics, obs.Snapshot) {
+		rec := obs.New(1, 0)
 		cfg := Config{
-			App:           defaultTestApp(14),
-			Cluster:       newCluster(t, 2),
-			Seed:          7,
-			DetailedTrace: true,
+			App:     defaultTestApp(14),
+			Cluster: newCluster(t, 2),
+			Seed:    7,
+			Spans:   rec,
 		}
 		if withStore {
 			cfg.Store = pairstore.New().Snapshot()
@@ -206,15 +207,16 @@ func TestEmptyStoreLeavesRunByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m
+		return m, rec.Snapshot()
 	}
-	a, b := run(false), run(true)
+	a, sa := run(false)
+	b, sb := run(true)
 	if a.Runtime != b.Runtime || a.Events != b.Events || a.Pairs != b.Pairs {
 		t.Fatalf("empty store perturbed the run: %v/%d/%d vs %v/%d/%d",
 			a.Runtime, a.Events, a.Pairs, b.Runtime, b.Events, b.Pairs)
 	}
-	ta, tb := a.Tracer.Tasks(), b.Tracer.Tasks()
-	if len(ta) != len(tb) {
+	ta, tb := sa.Spans, sb.Spans
+	if len(ta) == 0 || len(ta) != len(tb) {
 		t.Fatalf("trace lengths differ: %d vs %d", len(ta), len(tb))
 	}
 	for i := range ta {
@@ -253,25 +255,24 @@ func TestStoreTraceRecordsChargedIO(t *testing.T) {
 	const base, n = 10, 12
 	store, _ := warmStore(t, base, 1)
 	m, err := Run(Config{
-		App:           defaultTestApp(n),
-		Cluster:       newCluster(t, 1),
-		Seed:          1,
-		BaseItems:     base,
-		Store:         store.Snapshot(),
-		StoreBatch:    pairstore.NewBatch(),
-		ItemDigest:    storeDigest(),
-		DetailedTrace: true,
+		App:        defaultTestApp(n),
+		Cluster:    newCluster(t, 1),
+		Seed:       1,
+		BaseItems:  base,
+		Store:      store.Snapshot(),
+		StoreBatch: pairstore.NewBatch(),
+		ItemDigest: storeDigest(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Tracer.Count(trace.ClassIO, trace.KindStoreRead) != 1 {
+	if m.Phases.Count(PhaseStoreRead) != 1 {
 		t.Fatal("store read not traced")
 	}
-	if m.Tracer.Count(trace.ClassIO, trace.KindStoreWrite) != 1 {
+	if m.Phases.Count(PhaseStoreWrite) != 1 {
 		t.Fatal("store write not traced")
 	}
-	if m.Tracer.BusyKind(trace.ClassIO, trace.KindStoreRead) <= 0 {
+	if m.Phases.BusyPhase(PhaseStoreRead) <= 0 {
 		t.Fatal("store read busy time not charged")
 	}
 }

@@ -6,62 +6,62 @@ import (
 	"strings"
 
 	"rocket/internal/core"
+	"rocket/internal/obs"
 	"rocket/internal/sim"
-	"rocket/internal/trace"
 )
 
 // Fig6 reproduces Fig. 6: a section of a profiling trace of the forensics
 // application visualized per resource ("rows represent threads and boxes
 // represent executed tasks"). It runs a small slice of the workload with
-// detailed tracing enabled and prints the timeline, plus the asynchrony
+// a flight recorder attached and prints the timeline, plus the asynchrony
 // evidence the paper draws from the figure: while the GPU executes
 // comparisons, parsing, I/O, and transfers proceed concurrently on their
 // own threads.
 func Fig6(o Options) (string, error) {
 	o = o.normalized()
 	s := ForensicsSetup(Options{Scale: 100, Seed: o.Seed, Trace: o.Trace})
-	m, err := s.runDAS5(1, func(cfg *core.Config) {
-		cfg.DetailedTrace = true
-	})
+	rec := obs.New(1, 0)
+	m, err := s.runDAS5(1, func(cfg *core.Config) { cfg.Spans = rec })
 	if err != nil {
 		return "", err
 	}
+	snap := rec.Snapshot()
 	var b strings.Builder
 	fmt.Fprintf(&b, "## Fig 6: task trace, forensics, 1 node (n=%d, %d tasks recorded)\n",
-		s.App.NumItems(), len(m.Tracer.Tasks()))
-	fmt.Fprintf(&b, "busy per thread class:\n%s\n", m.Tracer.Summary())
+		s.App.NumItems(), len(snap.Spans))
+	fmt.Fprintf(&b, "busy per thread class:\n%s\n", m.Phases.Summary())
 
 	// Quantify overlap: how much of the GPU-busy interval also has CPU or
 	// I/O activity in flight — the "GPU remains fully utilized while slow
 	// I/O and CPU tasks run in the background" observation.
-	overlap := overlappedTime(m.Tracer.Tasks(), trace.ClassGPU, trace.ClassCPU)
+	overlap := overlappedTime(snap.Spans, obs.KindKernel, obs.KindCPU)
 	fmt.Fprintf(&b, "GPU-busy time with CPU work concurrently in flight: %v\n\n", overlap)
 
-	if err := m.Tracer.WriteTimeline(&b, 80); err != nil {
+	if err := snap.WriteTimeline(&b, 80); err != nil {
 		return "", err
 	}
 	return b.String(), nil
 }
 
-// overlappedTime returns the total time during which at least one task of
-// class a and one of class b are simultaneously active. Each start/end
+// overlappedTime returns the total time during which at least one span of
+// kind a and one of kind b are simultaneously active. Each start/end
 // edge is packed into one uint64 — time in the high bits, then a
 // start/end bit (ends sort first, matching half-open intervals), then the
-// class bit — so the sweep sorts machine words instead of structs.
-func overlappedTime(tasks []trace.Task, a, b trace.Class) sim.Time {
+// kind bit — so the sweep sorts machine words instead of structs.
+func overlappedTime(spans []obs.Span, a, b obs.Kind) sim.Time {
 	const (
-		classBit = 1 << 0 // class a (vs class b)
+		kindBit  = 1 << 0 // kind a (vs kind b)
 		startBit = 1 << 1 // interval start (vs end)
 	)
 	pack := func(at sim.Time, bits uint64) uint64 { return uint64(at)<<2 | bits }
-	edges := make([]uint64, 0, 2*len(tasks))
-	for _, t := range tasks {
-		if t.Class != a && t.Class != b {
+	edges := make([]uint64, 0, 2*len(spans))
+	for _, t := range spans {
+		if t.Kind != a && t.Kind != b {
 			continue
 		}
 		var cls uint64
-		if t.Class == a {
-			cls = classBit
+		if t.Kind == a {
+			cls = kindBit
 		}
 		edges = append(edges,
 			pack(t.Start, startBit|cls),
@@ -80,7 +80,7 @@ func overlappedTime(tasks []trace.Task, a, b trace.Class) sim.Time {
 		if e&startBit != 0 {
 			delta = 1
 		}
-		if e&classBit != 0 {
+		if e&kindBit != 0 {
 			actA += delta
 		} else {
 			actB += delta

@@ -7,7 +7,6 @@ import (
 	"rocket/internal/core"
 	"rocket/internal/model"
 	"rocket/internal/report"
-	"rocket/internal/trace"
 )
 
 // Fig8 reproduces Fig. 8: per-thread-class busy time on one node (TitanX
@@ -28,13 +27,13 @@ func Fig8(o Options) (string, error) {
 		tmin := model.Tmin(s.Costs, s.App.NumItems())
 		t.AddRow(
 			s.Name,
-			m.Tracer.Busy(trace.ClassGPU).Seconds(),
-			m.Tracer.BusyKind(trace.ClassGPU, trace.KindPreprocess).Seconds(),
-			m.Tracer.BusyKind(trace.ClassGPU, trace.KindCompare).Seconds(),
-			m.Tracer.Busy(trace.ClassCPU).Seconds(),
-			m.Tracer.Busy(trace.ClassH2D).Seconds(),
-			m.Tracer.Busy(trace.ClassD2H).Seconds(),
-			m.Tracer.Busy(trace.ClassIO).Seconds(),
+			m.Phases.Busy(core.ClassGPU).Seconds(),
+			m.Phases.BusyPhase(core.PhasePreprocess).Seconds(),
+			m.Phases.BusyPhase(core.PhaseCompare).Seconds(),
+			m.Phases.Busy(core.ClassCPU).Seconds(),
+			m.Phases.Busy(core.ClassH2D).Seconds(),
+			m.Phases.Busy(core.ClassD2H).Seconds(),
+			m.Phases.Busy(core.ClassIO).Seconds(),
 			m.Runtime.Seconds(),
 			tmin.Seconds(),
 			fmt.Sprintf("%.1f%%", 100*s.Efficiency(m, 1)),
@@ -67,11 +66,11 @@ func Fig10(o Options) (string, error) {
 		t.AddRow(
 			fmt.Sprintf("%.0f GB/%d", gb, o.Scale),
 			slots,
-			m.Tracer.Busy(trace.ClassGPU).Seconds(),
-			m.Tracer.Busy(trace.ClassCPU).Seconds(),
-			m.Tracer.Busy(trace.ClassH2D).Seconds(),
-			m.Tracer.Busy(trace.ClassD2H).Seconds(),
-			m.Tracer.Busy(trace.ClassIO).Seconds(),
+			m.Phases.Busy(core.ClassGPU).Seconds(),
+			m.Phases.Busy(core.ClassCPU).Seconds(),
+			m.Phases.Busy(core.ClassH2D).Seconds(),
+			m.Phases.Busy(core.ClassD2H).Seconds(),
+			m.Phases.Busy(core.ClassIO).Seconds(),
 			m.Runtime.Seconds(),
 			m.R,
 		)

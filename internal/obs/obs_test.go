@@ -3,11 +3,11 @@ package obs
 import (
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"rocket/internal/sim"
-	"rocket/internal/trace"
 )
 
 func TestNilRecorderIsDisabled(t *testing.T) {
@@ -20,7 +20,6 @@ func TestNilRecorderIsDisabled(t *testing.T) {
 	}
 	r.Record(0, Span{Kind: KindMark})
 	r.RecordInstant(3, KindSteal, "node0", "probe", 5, 1)
-	FromTasks(r, 0, []trace.Task{{Kind: trace.KindIO}})
 	snap := r.Snapshot()
 	if len(snap.Spans) != 0 || snap.Recorded != 0 || snap.Dropped != 0 {
 		t.Fatalf("nil recorder snapshot not empty: %+v", snap)
@@ -310,25 +309,38 @@ func TestWriteTableAndTop(t *testing.T) {
 	}
 }
 
-func TestFromTasksBridge(t *testing.T) {
+// TestWriteTimeline: spans group under their track in name order, each
+// track in canonical order, and a non-zero Arg2 prints as a pair.
+func TestWriteTimeline(t *testing.T) {
 	r := New(1, 0)
-	FromTasks(r, 0, []trace.Task{
-		{Resource: "node0/gpu0", Class: trace.ClassGPU, Kind: trace.KindCompare, Item: 2, Item2: 7, Start: 10, End: 20},
-		{Resource: "node0/cpu", Class: trace.ClassCPU, Kind: trace.KindParse, Item: 1, Item2: -1, Start: 0, End: 5},
-		{Resource: "node0/io", Class: trace.ClassIO, Kind: trace.KindIO, Item: 1, Item2: -1, Start: 0, End: 3},
-	})
-	snap := r.Snapshot()
-	if len(snap.Spans) != 3 {
-		t.Fatalf("got %d spans", len(snap.Spans))
+	r.Record(0, Span{Start: 10, End: 20, Kind: KindKernel, Track: "n0/gpu0", Name: "compare", Arg: 1, Arg2: 3})
+	r.Record(0, Span{Start: 0, End: 5, Kind: KindCPU, Track: "n0/cpu", Name: "parse", Arg: 7})
+	r.Record(0, Span{Start: 0, End: 3, Kind: KindKernel, Track: "n0/gpu0", Name: "preprocess", Arg: 7})
+	var b strings.Builder
+	if err := r.Snapshot().WriteTimeline(&b, 0); err != nil {
+		t.Fatal(err)
 	}
-	// Canonical order: (0,3,io) before (0,5,parse) before (10,20,compare).
-	if snap.Spans[0].Kind != KindIO || snap.Spans[1].Kind != KindCPU || snap.Spans[2].Kind != KindKernel {
-		t.Fatalf("kinds = %v %v %v", snap.Spans[0].Kind, snap.Spans[1].Kind, snap.Spans[2].Kind)
+	want := "== n0/cpu ==\n" +
+		"           0ns .. 5ns          parse       item 7\n" +
+		"== n0/gpu0 ==\n" +
+		"           0ns .. 3ns          preprocess  item 7\n" +
+		"          10ns .. 20ns         compare     pair (1, 2)\n"
+	if b.String() != want {
+		t.Errorf("timeline:\n%s\nwant:\n%s", b.String(), want)
 	}
-	if snap.Spans[2].Name != "compare" || snap.Spans[2].Arg != 2 || snap.Spans[2].Arg2 != 8 {
-		t.Fatalf("compare span = %+v", snap.Spans[2])
+}
+
+// TestWriteTimelineLimit: the row limit counts rows across tracks.
+func TestWriteTimelineLimit(t *testing.T) {
+	r := New(1, 0)
+	for i := 0; i < 10; i++ {
+		r.Record(0, Span{Start: sim.Time(i), End: sim.Time(i + 1), Kind: KindCPU, Track: "r" + strconv.Itoa(i%2), Name: "parse", Arg: int64(i)})
 	}
-	if snap.Spans[1].Arg2 != 0 {
-		t.Fatalf("parse span Arg2 = %d, want 0", snap.Spans[1].Arg2)
+	var b strings.Builder
+	if err := r.Snapshot().WriteTimeline(&b, 6); err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(b.String(), "\n"); lines != 8 { // 2 headers + 5 rows of r0 + 1 of r1
+		t.Errorf("got %d lines, want 8:\n%s", lines, b.String())
 	}
 }

@@ -165,6 +165,45 @@ func (snap Snapshot) WriteTable(w io.Writer, limit int, opts ExportOptions) erro
 	return bw.Flush()
 }
 
+// WriteTimeline renders the snapshot as a per-track textual timeline, the
+// Fig. 6 view: tracks in name order, each track's spans in canonical
+// order, at most limit rows in all (0 = all). Arg prints as the item a
+// span worked on; a non-zero Arg2 is the second item of a pair plus one,
+// which is how core records its pipeline phases.
+func (snap Snapshot) WriteTimeline(w io.Writer, limit int) error {
+	byTrack := map[string][]int{}
+	for i, s := range snap.Spans {
+		byTrack[s.Track] = append(byTrack[s.Track], i)
+	}
+	tracks := make([]string, 0, len(byTrack))
+	for t := range byTrack {
+		tracks = append(tracks, t)
+	}
+	sort.Strings(tracks)
+	bw := bufio.NewWriter(w)
+	rows := 0
+	for _, t := range tracks {
+		if limit > 0 && rows >= limit {
+			break
+		}
+		fmt.Fprintf(bw, "== %s ==\n", t)
+		for _, i := range byTrack[t] {
+			if limit > 0 && rows >= limit {
+				break
+			}
+			s := snap.Spans[i]
+			fmt.Fprintf(bw, "  %12v .. %-12v %-11s ", s.Start, s.End, s.Name)
+			if s.Arg2 != 0 {
+				fmt.Fprintf(bw, "pair (%d, %d)\n", s.Arg, s.Arg2-1)
+			} else {
+				fmt.Fprintf(bw, "item %d\n", s.Arg)
+			}
+			rows++
+		}
+	}
+	return bw.Flush()
+}
+
 // TopEntry aggregates busy virtual time over one grouping key.
 type TopEntry struct {
 	Key   string
