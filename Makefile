@@ -7,7 +7,7 @@
 GO ?= go
 ROCKET_SCALE ?= 50
 BENCH_RUN ?= local
-BENCH_BASELINE ?= BENCH_pr23.json
+BENCH_BASELINE ?= BENCH_pr25.json
 COVERAGE_FLOOR ?= 75.0
 
 .PHONY: build test race-stress bench bench-sim bench-shards bench-repo bench-json bench-gate loc coverage smoke smoke-scenarios smoke-elastic smoke-incremental smoke-pairstore smoke-trace fuzz-smoke lint ci fmt
@@ -206,13 +206,14 @@ smoke-trace:
 	rm -f BENCH_traceoff.json BENCH_traceon.json
 
 # Mirrors the workflow's fuzz step: short go-native fuzz runs over the
-# manifest codec (seed corpus under internal/jobspec/testdata) and the
-# columnar segment codec (seed corpus under internal/pairstore/testdata)
-# — truncated or bit-flipped segment files must fail with a structured
-# *CorruptError, never a panic.
+# manifest codec (seed corpus under internal/jobspec/testdata), the
+# columnar segment codec — truncated or bit-flipped segment files must
+# fail with a structured *CorruptError, never a panic — and the store
+# against its map model (seed corpora under internal/pairstore/testdata).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzManifestRoundTrip -fuzztime=10s ./internal/jobspec/
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentRoundTrip -fuzztime=10s ./internal/pairstore/
+	$(GO) test -run='^$$' -fuzz=FuzzStoreOps -fuzztime=10s ./internal/pairstore/
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -162,16 +162,18 @@ func main() {
 				os.Exit(1)
 			}
 			report.StorageTrajectory = append(report.StorageTrajectory, benchfmt.StoragePoint{
-				Items:              sr.Items,
-				Pairs:              sr.Pairs,
-				BytesPerPair:       sr.BytesPerPair,
-				DiskBytes:          sr.DiskBytes,
-				IndexResidentBytes: sr.IndexResidentBytes,
-				PlanNsPerOp:        sr.PlanNs,
-				PlanHash:           sr.PlanHash,
-				BloomHitRate:       sr.BloomHitRate,
-				Blocks:             sr.Blocks,
-				BlockDecodes:       sr.BlockDecodes,
+				Items:               sr.Items,
+				Pairs:               sr.Pairs,
+				BytesPerPair:        sr.BytesPerPair,
+				DiskBytes:           sr.DiskBytes,
+				IndexResidentBytes:  sr.IndexResidentBytes,
+				PlanNsPerOp:         sr.PlanNs,
+				PlanHash:            sr.PlanHash,
+				BloomHitRate:        sr.BloomHitRate,
+				Blocks:              sr.Blocks,
+				BlockDecodes:        sr.BlockDecodes,
+				IngestBytesPerPair:  sr.IngestBytesPerPair,
+				IngestAllocsPerPair: sr.IngestAllocsPerPair,
 			})
 			fmt.Fprintf(os.Stderr, "storage trajectory: pairs=%-9d %6.2f bytes/pair  plan %8v  index %8d B  hash=%.16s\n",
 				sr.Pairs, sr.BytesPerPair, time.Duration(sr.PlanNs).Round(time.Millisecond),

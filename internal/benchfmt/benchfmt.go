@@ -81,6 +81,12 @@ type StoragePoint struct {
 	// reports predating the block cache).
 	Blocks       int    `json:"blocks,omitempty"`
 	BlockDecodes uint64 `json:"block_decodes,omitempty"`
+	// IngestBytesPerPair and IngestAllocsPerPair are the heap bytes and
+	// objects ingesting the store allocated per pair. Deterministic to
+	// within the runtime's own bookkeeping, so the gate holds them like
+	// allocs_per_op (absent from reports predating PR 25).
+	IngestBytesPerPair  float64 `json:"ingest_bytes_per_pair,omitempty"`
+	IngestAllocsPerPair float64 `json:"ingest_allocs_per_pair,omitempty"`
 }
 
 // Report is the top-level BENCH_<run>.json document.

@@ -51,7 +51,8 @@ type StorageGateRow struct {
 	CandidatePlan int64
 	IndexBytes    int64
 	// Verdict is "ok", "new", "bloat" (bytes/pair gate), "redecode" (a
-	// plan inflated a block more than once), or "drift" (plan hash).
+	// plan inflated a block more than once), "drift" (plan hash), or
+	// "ingest" (ingest bytes or objects per pair beyond maxAllocsRegress).
 	Verdict string
 }
 
@@ -186,6 +187,10 @@ const (
 //  3. Block decodes (always fatal): the plan may inflate each block at
 //     most once. The count repeats exactly, so it is the planning budget
 //     a noisy runner can hold where a ns/pair budget cannot.
+//  4. Ingest allocation (fatal at matched sizes): bytes and objects
+//     allocated per ingested pair may grow by at most maxAllocsRegress —
+//     the write path's count budget, as allocs_per_op is the runs'. A
+//     baseline without the columns is not held to them.
 func gateStorage(baseline, candidate Report, g *GateResult) {
 	if len(candidate.StorageTrajectory) == 0 {
 		if len(baseline.StorageTrajectory) > 0 {
@@ -244,6 +249,20 @@ func gateStorage(baseline, candidate Report, g *GateResult) {
 				"storage: bytes/pair at %d pairs regressed %.1f%% (%.2f -> %.2f, limit %.0f%%)",
 				c.Pairs, 100*(c.BytesPerPair/b.BytesPerPair-1), b.BytesPerPair, c.BytesPerPair,
 				100*maxBytesPerPairRegress))
+		}
+		for _, m := range []struct {
+			name       string
+			base, cand float64
+		}{
+			{"bytes", b.IngestBytesPerPair, c.IngestBytesPerPair},
+			{"objects", b.IngestAllocsPerPair, c.IngestAllocsPerPair},
+		} {
+			if m.base > 0 && m.cand > m.base*(1+maxAllocsRegress) {
+				row.Verdict = "ingest"
+				g.Failures = append(g.Failures, fmt.Sprintf(
+					"storage: ingest %s per pair at %d pairs grew %.1f%% (%.4g -> %.4g, limit %.0f%%)",
+					m.name, c.Pairs, 100*(m.cand/m.base-1), m.base, m.cand, 100*maxAllocsRegress))
+			}
 		}
 		g.StorageRows = append(g.StorageRows, row)
 	}

@@ -318,6 +318,39 @@ func TestGateStorageBlockRedecodeFails(t *testing.T) {
 	}
 }
 
+// Ingest bytes and objects per pair are held to the allocs_per_op budget
+// at matched sizes; a baseline without the columns holds nothing.
+func TestGateStorageIngestAllocation(t *testing.T) {
+	b := report(exp("fig6", 100, "aa"))
+	b.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.5, 5e8, "h1")}
+	c := report(exp("fig6", 100, "aa"))
+	within := storagePoint(1_000_000, 2.5, 5e8, "h1")
+	within.IngestBytesPerPair, within.IngestAllocsPerPair = 300, 0.005
+	c.StorageTrajectory = []StoragePoint{within}
+	if g := Gate(b, c); g.Failed() {
+		t.Fatalf("baseline without ingest columns gated them: %+v", g)
+	}
+	b.StorageTrajectory = []StoragePoint{within}
+	for _, grow := range []func(*StoragePoint){
+		func(p *StoragePoint) { p.IngestBytesPerPair = 307 },
+		func(p *StoragePoint) { p.IngestAllocsPerPair = 0.0052 },
+	} {
+		p := within
+		grow(&p)
+		c.StorageTrajectory = []StoragePoint{p}
+		g := Gate(b, c)
+		if !g.Failed() || g.StorageRows[0].Verdict != "ingest" || !strings.Contains(g.Failures[0], "ingest") {
+			t.Fatalf("ingest growth beyond 2%% passed: %+v", g)
+		}
+	}
+	p := within
+	p.IngestBytesPerPair, p.IngestAllocsPerPair = 305, 0.0051
+	c.StorageTrajectory = []StoragePoint{p}
+	if g := Gate(b, c); g.Failed() {
+		t.Fatalf("ingest growth within 2%% failed: %+v", g)
+	}
+}
+
 func TestGateStorageTrajectoryMustNotVanish(t *testing.T) {
 	b := report(exp("fig6", 100, "aa"))
 	b.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.5, 5e8, "h1")}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"time"
 
 	"rocket/internal/pairstore"
@@ -43,6 +44,12 @@ type StorageResult struct {
 	Seals        uint64
 	Levels       int
 	Segments     int
+	// IngestBytesPerPair and IngestAllocsPerPair are the heap bytes and
+	// objects the ingestion (every Put and the final Seal) allocated per
+	// pair, by runtime.MemStats deltas: counts that repeat, where the
+	// ingest's wall time does not.
+	IngestBytesPerPair  float64
+	IngestAllocsPerPair float64
 }
 
 // storageItemsForPairs returns the item count whose all-pairs set is
@@ -69,12 +76,16 @@ func MeasureStorage(pairs int64, seed uint64, dir string) (StorageResult, error)
 	// A bounded memtable forces the ingestion path through auto-seal and
 	// tiered compaction instead of building one giant log in memory.
 	s.SetAutoSealThreshold(1 << 18)
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
 	for i := 0; i < items; i++ {
 		for j := i + 1; j < items; j++ {
 			s.Put(pairstore.Entry{Key: pairstore.PairKey(digest, i, j), Version: items})
 		}
 	}
 	s.Seal()
+	runtime.ReadMemStats(&m1)
 	s.Compact()
 
 	path := filepath.Join(dir, "store.json")
@@ -87,6 +98,8 @@ func MeasureStorage(pairs int64, seed uint64, dir string) (StorageResult, error)
 	}
 
 	res := StorageResult{Items: items, Pairs: int64(items) * int64(items-1) / 2}
+	res.IngestBytesPerPair = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(res.Pairs)
+	res.IngestAllocsPerPair = float64(m1.Mallocs-m0.Mallocs) / float64(res.Pairs)
 	st := r.Stats()
 	res.DiskBytes = st.DiskBytes
 	res.BytesPerPair = st.BytesPerPair

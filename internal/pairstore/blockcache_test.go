@@ -235,7 +235,7 @@ func keyColsMatch(seg *segment, blk int) error {
 	if err != nil {
 		return err
 	}
-	d, err := seg.decodeBlock(blk)
+	d, err := seg.decodeBlock(blk, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -323,7 +323,7 @@ func TestSegmentNamesStable(t *testing.T) {
 // and agree.
 func corruptOrEqual(seg *segment, blk int) (failed bool, err error) {
 	_, errK := seg.decodeKeyCols(blk, &inflater{})
-	_, errF := seg.decodeBlock(blk)
+	_, errF := seg.decodeBlock(blk, nil, nil)
 	if (errK == nil) != (errF == nil) {
 		return false, fmt.Errorf("block %d: key-column decoder says %v, full decoder %v", blk, errK, errF)
 	}

@@ -16,14 +16,24 @@ type bloom struct {
 	bits []uint64
 }
 
+// maxBloomWords keeps a filter's bit count, 64·words, below 2³²: add
+// and test reduce 32-bit hashes modulo it, and at 2²⁶ words it would wrap
+// to 0. A segment of more than ≈ 429 M keys gets this many words and a
+// higher false-positive rate, never a wrong answer.
+const maxBloomWords = (1<<32 - 1) / 64
+
+// bloomWords is the word count of a filter for n keys.
+func bloomWords(n int) int {
+	return min((n*bloomBitsPerKey+63)/64, maxBloomWords)
+}
+
 // newBloom sizes a filter for n keys. n == 0 yields an empty filter
 // that reports every key absent.
 func newBloom(n int) bloom {
 	if n <= 0 {
 		return bloom{}
 	}
-	words := (n*bloomBitsPerKey + 63) / 64
-	return bloom{bits: make([]uint64, words)}
+	return bloom{bits: make([]uint64, bloomWords(n))}
 }
 
 // bloomHash derives the two independent 32-bit hashes double hashing

@@ -207,16 +207,29 @@ const (
 	codecFlate = 1
 )
 
+// deflater is the reusable half of block compression: the flate writer
+// with its hash tables and the buffer it writes to. Each segment builder
+// owns one; Reset is documented as equivalent to NewWriter, so reuse
+// cannot move a byte.
+type deflater struct {
+	zw  *flate.Writer
+	buf bytes.Buffer
+}
+
 // compressBlock frames one block payload: a codec byte, the raw length,
 // the stored length, a crc over the stored bytes, then the stored bytes
 // (flate-compressed when that actually shrinks the payload).
-func compressBlock(dst, payload []byte) []byte {
+func compressBlock(dst, payload []byte, z *deflater) []byte {
+	z.buf.Reset()
+	if z.zw == nil {
+		z.zw, _ = flate.NewWriter(&z.buf, flate.DefaultCompression)
+	} else {
+		z.zw.Reset(&z.buf)
+	}
 	stored := payload
 	codec := byte(codecRaw)
-	var buf bytes.Buffer
-	zw, _ := flate.NewWriter(&buf, flate.DefaultCompression)
-	if _, err := zw.Write(payload); err == nil && zw.Close() == nil && buf.Len() < len(payload) {
-		stored = buf.Bytes()
+	if _, err := z.zw.Write(payload); err == nil && z.zw.Close() == nil && z.buf.Len() < len(payload) {
+		stored = z.buf.Bytes()
 		codec = codecFlate
 	}
 	dst = append(dst, codec)

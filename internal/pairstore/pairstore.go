@@ -49,6 +49,7 @@ package pairstore
 
 import (
 	"encoding/json"
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -211,35 +212,88 @@ type Stats struct {
 	BlockCacheBytes int64  `json:"block_cache_bytes,omitempty"`
 }
 
-// memEntry is one mutable-log slot: the entry plus a link to the
-// previous occurrence of the same key (−1 if none), which is what lets
-// snapshots resolve a key against their pinned prefix.
+// memEntry is one mutable-log slot: the entry, a link to the previous
+// occurrence of the same key (−1 if none), which is what lets snapshots
+// resolve a key against their pinned prefix, and whether a later
+// occurrence supersedes it, which is what lets a seal walk the log in
+// order.
 type memEntry struct {
-	e    Entry
-	prev int
+	e          Entry
+	prev       int32
+	superseded bool
 }
 
-// memtable is the mutable log: entries in append order plus an index
-// to each key's latest occurrence. It is never mutated after Seal
+// memtable is the mutable log: entries in append order plus an
+// open-addressed index of each key's latest occurrence. An index slot
+// holds the position + 1 in its low half (0 = empty) and the low half
+// of the key's hash in its high half, so a probe rejects other keys
+// without touching their entries. The log is never mutated after Seal
 // swaps it out, so snapshots can keep reading their pinned prefix.
 type memtable struct {
 	entries []memEntry
-	index   map[Key]int
+	index   []uint64
+	shift   uint // 64 − log₂ len(index)
+	keys    int  // distinct keys indexed
+	hint    int  // keys to size the first index for: the last log's length
 	modeled int64
 	tombs   int
 }
 
-func newMemtable() *memtable {
-	return &memtable{index: make(map[Key]int)}
+// keyHash spreads a key over the index. Item digests are already
+// avalanched (DigestItem); the multiply is for keys that are not.
+func keyHash(k Key) uint64 {
+	return (uint64(k.A) ^ bits.RotateLeft64(uint64(k.B), 32)) * 0x9e3779b97f4a7c15
+}
+
+// find returns k's index slot — the one holding it, or the empty one
+// where it belongs — and the position of its latest occurrence (−1).
+func (m *memtable) find(k Key) (slot, pos int) {
+	h := keyHash(k)
+	mask := len(m.index) - 1
+	for i := int(h >> m.shift); ; i = (i + 1) & mask {
+		s := m.index[i]
+		if s == 0 {
+			return i, -1
+		}
+		if s>>32 == h&0xffffffff && m.entries[uint32(s)-1].e.Key == k {
+			return i, int(uint32(s)) - 1
+		}
+	}
+}
+
+// grow allocates the index on the first append, the smallest power of
+// two that holds hint keys at a load of at most one half, and doubles
+// it when that load is passed; the log is grown to match, room for half
+// the index (append alone would grow a long log by a quarter at a time,
+// allocating five times its final size on the way). Load counts keys,
+// not entries: after delete/re-put churn the log may already be longer.
+func (m *memtable) grow() {
+	n := max(64, 2*len(m.index))
+	for n < 2*m.hint {
+		n *= 2
+	}
+	m.entries = slices.Grow(m.entries, max(0, n/2-len(m.entries)))
+	m.index, m.shift = make([]uint64, n), uint(64-bits.Len(uint(n-1)))
+	for pos := range m.entries {
+		if !m.entries[pos].superseded {
+			i, _ := m.find(m.entries[pos].e.Key)
+			m.index[i] = keyHash(m.entries[pos].e.Key)<<32 | uint64(pos+1)
+		}
+	}
 }
 
 func (m *memtable) add(e Entry) {
-	prev := -1
-	if p, ok := m.index[e.Key]; ok {
-		prev = p
+	if 2*(m.keys+1) > len(m.index) {
+		m.grow()
 	}
-	m.entries = append(m.entries, memEntry{e: e, prev: prev})
-	m.index[e.Key] = len(m.entries) - 1
+	i, prev := m.find(e.Key)
+	if prev >= 0 {
+		m.entries[prev].superseded = true
+	} else {
+		m.keys++
+	}
+	m.entries = append(m.entries, memEntry{e: e, prev: int32(prev)})
+	m.index[i] = keyHash(e.Key)<<32 | uint64(len(m.entries))
 	m.modeled += entryBytes(e)
 	if e.Tombstone {
 		m.tombs++
@@ -249,12 +303,14 @@ func (m *memtable) add(e Entry) {
 // lookup returns the latest occurrence of k among the first limit
 // entries. The caller distinguishes live entries from tombstones.
 func (m *memtable) lookup(k Key, limit int) (Entry, bool) {
-	pos, ok := m.index[k]
-	for ok && pos >= limit {
-		pos = m.entries[pos].prev
-		ok = pos >= 0
+	if limit == 0 {
+		return Entry{}, false
 	}
-	if !ok {
+	_, pos := m.find(k)
+	for pos >= limit {
+		pos = int(m.entries[pos].prev)
+	}
+	if pos < 0 {
 		return Entry{}, false
 	}
 	return m.entries[pos].e, true
@@ -302,7 +358,7 @@ func (s *Store) SetMaintenanceHooks(onSeal func(rows int), onCompact func(inputs
 
 // New returns an empty store with one open mutable log.
 func New() *Store {
-	s := &Store{mem: newMemtable(), autoSeal: defaultAutoSeal}
+	s := &Store{mem: &memtable{}, autoSeal: defaultAutoSeal}
 	s.cache.init(&s.stats)
 	return s
 }
@@ -466,12 +522,24 @@ func (s *Store) MaybeSeal() {
 	}
 }
 
+// sealRec is one surviving log entry in the seal's sort: all of its row
+// but the value, which is read back from the log position when there is
+// one. Most rows have none, so the sorted walk does not touch the log.
+type sealRec struct {
+	key  Key
+	ver  int
+	pos  int32
+	tomb bool
+	val  bool
+}
+
 func (s *Store) sealLocked() {
-	if len(s.mem.entries) == 0 {
+	m := s.mem
+	if len(m.entries) == 0 {
 		return
 	}
-	// Collapse per-key chains: the latest occurrence wins. Tombstones
-	// survive only if an older segment could hold a shadowed entry.
+	// The latest occurrence of a key wins. Tombstones survive only if an
+	// older segment could hold a shadowed entry.
 	anySegments := false
 	for _, level := range s.levels {
 		if len(level) > 0 {
@@ -479,32 +547,51 @@ func (s *Store) sealLocked() {
 			break
 		}
 	}
-	rows := make([]row, 0, len(s.mem.index))
+	recs := make([]sealRec, 0, len(m.entries))
+	dict := make([]uint64, 0, 1024) // a thousand items' digests without regrowing
 	dropped := 0
-	for k, pos := range s.mem.index {
-		e := s.mem.entries[pos].e
-		for p := s.mem.entries[pos].prev; p >= 0; p = s.mem.entries[p].prev {
-			dropped++ // superseded occurrence collapsed away
-		}
-		if e.Tombstone && !anySegments {
+	for pos := range m.entries {
+		me := &m.entries[pos]
+		if me.superseded || me.e.Tombstone && !anySegments {
 			dropped++
 			continue
 		}
-		rows = append(rows, row{key: k, ver: e.Version, tomb: e.Tombstone, val: e.Value})
+		recs = append(recs, sealRec{key: me.e.Key, ver: me.e.Version, pos: int32(pos),
+			tomb: me.e.Tombstone, val: len(me.e.Value) > 0})
+		if n := len(dict); n == 0 || dict[n-1] != uint64(me.e.Key.B) {
+			dict = append(dict, uint64(me.e.Key.B)) // B digests come in runs
+		}
 	}
 	s.stats.CompactedAway += uint64(dropped)
-	if len(rows) > 0 {
-		seg := buildSegment(s.nextSeg, rows)
+	if len(recs) > 0 {
+		// Keys are unique within a seal, so every correct sort yields the
+		// same order, and the same segment bytes.
+		slices.SortFunc(recs, func(a, b sealRec) int { return keyCmp(a.key, b.key) })
+		for i, r := range recs {
+			if i == 0 || r.key.A != recs[i-1].key.A {
+				dict = append(dict, uint64(r.key.A)) // A digests now arrive sorted
+			}
+		}
+		slices.Sort(dict)
+		dict = slices.Compact(dict)
+		b := newSegBuilder(s.nextSeg, slices.Clone(dict), len(recs))
+		for _, r := range recs {
+			rw := row{key: r.key, ver: r.ver, tomb: r.tomb}
+			if r.val {
+				rw.val = m.entries[r.pos].e.Value
+			}
+			b.add(rw)
+		}
 		s.nextSeg++
 		if len(s.levels) == 0 {
 			s.levels = append(s.levels, nil)
 		}
-		s.levels[0] = append(s.levels[0], seg)
+		s.levels[0] = append(s.levels[0], b.finish())
 	}
-	s.mem = newMemtable()
+	s.mem = &memtable{hint: min(len(m.entries), s.autoSeal)}
 	s.stats.Seals++
 	if s.onSeal != nil {
-		s.onSeal(len(rows))
+		s.onSeal(len(recs))
 	}
 	s.maybeTierLocked()
 }
@@ -626,7 +713,14 @@ func mergeSegments(id uint64, inputs []*segment, dropTombs bool) (*segment, int)
 		if win < 0 {
 			break
 		}
+		// The winner is written before its input advances: its value
+		// lives in that iterator's block buffer.
 		r := heads[win]
+		if r.tomb && dropTombs {
+			dropped++
+		} else {
+			b.add(r)
+		}
 		// Advance every input sitting on the same key; losers drop.
 		for i := range heads {
 			if ok[i] && heads[i].key == r.key {
@@ -636,11 +730,6 @@ func mergeSegments(id uint64, inputs []*segment, dropTombs bool) (*segment, int)
 				heads[i], ok[i] = iters[i].next()
 			}
 		}
-		if r.tomb && dropTombs {
-			dropped++
-			continue
-		}
-		b.add(r)
 	}
 	if b.rows == 0 {
 		return nil, dropped

@@ -168,6 +168,77 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMemtableGrowsPastChurn doubles the memtable index while the log
+// holds more entries than the old index had slots: delete/re-put churn
+// on one key adds entries but no keys. Load replays the saved log
+// through the same growth.
+func TestMemtableGrowsPastChurn(t *testing.T) {
+	s := New()
+	s.Put(Entry{Key: keyOf(0, 1)})
+	for v := 1; v <= 20; v++ {
+		s.Delete(keyOf(0, 1))
+		s.Put(Entry{Key: keyOf(0, 1), Version: v})
+	}
+	for j := 2; j <= 65; j++ { // 41 entries, then keys 2..65 double the index twice
+		s.Put(Entry{Key: keyOf(0, j), Version: j})
+	}
+	path := filepath.Join(t.TempDir(), "store.json")
+	if err := s.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*Store{"store": s, "reloaded": r} {
+		if got := st.Stats(); got.Entries != 65 || got.LogEntries != 105 || got.Tombstones != 20 {
+			t.Fatalf("%s: %d entries, %d in the log, %d tombstones; want 65, 105, 20",
+				name, got.Entries, got.LogEntries, got.Tombstones)
+		}
+		for j := 1; j <= 65; j++ {
+			want := j
+			if j == 1 {
+				want = 20
+			}
+			if e, ok := st.Get(keyOf(0, j)); !ok || e.Version != want {
+				t.Fatalf("%s: Get(0, %d) = %+v, %v; want version %d", name, j, e, ok, want)
+			}
+		}
+	}
+}
+
+// TestMemtableSizedToLastLog: each log is sized from the one sealed
+// before it, so a log as long as the last never regrows, and a short log
+// after a long one does not inherit the long one's size.
+func TestMemtableSizedToLastLog(t *testing.T) {
+	s := New()
+	next := 1
+	fill := func(n int) {
+		for ; n > 0; n-- {
+			s.Put(Entry{Key: keyOf(0, next)})
+			next++
+		}
+	}
+	fill(5000)
+	s.Seal()
+	fill(1)
+	room := cap(s.mem.entries)
+	if room < 5000 {
+		t.Fatalf("a log after a 5000-entry one starts with room for %d", room)
+	}
+	fill(4999)
+	if got := cap(s.mem.entries); got != room {
+		t.Fatalf("a log as long as the last regrew from %d to %d entries", room, got)
+	}
+	s.Seal()
+	fill(10)
+	s.Seal()
+	fill(1)
+	if got := cap(s.mem.entries); got > 64 {
+		t.Fatalf("a log after a 10-entry one starts with room for %d", got)
+	}
+}
+
 func TestLoadMissing(t *testing.T) {
 	if _, err := Load(filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Fatal("Load of a missing file succeeded")

@@ -135,21 +135,33 @@ type segBuilder struct {
 	minKey  Key
 	maxKey  Key
 
-	curA    []uint64
-	curB    []uint64
-	curTomb []bool
-	curVer  []int64
-	curVLen []int
-	curVals []byte
-	scratch []byte
+	// The current block's columns, reused across blocks, and the
+	// previous row's dictionary indices.
+	curA         []uint64
+	curB         []uint64
+	curTomb      []bool
+	curVer       []int64
+	curVLen      []int
+	curVals      []byte
+	scratch      []byte
+	prevA, prevB uint64
+	z            deflater
 }
 
 func newSegBuilder(id uint64, dict []uint64, estRows int) *segBuilder {
+	n := min(estRows, blockRows)
 	return &segBuilder{
 		id:       id,
 		dict:     dict,
 		dictBits: bitWidth(uint64(len(dict) - 1)),
 		filter:   newBloom(estRows),
+		blocks:   make([]blockMeta, 0, (estRows+blockRows-1)/blockRows),
+		data:     make([]byte, 0, estRows),
+		curA:     make([]uint64, 0, n),
+		curB:     make([]uint64, 0, n),
+		curTomb:  make([]bool, 0, n),
+		curVer:   make([]int64, 0, n),
+		curVLen:  make([]int, 0, n),
 	}
 }
 
@@ -159,12 +171,20 @@ func dictIndex(dict []uint64, d Digest) uint64 {
 }
 
 func (b *segBuilder) add(r row) {
-	if b.rows == 0 {
-		b.minKey = r.key
+	if b.rows == 0 || r.key.A != b.maxKey.A {
+		if b.rows == 0 {
+			b.minKey = r.key
+		}
+		b.prevA = dictIndex(b.dict, r.key.A)
+		b.prevB = dictIndex(b.dict, r.key.B)
+	} else {
+		// Within a run of one A the B digests ascend: gallop on from the
+		// previous row's instead of searching the whole dictionary.
+		b.prevB += uint64(gallop(b.dict[b.prevB:], uint64(r.key.B)))
 	}
 	b.maxKey = r.key
-	b.curA = append(b.curA, dictIndex(b.dict, r.key.A))
-	b.curB = append(b.curB, dictIndex(b.dict, r.key.B))
+	b.curA = append(b.curA, b.prevA)
+	b.curB = append(b.curB, b.prevB)
 	b.curTomb = append(b.curTomb, r.tomb)
 	b.curVer = append(b.curVer, int64(r.ver))
 	b.curVLen = append(b.curVLen, len(r.val))
@@ -199,13 +219,13 @@ func (b *segBuilder) flushBlock() {
 	// Column B: bit-packed at the dictionary width.
 	p = packBits(p, b.curB[:n], b.dictBits)
 	// Tombstone bitmap.
-	tb := make([]byte, (n+7)/8)
+	tb := len(p)
+	p = append(p, make([]byte, (n+7)/8)...)
 	for i, t := range b.curTomb {
 		if t {
-			tb[i/8] |= 1 << (i % 8)
+			p[tb+i/8] |= 1 << (i % 8)
 		}
 	}
-	p = append(p, tb...)
 	// Versions: zigzag delta varints (runs of one dataset version
 	// collapse to zeros, which flate then erases).
 	prev := int64(0)
@@ -221,7 +241,7 @@ func (b *segBuilder) flushBlock() {
 	b.scratch = p
 
 	off := len(b.data)
-	b.data = compressBlock(b.data, p)
+	b.data = compressBlock(b.data, p, &b.z)
 	b.blocks = append(b.blocks, blockMeta{
 		first: first, last: last, rows: n, off: off, length: len(b.data) - off,
 	})
@@ -249,31 +269,6 @@ func (b *segBuilder) finish() *segment {
 	}
 }
 
-// buildSegment sorts rows by key and assembles a segment. Rows must
-// reference each key at most once (the memtable collapses chains before
-// sealing).
-func buildSegment(id uint64, rows []row) *segment {
-	slices.SortFunc(rows, func(a, b row) int { return keyCmp(a.key, b.key) })
-	// Dictionary: rows reference far fewer digests than there are rows
-	// (≈ √(2·rows)), so dedupe first and sort only the distinct ones.
-	seen := make(map[uint64]struct{})
-	var dict []uint64
-	for _, r := range rows {
-		for _, d := range [2]uint64{uint64(r.key.A), uint64(r.key.B)} {
-			if _, ok := seen[d]; !ok {
-				seen[d] = struct{}{}
-				dict = append(dict, d)
-			}
-		}
-	}
-	slices.Sort(dict)
-	b := newSegBuilder(id, dict, len(rows))
-	for _, r := range rows {
-		b.add(r)
-	}
-	return b.finish()
-}
-
 // blockPayload returns a reader over block i's decompressed payload,
 // positioned after the row count, which it checks against the index.
 func (s *segment) blockPayload(i int, z *inflater) (*byteReader, int, error) {
@@ -299,18 +294,21 @@ func (s *segment) blockPayload(i int, z *inflater) (*byteReader, int, error) {
 
 // decodeBlock decodes every column of block i: what Get hits, block
 // iterators and merges need. Probes decide membership from the key
-// columns alone (decodeKeyCols).
-func (s *segment) decodeBlock(i int) (*decodedBlock, error) {
-	r, n, err := s.blockPayload(i, nil)
+// columns alone (decodeKeyCols). With a non-nil z and d (an iterator's)
+// the block is decoded into d, whose tombstones and values live in z's
+// buffer until z's next use.
+func (s *segment) decodeBlock(i int, z *inflater, d *decodedBlock) (*decodedBlock, error) {
+	r, n, err := s.blockPayload(i, z)
 	if err != nil {
 		return nil, err
 	}
-	d := &decodedBlock{
-		aIdx:   make([]uint64, n),
-		bIdx:   make([]uint64, n),
-		vers:   make([]int64, n),
-		valOff: make([]int, n+1),
+	if d == nil {
+		d = &decodedBlock{}
 	}
+	d.aIdx = slices.Grow(d.aIdx[:0], n)[:n]
+	d.bIdx = slices.Grow(d.bIdx[:0], n)[:n]
+	d.vers = slices.Grow(d.vers[:0], n)[:n]
+	d.valOff = slices.Grow(d.valOff[:0], n+1)[:n+1]
 	// Column A.
 	prev, err := r.uvarint("block")
 	if err != nil {
@@ -421,43 +419,41 @@ func (s *segment) get(k Key, c *blockCache, wantRow bool) (row, bool) {
 		return row{key: k, tomb: tomb}, ok
 	}
 	c.st.BlockDecodes++
-	d, err := s.decodeBlock(blk)
+	d, err := s.decodeBlock(blk, nil, nil)
 	if err != nil {
 		return row{}, false
 	}
 	return s.rowAt(d, r), true
 }
 
-// segIter streams a segment's rows in key order, one decoded block at
-// a time.
+// segIter streams a segment's rows in key order, one block at a time,
+// decoding each into the same buffers. A row's value is valid only
+// until the next call.
 type segIter struct {
 	seg *segment
 	blk int
 	pos int
-	dec *decodedBlock
+	dec decodedBlock
+	z   inflater
 	err error
 }
 
 func newSegIter(s *segment) *segIter { return &segIter{seg: s, blk: -1} }
 
 func (it *segIter) next() (row, bool) {
-	for {
-		if it.dec != nil && it.pos < len(it.dec.aIdx) {
-			r := it.seg.rowAt(it.dec, it.pos)
+	for it.err == nil {
+		if it.pos < len(it.dec.aIdx) {
+			r := it.seg.rowAt(&it.dec, it.pos)
 			it.pos++
 			return r, true
 		}
-		it.blk++
-		if it.err != nil || it.blk >= len(it.seg.blocks) {
-			return row{}, false
+		if it.blk++; it.blk >= len(it.seg.blocks) {
+			break
 		}
-		d, err := it.seg.decodeBlock(it.blk)
-		if err != nil {
-			it.err = err
-			return row{}, false
-		}
-		it.dec, it.pos = d, 0
+		_, it.err = it.seg.decodeBlock(it.blk, &it.z, &it.dec)
+		it.pos = 0
 	}
+	return row{}, false
 }
 
 // encodeFile serializes the segment to its on-disk form.
@@ -484,7 +480,7 @@ func (s *segment) encodeFile() []byte {
 		}
 		prev = v
 	}
-	out = appendSection(out, "DICT", compressBlock(nil, d))
+	out = appendSection(out, "DICT", compressBlock(nil, d, &deflater{}))
 
 	// BLOM: word count + little-endian words.
 	bl := putUvarint(nil, uint64(len(s.filter.bits)))
@@ -619,6 +615,9 @@ func decodeSegmentFile(raw []byte) (*segment, error) {
 	words, err := br.uvarint("BLOM")
 	if err != nil {
 		return nil, err
+	}
+	if words > maxBloomWords {
+		return nil, corrupt("BLOM", "declared %d words, a filter holds at most %d", words, maxBloomWords)
 	}
 	if words > uint64(br.remaining()/8)+1 {
 		return nil, corrupt("BLOM", "declared %d words, payload holds %d", words, br.remaining()/8)

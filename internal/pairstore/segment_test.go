@@ -5,8 +5,27 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
+
+// buildSegment sorts rows by key and assembles a segment from them,
+// the way a seal does from its log. Rows must reference each key at most
+// once.
+func buildSegment(id uint64, rows []row) *segment {
+	slices.SortFunc(rows, func(a, b row) int { return keyCmp(a.key, b.key) })
+	var dict []uint64
+	for _, r := range rows {
+		dict = append(dict, uint64(r.key.A), uint64(r.key.B))
+	}
+	slices.Sort(dict)
+	b := newSegBuilder(id, slices.Compact(dict), len(rows))
+	for _, r := range rows {
+		b.add(r)
+	}
+	return b.finish()
+}
 
 // randRows builds n distinct-key rows over a digest universe of width
 // universe, deterministically from seed.
@@ -352,5 +371,70 @@ func TestHasManyAgreesWithHas(t *testing.T) {
 	st := s.Stats()
 	if st.BloomProbes == 0 || st.BloomNegatives == 0 {
 		t.Fatalf("bloom filter never consulted: %+v", st)
+	}
+}
+
+// TestBloomSizingBelowWrap: a filter's bit count must stay below 2³², the
+// modulus add and test reduce their 32-bit hashes by; at exactly 2²⁶
+// words it was 0 and the first add panicked. Checked through bloomWords,
+// without allocating the 512 MB a filter at the limit takes.
+func TestBloomSizingBelowWrap(t *testing.T) {
+	if maxBloomWords*64 >= 1<<32 {
+		t.Fatalf("%d words hold %d bits, not below 2³²", maxBloomWords, maxBloomWords*64)
+	}
+	for _, c := range []struct{ n, words int }{
+		{0, 0}, {1, 1}, {1_000_000, 156_250}, // below the clamp nothing moves
+		{429_496_720, maxBloomWords}, // the last unclamped size
+		{429_496_725, maxBloomWords}, // would be exactly 2²⁶ words: m == 0
+		{1 << 30, maxBloomWords}, {1 << 40, maxBloomWords},
+	} {
+		if got := bloomWords(c.n); got != c.words {
+			t.Errorf("bloomWords(%d) = %d, want %d", c.n, got, c.words)
+		}
+	}
+}
+
+// TestDecodeRejectsOversizedBloom: a BLOM section declaring more words
+// than a filter may hold is a *CorruptError, before any is read.
+func TestDecodeRejectsOversizedBloom(t *testing.T) {
+	raw := buildSegment(1, randRows(5, 100, 50)).encodeFile()
+	r := &byteReader{b: raw, off: len(segMagic)}
+	for _, tag := range []string{"HEAD", "DICT"} {
+		if _, err := readSection(r, tag); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := r.off
+	if _, err := readSection(r, "BLOM"); err != nil {
+		t.Fatal(err)
+	}
+	blom := append(putUvarint(nil, 1<<26), make([]byte, 64)...)
+	mut := append(appendSection(append([]byte(nil), raw[:start]...), "BLOM", blom), raw[r.off:]...)
+	_, err := decodeSegmentFile(mut)
+	var ce *CorruptError
+	if !errors.As(err, &ce) || ce.Section != "BLOM" || !strings.Contains(ce.Reason, "at most") {
+		t.Fatalf("decoding a BLOM section of 2²⁶ words: %v", err)
+	}
+}
+
+// TestSegIterStopsAtCorruptBlock: a block whose frame checks out but whose
+// columns do not decode ends the iteration — the iterator's reused
+// buffers, already sized for the block, are never served as rows.
+func TestSegIterStopsAtCorruptBlock(t *testing.T) {
+	seg := buildSegment(1, randRows(3, 100, 50))
+	raw, err := decompressBlock(seg.data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mut := *seg
+	mut.data = compressBlock(nil, raw[:len(raw)/4], &deflater{})
+	mut.blocks = []blockMeta{seg.blocks[0]}
+	mut.blocks[0].length = len(mut.data)
+	it := newSegIter(&mut)
+	if r, ok := it.next(); ok || it.err == nil {
+		t.Fatalf("iterator over a corrupt block returned %+v, %v (err %v)", r, ok, it.err)
+	}
+	if _, ok := it.next(); ok {
+		t.Fatal("iterator resumed after a corrupt block")
 	}
 }
