@@ -7,10 +7,10 @@
 GO ?= go
 ROCKET_SCALE ?= 50
 BENCH_RUN ?= local
-BENCH_BASELINE ?= BENCH_pr25.json
+BENCH_BASELINE ?= BENCH_pr26.json
 COVERAGE_FLOOR ?= 75.0
 
-.PHONY: build test race-stress bench bench-sim bench-shards bench-repo bench-json bench-gate loc coverage smoke smoke-scenarios smoke-elastic smoke-incremental smoke-pairstore smoke-trace fuzz-smoke lint ci fmt
+.PHONY: build test race-stress bench bench-sim bench-repo bench-json bench-gate loc coverage smoke smoke-scenarios smoke-incremental smoke-pairstore smoke-trace fuzz-smoke lint ci fmt
 
 build:
 	$(GO) build ./...
@@ -18,12 +18,12 @@ build:
 test:
 	$(GO) test -race ./...
 
-# Mirrors the workflow's race-stress step: exercise the sharded engine's
-# OS threads, the parallel sweep workers, the online submission paths,
-# and fault recovery repeatedly under -race at two GOMAXPROCS widths.
+# Mirrors the workflow's race-stress step: exercise the parallel sweep
+# workers, the online submission paths, and fault recovery repeatedly
+# under -race at two GOMAXPROCS widths.
 race-stress:
-	GOMAXPROCS=2 $(GO) test -race -count=2 ./internal/sim/ ./internal/fleet/ ./internal/sched/ ./internal/core/ ./internal/serve/
-	GOMAXPROCS=8 $(GO) test -race -count=2 ./internal/sim/ ./internal/fleet/ ./internal/sched/ ./internal/core/ ./internal/serve/
+	GOMAXPROCS=2 $(GO) test -race -count=2 ./internal/sched/ ./internal/core/ ./internal/serve/
+	GOMAXPROCS=8 $(GO) test -race -count=2 ./internal/sched/ ./internal/core/ ./internal/serve/
 
 # Full evaluation at reporting scale (minutes). CI runs the smoke variant.
 # Output is benchstat-friendly: run twice (before/after a change) with
@@ -46,16 +46,10 @@ bench-repo:
 loc:
 	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l
 
-# Shard-scaling benchmark: the fixed 1024-node fleet at engine widths
-# 1, 2, 4, 8, hash-checked for shard invariance. Wall-clock speedup
-# depends on GOMAXPROCS; the state hashes never do.
-bench-shards:
-	$(GO) test -bench=BenchmarkShardScaling -benchtime=3x -count=1 -run='^$$' ./internal/fleet/
-
 # Machine-readable perf trajectory: per-experiment ns/op, allocs/op, and
 # events/sec written to BENCH_$(BENCH_RUN).json. GOMAXPROCS is pinned: the
-# sharded-engine experiments allocate per OS thread, and benchgate refuses
-# to compare reports taken at different thread counts.
+# scheduler's inner simulations run on one worker per OS thread, and
+# benchgate refuses to compare reports taken at different thread counts.
 bench-json:
 	GOMAXPROCS=2 $(GO) run ./cmd/rocketbench -exp all -scale $(ROCKET_SCALE) -json $(BENCH_RUN) -q
 
@@ -120,21 +114,6 @@ smoke-scenarios:
 	/tmp/rocket-smoke-rocketsim run -q -report /tmp/rocket-scenario-reports-rerun scenarios/*.yaml
 	diff -r /tmp/rocket-scenario-reports /tmp/rocket-scenario-reports-rerun
 
-# Mirrors the workflow's smoke-elastic step: the elastic-membership
-# scenario (wave joins + spot preemptions) runs at engine widths 1, 2, 4
-# and 8, and the four JSON reports must be byte-identical — churn must
-# not open a seam between shards. Reports land in
-# /tmp/rocket-elastic-reports-w<width>.
-smoke-elastic:
-	$(GO) build -o /tmp/rocket-smoke-rocketsim ./cmd/rocketsim
-	rm -rf /tmp/rocket-elastic-reports-w1 /tmp/rocket-elastic-reports-w2 /tmp/rocket-elastic-reports-w4 /tmp/rocket-elastic-reports-w8
-	for w in 1 2 4 8; do \
-		/tmp/rocket-smoke-rocketsim run -q -shards $$w -report /tmp/rocket-elastic-reports-w$$w scenarios/elastic-burst.yaml || exit 1; \
-	done
-	diff -r /tmp/rocket-elastic-reports-w1 /tmp/rocket-elastic-reports-w2
-	diff -r /tmp/rocket-elastic-reports-w1 /tmp/rocket-elastic-reports-w4
-	diff -r /tmp/rocket-elastic-reports-w1 /tmp/rocket-elastic-reports-w8
-
 # Mirrors the workflow's smoke-incremental step: the pair-store
 # warm-start flow end to end — create a dataset, run it, append, run the
 # delta, assert the base pairs were served from the store (66 = C(12,2)
@@ -179,10 +158,9 @@ smoke-pairstore:
 
 # Mirrors the workflow's smoke-trace step: the observability layer's
 # determinism and overhead gate. The quickstart and stress-1k scenarios
-# export Perfetto JSON twice each (stress-1k additionally at engine
-# width 4) and every pair must be byte-identical — the flight recorder's
-# canonical span ordering makes trace output a pure function of the
-# workload, independent of reruns and shard widths. Then fig6, which
+# export Perfetto JSON twice each and every pair must be byte-identical —
+# the flight recorder's canonical span ordering makes trace output a pure
+# function of the workload. Then fig6, which
 # renders its timeline from a recorder snapshot, runs without and with
 # -trace and benchgate holds the line: output_sha256 drift is fatal
 # (recording must not change any reported number), as is allocation
@@ -197,8 +175,6 @@ smoke-trace:
 		/tmp/rocket-smoke-rockettrace export -scenario scenarios/$$sc.yaml -o /tmp/rocket-trace-exports/$$sc.rerun.json && \
 		cmp /tmp/rocket-trace-exports/$$sc.json /tmp/rocket-trace-exports/$$sc.rerun.json || exit 1; \
 	done
-	/tmp/rocket-smoke-rockettrace export -scenario scenarios/stress-1k.yaml -shards 4 -o /tmp/rocket-trace-exports/stress-1k.w4.json
-	cmp /tmp/rocket-trace-exports/stress-1k.json /tmp/rocket-trace-exports/stress-1k.w4.json
 	/tmp/rocket-smoke-rockettrace top -scenario scenarios/stress-1k.yaml > /dev/null
 	$(GO) run ./cmd/rocketbench -exp fig6 -scale 200 -seed 1 -json traceoff -q
 	$(GO) run ./cmd/rocketbench -exp fig6 -scale 200 -seed 1 -json traceon -trace -q
@@ -235,7 +211,6 @@ ci: lint build test race-stress
 	$(MAKE) fuzz-smoke
 	$(MAKE) smoke
 	$(MAKE) smoke-scenarios
-	$(MAKE) smoke-elastic
 	$(MAKE) smoke-incremental
 	$(MAKE) smoke-pairstore
 	$(MAKE) smoke-trace

@@ -91,8 +91,8 @@ func BenchmarkResilience(b *testing.B) { benchExperiment(b, "resilience") }
 
 func BenchmarkIncremental(b *testing.B) { benchExperiment(b, "incremental") }
 
-// Elastic-membership subsystem: churn invariance across engine widths
-// plus the autoscaler's node-seconds vs p99-wait trade against a fixed
+// Elastic-membership subsystem: a fleet under seeded churn plus the
+// autoscaler's node-seconds vs p99-wait trade against a fixed
 // max-size fleet (asserted inside the experiment: identical p99 at a
 // strictly lower bill for the warm pool).
 

@@ -19,13 +19,11 @@
 //     of a percent, so more is a change in the code, not noise. A drop is
 //     printed in the row and not gated. Reports taken at different
 //     GOMAXPROCS (or scale, or seed) are refused as incomparable: the
-//     sharded-engine experiments allocate per OS thread;
+//     scheduler's inner simulations run on one worker per OS thread;
 //   - heap pushes (always fatal): each experiment's heap_pushes — how many
 //     of its events the engine ordered through its heap rather than its
 //     now-lane, exact at a seed — may not exceed the baseline's. Skipped
 //     for a baseline that predates the column;
-//   - shards (always fatal): every width of the shard-scaling trajectory
-//     must report the same state hash;
 //   - storage (always fatal): the pairstore scaling trajectory's
 //     bytes/pair must stay under the 8 bytes/pair capability floor at
 //     10^6+ pairs and within 10% of the baseline at matched sizes, a plan

@@ -27,7 +27,6 @@ import (
 
 	"rocket/internal/benchfmt"
 	"rocket/internal/experiments"
-	"rocket/internal/fleet"
 	"rocket/internal/sim"
 )
 
@@ -36,7 +35,7 @@ func main() {
 		exp        = flag.String("exp", "", "experiment id to run, or \"all\"")
 		scale      = flag.Int("scale", 10, "workload scale divisor (1 = paper scale)")
 		seed       = flag.Uint64("seed", 1, "random seed")
-		shards     = flag.Int("shards", 1, "concurrency width: sweep experiments run independent points on this many workers (outputs are width-invariant)")
+		workers    = flag.Int("workers", 1, "sweep experiments run their independent points on this many workers (outputs do not change)")
 		list       = flag.Bool("list", false, "list available experiments")
 		jsonRun    = flag.String("json", "", "run name: write per-experiment metrics to BENCH_<name>.json")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -71,7 +70,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	opts := experiments.Options{Scale: *scale, Seed: *seed, Shards: *shards, Trace: *traceOn}
+	opts := experiments.Options{Scale: *scale, Seed: *seed, Workers: *workers, Trace: *traceOn}
 	var toRun []experiments.Experiment
 	if *exp == "all" {
 		toRun = experiments.All()
@@ -126,35 +125,15 @@ func main() {
 	}
 
 	if *jsonRun != "" {
-		// A JSON run also records the shard-scaling trajectory: the fixed
-		// 1024-node fleet benchmark at engine widths 1, 2, 4, 8, with
-		// events/sec measured and the deterministic state hash captured so
-		// benchgate can enforce shard invariance and track the speedup.
-		report.GoMaxProcs = runtime.GOMAXPROCS(0)
-		for _, k := range []int{1, 2, 4, 8} {
-			start := time.Now()
-			fr, err := fleet.Run(fleet.ScalingConfig(k))
-			wall := time.Since(start)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "shard trajectory shards=%d: %v\n", k, err)
-				os.Exit(1)
-			}
-			report.ShardTrajectory = append(report.ShardTrajectory, benchfmt.ShardPoint{
-				Shards:       k,
-				NsPerOp:      wall.Nanoseconds(),
-				Events:       fr.Events,
-				EventsPerSec: float64(fr.Events) / wall.Seconds(),
-				StateHash:    fmt.Sprintf("%016x", fr.StateHash),
-			})
-			fmt.Fprintf(os.Stderr, "shard trajectory: shards=%d %12v %10d events %14.0f events/sec hash=%016x\n",
-				k, wall.Round(time.Millisecond), fr.Events, float64(fr.Events)/wall.Seconds(), fr.StateHash)
-		}
-		// And the storage trajectory: the columnar pairstore built to
-		// 10^5 and 10^6 pairs, persisted and reloaded, then planning a
+		// A JSON run also records GOMAXPROCS (the scheduler's inner
+		// simulations run on that many workers, which moves allocation
+		// counts) and the storage trajectory: the columnar pairstore built
+		// to 10^5 and 10^6 pairs, persisted and reloaded, then planning a
 		// 10% delta — bytes/pair and the plan hash gate hard (both are
 		// deterministic), plan latency is tracked. The 10^7 point lives
 		// in BenchmarkPairstoreScale for local runs; it is too slow for
 		// every CI bench run.
+		report.GoMaxProcs = runtime.GOMAXPROCS(0)
 		for _, pairs := range []int64{100_000, 1_000_000} {
 			sr, err := experiments.MeasureStorageTemp(pairs, opts.Seed)
 			if err != nil {

@@ -48,7 +48,6 @@ func run() error {
 		maxRunning = flag.Int("max-running", 0, "cap on concurrently executing jobs (0 = node-bound)")
 		maxRetries = flag.Int("max-retries", 1, "requeues after partition loss before a job fails")
 		workers    = flag.Int("workers", 0, "OS threads for inner simulations (0 = GOMAXPROCS)")
-		shards     = flag.Int("shards", 1, "event-engine width advertised via /v1/capabilities (results are width-invariant)")
 		timeScale  = flag.Float64("time-scale", 1, "virtual seconds per wall second for arrival mapping (0 = latch onto the virtual clock)")
 		drainTO    = flag.Duration("drain-timeout", 60*time.Second, "graceful-drain deadline on SIGTERM")
 		logPath    = flag.String("log", "", "write the replayable arrival log here on shutdown")
@@ -102,7 +101,6 @@ func run() error {
 		TimeScale:     *timeScale,
 		Store:         store,
 		Datasets:      datasets,
-		Shards:        *shards,
 		Trace:         *trace,
 		TraceCapacity: *traceCap,
 	})

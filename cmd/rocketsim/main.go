@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	rocketsim run [-seed N] [-shards N] [-report out.json] [-csv] [-q] file...
+//	rocketsim run [-seed N] [-report out.json] [-csv] [-q] file...
 //	rocketsim validate file...
 //	rocketsim list [dir]
 //
@@ -12,9 +12,8 @@
 // canonical JSON document is written (one file per scenario when more
 // than one is given, using the scenario name). The exit status is 1 if
 // any assertion failed. The same scenario with the same seed always
-// produces the byte-identical JSON report — at every -shards width —
-// which is what makes a committed scenario a regression test: CI runs
-// each one twice and diffs.
+// produces the byte-identical JSON report, which is what makes a
+// committed scenario a regression test: CI runs each one twice and diffs.
 //
 // validate parses and checks scenarios (schema, node ranges, fault
 // ordering, chaos shape) without running them.
@@ -57,7 +56,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  rocketsim run [-seed N] [-shards N] [-report out.json] [-csv] [-q] file...
+  rocketsim run [-seed N] [-report out.json] [-csv] [-q] file...
   rocketsim validate file...
   rocketsim list [dir]`)
 }
@@ -77,7 +76,6 @@ func load(path string) (*scenario.Scenario, error) {
 func cmdRun(args []string) int {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	seed := fs.Uint64("seed", 0, "override the scenario seed (0 keeps the file's)")
-	shards := fs.Int("shards", 0, "engine width for fleet scenarios (0 keeps the default; the report is identical at every width)")
 	reportPath := fs.String("report", "", "write the canonical JSON report here (a directory or name template when running several scenarios)")
 	csv := fs.Bool("csv", false, "print metrics as CSV instead of the text report")
 	quiet := fs.Bool("q", false, "print only failures and the final verdict")
@@ -93,7 +91,7 @@ func cmdRun(args []string) int {
 			fmt.Fprintf(os.Stderr, "rocketsim: %v\n", err)
 			return 2
 		}
-		rep, err := scenario.Run(sc, scenario.RunOptions{Seed: *seed, Shards: *shards})
+		rep, err := scenario.Run(sc, scenario.RunOptions{Seed: *seed})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rocketsim: %v\n", err)
 			return 2

@@ -8,13 +8,12 @@
 //	rockettrace timeline -app forensics -nodes 2 -n 24 -limit 120
 //
 // The other subcommands run a declarative scenario. Because the recorded
-// timeline is deterministic, exporting the same scenario twice (at any
-// engine width) yields byte-identical output — CI diffs two exports to
-// prove it.
+// timeline is deterministic, exporting the same scenario twice yields
+// byte-identical output — CI diffs two exports to prove it.
 //
-//	rockettrace spans  [-scenario file] [-shards N] [-seed N] [-limit N] [-engine]
-//	rockettrace export [-scenario file] [-shards N] [-seed N] [-o out.json] [-engine]
-//	rockettrace top    [-scenario file] [-shards N] [-seed N] [-by kind|track] [-limit N]
+//	rockettrace spans  [-scenario file] [-seed N] [-limit N]
+//	rockettrace export [-scenario file] [-seed N] [-o out.json]
+//	rockettrace top    [-scenario file] [-seed N] [-by kind|track] [-limit N]
 //
 // export writes Chrome trace-event JSON; load it at ui.perfetto.dev or
 // chrome://tracing.
@@ -60,22 +59,20 @@ func run(args []string, out, errw io.Writer) int {
 func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage:
   rockettrace timeline [-app NAME] [-nodes N] [-n N] [-limit N] [-seed N] [-cap N]
-  rockettrace spans  [-scenario file] [-shards N] [-seed N] [-limit N] [-engine]
-  rockettrace export [-scenario file] [-shards N] [-seed N] [-o out.json] [-engine]
-  rockettrace top    [-scenario file] [-shards N] [-seed N] [-by kind|track] [-limit N]`)
+  rockettrace spans  [-scenario file] [-seed N] [-limit N]
+  rockettrace export [-scenario file] [-seed N] [-o out.json]
+  rockettrace top    [-scenario file] [-seed N] [-by kind|track] [-limit N]`)
 }
 
 // spanFlags are the recording knobs shared by the span subcommands.
 type spanFlags struct {
 	scenario string
-	shards   int
 	seed     uint64
 	capacity int
 }
 
 func (f *spanFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.scenario, "scenario", "scenarios/quickstart.yaml", "scenario file to run under the flight recorder")
-	fs.IntVar(&f.shards, "shards", 0, "engine width for fleet scenarios (the exported timeline is identical at every width)")
 	fs.Uint64Var(&f.seed, "seed", 0, "override the scenario seed (0 keeps the file's)")
 	fs.IntVar(&f.capacity, "cap", 0, "per-lane span capacity (0 = 64Ki); oldest spans are overwritten")
 }
@@ -91,12 +88,8 @@ func (f *spanFlags) record(errw io.Writer) (rocket.SpanSnapshot, error) {
 	if err != nil {
 		return rocket.SpanSnapshot{}, fmt.Errorf("%s: %w", f.scenario, err)
 	}
-	lanes := f.shards
-	if lanes < 1 {
-		lanes = 1
-	}
-	rec := rocket.NewSpanRecorder(lanes, f.capacity)
-	if _, err := scenario.Run(sc, scenario.RunOptions{Seed: f.seed, Shards: f.shards, Spans: rec}); err != nil {
+	rec := rocket.NewSpanRecorder(1, f.capacity)
+	if _, err := scenario.Run(sc, scenario.RunOptions{Seed: f.seed, Spans: rec}); err != nil {
 		return rocket.SpanSnapshot{}, err
 	}
 	return snapshot(rec, errw), nil
@@ -104,11 +97,11 @@ func (f *spanFlags) record(errw io.Writer) (rocket.SpanSnapshot, error) {
 
 // snapshot takes the recorder's canonical snapshot. A non-empty drop
 // count is warned about: an overflowing ring still exports, but the
-// width-invariance guarantee is off for that recording.
+// recording is truncated.
 func snapshot(rec *rocket.SpanRecorder, errw io.Writer) rocket.SpanSnapshot {
 	snap := rec.Snapshot()
 	if snap.Dropped > 0 {
-		fmt.Fprintf(errw, "rockettrace: ring overflow: %d spans dropped (raise -cap for a lossless, width-invariant export)\n",
+		fmt.Fprintf(errw, "rockettrace: ring overflow: %d spans dropped (raise -cap for a lossless export)\n",
 			snap.Dropped)
 	}
 	return snap
@@ -120,7 +113,6 @@ func cmdSpans(args []string, out, errw io.Writer) int {
 	var f spanFlags
 	f.register(fs)
 	limit := fs.Int("limit", 200, "maximum span rows to print (0 = all)")
-	engine := fs.Bool("engine", false, "include engine-internal (width-dependent) spans")
 	if fs.Parse(args) != nil {
 		return 2
 	}
@@ -129,7 +121,7 @@ func cmdSpans(args []string, out, errw io.Writer) int {
 		fmt.Fprintln(errw, "rockettrace:", err)
 		return 1
 	}
-	snap.WriteTable(out, *limit, rocket.TraceExportOptions{IncludeEngine: *engine})
+	snap.WriteTable(out, *limit)
 	return 0
 }
 
@@ -139,7 +131,6 @@ func cmdExport(args []string, out, errw io.Writer) int {
 	var f spanFlags
 	f.register(fs)
 	outPath := fs.String("o", "-", "output file (- = stdout)")
-	engine := fs.Bool("engine", false, "include engine-internal (width-dependent) spans")
 	if fs.Parse(args) != nil {
 		return 2
 	}
@@ -158,7 +149,7 @@ func cmdExport(args []string, out, errw io.Writer) int {
 		defer file.Close()
 		w = file
 	}
-	if err := rocket.ExportTrace(w, snap, rocket.TraceExportOptions{IncludeEngine: *engine}); err != nil {
+	if err := rocket.ExportTrace(w, snap, rocket.TraceExportOptions{}); err != nil {
 		fmt.Fprintln(errw, "rockettrace:", err)
 		return 1
 	}

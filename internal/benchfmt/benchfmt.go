@@ -34,19 +34,6 @@ type ExpResult struct {
 	OutputSHA256 string `json:"output_sha256"`
 }
 
-// ShardPoint is one engine width of the shard-scaling trajectory: the
-// fleet benchmark (BenchmarkShardScaling's workload) measured at a fixed
-// shard count. StateHash is the run's deterministic digest — identical
-// across widths by the engine's invariance guarantee, which the gate
-// enforces; EventsPerSec is wall-clock and therefore tracked, not gated.
-type ShardPoint struct {
-	Shards       int     `json:"shards"`
-	NsPerOp      int64   `json:"ns_per_op"`
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	StateHash    string  `json:"state_hash"`
-}
-
 // StoragePoint is one dataset size of the pairstore scaling
 // trajectory (BenchmarkPairstoreScale's workload): an all-pairs store
 // built to Pairs entries, sealed, compacted, and persisted, then asked
@@ -97,35 +84,14 @@ type Report struct {
 	GoVersion   string      `json:"go_version"`
 	UnixTime    int64       `json:"unix_time"`
 	Experiments []ExpResult `json:"experiments"`
-	// GoMaxProcs records the OS-thread parallelism available when the
-	// shard trajectory was measured; a trajectory recorded at GOMAXPROCS=1
-	// cannot show wall-clock speedup no matter how well the engine scales,
-	// so readers must interpret EventsPerSec relative to this.
+	// GoMaxProcs records the OS-thread parallelism of the run: the
+	// scheduler runs its inner simulations on that many workers, which
+	// moves allocation counts, so reports taken at different values are
+	// not comparable.
 	GoMaxProcs int `json:"gomaxprocs,omitempty"`
-	// ShardTrajectory is the fleet benchmark measured at widths 1, 2, 4, 8
-	// (absent from reports predating the sharded engine).
-	ShardTrajectory []ShardPoint `json:"shard_trajectory,omitempty"`
 	// StorageTrajectory is the pairstore scaling sweep (absent from
 	// reports predating the columnar store).
 	StorageTrajectory []StoragePoint `json:"storage_trajectory,omitempty"`
-}
-
-// ShardSpeedup returns the trajectory's events/sec at its widest point
-// relative to width 1, or 0 when the trajectory is absent or degenerate.
-func (r Report) ShardSpeedup() float64 {
-	var base, widest ShardPoint
-	for _, p := range r.ShardTrajectory {
-		if p.Shards == 1 {
-			base = p
-		}
-		if p.Shards > widest.Shards {
-			widest = p
-		}
-	}
-	if base.EventsPerSec <= 0 || widest.Shards <= 1 {
-		return 0
-	}
-	return widest.EventsPerSec / base.EventsPerSec
 }
 
 // Read loads and decodes a BENCH_<run>.json file.

@@ -32,9 +32,6 @@ type GateRow struct {
 type GateResult struct {
 	Rows     []GateRow
 	Failures []string
-	// ShardNote summarizes the shard-scaling trajectory comparison (empty
-	// when the candidate has no trajectory).
-	ShardNote string
 	// StorageNote summarizes the storage trajectory comparison (empty
 	// when the candidate has no trajectory).
 	StorageNote string
@@ -67,9 +64,9 @@ func (g GateResult) Failed() bool { return len(g.Failures) > 0 }
 // (a baseline that predates the column is not held to it); drops are not
 // gated. ns_per_op is carried into the rows for display only.
 //
-// Reports taken at different GOMAXPROCS are not comparable: the experiments
-// on the sharded engine start goroutines per OS thread, so their allocation
-// counts move by up to a fifth with the thread count.
+// Reports taken at different GOMAXPROCS are not comparable: the scheduler
+// runs its inner simulations on one worker goroutine per OS thread, so the
+// queue experiments' allocation counts move with the thread count.
 func Gate(baseline, candidate Report) GateResult {
 	var g GateResult
 	base := make(map[string]ExpResult, len(baseline.Experiments))
@@ -128,35 +125,8 @@ func Gate(baseline, candidate Report) GateResult {
 				"%s: present in baseline but missing from candidate run", b.ID))
 		}
 	}
-	gateShards(baseline, candidate, &g)
 	gateStorage(baseline, candidate, &g)
 	return g
-}
-
-// gateShards checks the shard-scaling trajectory: every width in the
-// candidate trajectory must report the same state hash — a divergence
-// means the engine's shard invariance broke — and a trajectory present in
-// the baseline must not vanish. The widest-point events/sec relative to
-// width 1 is printed next to the baseline's, so scaling is recorded run
-// over run; it is wall-clock, so it is not judged.
-func gateShards(baseline, candidate Report, g *GateResult) {
-	if len(candidate.ShardTrajectory) == 0 {
-		if len(baseline.ShardTrajectory) > 0 {
-			g.Failures = append(g.Failures,
-				"shard trajectory present in baseline but missing from candidate run")
-		}
-		return
-	}
-	base := candidate.ShardTrajectory[0]
-	for _, p := range candidate.ShardTrajectory[1:] {
-		if p.StateHash != base.StateHash {
-			g.Failures = append(g.Failures, fmt.Sprintf(
-				"shard trajectory: state hash at shards=%d (%.12s…) differs from shards=%d (%.12s…): engine lost shard invariance",
-				p.Shards, p.StateHash, base.Shards, base.StateHash))
-		}
-	}
-	g.ShardNote = fmt.Sprintf("shard speedup %.2fx at GOMAXPROCS=%d (baseline %.2fx at GOMAXPROCS=%d)",
-		candidate.ShardSpeedup(), candidate.GoMaxProcs, baseline.ShardSpeedup(), baseline.GoMaxProcs)
 }
 
 // maxBytesPerPairAtScale is the absolute storage-efficiency floor: at
@@ -309,9 +279,6 @@ func (g GateResult) Markdown() string {
 		fmt.Fprintf(&b, "| %s | %s | %s | %s | %d | %d | %s |\n",
 			r.ID, ms(r.Baseline), ms(r.Candidate), ratio, r.BaselineAllocs, r.CandidateAllocs, r.Verdict)
 	}
-	if g.ShardNote != "" {
-		fmt.Fprintf(&b, "\n%s\n", g.ShardNote)
-	}
 	if len(g.StorageRows) > 0 {
 		b.WriteString("\n### storage trajectory\n\n")
 		b.WriteString("| pairs | baseline bytes/pair | candidate bytes/pair | baseline plan ms | candidate plan ms | resident index | verdict |\n")
@@ -349,9 +316,6 @@ func (g GateResult) Text() string {
 		}
 		fmt.Fprintf(&b, "%-18s %12s -> %12s ms  %s  %9d -> %9d allocs  %s\n",
 			r.ID, ms(r.Baseline), ms(r.Candidate), ratio, r.BaselineAllocs, r.CandidateAllocs, r.Verdict)
-	}
-	if g.ShardNote != "" {
-		fmt.Fprintf(&b, "%s\n", g.ShardNote)
 	}
 	for _, r := range g.StorageRows {
 		base := "      -"

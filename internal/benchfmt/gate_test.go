@@ -99,7 +99,7 @@ func TestGateAllocsGrowthIsFatal(t *testing.T) {
 	if d := Gate(base, drifted); d.Rows[0].Verdict != "drift" {
 		t.Fatalf("verdict %q, want drift", d.Rows[0].Verdict)
 	}
-	// The sharded experiments' counts depend on the thread count, so a
+	// The queue experiments' counts depend on the thread count, so a
 	// report taken at another GOMAXPROCS is refused, not compared.
 	other := withAllocs(100000)
 	other.GoMaxProcs = 8
@@ -174,59 +174,6 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	}
 	if _, err := Read(filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Fatal("reading an absent file succeeded")
-	}
-}
-
-func trajectory(hashes []string, eps ...float64) []ShardPoint {
-	pts := make([]ShardPoint, len(eps))
-	widths := []int{1, 2, 4, 8}
-	for i := range eps {
-		pts[i] = ShardPoint{Shards: widths[i], EventsPerSec: eps[i], StateHash: hashes[i]}
-	}
-	return pts
-}
-
-func TestGateShardHashDivergenceFails(t *testing.T) {
-	base := report(exp("fig6", 100, "aa"))
-	cand := report(exp("fig6", 100, "aa"))
-	cand.ShardTrajectory = trajectory([]string{"h1", "h1", "BAD", "h1"}, 1e6, 2e6, 3e6, 4e6)
-	g := Gate(base, cand)
-	if !g.Failed() {
-		t.Fatal("state-hash divergence did not fail the gate")
-	}
-	if !strings.Contains(strings.Join(g.Failures, "\n"), "shard invariance") {
-		t.Fatalf("failures: %v", g.Failures)
-	}
-}
-
-func TestGateShardTrajectoryMustNotVanish(t *testing.T) {
-	base := report(exp("fig6", 100, "aa"))
-	base.ShardTrajectory = trajectory([]string{"h", "h", "h", "h"}, 1e6, 2e6, 3e6, 4e6)
-	cand := report(exp("fig6", 100, "aa"))
-	g := Gate(base, cand)
-	if !g.Failed() {
-		t.Fatal("vanished trajectory did not fail the gate")
-	}
-}
-
-func TestGateShardSpeedupTracked(t *testing.T) {
-	h := []string{"h", "h", "h", "h"}
-	base := report(exp("fig6", 100, "aa"))
-	base.ShardTrajectory = trajectory(h, 1e6, 2e6, 3e6, 4e6) // 4x speedup
-	cand := report(exp("fig6", 100, "aa"))
-	cand.ShardTrajectory = trajectory(h, 1e6, 1e6, 1e6, 1e6) // flat
-	g := Gate(base, cand)
-	if g.Failed() {
-		t.Fatalf("a speedup drop is wall-clock and must not fail: %v", g.Failures)
-	}
-	if !strings.Contains(g.Text(), "shard speedup 1.00x at GOMAXPROCS=0 (baseline 4.00x") {
-		t.Fatalf("trajectory not surfaced: note=%q", g.ShardNote)
-	}
-	if (Report{}).ShardSpeedup() != 0 {
-		t.Fatal("empty report has nonzero speedup")
-	}
-	if got := base.ShardSpeedup(); got != 4 {
-		t.Fatalf("ShardSpeedup = %v, want 4", got)
 	}
 }
 

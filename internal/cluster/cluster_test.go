@@ -386,3 +386,27 @@ func TestTransferSlotDoubleFreePanics(t *testing.T) {
 	}()
 	c.Net.release(h)
 }
+
+func TestClusterAddNodeMaintainsAggregates(t *testing.T) {
+	c, err := New([]NodeSpec{NodeSpec{Cores: 16, HostCacheBytes: 1 << 30, GPUs: []gpu.Model{gpu.TitanXMaxwell}}, NodeSpec{Cores: 16, HostCacheBytes: 1 << 30, GPUs: []gpu.Model{gpu.TitanXMaxwell}}}, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g0, s0 := c.TotalGPUs(), c.TotalSpeed()
+	n, err := c.AddNode(NodeSpec{Cores: 16, HostCacheBytes: 1 << 30, GPUs: []gpu.Model{gpu.TitanXMaxwell}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.ID != 2 || c.Node(2) != n {
+		t.Fatalf("AddNode gave ID %d; Node(2)=%p want %p", n.ID, c.Node(2), n)
+	}
+	if c.TotalGPUs() != g0+len(n.GPUs) {
+		t.Fatalf("TotalGPUs=%d after join, want %d", c.TotalGPUs(), g0+len(n.GPUs))
+	}
+	if c.TotalSpeed() <= s0 {
+		t.Fatalf("TotalSpeed=%v did not grow from %v", c.TotalSpeed(), s0)
+	}
+	if c.Node(-1) != nil || c.Node(99) != nil {
+		t.Fatal("out-of-range lookup must return nil")
+	}
+}

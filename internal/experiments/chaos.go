@@ -11,13 +11,11 @@ import (
 
 // Chaos runs a seeded fault storm — independent crashes with recoveries,
 // straggler windows, link cuts and degradations, a cascading failure, and
-// a full zone outage — against the fleet workload at engine widths 1, 2,
-// 4 and 8. The storm is sampled by fault.ChaosConfig from the experiment
-// seed, so the whole exercise is replayable; the table lists the storm's
-// composition and the per-width run summary, and the experiment fails
-// hard if any width diverges. This is the registry-level witness that
-// chaos schedules (with their deliberately colliding timestamps) stay
-// inside the engine's determinism contract.
+// a full zone outage — against the fleet workload. The storm is sampled
+// by fault.ChaosConfig from the experiment seed, so the whole exercise is
+// replayable (chaos schedules collide on timestamps on purpose, and the
+// injector's tie-break makes that deterministic); the report lists the
+// run summary and the storm's composition.
 func Chaos(o Options) (string, error) {
 	o = o.normalized()
 	nodes := 2048 / o.Scale
@@ -67,41 +65,20 @@ func Chaos(o Options) (string, error) {
 	cfg.Duration = cc.Duration
 	cfg.Faults = storm
 
-	results := make([]fleet.Result, len(shardWidths))
-	for i, k := range shardWidths {
-		c := cfg
-		c.Shards = k
-		r, err := fleet.Run(c)
-		if err != nil {
-			return "", fmt.Errorf("shards=%d: %w", k, err)
-		}
-		results[i] = r
+	r, err := fleet.Run(cfg)
+	if err != nil {
+		return "", err
 	}
 
 	t := report.NewTable(
 		fmt.Sprintf("Chaos storm: fleet of %d nodes, %v, %d fault events (seed %d)",
 			nodes, cfg.Duration, len(storm.Events), o.Seed),
-		"shards", "events", "msgs", "dropped", "heartbeats", "work", "state hash")
-	for i, r := range results {
-		t.AddRow(
-			shardWidths[i],
-			r.Events,
-			r.Messages,
-			r.Dropped,
-			r.Heartbeats,
-			r.WorkDone,
-			fmt.Sprintf("%016x", r.StateHash),
-		)
-		if results[i].String() != results[0].String() {
-			return "", fmt.Errorf("chaos: width %d diverged from width 1:\n  %s\n  %s",
-				shardWidths[i], results[i], results[0])
-		}
-	}
+		"events", "msgs", "dropped", "heartbeats", "work", "state hash")
+	t.AddRow(r.Events, r.Messages, r.Dropped, r.Heartbeats, r.WorkDone, fmt.Sprintf("%016x", r.StateHash))
 	out := t.String()
 	out += fmt.Sprintf("storm: crashes=%d restarts=%d gpu=%d link-down=%d link-up=%d link-degrade=%d\n",
 		byKind[fault.NodeCrash], byKind[fault.NodeRestart], byKind[fault.GPUSlowdown],
 		byKind[fault.LinkDown], byKind[fault.LinkUp], byKind[fault.LinkDegrade])
-	out += fmt.Sprintf("invariance: all %d widths byte-identical (%s)\n",
-		len(shardWidths), results[0])
+	out += fmt.Sprintf("run: %s\n", r)
 	return out, nil
 }

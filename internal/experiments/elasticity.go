@@ -19,13 +19,9 @@ const elasticNodes = 6
 
 // Elasticity is the dynamic-membership experiment, in two halves.
 //
-// The first half is the determinism witness: a fleet with seeded churn —
-// wave arrivals with cold-start jitter plus spot preemptions that drain
-// work to a successor — runs at engine widths 1, 2, 4 and 8, and every
-// width must reproduce the byte-identical summary. Membership never
-// remaps the node-to-shard assignment (the shard map is a pure function
-// of the slot space), so churn composes with sharding without a seam;
-// this experiment fails hard if that argument ever breaks.
+// The first half is the churn run: a fleet with seeded churn — wave
+// arrivals with cold-start jitter plus spot preemptions that drain work to
+// a successor — and its membership counts and run summary.
 //
 // The second half is the autoscaler bench: the same bursty job queue runs
 // on a fixed max-size fleet, a warm elastic pool (zero provision delay),
@@ -36,7 +32,7 @@ const elasticNodes = 6
 func Elasticity(o Options) (string, error) {
 	o = o.normalized()
 	var b strings.Builder
-	churn, err := elasticChurnSweep(o)
+	churn, err := elasticChurn(o)
 	if err != nil {
 		return "", err
 	}
@@ -50,8 +46,8 @@ func Elasticity(o Options) (string, error) {
 	return b.String(), nil
 }
 
-// elasticChurnConfig sizes the churn fleet like shardscale does: off
-// Options.Scale, floored so width 8 still has several nodes per shard.
+// elasticChurnConfig sizes the churn fleet off Options.Scale: 10240 slots
+// at paper scale 1, divided by Scale, floored at 64.
 func elasticChurnConfig(o Options) fleet.Config {
 	nodes := 10240 / o.Scale
 	if nodes < 64 {
@@ -71,44 +67,18 @@ func elasticChurnConfig(o Options) fleet.Config {
 	return cfg
 }
 
-func elasticChurnSweep(o Options) (string, error) {
+func elasticChurn(o Options) (string, error) {
 	cfg := elasticChurnConfig(o)
-	results := make([]fleet.Result, len(shardWidths))
-	// Sequential on purpose, like shardscale: each run already uses up to
-	// `width` OS threads.
-	for i, k := range shardWidths {
-		c := cfg
-		c.Shards = k
-		r, err := fleet.Run(c)
-		if err != nil {
-			return "", fmt.Errorf("elasticity shards=%d: %w", k, err)
-		}
-		results[i] = r
+	r, err := fleet.Run(cfg)
+	if err != nil {
+		return "", fmt.Errorf("elasticity: %w", err)
 	}
 	t := report.NewTable(
 		fmt.Sprintf("Elastic fleet: %d slots, %d initial, wave joins + %.0f%% preemptions, %v",
 			cfg.Nodes, cfg.Elastic.InitialNodes, 100*cfg.Elastic.PreemptFraction, cfg.Duration),
-		"shards", "joins", "preempts", "drained", "events", "msgs", "work", "state hash")
-	for i, r := range results {
-		t.AddRow(
-			shardWidths[i],
-			r.Joins,
-			r.Preempts,
-			r.Drained,
-			r.Events,
-			r.Messages,
-			r.WorkDone,
-			fmt.Sprintf("%016x", r.StateHash),
-		)
-		if r.String() != results[0].String() {
-			return "", fmt.Errorf("elasticity: width %d diverged from width 1:\n  %s\n  %s",
-				shardWidths[i], r, results[0])
-		}
-	}
-	out := t.String()
-	out += fmt.Sprintf("\ninvariance: all %d widths byte-identical under churn (%s)\n",
-		len(shardWidths), results[0])
-	return out, nil
+		"joins", "preempts", "drained", "events", "msgs", "work", "state hash")
+	t.AddRow(r.Joins, r.Preempts, r.Drained, r.Events, r.Messages, r.WorkDone, fmt.Sprintf("%016x", r.StateHash))
+	return t.String() + fmt.Sprintf("\nrun: %s\n", r), nil
 }
 
 // elasticBurstJobs builds the autoscaler workload: bursts of single-node

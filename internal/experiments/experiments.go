@@ -38,14 +38,12 @@ type Options struct {
 	Scale int
 	// Seed drives all randomness.
 	Seed uint64
-	// Shards is the concurrency width experiments exploit: sweep
-	// experiments run their independent points (each its own simulation
-	// Env) on a pool of Shards workers, and the fleet-based shardscale
-	// experiment sizes nothing by it — its internal width sweep is fixed.
-	// Shards cannot affect any reported number; outputs are assembled in
+	// Workers is the size of the pool sweep experiments run their
+	// independent points on (each point is its own simulation Env).
+	// Workers cannot affect any reported number: outputs are assembled in
 	// point order, so every experiment's rendering is byte-identical at
-	// every width. 0 or 1 runs sequentially.
-	Shards int
+	// every pool size. 0 or 1 runs sequentially.
+	Workers int
 	// Trace attaches a flight recorder to every core run the experiment
 	// performs (rocketbench -trace). Recording must not change any
 	// reported number: CI compares each experiment's output sha256 with
@@ -57,8 +55,8 @@ func (o Options) normalized() Options {
 	if o.Scale <= 0 {
 		o.Scale = 10
 	}
-	if o.Shards < 1 {
-		o.Shards = 1
+	if o.Workers < 1 {
+		o.Workers = 1
 	}
 	return o
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
@@ -258,7 +259,7 @@ func TestElasticityReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"byte-identical under churn",
+		"Elastic fleet",
 		"joins",
 		"Autoscaler",
 		"fixed",
@@ -283,5 +284,27 @@ func TestElasticityDeterministic(t *testing.T) {
 	}
 	if a != b {
 		t.Fatal("elasticity output differs across identical runs")
+	}
+}
+
+// TestExperimentsShardInvariance: every committed experiment renders a
+// byte-identical report (asserted via output sha256, the same digest
+// benchgate gates on) whatever the size of the pool that runs the sweep
+// points (Options.Workers, once Options.Shards).
+func TestExperimentsShardInvariance(t *testing.T) {
+	for _, e := range All() {
+		var base [sha256.Size]byte
+		for _, w := range []int{1, 4} {
+			out, err := e.Run(Options{Scale: 100, Seed: 1, Workers: w})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", e.ID, w, err)
+			}
+			sum := sha256.Sum256([]byte(out))
+			if w == 1 {
+				base = sum
+			} else if sum != base {
+				t.Errorf("%s: output sha at workers=%d differs from workers=1", e.ID, w)
+			}
+		}
 	}
 }

@@ -42,9 +42,8 @@ func All() []Experiment {
 		{"queue-scaling", "—", "rocketd scheduler: job count x policy sweep", QueueScaling},
 		{"resilience", "—", "fault sweep: completion-time inflation vs failure-free", Resilience},
 		{"incremental", "—", "pairstore warm start: append-ratio sweep vs full recompute", Incremental},
-		{"shardscale", "—", "sharded engine: fleet workload at widths 1-8, invariance-checked", ShardScale},
-		{"chaos", "—", "seeded chaos storm over the fleet, invariance-checked at widths 1-8", Chaos},
-		{"elasticity", "—", "elastic fleet: churn invariance at widths 1-8 + autoscaler node-hours vs p99 wait", Elasticity},
+		{"chaos", "—", "seeded chaos storm over the fleet", Chaos},
+		{"elasticity", "—", "elastic fleet under churn + autoscaler node-hours vs p99 wait", Elasticity},
 	}
 }
 

@@ -5,16 +5,16 @@ import (
 	"sync/atomic"
 )
 
-// forEach runs fn(i) for every i in [0, n) on a pool of o.Shards workers
-// (sequentially when Shards <= 1). It is the run-level parallelism behind
+// forEach runs fn(i) for every i in [0, n) on a pool of o.Workers workers
+// (sequentially when Workers <= 1). It is the run-level parallelism behind
 // the sweep experiments: each point builds and runs its own simulation
 // Env, so execution order cannot influence results — callers must write
 // outputs to index-addressed slots and render them after forEach returns,
 // which is what keeps every experiment's output byte-identical at every
-// width. When several points fail, the lowest-indexed error is returned,
-// so the reported failure is also width-independent.
+// pool size. When several points fail, the lowest-indexed error is
+// returned, so the reported failure does not depend on the pool either.
 func (o Options) forEach(n int, fn func(i int) error) error {
-	workers := o.Shards
+	workers := o.Workers
 	if workers < 1 {
 		workers = 1
 	}

@@ -71,9 +71,8 @@ type ChaosConfig struct {
 }
 
 // ZoneOf returns the zone owning node i under a contiguous split of nodes
-// into zones near-equal blocks — the same arithmetic cluster.ShardMap
-// uses for shard ownership, so zone boundaries are a pure function of the
-// pair (nodes, zones).
+// into zones near-equal blocks, so zone boundaries are a pure function of
+// the pair (nodes, zones).
 func ZoneOf(node, nodes, zones int) int {
 	if zones <= 1 {
 		return 0

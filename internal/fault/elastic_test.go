@@ -177,29 +177,3 @@ func TestElasticityPatternsValidate(t *testing.T) {
 		}
 	}
 }
-
-func TestElasticitySplitRoutesMembership(t *testing.T) {
-	e := Elasticity{
-		Seed: 11, Nodes: 16, InitialNodes: 8,
-		Arrival: ArrivalLinear, PreemptFraction: 0.25,
-		Duration: sim.Millis(10),
-	}
-	s, err := e.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardOf := func(n int) int { return n * 4 / 16 }
-	parts := Split(s, 4, shardOf)
-	total := 0
-	for sh, part := range parts {
-		total += len(part.Events)
-		for _, ev := range part.Events {
-			if shardOf(ev.Node) != sh {
-				t.Fatalf("event %+v routed to shard %d, owner is %d", ev, sh, shardOf(ev.Node))
-			}
-		}
-	}
-	if total != len(s.Events) {
-		t.Fatalf("split dropped or duplicated events: %d of %d", total, len(s.Events))
-	}
-}

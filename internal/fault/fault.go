@@ -346,9 +346,7 @@ func InitialMembers(s *Schedule, p int) []bool {
 
 // firingOrder returns event indices in firing order: ascending time,
 // original schedule order for equal timestamps. This is the exact order
-// NewInjector arms events in, and — because Split preserves relative
-// order and routes every event touching one piece of state to the same
-// shard — the order each ShardedInjector applies them in at every width.
+// NewInjector arms events in.
 func firingOrder(events []Event) []int {
 	order := make([]int, len(events))
 	for i := range order {
@@ -414,12 +412,7 @@ type Injector struct {
 // (the stable firing order of Schedule.Validate). This is a documented,
 // tested invariant — chaos-generated schedules routinely collide on
 // timestamps (a zone outage crashes a whole zone at one instant), and the
-// apply order decides which hook runs first. The same order holds at
-// every shard width: Split preserves relative order within each per-shard
-// schedule, and any two events that touch the same health state (same
-// node, same device, same link) are routed to the same shard, so their
-// relative firing position is identical whether one injector or eight
-// apply them.
+// apply order decides which hook runs first.
 func NewInjector(env *sim.Env, gpus []int, s *Schedule, hooks Hooks) (*Injector, error) {
 	if err := s.Validate(gpus); err != nil {
 		return nil, err

@@ -230,3 +230,97 @@ func TestInjectorTieBreakIsScheduleOrder(t *testing.T) {
 		t.Fatal("cut;restore at one timestamp must end up")
 	}
 }
+
+// underBothLoops runs an injector set up by run under the Env's own event
+// loop and under the fleet's (sim.Arrivals), the latter with a message
+// arriving at every instant in at so that arrivals and fault events
+// collide, and returns what each run observed.
+func underBothLoops[T any](at []sim.Time, until sim.Time, run func(env *sim.Env) (observe func() T)) []T {
+	var out []T
+	for _, arrivals := range []bool{false, true} {
+		env := sim.NewEnv()
+		observe := run(env)
+		if arrivals {
+			q := sim.NewArrivals(env, func(int) {})
+			for _, t := range at {
+				q.Push(t, 0, 0)
+			}
+			q.RunUntil(until)
+		} else {
+			env.RunUntil(until)
+		}
+		out = append(out, observe())
+		env.Close()
+	}
+	return out
+}
+
+func TestShardedInjectorValidates(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	s := new(Schedule).Crash(99, sim.Millis(1))
+	if _, err := NewInjector(env, []int{1, 1}, s, Hooks{}); err == nil {
+		t.Fatal("out-of-range node accepted")
+	}
+}
+
+// Chaos-style colliding timestamps (a whole zone crashing at one instant,
+// straggler flaps at the same tick) resolve to the same health state under
+// either event loop — the tie-break contract the sharded injector was
+// once held to at every shard width.
+func TestShardedTieBreakInvariantAcrossWidths(t *testing.T) {
+	const nodes = 16
+	gpus := make([]int, nodes)
+	for i := range gpus {
+		gpus[i] = 2
+	}
+	at := sim.Millis(5)
+	s := &Schedule{}
+	for n := 4; n < 12; n++ { // "zone" 4..11 dies at one timestamp
+		s.Crash(n, at)
+	}
+	for n := 4; n < 12; n++ {
+		s.Restart(n, at+sim.Millis(3))
+	}
+	s.Crash(6, at+sim.Millis(3)) // collides with the zone restart wave
+	s.SlowGPU(0, 1, at, 4).RestoreGPU(0, 1, at).SlowGPU(0, 1, at, 8)
+	s.CutLink(3, 12, at).RestoreLink(3, 12, at).CutLink(3, 12, at)
+
+	type state struct {
+		alive [nodes]bool
+		gpuF  float64
+		lin   bool
+	}
+	states := underBothLoops([]sim.Time{at, at + sim.Millis(3)}, sim.Millis(20), func(env *sim.Env) func() state {
+		inj, err := NewInjector(env, gpus, s, Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() (st state) {
+			for n := 0; n < nodes; n++ {
+				st.alive[n] = inj.Alive(n)
+			}
+			st.gpuF = inj.GPUFactor(0, 1)
+			up, _, _ := inj.Link(3, 12)
+			st.lin = up
+			return st
+		}
+	})
+	if states[1] != states[0] {
+		t.Fatalf("the arrival loop diverged: %+v != %+v", states[1], states[0])
+	}
+	if states[0].gpuF != 8 {
+		t.Fatalf("gpu factor = %v, want 8 (last writer at the tick wins)", states[0].gpuF)
+	}
+	if states[0].lin {
+		t.Fatal("link must end down (last writer at the tick wins)")
+	}
+	if states[0].alive[6] {
+		t.Fatal("node 6: restart wave then crash at one tick must end dead")
+	}
+	for n := 4; n < 12; n++ {
+		if n != 6 && !states[0].alive[n] {
+			t.Fatalf("node %d: the restart wave did not bring it back", n)
+		}
+	}
+}

@@ -13,9 +13,8 @@ import "rocket/internal/sim"
 type Probe struct {
 	At   sim.Time
 	Node int
-	// Fn runs in scheduler context on the env the probe was armed on (the
-	// node's owning shard in sharded runs). It must not block and must
-	// only touch state it owns — the usual per-shard ownership contract.
+	// Fn runs in scheduler context on the env the probe was armed on. It
+	// must not block.
 	Fn func(alive bool)
 }
 
@@ -27,20 +26,6 @@ func ArmProbes(env *sim.Env, inj *Injector, probes []Probe) {
 		p := p
 		env.At(p.At, func() {
 			p.Fn(inj == nil || inj.Alive(p.Node))
-		})
-	}
-}
-
-// ArmShardedProbes routes each probe to its node's owning shard and arms
-// it there against that shard's injector, mirroring how NewShardedInjector
-// routes events: the probe fires on the thread that owns the node's
-// health state. A nil si is the failure-free world.
-func ArmShardedProbes(ss *sim.ShardSet, si *ShardedInjector, shardOf func(node int) int, probes []Probe) {
-	for _, p := range probes {
-		p := p
-		env := ss.Shard(shardOf(p.Node)).Env()
-		env.At(p.At, func() {
-			p.Fn(si == nil || si.For(p.Node).Alive(p.Node))
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"slices"
 	"testing"
 
 	"rocket/internal/sim"
@@ -63,79 +64,40 @@ func TestArmProbesNilInjector(t *testing.T) {
 	}
 }
 
-// Sharded probes fire on the node's owning shard and observe the same
-// health trajectory at every shard width.
+// Probes observe the same health trajectory under either event loop, with
+// arrivals at every probe and fault instant (as the sharded probes once
+// did at every shard width).
 func TestArmShardedProbesAcrossWidths(t *testing.T) {
-	const nodes = 8
-	gpus := make([]int, nodes)
-	for i := range gpus {
-		gpus[i] = 1
-	}
 	s := new(Schedule).
 		Crash(2, sim.Millis(3)).
 		Crash(6, sim.Millis(3)).
 		Restart(6, sim.Millis(7))
 	probeAt := []sim.Time{sim.Millis(2), sim.Millis(3), sim.Millis(7), sim.Millis(9)}
-
-	var all [][]bool
-	for _, width := range []int{1, 2, 4, 8} {
-		env := sim.NewEnv(sim.WithShards(width))
-		ss := env.Sharded()
-		shardOf := func(n int) int { return n * width / nodes }
-		si, err := NewShardedInjector(ss, gpus, s, shardOf, Hooks{})
+	all := underBothLoops(probeAt, sim.Millis(10), func(env *sim.Env) func() []bool {
+		inj, err := NewInjector(env, []int{1, 1, 1, 1, 1, 1, 1, 1}, s, Hooks{})
 		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
+			t.Fatal(err)
 		}
 		obs := make([]bool, 2*len(probeAt))
 		var probes []Probe
 		for i, at := range probeAt {
-			i, at := i, at
+			i := i
 			probes = append(probes,
 				Probe{At: at, Node: 2, Fn: func(alive bool) { obs[2*i] = alive }},
 				Probe{At: at, Node: 6, Fn: func(alive bool) { obs[2*i+1] = alive }})
 		}
-		ArmShardedProbes(ss, si, shardOf, probes)
-		env.RunUntil(sim.Millis(10))
-		env.Close()
-		all = append(all, obs)
-	}
+		ArmProbes(env, inj, probes)
+		return func() []bool { return obs }
+	})
 	want := []bool{
 		true, true, // t=2ms: both alive
 		false, false, // t=3ms: both crashed (post-event)
 		false, true, // t=7ms: node 6 restarted
 		false, true, // t=9ms: steady state
 	}
-	for w, obs := range all {
-		for i := range want {
-			if obs[i] != want[i] {
-				t.Fatalf("width %d: observations = %v, want %v", []int{1, 2, 4, 8}[w], obs, want)
-			}
+	for loop, obs := range all {
+		if !slices.Equal(obs, want) {
+			t.Fatalf("loop %d: observations = %v, want %v", loop, obs, want)
 		}
-	}
-}
-
-// Nil sharded injector is the failure-free world on every shard.
-func TestArmShardedProbesNilInjector(t *testing.T) {
-	env := sim.NewEnv(sim.WithShards(2))
-	defer env.Close()
-	ss := env.Sharded()
-	fired := 0
-	ArmShardedProbes(ss, nil, func(n int) int { return n / 4 }, []Probe{
-		{At: sim.Millis(1), Node: 0, Fn: func(alive bool) {
-			fired++
-			if !alive {
-				t.Error("nil sharded injector reported a dead node")
-			}
-		}},
-		{At: sim.Millis(1), Node: 6, Fn: func(alive bool) {
-			fired++
-			if !alive {
-				t.Error("nil sharded injector reported a dead node")
-			}
-		}},
-	})
-	env.RunUntil(sim.Millis(2))
-	if fired != 2 {
-		t.Fatalf("fired %d probes, want 2", fired)
 	}
 }

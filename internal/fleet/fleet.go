@@ -1,19 +1,19 @@
-// Package fleet is a message-driven fleet workload for the sharded event
-// engine: N nodes exchanging heartbeats, gossip rumors, and work items
-// over the cluster fabric, partitioned across shards by a contiguous
-// cluster.ShardMap. It exists to exercise event-level parallelism — the
-// all-pairs runtime in internal/core is dominated by globally coupled
-// state (shared storage, run-wide counters) and stays on the sequential
-// loop, whereas fleet protocols are node-local by construction, which is
-// exactly the shape conservative PDES parallelizes.
+// Package fleet is a message-driven fleet workload: N nodes exchanging
+// heartbeats, gossip rumors, and work items over a latency/bandwidth
+// fabric, on one sequential event loop. It stresses the event engine with
+// dense cross-node traffic, where the all-pairs runtime in internal/core
+// spends its events on per-pair pipelines instead.
+//
+// A message is a typed record in a sim.Arrivals heap — kind, endpoints,
+// one payload word — dispatched by a switch over its kind, and every timer
+// is an argument event on a method value bound once per run, so no
+// message and no timer allocates.
 //
 // Every quantity a run reports is a pure function of (Config, Seed): node
-// behavior draws from per-node generators forked from (Seed, nodeID), all
-// cross-node interaction goes through the deterministic merge path, and
-// the result digest folds per-node state in node order. Consequently the
-// Result — including its StateHash — is bit-identical at every shard
-// count, which the shardscale experiment and the engine property tests
-// assert.
+// behavior draws from per-node generators forked from (Seed, nodeID),
+// messages arrive in the canonical (time, sender, send order) order with
+// arrivals before local events at an equal instant, and the result digest
+// folds per-node state in node order.
 package fleet
 
 import (
@@ -30,8 +30,8 @@ import (
 type Config struct {
 	// Nodes is the fleet size.
 	Nodes int
-	// Shards is the engine width; 1 runs the identical protocol on a
-	// degenerate shard set.
+	// Shards is ignored: the fleet runs on one event loop at any value.
+	// It stays because the repository benchmark sets it.
 	Shards int
 	// Seed forks every node's generator.
 	Seed uint64
@@ -46,13 +46,13 @@ type Config struct {
 	// WorkItems is the initial work queue length per node; nodes that run
 	// dry steal half a random peer's queue.
 	WorkItems int
-	// NetLatency is the fabric's one-way propagation latency — also the
-	// engine's conservative lookahead, so it must be positive.
+	// NetLatency is the fabric's one-way propagation latency. It must be
+	// positive: a message arrives strictly after it is sent.
 	NetLatency sim.Time
 	// NetBandwidth is per-NIC bandwidth in bytes/second.
 	NetBandwidth float64
 	// Faults is an optional fault schedule (node crashes/restarts, joins,
-	// preemptions), routed to owning shards via fault.Split.
+	// preemptions, straggler windows).
 	Faults *fault.Schedule
 	// Elastic optionally generates seeded churn (arrival patterns plus
 	// spot preemption) and appends it to Faults. Its Nodes/Duration must
@@ -70,29 +70,25 @@ type Config struct {
 	// StartAt[i] instead of t=0 (scenario startup patterns). Nil or an
 	// all-zero slice is the instant boot and is bit-identical to it.
 	StartAt []sim.Time
-	// Probes are timed health observations, each armed on its node's
-	// owning shard after the fault events of the same timestamp (scenario
-	// assertions). Nil leaves the event stream untouched.
+	// Probes are timed health observations, each armed after the fault
+	// events of the same timestamp (scenario assertions). Nil leaves the
+	// event stream untouched.
 	Probes []fault.Probe
 	// Spans, when non-nil, records protocol activity (steal round trips,
-	// joins, preemption drains) and engine shard windows into the flight
-	// recorder. Every protocol span is a pure function of (Config, Seed)
-	// — virtual timestamps and payload counts only — so exported traces
-	// are width-invariant like the Result; window spans are the
-	// deliberate exception (the "engine" category) and exporters exclude
-	// them by default. Each shard writes only its own lane, so recording
-	// is race-free under parallel window execution.
+	// joins, preemption drains) into the flight recorder. Every span is a
+	// pure function of (Config, Seed): virtual timestamps and payload
+	// counts only.
 	Spans *obs.Recorder
 }
 
 // DefaultConfig returns a chatty fleet over the default DAS-5-style
-// fabric: the heartbeat period is deliberately aggressive so windows stay
-// dense and the workload stresses the engine rather than idling.
+// fabric: the heartbeat period is deliberately aggressive so the event
+// queue stays dense and the workload stresses the engine rather than
+// idling.
 func DefaultConfig(nodes int) Config {
 	fabric := cluster.DefaultConfig()
 	return Config{
 		Nodes:           nodes,
-		Shards:          1,
 		Seed:            1,
 		Duration:        sim.Millis(50),
 		HeartbeatPeriod: sim.Micros(100),
@@ -103,13 +99,11 @@ func DefaultConfig(nodes int) Config {
 	}
 }
 
-// ScalingConfig is the fixed 1024-node fleet that BenchmarkShardScaling
-// and rocketbench's shard-trajectory measurement both run: sharing the
-// definition keeps the committed BENCH trajectory comparable with ad-hoc
-// `go test -bench` runs.
-func ScalingConfig(shards int) Config {
+// ScalingConfig is the fixed 1024-node fleet the repository benchmark
+// runs and the contract test pins. The argument is ignored, like
+// Config.Shards, and stays because the benchmark passes one.
+func ScalingConfig(int) Config {
 	cfg := DefaultConfig(1024)
-	cfg.Shards = shards
 	cfg.Duration = sim.Millis(10)
 	return cfg
 }
@@ -117,9 +111,10 @@ func ScalingConfig(shards int) Config {
 // Result is a fleet run's deterministic summary. It contains no wall-clock
 // quantity: hashing or printing a Result is safe inside experiment goldens.
 type Result struct {
-	Nodes       int
-	Shards      int
-	Events      uint64
+	Nodes  int
+	Events uint64
+	// Windows is always 0. It stays because the repository benchmark
+	// reads it.
 	Windows     uint64
 	Messages    uint64
 	BytesSent   int64
@@ -135,10 +130,9 @@ type Result struct {
 }
 
 // String renders the canonical one-line summary used by experiments. The
-// shard count is deliberately excluded: the line is identical at every
-// width, so goldens double as shard-invariance witnesses. The membership
-// suffix appears only when churn actually happened, so churn-free runs
-// keep the exact pre-elasticity line (and its golden hashes).
+// membership suffix appears only when churn actually happened, so
+// churn-free runs keep the exact pre-elasticity line (and its golden
+// hashes).
 func (r Result) String() string {
 	s := fmt.Sprintf(
 		"fleet nodes=%d events=%d msgs=%d bytes=%d dropped=%d heartbeats=%d rumors=%d work=%d hash=%016x vt=%v",
@@ -171,8 +165,7 @@ func (r *rng) jitter(d sim.Time) sim.Time {
 
 const fnvPrime = 1099511628211
 
-// node is one fleet member. All fields are owned by the node's shard and
-// only ever touched from it.
+// node is one fleet member.
 type node struct {
 	id     int
 	rng    rng
@@ -202,29 +195,45 @@ const (
 	drainBytes       = 1024 // preemption drain header; +64 per item, like grants
 )
 
-type fleetSim struct {
-	cfg   Config
-	env   *sim.Env
-	ss    *sim.ShardSet
-	net   *cluster.ShardedNet
-	inj   *fault.ShardedInjector
-	nodes []*node
-	// spans is the flight recorder (nil = off); shardOf maps a node to
-	// its owning shard, which is the lane its spans are recorded on (one
-	// writer per lane under parallel window execution).
-	spans   *obs.Recorder
-	shardOf func(int) int
+type msgKind uint8
+
+const (
+	msgHeartbeat    msgKind = iota
+	msgRumor                // word: rumor id, ttl: hops left
+	msgStealRequest         // reqAt: when the thief asked
+	msgGrant                // word: items granted, reqAt: when the thief asked
+	msgDrain                // word: items handed over by a preempted node
+)
+
+// msg is one in-flight message. The fields a kind does not name are zero.
+type msg struct {
+	from, to, ttl int32
+	kind          msgKind
+	word          uint64
+	reqAt         sim.Time
 }
 
-// nodeSpan records a protocol span on n's owning shard's lane. All call
-// sites run on that shard's goroutine, inside virtual events whose times
-// are width-invariant.
+type fleetSim struct {
+	cfg      Config
+	env      *sim.Env
+	arrivals *sim.Arrivals[msg]
+	inj      *fault.Injector
+	nodes    []node
+	spans    *obs.Recorder
+	nics     *cluster.NICs
+
+	// The timers' continuations, bound once per run (sim.Env.AtArg with
+	// the node index as argument).
+	heartbeatFn, pumpFn, serviceFn, stealFn func(uint64)
+}
+
+// nodeSpan records a protocol span on n's track.
 func (fs *fleetSim) nodeSpan(n *node, s obs.Span) {
 	if fs.spans == nil {
 		return
 	}
 	s.Track = "node" + strconv.Itoa(n.id)
-	fs.spans.Record(fs.shardOf(n.id), s)
+	fs.spans.Record(0, s)
 }
 
 // Run executes the workload and returns its deterministic summary.
@@ -232,11 +241,11 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Nodes < 2 {
 		return Result{}, fmt.Errorf("fleet: need at least 2 nodes, got %d", cfg.Nodes)
 	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
-	}
 	if cfg.NetLatency <= 0 {
-		return Result{}, fmt.Errorf("fleet: NetLatency must be positive (it is the lookahead)")
+		return Result{}, fmt.Errorf("fleet: NetLatency must be positive (a message arrives after it is sent)")
+	}
+	if cfg.NetBandwidth <= 0 {
+		return Result{}, fmt.Errorf("fleet: NetBandwidth must be positive")
 	}
 	if cfg.HeartbeatPeriod <= 0 {
 		return Result{}, fmt.Errorf("fleet: HeartbeatPeriod must be positive")
@@ -261,7 +270,7 @@ func Run(cfg Config) (Result, error) {
 	// Elastic churn compiles to ordinary membership events appended after
 	// any scripted schedule; from here down the run only ever sees one
 	// fault schedule, so scripted and generated churn share every code
-	// path (validation, splitting, hooks, width-invariance).
+	// path (validation, hooks, determinism).
 	faults := cfg.Faults
 	if cfg.Elastic != nil {
 		e := *cfg.Elastic
@@ -288,28 +297,18 @@ func Run(cfg Config) (Result, error) {
 		faults = merged
 	}
 
-	opts := []sim.EnvOption{sim.WithShards(cfg.Shards), sim.WithSeed(cfg.Seed), sim.WithLookahead(cfg.NetLatency)}
-	if cfg.Spans != nil {
-		rec := cfg.Spans
-		opts = append(opts, sim.WithWindowHook(func(shard int, start, end sim.Time, events uint64) {
-			rec.Record(shard, obs.Span{Start: start, End: end, Kind: obs.KindWindow,
-				Track: "shard" + strconv.Itoa(shard), Name: "window", Arg: int64(events)})
-		}))
-	}
-	env := sim.NewEnv(opts...)
-	ss := env.Sharded()
-	m := cluster.NewShardMap(cfg.Nodes, ss.NumShards())
+	env := sim.NewEnv(sim.WithSeed(cfg.Seed))
 	fs := &fleetSim{
-		cfg:     cfg,
-		env:     env,
-		ss:      ss,
-		net:     cluster.NewShardedNet(ss, m, cfg.NetLatency, cfg.NetBandwidth),
-		nodes:   make([]*node, cfg.Nodes),
-		spans:   cfg.Spans,
-		shardOf: m.ShardOf,
+		cfg:   cfg,
+		env:   env,
+		nodes: make([]node, cfg.Nodes),
+		spans: cfg.Spans,
+		nics:  cluster.NewNICs(cfg.Nodes, cfg.NetLatency, cfg.NetBandwidth),
 	}
+	fs.arrivals = sim.NewArrivals(env, fs.deliver)
+	fs.heartbeatFn, fs.pumpFn, fs.serviceFn, fs.stealFn = fs.heartbeat, fs.pumpArg, fs.serviceDone, fs.stealArg
 	for i := range fs.nodes {
-		fs.nodes[i] = &node{
+		fs.nodes[i] = node{
 			id:    i,
 			rng:   rng{s: cfg.Seed*fnvPrime + uint64(i)},
 			queue: cfg.WorkItems,
@@ -324,87 +323,57 @@ func Run(cfg Config) (Result, error) {
 				gpus[i] = 1 // fleet nodes model one device; shape for validation
 			}
 		}
-		inj, err := fault.NewShardedInjector(ss, gpus, faults, m.ShardOf, fault.Hooks{
+		inj, err := fault.NewInjector(env, gpus, faults, fault.Hooks{
 			OnCrash: func(id int) { fs.nodes[id].queue = 0 }, // volatile queue lost
-			OnJoin: func(id int) {
-				// Runs on id's owning shard, after the liveness flip: the
-				// joiner is live capacity from this instant.
-				fs.join(ss.Shard(m.ShardOf(id)).Env(), fs.nodes[id])
-			},
-			OnPreempt: func(id int) {
-				// Runs on id's owning shard, BEFORE the liveness flip (the
-				// drain window): the departing node's sends still go out.
-				fs.drain(ss.Shard(m.ShardOf(id)).Env(), fs.nodes[id])
-			},
+			// After the liveness flip: the joiner is live capacity from
+			// this instant.
+			OnJoin: func(id int) { fs.join(&fs.nodes[id]) },
+			// Before the liveness flip (the drain window): the departing
+			// node's sends still go out.
+			OnPreempt: func(id int) { fs.drain(&fs.nodes[id]) },
 		})
 		if err != nil {
 			return Result{}, err
 		}
 		fs.inj = inj
-		fs.net.SetAliveFunc(inj.Alive)
+		fs.nics.SetAliveFunc(inj.Alive)
 	}
 	// Probes arm after the injector so same-timestamp fault events fire
 	// first; with no schedule fs.inj is nil and every probe reads alive.
-	if len(cfg.Probes) > 0 {
-		fault.ArmShardedProbes(ss, fs.inj, m.ShardOf, cfg.Probes)
-	}
+	fault.ArmProbes(env, fs.inj, cfg.Probes)
 
-	// Boot: every initial member arms its heartbeat loop and work pump on
-	// its own shard's Env, offset by its StartAt slot when staggered
-	// startup is configured (a zero offset takes the t=0 path and stays
-	// bit-identical to the nil-StartAt boot). Initially-absent slots —
-	// nodes whose first membership event is a join — hold no work and do
-	// not boot here; their OnJoin hook boots them at join time.
-	for i, n := range fs.nodes {
-		n := n
+	// Boot: every initial member arms its heartbeat loop and work pump,
+	// offset by its StartAt slot (zero without staggered startup).
+	// Initially-absent slots — nodes whose first membership event is a
+	// join — hold no work and do not boot here; their OnJoin hook boots
+	// them at join time.
+	for i := range fs.nodes {
+		n := &fs.nodes[i]
 		if !members[i] {
 			n.queue = 0
 			continue
 		}
 		n.booted = true
-		e := ss.Shard(m.ShardOf(i)).Env()
 		var start sim.Time
 		if cfg.StartAt != nil {
 			start = cfg.StartAt[i]
 		}
-		if start == 0 {
-			e.At(n.rng.jitter(cfg.HeartbeatPeriod), func() { fs.heartbeat(e, n) })
-			e.Defer(func() { fs.pump(e, n) })
-		} else {
-			e.At(start+n.rng.jitter(cfg.HeartbeatPeriod), func() { fs.heartbeat(e, n) })
-			e.At(start, func() { fs.pump(e, n) })
-		}
+		env.AtArg(start+n.rng.jitter(cfg.HeartbeatPeriod), fs.heartbeatFn, uint64(i))
+		env.AtArg(start, fs.pumpFn, uint64(i))
 	}
 
-	env.RunUntil(cfg.Duration)
+	fs.arrivals.RunUntil(cfg.Duration)
 
 	res := Result{
 		Nodes:       cfg.Nodes,
-		Shards:      ss.NumShards(),
-		Windows:     ss.Windows(),
-		Messages:    fs.net.Messages(),
-		BytesSent:   fs.net.BytesSent(),
-		Dropped:     fs.net.Dropped(),
+		Events:      env.EventsProcessed(),
+		Messages:    fs.nics.Messages(),
+		BytesSent:   fs.nics.BytesSent(),
+		Dropped:     fs.nics.Dropped(),
 		VirtualTime: env.Now(),
 	}
-	for i := 0; i < ss.NumShards(); i++ {
-		res.Events += ss.Shard(i).Env().EventsProcessed()
-	}
-	// fault.Split duplicates a link event to both endpoint shards when the
-	// endpoints are owned by different shards, so the raw engine count
-	// varies with the width. Subtract the extra copies: Events then counts
-	// each scheduled fault exactly once and stays width-invariant.
-	if !cfg.Faults.Empty() {
-		for _, ev := range cfg.Faults.Events {
-			switch ev.Kind {
-			case fault.LinkDown, fault.LinkUp, fault.LinkDegrade:
-				if m.ShardOf(ev.A) != m.ShardOf(ev.B) {
-					res.Events--
-				}
-			}
-		}
-	}
-	for _, n := range fs.nodes {
+	for i := range fs.nodes {
+		n := &fs.nodes[i]
 		res.Heartbeats += n.heartbeats
 		res.Rumors += n.rumors
 		res.WorkDone += n.workDone
@@ -417,105 +386,125 @@ func Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// join boots node n at join time on its own shard: it arrives with an
-// empty queue and immediately pulls work through the steal path, and its
-// heartbeat loop is armed with the usual jitter. A rejoin after an earlier
-// membership (crashed slots are restarted via Restart, but a scripted
-// preempt→join cycle lands here too) only re-enters the pump — the
-// heartbeat loop from the first boot is still ticking, it must not be
-// doubled.
-func (fs *fleetSim) join(e *sim.Env, n *node) {
+// alive reports node id's liveness (always true without faults).
+func (fs *fleetSim) alive(id int) bool {
+	return fs.inj == nil || fs.inj.Alive(id)
+}
+
+// send transmits size bytes from node from to node to over the NIC model
+// (cluster.NICs): a dead sender's send is refused, and the receiver's
+// liveness is checked on arrival (see deliver).
+func (fs *fleetSim) send(from, to int, size int64, m msg) {
+	if at, ok := fs.nics.Send(fs.env.Now(), from, size); ok {
+		m.from, m.to = int32(from), int32(to)
+		fs.arrivals.Push(at, uint32(from), m)
+	}
+}
+
+// deliver applies one arrived message at its receiver; a message to a
+// node that is dead on arrival does nothing.
+func (fs *fleetSim) deliver(m msg) {
+	if !fs.nics.Receive(int(m.to)) {
+		return
+	}
+	n, now := &fs.nodes[m.to], fs.env.Now()
+	switch m.kind {
+	case msgHeartbeat:
+		// Record the observation and spawn a rumor walk.
+		n.heartbeats++
+		n.fold(0x48, now, uint64(m.from))
+		if fs.cfg.GossipTTL > 0 {
+			fs.gossip(n, uint64(m.from)<<8^uint64(n.id), fs.cfg.GossipTTL)
+		}
+	case msgRumor:
+		n.rumors++
+		n.fold(0x52, now, m.word)
+		if m.ttl > 1 {
+			fs.gossip(n, m.word*fnvPrime, int(m.ttl)-1)
+		}
+	case msgStealRequest:
+		grant := n.queue / 2
+		n.queue -= grant
+		fs.send(n.id, int(m.from), int64(workGrantBytes+grant*64),
+			msg{kind: msgGrant, word: uint64(grant), reqAt: m.reqAt})
+	case msgGrant:
+		fs.granted(n, int(m.from), int(m.word), m.reqAt)
+	case msgDrain:
+		n.queue += int(m.word)
+		n.fold(0x44, now, m.word)
+		if !n.busy {
+			fs.pump(n)
+		}
+	}
+}
+
+// join boots node n at join time: it arrives with an empty queue and
+// immediately pulls work through the steal path, and its heartbeat loop
+// is armed with the usual jitter. A rejoin after an earlier membership
+// (crashed slots are restarted via Restart, but a scripted preempt→join
+// cycle lands here too) only re-enters the pump — the heartbeat loop from
+// the first boot is still ticking, it must not be doubled.
+func (fs *fleetSim) join(n *node) {
+	now := fs.env.Now()
 	n.joins++
-	n.fold(0x4a, e.Now(), n.joins)
-	fs.nodeSpan(n, obs.Span{Start: e.Now(), End: e.Now(), Kind: obs.KindMark,
-		Name: "join", Arg: int64(n.joins)})
+	n.fold(0x4a, now, n.joins)
+	fs.nodeSpan(n, obs.Span{Start: now, End: now, Kind: obs.KindMark, Name: "join", Arg: int64(n.joins)})
 	if !n.booted {
 		n.booted = true
-		e.After(n.rng.jitter(fs.cfg.HeartbeatPeriod), func() { fs.heartbeat(e, n) })
+		fs.env.AtArg(now+n.rng.jitter(fs.cfg.HeartbeatPeriod), fs.heartbeatFn, uint64(n.id))
 	}
 	if !n.busy {
-		fs.pump(e, n)
+		fs.pump(n)
 	}
 }
 
 // drain is the pre-flip half of a preemption: the departing node pushes
 // its whole queue to its ring successor while its sends are still
-// admitted, then departs. Liveness is checked receiver-side at delivery —
+// admitted, then departs. Liveness is checked at the receiver on arrival —
 // if the successor is itself dead or departed by then the batch is
 // dropped, the same volatile-loss semantics as a crash.
-func (fs *fleetSim) drain(e *sim.Env, n *node) {
+func (fs *fleetSim) drain(n *node) {
+	now := fs.env.Now()
 	n.preempts++
-	n.fold(0x50, e.Now(), n.preempts)
+	n.fold(0x50, now, n.preempts)
 	batch := n.queue
 	n.queue = 0
-	fs.nodeSpan(n, obs.Span{Start: e.Now(), End: e.Now(), Kind: obs.KindMark,
-		Name: "preempt", Arg: int64(batch)})
+	fs.nodeSpan(n, obs.Span{Start: now, End: now, Kind: obs.KindMark, Name: "preempt", Arg: int64(batch)})
 	if batch == 0 {
 		return
 	}
 	n.drained += uint64(batch)
-	succ := (n.id + 1) % fs.cfg.Nodes
-	fs.net.Send(e, n.id, succ, int64(drainBytes+batch*64), func(de *sim.Env) {
-		sn := fs.nodes[succ]
-		sn.queue += batch
-		sn.fold(0x44, de.Now(), uint64(batch))
-		if !sn.busy {
-			fs.pump(de, sn)
-		}
-	})
+	fs.send(n.id, (n.id+1)%fs.cfg.Nodes, int64(drainBytes+batch*64), msg{kind: msgDrain, word: uint64(batch)})
 }
 
-// alive reports n's liveness from its own shard's injector (always true
-// without faults).
-func (fs *fleetSim) alive(n *node) bool {
-	return fs.inj == nil || fs.inj.For(n.id).Alive(n.id)
-}
-
-// heartbeat fires on n's shard: send a heartbeat to the ring successor,
-// then rearm with jitter. Dead nodes keep the timer running (a crash does
-// not stop virtual time) but the fabric refuses their sends.
-func (fs *fleetSim) heartbeat(e *sim.Env, n *node) {
-	succ := (n.id + 1) % fs.cfg.Nodes
-	fs.net.Send(e, n.id, succ, heartbeatBytes, func(de *sim.Env) {
-		fs.onHeartbeat(de, fs.nodes[succ], n.id)
-	})
-	e.After(n.rng.jitter(fs.cfg.HeartbeatPeriod), func() { fs.heartbeat(e, n) })
-}
-
-// onHeartbeat runs on the receiver's shard: record the observation and
-// spawn a rumor walk.
-func (fs *fleetSim) onHeartbeat(e *sim.Env, n *node, from int) {
-	n.heartbeats++
-	n.fold(0x48, e.Now(), uint64(from))
-	if fs.cfg.GossipTTL > 0 {
-		fs.gossip(e, n, uint64(from)<<8^uint64(n.id), fs.cfg.GossipTTL)
-	}
+// heartbeat is node id's heartbeat timer: send a heartbeat to the ring
+// successor, then rearm with jitter. Dead nodes keep the timer running (a
+// crash does not stop virtual time) but their sends are refused.
+func (fs *fleetSim) heartbeat(id uint64) {
+	n := &fs.nodes[id]
+	fs.send(n.id, (n.id+1)%fs.cfg.Nodes, heartbeatBytes, msg{kind: msgHeartbeat})
+	fs.env.AtArg(fs.env.Now()+n.rng.jitter(fs.cfg.HeartbeatPeriod), fs.heartbeatFn, id)
 }
 
 // gossip forwards a rumor to a random peer chosen by the forwarding node's
 // own generator; each hop decrements ttl.
-func (fs *fleetSim) gossip(e *sim.Env, n *node, rumor uint64, ttl int) {
+func (fs *fleetSim) gossip(n *node, rumor uint64, ttl int) {
 	peer := n.rng.intn(fs.cfg.Nodes - 1)
 	if peer >= n.id {
 		peer++
 	}
-	fs.net.Send(e, n.id, peer, rumorBytes, func(de *sim.Env) {
-		pn := fs.nodes[peer]
-		pn.rumors++
-		pn.fold(0x52, de.Now(), rumor)
-		if ttl > 1 {
-			fs.gossip(de, pn, rumor*fnvPrime, ttl-1)
-		}
-	})
+	fs.send(n.id, peer, rumorBytes, msg{kind: msgRumor, word: rumor, ttl: int32(ttl)})
 }
+
+func (fs *fleetSim) pumpArg(id uint64) { fs.pump(&fs.nodes[id]) }
 
 // pump is n's work loop: process queued items one at a time with a
 // generator-drawn service time; when the queue runs dry, steal half a
 // random peer's queue.
-func (fs *fleetSim) pump(e *sim.Env, n *node) {
+func (fs *fleetSim) pump(n *node) {
 	if n.queue == 0 {
 		n.busy = false
-		fs.steal(e, n)
+		fs.steal(n)
 		return
 	}
 	n.busy = true
@@ -523,48 +512,51 @@ func (fs *fleetSim) pump(e *sim.Env, n *node) {
 	// A straggler window (gpu-slow on the node's device 0) stretches
 	// service times while it lasts; factor 1 leaves the draw untouched.
 	if fs.inj != nil {
-		if f := fs.inj.For(n.id).GPUFactor(n.id, 0); f > 1 {
+		if f := fs.inj.GPUFactor(n.id, 0); f > 1 {
 			service = sim.Time(float64(service) * f)
 		}
 	}
-	e.After(service, func() {
-		if fs.alive(n) {
-			n.queue--
-			n.workDone++
-			n.fold(0x57, e.Now(), n.workDone)
-		}
-		fs.pump(e, n)
-	})
+	fs.env.AtArg(fs.env.Now()+service, fs.serviceFn, uint64(n.id))
 }
 
-// steal asks a random peer for half its queue; an empty grant backs off
-// and retries.
-func (fs *fleetSim) steal(e *sim.Env, n *node) {
+// serviceDone completes node id's current item (unless the node died
+// meanwhile) and pumps the next one.
+func (fs *fleetSim) serviceDone(id uint64) {
+	n := &fs.nodes[id]
+	if fs.alive(n.id) {
+		n.queue--
+		n.workDone++
+		n.fold(0x57, fs.env.Now(), n.workDone)
+	}
+	fs.pump(n)
+}
+
+func (fs *fleetSim) stealArg(id uint64) { fs.steal(&fs.nodes[id]) }
+
+// steal asks a random peer for half its queue (see deliver and granted).
+func (fs *fleetSim) steal(n *node) {
 	victim := n.rng.intn(fs.cfg.Nodes - 1)
 	if victim >= n.id {
 		victim++
 	}
-	reqAt := e.Now()
-	fs.net.Send(e, n.id, victim, workRequestBytes, func(de *sim.Env) {
-		v := fs.nodes[victim]
-		grant := v.queue / 2
-		v.queue -= grant
-		size := int64(workGrantBytes + grant*64)
-		fs.net.Send(de, victim, n.id, size, func(ge *sim.Env) {
-			n.queue += grant
-			// The full request→grant round trip, recorded at grant
-			// delivery on the thief's own shard; Arg 0 marks a failed
-			// attempt (empty victim).
-			fs.nodeSpan(n, obs.Span{Start: reqAt, End: ge.Now(), Kind: obs.KindSteal,
-				Name: "steal", Arg: int64(grant), Arg2: int64(victim)})
-			if grant > 0 {
-				n.fold(0x53, ge.Now(), uint64(grant))
-				if !n.busy {
-					fs.pump(ge, n)
-				}
-				return
-			}
-			ge.After(sim.Millis(1)+n.rng.jitter(sim.Micros(500)), func() { fs.steal(ge, n) })
-		})
-	})
+	fs.send(n.id, victim, workRequestBytes, msg{kind: msgStealRequest, reqAt: fs.env.Now()})
+}
+
+// granted takes a steal grant of items from victim at thief n; an empty
+// grant backs off and retries.
+func (fs *fleetSim) granted(n *node, victim, items int, reqAt sim.Time) {
+	now := fs.env.Now()
+	n.queue += items
+	// The full request→grant round trip, recorded at grant delivery; Arg
+	// 0 marks a failed attempt (empty victim).
+	fs.nodeSpan(n, obs.Span{Start: reqAt, End: now, Kind: obs.KindSteal,
+		Name: "steal", Arg: int64(items), Arg2: int64(victim)})
+	if items > 0 {
+		n.fold(0x53, now, uint64(items))
+		if !n.busy {
+			fs.pump(n)
+		}
+		return
+	}
+	fs.env.AtArg(now+sim.Millis(1)+n.rng.jitter(sim.Micros(500)), fs.stealFn, uint64(n.id))
 }

@@ -6,8 +6,8 @@
 // Everything in this package is stamped in virtual time and ordered by a
 // canonical value-based key, never by wall clock or goroutine
 // interleaving, so recorded timelines are byte-identical across reruns
-// and across engine shard widths — the same determinism contract the rest
-// of the repo property-tests. A nil *Recorder is the disabled layer:
+// and across lane layouts — the same determinism contract the rest of the
+// repo property-tests. A nil *Recorder is the disabled layer:
 // every method no-ops, and the packages that thread a recorder through
 // (core, sched, fleet, sim) guard each recording site with a single nil
 // check, which is the zero-overhead-when-off budget.
@@ -24,17 +24,12 @@ import (
 // Kind classifies a span by the mechanism it observes.
 type Kind uint8
 
-// Span kinds. KindWindow is the one engine-internal kind: shard windows
-// are a property of the engine width, not the workload, so exporters
-// exclude them unless asked (ExportOptions.IncludeEngine).
+// Span kinds.
 const (
 	// KindJobWait is a job's admission→placement interval (queueing).
 	KindJobWait Kind = iota
 	// KindJobRun is a job's placement→completion interval (service).
 	KindJobRun
-	// KindWindow is one engine shard's synchronization window (engine
-	// category: width-dependent by construction).
-	KindWindow
 	// KindSteal is one work-stealing protocol activity.
 	KindSteal
 	// KindSeal is a pairstore mutable-log seal (instant).
@@ -65,8 +60,6 @@ func (k Kind) String() string {
 		return "job-wait"
 	case KindJobRun:
 		return "job-run"
-	case KindWindow:
-		return "window"
 	case KindSteal:
 		return "steal"
 	case KindSeal:
@@ -112,8 +105,8 @@ type Span struct {
 	Start, End sim.Time
 	// Kind classifies the mechanism (the Perfetto category).
 	Kind Kind
-	// Track is the lane the span renders on: a resource ("node3/gpu0"),
-	// a subsystem ("sched", "store"), or an engine shard ("shard2").
+	// Track is the lane the span renders on: a resource ("node3/gpu0")
+	// or a subsystem ("sched", "store").
 	Track string
 	// Name labels the span ("compare", "job0", "seal").
 	Name string
@@ -125,9 +118,10 @@ type Span struct {
 
 // Compare orders spans by the canonical export key: virtual start time,
 // then end time, then the value fields. The key deliberately excludes
-// the recording lane and sequence number — those depend on the engine
-// width, while the value tuple is a pure function of workload behavior —
-// so a canonically sorted span list is byte-identical across widths.
+// the recording lane and sequence number — those depend on which lane a
+// site writes to, while the value tuple is a pure function of workload
+// behavior — so a canonically sorted span list is byte-identical across
+// lane layouts.
 // Fully equal spans are interchangeable, which keeps the sort
 // deterministic even though it is not stable.
 func (s Span) Compare(o Span) int {
@@ -161,7 +155,7 @@ func (s Span) Compare(o Span) int {
 const DefaultCapacity = 1 << 16
 
 // lane is one fixed-capacity ring. Each recording site writes to one
-// lane (its shard, or lane 0 for single-loop subsystems); the mutex is
+// lane; the mutex is
 // effectively uncontended because a lane has one writer, and exists so
 // snapshots can be taken concurrently (rocketd's /v1/trace).
 //
@@ -189,8 +183,8 @@ type Recorder struct {
 	lanes []lane
 }
 
-// New returns a recorder with the given number of lanes (one per engine
-// shard, minimum 1) and per-lane capacity (0 = DefaultCapacity).
+// New returns a recorder with the given number of lanes (minimum 1) and
+// per-lane capacity (0 = DefaultCapacity).
 func New(lanes, capacity int) *Recorder {
 	if lanes < 1 {
 		lanes = 1
@@ -218,8 +212,7 @@ func (r *Recorder) Lanes() int {
 
 // Record appends one span to the given lane's ring (modulo the lane
 // count), overwriting the oldest span when full. Safe for concurrent use
-// across lanes; a single lane must have one writer at a time, which the
-// engine's shard ownership already guarantees.
+// across lanes; a single lane must have one writer at a time.
 func (r *Recorder) Record(laneIdx int, s Span) {
 	if r == nil {
 		return
@@ -263,7 +256,7 @@ type Snapshot struct {
 	// Spans holds the retained spans sorted by Span.Compare.
 	Spans []Span
 	// Recorded counts every span ever recorded; Dropped counts the ones
-	// the rings overwrote. Exports are width-invariant only while
+	// the rings overwrote. Exports are layout-invariant only while
 	// Dropped == 0 (drop order depends on the lane layout); exporters
 	// surface the counter so pipelines can detect truncated recordings.
 	Recorded, Dropped uint64

@@ -72,7 +72,7 @@ func TestLazyGrowthLosesNothing(t *testing.T) {
 
 func TestSnapshotCanonicalOrderAcrossLaneLayouts(t *testing.T) {
 	// The same multiset of spans recorded under different lane counts and
-	// interleavings must snapshot identically — the width-invariance
+	// interleavings must snapshot identically — the layout-invariance
 	// property the exporters rely on.
 	spans := make([]Span, 0, 200)
 	rng := rand.New(rand.NewSource(7))
@@ -82,7 +82,7 @@ func TestSnapshotCanonicalOrderAcrossLaneLayouts(t *testing.T) {
 			Start: start,
 			End:   start + sim.Time(rng.Intn(20)),
 			Kind:  Kind(rng.Intn(int(numKinds))),
-			Track: []string{"node0", "node1", "shard0"}[rng.Intn(3)],
+			Track: []string{"node0", "node1", "sched"}[rng.Intn(3)],
 			Name:  []string{"a", "b", ""}[rng.Intn(3)],
 			Arg:   int64(rng.Intn(3)),
 		})
@@ -237,7 +237,6 @@ func snapFixture() Snapshot {
 	r.Record(0, Span{Start: 0, End: 2500, Kind: KindKernel, Track: "node0/gpu0", Name: "compare", Arg: 3, Arg2: 5})
 	r.Record(1, Span{Start: 1000, End: 1000, Kind: KindSeal, Track: "store", Name: "seal", Arg: 64})
 	r.Record(0, Span{Start: 500, End: 4000, Kind: KindJobRun, Track: "sched", Name: "job1", Tenant: "acme"})
-	r.Record(1, Span{Start: 0, End: 10000, Kind: KindWindow, Track: "shard1", Name: "window"})
 	return r.Snapshot()
 }
 
@@ -260,26 +259,10 @@ func TestWriteTraceBytes(t *testing.T) {
 	}
 }
 
-func TestWriteTraceIncludeEngine(t *testing.T) {
-	var off, on strings.Builder
-	if err := WriteTrace(&off, snapFixture(), ExportOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTrace(&on, snapFixture(), ExportOptions{IncludeEngine: true}); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(off.String(), `"cat":"window"`) {
-		t.Fatal("default export contains engine spans")
-	}
-	if !strings.Contains(on.String(), `"cat":"window"`) {
-		t.Fatal("IncludeEngine export missing engine spans")
-	}
-}
-
 func TestWriteTableAndTop(t *testing.T) {
 	snap := snapFixture()
 	var tbl strings.Builder
-	if err := snap.WriteTable(&tbl, 0, ExportOptions{}); err != nil {
+	if err := snap.WriteTable(&tbl, 0); err != nil {
 		t.Fatal(err)
 	}
 	out := tbl.String()
@@ -287,9 +270,6 @@ func TestWriteTableAndTop(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
 		}
-	}
-	if strings.Contains(out, "window") {
-		t.Fatalf("table shows engine spans by default:\n%s", out)
 	}
 
 	top := snap.Top("kind")

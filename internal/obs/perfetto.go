@@ -10,17 +10,8 @@ import (
 	"rocket/internal/sim"
 )
 
-// ExportOptions controls WriteTrace.
-type ExportOptions struct {
-	// IncludeEngine includes engine-internal spans (shard windows).
-	// These depend on the engine width, so traces exported with them are
-	// comparable only across runs at the same width. Off by default to
-	// preserve the width-invariance guarantee.
-	IncludeEngine bool
-}
-
-// engineSpan reports whether the span is engine-internal (width-dependent).
-func engineSpan(s Span) bool { return s.Kind == KindWindow }
+// ExportOptions is WriteTrace's settings; there are none today.
+type ExportOptions struct{}
 
 // WriteTrace writes the snapshot as Chrome trace-event JSON, loadable by
 // Perfetto (ui.perfetto.dev) and chrome://tracing. The writer is
@@ -33,19 +24,9 @@ func engineSpan(s Span) bool { return s.Kind == KindWindow }
 // whose tid is the track's rank in sorted order, named via thread_name
 // metadata; spans become "X" (complete) events with microsecond
 // timestamps carrying nanosecond precision in the fraction.
-func WriteTrace(w io.Writer, snap Snapshot, opts ExportOptions) error {
+func WriteTrace(w io.Writer, snap Snapshot, _ ExportOptions) error {
 	bw := bufio.NewWriter(w)
-
 	spans := snap.Spans
-	if !opts.IncludeEngine {
-		kept := make([]Span, 0, len(spans))
-		for _, s := range spans {
-			if !engineSpan(s) {
-				kept = append(kept, s)
-			}
-		}
-		spans = kept
-	}
 
 	// Assign tids by sorted track name so the numbering is independent
 	// of recording order.
@@ -115,11 +96,8 @@ func WriteTrace(w io.Writer, snap Snapshot, opts ExportOptions) error {
 		}
 		bw.WriteString(`}}`)
 	}
-	// The trailer reports the exported span count, not Snapshot.Recorded:
-	// the recorded total includes engine spans, whose number depends on
-	// the engine width, and the default export must stay width-invariant
-	// byte for byte. Dropped is 0 in any trace the invariance guarantee
-	// covers (see Snapshot), so surfacing it cannot break the property —
+	// The trailer reports the exported span count and Dropped, which is 0
+	// in any trace the layout-invariance guarantee covers (see Snapshot):
 	// it only flags recordings where the property is already off.
 	fmt.Fprintf(bw, "\n],\"otherData\":{\"spans\":\"%d\",\"dropped\":\"%d\"}}\n",
 		len(spans), snap.Dropped)
@@ -140,15 +118,12 @@ func quote(s string) string { return strconv.Quote(s) }
 
 // WriteTable renders the snapshot as a human-readable span table, at
 // most limit rows (0 = all), in canonical order.
-func (snap Snapshot) WriteTable(w io.Writer, limit int, opts ExportOptions) error {
+func (snap Snapshot) WriteTable(w io.Writer, limit int) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "%-12s %-12s %-10s %-18s %-18s %8s %8s\n",
 		"START", "DUR", "KIND", "TRACK", "NAME", "ARG", "ARG2")
 	rows := 0
 	for _, s := range snap.Spans {
-		if engineSpan(s) && !opts.IncludeEngine {
-			continue
-		}
 		if limit > 0 && rows >= limit {
 			break
 		}
@@ -212,14 +187,10 @@ type TopEntry struct {
 }
 
 // Top aggregates span durations by track ("track") or kind ("kind"),
-// sorted by descending busy time then key. Engine spans are excluded —
-// window spans cover the whole run and would drown the workload.
+// sorted by descending busy time then key.
 func (snap Snapshot) Top(by string) []TopEntry {
 	agg := map[string]*TopEntry{}
 	for _, s := range snap.Spans {
-		if engineSpan(s) {
-			continue
-		}
 		key := s.Track
 		if by == "kind" {
 			key = s.Kind.String()

@@ -2,10 +2,9 @@ package scenario
 
 // The scenario report: a seed-reproducible record of one run. The JSON
 // form is the regression artefact — same scenario + same seed produces
-// the byte-identical document at every engine shard width, which CI
-// enforces by running every committed scenario twice and diffing. The
-// report therefore contains no wall-clock quantity, no shard width, and
-// no map iteration: metrics are sorted slices, the fault timeline is in
+// the byte-identical document, which CI enforces by running every
+// committed scenario twice and diffing. The report therefore contains no
+// wall-clock quantity and no map iteration: metrics are sorted slices, the fault timeline is in
 // firing order, and the output hash digests the run's canonical summary
 // line.
 

@@ -5,7 +5,7 @@ package scenario
 // reconstruction of it — and metric assertions are evaluated against the
 // run's deterministic summary. Everything that reaches the report is a
 // pure function of (scenario, seed), so the report is byte-identical
-// across runs and across engine shard widths.
+// across runs.
 
 import (
 	"fmt"
@@ -20,13 +20,9 @@ import (
 type RunOptions struct {
 	// Seed, when non-zero, replaces the scenario seed.
 	Seed uint64
-	// Shards, when non-zero, sets the engine width (fleet mode). The
-	// report is byte-identical at every width; the knob exists so CI can
-	// prove that.
-	Shards int
 	// Spans, when non-nil, attaches a flight recorder to the run
 	// (rockettrace's export path). Recorded timelines inherit the
-	// report's determinism: byte-identical across widths and reruns.
+	// report's determinism: byte-identical across reruns.
 	Spans *rocket.SpanRecorder
 }
 
@@ -47,8 +43,7 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 	}
 
 	// Timed assertions become probes; each writes its own result slot
-	// (indexed by assertion position), so sharded runs never race on
-	// shared state. Fleet-mode probe times are validated to sit inside
+	// (indexed by assertion position). Fleet-mode probe times are validated to sit inside
 	// the horizon, and pairs-mode runs drain every scheduled event, so
 	// every probe is guaranteed to fire.
 	var probes []fault.Probe
@@ -77,7 +72,7 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 	var runErr error
 	switch run.Mode {
 	case ModeFleet:
-		metrics, summary, runErr = runFleet(&run, faults, probes, opts.Shards, opts.Spans)
+		metrics, summary, runErr = runFleet(&run, faults, probes, opts.Spans)
 	default:
 		metrics, summary, runErr = runPairs(&run, faults, probes, opts.Spans)
 	}
@@ -177,11 +172,8 @@ func runPairs(sc *Scenario, faults *fault.Schedule, probes []fault.Probe, spans 
 	return metrics, summary, nil
 }
 
-// runFleet executes the fleet workload over the sharded engine.
-func runFleet(sc *Scenario, faults *fault.Schedule, probes []fault.Probe, shards int, spans *rocket.SpanRecorder) (map[string]float64, string, error) {
-	if shards < 1 {
-		shards = 1
-	}
+// runFleet executes the fleet workload.
+func runFleet(sc *Scenario, faults *fault.Schedule, probes []fault.Probe, spans *rocket.SpanRecorder) (map[string]float64, string, error) {
 	shape := sc.gpuShape()
 	specs := make([]rocket.NodeSpec, len(shape))
 	for i, g := range shape {
@@ -190,7 +182,6 @@ func runFleet(sc *Scenario, faults *fault.Schedule, probes []fault.Probe, shards
 	r := rocket.New(
 		rocket.WithTopology(specs...),
 		rocket.WithSeed(sc.Seed),
-		rocket.WithShards(shards),
 		rocket.WithFaults(faults),
 		rocket.WithFaultProbes(probes...),
 		rocket.WithSpans(spans),
@@ -226,9 +217,6 @@ func runFleet(sc *Scenario, faults *fault.Schedule, probes []fault.Probe, shards
 		metrics["preempts"] = float64(res.Preempts)
 		metrics["drained"] = float64(res.Drained)
 	}
-	// Result.String excludes shard width and window count by design: the
-	// summary (and therefore the report hash) is a shard-invariance
-	// witness.
 	return metrics, res.String(), nil
 }
 

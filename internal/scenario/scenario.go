@@ -3,8 +3,8 @@
 // chaos storm, and a set of assertions, and the runner executes them over
 // the deterministic simulation and renders a replayable report. The same
 // scenario file with the same seed always produces the byte-identical
-// report — at every engine shard width — so a scenario is simultaneously
-// a stress test, a regression test, and a reproduction recipe.
+// report, so a scenario is simultaneously a stress test, a regression
+// test, and a reproduction recipe.
 //
 // Two shapes of scenario exist. A regular scenario names an explicit
 // fleet and scripts individual fault events ("crash node 3 at 5ms") with
@@ -26,7 +26,7 @@ import (
 const (
 	// ModePairs runs an all-pairs application through the Rocket runtime.
 	ModePairs = "pairs"
-	// ModeFleet runs the fleet protocol workload over the sharded engine.
+	// ModeFleet runs the fleet protocol workload.
 	ModeFleet = "fleet"
 )
 

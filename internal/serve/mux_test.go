@@ -49,7 +49,7 @@ func TestRoutesTableCoversEverything(t *testing.T) {
 }
 
 func TestCapabilitiesEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{Nodes: 4, Seed: 1, Shards: 4, TimeScale: 0})
+	_, ts := newTestServer(t, Config{Nodes: 4, Seed: 1, TimeScale: 0})
 	resp, err := http.Get(ts.URL + "/v1/capabilities")
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,6 @@ func TestCapabilitiesEndpoint(t *testing.T) {
 	var doc struct {
 		API    string `json:"api"`
 		Media  string `json:"media"`
-		Shards int    `json:"shards"`
 		Nodes  int    `json:"nodes"`
 		Policy string `json:"policy"`
 		Store  struct {
@@ -78,29 +77,14 @@ func TestCapabilitiesEndpoint(t *testing.T) {
 	if doc.API != "v1" || doc.Media != MediaV1 {
 		t.Fatalf("api=%q media=%q", doc.API, doc.Media)
 	}
-	if doc.Shards != 4 || doc.Nodes != 4 {
-		t.Fatalf("shards=%d nodes=%d, want 4/4", doc.Shards, doc.Nodes)
+	if doc.Nodes != 4 {
+		t.Fatalf("nodes=%d, want 4", doc.Nodes)
 	}
 	if len(doc.Routes) != len(Routes()) {
 		t.Fatalf("capabilities advertises %d routes, table has %d", len(doc.Routes), len(Routes()))
 	}
 	if doc.Store.Entries != 0 || doc.Store.Datasets != 0 {
 		t.Fatalf("fresh server store state: %+v", doc.Store)
-	}
-}
-
-// TestCapabilitiesDefaultsShardsToOne: a zero Config.Shards (every PR
-// 4/5 caller) must advertise width 1, not 0.
-func TestCapabilitiesDefaultsShardsToOne(t *testing.T) {
-	_, ts := newTestServer(t, Config{Nodes: 2, Seed: 1, TimeScale: 0})
-	var doc struct {
-		Shards int `json:"shards"`
-	}
-	if code := getJSON(t, ts.URL+"/v1/capabilities", &doc); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if doc.Shards != 1 {
-		t.Fatalf("shards = %d, want 1", doc.Shards)
 	}
 }
 

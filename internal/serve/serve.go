@@ -12,7 +12,7 @@
 //	GET  /v1/events           SSE stream of all scheduler events
 //	GET  /v1/log              the replayable arrival log (a manifest)
 //	GET  /v1/trace            flight-recorder spans as Perfetto JSON (404 unless Config.Trace)
-//	GET  /v1/capabilities     API version, route table, shard count, store state
+//	GET  /v1/capabilities     API version, route table, store state
 //	GET  /metrics             Prometheus text exposition
 //	GET  /healthz             liveness; 503 while draining
 //
@@ -72,10 +72,6 @@ type Config struct {
 	// a re-created dataset would start at Computed = 0 and recompute
 	// everything.
 	Datasets []Dataset
-	// Shards is the event-engine width advertised by /v1/capabilities.
-	// It is informational: all-pairs results are width-invariant, so it
-	// never changes scheduling outcomes. 0 reports 1.
-	Shards int
 	// Trace attaches a flight recorder to the scheduler: placement spans
 	// (job-wait, job-run) and store maintenance marks are recorded and
 	// served as Perfetto JSON on GET /v1/trace. Off by default; a nil
@@ -317,12 +313,11 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 }
 
 // capabilitiesDoc is the /v1/capabilities body: what a client can rely
-// on without probing — the API version and media type, the advertised
-// event-engine width, the fleet shape, and the pair store's state.
+// on without probing — the API version and media type, the fleet shape,
+// and the pair store's state.
 type capabilitiesDoc struct {
 	API    string   `json:"api"`
 	Media  string   `json:"media"`
-	Shards int      `json:"shards"`
 	Nodes  int      `json:"nodes"`
 	Policy string   `json:"policy"`
 	Store  storeDoc `json:"store"`
@@ -338,10 +333,6 @@ type storeDoc struct {
 }
 
 func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
-	shards := s.cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	st := s.store.Stats()
 	s.mu.Lock()
 	datasets := len(s.datasets)
@@ -349,7 +340,6 @@ func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, capabilitiesDoc{
 		API:    "v1",
 		Media:  MediaV1,
-		Shards: shards,
 		Nodes:  s.cfg.Nodes,
 		Policy: s.cfg.Policy.String(),
 		Store: storeDoc{
@@ -363,18 +353,15 @@ func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace serves the flight recorder's current contents as Chrome
-// trace-event JSON (Perfetto-loadable). ?engine=1 includes the
-// width-dependent engine spans; the default export is width-invariant.
-// Without Config.Trace there is no recorder and the endpoint is 404.
+// trace-event JSON (Perfetto-loadable). Without Config.Trace there is no recorder and the endpoint is 404.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if s.spans == nil {
 		writeError(w, http.StatusNotFound,
 			fmt.Errorf("tracing disabled; start rocketd with -trace"))
 		return
 	}
-	opts := obs.ExportOptions{IncludeEngine: r.URL.Query().Get("engine") == "1"}
 	w.Header().Set("Content-Type", "application/json")
-	obs.WriteTrace(w, s.spans.Snapshot(), opts)
+	obs.WriteTrace(w, s.spans.Snapshot(), obs.ExportOptions{})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -27,10 +27,6 @@ type Env struct {
 	flushedHeap uint64
 	// seed is the value recorded by WithSeed (see Seed).
 	seed uint64
-	// shard is non-nil when this Env is a member of a ShardSet; the root
-	// Env (shard 0) additionally carries the set and forwards Run, RunUntil
-	// and Close to it.
-	shard *Shard
 }
 
 // globalEvents accumulates dispatches over all Envs in the process,
@@ -82,36 +78,13 @@ type event struct {
 	word uint64
 }
 
-// NewEnv returns an empty environment at virtual time zero. Without
-// options it is the classic single-loop engine; with WithShards(n) the
-// returned Env is the root of an n-way ShardSet (see Sharded) whose Run,
-// RunUntil, and Close drive all shards with deterministic cross-shard
-// message merging.
+// NewEnv returns an empty environment at virtual time zero.
 func NewEnv(opts ...EnvOption) *Env {
 	var cfg envConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.shards < 0 {
-		panic(fmt.Sprintf("sim: WithShards(%d): shard count must be >= 1", cfg.shards))
-	}
-	if cfg.shards >= 1 {
-		// WithShards(1) deliberately still builds a (degenerate) set: a
-		// workload written against the sharded API then takes the exact
-		// same merge-discipline code path at every width, which is what
-		// makes width-1 runs the determinism baseline for width-N.
-		return newShardSet(cfg).root
-	}
 	return &Env{seed: cfg.seed}
-}
-
-// Sharded returns the ShardSet this Env belongs to, or nil for a classic
-// single-loop environment.
-func (e *Env) Sharded() *ShardSet {
-	if e.shard == nil {
-		return nil
-	}
-	return e.shard.set
 }
 
 // Now returns the current virtual time.
@@ -134,8 +107,7 @@ func (e *Env) LanePushes() uint64 { return e.seq - e.heapPushes }
 
 // push queues an event at (at, next seq) and returns its payload slot for
 // the caller to fill. An event queued on a closed Env could never run, so
-// that is a bug in the caller and panics, like Sender.Send on a closed
-// ShardSet.
+// that is a bug in the caller and panics.
 func (e *Env) push(at Time) *event {
 	if e.closed {
 		panic("sim: schedule on closed Env")
@@ -149,8 +121,8 @@ func (e *Env) push(at Time) *event {
 }
 
 // setNow moves the clock to t without dispatching an event: RunUntil's
-// final step, or a cross-shard delivery. The now-lane holds events of the
-// instant being left, so it has to be empty.
+// final step. The now-lane holds events of the instant being left, so it
+// has to be empty.
 func (e *Env) setNow(t Time) {
 	if t != e.now && e.events.lane.Len() > 0 {
 		panic(fmt.Sprintf("sim: clock moves %v -> %v with %d events pending at the current instant", e.now, t, e.events.lane.Len()))
@@ -249,14 +221,8 @@ func (e *Env) Step() bool {
 
 // Run executes events until the queue is empty. Continuations still
 // registered on a Resource, Signal, or Mailbox (for example a server's
-// RecvFunc loop) simply never run. On the root Env of a ShardSet, Run
-// drives all shards in parallel conservative windows until every shard is
-// idle.
+// RecvFunc loop) simply never run.
 func (e *Env) Run() {
-	if e.shard != nil {
-		e.shard.set.runRoot(e, 0, false)
-		return
-	}
 	if e.running {
 		panic("sim: Run is not reentrant")
 	}
@@ -269,23 +235,10 @@ func (e *Env) Run() {
 	}
 }
 
-// nextTime returns the timestamp of the earliest pending event, or ok ==
-// false when the queue is empty.
-func (e *Env) nextTime() (Time, bool) {
-	if e.events.Len() == 0 {
-		return 0, false
-	}
-	return e.events.minTime(e.now), true
-}
-
 // RunUntil executes events with timestamps <= t and then sets the clock to
 // t. It returns the number of events dispatched. Events scheduled exactly
-// at t are executed. On the root Env of a ShardSet, every shard advances
-// to t and the returned count sums all shards' dispatches.
+// at t are executed.
 func (e *Env) RunUntil(t Time) uint64 {
-	if e.shard != nil {
-		return e.shard.set.runRoot(e, t, true)
-	}
 	if e.running {
 		panic("sim: RunUntil is not reentrant")
 	}
@@ -308,25 +261,7 @@ func (e *Env) RunUntil(t Time) uint64 {
 // and queued resource holds never run — and marks the Env unusable:
 // scheduling on it afterwards panics. It is safe to call Close multiple
 // times. Close must not be called while Run or RunUntil is executing.
-//
-// On the root Env of a ShardSet, Close first drains the couplers — every
-// cross-shard batch still in flight is merged into its destination shard's
-// queue — and then drops all pending work on every shard, local events and
-// undelivered cross-shard messages alike. The drain step means drop
-// semantics are well-defined: a message either ran before Close or is
-// accounted as dropped on its destination shard
-// (ShardSet.DroppedDeliveries); it is never lost in an intermediate buffer.
 func (e *Env) Close() {
-	if e.shard != nil {
-		e.shard.set.closeRoot(e)
-		return
-	}
-	e.closeLocal()
-}
-
-// closeLocal is Close without shard delegation; the ShardSet teardown
-// calls it on each member env after draining the couplers.
-func (e *Env) closeLocal() {
 	if e.running {
 		panic("sim: Close is not reentrant with Run or RunUntil")
 	}

@@ -11,10 +11,11 @@ import (
 // is handed logs itself and then, while the budget lasts, schedules more
 // work through a randomly chosen primitive — plain and argument callbacks
 // now and later, timed holds and plain acquisitions on contended
-// resources, mailbox sends and receives, signal waits and fires, and (on a
-// ShardSet) messages to its peers. Its choices come from its own generator
-// in the order its callbacks run, so two engines that dispatch in the same
-// order produce the same log and any difference in order snowballs.
+// resources, mailbox sends and receives, signal waits and fires, and
+// (with send set) messages to its peers. Its choices come from its own
+// generator in the order its callbacks run, so two engines that dispatch
+// in the same order produce the same log and any difference in order
+// snowballs.
 type laneProgram struct {
 	e      *Env
 	rng    *rand.Rand
@@ -25,12 +26,21 @@ type laneProgram struct {
 	mb     [2]*Mailbox[uint64]
 	sig    *Signal
 	argFn  func(id uint64)
-	// snd and peers are set on a ShardSet only.
-	snd       *Sender
-	lookahead Time
-	peers     []*laneProgram
-	shardOf   func(entity int) int
+	// send, src and peers are set when entities exchange messages.
+	send  func(at Time, src uint32, m laneMsg)
+	src   uint32
+	peers int
 }
+
+// laneMsg is a message from one laneProgram entity to another.
+type laneMsg struct {
+	to int
+	id uint64
+}
+
+// laneLatency is the latency of a laneProgram message on top of the drawn
+// delay: the default fabric latency, as in the fleet.
+const laneLatency = 5 * Microsecond
 
 type laneRecord struct {
 	at Time
@@ -63,7 +73,7 @@ func (p *laneProgram) act() {
 	e, id := p.e, p.nextID
 	d := []Time{0, 0, 0, 1, 1, 2, 5}[p.rng.Intn(7)]
 	kinds := 9
-	if p.snd != nil {
+	if p.send != nil {
 		kinds = 10
 	}
 	switch p.rng.Intn(kinds) {
@@ -95,9 +105,7 @@ func (p *laneProgram) act() {
 		p.sig.Fire(e)
 		p.sig = NewSignal()
 	case 9:
-		to := p.rng.Intn(len(p.peers))
-		peer := p.peers[to]
-		p.snd.Send(p.shardOf(to), p.lookahead+d, func(*Env) { peer.visit(id | 1<<63) })
+		p.send(e.now+laneLatency+d, p.src, laneMsg{to: p.rng.Intn(p.peers), id: id | 1<<63})
 	}
 }
 
@@ -271,21 +279,21 @@ func TestLaneDispatchesInAtSeqOrder(t *testing.T) {
 	t.Logf("%d callbacks, %d lane pushes, %d heap pushes, %d Envs closed with a non-empty lane", callbacks, lanePushes, heapPushes, closedWithLane)
 }
 
-// The same kind of program, four entities of it exchanging messages,
-// behaves identically on a ShardSet of any width: each entity logs the
-// same callbacks at the same instants whether its peers share its shard,
-// and so its lane, or not.
+// The same kind of program, four entities of it exchanging messages
+// through Arrivals on one Env, logs exactly what it logged on a ShardSet
+// of width 1, 2 or 4 before the sharded engine was removed: the digest
+// below was the same at every width. Whether a peer's messages and local
+// events share a lane or not, each entity sees the same callbacks at the
+// same instants.
 func TestLaneProgramIsShardWidthInvariant(t *testing.T) {
 	const entities = 4
-	run := func(seed int64, width int) (logs [entities][]laneRecord, events uint64) {
-		root := NewEnv(WithShards(width))
-		ss := root.Sharded()
-		shardOf := func(entity int) int { return entity % width }
+	run := func(seed int64) (h uint64, callbacks int) {
+		e := NewEnv()
 		progs := make([]*laneProgram, entities)
+		q := NewArrivals(e, func(m laneMsg) { progs[m.to].visit(m.id) })
 		for i := range progs {
-			sh := ss.Shard(shardOf(i))
-			p := newLaneProgram(sh.Env(), seed*entities+int64(i), 150)
-			p.snd, p.lookahead, p.peers, p.shardOf = sh.NewSender(uint32(i)), ss.Lookahead(), progs, shardOf
+			p := newLaneProgram(e, seed*entities+int64(i), 150)
+			p.send, p.src, p.peers = q.Push, uint32(i), entities
 			progs[i] = p
 		}
 		kick := func() {
@@ -295,40 +303,35 @@ func TestLaneProgramIsShardWidthInvariant(t *testing.T) {
 			}
 		}
 		kick()
-		for _, until := range []Time{0, 2, ss.Lookahead(), ss.Lookahead() + 3, 3 * ss.Lookahead()} {
-			root.RunUntil(until)
-			kick() // at the instant every shard's clock stopped at
+		for _, until := range []Time{0, 2, laneLatency, laneLatency + 3, 3 * laneLatency} {
+			q.RunUntil(until)
+			kick() // at the instant the clock stopped at
 		}
 		if seed%2 == 0 {
-			root.Close() // with every entity's last burst still in its lane
+			e.Close() // with every entity's last burst still queued
 		} else {
-			root.Run()
+			q.RunUntil(1 << 62)
 		}
-		for i, p := range progs {
-			logs[i] = p.log
+		for _, p := range progs {
+			callbacks += len(p.log)
+			h = h*1099511628211 + uint64(len(p.log))
+			for _, r := range p.log {
+				h = (h*1099511628211^uint64(r.at))*1099511628211 ^ r.id
+			}
 		}
-		for i := 0; i < width; i++ {
-			events += ss.Shard(i).Env().eventsProcessed
-		}
-		return logs, events
+		return h*1099511628211 + e.eventsProcessed, callbacks
 	}
+	var digest uint64
 	callbacks := 0
 	for seed := int64(1); seed <= 40; seed++ {
-		want, wantEvents := run(seed, 1)
-		for _, width := range []int{2, 4} {
-			got, gotEvents := run(seed, width)
-			for i := range want {
-				callbacks += len(want[i])
-				if !slices.Equal(got[i], want[i]) {
-					t.Fatalf("seed %d: entity %d at width %d\n got %v\nwant %v", seed, i, width, got[i], want[i])
-				}
-			}
-			if gotEvents != wantEvents {
-				t.Fatalf("seed %d: %d events at width %d, %d at width 1", seed, gotEvents, width, wantEvents)
-			}
-		}
+		h, n := run(seed)
+		digest = digest*31 + h
+		callbacks += n
 	}
-	if callbacks < 20000 {
+	if digest != 0xc463236e8b356912 {
+		t.Fatalf("40 programs digest to %#016x, the ShardSet's to 0xc463236e8b356912", digest)
+	}
+	if callbacks < 15000 {
 		t.Fatalf("the programs logged only %d callbacks", callbacks)
 	}
 }

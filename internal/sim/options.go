@@ -7,24 +7,8 @@ package sim
 type EnvOption func(*envConfig)
 
 type envConfig struct {
-	seed       uint64
-	shards     int
-	lookahead  Time
-	windowHook WindowHook
+	seed uint64
 }
-
-// WindowHook observes one completed shard window: shard executed its
-// events in virtual interval [start, end] and dispatched events of them.
-// Hooks for different shards may run concurrently (windows execute on
-// parallel OS threads), so implementations must be safe for concurrent
-// use across shards — e.g. by writing to per-shard sinks.
-type WindowHook func(shard int, start, end Time, events uint64)
-
-// DefaultLookahead is the conservative window bound used when WithShards is
-// given without WithLookahead. It matches the smallest cross-node delay in
-// the default fabric (cluster.DefaultConfig's 5us propagation latency), so
-// cluster-backed fleets can shard without extra configuration.
-const DefaultLookahead = 5 * Microsecond
 
 // WithSeed records the run's seed on the environment (Env.Seed). The engine
 // itself consumes no randomness — determinism comes from the event order —
@@ -32,32 +16,6 @@ const DefaultLookahead = 5 * Microsecond
 // recording it here keeps the provenance of a run inspectable.
 func WithSeed(seed uint64) EnvOption {
 	return func(c *envConfig) { c.seed = seed }
-}
-
-// WithShards partitions the environment into n shards that execute on
-// parallel OS threads with deterministic cross-shard message merging (see
-// ShardSet). n must be >= 1; WithShards(1) still builds a (degenerate)
-// ShardSet so that a workload written against the sharded API behaves
-// identically at every width, including 1.
-func WithShards(n int) EnvOption {
-	return func(c *envConfig) { c.shards = n }
-}
-
-// WithLookahead sets the conservative lookahead bound of a sharded
-// environment: every cross-shard send must be delayed by at least this
-// much virtual time. Larger lookahead means wider safe windows and fewer
-// barriers; it must not exceed the smallest cross-shard delay the workload
-// uses. Ignored without WithShards.
-func WithLookahead(d Time) EnvOption {
-	return func(c *envConfig) { c.lookahead = d }
-}
-
-// WithWindowHook installs a per-window observer on a sharded environment
-// (the flight recorder's engine feed). Each non-empty window invokes the
-// hook once per shard that dispatched events. Ignored without WithShards;
-// nil disables. The hook costs one nil check per shard-window when unset.
-func WithWindowHook(h WindowHook) EnvOption {
-	return func(c *envConfig) { c.windowHook = h }
 }
 
 // Seed returns the seed recorded by WithSeed (0 if none was given).

@@ -170,8 +170,8 @@ type (
 
 // Observability types: see package rocket/internal/obs for full
 // documentation. The flight recorder collects virtual-time spans whose
-// exported timelines are byte-identical across engine widths and reruns
-// — instrumentation under the same determinism contract as the results.
+// exported timelines are byte-identical across reruns — instrumentation
+// under the same determinism contract as the results.
 type (
 	// SpanRecorder is the flight recorder: per-lane fixed-size rings of
 	// virtual-time spans, nil-safe (a nil recorder is the off state).
@@ -180,13 +180,13 @@ type (
 	Span = obs.Span
 	// SpanSnapshot is a canonical-order copy of a recorder's contents.
 	SpanSnapshot = obs.Snapshot
-	// TraceExportOptions controls ExportTrace (engine-span inclusion).
+	// TraceExportOptions is ExportTrace's settings (none today).
 	TraceExportOptions = obs.ExportOptions
 )
 
 // NewSpanRecorder returns a flight recorder with the given number of
-// lanes (one per engine shard; minimum 1) and per-lane span capacity
-// (0 = the 64Ki default). Pass it to New via WithSpans.
+// lanes (minimum 1) and per-lane span capacity (0 = the 64Ki default).
+// Pass it to New via WithSpans.
 func NewSpanRecorder(lanes, capacity int) *SpanRecorder { return obs.New(lanes, capacity) }
 
 // ExportTrace writes a span snapshot as Chrome trace-event JSON,

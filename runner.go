@@ -27,8 +27,7 @@ type FaultProbe = fault.Probe
 // samples a replayable FaultSchedule; see rocket/internal/fault.
 type ChaosConfig = fault.ChaosConfig
 
-// FleetConfig configures a fleet-protocol run over the sharded event
-// engine; see rocket/internal/fleet.
+// FleetConfig configures a fleet-protocol run; see rocket/internal/fleet.
 type FleetConfig = fleet.Config
 
 // FleetResult is a fleet run's deterministic summary.
@@ -76,7 +75,6 @@ type Runner struct {
 
 	queue   QueueConfig
 	elastic *Elasticity
-	shards  int
 	err     error
 }
 
@@ -84,7 +82,7 @@ type Runner struct {
 // topology, say) are deferred: they surface from the first Run or
 // RunQueue call, so New itself never fails and chains cleanly.
 func New(opts ...Option) *Runner {
-	r := &Runner{fabric: cluster.DefaultConfig(), shards: 1}
+	r := &Runner{fabric: cluster.DefaultConfig()}
 	for _, o := range opts {
 		o(r)
 	}
@@ -143,19 +141,6 @@ func WithSeed(seed uint64) Option {
 	return func(r *Runner) {
 		r.cfg.Seed = seed
 		r.queue.Seed = seed
-	}
-}
-
-// WithShards sets the event-engine width reported by Shards() and used
-// by fleet-scale simulations (sim.WithShards). All-pairs results are
-// width-invariant by construction, so this never changes Metrics.
-func WithShards(n int) Option {
-	return func(r *Runner) {
-		if n < 1 {
-			r.fail(fmt.Errorf("rocket: WithShards needs n >= 1, got %d", n))
-			return
-		}
-		r.shards = n
 	}
 }
 
@@ -252,7 +237,7 @@ func WithPairStore(s *PairStore) Option {
 // ExportTrace). Nil — the default — keeps the observability layer
 // entirely off. Spans are stamped in virtual time and exported in a
 // canonical order, so recorded timelines are byte-identical across
-// engine widths and reruns.
+// reruns.
 func WithSpans(rec *SpanRecorder) Option {
 	return func(r *Runner) {
 		r.cfg.Spans = rec
@@ -322,9 +307,6 @@ func (r *Runner) Topology() []NodeSpec {
 	return nil
 }
 
-// Shards returns the configured event-engine width (default 1).
-func (r *Runner) Shards() int { return r.shards }
-
 // Seed returns the configured seed.
 func (r *Runner) Seed() uint64 { return r.cfg.Seed }
 
@@ -365,13 +347,12 @@ func (r *Runner) Run(app Application) (*Metrics, error) {
 }
 
 // RunFleet executes the message-driven fleet workload (heartbeats,
-// gossip, work-stealing) over the sharded event engine, sized by the
-// Runner's platform: one fleet node per topology spec, the configured
-// shard width (WithShards), seed, fault schedule, and probes. fn, when
-// non-nil, edits the derived fleet configuration before the run —
-// duration, staggered startup, extra probes, chaos-generated schedules.
-// Results are bit-identical at every shard width for the same
-// configuration and seed.
+// gossip, work-stealing), sized by the Runner's platform: one fleet node
+// per topology spec, with the configured seed, fault schedule, and
+// probes. fn, when non-nil, edits the derived fleet configuration before
+// the run — duration, staggered startup, extra probes, chaos-generated
+// schedules. Results are bit-identical for the same configuration and
+// seed.
 func (r *Runner) RunFleet(fn func(*FleetConfig)) (FleetResult, error) {
 	if r.err != nil {
 		return FleetResult{}, r.err
@@ -381,7 +362,6 @@ func (r *Runner) RunFleet(fn func(*FleetConfig)) (FleetResult, error) {
 		return FleetResult{}, fmt.Errorf("rocket: no platform configured; pass WithTopology, WithHomogeneous, or WithCluster to New")
 	}
 	cfg := fleet.DefaultConfig(len(specs))
-	cfg.Shards = r.shards
 	cfg.Seed = r.cfg.Seed
 	cfg.NetLatency = r.fabric.NetLatency
 	cfg.NetBandwidth = r.fabric.NetBandwidth

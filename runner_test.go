@@ -85,7 +85,6 @@ func TestRunnerOptionErrorsSurfaceAtRun(t *testing.T) {
 		"no platform":  rocket.New(),
 		"bad topology": rocket.New(rocket.WithTopology()),
 		"bad n":        rocket.New(rocket.WithHomogeneous(0, rocket.DAS5Node(rocket.TitanXMaxwell))),
-		"bad shards":   rocket.New(rocket.WithShards(0), rocket.WithHomogeneous(2, rocket.DAS5Node(rocket.TitanXMaxwell))),
 		"nil cluster":  rocket.New(rocket.WithCluster(nil)),
 	} {
 		if _, err := r.Run(app); err == nil {
@@ -118,9 +117,6 @@ func TestRunnerTopologyAccessor(t *testing.T) {
 		t.Fatal("Topology() from an explicit cluster should recover the node specs")
 	}
 
-	if got := rocket.New(rocket.WithShards(4)).Shards(); got != 4 {
-		t.Fatalf("Shards() = %d, want 4", got)
-	}
 	if got := rocket.New(rocket.WithSeed(42)).Seed(); got != 42 {
 		t.Fatalf("Seed() = %d, want 42", got)
 	}
@@ -173,7 +169,6 @@ func TestRunnerElasticOptions(t *testing.T) {
 	r := rocket.New(
 		rocket.WithHomogeneous(16, rocket.DAS5Node(rocket.TitanXMaxwell)),
 		rocket.WithSeed(3),
-		rocket.WithShards(2),
 		rocket.WithElasticity(&rocket.Elasticity{
 			InitialNodes:    4,
 			Arrival:         "wave",
