@@ -184,12 +184,14 @@ smoke-trace:
 # Mirrors the workflow's fuzz step: short go-native fuzz runs over the
 # manifest codec (seed corpus under internal/jobspec/testdata), the
 # columnar segment codec — truncated or bit-flipped segment files must
-# fail with a structured *CorruptError, never a panic — and the store
-# against its map model (seed corpora under internal/pairstore/testdata).
+# fail with a structured *CorruptError, never a panic — the store against
+# its map model (seed corpora under internal/pairstore/testdata), and the
+# scheduler over generated queue programs (internal/sched/testdata).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzManifestRoundTrip -fuzztime=10s ./internal/jobspec/
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentRoundTrip -fuzztime=10s ./internal/pairstore/
 	$(GO) test -run='^$$' -fuzz=FuzzStoreOps -fuzztime=10s ./internal/pairstore/
+	$(GO) test -run='^$$' -fuzz=FuzzQueueProgram -fuzztime=10s ./internal/sched/
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -19,15 +19,13 @@ type Preemption struct {
 
 // Autoscale is the elastic-fleet policy: the scheduler starts with
 // BootNodes active nodes out of a Config.Nodes-slot capacity and grows or
-// shrinks the active set against queue depth and deadline pressure.
+// shrinks the active set against queue depth.
 //
 // Scale-up is demand-driven: after every placement round the scheduler
 // provisions enough absent slots to cover the pending jobs' unmet node
-// demand, capped by ScaleUpStep per round — unless a pending job is under
-// deadline pressure (its deadline cannot be met even by provisioning
-// immediately), in which case the cap is waived. New capacity becomes
-// usable ProvisionDelay after the decision; a zero delay models a warm
-// pool whose capacity is usable at the same instant.
+// demand. New capacity becomes usable ProvisionDelay after the decision;
+// a zero delay models a warm pool whose capacity is usable at the same
+// instant.
 //
 // Scale-down is idleness-driven: a free node that stays unleased for
 // IdleTimeout is released back to the provider (never dropping the active
@@ -38,9 +36,6 @@ type Preemption struct {
 type Autoscale struct {
 	// MinNodes is the scale-down floor; 0 defaults to 1.
 	MinNodes int
-	// MaxNodes caps the active set; 0 defaults to Config.Nodes. Jobs may
-	// not request more than MaxNodes.
-	MaxNodes int
 	// BootNodes is the active set at t=0; 0 defaults to MinNodes.
 	BootNodes int
 	// ProvisionDelay is the cold-start latency of new capacity; 0 models
@@ -48,9 +43,6 @@ type Autoscale struct {
 	ProvisionDelay sim.Time
 	// IdleTimeout retires a node idle this long; 0 never scales down.
 	IdleTimeout sim.Time
-	// ScaleUpStep caps slots provisioned per scheduling round; 0 is
-	// unlimited. Deadline pressure waives the cap.
-	ScaleUpStep int
 	// Preemptions are scheduled spot reclaims.
 	Preemptions []Preemption
 }
@@ -62,23 +54,14 @@ func (a Autoscale) normalize(nodes int) (Autoscale, error) {
 	if a.MinNodes < 1 || a.MinNodes > nodes {
 		return a, fmt.Errorf("sched: autoscale MinNodes %d outside [1, %d]", a.MinNodes, nodes)
 	}
-	if a.MaxNodes == 0 {
-		a.MaxNodes = nodes
-	}
-	if a.MaxNodes < a.MinNodes || a.MaxNodes > nodes {
-		return a, fmt.Errorf("sched: autoscale MaxNodes %d outside [%d, %d]", a.MaxNodes, a.MinNodes, nodes)
-	}
 	if a.BootNodes == 0 {
 		a.BootNodes = a.MinNodes
 	}
-	if a.BootNodes < a.MinNodes || a.BootNodes > a.MaxNodes {
-		return a, fmt.Errorf("sched: autoscale BootNodes %d outside [%d, %d]", a.BootNodes, a.MinNodes, a.MaxNodes)
+	if a.BootNodes < a.MinNodes || a.BootNodes > nodes {
+		return a, fmt.Errorf("sched: autoscale BootNodes %d outside [%d, %d]", a.BootNodes, a.MinNodes, nodes)
 	}
 	if a.ProvisionDelay < 0 || a.IdleTimeout < 0 {
 		return a, fmt.Errorf("sched: negative autoscale delay")
-	}
-	if a.ScaleUpStep < 0 {
-		return a, fmt.Errorf("sched: negative ScaleUpStep")
 	}
 	seen := make(map[int]bool, len(a.Preemptions))
 	for _, p := range a.Preemptions {
@@ -157,7 +140,7 @@ func (p *elasticPool) initialFree() []int {
 }
 
 // activeCount is the committed capacity: usable plus warming slots. The
-// scale-up headroom and the scale-down floor are both measured against it.
+// scale-down floor is measured against it.
 func (p *elasticPool) activeCount() int {
 	n := 0
 	for _, s := range p.slots {
@@ -278,13 +261,10 @@ func (p *elasticPool) retire(clock sim.Time) []int {
 	return retired
 }
 
-// provision commits up to want absent slots (lowest IDs first) within the
-// MaxNodes headroom. Warm capacity (zero delay) is returned as
-// immediately-free IDs; cold capacity warms until clock+delay.
+// provision commits up to want absent slots, lowest IDs first. Warm
+// capacity (zero delay) is returned as immediately-free IDs; cold
+// capacity warms until clock+delay.
 func (p *elasticPool) provision(want int, clock sim.Time) (freeNow []int) {
-	if headroom := p.policy.MaxNodes - p.activeCount(); want > headroom {
-		want = headroom
-	}
 	for i := range p.slots {
 		if want <= 0 {
 			break

@@ -100,49 +100,6 @@ func TestColdProvisioningDelaysPlacement(t *testing.T) {
 	}
 }
 
-// TestDeadlinePressureWaivesScaleUpStep pins the deadline override: with
-// ScaleUpStep 1 a wide burst would warm up one node per round, but an
-// at-risk deadline provisions the whole shortfall at once.
-func TestDeadlinePressureWaivesScaleUpStep(t *testing.T) {
-	mk := func(deadline sim.Time) ([]Job, *Autoscale) {
-		jobs := []Job{
-			{App: smallApp("a", 6, sim.Millis(2)), Deadline: deadline},
-			{App: smallApp("b", 6, sim.Millis(2)), Deadline: deadline},
-			{App: smallApp("c", 6, sim.Millis(2)), Deadline: deadline},
-		}
-		// The delay is well under a job's runtime so provisioning, not
-		// boot-node reuse, is the fast path to a start.
-		return jobs, &Autoscale{BootNodes: 1, ProvisionDelay: sim.Millis(5), ScaleUpStep: 1}
-	}
-	// Relaxed deadlines: the step cap holds, rounds provision one slot
-	// each, so the last start is two provisioning rounds out.
-	jobs, a := mk(sim.Seconds(100000))
-	relaxed, err := Run(Config{Jobs: jobs, Nodes: 4, Seed: 1, Elastic: a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tight deadlines: pressure waives the cap and both extra slots warm
-	// in parallel.
-	jobs, a = mk(sim.Millis(1))
-	tight, err := Run(Config{Jobs: jobs, Nodes: 4, Seed: 1, Elastic: a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lastStart := func(m *Metrics) sim.Time {
-		var last sim.Time
-		for _, j := range m.Jobs {
-			if j.Start > last {
-				last = j.Start
-			}
-		}
-		return last
-	}
-	if lastStart(tight) >= lastStart(relaxed) {
-		t.Fatalf("deadline pressure did not accelerate starts: tight %v, relaxed %v",
-			lastStart(tight), lastStart(relaxed))
-	}
-}
-
 // TestSpotPreemptionCrashesLeaseAndRetries pins the reclaim semantics:
 // preempting the only leased node mid-job kills the partition, the job
 // retries on remaining capacity, and the slot never comes back.
@@ -185,12 +142,10 @@ func TestSpotPreemptionCrashesLeaseAndRetries(t *testing.T) {
 func TestAutoscaleDeterministicReruns(t *testing.T) {
 	run := func(workers int) *Metrics {
 		jobs := burstJobs(2, 6, sim.Seconds(1800))
-		jobs[3].Deadline = sim.Millis(5)
 		m, err := Run(Config{Jobs: jobs, Nodes: 6, Seed: 7, Workers: workers, Elastic: &Autoscale{
 			BootNodes:      2,
 			ProvisionDelay: sim.Seconds(2),
 			IdleTimeout:    sim.Seconds(120),
-			ScaleUpStep:    2,
 			Preemptions:    []Preemption{{Node: 5, At: sim.Seconds(1)}},
 		}})
 		if err != nil {
@@ -230,10 +185,9 @@ func TestAutoscaleValidation(t *testing.T) {
 		a    Autoscale
 	}{
 		{"min above capacity", Autoscale{MinNodes: 5}},
-		{"max below min", Autoscale{MinNodes: 3, MaxNodes: 2}},
-		{"boot above max", Autoscale{MaxNodes: 2, BootNodes: 3}},
+		{"boot below min", Autoscale{MinNodes: 3, BootNodes: 2}},
+		{"boot above capacity", Autoscale{BootNodes: 5}},
 		{"negative delay", Autoscale{ProvisionDelay: -1}},
-		{"negative step", Autoscale{ScaleUpStep: -1}},
 		{"preempt out of range", Autoscale{Preemptions: []Preemption{{Node: 9, At: 1}}}},
 		{"preempt at zero", Autoscale{Preemptions: []Preemption{{Node: 1}}}},
 		{"double preempt", Autoscale{Preemptions: []Preemption{{Node: 1, At: 1}, {Node: 1, At: 2}}}},
@@ -244,16 +198,5 @@ func TestAutoscaleValidation(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
-	}
-	cfg := base()
-	cfg.Jobs[0].Nodes = 4
-	cfg.Elastic = &Autoscale{MaxNodes: 2}
-	if _, err := Run(cfg); err == nil {
-		t.Error("job wider than MaxNodes accepted")
-	}
-	cfg = base()
-	cfg.Jobs[0].Deadline = -1
-	if _, err := Run(cfg); err == nil {
-		t.Error("negative deadline accepted")
 	}
 }

@@ -115,7 +115,7 @@ type Metrics struct {
 	PeakNodes int
 }
 
-// aggregate folds per-job state into the fleet metrics. pool is the
+// aggregate folds the jobs' records into the fleet metrics. pool is the
 // elastic slot tracker (nil for fixed fleets).
 func aggregate(cfg Config, states []*jobState, pool *elasticPool) *Metrics {
 	m := &Metrics{Policy: cfg.Policy, TotalNodes: cfg.Nodes}
@@ -125,76 +125,46 @@ func aggregate(cfg Config, states []*jobState, pool *elasticPool) *Metrics {
 	var waits []sim.Time
 	var leasedSeconds float64
 	for _, js := range states {
-		jm := JobMetrics{
-			ID:             js.id,
-			Tenant:         js.tenant,
-			App:            js.job.App.Name(),
-			Arrival:        js.job.Arrival,
-			Retries:        js.attempt,
-			StoreRef:       js.job.StoreRef,
-			DatasetVersion: js.job.DatasetVersion,
-			BaseItems:      js.job.BaseItems,
-		}
-		m.Retries += js.attempt
-		t := tenants[js.tenant]
+		jm := js.metrics()
+		m.Jobs = append(m.Jobs, jm)
+		m.Retries += jm.Retries
+		t := tenants[jm.Tenant]
 		if t == nil {
-			t = &TenantMetrics{Tenant: js.tenant}
-			tenants[js.tenant] = t
+			t = &TenantMetrics{Tenant: jm.Tenant}
+			tenants[jm.Tenant] = t
 		}
 		t.Jobs++
-		if js.reject {
-			jm.Rejected = true
+		if jm.Rejected {
 			m.Rejected++
 			t.Rejected++
-		} else if js.failed {
-			// A failed job held its lease from start to abort; charge the
-			// occupancy but keep it out of the completion statistics.
-			jm.Failed = true
-			if js.err != nil {
-				jm.Error = js.err.Error()
-			}
-			jm.Nodes = js.lease
-			jm.Start = js.start
-			jm.End = js.end
-			jm.Wait = js.start - js.job.Arrival
-			jm.Runtime = js.end - js.start
-			jm.Inner = js.inner
+			continue
+		}
+		// A failed job held its lease from start to abort: charge the
+		// occupancy but keep it out of the completion statistics.
+		nodeSecs := float64(len(jm.Nodes)) * jm.Runtime.Seconds()
+		t.NodeSeconds += nodeSecs
+		leasedSeconds += nodeSecs
+		if jm.End > m.Makespan {
+			m.Makespan = jm.End
+		}
+		if jm.Failed {
 			m.Failed++
 			t.Failed++
-			nodeSecs := float64(len(js.lease)) * jm.Runtime.Seconds()
-			t.NodeSeconds += nodeSecs
-			leasedSeconds += nodeSecs
-			if jm.End > m.Makespan {
-				m.Makespan = jm.End
-			}
-		} else {
-			jm.Nodes = js.lease
-			jm.Start = js.start
-			jm.End = js.end
-			jm.Wait = js.start - js.job.Arrival
-			jm.Runtime = js.inner.Runtime
-			jm.Inner = js.inner
-			m.Completed++
-			m.Pairs += js.inner.Pairs
-			m.NetBytes += js.inner.NetBytes
-			m.IOBytes += js.inner.IOBytes
-			m.StoreHits += js.inner.StoreHits
-			m.StoreMisses += js.inner.StoreMisses
-			m.StorePuts += js.inner.StorePuts
-			waitSum += jm.Wait
-			waits = append(waits, jm.Wait)
-			tenantWaits[js.tenant] += jm.Wait
-			nodeSecs := float64(len(js.lease)) * jm.Runtime.Seconds()
-			t.NodeSeconds += nodeSecs
-			leasedSeconds += nodeSecs
-			if jm.End > m.Makespan {
-				m.Makespan = jm.End
-			}
-			if jm.Wait > m.MaxWait {
-				m.MaxWait = jm.Wait
-			}
+			continue
 		}
-		m.Jobs = append(m.Jobs, jm)
+		m.Completed++
+		m.Pairs += jm.Inner.Pairs
+		m.NetBytes += jm.Inner.NetBytes
+		m.IOBytes += jm.Inner.IOBytes
+		m.StoreHits += jm.Inner.StoreHits
+		m.StoreMisses += jm.Inner.StoreMisses
+		m.StorePuts += jm.Inner.StorePuts
+		waitSum += jm.Wait
+		waits = append(waits, jm.Wait)
+		tenantWaits[jm.Tenant] += jm.Wait
+		if jm.Wait > m.MaxWait {
+			m.MaxWait = jm.Wait
+		}
 	}
 	if m.Completed > 0 {
 		m.MeanWait = waitSum / sim.Time(m.Completed)

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"rocket/internal/core"
 	"rocket/internal/obs"
 	"rocket/internal/sim"
 )
@@ -141,13 +140,12 @@ type Counts struct {
 
 // onlineJob pairs a submission's scheduler state with the snapshot the
 // query API serves. The snapshot is only written under Online.mu by the
-// loop's observer callbacks, so readers never race with the inner
+// loop's lifecycle hook, so readers never race with the inner
 // simulations mutating jobState.
 type onlineJob struct {
 	js       *jobState
 	assigned bool // virtual arrival assigned (job is part of the log)
 	info     JobInfo
-	inner    *core.Metrics
 }
 
 // Online is the scheduler's online mode: instead of a batch job slice,
@@ -209,7 +207,7 @@ func StartOnline(cfg Config) (*Online, error) {
 	if len(cfg.Jobs) != 0 {
 		return nil, fmt.Errorf("sched: online mode takes submissions, not Config.Jobs")
 	}
-	cfg, err := cfg.normalizeCommon()
+	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +228,7 @@ func StartOnline(cfg Config) (*Online, error) {
 }
 
 func (o *Online) loop() {
-	sched := newScheduler(o.cfg, o)
+	sched := newScheduler(o.cfg, o.update)
 	err := sched.run(o)
 	o.mu.Lock()
 	o.closing = true
@@ -344,7 +342,8 @@ func (o *Online) Jobs() []JobInfo {
 	return infos
 }
 
-// JobMetrics returns one job's final metrics once its status is terminal.
+// JobMetrics returns one job's final metrics once its status is terminal:
+// the same record the fleet metrics of Shutdown and of a replay carry.
 func (o *Online) JobMetrics(id string) (JobMetrics, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -352,32 +351,7 @@ func (o *Online) JobMetrics(id string) (JobMetrics, bool) {
 	if !ok || !oj.info.Status.Terminal() {
 		return JobMetrics{}, false
 	}
-	in := oj.info
-	jm := JobMetrics{
-		ID:             in.ID,
-		Tenant:         in.Tenant,
-		App:            in.App,
-		Arrival:        sim.Time(in.ArrivalNS),
-		StoreRef:       in.Store,
-		DatasetVersion: in.DatasetVersion,
-		BaseItems:      in.BaseVersion,
-	}
-	if in.Status == StatusRejected {
-		// Mirror the batch aggregate exactly: a rejected job carries only
-		// its identity and arrival.
-		jm.Rejected = true
-		return jm, true
-	}
-	jm.Nodes = in.Nodes
-	jm.Failed = in.Status == StatusFailed
-	jm.Error = in.Error
-	jm.Retries = in.Retries
-	jm.Start = sim.Time(in.StartNS)
-	jm.End = sim.Time(in.EndNS)
-	jm.Wait = sim.Time(in.StartNS - in.ArrivalNS)
-	jm.Runtime = sim.Time(in.EndNS - in.StartNS)
-	jm.Inner = oj.inner
-	return jm, true
+	return oj.js.metrics(), true
 }
 
 // Counts summarizes all submissions by status.
@@ -600,26 +574,23 @@ func (o *Online) wait() bool {
 	}
 }
 
-// --- observer (called from the scheduler loop) ---
-
-func (o *Online) jobAdmitted(js *jobState) {
-	o.updateJob(js, EventQueued, func(oj *onlineJob) {
-		oj.info.Status = StatusQueued
+// update is the scheduler's lifecycle hook: it moves one job's snapshot
+// and the wait accounting to the event's status, then records the event.
+func (o *Online) update(event string, js *jobState, clock sim.Time) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.clock = clock
+	info := &o.byID[js.id].info
+	switch event {
+	case EventQueued:
+		info.Status = StatusQueued
 		o.depth++
-	})
-}
-
-func (o *Online) jobRejected(js *jobState) {
-	o.updateJob(js, EventRejected, func(oj *onlineJob) {
-		oj.info.Status = StatusRejected
-	})
-}
-
-func (o *Online) jobStarted(js *jobState) {
-	o.updateJob(js, EventStarted, func(oj *onlineJob) {
-		oj.info.Status = StatusRunning
-		oj.info.Nodes = append([]int(nil), js.lease...)
-		oj.info.StartNS = int64(js.start)
+	case EventRejected:
+		info.Status = StatusRejected
+	case EventStarted:
+		info.Status = StatusRunning
+		info.Nodes = append([]int(nil), js.lease...)
+		info.StartNS = int64(js.start)
 		o.depth--
 		wait := int64(js.start - js.job.Arrival)
 		o.waits = append(o.waits, wait)
@@ -629,48 +600,21 @@ func (o *Online) jobStarted(js *jobState) {
 			o.tenantWaits[js.tenant] = h
 		}
 		h.Observe(wait)
-	})
-}
-
-func (o *Online) jobRetrying(js *jobState) {
-	o.updateJob(js, EventRetrying, func(oj *onlineJob) {
-		oj.info.Status = StatusQueued
-		oj.info.Nodes = nil
-		oj.info.Retries = js.attempt
+	case EventRetrying:
+		info.Status = StatusQueued
+		info.Nodes = nil
+		info.Retries = js.attempt
 		o.depth++
-	})
-}
-
-func (o *Online) jobFinished(js *jobState) {
-	typ := EventCompleted
-	if js.failed {
-		typ = EventFailed
-	}
-	o.updateJob(js, typ, func(oj *onlineJob) {
-		oj.info.EndNS = int64(js.end)
-		oj.info.Retries = js.attempt
-		oj.inner = js.inner
+	case EventCompleted, EventFailed:
+		info.Status = StatusDone
 		if js.failed {
-			oj.info.Status = StatusFailed
+			info.Status = StatusFailed
 			if js.err != nil {
-				oj.info.Error = js.err.Error()
+				info.Error = js.err.Error()
 			}
-		} else {
-			oj.info.Status = StatusDone
 		}
-	})
-}
-
-func (o *Online) clockAdvanced(clock sim.Time) {
-	o.mu.Lock()
-	o.clock = clock
-	o.mu.Unlock()
-}
-
-func (o *Online) updateJob(js *jobState, event string, f func(*onlineJob)) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	oj := o.byID[js.id]
-	f(oj)
+		info.EndNS = int64(js.end)
+		info.Retries = js.attempt
+	}
 	o.eventLocked(event, js.id, "")
 }

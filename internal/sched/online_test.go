@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -29,12 +30,24 @@ func shutdownNow(t *testing.T, o *Online) *Metrics {
 }
 
 // replayBytes runs the batch replay of o's arrival log and returns both
-// serialized fleet metrics for byte-comparison.
+// serialized fleet metrics for byte-comparison. It also requires every
+// job's online record (what GET /v1/jobs/{id}/result serves) to equal the
+// replay's.
 func replayBytes(t *testing.T, o *Online, m *Metrics) (online, batch []byte) {
 	t.Helper()
 	rm, err := Run(o.ReplayConfig())
 	if err != nil {
 		t.Fatalf("replay: %v", err)
+	}
+	for i := range rm.Jobs {
+		want := rm.Jobs[i].Doc()
+		jm, ok := o.JobMetrics(want.ID)
+		if !ok {
+			t.Fatalf("job %s: no online record", want.ID)
+		}
+		if got := jm.Doc(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("job %s: online record differs from replay\nonline: %+v\nreplay: %+v", want.ID, got, want)
+		}
 	}
 	online, err = m.JSON()
 	if err != nil {
@@ -296,9 +309,12 @@ func hasEvent(evs []Event, typ, job string) bool {
 	return false
 }
 
-// The event stream records the full lifecycle in order.
+// The event stream records the full lifecycle in order, and every job
+// event carries the virtual time it reports.
 func TestOnlineEventLifecycle(t *testing.T) {
-	o, err := StartOnline(onlineConfig(1))
+	cfg := onlineConfig(1)
+	cfg.MaxRetries = 1
+	o, err := StartOnline(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,22 +322,39 @@ func TestOnlineEventLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The victim queues behind id on the one node and loses it once.
+	victim, err := o.Submit(Job{App: smallApp("v", 8, sim.Millis(1)), Faults: new(fault.Schedule).Crash(0, sim.Millis(5))})
+	if err != nil {
+		t.Fatal(err)
+	}
 	shutdownNow(t, o)
 	evs, _ := o.EventsSince(0)
-	var order []string
-	for _, e := range evs {
-		if e.Job == id {
-			order = append(order, e.Type)
+	lifecycle := func(job string) (order []string, clocks []int64) {
+		for _, e := range evs {
+			if e.Job == job {
+				order = append(order, e.Type)
+				clocks = append(clocks, e.ClockNS)
+			}
 		}
+		return order, clocks
 	}
-	want := []string{EventSubmitted, EventQueued, EventStarted, EventCompleted}
-	if len(order) != len(want) {
+	order, clocks := lifecycle(id)
+	if want := []string{EventSubmitted, EventQueued, EventStarted, EventCompleted}; !reflect.DeepEqual(order, want) {
 		t.Fatalf("event order %v, want %v", order, want)
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("event order %v, want %v", order, want)
-		}
+	info, _ := o.Job(id)
+	if want := []int64{clocks[0], info.ArrivalNS, info.StartNS, info.EndNS}; !reflect.DeepEqual(clocks, want) {
+		t.Fatalf("%s event clocks %v, want %v", id, clocks, want)
+	}
+	vorder, vclocks := lifecycle(victim)
+	if want := []string{EventSubmitted, EventQueued, EventStarted, EventRetrying, EventStarted, EventCompleted}; !reflect.DeepEqual(vorder, want) {
+		t.Fatalf("victim event order %v, want %v", vorder, want)
+	}
+	// The first attempt starts when id frees the node; the requeued one
+	// restarts the instant its attempt ends, on the node it just released.
+	vinfo, _ := o.Job(victim)
+	if want := []int64{vclocks[0], vinfo.ArrivalNS, info.EndNS, vinfo.StartNS, vinfo.StartNS, vinfo.EndNS}; !reflect.DeepEqual(vclocks, want) {
+		t.Fatalf("victim event clocks %v, want %v", vclocks, want)
 	}
 	if last := evs[len(evs)-1]; last.Type != EventShutdown {
 		t.Fatalf("final event %+v, want shutdown", last)

@@ -48,11 +48,6 @@ type Job struct {
 	Nodes int
 	// Arrival is the virtual time at which the job enters the queue.
 	Arrival sim.Time
-	// Deadline, when positive, is the virtual time the job should finish
-	// by. The autoscaler treats a pending job whose deadline cannot be
-	// met even by provisioning immediately as deadline pressure and
-	// waives the ScaleUpStep cap. Fixed fleets ignore it.
-	Deadline sim.Time
 	// Seed overrides the per-job seed derived from Config.Seed.
 	Seed uint64
 	// Faults injects a deterministic fault schedule into the job's first
@@ -60,9 +55,6 @@ type Job struct {
 	// requeued up to Config.MaxRetries times; retries run fault-free,
 	// modeling placement on fresh nodes.
 	Faults *fault.Schedule
-	// Mutate, when non-nil, adjusts the job's runtime configuration
-	// (cache sizes, steal policy, ...) before execution.
-	Mutate func(*core.Config)
 
 	// StoreRef, when non-empty, makes the job participate in the fleet's
 	// shared pair store under this dataset namespace: results it
@@ -150,20 +142,18 @@ type Config struct {
 
 // jobState tracks one job through the scheduler.
 type jobState struct {
-	job     Job
-	index   int
-	id      string
-	tenant  string
-	seed    uint64
-	est     sim.Time
-	lease   []int
-	start   sim.Time
-	end     sim.Time
-	inner   *core.Metrics
-	err     error
-	done    chan struct{}
-	started bool
-	reject  bool
+	job    Job
+	id     string
+	tenant string
+	seed   uint64
+	est    sim.Time
+	lease  []int
+	start  sim.Time
+	end    sim.Time
+	inner  *core.Metrics
+	err    error
+	done   chan struct{}
+	reject bool
 	// failed marks a job whose inner runtime failed under KeepGoing; the
 	// fleet run continues and the failure is reported in JobMetrics.
 	failed bool
@@ -191,21 +181,45 @@ func (js *jobState) resetForRetry() {
 	js.lease = nil
 	js.inner = nil
 	js.err = nil
-	js.started = false
 	js.storeSnap = nil
 	js.storeBatch = nil
 	js.preempts = nil
 	js.done = make(chan struct{})
 }
 
-func (cfg Config) normalize() (Config, error) {
-	if len(cfg.Jobs) == 0 {
-		return cfg, fmt.Errorf("sched: Config.Jobs is empty")
+// metrics is the job's outcome record, the one JobMetrics that both
+// aggregate and Online.JobMetrics report.
+func (js *jobState) metrics() JobMetrics {
+	jm := JobMetrics{
+		ID:             js.id,
+		Tenant:         js.tenant,
+		App:            js.job.App.Name(),
+		Rejected:       js.reject,
+		Retries:        js.attempt,
+		Arrival:        js.job.Arrival,
+		StoreRef:       js.job.StoreRef,
+		DatasetVersion: js.job.DatasetVersion,
+		BaseItems:      js.job.BaseItems,
 	}
-	return cfg.normalizeCommon()
+	if js.reject {
+		return jm
+	}
+	jm.Nodes = js.lease
+	jm.Failed = js.failed
+	if js.failed && js.err != nil {
+		jm.Error = js.err.Error()
+	}
+	jm.Start = js.start
+	jm.End = js.end
+	jm.Wait = js.start - js.job.Arrival
+	jm.Runtime = js.end - js.start
+	jm.Inner = js.inner
+	return jm
 }
 
-func (cfg Config) normalizeCommon() (Config, error) {
+// normalize validates cfg and fills in its defaults; Jobs is checked by
+// Run, since online runs start without any.
+func (cfg Config) normalize() (Config, error) {
 	if cfg.Nodes < 1 {
 		return cfg, fmt.Errorf("sched: Config.Nodes must be >= 1, got %d", cfg.Nodes)
 	}
@@ -260,14 +274,8 @@ func newState(cfg Config, j Job, i int, seen map[string]int) (*jobState, error) 
 	if j.Nodes < 0 || j.Nodes > cfg.Nodes {
 		return nil, fmt.Errorf("sched: job %d requests %d nodes; cluster has %d", i, j.Nodes, cfg.Nodes)
 	}
-	if cfg.Elastic != nil && j.Nodes > cfg.Elastic.MaxNodes {
-		return nil, fmt.Errorf("sched: job %d requests %d nodes; autoscaler caps the fleet at %d", i, j.Nodes, cfg.Elastic.MaxNodes)
-	}
 	if j.Arrival < 0 {
 		return nil, fmt.Errorf("sched: job %d has negative arrival %v", i, j.Arrival)
-	}
-	if j.Deadline < 0 {
-		return nil, fmt.Errorf("sched: job %d has negative deadline %v", i, j.Deadline)
 	}
 	if j.BaseItems < 0 {
 		return nil, fmt.Errorf("sched: job %d has negative BaseItems %d", i, j.BaseItems)
@@ -293,7 +301,6 @@ func newState(cfg Config, j Job, i int, seen map[string]int) (*jobState, error) 
 	}
 	return &jobState{
 		job:    j,
-		index:  i,
 		id:     id,
 		tenant: tenant,
 		seed:   seed,
@@ -381,17 +388,12 @@ func (f *sliceFrontier) next() (sim.Time, bool) {
 
 func (f *sliceFrontier) wait() bool { return false }
 
-// observer receives scheduler lifecycle notifications, all from the loop
-// goroutine. The online scheduler uses it to publish job status and the
-// event stream; batch runs have no observer.
-type observer interface {
-	jobAdmitted(js *jobState)
-	jobRejected(js *jobState)
-	jobStarted(js *jobState)
-	jobRetrying(js *jobState)
-	jobFinished(js *jobState)
-	clockAdvanced(clock sim.Time)
-}
+// hook receives each job lifecycle event (EventQueued, EventRejected,
+// EventStarted, EventRetrying, EventCompleted, EventFailed) from the loop
+// goroutine, with the virtual time it happened at. The online scheduler
+// publishes job status and the event stream through it; batch runs have
+// none.
+type hook func(event string, js *jobState, clock sim.Time)
 
 // scheduler is one fleet run's mutable state; run drives it from a
 // frontier until the frontier is exhausted and the cluster drains.
@@ -403,7 +405,7 @@ type scheduler struct {
 	clock   sim.Time
 	usage   map[string]float64 // tenant -> completed node-seconds
 	sem     chan struct{}
-	obs     observer
+	hook    hook // nil in batch runs
 	// store is the fleet's shared pair store, touched only from the loop
 	// goroutine (snapshots at placement, merges at completion).
 	store *pairstore.Store
@@ -414,7 +416,7 @@ type scheduler struct {
 	spans *obs.Recorder
 }
 
-func newScheduler(cfg Config, obs observer) *scheduler {
+func newScheduler(cfg Config, h hook) *scheduler {
 	// The free pool holds node IDs in ascending order; leases take the
 	// lowest IDs so placements are deterministic and reported partitions
 	// are stable. Under autoscaling only the boot set starts free.
@@ -434,7 +436,7 @@ func newScheduler(cfg Config, obs observer) *scheduler {
 		free:  free,
 		usage: make(map[string]float64),
 		sem:   make(chan struct{}, cfg.Workers),
-		obs:   obs,
+		hook:  h,
 		store: cfg.Store,
 		pool:  pool,
 		spans: cfg.Spans,
@@ -462,10 +464,55 @@ func (s *scheduler) attachStoreHooks() {
 	)
 }
 
+// notify passes one lifecycle event to the hook, stamped with the clock.
+func (s *scheduler) notify(event string, js *jobState) {
+	if s.hook != nil {
+		s.hook(event, js, s.clock)
+	}
+}
+
+// run schedules every job the frontier yields over the shared cluster,
+// one virtual instant per iteration. All scheduling decisions depend only
+// on virtual time and the admission order the frontier establishes, so a
+// batch replay of an online run's arrival log takes exactly the same
+// decisions.
+func (s *scheduler) run(f frontier) error {
+	for {
+		s.admit(f)
+		// Scale and place: the pool first catches up with the clock, then
+		// placement and scale-up alternate; warm capacity is usable at this
+		// same instant, so placement retries until neither makes progress.
+		s.syncPool()
+		s.place()
+		for s.scaleUp() {
+			s.place()
+		}
+		if more, err := s.advance(f); !more {
+			return err
+		}
+		s.harvest()
+	}
+}
+
+// admit queues the arrivals due by the clock, rejecting those that find
+// MaxQueued jobs already waiting.
+func (s *scheduler) admit(f frontier) {
+	for _, js := range f.due(s.clock) {
+		if s.cfg.MaxQueued > 0 && len(s.pending) >= s.cfg.MaxQueued {
+			js.reject = true
+			s.notify(EventRejected, js)
+			continue
+		}
+		s.pending = append(s.pending, js)
+		s.notify(EventQueued, js)
+	}
+}
+
 // syncPool applies pool lifecycle events due by the scheduler clock:
 // provisioning completions join the free pool, idle expiries and
-// free-slot reclaims leave it. Both are retroactively exact, so lazy
-// invocation at the loop top never distorts the node-seconds bill.
+// free-slot reclaims leave it. Both are retroactively exact, so placement
+// sees the capacity that actually exists at this instant and the
+// node-seconds bill is never distorted.
 func (s *scheduler) syncPool() {
 	if s.pool == nil {
 		return
@@ -497,14 +544,8 @@ func (s *scheduler) scaleUp() bool {
 		return false
 	}
 	demand := 0
-	pressure := false
 	for _, js := range s.pending {
 		demand += js.job.Nodes
-		// Deadline pressure: even capacity provisioned right now would
-		// come online too late for this job to finish in time.
-		if d := js.job.Deadline; d > 0 && s.clock+s.pool.policy.ProvisionDelay+js.est > d {
-			pressure = true
-		}
 	}
 	warming := 0
 	for _, sl := range s.pool.slots {
@@ -516,9 +557,6 @@ func (s *scheduler) scaleUp() bool {
 	if want <= 0 {
 		return false
 	}
-	if step := s.pool.policy.ScaleUpStep; step > 0 && !pressure && want > step {
-		want = step
-	}
 	freeNow := s.pool.provision(want, s.clock)
 	if len(freeNow) == 0 {
 		return false
@@ -528,231 +566,184 @@ func (s *scheduler) scaleUp() bool {
 	return true
 }
 
-// run schedules every job the frontier yields over the shared cluster.
-// All scheduling decisions depend only on virtual time and the admission
-// order the frontier establishes, so a batch replay of an online run's
-// arrival log takes exactly the same decisions.
-func (s *scheduler) run(f frontier) error {
-	cfg := s.cfg
-	for {
-		// Admit arrivals due now, applying the admission limit.
-		for _, js := range f.due(s.clock) {
-			if cfg.MaxQueued > 0 && len(s.pending) >= cfg.MaxQueued {
-				js.reject = true
-				if s.obs != nil {
-					s.obs.jobRejected(js)
-				}
-				continue
-			}
-			s.pending = append(s.pending, js)
-			if s.obs != nil {
-				s.obs.jobAdmitted(js)
-			}
+// place lets the policy start pending jobs while nodes and the
+// running-job budget allow. Jobs placed at the same instant execute their
+// inner simulations in parallel.
+func (s *scheduler) place() {
+	for len(s.pending) > 0 {
+		if s.cfg.MaxRunning > 0 && len(s.running) >= s.cfg.MaxRunning {
+			return
 		}
-
-		// Pool lifecycle first: provisioning completions due by now join
-		// the free pool, idle expiries and free-slot reclaims leave it —
-		// all retroactively exact, so placements below see the capacity
-		// that actually exists at this instant.
-		s.syncPool()
-
-		// Placement: let the policy pick jobs while nodes and the
-		// running-job budget allow. Jobs placed at the same instant
-		// execute their inner simulations in parallel. Under autoscaling
-		// each placement round is followed by a scale-up decision; warm
-		// capacity is usable at the same instant, so placement retries
-		// until neither makes progress.
-		for {
-			for len(s.pending) > 0 {
-				if cfg.MaxRunning > 0 && len(s.running) >= cfg.MaxRunning {
-					break
-				}
-				i := pick(cfg.Policy, s.pending, s.running, len(s.free), s.clock, s.usage)
-				if i < 0 {
-					break
-				}
-				js := s.pending[i]
-				s.pending = append(s.pending[:i], s.pending[i+1:]...)
-				js.lease = append([]int(nil), s.free[:js.job.Nodes]...)
-				s.free = s.free[js.job.Nodes:]
-				js.start = s.clock
-				js.started = true
-				if s.pool != nil {
-					// Reclaims scheduled inside the lease become crash
-					// events at the slot's partition-local index; the job
-					// drains through steal-based harvest like any crash.
-					for k, id := range js.lease {
-						s.pool.lease(id)
-						if at := s.pool.slots[id].preemptAt; at > s.clock {
-							js.preempts = append(js.preempts,
-								fault.Event{At: at - s.clock, Kind: fault.NodeCrash, Node: k})
-						}
-					}
-				}
-				if js.job.StoreRef != "" {
-					// The store view is pinned here, at the deterministic
-					// placement point: merges of jobs completing at or before
-					// this clock already happened, later merges are invisible.
-					if s.store == nil {
-						s.store = pairstore.New()
-						s.attachStoreHooks()
-					}
-					js.storeSnap = s.store.Snapshot()
-					js.storeBatch = pairstore.NewBatch()
-				}
-				s.running = append(s.running, js)
-				if s.obs != nil {
-					s.obs.jobStarted(js)
-				}
-				go cfg.runInner(js, s.sem)
-			}
-			if !s.scaleUp() {
-				break
-			}
+		i := pick(s.cfg.Policy, s.pending, s.running, len(s.free), s.clock, s.usage)
+		if i < 0 {
+			return
 		}
-
-		if len(s.running) == 0 {
-			next, ok := f.next()
-			if s.pool != nil {
-				// Warming capacity is a future event too: pending jobs may
-				// be waiting for exactly that provisioning to complete.
-				if rt, rok := s.pool.nextReady(); rok && (!ok || rt < next) {
-					next, ok = rt, true
-				}
-			}
-			if ok {
-				s.clock = next
-				continue
-			}
-			if f.wait() {
-				continue
-			}
-			if len(s.pending) > 0 {
-				return fmt.Errorf("sched: %d jobs stuck with an idle cluster", len(s.pending))
-			}
-			return nil
-		}
-
-		// Every running job's completion time is fixed once its inner
-		// simulation finishes; collect them before advancing the clock.
-		// A job whose partition died under it is requeued (up to
-		// MaxRetries) at its abort time instead of failing the run.
-		for _, js := range s.running {
-			<-js.done
-			if js.err != nil {
-				if errors.Is(js.err, core.ErrPartitionLost) && js.attempt < cfg.MaxRetries {
-					js.retry = true
-					js.end = js.start + js.inner.Runtime
-					continue
-				}
-				if cfg.KeepGoing {
-					js.failed = true
-					js.end = js.start
-					if js.inner != nil {
-						js.end += js.inner.Runtime
-					}
-					continue
-				}
-				return s.fail(js)
-			}
-			js.end = js.start + js.inner.Runtime
-		}
-
-		next := s.running[0].end
-		for _, js := range s.running[1:] {
-			if js.end < next {
-				next = js.end
-			}
-		}
-		if t, ok := f.next(); ok && t < next {
-			next = t
-		}
+		js := s.pending[i]
+		s.pending = append(s.pending[:i], s.pending[i+1:]...)
+		js.lease = append([]int(nil), s.free[:js.job.Nodes]...)
+		s.free = s.free[js.job.Nodes:]
+		js.start = s.clock
 		if s.pool != nil {
-			// Don't jump over a provisioning completion: queued jobs must
-			// be placed the instant their capacity comes online.
-			if rt, ok := s.pool.nextReady(); ok && rt > s.clock && rt < next {
-				next = rt
+			// Reclaims scheduled inside the lease become crash events at
+			// the slot's partition-local index; the job drains through
+			// steal-based harvest like any crash.
+			for k, id := range js.lease {
+				s.pool.lease(id)
+				if at := s.pool.slots[id].preemptAt; at > s.clock {
+					js.preempts = append(js.preempts,
+						fault.Event{At: at - s.clock, Kind: fault.NodeCrash, Node: k})
+				}
 			}
 		}
-		s.clock = next
-		if s.obs != nil {
-			s.obs.clockAdvanced(s.clock)
-		}
-
-		// Completions release their leases back to the pool; aborted
-		// attempts additionally rejoin the queue for another try.
-		keep := s.running[:0]
-		for _, js := range s.running {
-			if js.end <= s.clock {
-				s.usage[js.tenant] += float64(len(js.lease)) * (js.end - js.start).Seconds()
-				if s.pool != nil {
-					s.free = append(s.free, s.pool.release(js.lease, js.end)...)
-				} else {
-					s.free = append(s.free, js.lease...)
-				}
-				if js.storeBatch != nil && !js.retry && !js.failed {
-					// Completion is the deterministic merge point: the
-					// job's emitted results become visible to every job
-					// placed from this clock on.
-					s.store.Merge(js.storeBatch)
-					if js.inner != nil {
-						s.store.RecordServe(js.inner.StoreHits, js.inner.StoreMisses,
-							js.inner.StoreReadBytes, js.inner.StoreWriteBytes)
-					}
-					// Background maintenance rides the merge point: once
-					// the mutable log crosses the auto-seal threshold it
-					// is promoted to a sorted columnar segment (and tier
-					// merges cascade), keeping planner probes on the
-					// pushdown fast path. Deterministic — it depends only
-					// on merged-entry counts, not wall-clock.
-					s.store.MaybeSeal()
-				}
-				if s.spans != nil {
-					// Completion is a deterministic loop point: both spans
-					// are pure functions of arrival/placement/completion
-					// times, so the recording order (and the trace) is
-					// independent of worker scheduling.
-					if js.retry {
-						s.spans.RecordInstant(0, obs.KindMark, "sched",
-							js.id+"/retry", s.clock, int64(js.attempt+1))
-					} else {
-						var pairs int64
-						if js.inner != nil {
-							pairs = int64(js.inner.Pairs)
-						}
-						s.spans.Record(0, obs.Span{Kind: obs.KindJobWait, Track: "sched",
-							Name: js.id, Tenant: js.tenant,
-							Start: js.job.Arrival, End: js.start})
-						s.spans.Record(0, obs.Span{Kind: obs.KindJobRun, Track: "sched",
-							Name: js.id, Tenant: js.tenant,
-							Start: js.start, End: js.end,
-							Arg: int64(len(js.lease)), Arg2: pairs})
-					}
-				}
-				if js.retry {
-					js.resetForRetry()
-					s.pending = append(s.pending, js)
-					if s.obs != nil {
-						s.obs.jobRetrying(js)
-					}
-				} else if s.obs != nil {
-					s.obs.jobFinished(js)
-				}
-			} else {
-				keep = append(keep, js)
+		if js.job.StoreRef != "" {
+			// The store view is pinned here, at the deterministic
+			// placement point: merges of jobs completing at or before this
+			// clock already happened, later merges are invisible.
+			if s.store == nil {
+				s.store = pairstore.New()
+				s.attachStoreHooks()
 			}
+			js.storeSnap = s.store.Snapshot()
+			js.storeBatch = pairstore.NewBatch()
 		}
-		s.running = keep
-		sort.Ints(s.free)
+		s.running = append(s.running, js)
+		s.notify(EventStarted, js)
+		go s.cfg.runInner(js, s.sem)
 	}
 }
 
-// fail joins the in-flight inner simulations and surfaces the first error.
-func (s *scheduler) fail(js *jobState) error {
-	for _, r := range s.running {
-		<-r.done
+// advance moves the clock to the next instant anything happens and
+// reports whether the run goes on. With jobs running it joins their inner
+// runs, which fixes their end times; otherwise it jumps to the next
+// arrival or provisioning completion, or waits on the frontier.
+func (s *scheduler) advance(f frontier) (bool, error) {
+	next, ok := f.next()
+	if s.pool != nil {
+		// Never jump over a provisioning completion: queued jobs must be
+		// placed the instant their capacity comes online.
+		if rt, rok := s.pool.nextReady(); rok && rt > s.clock && (!ok || rt < next) {
+			next, ok = rt, true
+		}
 	}
-	return fmt.Errorf("sched: job %s: %w", js.id, js.err)
+	if len(s.running) == 0 {
+		if ok {
+			s.clock = next
+			return true, nil
+		}
+		if f.wait() {
+			return true, nil
+		}
+		if len(s.pending) > 0 {
+			return false, fmt.Errorf("sched: %d jobs stuck with an idle cluster", len(s.pending))
+		}
+		return false, nil
+	}
+	if err := s.join(); err != nil {
+		return false, err
+	}
+	for _, js := range s.running {
+		if !ok || js.end < next {
+			next, ok = js.end, true
+		}
+	}
+	s.clock = next
+	return true, nil
+}
+
+// join waits for every running inner simulation and fixes its end time. A
+// job whose partition died under it is marked for requeue (up to
+// MaxRetries) at its abort time; any other failure is recorded under
+// KeepGoing and aborts the run otherwise.
+func (s *scheduler) join() error {
+	for _, js := range s.running {
+		<-js.done
+		switch {
+		case js.err == nil:
+		case errors.Is(js.err, core.ErrPartitionLost) && js.attempt < s.cfg.MaxRetries:
+			js.retry = true
+		case s.cfg.KeepGoing:
+			js.failed = true
+		default:
+			for _, r := range s.running {
+				<-r.done
+			}
+			return fmt.Errorf("sched: job %s: %w", js.id, js.err)
+		}
+		js.end = js.start
+		if js.inner != nil {
+			js.end += js.inner.Runtime
+		}
+	}
+	return nil
+}
+
+// harvest settles every job that ended by the clock: its lease returns to
+// the pool, a completed job's results merge into the store, its spans are
+// recorded, and an aborted attempt rejoins the queue.
+func (s *scheduler) harvest() {
+	keep := s.running[:0]
+	for _, js := range s.running {
+		if js.end > s.clock {
+			keep = append(keep, js)
+			continue
+		}
+		s.usage[js.tenant] += float64(len(js.lease)) * (js.end - js.start).Seconds()
+		if s.pool != nil {
+			s.free = append(s.free, s.pool.release(js.lease, js.end)...)
+		} else {
+			s.free = append(s.free, js.lease...)
+		}
+		if js.storeBatch != nil && !js.retry && !js.failed {
+			// Completion is the deterministic merge point: the job's
+			// emitted results become visible to every job placed from this
+			// clock on. Background maintenance rides it: once the mutable
+			// log crosses the auto-seal threshold it is promoted to a
+			// sorted columnar segment (and tier merges cascade), which
+			// depends only on merged-entry counts, not wall-clock.
+			s.store.Merge(js.storeBatch)
+			s.store.RecordServe(js.inner.StoreHits, js.inner.StoreMisses,
+				js.inner.StoreReadBytes, js.inner.StoreWriteBytes)
+			s.store.MaybeSeal()
+		}
+		s.record(js)
+		switch {
+		case js.retry:
+			js.resetForRetry()
+			s.pending = append(s.pending, js)
+			s.notify(EventRetrying, js)
+		case js.failed:
+			s.notify(EventFailed, js)
+		default:
+			s.notify(EventCompleted, js)
+		}
+	}
+	s.running = keep
+	sort.Ints(s.free)
+}
+
+// record writes a settled attempt into the flight recorder: a retry mark,
+// or the job's wait and run spans. Both are pure functions of arrival,
+// placement and completion times, so the trace is independent of worker
+// scheduling.
+func (s *scheduler) record(js *jobState) {
+	if s.spans == nil {
+		return
+	}
+	if js.retry {
+		s.spans.RecordInstant(0, obs.KindMark, "sched", js.id+"/retry", s.clock, int64(js.attempt+1))
+		return
+	}
+	var pairs int64
+	if js.inner != nil {
+		pairs = int64(js.inner.Pairs)
+	}
+	s.spans.Record(0, obs.Span{Kind: obs.KindJobWait, Track: "sched",
+		Name: js.id, Tenant: js.tenant,
+		Start: js.job.Arrival, End: js.start})
+	s.spans.Record(0, obs.Span{Kind: obs.KindJobRun, Track: "sched",
+		Name: js.id, Tenant: js.tenant,
+		Start: js.start, End: js.end,
+		Arg: int64(len(js.lease)), Arg2: pairs})
 }
 
 // Run schedules every job of cfg over the shared cluster and returns the
@@ -760,6 +751,9 @@ func (s *scheduler) fail(js *jobState) error {
 // reported as rejected, not errors; an inner runtime failure aborts the
 // whole run unless Config.KeepGoing records it per-job instead.
 func Run(cfg Config) (*Metrics, error) {
+	if len(cfg.Jobs) == 0 {
+		return nil, fmt.Errorf("sched: Config.Jobs is empty")
+	}
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
@@ -827,9 +821,6 @@ func (cfg Config) runInner(js *jobState, sem chan struct{}) {
 		}
 		merged.Events = append(merged.Events, js.preempts...)
 		ccfg.Faults = merged
-	}
-	if js.job.Mutate != nil {
-		js.job.Mutate(&ccfg)
 	}
 	js.inner, js.err = core.Run(ccfg)
 }

@@ -425,21 +425,34 @@ func TestPartitionLossFatalWithoutRetries(t *testing.T) {
 }
 
 // Retries are bounded: a job that keeps losing its partition eventually
-// fails the run. (Faults only apply to attempt 0, so force the loop by
-// re-injecting through Mutate on every attempt.)
+// fails the run. Faults only apply to attempt 0, so the loop is forced the
+// way production hits it: each attempt lands on the next elastic slot,
+// which the provider reclaims while the attempt runs.
 func TestRetriesAreBounded(t *testing.T) {
-	jobs := []Job{{
-		ID:  "cursed",
-		App: smallApp("cursed", 8, sim.Millis(1)),
-		Mutate: func(cfg *core.Config) {
-			cfg.Faults = new(fault.Schedule).Crash(0, sim.Millis(5))
-		},
-	}}
-	_, err := Run(Config{Jobs: jobs, Nodes: 1, Seed: 1, MaxRetries: 3})
-	if !errors.Is(err, core.ErrPartitionLost) {
+	run := func(retries int) (*Metrics, error) {
+		var reclaims []Preemption
+		for node := 0; node < 4; node++ {
+			reclaims = append(reclaims, Preemption{Node: node, At: sim.Millis(float64(10 * (node + 1)))})
+		}
+		return Run(Config{
+			Jobs:       []Job{{ID: "cursed", App: smallApp("cursed", 10, sim.Millis(20))}},
+			Nodes:      5,
+			Seed:       1,
+			MaxRetries: retries,
+			Elastic:    &Autoscale{MinNodes: 5, Preemptions: reclaims},
+		})
+	}
+	if _, err := run(3); !errors.Is(err, core.ErrPartitionLost) {
 		t.Fatalf("err = %v, want core.ErrPartitionLost after retry budget", err)
 	}
-	if _, err := Run(Config{Jobs: jobs, Nodes: 1, Seed: 1, MaxRetries: -1}); err == nil {
+	m, err := run(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Jobs[0]; got.Retries != 4 || len(got.Nodes) != 1 || got.Nodes[0] != 4 {
+		t.Fatalf("with a budget of 4: %d retries on %v, want 4 on [4]", got.Retries, got.Nodes)
+	}
+	if _, err := Run(Config{Jobs: []Job{{App: smallApp("j", 4, sim.Millis(1))}}, Nodes: 1, Seed: 1, MaxRetries: -1}); err == nil {
 		t.Fatal("negative MaxRetries accepted")
 	}
 }

@@ -528,13 +528,20 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, jobID stri
 
 	i := 0
 	for {
+		// A job that was terminal before this read ends the stream after
+		// it, even when its terminal event has slid out of the window.
+		var finished bool
+		if jobID != "" {
+			info, _ := s.queue.Job(jobID)
+			finished = info.Status.Terminal()
+		}
 		evs, wake := s.queue.EventsSince(i)
 		if n := len(evs); n > 0 {
 			// The cursor is a sequence number, not a count: a stream
 			// opened after the window slid starts above zero.
 			i = evs[n-1].Seq + 1
 		}
-		if emit(evs) {
+		if emit(evs) || finished {
 			return
 		}
 		select {

@@ -327,6 +327,37 @@ func TestEventStreamAfterWindowSlides(t *testing.T) {
 	}
 }
 
+// A job's stream opened after its terminal event slid out of the window
+// ends at once with what is retained, instead of waiting for an event
+// that will never come.
+func TestJobEventStreamEndsAfterWindowSlides(t *testing.T) {
+	defer sched.SetEventCap(16)()
+	_, ts := newTestServer(t, Config{Nodes: 2, Seed: 1})
+	var first string
+	for i := 0; i < 11; i++ { // ~4 events each: well past the cap of 16
+		id, _ := postJob(t, ts.URL, jobspec.Spec{App: "forensics", Items: 4})
+		waitTerminal(t, ts.URL, id)
+		if i == 0 {
+			first = id
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+first+"/events", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("stream of finished job %s did not end: %v (read %q)", first, err, body)
+	}
+	if strings.Contains(string(body), "event: ") {
+		t.Fatalf("stream of %s replayed slid-out events:\n%s", first, body)
+	}
+}
+
 // Draining: once Shutdown begins, healthz flips to 503 and submissions
 // are refused with 503.
 func TestDrainingRejectsNewWork(t *testing.T) {

@@ -40,8 +40,8 @@ type FleetResult = fleet.Result
 type Elasticity = fault.Elasticity
 
 // Autoscale is the elastic-capacity policy of queue runs: a slot pool
-// that grows against queue depth and deadline pressure and shrinks on
-// idle timeout; see rocket/internal/sched.
+// that grows against queue depth and shrinks on idle timeout; see
+// rocket/internal/sched.
 type Autoscale = sched.Autoscale
 
 // Preemption is one scheduled spot reclaim of an autoscaled slot.
@@ -255,9 +255,9 @@ func WithElasticity(e *Elasticity) Option {
 }
 
 // WithAutoscaler attaches an elastic-capacity policy to queue runs
-// (RunQueue): the fleet starts at BootNodes, grows against queue depth
-// and deadline pressure, shrinks after IdleTimeout, and loses slots to
-// scheduled Preemptions. Nil restores the fixed max-size fleet.
+// (RunQueue): the fleet starts at BootNodes, grows against queue depth,
+// shrinks after IdleTimeout, and loses slots to scheduled Preemptions.
+// Nil restores the fixed max-size fleet.
 func WithAutoscaler(a *Autoscale) Option {
 	return func(r *Runner) { r.queue.Elastic = a }
 }
