@@ -10,7 +10,7 @@ BENCH_RUN ?= local
 BENCH_BASELINE ?= BENCH_pr26.json
 COVERAGE_FLOOR ?= 75.0
 
-.PHONY: build test race-stress bench bench-sim bench-repo bench-json bench-gate loc coverage smoke smoke-scenarios smoke-incremental smoke-pairstore smoke-trace fuzz-smoke lint ci fmt
+.PHONY: build test race-stress bench bench-sim bench-repo bench-json bench-gate loc coverage smoke smoke-scenarios smoke-incremental smoke-trace fuzz-smoke lint ci fmt
 
 build:
 	$(GO) build ./...
@@ -46,8 +46,9 @@ bench-repo:
 loc:
 	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l
 
-# Machine-readable perf trajectory: per-experiment ns/op, allocs/op, and
-# events/sec written to BENCH_$(BENCH_RUN).json. GOMAXPROCS is pinned: the
+# Machine-readable count trajectory: per-experiment allocs/op, events, heap
+# pushes and output sha256 written to BENCH_$(BENCH_RUN).json; no host time
+# (bench/ is the timing reference). GOMAXPROCS is pinned: the
 # scheduler's inner simulations run on one worker per OS thread, and
 # benchgate refuses to compare reports taken at different thread counts.
 bench-json:
@@ -56,7 +57,7 @@ bench-json:
 # Mirrors the workflow's bench-gate job: regenerate BENCH_ci.json and gate
 # it against the committed baseline — fail on output_sha256 drift, on
 # allocs_per_op more than 2% above the baseline and on heap_pushes above
-# it; times are printed, not judged.
+# it.
 bench-gate:
 	GOMAXPROCS=2 $(GO) run ./cmd/rocketbench -exp all -scale $(ROCKET_SCALE) -json ci -q
 	$(GO) run ./cmd/benchgate -baseline $(BENCH_BASELINE) -candidate BENCH_ci.json
@@ -77,7 +78,6 @@ smoke:
 	for d in examples/*/; do echo "== go run ./$$d"; $(GO) run "./$$d" > /dev/null || exit 1; done
 	$(GO) run ./cmd/rocketbench -exp fig6 -scale 200 -seed 1 -json smoke -q
 	$(GO) run ./cmd/benchgate -baseline BENCH_smoke.json -candidate BENCH_smoke.json
-	$(GO) run ./cmd/rocketgen -app forensics -n 4 -out /tmp/rocket-smoke-gen
 	$(GO) run ./cmd/rockettrace timeline -app forensics -n 8 -limit 20 > /dev/null
 	$(GO) run ./cmd/rocketqueue -example > /tmp/rocket-smoke-jobs.json
 	$(GO) run ./cmd/rocketqueue -manifest /tmp/rocket-smoke-jobs.json -policy fifo > /dev/null
@@ -146,16 +146,6 @@ smoke-incremental:
 	test -s /tmp/rocket-incr-store.json
 	test -s /tmp/rocket-incr-store-stats.json
 
-# Mirrors the workflow's smoke-pairstore step: the columnar store's full
-# lifecycle at a million pairs — auto-sealed ingestion, Seal, Compact,
-# Save, Load, then a 10% delta plan — run twice; the two plans must be
-# byte-identical and the store must hold ≤8 bytes/pair on disk. Per-run
-# figures land in /tmp/rocket-store-stats.json (uploaded as a CI
-# artifact).
-smoke-pairstore:
-	$(GO) run ./cmd/rocketstore -pairs 1000000 -seed 1 -runs 2 -stats /tmp/rocket-store-stats.json
-	test -s /tmp/rocket-store-stats.json
-
 # Mirrors the workflow's smoke-trace step: the observability layer's
 # determinism and overhead gate. The quickstart and stress-1k scenarios
 # export Perfetto JSON twice each and every pair must be byte-identical —
@@ -214,5 +204,4 @@ ci: lint build test race-stress
 	$(MAKE) smoke
 	$(MAKE) smoke-scenarios
 	$(MAKE) smoke-incremental
-	$(MAKE) smoke-pairstore
 	$(MAKE) smoke-trace

@@ -2,8 +2,9 @@
 // candidate BENCH_<run>.json (freshly produced by rocketbench) against
 // the committed baseline and fails the build when a count that repeats
 // exactly — output bytes, allocations, heap pushes, disk bytes — moved.
-// Times are printed beside them and never judged: one wall-clock sample
-// on a shared runner decides nothing (bench/ is the timing reference).
+// Reports carry no host time (bench/ is the timing reference); baselines
+// written while they did still decode, and their time columns are
+// ignored.
 //
 // Usage:
 //

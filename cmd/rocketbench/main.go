@@ -1,7 +1,8 @@
 // Command rocketbench regenerates the paper's tables and figures from the
-// command line, and doubles as the tracked performance harness: it can
-// profile itself and emit a machine-readable BENCH_<run>.json capturing
-// ns/op, allocs/op, and simulation events/sec per experiment.
+// command line, and doubles as the tracked count harness: it can profile
+// itself and emit a machine-readable BENCH_<run>.json capturing allocs/op,
+// simulation events, heap pushes and an output sha256 per experiment.
+// It records no host time; bench/ is the one timing reference.
 //
 // Usage:
 //
@@ -40,8 +41,8 @@ func main() {
 		jsonRun    = flag.String("json", "", "run name: write per-experiment metrics to BENCH_<name>.json")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		quiet      = flag.Bool("q", false, "suppress experiment output (timings only)")
-		traceOn    = flag.Bool("trace", false, "attach the flight recorder to every run (outputs must not change; benchgate watches the overhead)")
+		quiet      = flag.Bool("q", false, "suppress experiment output (counts only)")
+		traceOn    = flag.Bool("trace", false, "attach the flight recorder to every run (outputs must not change; benchgate compares the hashes and allocations)")
 	)
 	flag.Parse()
 
@@ -95,33 +96,27 @@ func main() {
 		runtime.ReadMemStats(&mem)
 		allocs0 := mem.Mallocs
 		events0, heap0 := sim.GlobalEvents(), sim.GlobalHeapPushes()
-		start := time.Now()
 		out, err := e.Run(opts)
-		wall := time.Since(start)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
 		runtime.ReadMemStats(&mem)
-		events := sim.GlobalEvents() - events0
 		r := benchfmt.ExpResult{
 			ID:           e.ID,
 			Paper:        e.Paper,
-			NsPerOp:      wall.Nanoseconds(),
 			AllocsPerOp:  mem.Mallocs - allocs0,
-			Events:       events,
+			Events:       sim.GlobalEvents() - events0,
 			HeapPushes:   sim.GlobalHeapPushes() - heap0,
-			EventsPerSec: float64(events) / wall.Seconds(),
 			OutputSHA256: fmt.Sprintf("%x", sha256.Sum256([]byte(out))),
 		}
 		report.Experiments = append(report.Experiments, r)
 		if *quiet {
-			fmt.Printf("%-18s %12v  %12d allocs  %10d events  %14.0f events/sec\n",
-				e.ID, wall.Round(time.Millisecond), r.AllocsPerOp, r.Events, r.EventsPerSec)
+			fmt.Printf("%-18s %12d allocs  %10d events  %10d heap pushes\n",
+				e.ID, r.AllocsPerOp, r.Events, r.HeapPushes)
 			continue
 		}
-		fmt.Printf("=== %s (%s): %s ===\n%s(completed in %v wall time, %d events, %.0f events/sec)\n\n",
-			e.ID, e.Paper, e.Description, out, wall.Round(time.Millisecond), r.Events, r.EventsPerSec)
+		fmt.Printf("=== %s (%s): %s ===\n%s(%d events)\n\n", e.ID, e.Paper, e.Description, out, r.Events)
 	}
 
 	if *jsonRun != "" {
@@ -130,12 +125,11 @@ func main() {
 		// counts) and the storage trajectory: the columnar pairstore built
 		// to 10^5 and 10^6 pairs, persisted and reloaded, then planning a
 		// 10% delta — bytes/pair and the plan hash gate hard (both are
-		// deterministic), plan latency is tracked. The 10^7 point lives
-		// in BenchmarkPairstoreScale for local runs; it is too slow for
-		// every CI bench run.
+		// deterministic). The 10^7 point lives in BenchmarkPairstoreScale
+		// for local runs; it is too slow for every CI bench run.
 		report.GoMaxProcs = runtime.GOMAXPROCS(0)
 		for _, pairs := range []int64{100_000, 1_000_000} {
-			sr, err := experiments.MeasureStorageTemp(pairs, opts.Seed)
+			sr, err := experiments.MeasureStorage(pairs, opts.Seed)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "storage trajectory pairs=%d: %v\n", pairs, err)
 				os.Exit(1)
@@ -146,7 +140,6 @@ func main() {
 				BytesPerPair:        sr.BytesPerPair,
 				DiskBytes:           sr.DiskBytes,
 				IndexResidentBytes:  sr.IndexResidentBytes,
-				PlanNsPerOp:         sr.PlanNs,
 				PlanHash:            sr.PlanHash,
 				BloomHitRate:        sr.BloomHitRate,
 				Blocks:              sr.Blocks,
@@ -154,9 +147,8 @@ func main() {
 				IngestBytesPerPair:  sr.IngestBytesPerPair,
 				IngestAllocsPerPair: sr.IngestAllocsPerPair,
 			})
-			fmt.Fprintf(os.Stderr, "storage trajectory: pairs=%-9d %6.2f bytes/pair  plan %8v  index %8d B  hash=%.16s\n",
-				sr.Pairs, sr.BytesPerPair, time.Duration(sr.PlanNs).Round(time.Millisecond),
-				sr.IndexResidentBytes, sr.PlanHash)
+			fmt.Fprintf(os.Stderr, "storage trajectory: pairs=%-9d %6.2f bytes/pair  index %8d B  hash=%.16s\n",
+				sr.Pairs, sr.BytesPerPair, sr.IndexResidentBytes, sr.PlanHash)
 		}
 		path := "BENCH_" + *jsonRun + ".json"
 		if err := report.Write(path); err != nil {

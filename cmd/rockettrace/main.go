@@ -26,7 +26,6 @@ import (
 	"os"
 
 	"rocket"
-	"rocket/internal/core"
 	"rocket/internal/experiments"
 	"rocket/internal/scenario"
 )
@@ -206,21 +205,15 @@ func cmdTimeline(args []string, out, errw io.Writer) int {
 		fmt.Fprintln(errw, err)
 		return 2
 	}
-	cl, err := rocket.Homogeneous(*nodes, rocket.DAS5Node(rocket.TitanXMaxwell))
-	if err != nil {
-		fmt.Fprintln(errw, err)
-		return 1
-	}
 	rec := rocket.NewSpanRecorder(1, *capacity)
-	m, err := core.Run(core.Config{
-		App:         setup.App,
-		Cluster:     cl,
-		DeviceSlots: setup.DevSlots,
-		HostSlots:   setup.HostSlots,
-		DistCache:   *nodes > 1,
-		Seed:        *seed,
-		Spans:       rec,
-	})
+	m, err := rocket.New(
+		rocket.WithHomogeneous(*nodes, rocket.DAS5Node(rocket.TitanXMaxwell)),
+		rocket.WithDeviceSlots(setup.DevSlots),
+		rocket.WithHostSlots(setup.HostSlots),
+		rocket.WithDistCache(*nodes > 1),
+		rocket.WithSeed(*seed),
+		rocket.WithSpans(rec),
+	).Run(setup.App)
 	if err != nil {
 		fmt.Fprintln(errw, err)
 		return 1

@@ -12,6 +12,7 @@ import (
 	"rocket"
 	"rocket/internal/apps/forensics"
 	"rocket/internal/apps/phylo"
+	"rocket/internal/cluster"
 	"rocket/internal/core"
 	"rocket/internal/experiments"
 )
@@ -21,17 +22,25 @@ var tinyOptions = experiments.Options{Scale: 25, Seed: 1}
 
 func runForensics(t *testing.T, nodes int, mutate func(*core.Config)) *rocket.Metrics {
 	t.Helper()
-	app := forensics.New(forensics.Params{N: 200, Seed: 1})
-	opts := []rocket.Option{
-		rocket.WithHomogeneous(nodes, rocket.DAS5Node(rocket.TitanXMaxwell)),
-		rocket.WithSeed(1),
-		rocket.WithDeviceSlots(12),
-		rocket.WithHostSlots(42),
+	specs := make([]rocket.NodeSpec, nodes)
+	for i := range specs {
+		specs[i] = rocket.DAS5Node(rocket.TitanXMaxwell)
+	}
+	cl, err := cluster.New(specs, cluster.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{
+		App:         forensics.New(forensics.Params{N: 200, Seed: 1}),
+		Cluster:     cl,
+		Seed:        1,
+		DeviceSlots: 12,
+		HostSlots:   42,
 	}
 	if mutate != nil {
-		opts = append(opts, rocket.WithConfig(mutate))
+		mutate(&cfg)
 	}
-	m, err := rocket.New(opts...).Run(app)
+	m, err := core.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,33 +183,6 @@ func TestPRNUIdentifiesCommonSource(t *testing.T) {
 	}
 }
 
-func TestDatasetRoundTripThroughDisk(t *testing.T) {
-	p := RealParams{N: 4, Cameras: 2, Seed: 7}
-	dir := t.TempDir()
-	if err := WriteDataset(p, dir); err != nil {
-		t.Fatal(err)
-	}
-	p.Dataset = &DirDataset{Dir: dir, N: 4}
-	app, err := NewReal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := app.LoadItem(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.([]float32)) != 128*96 {
-		t.Fatalf("pattern size %d", len(v.([]float32)))
-	}
-}
-
-func TestDatasetSizeMismatchRejected(t *testing.T) {
-	_, err := NewReal(RealParams{N: 5, Dataset: &MemDataset{Files: make([][]byte, 3)}})
-	if err == nil {
-		t.Fatal("mismatched dataset accepted")
-	}
-}
-
 func TestMemDatasetOutOfRange(t *testing.T) {
 	d := &MemDataset{Files: [][]byte{{1}}}
 	if _, err := d.File(5); err == nil {

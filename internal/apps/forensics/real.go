@@ -2,49 +2,22 @@ package forensics
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"rocket/internal/stats"
 )
-
-// Dataset supplies the raw input files of the items.
-type Dataset interface {
-	// File returns the raw bytes of item's input file.
-	File(item int) ([]byte, error)
-	// Len returns the number of items.
-	Len() int
-}
 
 // MemDataset is an in-memory dataset.
 type MemDataset struct {
 	Files [][]byte
 }
 
-// File implements Dataset.
+// File returns the raw bytes of item's input file.
 func (d *MemDataset) File(item int) ([]byte, error) {
 	if item < 0 || item >= len(d.Files) {
 		return nil, fmt.Errorf("forensics: item %d out of range", item)
 	}
 	return d.Files[item], nil
 }
-
-// Len implements Dataset.
-func (d *MemDataset) Len() int { return len(d.Files) }
-
-// DirDataset reads numbered files ("img%05d.prnu") from a directory.
-type DirDataset struct {
-	Dir string
-	N   int
-}
-
-// File implements Dataset.
-func (d *DirDataset) File(item int) ([]byte, error) {
-	return os.ReadFile(filepath.Join(d.Dir, fmt.Sprintf("img%05d.prnu", item)))
-}
-
-// Len implements Dataset.
-func (d *DirDataset) Len() int { return d.N }
 
 // RealParams configures the real-kernel application.
 type RealParams struct {
@@ -59,9 +32,6 @@ type RealParams struct {
 	// Strength is the PRNU pattern standard deviation.
 	Strength float64
 	Seed     uint64
-	// Dataset overrides generation with pre-existing files (e.g. written
-	// by WriteDataset earlier).
-	Dataset Dataset
 }
 
 func (p *RealParams) fillDefaults() {
@@ -87,25 +57,18 @@ func (p *RealParams) fillDefaults() {
 type RealApp struct {
 	*App
 	params RealParams
-	ds     Dataset
+	ds     *MemDataset
 	truth  []int // camera index per item
 }
 
-// NewReal builds the real application, generating a synthetic data set
-// unless one is supplied.
+// NewReal builds the real application over a synthetic data set generated
+// in memory.
 func NewReal(p RealParams) (*RealApp, error) {
 	p.fillDefaults()
 	a := &RealApp{App: New(Params{N: p.N, Seed: p.Seed}), params: p}
 	a.truth = make([]int, p.N)
 	for i := range a.truth {
 		a.truth[i] = i % p.Cameras
-	}
-	if p.Dataset != nil {
-		if p.Dataset.Len() != p.N {
-			return nil, fmt.Errorf("forensics: dataset has %d items, want %d", p.Dataset.Len(), p.N)
-		}
-		a.ds = p.Dataset
-		return a, nil
 	}
 	mem, err := GenerateDataset(p)
 	if err != nil {
@@ -133,25 +96,6 @@ func GenerateDataset(p RealParams) (*MemDataset, error) {
 		ds.Files[i] = raw
 	}
 	return ds, nil
-}
-
-// WriteDataset materializes a generated data set into a directory, one
-// container file per image, readable later through DirDataset.
-func WriteDataset(p RealParams, dir string) error {
-	ds, err := GenerateDataset(p)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for i, raw := range ds.Files {
-		name := filepath.Join(dir, fmt.Sprintf("img%05d.prnu", i))
-		if err := os.WriteFile(name, raw, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Camera returns the ground-truth camera index of an item.

@@ -180,28 +180,6 @@ func TestEvalsVaryAcrossPairs(t *testing.T) {
 	}
 }
 
-func TestDatasetDiskRoundTrip(t *testing.T) {
-	p := RealParams{N: 3, Seed: 1}
-	dir := t.TempDir()
-	if err := WriteDataset(p, dir); err != nil {
-		t.Fatal(err)
-	}
-	p.Dataset = &DirDataset{Dir: dir, N: 3}
-	app, err := NewReal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := app.LoadItem(2); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDatasetSizeMismatch(t *testing.T) {
-	if _, err := NewReal(RealParams{N: 5, Dataset: &MemDataset{}}); err == nil {
-		t.Fatal("mismatched dataset accepted")
-	}
-}
-
 func TestObserveUnderLabeling(t *testing.T) {
 	tpl := DefaultTemplate()
 	full := len(tpl.Points())

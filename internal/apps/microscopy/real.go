@@ -2,17 +2,9 @@ package microscopy
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"rocket/internal/stats"
 )
-
-// Dataset supplies the raw JSON particle files.
-type Dataset interface {
-	File(item int) ([]byte, error)
-	Len() int
-}
 
 // MemDataset is an in-memory dataset.
 type MemDataset struct {
@@ -21,30 +13,13 @@ type MemDataset struct {
 	Thetas []float64
 }
 
-// File implements Dataset.
+// File returns the raw bytes of item's input file.
 func (d *MemDataset) File(item int) ([]byte, error) {
 	if item < 0 || item >= len(d.Files) {
 		return nil, fmt.Errorf("microscopy: item %d out of range", item)
 	}
 	return d.Files[item], nil
 }
-
-// Len implements Dataset.
-func (d *MemDataset) Len() int { return len(d.Files) }
-
-// DirDataset reads numbered files ("particle%05d.json") from a directory.
-type DirDataset struct {
-	Dir string
-	N   int
-}
-
-// File implements Dataset.
-func (d *DirDataset) File(item int) ([]byte, error) {
-	return os.ReadFile(filepath.Join(d.Dir, fmt.Sprintf("particle%05d.json", item)))
-}
-
-// Len implements Dataset.
-func (d *DirDataset) Len() int { return d.N }
 
 // RealParams configures the real-kernel application.
 type RealParams struct {
@@ -59,8 +34,6 @@ type RealParams struct {
 	// CoarseSteps is the number of coarse rotation-scan angles.
 	CoarseSteps int
 	Seed        uint64
-	// Dataset overrides generation with existing files.
-	Dataset Dataset
 }
 
 func (p *RealParams) fillDefaults() {
@@ -86,31 +59,19 @@ func (p *RealParams) fillDefaults() {
 type RealApp struct {
 	*App
 	params RealParams
-	ds     Dataset
-	thetas []float64 // ground truth when generated
+	ds     *MemDataset
 }
 
-// NewReal builds the real application, generating synthetic particles
-// unless a dataset is supplied.
+// NewReal builds the real application over synthetic particles generated
+// in memory.
 func NewReal(p RealParams) (*RealApp, error) {
 	p.fillDefaults()
 	a := &RealApp{App: New(Params{N: p.N, Seed: p.Seed}), params: p}
-	if p.Dataset != nil {
-		if p.Dataset.Len() != p.N {
-			return nil, fmt.Errorf("microscopy: dataset has %d items, want %d", p.Dataset.Len(), p.N)
-		}
-		a.ds = p.Dataset
-		if mem, ok := p.Dataset.(*MemDataset); ok {
-			a.thetas = mem.Thetas
-		}
-		return a, nil
-	}
 	ds, err := GenerateDataset(p)
 	if err != nil {
 		return nil, err
 	}
 	a.ds = ds
-	a.thetas = ds.Thetas
 	return a, nil
 }
 
@@ -132,32 +93,8 @@ func GenerateDataset(p RealParams) (*MemDataset, error) {
 	return ds, nil
 }
 
-// WriteDataset materializes a generated data set into a directory.
-func WriteDataset(p RealParams, dir string) error {
-	ds, err := GenerateDataset(p)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for i, raw := range ds.Files {
-		name := filepath.Join(dir, fmt.Sprintf("particle%05d.json", i))
-		if err := os.WriteFile(name, raw, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Theta returns the ground-truth orientation of a generated particle
-// (0 when the dataset was supplied externally).
-func (a *RealApp) Theta(item int) float64 {
-	if item < len(a.thetas) {
-		return a.thetas[item]
-	}
-	return 0
-}
+// Theta returns the ground-truth orientation of a generated particle.
+func (a *RealApp) Theta(item int) float64 { return a.ds.Thetas[item] }
 
 // LoadItem implements core.Computer: parse the particle JSON. The
 // application has no pre-processing stage (§5.3).

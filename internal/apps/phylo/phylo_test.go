@@ -280,28 +280,6 @@ func TestEndToEndTree(t *testing.T) {
 	}
 }
 
-func TestDatasetDiskRoundTrip(t *testing.T) {
-	p := RealParams{N: 4, Groups: 2, Seed: 3}
-	dir := t.TempDir()
-	if err := WriteDataset(p, dir); err != nil {
-		t.Fatal(err)
-	}
-	p.Dataset = &DirDataset{Dir: dir, N: 4}
-	app, err := NewReal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := app.LoadItem(1); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDatasetSizeMismatch(t *testing.T) {
-	if _, err := NewReal(RealParams{N: 5, Dataset: &MemDataset{}}); err == nil {
-		t.Fatal("mismatched dataset accepted")
-	}
-}
-
 // Property: correlation is symmetric and within [-1, 1] for arbitrary
 // generated proteome pairs.
 func TestQuickCorrelationBounds(t *testing.T) {

@@ -2,47 +2,22 @@ package phylo
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"rocket/internal/stats"
 )
-
-// Dataset supplies the raw compressed-FASTA files of the proteomes.
-type Dataset interface {
-	File(item int) ([]byte, error)
-	Len() int
-}
 
 // MemDataset is an in-memory dataset.
 type MemDataset struct {
 	Files [][]byte
 }
 
-// File implements Dataset.
+// File returns the raw bytes of item's input file.
 func (d *MemDataset) File(item int) ([]byte, error) {
 	if item < 0 || item >= len(d.Files) {
 		return nil, fmt.Errorf("phylo: item %d out of range", item)
 	}
 	return d.Files[item], nil
 }
-
-// Len implements Dataset.
-func (d *MemDataset) Len() int { return len(d.Files) }
-
-// DirDataset reads numbered files ("proteome%05d.fa.z") from a directory.
-type DirDataset struct {
-	Dir string
-	N   int
-}
-
-// File implements Dataset.
-func (d *DirDataset) File(item int) ([]byte, error) {
-	return os.ReadFile(filepath.Join(d.Dir, fmt.Sprintf("proteome%05d.fa.z", item)))
-}
-
-// Len implements Dataset.
-func (d *DirDataset) Len() int { return d.N }
 
 // RealParams configures the real-kernel application: synthetic proteomes
 // evolved from a set of ancestor genomes, so the reconstructed tree has a
@@ -63,8 +38,6 @@ type RealParams struct {
 	// K is the composition-vector string length.
 	K    int
 	Seed uint64
-	// Dataset overrides generation with existing files.
-	Dataset Dataset
 }
 
 func (p *RealParams) fillDefaults() {
@@ -93,21 +66,14 @@ func (p *RealParams) fillDefaults() {
 type RealApp struct {
 	*App
 	params RealParams
-	ds     Dataset
+	ds     *MemDataset
 }
 
-// NewReal builds the real application, generating synthetic proteomes
-// unless a dataset is supplied.
+// NewReal builds the real application over synthetic proteomes generated
+// in memory.
 func NewReal(p RealParams) (*RealApp, error) {
 	p.fillDefaults()
 	a := &RealApp{App: New(Params{N: p.N, Seed: p.Seed}), params: p}
-	if p.Dataset != nil {
-		if p.Dataset.Len() != p.N {
-			return nil, fmt.Errorf("phylo: dataset has %d items, want %d", p.Dataset.Len(), p.N)
-		}
-		a.ds = p.Dataset
-		return a, nil
-	}
 	ds, err := GenerateDataset(p)
 	if err != nil {
 		return nil, err
@@ -142,24 +108,6 @@ func GenerateDataset(p RealParams) (*MemDataset, error) {
 		ds.Files[i] = raw
 	}
 	return ds, nil
-}
-
-// WriteDataset materializes a generated data set into a directory.
-func WriteDataset(p RealParams, dir string) error {
-	ds, err := GenerateDataset(p)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for i, raw := range ds.Files {
-		name := filepath.Join(dir, fmt.Sprintf("proteome%05d.fa.z", i))
-		if err := os.WriteFile(name, raw, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func randomProteome(rng *stats.RNG, proteins, meanLen int) []string {

@@ -1,8 +1,11 @@
 // Package benchfmt defines the BENCH_<run>.json format shared by the
 // rocketbench harness (writer) and the benchgate CI gate (reader): one
-// record per experiment capturing wall time, allocations, event
-// throughput, and a SHA-256 fingerprint of the rendered output, so
-// performance and bit-exact determinism are tracked across commits.
+// record per experiment capturing allocations, event counts, and a
+// SHA-256 fingerprint of the rendered output, so counts that repeat and
+// bit-exact determinism are tracked across commits. Every field is a
+// count or a hash; host time is measured by bench/ alone. Reports written
+// before the time columns went still decode: JSON ignores the unknown
+// ns_per_op, events_per_sec and plan_ns_per_op fields.
 package benchfmt
 
 import (
@@ -15,8 +18,6 @@ import (
 type ExpResult struct {
 	ID    string `json:"id"`
 	Paper string `json:"paper"`
-	// NsPerOp is the wall-clock nanoseconds of one full experiment run.
-	NsPerOp int64 `json:"ns_per_op"`
 	// AllocsPerOp is the number of heap allocations during the run.
 	AllocsPerOp uint64 `json:"allocs_per_op"`
 	// Events is the number of simulation events dispatched by the run
@@ -27,8 +28,6 @@ type ExpResult struct {
 	// pushed at and queued in its now-lane. Exact at a seed, like Events
 	// (absent from reports predating the lane).
 	HeapPushes uint64 `json:"heap_pushes,omitempty"`
-	// EventsPerSec is the dispatch throughput: Events / wall seconds.
-	EventsPerSec float64 `json:"events_per_sec"`
 	// OutputSHA256 fingerprints the rendered experiment output, so runs
 	// can be compared for bit-identical results across engine changes.
 	OutputSHA256 string `json:"output_sha256"`
@@ -51,10 +50,6 @@ type StoragePoint struct {
 	// dictionaries, bloom filters) the plan ran against — the evidence
 	// that planning does not need a resident per-pair index.
 	IndexResidentBytes int64 `json:"index_resident_bytes"`
-	// PlanNsPerOp is the wall time of planning the 10% delta (probing
-	// the full base region against the snapshot). Wall-clock, so
-	// tracked with a drift warning rather than gated hard.
-	PlanNsPerOp int64 `json:"plan_ns_per_op"`
 	// PlanHash fingerprints the planned residency bitmap; it depends
 	// only on (seed, items, base), so any drift is a determinism bug.
 	PlanHash string `json:"plan_hash"`

@@ -13,18 +13,14 @@ const maxAllocsRegress = 0.02
 
 // GateRow is one experiment's comparison.
 type GateRow struct {
-	ID        string
-	Baseline  int64 // baseline ns_per_op
-	Candidate int64 // candidate ns_per_op
-	Ratio     float64
+	ID string
 	// BaselineAllocs and CandidateAllocs are the two allocs_per_op.
 	BaselineAllocs  uint64
 	CandidateAllocs uint64
 	// Verdict is "ok", "drift" (output_sha256 mismatch), "allocs"
 	// (allocs_per_op beyond maxAllocsRegress), "heap" (heap_pushes above
 	// the baseline's), "missing" (in baseline, not candidate), or "new"
-	// (no baseline to compare against). Times are printed, never judged:
-	// one wall-clock sample on a shared runner decides nothing.
+	// (no baseline to compare against).
 	Verdict string
 }
 
@@ -41,12 +37,10 @@ type GateResult struct {
 
 // StorageGateRow is one dataset size's storage comparison.
 type StorageGateRow struct {
-	Pairs         int64
-	BaselineBPP   float64 // baseline bytes/pair (0 when the point is new)
-	CandidateBPP  float64
-	BaselinePlan  int64 // baseline plan ns
-	CandidatePlan int64
-	IndexBytes    int64
+	Pairs        int64
+	BaselineBPP  float64 // baseline bytes/pair (0 when the point is new)
+	CandidateBPP float64
+	IndexBytes   int64
 	// Verdict is "ok", "new", "bloat" (bytes/pair gate), "redecode" (a
 	// plan inflated a block more than once), "drift" (plan hash), or
 	// "ingest" (ingest bytes or objects per pair beyond maxAllocsRegress).
@@ -62,7 +56,7 @@ func (g GateResult) Failed() bool { return len(g.Failures) > 0 }
 // deterministic columns — allocs_per_op may not grow beyond
 // maxAllocsRegress and heap_pushes, an exact count, may not grow at all
 // (a baseline that predates the column is not held to it); drops are not
-// gated. ns_per_op is carried into the rows for display only.
+// gated.
 //
 // Reports taken at different GOMAXPROCS are not comparable: the scheduler
 // runs its inner simulations on one worker goroutine per OS thread, so the
@@ -86,14 +80,10 @@ func Gate(baseline, candidate Report) GateResult {
 		seen[c.ID] = true
 		b, ok := base[c.ID]
 		if !ok {
-			g.Rows = append(g.Rows, GateRow{ID: c.ID, Candidate: c.NsPerOp, CandidateAllocs: c.AllocsPerOp, Verdict: "new"})
+			g.Rows = append(g.Rows, GateRow{ID: c.ID, CandidateAllocs: c.AllocsPerOp, Verdict: "new"})
 			continue
 		}
-		row := GateRow{ID: c.ID, Baseline: b.NsPerOp, Candidate: c.NsPerOp,
-			BaselineAllocs: b.AllocsPerOp, CandidateAllocs: c.AllocsPerOp}
-		if b.NsPerOp > 0 {
-			row.Ratio = float64(c.NsPerOp) / float64(b.NsPerOp)
-		}
+		row := GateRow{ID: c.ID, BaselineAllocs: b.AllocsPerOp, CandidateAllocs: c.AllocsPerOp}
 		allocsUp := b.AllocsPerOp > 0 &&
 			float64(c.AllocsPerOp) > float64(b.AllocsPerOp)*(1+maxAllocsRegress)
 		switch {
@@ -120,7 +110,7 @@ func Gate(baseline, candidate Report) GateResult {
 	}
 	for _, b := range baseline.Experiments {
 		if !seen[b.ID] {
-			g.Rows = append(g.Rows, GateRow{ID: b.ID, Baseline: b.NsPerOp, Verdict: "missing"})
+			g.Rows = append(g.Rows, GateRow{ID: b.ID, BaselineAllocs: b.AllocsPerOp, Verdict: "missing"})
 			g.Failures = append(g.Failures, fmt.Sprintf(
 				"%s: present in baseline but missing from candidate run", b.ID))
 		}
@@ -143,9 +133,8 @@ const (
 	maxBytesPerPairRegress = 0.10
 )
 
-// gateStorage checks the pairstore scaling trajectory. Three
-// properties, all fatal (plan latency is printed beside them, wall-clock
-// and so not judged):
+// gateStorage checks the pairstore scaling trajectory. Four
+// properties, all fatal:
 //
 //  1. Determinism (always fatal): the planned-residency hash at a
 //     matched dataset size must equal the baseline's, and a trajectory
@@ -153,7 +142,7 @@ const (
 //  2. Bytes/pair (always fatal): ≤ maxBytesPerPairAtScale at 10^6+
 //     pairs, and within maxBytesPerPairRegress of the baseline at
 //     matched sizes. Disk bytes are noise-free, so this gates hard
-//     where wall time cannot.
+//     where a wall time cannot.
 //  3. Block decodes (always fatal): the plan may inflate each block at
 //     most once. The count repeats exactly, so it is the planning budget
 //     a noisy runner can hold where a ns/pair budget cannot.
@@ -179,11 +168,10 @@ func gateStorage(baseline, candidate Report, g *GateResult) {
 			widest = c
 		}
 		row := StorageGateRow{
-			Pairs:         c.Pairs,
-			CandidateBPP:  c.BytesPerPair,
-			CandidatePlan: c.PlanNsPerOp,
-			IndexBytes:    c.IndexResidentBytes,
-			Verdict:       "ok",
+			Pairs:        c.Pairs,
+			CandidateBPP: c.BytesPerPair,
+			IndexBytes:   c.IndexResidentBytes,
+			Verdict:      "ok",
 		}
 		if c.Pairs >= bytesPerPairScaleFloor && c.BytesPerPair > maxBytesPerPairAtScale {
 			row.Verdict = "bloat"
@@ -206,7 +194,6 @@ func gateStorage(baseline, candidate Report, g *GateResult) {
 			continue
 		}
 		row.BaselineBPP = b.BytesPerPair
-		row.BaselinePlan = b.PlanNsPerOp
 		if b.PlanHash != "" && c.PlanHash != b.PlanHash {
 			row.Verdict = "drift"
 			g.Failures = append(g.Failures, fmt.Sprintf(
@@ -238,8 +225,8 @@ func gateStorage(baseline, candidate Report, g *GateResult) {
 	}
 	if widest.Pairs > 0 {
 		g.StorageNote = fmt.Sprintf(
-			"storage: %.2f bytes/pair at %d pairs, plan %.2fms over %s resident index, bloom hit rate %.0f%%",
-			widest.BytesPerPair, widest.Pairs, float64(widest.PlanNsPerOp)/1e6,
+			"storage: %.2f bytes/pair at %d pairs, %s resident index, bloom hit rate %.0f%%",
+			widest.BytesPerPair, widest.Pairs,
 			humanBytes(widest.IndexResidentBytes), 100*widest.BloomHitRate)
 	}
 }
@@ -269,28 +256,22 @@ func (g GateResult) Markdown() string {
 	for _, f := range g.Failures {
 		fmt.Fprintf(&b, "- :x: %s\n", f)
 	}
-	b.WriteString("\n| experiment | baseline ms | candidate ms | ratio | baseline allocs | candidate allocs | verdict |\n")
-	b.WriteString("|---|---:|---:|---:|---:|---:|---|\n")
+	b.WriteString("\n| experiment | baseline allocs | candidate allocs | verdict |\n")
+	b.WriteString("|---|---:|---:|---|\n")
 	for _, r := range g.Rows {
-		ratio := "-"
-		if r.Ratio > 0 {
-			ratio = fmt.Sprintf("%.2fx", r.Ratio)
-		}
-		fmt.Fprintf(&b, "| %s | %s | %s | %s | %d | %d | %s |\n",
-			r.ID, ms(r.Baseline), ms(r.Candidate), ratio, r.BaselineAllocs, r.CandidateAllocs, r.Verdict)
+		fmt.Fprintf(&b, "| %s | %d | %d | %s |\n", r.ID, r.BaselineAllocs, r.CandidateAllocs, r.Verdict)
 	}
 	if len(g.StorageRows) > 0 {
 		b.WriteString("\n### storage trajectory\n\n")
-		b.WriteString("| pairs | baseline bytes/pair | candidate bytes/pair | baseline plan ms | candidate plan ms | resident index | verdict |\n")
-		b.WriteString("|---:|---:|---:|---:|---:|---:|---|\n")
+		b.WriteString("| pairs | baseline bytes/pair | candidate bytes/pair | resident index | verdict |\n")
+		b.WriteString("|---:|---:|---:|---:|---|\n")
 		for _, r := range g.StorageRows {
 			bpp := "-"
 			if r.BaselineBPP > 0 {
 				bpp = fmt.Sprintf("%.2f", r.BaselineBPP)
 			}
-			fmt.Fprintf(&b, "| %d | %s | %.2f | %s | %s | %s | %s |\n",
-				r.Pairs, bpp, r.CandidateBPP, ms(r.BaselinePlan), ms(r.CandidatePlan),
-				humanBytes(r.IndexBytes), r.Verdict)
+			fmt.Fprintf(&b, "| %d | %s | %.2f | %s | %s |\n",
+				r.Pairs, bpp, r.CandidateBPP, humanBytes(r.IndexBytes), r.Verdict)
 		}
 	}
 	if g.StorageNote != "" {
@@ -299,31 +280,19 @@ func (g GateResult) Markdown() string {
 	return b.String()
 }
 
-func ms(ns int64) string {
-	if ns == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.2f", float64(ns)/1e6)
-}
-
 // Text renders a terminal-friendly summary.
 func (g GateResult) Text() string {
 	var b strings.Builder
 	for _, r := range g.Rows {
-		ratio := "     -"
-		if r.Ratio > 0 {
-			ratio = fmt.Sprintf("%5.2fx", r.Ratio)
-		}
-		fmt.Fprintf(&b, "%-18s %12s -> %12s ms  %s  %9d -> %9d allocs  %s\n",
-			r.ID, ms(r.Baseline), ms(r.Candidate), ratio, r.BaselineAllocs, r.CandidateAllocs, r.Verdict)
+		fmt.Fprintf(&b, "%-18s %9d -> %9d allocs  %s\n", r.ID, r.BaselineAllocs, r.CandidateAllocs, r.Verdict)
 	}
 	for _, r := range g.StorageRows {
 		base := "      -"
 		if r.BaselineBPP > 0 {
 			base = fmt.Sprintf("%7.2f", r.BaselineBPP)
 		}
-		fmt.Fprintf(&b, "storage %-10d %s -> %7.2f bytes/pair  plan %8s -> %8s ms  %s\n",
-			r.Pairs, base, r.CandidateBPP, ms(r.BaselinePlan), ms(r.CandidatePlan), r.Verdict)
+		fmt.Fprintf(&b, "storage %-10d %s -> %7.2f bytes/pair  %s\n",
+			r.Pairs, base, r.CandidateBPP, r.Verdict)
 	}
 	if g.StorageNote != "" {
 		fmt.Fprintf(&b, "%s\n", g.StorageNote)

@@ -1,6 +1,8 @@
 package benchfmt
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,31 +12,50 @@ func report(exps ...ExpResult) Report {
 	return Report{Run: "t", Scale: 50, Seed: 1, Experiments: exps}
 }
 
-func exp(id string, ns int64, sha string) ExpResult {
-	return ExpResult{ID: id, NsPerOp: ns, OutputSHA256: sha}
+func exp(id string, sha string) ExpResult {
+	return ExpResult{ID: id, OutputSHA256: sha}
 }
 
-// Host time is printed and never judged: a candidate thirty times slower
-// on every wall-clock column passes with every row "ok", and both times
-// are in the text for a reader to weigh.
-func TestGateTimesArePrintedNotJudged(t *testing.T) {
-	base := report(exp("fig6", 100e6, "aa"))
-	base.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.5, 5e8, "h1")}
-	cand := report(exp("fig6", 3000e6, "aa"))
-	cand.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.5, 150e8, "h1")}
+// A report records no host time, and one written before the time columns
+// went still decodes and gates on its counts: a baseline whose ns_per_op,
+// events_per_sec and plan_ns_per_op are thirty times the candidate's
+// passes with every row "ok", and no time reaches the text.
+func TestGateIgnoresRecordedTimes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_old.json")
+	old := `{"run":"old","scale":50,"seed":1,"experiments":[{"id":"fig6","paper":"Fig. 6",
+"ns_per_op":3000000000,"allocs_per_op":10,"events":5,"events_per_sec":1.5,"output_sha256":"aa"}],
+"storage_trajectory":[{"items":1415,"pairs":1000405,"bytes_per_pair":2.5,"plan_ns_per_op":15000000000,"plan_hash":"h1"}]}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, err := Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cand := report(ExpResult{ID: "fig6", AllocsPerOp: 10, Events: 5, OutputSHA256: "aa"})
+	cand.StorageTrajectory = []StoragePoint{{Items: 1415, Pairs: 1000405, BytesPerPair: 2.5, PlanHash: "h1"}}
 	g := Gate(base, cand)
 	if g.Failed() || g.Rows[0].Verdict != "ok" || g.StorageRows[0].Verdict != "ok" {
-		t.Fatalf("a slower run was judged: %+v", g)
+		t.Fatalf("an old baseline did not gate cleanly: %+v", g)
 	}
-	for _, want := range []string{"100.00 ->      3000.00 ms", "30.00x", "plan   500.00 -> 15000.00 ms"} {
-		if !strings.Contains(g.Text(), want) {
-			t.Errorf("text lacks %q:\n%s", want, g.Text())
+	for _, text := range []string{g.Text(), g.Markdown()} {
+		if strings.Contains(text, "ms") || strings.Contains(text, "3000") {
+			t.Errorf("a time reached the gate output:\n%s", text)
+		}
+	}
+	buf, err := json.Marshal(cand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []string{"ns_per_op", "events_per_sec", "plan_ns_per_op"} {
+		if strings.Contains(string(buf), col) {
+			t.Errorf("a new report still writes %s: %s", col, buf)
 		}
 	}
 }
 
 func TestGatePassesIdenticalRuns(t *testing.T) {
-	base := report(exp("fig6", 100, "aa"), exp("fig8", 200, "bb"))
+	base := report(exp("fig6", "aa"), exp("fig8", "bb"))
 	g := Gate(base, base)
 	if g.Failed() {
 		t.Fatalf("identical runs gated: %+v", g)
@@ -49,8 +70,8 @@ func TestGatePassesIdenticalRuns(t *testing.T) {
 // The determinism gate: an injected output_sha256 mismatch must fail the
 // gate regardless of timing.
 func TestGateFailsOnInjectedShaDrift(t *testing.T) {
-	base := report(exp("fig6", 100, "aa"), exp("fig8", 200, "bb"))
-	cand := report(exp("fig6", 100, "aa"), exp("fig8", 200, "CORRUPTED"))
+	base := report(exp("fig6", "aa"), exp("fig8", "bb"))
+	cand := report(exp("fig6", "aa"), exp("fig8", "CORRUPTED"))
 	g := Gate(base, cand)
 	if !g.Failed() {
 		t.Fatal("sha drift did not fail the gate")
@@ -69,7 +90,7 @@ func TestGateFailsOnInjectedShaDrift(t *testing.T) {
 // shows in the row.
 func TestGateAllocsGrowthIsFatal(t *testing.T) {
 	withAllocs := func(n uint64) Report {
-		e := exp("fig12", 100, "aa")
+		e := exp("fig12", "aa")
 		e.AllocsPerOp = n
 		r := report(e)
 		r.GoMaxProcs = 2
@@ -114,7 +135,7 @@ func TestGateAllocsGrowthIsFatal(t *testing.T) {
 // existed reads zero and is not compared.
 func TestGateHeapPushesGrowthIsFatal(t *testing.T) {
 	withPushes := func(n uint64) Report {
-		e := exp("fig12", 100, "aa")
+		e := exp("fig12", "aa")
 		e.Events, e.HeapPushes = 1000, n
 		return report(e)
 	}
@@ -134,8 +155,8 @@ func TestGateHeapPushesGrowthIsFatal(t *testing.T) {
 }
 
 func TestGateMissingAndNewExperiments(t *testing.T) {
-	base := report(exp("fig6", 100, "aa"), exp("fig8", 200, "bb"))
-	cand := report(exp("fig6", 100, "aa"), exp("resilience", 300, "cc"))
+	base := report(exp("fig6", "aa"), exp("fig8", "bb"))
+	cand := report(exp("fig6", "aa"), exp("resilience", "cc"))
 	g := Gate(base, cand)
 	if !g.Failed() {
 		t.Fatal("dropping a baseline experiment must fail")
@@ -150,7 +171,7 @@ func TestGateMissingAndNewExperiments(t *testing.T) {
 }
 
 func TestGateRejectsIncomparableRuns(t *testing.T) {
-	base := report(exp("fig6", 100, "aa"))
+	base := report(exp("fig6", "aa"))
 	cand := base
 	cand.Scale = 10
 	if g := Gate(base, cand); !g.Failed() {
@@ -160,7 +181,7 @@ func TestGateRejectsIncomparableRuns(t *testing.T) {
 
 func TestReadWriteRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_t.json")
-	r := report(exp("fig6", 100, "aa"))
+	r := report(exp("fig6", "aa"))
 	r.GoVersion = "go1.22"
 	if err := r.Write(path); err != nil {
 		t.Fatal(err)
@@ -177,17 +198,17 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	}
 }
 
-func storagePoint(pairs int64, bpp float64, planNs int64, hash string) StoragePoint {
+func storagePoint(pairs int64, bpp float64, hash string) StoragePoint {
 	return StoragePoint{
 		Pairs: pairs, Items: int(pairs / 100), BytesPerPair: bpp,
 		DiskBytes: int64(bpp * float64(pairs)), IndexResidentBytes: pairs,
-		PlanNsPerOp: planNs, PlanHash: hash,
+		PlanHash: hash,
 	}
 }
 
 func TestGateStorageIdenticalPasses(t *testing.T) {
-	b := report(exp("fig6", 100, "aa"))
-	b.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.5, 5e8, "h1")}
+	b := report(exp("fig6", "aa"))
+	b.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.5, "h1")}
 	g := Gate(b, b)
 	if g.Failed() {
 		t.Fatalf("identical storage trajectories gated: %+v", g)
@@ -201,12 +222,12 @@ func TestGateStorageIdenticalPasses(t *testing.T) {
 }
 
 func TestGateStorageBytesPerPairRegressionFails(t *testing.T) {
-	b := report(exp("fig6", 100, "aa"))
-	b.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.5, 5e8, "h1")}
-	c := report(exp("fig6", 100, "aa"))
+	b := report(exp("fig6", "aa"))
+	b.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.5, "h1")}
+	c := report(exp("fig6", "aa"))
 	// 2.9 is >10% over 2.5 but still under the absolute 8-byte floor:
 	// the relative gate must catch it on its own.
-	c.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.9, 5e8, "h1")}
+	c.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.9, "h1")}
 	g := Gate(b, c)
 	if !g.Failed() {
 		t.Fatalf("16%% bytes/pair regression passed: %+v", g)
@@ -217,28 +238,28 @@ func TestGateStorageBytesPerPairRegressionFails(t *testing.T) {
 }
 
 func TestGateStorageAbsoluteFloorFails(t *testing.T) {
-	b := report(exp("fig6", 100, "aa"))
-	c := report(exp("fig6", 100, "aa"))
+	b := report(exp("fig6", "aa"))
+	c := report(exp("fig6", "aa"))
 	// No baseline point to compare against — the 8 bytes/pair capability
 	// floor must still fail a 10^6-pair candidate on its own.
-	c.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 9.5, 5e8, "h1")}
+	c.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 9.5, "h1")}
 	g := Gate(b, c)
 	if !g.Failed() {
 		t.Fatalf("9.5 bytes/pair at 1e6 pairs passed: %+v", g)
 	}
 	// Below the scale floor the same figure is fine (small stores have
 	// amortization overhead).
-	c.StorageTrajectory = []StoragePoint{storagePoint(100_000, 9.5, 5e7, "h2")}
+	c.StorageTrajectory = []StoragePoint{storagePoint(100_000, 9.5, "h2")}
 	if g := Gate(b, c); g.Failed() {
 		t.Fatalf("9.5 bytes/pair at 1e5 pairs failed: %+v", g)
 	}
 }
 
 func TestGateStoragePlanHashDriftFails(t *testing.T) {
-	b := report(exp("fig6", 100, "aa"))
-	b.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.5, 5e8, "h1")}
-	c := report(exp("fig6", 100, "aa"))
-	c.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.5, 5e8, "h2")}
+	b := report(exp("fig6", "aa"))
+	b.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.5, "h1")}
+	c := report(exp("fig6", "aa"))
+	c.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.5, "h2")}
 	g := Gate(b, c)
 	if !g.Failed() || g.StorageRows[0].Verdict != "drift" {
 		t.Fatalf("plan hash drift not fatal: %+v", g)
@@ -248,12 +269,12 @@ func TestGateStoragePlanHashDriftFails(t *testing.T) {
 // A plan that inflates a block twice fails like plan-hash drift, with or
 // without a matching baseline point; up to one decode per block passes.
 func TestGateStorageBlockRedecodeFails(t *testing.T) {
-	b := report(exp("fig6", 100, "aa"))
-	b.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.5, 5e8, "h1")}
-	c := report(exp("fig6", 100, "aa"))
-	ok := storagePoint(1_000_000, 2.5, 5e8, "h1")
+	b := report(exp("fig6", "aa"))
+	b.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.5, "h1")}
+	c := report(exp("fig6", "aa"))
+	ok := storagePoint(1_000_000, 2.5, "h1")
 	ok.Blocks, ok.BlockDecodes = 245, 245
-	bad := storagePoint(100_000, 2.2, 5e7, "h2")
+	bad := storagePoint(100_000, 2.2, "h2")
 	bad.Blocks, bad.BlockDecodes = 25, 26
 	c.StorageTrajectory = []StoragePoint{ok, bad}
 	g := Gate(b, c)
@@ -268,10 +289,10 @@ func TestGateStorageBlockRedecodeFails(t *testing.T) {
 // Ingest bytes and objects per pair are held to the allocs_per_op budget
 // at matched sizes; a baseline without the columns holds nothing.
 func TestGateStorageIngestAllocation(t *testing.T) {
-	b := report(exp("fig6", 100, "aa"))
-	b.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.5, 5e8, "h1")}
-	c := report(exp("fig6", 100, "aa"))
-	within := storagePoint(1_000_000, 2.5, 5e8, "h1")
+	b := report(exp("fig6", "aa"))
+	b.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.5, "h1")}
+	c := report(exp("fig6", "aa"))
+	within := storagePoint(1_000_000, 2.5, "h1")
 	within.IngestBytesPerPair, within.IngestAllocsPerPair = 300, 0.005
 	c.StorageTrajectory = []StoragePoint{within}
 	if g := Gate(b, c); g.Failed() {
@@ -299,9 +320,9 @@ func TestGateStorageIngestAllocation(t *testing.T) {
 }
 
 func TestGateStorageTrajectoryMustNotVanish(t *testing.T) {
-	b := report(exp("fig6", 100, "aa"))
-	b.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.5, 5e8, "h1")}
-	c := report(exp("fig6", 100, "aa"))
+	b := report(exp("fig6", "aa"))
+	b.StorageTrajectory = []StoragePoint{storagePoint(1_000_000, 2.5, "h1")}
+	c := report(exp("fig6", "aa"))
 	g := Gate(b, c)
 	if !g.Failed() {
 		t.Fatalf("vanished storage trajectory passed: %+v", g)

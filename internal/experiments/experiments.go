@@ -46,8 +46,10 @@ type Options struct {
 	Workers int
 	// Trace attaches a flight recorder to every core run the experiment
 	// performs (rocketbench -trace). Recording must not change any
-	// reported number: CI compares each experiment's output sha256 with
-	// and without it, and benchgate watches the ns/op overhead.
+	// reported number: CI runs benchgate on the reports taken with and
+	// without it, which compares each experiment's output sha256 and
+	// holds its allocations within 2%. Its time cost is bench/'s to
+	// measure (obs.spans_overhead_frac).
 	Trace bool
 }
 

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"time"
 
 	"rocket/internal/pairstore"
 )
@@ -25,25 +24,15 @@ type StorageResult struct {
 	DiskBytes          int64
 	BytesPerPair       float64
 	IndexResidentBytes int64
-	// PlanNs is the wall time of the planning probe alone: every base
-	// pair resolved against the snapshot, chunked exactly like
-	// core.buildStorePlan.
-	PlanNs int64
 	// PlanHash fingerprints the planned residency bitmap (sha256 of the
 	// per-pair outcomes in probe order). Pure function of (ref, seed,
 	// items), so it must be identical across runs and platforms.
-	PlanHash string
-	// Served is the number of base pairs the plan found resident —
-	// Pairs, when the store is intact.
-	Served       int64
+	PlanHash     string
 	BloomHitRate float64
 	// Blocks is the number of blocks in the reloaded store's segments;
 	// BlockDecodes the block inflations the plan caused.
 	Blocks       int
 	BlockDecodes uint64
-	Seals        uint64
-	Levels       int
-	Segments     int
 	// IngestBytesPerPair and IngestAllocsPerPair are the heap bytes and
 	// objects the ingestion (every Put and the final Seal) allocated per
 	// pair, by runtime.MemStats deltas: counts that repeat, where the
@@ -64,11 +53,17 @@ func storageItemsForPairs(pairs int64) int {
 
 // MeasureStorage runs one storage point: build an all-pairs store over
 // the item count reaching at least pairs, push it through the full
-// lifecycle (auto-sealing ingestion → Seal → Compact → Save → Load),
-// then plan a 10% delta on the reloaded store. dir receives the
-// persisted store (a manifest plus a .segments sidecar); the caller
-// owns cleanup.
-func MeasureStorage(pairs int64, seed uint64, dir string) (StorageResult, error) {
+// lifecycle (auto-sealing ingestion → Seal → Compact → Save → Load) in a
+// throwaway directory, then plan a 10% delta on the reloaded store. It
+// fails when the plan finds any base pair missing from the reloaded
+// store.
+func MeasureStorage(pairs int64, seed uint64) (StorageResult, error) {
+	dir, err := os.MkdirTemp("", "rocket-storage-*")
+	if err != nil {
+		return StorageResult{}, err
+	}
+	defer os.RemoveAll(dir)
+
 	items := storageItemsForPairs(pairs)
 	digest := pairstore.DigestFunc(storageRef, "storage", seed)
 
@@ -104,9 +99,6 @@ func MeasureStorage(pairs int64, seed uint64, dir string) (StorageResult, error)
 	res.DiskBytes = st.DiskBytes
 	res.BytesPerPair = st.BytesPerPair
 	res.IndexResidentBytes = st.IndexResidentBytes
-	res.Seals = st.Seals
-	res.Levels = st.Levels
-	res.Segments = st.Segments
 	res.Blocks = st.Blocks
 
 	// Plan a 10% pair delta: the dataset grows ~10% in pairs, and the
@@ -122,7 +114,6 @@ func MeasureStorage(pairs int64, seed uint64, dir string) (StorageResult, error)
 	bits := make([]byte, probeChunk)
 	h := sha256.New()
 	var served int64
-	start := time.Now()
 	flush := func() {
 		if len(keys) == 0 {
 			return
@@ -147,21 +138,12 @@ func MeasureStorage(pairs int64, seed uint64, dir string) (StorageResult, error)
 		}
 	}
 	flush()
-	res.PlanNs = time.Since(start).Nanoseconds()
+	if served != res.Pairs {
+		return StorageResult{}, fmt.Errorf("storage: the plan served %d of %d resident pairs", served, res.Pairs)
+	}
 	res.PlanHash = fmt.Sprintf("%x", h.Sum(nil))
-	res.Served = served
 	after := r.Stats()
 	res.BloomHitRate = after.BloomHitRate
 	res.BlockDecodes = after.BlockDecodes - st.BlockDecodes
 	return res, nil
-}
-
-// MeasureStorageTemp is MeasureStorage against a throwaway directory.
-func MeasureStorageTemp(pairs int64, seed uint64) (StorageResult, error) {
-	dir, err := os.MkdirTemp("", "rocket-storage-*")
-	if err != nil {
-		return StorageResult{}, err
-	}
-	defer os.RemoveAll(dir)
-	return MeasureStorage(pairs, seed, dir)
 }

@@ -45,8 +45,6 @@ import (
 // Re-exported core types: see package rocket/internal/core for full
 // documentation.
 type (
-	// Config configures one run; App and Cluster are required.
-	Config = core.Config
 	// Metrics is the outcome of a run.
 	Metrics = core.Metrics
 	// Application is the cost-model interface every application
@@ -58,17 +56,8 @@ type (
 	Result = core.Result
 	// NodeSpec describes one node's hardware.
 	NodeSpec = cluster.NodeSpec
-	// Cluster is a simulated platform.
-	Cluster = cluster.Cluster
 	// GPUModel identifies a GPU product.
 	GPUModel = gpu.Model
-)
-
-// Steal policies (see core.StealPolicy).
-const (
-	StealHierarchical = core.StealHierarchical
-	StealFlat         = core.StealFlat
-	StealCacheAware   = core.StealCacheAware
 )
 
 // GPU models of the evaluation platforms.
@@ -138,13 +127,6 @@ type (
 // begun.
 var ErrShuttingDown = sched.ErrShuttingDown
 
-// StartQueue starts the scheduler in online mode: cfg.Jobs must be empty,
-// and jobs enter through Submit while the fleet runs. Wall-clock arrival
-// order is bridged onto the deterministic virtual-time axis; the recorded
-// arrival log (QueueSubmitter.Log) replays through RunQueue with
-// identical results.
-func StartQueue(cfg QueueConfig) (*QueueSubmitter, error) { return sched.StartOnline(cfg) }
-
 // Serve starts rocketd's HTTP service layer over an online scheduler.
 // The returned server exposes its http.Handler; pair it with an
 // http.Server and call Shutdown to drain.
@@ -159,10 +141,11 @@ type (
 	// PairStore is the persistent all-pairs result store: an append-only
 	// segment log with an in-memory content-addressed index.
 	PairStore = pairstore.Store
-	// PairStoreSnapshot is an immutable view a run consults (Config.Store).
+	// PairStoreSnapshot is an immutable view a run consults
+	// (WithStoreSnapshot).
 	PairStoreSnapshot = pairstore.Snapshot
-	// PairBatch collects one run's emitted results (Config.StoreBatch)
-	// for a post-run merge.
+	// PairBatch collects one run's emitted results (WithStoreBatch) for
+	// a post-run merge.
 	PairBatch = pairstore.Batch
 	// PairDigest identifies one item's content within a dataset lineage.
 	PairDigest = pairstore.Digest
@@ -213,8 +196,8 @@ func LoadOrNewPairStore(path string) (s *PairStore, loaded bool, err error) {
 }
 
 // PairDigestFunc returns the per-item digest function of a dataset
-// lineage (store namespace, application name, dataset seed); wire it to
-// Config.ItemDigest.
+// lineage (store namespace, application name, dataset seed); pass it to
+// WithItemDigest.
 func PairDigestFunc(ref, app string, seed uint64) func(item int) PairDigest {
 	return pairstore.DigestFunc(ref, app, seed)
 }
@@ -229,26 +212,6 @@ func DAS5Node(gpus ...GPUModel) NodeSpec {
 	return NodeSpec{Cores: 16, HostCacheBytes: 40 * GiB, GPUs: gpus}
 }
 
-// CartesiusNode returns the paper's Cartesius node type: 16 cores, an
-// 80 GiB host cache, and two Tesla K40m GPUs (§6.2).
-func CartesiusNode() NodeSpec {
-	return NodeSpec{Cores: 16, HostCacheBytes: 80 * GiB, GPUs: []GPUModel{K40m, K40m}}
-}
-
-// Homogeneous builds a platform of n identical nodes.
-func Homogeneous(n int, spec NodeSpec) (*Cluster, error) {
-	specs := make([]NodeSpec, n)
-	for i := range specs {
-		specs[i] = spec
-	}
-	return cluster.New(specs, cluster.DefaultConfig())
-}
-
-// Heterogeneous builds a platform from explicit per-node specs.
-func Heterogeneous(specs []NodeSpec) (*Cluster, error) {
-	return cluster.New(specs, cluster.DefaultConfig())
-}
-
 // PaperTopology returns the four mixed-generation node specs of §6.5:
 // node I (K20m), node II (GTX980 + TitanX Pascal), node III (2x
 // RTX2080Ti), and node IV (GTX Titan + TitanX Pascal). Pass it to
@@ -260,15 +223,4 @@ func PaperTopology() []NodeSpec {
 		DAS5Node(RTX2080Ti, RTX2080Ti),
 		DAS5Node(GTXTitan, TitanXPascal),
 	}
-}
-
-// PaperHeterogeneous builds the §6.5 platform from PaperTopology.
-func PaperHeterogeneous() (*Cluster, error) {
-	return Heterogeneous(PaperTopology())
-}
-
-// Cartesius builds the §6.6 supercomputer platform with n nodes (2 GPUs
-// per node, up to 48 nodes = 96 GPUs in the paper).
-func Cartesius(n int) (*Cluster, error) {
-	return Homogeneous(n, CartesiusNode())
 }

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -16,47 +18,43 @@ import (
 	"rocket/internal/sim"
 )
 
+// WithHomogeneous builds n identical nodes: a 4-node run spreads its
+// pairs over exactly the four single-GPU devices node0..node3.
 func TestHomogeneousPlatform(t *testing.T) {
-	cl, err := rocket.Homogeneous(4, rocket.DAS5Node(rocket.TitanXMaxwell))
+	app := forensics.New(forensics.Params{N: 64, Seed: 1})
+	m, err := rocket.New(
+		rocket.WithHomogeneous(4, rocket.DAS5Node(rocket.TitanXMaxwell)),
+		rocket.WithSeed(1),
+		rocket.WithThroughputWindow(sim.Second),
+	).Run(app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cl.Nodes) != 4 || cl.TotalGPUs() != 4 {
-		t.Fatalf("nodes=%d gpus=%d", len(cl.Nodes), cl.TotalGPUs())
+	var ids []string
+	for id := range m.DeviceThroughput {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	if want := []string{"node0/gpu0", "node1/gpu0", "node2/gpu0", "node3/gpu0"}; !reflect.DeepEqual(ids, want) {
+		t.Fatalf("devices = %v, want %v", ids, want)
 	}
 }
 
 func TestPaperHeterogeneous(t *testing.T) {
-	cl, err := rocket.PaperHeterogeneous()
-	if err != nil {
-		t.Fatal(err)
+	topo := rocket.PaperTopology()
+	gpus := 0
+	for _, n := range topo {
+		gpus += len(n.GPUs)
 	}
-	if len(cl.Nodes) != 4 || cl.TotalGPUs() != 7 {
-		t.Fatalf("want 4 nodes / 7 GPUs, got %d / %d", len(cl.Nodes), cl.TotalGPUs())
-	}
-}
-
-func TestCartesiusPlatform(t *testing.T) {
-	cl, err := rocket.Cartesius(48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cl.TotalGPUs() != 96 {
-		t.Fatalf("gpus = %d, want 96", cl.TotalGPUs())
-	}
-	if cl.Nodes[0].Spec.HostCacheBytes != 80*rocket.GiB {
-		t.Fatal("Cartesius host cache should be 80 GiB")
+	if len(topo) != 4 || gpus != 7 {
+		t.Fatalf("want 4 nodes / 7 GPUs, got %d / %d", len(topo), gpus)
 	}
 }
 
 func TestEndToEndThroughPublicAPI(t *testing.T) {
 	app := microscopy.New(microscopy.Params{N: 24, Seed: 1})
-	cl, err := rocket.Homogeneous(2, rocket.DAS5Node(rocket.TitanXMaxwell))
-	if err != nil {
-		t.Fatal(err)
-	}
 	m, err := rocket.New(
-		rocket.WithCluster(cl),
+		rocket.WithHomogeneous(2, rocket.DAS5Node(rocket.TitanXMaxwell)),
 		rocket.WithDistCache(true),
 		rocket.WithSeed(1),
 	).Run(app)
@@ -73,12 +71,8 @@ func TestRealKernelsThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := rocket.Homogeneous(1, rocket.DAS5Node(rocket.TitanXMaxwell))
-	if err != nil {
-		t.Fatal(err)
-	}
 	m, err := rocket.New(
-		rocket.WithCluster(cl),
+		rocket.WithHomogeneous(1, rocket.DAS5Node(rocket.TitanXMaxwell)),
 		rocket.WithCollectResults(true),
 		rocket.WithSeed(1),
 	).Run(app)
@@ -143,14 +137,15 @@ func TestRunQueueMixedPolicies(t *testing.T) {
 	}
 }
 
-// The online public API: StartQueue accepts submissions while the fleet
-// runs, drains on Shutdown, and its arrival log replays through RunQueue
-// with identical fleet metrics.
+// The online public API: the queue a Serve starts accepts submissions
+// while the fleet runs, drains on Shutdown, and its arrival log replays
+// through RunQueue with identical fleet metrics.
 func TestStartQueueOnlineThroughPublicAPI(t *testing.T) {
-	q, err := rocket.StartQueue(rocket.QueueConfig{Nodes: 2, Policy: rocket.PolicySJF, Seed: 5})
+	srv, err := rocket.Serve(rocket.ServeConfig{Nodes: 2, Policy: rocket.PolicySJF, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := srv.Queue()
 	for i := 0; i < 4; i++ {
 		app := forensics.New(forensics.Params{N: 8, Seed: uint64(i + 1)})
 		if _, err := q.Submit(rocket.QueueJob{App: app}); err != nil {

@@ -1,6 +1,7 @@
 package rocket
 
 import (
+	"errors"
 	"fmt"
 
 	"rocket/internal/cluster"
@@ -50,12 +51,11 @@ type Preemption = sched.Preemption
 // An Option configures a Runner; pass options to New.
 type Option func(*Runner)
 
-// Runner is the configured entry point of the redesigned API: a platform
+// Runner is the configured entry point of the API: a platform
 // description plus run settings, built once with New and reused across
-// runs. Unlike a *Cluster (which accumulates accounting and must not be
-// reused), a Runner built from a topology constructs a fresh cluster for
-// every Run, so the same Runner always produces the same Metrics for the
-// same application and seed.
+// runs. A Runner constructs a fresh cluster from its topology for every
+// Run, so the same Runner always produces the same Metrics for the same
+// application and seed.
 //
 //	r := rocket.New(
 //		rocket.WithHomogeneous(16, rocket.DAS5Node(rocket.TitanXMaxwell)),
@@ -64,25 +64,17 @@ type Option func(*Runner)
 //	)
 //	metrics, err := r.Run(app)
 type Runner struct {
-	cfg    Config // template; App and Cluster are filled per run
-	topo   []NodeSpec
-	fabric cluster.Config
-
-	// explicit cluster (WithCluster): consumed by the first Run, because
-	// clusters accumulate I/O and network accounting across runs.
-	cluster     *Cluster
-	clusterUsed bool
-
-	queue   QueueConfig
-	elastic *Elasticity
-	err     error
+	cfg   core.Config // template; App and Cluster are filled per run
+	topo  []NodeSpec
+	queue QueueConfig
+	err   error
 }
 
 // New builds a Runner from functional options. Option errors (an invalid
 // topology, say) are deferred: they surface from the first Run or
 // RunQueue call, so New itself never fails and chains cleanly.
 func New(opts ...Option) *Runner {
-	r := &Runner{fabric: cluster.DefaultConfig()}
+	r := &Runner{}
 	for _, o := range opts {
 		o(r)
 	}
@@ -116,26 +108,6 @@ func WithHomogeneous(n int, spec NodeSpec) Option {
 	}
 }
 
-// WithFabric overrides the network/storage fabric used when building
-// clusters from a topology; the default is cluster.DefaultConfig().
-func WithFabric(cfg cluster.Config) Option {
-	return func(r *Runner) { r.fabric = cfg }
-}
-
-// WithCluster attaches an explicitly built platform. Because clusters
-// accumulate I/O and network accounting, the attached cluster is consumed
-// by the first Run; a second Run on the same Runner returns an error.
-// Prefer WithTopology/WithHomogeneous, which rebuild per run.
-func WithCluster(c *Cluster) Option {
-	return func(r *Runner) {
-		if c == nil {
-			r.fail(fmt.Errorf("rocket: WithCluster(nil)"))
-			return
-		}
-		r.cluster = c
-	}
-}
-
 // WithSeed sets the seed driving all randomized behavior.
 func WithSeed(seed uint64) Option {
 	return func(r *Runner) {
@@ -165,11 +137,6 @@ func WithDeviceSlots(n int) Option {
 // from NodeSpec.HostCacheBytes; -1 disables the host cache).
 func WithHostSlots(n int) Option {
 	return func(r *Runner) { r.cfg.HostSlots = n }
-}
-
-// WithStealPolicy selects the work-stealing victim policy.
-func WithStealPolicy(p core.StealPolicy) Option {
-	return func(r *Runner) { r.cfg.StealPolicy = p }
 }
 
 // WithCollectResults stores comparison outputs in Metrics.Results
@@ -219,15 +186,9 @@ func WithItemDigest(fn func(item int) PairDigest) Option {
 }
 
 // WithBaseItems declares the store-resident prefix of the data set: the
-// run computes only the new-vs-all delta (see Config.BaseItems).
+// run computes only the new-vs-all delta (see core.Config.BaseItems).
 func WithBaseItems(n int) Option {
 	return func(r *Runner) { r.cfg.BaseItems = n }
-}
-
-// WithPairStore attaches a shared pair store to queue runs (RunQueue);
-// single runs consult snapshots instead (WithStoreSnapshot).
-func WithPairStore(s *PairStore) Option {
-	return func(r *Runner) { r.queue.Store = s }
 }
 
 // WithSpans attaches a flight recorder: Run, RunFleet, and RunQueue
@@ -245,44 +206,16 @@ func WithSpans(rec *SpanRecorder) Option {
 	}
 }
 
-// WithElasticity drives fleet runs (RunFleet) with seeded membership
-// churn: nodes join along the configured arrival pattern and spot
-// preemptions drain victims mid-run. Zero-valued Seed, Nodes, and
-// Duration fields are filled from the Runner's seed, topology size, and
-// fleet duration. Churn-free runs are unaffected.
-func WithElasticity(e *Elasticity) Option {
-	return func(r *Runner) { r.elastic = e }
-}
-
-// WithAutoscaler attaches an elastic-capacity policy to queue runs
-// (RunQueue): the fleet starts at BootNodes, grows against queue depth,
-// shrinks after IdleTimeout, and loses slots to scheduled Preemptions.
-// Nil restores the fixed max-size fleet.
-func WithAutoscaler(a *Autoscale) Option {
-	return func(r *Runner) { r.queue.Elastic = a }
-}
-
-// WithQueuePolicy selects the placement order of queued jobs.
-func WithQueuePolicy(p QueuePolicy) Option {
-	return func(r *Runner) { r.queue.Policy = p }
-}
-
-// WithQueueConfig seeds the full queue configuration — policy, limits,
-// retries, node specs, pre-loaded jobs — typically parsed from a
-// manifest. Later options (WithSeed, WithQueuePolicy, WithPairStore)
-// override the corresponding fields; RunQueue appends its arguments to
-// cfg.Jobs.
+// WithQueueConfig seeds the full queue configuration — fleet size and
+// node spec, policy, limits, retries, pair store, autoscaler, pre-loaded
+// jobs — typically parsed from a manifest. Later options (WithSeed,
+// WithSpans) override the corresponding fields; RunQueue appends its
+// arguments to cfg.Jobs.
 func WithQueueConfig(cfg QueueConfig) Option {
 	return func(r *Runner) { r.queue = cfg }
 }
 
-// WithConfig is the escape hatch for the long tail of run settings
-// (EvictRandom, PairFilter, PrewarmHost, LeafPairs, ...): fn edits the
-// underlying Config template directly. App and Cluster set here are
-// ignored — Run fills them.
-func WithConfig(fn func(*Config)) Option {
-	return func(r *Runner) { fn(&r.cfg) }
-}
+var errNoPlatform = errors.New("rocket: no platform configured; pass WithTopology or WithHomogeneous to New")
 
 func (r *Runner) fail(err error) {
 	if r.err == nil {
@@ -290,45 +223,9 @@ func (r *Runner) fail(err error) {
 	}
 }
 
-// Topology returns the platform description: the per-node hardware
-// specs a Run will execute on (derived from the attached cluster when
-// one was passed explicitly). The slice is a copy.
-func (r *Runner) Topology() []NodeSpec {
-	if r.topo != nil {
-		return append([]NodeSpec(nil), r.topo...)
-	}
-	if r.cluster != nil {
-		specs := make([]NodeSpec, len(r.cluster.Nodes))
-		for i, n := range r.cluster.Nodes {
-			specs[i] = n.Spec
-		}
-		return specs
-	}
-	return nil
-}
-
-// Seed returns the configured seed.
-func (r *Runner) Seed() uint64 { return r.cfg.Seed }
-
-// platform yields the cluster for one run: a fresh build from the
-// topology, or the explicitly attached cluster exactly once.
-func (r *Runner) platform() (*Cluster, error) {
-	if r.topo != nil {
-		return cluster.New(r.topo, r.fabric)
-	}
-	if r.cluster != nil {
-		if r.clusterUsed {
-			return nil, fmt.Errorf("rocket: the cluster attached with WithCluster was already consumed by a previous Run; describe the platform with WithTopology or WithHomogeneous to rerun")
-		}
-		r.clusterUsed = true
-		return r.cluster, nil
-	}
-	return nil, fmt.Errorf("rocket: no platform configured; pass WithTopology, WithHomogeneous, or WithCluster to New")
-}
-
 // Run executes one all-pairs application on the configured platform.
-// Runners built from a topology are reusable: each call simulates a
-// fresh cluster and is bit-identical for the same app and seed.
+// Runners are reusable: each call simulates a fresh cluster and is
+// bit-identical for the same app and seed.
 func (r *Runner) Run(app Application) (*Metrics, error) {
 	if r.err != nil {
 		return nil, r.err
@@ -336,7 +233,10 @@ func (r *Runner) Run(app Application) (*Metrics, error) {
 	if app == nil {
 		return nil, fmt.Errorf("rocket: Run(nil application)")
 	}
-	c, err := r.platform()
+	if r.topo == nil {
+		return nil, errNoPlatform
+	}
+	c, err := cluster.New(r.topo, cluster.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -351,31 +251,30 @@ func (r *Runner) Run(app Application) (*Metrics, error) {
 // per topology spec, with the configured seed, fault schedule, and
 // probes. fn, when non-nil, edits the derived fleet configuration before
 // the run — duration, staggered startup, extra probes, chaos-generated
-// schedules. Results are bit-identical for the same configuration and
-// seed.
+// schedules, membership churn (Elastic). Results are bit-identical for
+// the same configuration and seed.
 func (r *Runner) RunFleet(fn func(*FleetConfig)) (FleetResult, error) {
 	if r.err != nil {
 		return FleetResult{}, r.err
 	}
-	specs := r.Topology()
-	if specs == nil {
-		return FleetResult{}, fmt.Errorf("rocket: no platform configured; pass WithTopology, WithHomogeneous, or WithCluster to New")
+	if r.topo == nil {
+		return FleetResult{}, errNoPlatform
 	}
-	cfg := fleet.DefaultConfig(len(specs))
+	fabric := cluster.DefaultConfig()
+	cfg := fleet.DefaultConfig(len(r.topo))
 	cfg.Seed = r.cfg.Seed
-	cfg.NetLatency = r.fabric.NetLatency
-	cfg.NetBandwidth = r.fabric.NetBandwidth
+	cfg.NetLatency = fabric.NetLatency
+	cfg.NetBandwidth = fabric.NetBandwidth
 	cfg.Faults = r.cfg.Faults
 	cfg.Probes = append([]FaultProbe(nil), r.cfg.FaultProbes...)
-	gpus := make([]int, len(specs))
-	for i, s := range specs {
+	gpus := make([]int, len(r.topo))
+	for i, s := range r.topo {
 		gpus[i] = len(s.GPUs)
 		if gpus[i] < 1 {
 			gpus[i] = 1
 		}
 	}
 	cfg.GPUs = gpus
-	cfg.Elastic = r.elastic
 	cfg.Spans = r.cfg.Spans
 	if fn != nil {
 		fn(&cfg)
@@ -385,19 +284,14 @@ func (r *Runner) RunFleet(fn func(*FleetConfig)) (FleetResult, error) {
 
 // RunQueue schedules a queue of all-pairs jobs over one shared simulated
 // cluster (see QueueConfig). The given jobs are appended to any jobs
-// already present in the queue configuration (WithQueueConfig). The
-// cluster size defaults to the configured topology when the queue
-// configuration names none; queue clusters are homogeneous, so the first
-// node's spec is used.
+// already present in the queue configuration (WithQueueConfig), which
+// also sizes the cluster: the Runner's topology describes Run and
+// RunFleet platforms only.
 func (r *Runner) RunQueue(jobs ...QueueJob) (*QueueMetrics, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
 	cfg := r.queue
 	cfg.Jobs = append(append([]QueueJob(nil), cfg.Jobs...), jobs...)
-	if cfg.Nodes == 0 && r.topo != nil {
-		cfg.Nodes = len(r.topo)
-		cfg.NodeSpec = r.topo[0]
-	}
 	return sched.Run(cfg)
 }

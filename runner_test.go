@@ -2,28 +2,28 @@ package rocket_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"rocket"
 	"rocket/internal/apps/forensics"
 	"rocket/internal/apps/microscopy"
+	"rocket/internal/cluster"
+	"rocket/internal/core"
 )
 
-// TestRunnerClusterMatchesTopology is the platform-equivalence gate: an
-// explicitly built cluster and a topology-derived one must produce
-// bit-identical Metrics for the same settings.
+// TestRunnerClusterMatchesTopology is the platform-equivalence gate: a
+// core.Run on an explicitly built cluster and a Runner's topology build
+// must produce bit-identical Metrics for the same settings.
 func TestRunnerClusterMatchesTopology(t *testing.T) {
 	app := microscopy.New(microscopy.Params{N: 24, Seed: 1})
 
-	cl, err := rocket.Homogeneous(2, rocket.DAS5Node(rocket.TitanXMaxwell))
+	spec := rocket.DAS5Node(rocket.TitanXMaxwell)
+	cl, err := cluster.New([]rocket.NodeSpec{spec, spec}, cluster.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := rocket.New(
-		rocket.WithCluster(cl),
-		rocket.WithDistCache(true),
-		rocket.WithSeed(1),
-	).Run(app)
+	old, err := core.Run(core.Config{App: app, Cluster: cl, DistCache: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,28 +64,12 @@ func TestRunnerIsReusable(t *testing.T) {
 	}
 }
 
-func TestRunnerExplicitClusterConsumedOnce(t *testing.T) {
-	app := forensics.New(forensics.Params{N: 16, Seed: 3})
-	cl, err := rocket.Homogeneous(2, rocket.DAS5Node(rocket.TitanXMaxwell))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rocket.New(rocket.WithCluster(cl), rocket.WithSeed(7))
-	if _, err := r.Run(app); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(app); err == nil {
-		t.Fatal("second Run on a consumed explicit cluster should fail")
-	}
-}
-
 func TestRunnerOptionErrorsSurfaceAtRun(t *testing.T) {
 	app := forensics.New(forensics.Params{N: 16, Seed: 3})
 	for name, r := range map[string]*rocket.Runner{
 		"no platform":  rocket.New(),
 		"bad topology": rocket.New(rocket.WithTopology()),
 		"bad n":        rocket.New(rocket.WithHomogeneous(0, rocket.DAS5Node(rocket.TitanXMaxwell))),
-		"nil cluster":  rocket.New(rocket.WithCluster(nil)),
 	} {
 		if _, err := r.Run(app); err == nil {
 			t.Errorf("%s: Run should fail", name)
@@ -96,35 +80,21 @@ func TestRunnerOptionErrorsSurfaceAtRun(t *testing.T) {
 	}
 }
 
-func TestRunnerTopologyAccessor(t *testing.T) {
-	r := rocket.New(rocket.WithTopology(rocket.PaperTopology()...))
-	topo := r.Topology()
-	if len(topo) != 4 {
-		t.Fatalf("len(Topology()) = %d, want 4", len(topo))
-	}
-	// Mutating the returned slice must not affect the Runner.
-	topo[0] = rocket.NodeSpec{}
-	if r.Topology()[0].Cores == 0 {
-		t.Fatal("Topology() returned a live reference, want a copy")
-	}
-
-	cl, err := rocket.PaperHeterogeneous()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromCluster := rocket.New(rocket.WithCluster(cl)).Topology()
-	if !reflect.DeepEqual(fromCluster, rocket.PaperTopology()) {
-		t.Fatal("Topology() from an explicit cluster should recover the node specs")
-	}
-
-	if got := rocket.New(rocket.WithSeed(42)).Seed(); got != 42 {
-		t.Fatalf("Seed() = %d, want 42", got)
+// RunQueue sizes its cluster from the queue configuration alone: a
+// Runner's topology describes Run and RunFleet platforms, and a queue with
+// no QueueConfig.Nodes is refused instead of running copies of the first
+// node.
+func TestRunQueueNeedsQueueNodes(t *testing.T) {
+	job := rocket.QueueJob{App: forensics.New(forensics.Params{N: 12, Seed: 2})}
+	_, err := rocket.New(rocket.WithTopology(rocket.PaperTopology()...)).RunQueue(job)
+	if err == nil || !strings.Contains(err.Error(), "Config.Nodes must be >= 1") {
+		t.Fatalf("RunQueue without QueueConfig.Nodes: err = %v, want the Nodes error", err)
 	}
 }
 
-// TestRunnerQueueEquivalentForms: the three ways of feeding the queue —
-// pre-loaded cfg.Jobs, argument append, and a topology-derived fleet —
-// must produce bit-identical reports.
+// TestRunnerQueueEquivalentForms: the two ways of feeding the queue —
+// pre-loaded cfg.Jobs and argument append — must produce bit-identical
+// reports.
 func TestRunnerQueueEquivalentForms(t *testing.T) {
 	jobs := []rocket.QueueJob{
 		{App: forensics.New(forensics.Params{N: 16, Seed: 2}), Nodes: 2},
@@ -147,36 +117,25 @@ func TestRunnerQueueEquivalentForms(t *testing.T) {
 	if argd.Report() != ref.Report() {
 		t.Fatal("RunQueue(jobs...) diverged from pre-loaded cfg.Jobs")
 	}
-
-	// With no explicit queue size, the topology supplies the fleet.
-	topo, err := rocket.New(
-		rocket.WithHomogeneous(3, rocket.DAS5Node(rocket.TitanXMaxwell)),
-		rocket.WithSeed(11),
-		rocket.WithQueuePolicy(rocket.PolicySJF),
-	).RunQueue(jobs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if topo.Report() != ref.Report() {
-		t.Fatal("topology-derived RunQueue diverged")
-	}
 }
 
 // TestRunnerElasticOptions drives both elastic surfaces through the
-// public API: WithElasticity churns a fleet run, and WithAutoscaler puts
-// queue runs on a pay-per-use bill.
+// public API: FleetConfig.Elastic churns a fleet run, and
+// QueueConfig.Elastic puts queue runs on a pay-per-use bill.
 func TestRunnerElasticOptions(t *testing.T) {
 	r := rocket.New(
 		rocket.WithHomogeneous(16, rocket.DAS5Node(rocket.TitanXMaxwell)),
 		rocket.WithSeed(3),
-		rocket.WithElasticity(&rocket.Elasticity{
+	)
+	res, err := r.RunFleet(func(c *rocket.FleetConfig) {
+		c.Duration = 4e6 // 4ms
+		c.Elastic = &rocket.Elasticity{
 			InitialNodes:    4,
 			Arrival:         "wave",
 			Waves:           2,
 			PreemptFraction: 0.25,
-		}),
-	)
-	res, err := r.RunFleet(func(c *rocket.FleetConfig) { c.Duration = 4e6 }) // 4ms
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +149,11 @@ func TestRunnerElasticOptions(t *testing.T) {
 	}
 	m, err := rocket.New(
 		rocket.WithSeed(5),
-		rocket.WithQueueConfig(rocket.QueueConfig{Nodes: 4, Seed: 5}),
-		rocket.WithAutoscaler(&rocket.Autoscale{MinNodes: 1, IdleTimeout: 1e9}),
+		rocket.WithQueueConfig(rocket.QueueConfig{
+			Nodes:   4,
+			Seed:    5,
+			Elastic: &rocket.Autoscale{MinNodes: 1, IdleTimeout: 1e9},
+		}),
 	).RunQueue(jobs...)
 	if err != nil {
 		t.Fatal(err)
