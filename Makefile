@@ -175,13 +175,16 @@ smoke-trace:
 # manifest codec (seed corpus under internal/jobspec/testdata), the
 # columnar segment codec — truncated or bit-flipped segment files must
 # fail with a structured *CorruptError, never a panic — the store against
-# its map model (seed corpora under internal/pairstore/testdata), and the
-# scheduler over generated queue programs (internal/sched/testdata).
+# its map model (seed corpora under internal/pairstore/testdata), the
+# scheduler over generated queue programs (internal/sched/testdata), and
+# the scenario decoder (internal/scenario/testdata): Parse never panics
+# and an accepted scenario compiles to a valid, repeatable schedule.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzManifestRoundTrip -fuzztime=10s ./internal/jobspec/
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentRoundTrip -fuzztime=10s ./internal/pairstore/
 	$(GO) test -run='^$$' -fuzz=FuzzStoreOps -fuzztime=10s ./internal/pairstore/
 	$(GO) test -run='^$$' -fuzz=FuzzQueueProgram -fuzztime=10s ./internal/sched/
+	$(GO) test -run='^$$' -fuzz=FuzzScenarioParse -fuzztime=10s ./internal/scenario/
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"rocket"
+	"rocket/internal/fault"
 	"rocket/internal/jobspec"
 	"rocket/internal/scenario"
 	"rocket/internal/stats"
@@ -82,7 +83,7 @@ func buildSpec(rng *stats.RNG, opts options, k int) jobspec.Spec {
 			spec.Faults = clipFaults(opts.faults, spec.Nodes)
 		} else {
 			spec.Faults = []jobspec.Fault{{
-				Kind: "crash",
+				Kind: fault.NodeCrash.String(),
 				Node: 0,
 				AtMS: 1 + 9*rng.Float64(),
 			}}
@@ -92,23 +93,15 @@ func buildSpec(rng *stats.RNG, opts options, k int) jobspec.Spec {
 }
 
 // clipFaults keeps the scenario faults that fit a job's partition width:
-// node events targeting node < nodes, link events with both endpoints
-// inside. Paired events (crash+restart, cut+heal) always target the same
-// nodes, so clipping never splits a pair.
+// every node index a record names is below nodes (the fields a kind does
+// not use are zero on the wire). Paired events (crash+restart, cut+heal)
+// always target the same nodes, so clipping never splits a pair.
 func clipFaults(faults []jobspec.Fault, nodes int) []jobspec.Fault {
 	var out []jobspec.Fault
 	for _, f := range faults {
-		switch f.Kind {
-		case "crash", "restart", "gpu-slow":
-			if f.Node >= nodes {
-				continue
-			}
-		default:
-			if f.A >= nodes || f.B >= nodes {
-				continue
-			}
+		if f.Node < nodes && f.A < nodes && f.B < nodes {
+			out = append(out, f)
 		}
-		out = append(out, f)
 	}
 	return out
 }
@@ -288,7 +281,10 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("scenario %s: %w", *scenPath, err)
 		}
-		opts.faults = jobspec.FaultsFromSchedule(sch)
+		opts.faults, err = jobspec.FaultsFromSchedule(sch)
+		if err != nil {
+			return fmt.Errorf("scenario %s: %w", *scenPath, err)
+		}
 		if len(opts.faults) == 0 {
 			return fmt.Errorf("scenario %s compiles to a fault-free schedule", *scenPath)
 		}

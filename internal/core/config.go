@@ -65,11 +65,6 @@ type Config struct {
 	// most this many pairs are processed directly. Default 16.
 	LeafPairs int64
 
-	// PairFilter, when non-nil, restricts the computation to pairs for
-	// which it returns true — the paper's §7 "user-defined heuristics to
-	// reduce the number of pairs" extension. It must be deterministic.
-	PairFilter func(i, j int) bool
-
 	// PrewarmHost pre-fills each node's host cache with the given
 	// fraction [0, 1] of the items it would plausibly hold from a
 	// previous run (item i lands on node i mod p) — the paper's §7

@@ -518,49 +518,6 @@ func TestCacheAwareStealPolicy(t *testing.T) {
 	}
 }
 
-func TestPairFilter(t *testing.T) {
-	app := defaultTestApp(20)
-	even := func(i, j int) bool { return (i+j)%2 == 0 }
-	var want uint64
-	for i := 0; i < 20; i++ {
-		for j := i + 1; j < 20; j++ {
-			if even(i, j) {
-				want++
-			}
-		}
-	}
-	capp := &computeApp{testApp: *app, failLoad: -1, failCompare: -1}
-	m, err := Run(Config{
-		App: capp, Cluster: newCluster(t, 2), Seed: 1,
-		PairFilter: even, CollectResults: true, DistCache: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Pairs != want {
-		t.Fatalf("pairs = %d, want %d", m.Pairs, want)
-	}
-	for _, r := range m.Results {
-		if !even(r.I, r.J) {
-			t.Fatalf("filtered pair (%d, %d) was computed", r.I, r.J)
-		}
-	}
-}
-
-func TestPairFilterRejectsAll(t *testing.T) {
-	app := defaultTestApp(10)
-	m, err := Run(Config{
-		App: app, Cluster: newCluster(t, 1), Seed: 1,
-		PairFilter: func(int, int) bool { return false },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Pairs != 0 || m.Loads != 0 {
-		t.Fatalf("pairs=%d loads=%d, want 0/0", m.Pairs, m.Loads)
-	}
-}
-
 func TestPrewarmEliminatesLoads(t *testing.T) {
 	app := defaultTestApp(16)
 	cold, err := Run(Config{App: app, Cluster: newCluster(t, 1), Seed: 1})

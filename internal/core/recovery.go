@@ -25,7 +25,15 @@ import (
 
 // armFaults builds the injector from the validated schedule and wires its
 // health state into the network, the devices, and the recovery hooks.
+// Only crash and restart have hooks here: a join or preemption would
+// silently drop messages while the node kept computing, so such
+// schedules are refused.
 func (rt *runtime) armFaults(s *fault.Schedule) error {
+	for i, ev := range s.Events {
+		if ev.Kind.FleetOnly() {
+			return fmt.Errorf("core: fault event %d: %v is fleet-only (the all-pairs runtime has no membership hooks)", i, ev.Kind)
+		}
+	}
 	gpus := make([]int, len(rt.cl.Nodes))
 	for i, nd := range rt.cl.Nodes {
 		gpus[i] = len(nd.GPUs)
@@ -154,26 +162,9 @@ func (rt *runtime) recoverRegions(regions []pairs.Region) {
 	w := target.group.Size()
 	for i, r := range regions {
 		target.group.Deque(i % w).PushBottom(r)
-		rt.recoveredPairs += rt.countablePairs(r)
+		rt.recoveredPairs += r.Count()
 	}
 	rt.recoveredRegions += uint64(len(regions))
-}
-
-// countablePairs returns how many of a region's pairs actually belong to
-// the run, honoring Config.PairFilter so RecoveredPairs stays comparable
-// to Pairs and the total. Only crash recovery pays the per-pair walk, and
-// only when a filter is set.
-func (rt *runtime) countablePairs(r pairs.Region) int64 {
-	if rt.cfg.PairFilter == nil {
-		return r.Count()
-	}
-	var n int64
-	r.Each(func(i, j int) {
-		if rt.cfg.PairFilter(i, j) {
-			n++
-		}
-	})
-	return n
 }
 
 // onDrop is the fabric's drop notifier: every message the network

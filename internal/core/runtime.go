@@ -178,8 +178,8 @@ func launch(cfg Config) (*runtime, error) {
 	}
 	rt.plan = plan
 	// Recounting is O(n^2); skip it when nothing can be excluded (a plan
-	// that only emits — base 0, no filter — computes every pair).
-	if cfg.PairFilter != nil || (plan != nil && plan.base > 0) {
+	// that only emits — base 0 — computes every pair).
+	if plan != nil && plan.base > 0 {
 		rt.totalPairs = 0
 		pairs.Root(cfg.App.NumItems()).Each(func(i, j int) {
 			if rt.pairOK(i, j) {

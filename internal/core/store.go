@@ -12,11 +12,10 @@ import (
 // served from the persistent pair store instead of computed, what the
 // serving costs in charged I/O, and where computed results are emitted.
 //
-// The plan is pure function of (BaseItems, PairFilter, snapshot
-// contents): pairs with both items below BaseItems are planned
-// resident; with a snapshot attached each planned pair is verified and
-// absences are recomputed, without a snapshot the base region is
-// trusted (the storeless-replay mode — see DESIGN.md §8 for why a warm
+// The plan is pure function of (BaseItems, snapshot contents): pairs
+// with both items below BaseItems are planned resident; with a snapshot
+// attached each planned pair is verified and absences are recomputed,
+// without a snapshot the base region is trusted (the storeless-replay mode — see DESIGN.md §8 for why a warm
 // store holding at least the base pairs makes the two modes
 // bit-identical). Everything here is decided before the first event
 // fires, so an empty plan (zero hits, zero puts) leaves the event
@@ -30,7 +29,7 @@ type storePlan struct {
 	// they are recomputed (and re-emitted). Almost always empty.
 	missing map[pairIJ]struct{}
 	// pruneOK allows O(1) whole-region pruning: every pair of the base
-	// region is resident and no user filter intersects it.
+	// region is resident.
 	pruneOK bool
 	version int
 
@@ -91,9 +90,6 @@ func buildStorePlan(cfg Config) (*storePlan, error) {
 			keys, prs = keys[:0], prs[:0]
 		}
 		pairs.Region{RowLo: 0, RowHi: p.base, ColLo: 0, ColHi: p.base}.Each(func(i, j int) {
-			if cfg.PairFilter != nil && !cfg.PairFilter(i, j) {
-				return
-			}
 			if p.snap == nil {
 				p.hits++ // trust mode: no snapshot to verify against
 				return
@@ -105,7 +101,7 @@ func buildStorePlan(cfg Config) (*storePlan, error) {
 			}
 		})
 		flush()
-		p.pruneOK = len(p.missing) == 0 && cfg.PairFilter == nil
+		p.pruneOK = len(p.missing) == 0
 		p.readBytes = p.hits * p.entryBytes
 	}
 	return p, nil
@@ -151,12 +147,9 @@ func (rt *runtime) emitResult(i, j int, value interface{}) {
 	p.batch.Add(e)
 }
 
-// pairOK reports whether pair (i, j) is to be computed by this run:
-// it passes the user filter and is not served from the store.
+// pairOK reports whether pair (i, j) is to be computed by this run: it
+// is not served from the store.
 func (rt *runtime) pairOK(i, j int) bool {
-	if rt.cfg.PairFilter != nil && !rt.cfg.PairFilter(i, j) {
-		return false
-	}
 	return rt.plan == nil || !rt.plan.resident(i, j)
 }
 

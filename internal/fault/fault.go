@@ -50,34 +50,49 @@ const (
 	NodePreempt
 )
 
+// kindNames is the fault vocabulary: the one spelling of every kind that
+// scenario files, wire records and reports share.
+var kindNames = [...]string{
+	NodeCrash:   "crash",
+	NodeRestart: "restart",
+	GPUSlowdown: "gpu-slow",
+	LinkDown:    "link-down",
+	LinkUp:      "link-up",
+	LinkDegrade: "link-degrade",
+	NodeJoin:    "join",
+	NodePreempt: "preempt",
+}
+
 // String implements fmt.Stringer.
 func (k EventKind) String() string {
-	switch k {
-	case NodeCrash:
-		return "crash"
-	case NodeRestart:
-		return "restart"
-	case GPUSlowdown:
-		return "gpu-slow"
-	case LinkDown:
-		return "link-down"
-	case LinkUp:
-		return "link-up"
-	case LinkDegrade:
-		return "link-degrade"
-	case NodeJoin:
-		return "join"
-	case NodePreempt:
-		return "preempt"
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("fault.EventKind(%d)", int(k))
 }
 
-// Event is one scheduled fault. Which fields matter depends on Kind.
+// ParseKind is the inverse of EventKind.String.
+func ParseKind(name string) (EventKind, error) {
+	for k, n := range kindNames {
+		if n == name {
+			return EventKind(k), nil
+		}
+	}
+	return 0, fmt.Errorf("fault: unknown event kind %q", name)
+}
+
+// FleetOnly reports whether the kind needs the OnJoin/OnPreempt hooks,
+// which only the fleet workload wires: the all-pairs runtime has no
+// notion of a node entering or leaving, so it refuses such events.
+func (k EventKind) FleetOnly() bool { return k == NodeJoin || k == NodePreempt }
+
+// Event is one scheduled fault. Which fields matter depends on Kind (see
+// Canonical).
 type Event struct {
 	At   sim.Time
 	Kind EventKind
-	// Node is the target of NodeCrash, NodeRestart, and GPUSlowdown.
+	// Node is the target of the membership kinds (NodeCrash, NodeRestart,
+	// NodeJoin, NodePreempt) and of GPUSlowdown.
 	Node int
 	// GPU is the device index within Node (GPUSlowdown).
 	GPU int
@@ -161,6 +176,26 @@ func (s *Schedule) DegradeLink(a, b int, at sim.Time, latF, bwF float64) *Schedu
 		LatencyFactor: latF, BandwidthFactor: bwF,
 	})
 	return s
+}
+
+// Canonical returns ev with every field its Kind does not use zeroed: the
+// per-kind field rule, kept beside Validate's per-kind checks. Decoders
+// fill all fields and canonicalize, so an event compiled from a scenario
+// file or a wire record equals the one the builder methods append.
+func (ev Event) Canonical() Event {
+	c := Event{At: ev.At, Kind: ev.Kind}
+	switch ev.Kind {
+	case NodeCrash, NodeRestart, NodeJoin, NodePreempt:
+		c.Node = ev.Node
+	case GPUSlowdown:
+		c.Node, c.GPU, c.Factor = ev.Node, ev.GPU, ev.Factor
+	case LinkDegrade:
+		c.LatencyFactor, c.BandwidthFactor = ev.LatencyFactor, ev.BandwidthFactor
+		fallthrough
+	case LinkDown, LinkUp:
+		c.A, c.B = ev.A, ev.B
+	}
+	return c
 }
 
 // Validate checks every event against the platform shape: gpus[i] is the

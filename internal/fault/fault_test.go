@@ -324,3 +324,48 @@ func TestShardedTieBreakInvariantAcrossWidths(t *testing.T) {
 		}
 	}
 }
+
+// The kind names are the vocabulary scenario files and wire records are
+// written in; this table was captured before ParseKind existed and must
+// never change. Every kind round-trips through String and ParseKind, and
+// a name outside the vocabulary is refused.
+func TestKindNamesRoundTrip(t *testing.T) {
+	names := map[EventKind]string{
+		NodeCrash:   "crash",
+		NodeRestart: "restart",
+		GPUSlowdown: "gpu-slow",
+		LinkDown:    "link-down",
+		LinkUp:      "link-up",
+		LinkDegrade: "link-degrade",
+		NodeJoin:    "join",
+		NodePreempt: "preempt",
+	}
+	for k := NodeCrash; k <= NodePreempt; k++ {
+		if k.String() != names[k] {
+			t.Fatalf("kind %d spelled %q, want %q", int(k), k.String(), names[k])
+		}
+		back, err := ParseKind(k.String())
+		if err != nil || back != k {
+			t.Fatalf("ParseKind(%q) = %v, %v; want %v", k.String(), back, err, k)
+		}
+	}
+	for _, name := range []string{"", "melt", "Crash", "fault.EventKind(8)"} {
+		if _, err := ParseKind(name); err == nil {
+			t.Errorf("ParseKind(%q) accepted", name)
+		}
+	}
+}
+
+// Canonical keeps exactly the fields the builder methods set for a kind.
+func TestCanonicalMatchesBuilders(t *testing.T) {
+	full := func(k EventKind) Event {
+		return Event{At: 7, Kind: k, Node: 1, GPU: 2, Factor: 3, A: 4, B: 5, LatencyFactor: 6, BandwidthFactor: 8}
+	}
+	s := new(Schedule).Crash(1, 7).Restart(1, 7).Join(1, 7).Preempt(1, 7).
+		SlowGPU(1, 2, 7, 3).CutLink(4, 5, 7).RestoreLink(4, 5, 7).DegradeLink(4, 5, 7, 6, 8)
+	for _, want := range s.Events {
+		if got := full(want.Kind).Canonical(); got != want {
+			t.Errorf("%v: Canonical = %+v, want %+v", want.Kind, got, want)
+		}
+	}
+}

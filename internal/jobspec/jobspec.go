@@ -20,11 +20,13 @@ import (
 	"rocket/internal/sim"
 )
 
-// Fault is one scheduled fault event of a job's first attempt. Node and
-// GPU indices are relative to the job's leased partition.
+// Fault is one scheduled fault event of a job's first attempt: the wire
+// form of fault.Event, whose JSON bytes are a contract with every client.
+// Node and GPU indices are relative to the job's leased partition.
 type Fault struct {
-	// Kind is "crash", "restart", "gpu-slow", "link-down", "link-up", or
-	// "link-degrade".
+	// Kind is a fault.EventKind name: "crash", "restart", "gpu-slow",
+	// "link-down", "link-up", or "link-degrade". The fleet-only kinds
+	// ("join", "preempt") are refused: jobs run on the all-pairs runtime.
 	Kind string `json:"kind"`
 	// AtMS is the event time in virtual milliseconds from job start.
 	AtMS float64 `json:"at_ms"`
@@ -42,55 +44,50 @@ type Fault struct {
 	BandwidthFactor float64 `json:"bandwidth_factor,omitempty"`
 }
 
-// apply appends the event to a fault schedule.
-func (f Fault) apply(s *fault.Schedule) error {
-	at := sim.Millis(f.AtMS)
-	switch f.Kind {
-	case "crash":
-		s.Crash(f.Node, at)
-	case "restart":
-		s.Restart(f.Node, at)
-	case "gpu-slow":
-		s.SlowGPU(f.Node, f.GPU, at, f.Factor)
-	case "link-down":
-		s.CutLink(f.A, f.B, at)
-	case "link-up":
-		s.RestoreLink(f.A, f.B, at)
-	case "link-degrade":
-		s.DegradeLink(f.A, f.B, at, f.LatencyFactor, f.BandwidthFactor)
-	default:
-		return fmt.Errorf("unknown fault kind %q", f.Kind)
+// fleetOnly refuses the kinds the all-pairs runtime has no hook for.
+func fleetOnly(k fault.EventKind) error {
+	if k.FleetOnly() {
+		return fmt.Errorf("fault kind %q is fleet-only", k)
 	}
 	return nil
 }
 
+// event converts the wire record to a canonical schedule event.
+func (f Fault) event() (fault.Event, error) {
+	k, err := fault.ParseKind(f.Kind)
+	if err == nil {
+		err = fleetOnly(k)
+	}
+	return fault.Event{
+		At: sim.Millis(f.AtMS), Kind: k,
+		Node: f.Node, GPU: f.GPU, Factor: f.Factor,
+		A: f.A, B: f.B, LatencyFactor: f.LatencyFactor, BandwidthFactor: f.BandwidthFactor,
+	}.Canonical(), err
+}
+
 // FaultsFromSchedule converts a compiled fault schedule back to the wire
-// format, preserving order. It is the inverse of Spec.Faults' apply path
-// (round-trip exact: AtMS = At / 1ms and sim.Millis undoes it), letting a
-// scenario file's compiled chaos or event section ride along on a job
-// submission — rocketload -scenario uses it so HTTP load tests and the
-// scenario harness share one fault vocabulary.
-func FaultsFromSchedule(s *fault.Schedule) []Fault {
+// format, preserving order. It is the inverse of Fault.event (round-trip
+// exact: AtMS = At / 1ms and sim.Millis undoes it), letting a scenario
+// file's compiled chaos or event section ride along on a job submission
+// — rocketload -scenario uses it so HTTP load tests and the scenario
+// harness share one fault vocabulary. A fleet-only event is an error.
+func FaultsFromSchedule(s *fault.Schedule) ([]Fault, error) {
 	if s.Empty() {
-		return nil
+		return nil, nil
 	}
 	out := make([]Fault, 0, len(s.Events))
-	for _, ev := range s.Events {
-		f := Fault{Kind: ev.Kind.String(), AtMS: float64(ev.At) / 1e6}
-		switch ev.Kind {
-		case fault.NodeCrash, fault.NodeRestart:
-			f.Node = ev.Node
-		case fault.GPUSlowdown:
-			f.Node, f.GPU, f.Factor = ev.Node, ev.GPU, ev.Factor
-		case fault.LinkDown, fault.LinkUp:
-			f.A, f.B = ev.A, ev.B
-		case fault.LinkDegrade:
-			f.A, f.B = ev.A, ev.B
-			f.LatencyFactor, f.BandwidthFactor = ev.LatencyFactor, ev.BandwidthFactor
+	for i, ev := range s.Events {
+		if err := fleetOnly(ev.Kind); err != nil {
+			return nil, fmt.Errorf("fault event %d: %w", i, err)
 		}
-		out = append(out, f)
+		ev = ev.Canonical()
+		out = append(out, Fault{
+			Kind: ev.Kind.String(), AtMS: float64(ev.At) / 1e6,
+			Node: ev.Node, GPU: ev.GPU, Factor: ev.Factor,
+			A: ev.A, B: ev.B, LatencyFactor: ev.LatencyFactor, BandwidthFactor: ev.BandwidthFactor,
+		})
 	}
-	return out
+	return out, nil
 }
 
 // Spec describes one job. App seeds and job seeds are derived from the
@@ -205,11 +202,13 @@ func (s Spec) Job(index int, manifestSeed uint64) (sched.Job, error) {
 		j.Digest = pairstore.DigestFunc(s.Store, app.Name(), appSeed)
 	}
 	if len(s.Faults) > 0 {
-		sch := new(fault.Schedule)
-		for _, f := range s.Faults {
-			if err := f.apply(sch); err != nil {
+		sch := &fault.Schedule{Events: make([]fault.Event, len(s.Faults))}
+		for i, f := range s.Faults {
+			ev, err := f.event()
+			if err != nil {
 				return sched.Job{}, fmt.Errorf("job %q: %w", s.ID, err)
 			}
+			sch.Events[i] = ev
 		}
 		j.Faults = sch
 	}

@@ -2,6 +2,7 @@ package jobspec
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"rocket/internal/fault"
@@ -108,11 +109,37 @@ func TestFaultSpecsBuildSchedule(t *testing.T) {
 
 	// FaultsFromSchedule is the exact inverse of the apply path: the wire
 	// records round-trip through a compiled schedule unchanged.
-	back := FaultsFromSchedule(j.Faults)
+	back, err := FaultsFromSchedule(j.Faults)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(back, s.Faults) {
 		t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", back, s.Faults)
 	}
-	if FaultsFromSchedule(nil) != nil || FaultsFromSchedule(new(fault.Schedule)) != nil {
-		t.Fatal("empty schedule must convert to nil")
+	for _, empty := range []*fault.Schedule{nil, new(fault.Schedule)} {
+		if back, err := FaultsFromSchedule(empty); back != nil || err != nil {
+			t.Fatalf("empty schedule converted to %v, %v; want nil, nil", back, err)
+		}
+	}
+}
+
+// Jobs run on the all-pairs runtime, which has no join or preempt hook:
+// both directions of the wire conversion name those kinds as fleet-only
+// instead of building a schedule the runtime would ignore (or sending a
+// record without its node).
+func TestMembershipFaultsAreFleetOnly(t *testing.T) {
+	for _, kind := range []string{"join", "preempt"} {
+		s := Spec{App: "forensics", Items: 8, Faults: []Fault{{Kind: kind, Node: 1, AtMS: 1}}}
+		if _, err := s.Job(0, 1); err == nil || !strings.Contains(err.Error(), "fleet-only") {
+			t.Errorf("%s record: err = %v, want fleet-only", kind, err)
+		}
+	}
+	for _, sch := range []*fault.Schedule{
+		new(fault.Schedule).Crash(0, 1).Join(2, sim.Millis(1)),
+		new(fault.Schedule).Preempt(2, sim.Millis(1)),
+	} {
+		if out, err := FaultsFromSchedule(sch); err == nil || !strings.Contains(err.Error(), "fleet-only") {
+			t.Errorf("schedule %+v: converted to %+v, err = %v; want fleet-only", sch.Events, out, err)
+		}
 	}
 }

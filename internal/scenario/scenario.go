@@ -55,15 +55,19 @@ type Scenario struct {
 	Fleet FleetSpec
 	// Gen generates the platform of a stress scenario.
 	Gen *FleetGen
-	// Chaos samples the fault stream of a stress scenario.
-	Chaos *ChaosSpec
+	// Chaos samples the fault stream of a stress scenario. Its seed,
+	// fleet size, GPU shape, horizon and zones are the scenario's, filled
+	// in on a copy when the faults are compiled.
+	Chaos *fault.ChaosConfig
 	// Elastic generates seeded fleet churn (arrival patterns plus spot
-	// preemption) in fleet mode. Mutually exclusive with chaos — one
-	// generated fault source per scenario; scripted events compose with
-	// it (validated against the merged schedule at run time).
-	Elastic *ElasticSpec
-	// Events script the fault stream of a regular scenario.
-	Events []EventSpec
+	// preemption) in fleet mode; seed, fleet size and horizon are the
+	// scenario's. Mutually exclusive with chaos — one generated fault
+	// source per scenario; scripted events compose with it (validated
+	// against the merged schedule at run time).
+	Elastic *fault.Elasticity
+	// Events script the fault stream of a regular scenario, in file order
+	// and canonical form (see fault.Event.Canonical).
+	Events []fault.Event
 	// Asserts are evaluated inside virtual time (timed kinds) or against
 	// the run summary (metric kinds).
 	Asserts []Assertion
@@ -112,57 +116,6 @@ type FleetGen struct {
 	Zones     int
 	Templates []Template
 	Startup   Startup
-}
-
-// ChaosSpec mirrors fault.ChaosConfig in scenario vocabulary.
-type ChaosSpec struct {
-	CrashFraction   float64
-	RestartFraction float64
-	MinDowntime     sim.Time
-	MaxDowntime     sim.Time
-
-	StragglerFraction float64
-	StragglerFactor   float64
-	StragglerWindow   sim.Time
-
-	LinkFaults          int
-	LinkCutFraction     float64
-	LinkWindow          sim.Time
-	LinkLatencyFactor   float64
-	LinkBandwidthFactor float64
-
-	CascadeCount   int
-	CascadeSize    int
-	CascadeSpacing sim.Time
-
-	ZoneOutages        int
-	ZoneOutageDuration sim.Time
-}
-
-// ElasticSpec mirrors fault.Elasticity in scenario vocabulary. The fleet
-// size, seed, and horizon come from the scenario itself.
-type ElasticSpec struct {
-	InitialNodes    int
-	Arrival         string
-	Over            sim.Time
-	Waves           int
-	ColdStartJitter sim.Time
-	PreemptFraction float64
-	PreemptAfter    sim.Time
-}
-
-// EventSpec is one scripted fault event; Kind uses the jobspec
-// vocabulary ("crash", "restart", "gpu-slow", "link-down", "link-up",
-// "link-degrade").
-type EventSpec struct {
-	At              sim.Time
-	Kind            string
-	Node            int
-	GPU             int
-	A, B            int
-	Factor          float64
-	LatencyFactor   float64
-	BandwidthFactor float64
 }
 
 // Assertion is one check. Timed kinds (node-dead, node-alive) carry At;
@@ -231,7 +184,7 @@ func Parse(data []byte) (*Scenario, error) {
 		sc.Chaos = decodeChaos(ch)
 	}
 	if el := o.child("elasticity"); el != nil {
-		sc.Elastic = &ElasticSpec{
+		sc.Elastic = &fault.Elasticity{
 			InitialNodes:    el.integer("initial_nodes", 1),
 			Arrival:         el.str("arrival", fault.ArrivalInstant),
 			Over:            el.dur("over", 0),
@@ -288,8 +241,8 @@ func decodeFleetGen(o *obj) *FleetGen {
 	return g
 }
 
-func decodeChaos(o *obj) *ChaosSpec {
-	c := &ChaosSpec{
+func decodeChaos(o *obj) *fault.ChaosConfig {
+	c := &fault.ChaosConfig{
 		CrashFraction:   o.float("crash_fraction", 0),
 		RestartFraction: o.float("restart_fraction", 0),
 		MinDowntime:     o.dur("min_downtime", 0),
@@ -320,10 +273,15 @@ func decodeChaos(o *obj) *ChaosSpec {
 	return c
 }
 
-func decodeEvent(o *obj) EventSpec {
-	ev := EventSpec{
-		At:              o.dur("at", 0),
-		Kind:            o.str("kind", ""),
+func decodeEvent(o *obj) fault.Event {
+	at := o.dur("at", 0)
+	kind, err := fault.ParseKind(o.str("kind", ""))
+	if err != nil {
+		o.fail("%s.kind: %v", o.path, err)
+	}
+	ev := fault.Event{
+		At:              at,
+		Kind:            kind,
 		Node:            o.integer("node", 0),
 		GPU:             o.integer("gpu", 0),
 		A:               o.integer("a", 0),
@@ -333,7 +291,7 @@ func decodeEvent(o *obj) EventSpec {
 		BandwidthFactor: o.float("bandwidth_factor", 1),
 	}
 	o.finish()
-	return ev
+	return ev.Canonical()
 }
 
 func decodeAssertion(o *obj) Assertion {
@@ -387,6 +345,9 @@ func (sc *Scenario) validate() error {
 		if (sc.Gen == nil) == (sc.Fleet.Nodes == 0) {
 			return fmt.Errorf("scenario %s: fleet mode needs exactly one of fleet or fleet_gen", sc.Name)
 		}
+		if sc.Gen == nil && (sc.Fleet.Nodes < 1 || sc.Fleet.GPUsPerNode < 1) {
+			return fmt.Errorf("scenario %s: fleet.nodes and fleet.gpus_per_node must be >= 1", sc.Name)
+		}
 		if sc.App.Items != 0 {
 			return fmt.Errorf("scenario %s: app is pairs-mode only", sc.Name)
 		}
@@ -413,11 +374,11 @@ func (sc *Scenario) validate() error {
 	}
 	nodes := sc.nodeCount()
 	for i, ev := range sc.Events {
-		if err := validKind(ev.Kind); err != nil {
-			return fmt.Errorf("scenario %s: events[%d]: %w", sc.Name, i, err)
-		}
 		if ev.At <= 0 {
 			return fmt.Errorf("scenario %s: events[%d]: at must be positive", sc.Name, i)
+		}
+		if sc.Mode == ModePairs && ev.Kind.FleetOnly() {
+			return fmt.Errorf("scenario %s: events[%d]: %v is fleet-mode only", sc.Name, i, ev.Kind)
 		}
 	}
 	for i, a := range sc.Asserts {
@@ -489,18 +450,6 @@ func (g *FleetGen) validate(name string) error {
 		return fmt.Errorf("scenario %s: fleet_gen.startup: unknown pattern %q", name, g.Startup.Pattern)
 	}
 	return nil
-}
-
-func validKind(kind string) error {
-	switch kind {
-	case "crash", "restart", "gpu-slow", "link-down", "link-up", "link-degrade",
-		"join", "preempt":
-		return nil
-	case "":
-		return fmt.Errorf("event kind is required")
-	default:
-		return fmt.Errorf("unknown event kind %q", kind)
-	}
 }
 
 // nodeCount returns the platform size.
@@ -591,96 +540,30 @@ func (g *FleetGen) StartTimes() []sim.Time {
 // schedule is validated against the platform's GPU shape. Fault-free
 // scenarios return nil, which keeps runs on the engine's fast paths.
 func (sc *Scenario) CompileFaults() (*fault.Schedule, error) {
-	if sc.Chaos != nil {
-		cc := sc.chaosConfig()
-		s, err := cc.Generate()
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+	var s *fault.Schedule
+	var err error
+	switch {
+	case sc.Chaos != nil:
+		cc := *sc.Chaos
+		cc.Seed, cc.Nodes, cc.GPUs, cc.Duration = sc.Seed, sc.nodeCount(), sc.gpuShape(), sc.Duration
+		if sc.Gen != nil {
+			cc.Zones = sc.Gen.Zones
 		}
-		return s, nil
+		s, err = cc.Generate()
+	case len(sc.Events) > 0:
+		s = &fault.Schedule{Events: append([]fault.Event(nil), sc.Events...)}
+		err = s.Validate(sc.gpuShape())
 	}
-	if len(sc.Events) == 0 {
-		return nil, nil
-	}
-	s := &fault.Schedule{}
-	for _, ev := range sc.Events {
-		switch ev.Kind {
-		case "crash":
-			s.Crash(ev.Node, ev.At)
-		case "restart":
-			s.Restart(ev.Node, ev.At)
-		case "gpu-slow":
-			s.SlowGPU(ev.Node, ev.GPU, ev.At, ev.Factor)
-		case "link-down":
-			s.CutLink(ev.A, ev.B, ev.At)
-		case "link-up":
-			s.RestoreLink(ev.A, ev.B, ev.At)
-		case "link-degrade":
-			s.DegradeLink(ev.A, ev.B, ev.At, ev.LatencyFactor, ev.BandwidthFactor)
-		case "join":
-			s.Join(ev.Node, ev.At)
-		case "preempt":
-			s.Preempt(ev.Node, ev.At)
-		}
-	}
-	if err := s.Validate(sc.gpuShape()); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 	return s, nil
 }
 
-// elasticity maps the elasticity section onto the churn generator; fleet
-// size, seed, and horizon come from the scenario.
+// elasticity is the churn generator with the scenario's fleet size,
+// seed, and horizon filled in.
 func (sc *Scenario) elasticity() fault.Elasticity {
-	e := sc.Elastic
-	return fault.Elasticity{
-		Seed:            sc.Seed,
-		Nodes:           sc.nodeCount(),
-		InitialNodes:    e.InitialNodes,
-		Arrival:         e.Arrival,
-		Over:            e.Over,
-		Waves:           e.Waves,
-		ColdStartJitter: e.ColdStartJitter,
-		PreemptFraction: e.PreemptFraction,
-		PreemptAfter:    e.PreemptAfter,
-		Duration:        sc.Duration,
-	}
-}
-
-// chaosConfig maps the chaos section onto the generator.
-func (sc *Scenario) chaosConfig() fault.ChaosConfig {
-	c := sc.Chaos
-	zones := 0
-	if sc.Gen != nil {
-		zones = sc.Gen.Zones
-	}
-	return fault.ChaosConfig{
-		Seed:     sc.Seed,
-		Nodes:    sc.nodeCount(),
-		GPUs:     sc.gpuShape(),
-		Duration: sc.Duration,
-		Zones:    zones,
-
-		CrashFraction:   c.CrashFraction,
-		RestartFraction: c.RestartFraction,
-		MinDowntime:     c.MinDowntime,
-		MaxDowntime:     c.MaxDowntime,
-
-		StragglerFraction: c.StragglerFraction,
-		StragglerFactor:   c.StragglerFactor,
-		StragglerWindow:   c.StragglerWindow,
-
-		LinkFaults:          c.LinkFaults,
-		LinkCutFraction:     c.LinkCutFraction,
-		LinkWindow:          c.LinkWindow,
-		LinkLatencyFactor:   c.LinkLatencyFactor,
-		LinkBandwidthFactor: c.LinkBandwidthFactor,
-
-		CascadeCount:   c.CascadeCount,
-		CascadeSize:    c.CascadeSize,
-		CascadeSpacing: c.CascadeSpacing,
-
-		ZoneOutages:        c.ZoneOutages,
-		ZoneOutageDuration: c.ZoneOutageDuration,
-	}
+	e := *sc.Elastic
+	e.Seed, e.Nodes, e.Duration = sc.Seed, sc.nodeCount(), sc.Duration
+	return e
 }

@@ -79,7 +79,11 @@ fleet:
 		{"bad mode", "name: x\nmode: turbo\n", "unknown mode"},
 		{"fleet needs duration", "name: x\nmode: fleet\nfleet:\n  nodes: 2\n", "positive duration"},
 		{"fleet xor gen", "name: x\nmode: fleet\nduration: 1ms\n", "exactly one of fleet or fleet_gen"},
+		{"negative fleet", "name: x\nmode: fleet\nduration: 1ms\nfleet:\n  nodes: -2\nchaos:\n  crash_fraction: 0.5\n", "must be >= 1"},
+		{"negative gpus", "name: x\nmode: fleet\nduration: 1ms\nfleet:\n  nodes: 4\n  gpus_per_node: -3\nchaos:\n  straggler_fraction: 0.5\n  straggler_factor: 2\n", "must be >= 1"},
 		{"chaos in pairs", base + "chaos:\n  crash_fraction: 0.1\n", "fleet-mode only"},
+		{"join in pairs", base + "events:\n  - at: 1ms\n    kind: join\n    node: 1\n", "fleet-mode only"},
+		{"preempt in pairs", base + "events:\n  - at: 1ms\n    kind: preempt\n    node: 1\n", "fleet-mode only"},
 		{"chaos and events", strings.Replace(fleetDoc, "chaos:", "events:\n  - at: 1ms\n    kind: crash\n    node: 0\nchaos:", 1), "mutually exclusive"},
 		{"bad event kind", base + "events:\n  - at: 1ms\n    kind: melt\n    node: 0\n", "unknown event kind"},
 		{"event node range", base + "events:\n  - at: 1ms\n    kind: crash\n    node: 9\n", "node 9"},

@@ -88,9 +88,6 @@ type Config struct {
 	// NodeSpec is the hardware of every node. The zero value defaults to
 	// a DAS-5 node with one TitanX Maxwell.
 	NodeSpec cluster.NodeSpec
-	// Fabric configures network and storage; the zero value defaults to
-	// cluster.DefaultConfig().
-	Fabric cluster.Config
 	// Policy selects the placement order; default PolicyFIFO.
 	Policy Policy
 	// MaxQueued is the admission limit: a job arriving while this many
@@ -232,9 +229,6 @@ func (cfg Config) normalize() (Config, error) {
 	}
 	if err := cfg.NodeSpec.Validate(); err != nil {
 		return cfg, err
-	}
-	if cfg.Fabric == (cluster.Config{}) {
-		cfg.Fabric = cluster.DefaultConfig()
 	}
 	if cfg.Policy < PolicyFIFO || cfg.Policy > PolicyFairShare {
 		return cfg, fmt.Errorf("sched: unknown policy %d", cfg.Policy)
@@ -788,7 +782,7 @@ func (cfg Config) runInner(js *jobState, sem chan struct{}) {
 	for i := range specs {
 		specs[i] = cfg.NodeSpec
 	}
-	cl, err := cluster.New(specs, cfg.Fabric)
+	cl, err := cluster.New(specs, cluster.DefaultConfig())
 	if err != nil {
 		js.err = err
 		return

@@ -260,11 +260,8 @@ func (r *Runner) RunFleet(fn func(*FleetConfig)) (FleetResult, error) {
 	if r.topo == nil {
 		return FleetResult{}, errNoPlatform
 	}
-	fabric := cluster.DefaultConfig()
 	cfg := fleet.DefaultConfig(len(r.topo))
 	cfg.Seed = r.cfg.Seed
-	cfg.NetLatency = fabric.NetLatency
-	cfg.NetBandwidth = fabric.NetBandwidth
 	cfg.Faults = r.cfg.Faults
 	cfg.Probes = append([]FaultProbe(nil), r.cfg.FaultProbes...)
 	gpus := make([]int, len(r.topo))
