@@ -5,12 +5,9 @@
 # with a notice otherwise, since offline sandboxes cannot `go install`.)
 
 GO ?= go
-ROCKET_SCALE ?= 50
-BENCH_RUN ?= local
-BENCH_BASELINE ?= BENCH_pr26.json
 COVERAGE_FLOOR ?= 75.0
 
-.PHONY: build test race-stress bench bench-sim bench-repo bench-json bench-gate loc coverage smoke smoke-scenarios smoke-incremental smoke-trace fuzz-smoke lint ci fmt
+.PHONY: build test race-stress bench bench-sim bench-repo loc coverage smoke smoke-scenarios smoke-incremental smoke-trace fuzz-smoke lint ci fmt
 
 build:
 	$(GO) build ./...
@@ -25,11 +22,11 @@ race-stress:
 	GOMAXPROCS=2 $(GO) test -race -count=2 ./internal/sched/ ./internal/core/ ./internal/serve/
 	GOMAXPROCS=8 $(GO) test -race -count=2 ./internal/sched/ ./internal/core/ ./internal/serve/
 
-# Full evaluation at reporting scale (minutes). CI runs the smoke variant.
-# Output is benchstat-friendly: run twice (before/after a change) with
-# `make bench | tee old.txt` / `... new.txt`, then `benchstat old.txt new.txt`.
-bench: bench-sim
-	$(GO) test -bench=. -benchmem -count=1 -run='^$$' .
+# Full evaluation at reporting scale (minutes): every table and figure,
+# printed. No timing; bench-repo is the timing reference, and
+# internal/experiments' TestExperimentsGolden pins the outputs and counts.
+bench:
+	$(GO) run ./cmd/rocketbench -exp all
 
 # Engine microbenchmarks: event dispatch, deep-queue churn, contended
 # resource hand-off, typed-mailbox throughput; -benchmem reads 0 on all.
@@ -46,22 +43,6 @@ bench-repo:
 loc:
 	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l
 
-# Machine-readable count trajectory: per-experiment allocs/op, events, heap
-# pushes and output sha256 written to BENCH_$(BENCH_RUN).json; no host time
-# (bench/ is the timing reference). GOMAXPROCS is pinned: the
-# scheduler's inner simulations run on one worker per OS thread, and
-# benchgate refuses to compare reports taken at different thread counts.
-bench-json:
-	GOMAXPROCS=2 $(GO) run ./cmd/rocketbench -exp all -scale $(ROCKET_SCALE) -json $(BENCH_RUN) -q
-
-# Mirrors the workflow's bench-gate job: regenerate BENCH_ci.json and gate
-# it against the committed baseline — fail on output_sha256 drift, on
-# allocs_per_op more than 2% above the baseline and on heap_pushes above
-# it.
-bench-gate:
-	GOMAXPROCS=2 $(GO) run ./cmd/rocketbench -exp all -scale $(ROCKET_SCALE) -json ci -q
-	$(GO) run ./cmd/benchgate -baseline $(BENCH_BASELINE) -candidate BENCH_ci.json
-
 # Mirrors the workflow's coverage job: total statement coverage across all
 # packages must not drop below the seed-measured floor.
 coverage:
@@ -76,8 +57,7 @@ coverage:
 # round trip.
 smoke:
 	for d in examples/*/; do echo "== go run ./$$d"; $(GO) run "./$$d" > /dev/null || exit 1; done
-	$(GO) run ./cmd/rocketbench -exp fig6 -scale 200 -seed 1 -json smoke -q
-	$(GO) run ./cmd/benchgate -baseline BENCH_smoke.json -candidate BENCH_smoke.json
+	$(GO) run ./cmd/rocketbench -exp fig6 -scale 200 -seed 1 > /dev/null
 	$(GO) run ./cmd/rockettrace timeline -app forensics -n 8 -limit 20 > /dev/null
 	$(GO) run ./cmd/rocketqueue -example > /tmp/rocket-smoke-jobs.json
 	$(GO) run ./cmd/rocketqueue -manifest /tmp/rocket-smoke-jobs.json -policy fifo > /dev/null
@@ -147,15 +127,12 @@ smoke-incremental:
 	test -s /tmp/rocket-incr-store-stats.json
 
 # Mirrors the workflow's smoke-trace step: the observability layer's
-# determinism and overhead gate. The quickstart and stress-1k scenarios
+# determinism gate. The quickstart and stress-1k scenarios
 # export Perfetto JSON twice each and every pair must be byte-identical —
 # the flight recorder's canonical span ordering makes trace output a pure
-# function of the workload. Then fig6, which
-# renders its timeline from a recorder snapshot, runs without and with
-# -trace and benchgate holds the line: output_sha256 drift is fatal
-# (recording must not change any reported number), as is allocation
-# growth beyond 2%. Exports land in /tmp/rocket-trace-exports (uploaded
-# as a CI artifact).
+# function of the workload. (That recording changes no experiment's output
+# is TestExperimentsShardInvariance's to check.) Exports land in
+# /tmp/rocket-trace-exports (uploaded as a CI artifact).
 smoke-trace:
 	$(GO) build -o /tmp/rocket-smoke-rockettrace ./cmd/rockettrace
 	rm -rf /tmp/rocket-trace-exports
@@ -166,10 +143,6 @@ smoke-trace:
 		cmp /tmp/rocket-trace-exports/$$sc.json /tmp/rocket-trace-exports/$$sc.rerun.json || exit 1; \
 	done
 	/tmp/rocket-smoke-rockettrace top -scenario scenarios/stress-1k.yaml > /dev/null
-	$(GO) run ./cmd/rocketbench -exp fig6 -scale 200 -seed 1 -json traceoff -q
-	$(GO) run ./cmd/rocketbench -exp fig6 -scale 200 -seed 1 -json traceon -trace -q
-	$(GO) run ./cmd/benchgate -baseline BENCH_traceoff.json -candidate BENCH_traceon.json
-	rm -f BENCH_traceoff.json BENCH_traceon.json
 
 # Mirrors the workflow's fuzz step: short go-native fuzz runs over the
 # manifest codec (seed corpus under internal/jobspec/testdata), the
@@ -199,9 +172,7 @@ lint:
 fmt:
 	gofmt -w .
 
-ci: lint build test race-stress
-	ROCKET_SCALE=$(ROCKET_SCALE) $(GO) test -bench=. -benchtime=1x -run='^$$' .
-	ROCKET_SCALE=$(ROCKET_SCALE) $(MAKE) bench-gate
+ci: lint build test race-stress bench-sim
 	$(MAKE) coverage
 	$(MAKE) fuzz-smoke
 	$(MAKE) smoke

@@ -231,25 +231,47 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[i]
 }
 
-func run() error {
+// validate rejects option values the load generator cannot run with. It
+// runs before a scenario is read or an in-process rocketd is started.
+func (o options) validate() error {
+	switch {
+	case o.rate <= 0 || o.jobs <= 0 || o.clients <= 0 || o.tenants <= 0:
+		return fmt.Errorf("rate, jobs, clients, and tenants must be positive")
+	case o.maxNodes < 1:
+		return fmt.Errorf("-max-nodes %d (want >= 1)", o.maxNodes)
+	case o.items < 0:
+		return fmt.Errorf("-items %d (want >= 0)", o.items)
+	case o.mode != "open" && o.mode != "closed":
+		return fmt.Errorf("unknown -mode %q (open or closed)", o.mode)
+	}
+	for _, app := range o.apps {
+		if app == "" {
+			return fmt.Errorf("-apps %q names an empty application", strings.Join(o.apps, ","))
+		}
+	}
+	return nil
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("rocketload", flag.ExitOnError)
 	var (
-		addr      = flag.String("addr", "localhost:8080", "rocketd address (host:port)")
-		local     = flag.Bool("local", false, "spin an in-process rocketd instead of dialing -addr")
-		localN    = flag.Int("local-nodes", 4, "cluster size of the in-process rocketd (-local)")
-		mode      = flag.String("mode", "closed", "load shape: open (Poisson) or closed (burst clients)")
-		rate      = flag.Float64("rate", 20, "open-loop arrival rate, jobs per wall second")
-		jobs      = flag.Int("jobs", 32, "total jobs to submit")
-		clients   = flag.Int("clients", 8, "closed-loop client count")
-		items     = flag.Int("items", 12, "mean data-set size per job")
-		maxNodes  = flag.Int("max-nodes", 2, "widest partition a job may request")
-		appsFlag  = flag.String("apps", "forensics,microscopy", "comma-separated app mix")
-		tenants   = flag.Int("tenants", 3, "number of tenants to spread jobs over")
-		faultRate = flag.Float64("fault-rate", 0, "fraction of jobs submitted with a crash fault (with -scenario: with its schedule)")
-		scenPath  = flag.String("scenario", "", "scenario file whose compiled chaos/fault schedule replaces the synthetic crash")
-		seed      = flag.Uint64("seed", 1, "workload-generator seed")
-		timeout   = flag.Duration("timeout", 2*time.Minute, "per-job completion timeout")
+		addr      = fs.String("addr", "localhost:8080", "rocketd address (host:port)")
+		local     = fs.Bool("local", false, "spin an in-process rocketd instead of dialing -addr")
+		localN    = fs.Int("local-nodes", 4, "cluster size of the in-process rocketd (-local)")
+		mode      = fs.String("mode", "closed", "load shape: open (Poisson) or closed (burst clients)")
+		rate      = fs.Float64("rate", 20, "open-loop arrival rate, jobs per wall second")
+		jobs      = fs.Int("jobs", 32, "total jobs to submit")
+		clients   = fs.Int("clients", 8, "closed-loop client count")
+		items     = fs.Int("items", 12, "mean data-set size per job")
+		maxNodes  = fs.Int("max-nodes", 2, "widest partition a job may request")
+		appsFlag  = fs.String("apps", "forensics,microscopy", "comma-separated app mix")
+		tenants   = fs.Int("tenants", 3, "number of tenants to spread jobs over")
+		faultRate = fs.Float64("fault-rate", 0, "fraction of jobs submitted with a crash fault (with -scenario: with its schedule)")
+		scenPath  = fs.String("scenario", "", "scenario file whose compiled chaos/fault schedule replaces the synthetic crash")
+		seed      = fs.Uint64("seed", 1, "workload-generator seed")
+		timeout   = fs.Duration("timeout", 2*time.Minute, "per-job completion timeout")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	opts := options{
 		base:      "http://" + *addr,
@@ -265,8 +287,8 @@ func run() error {
 		seed:      *seed,
 		timeout:   *timeout,
 	}
-	if opts.rate <= 0 || opts.jobs <= 0 || opts.clients <= 0 || opts.tenants <= 0 {
-		return fmt.Errorf("rate, jobs, clients, and tenants must be positive")
+	if err := opts.validate(); err != nil {
+		return err
 	}
 	if *scenPath != "" {
 		data, err := os.ReadFile(*scenPath)
@@ -315,13 +337,10 @@ func run() error {
 
 	out := make(chan result, opts.jobs)
 	start := time.Now()
-	switch opts.mode {
-	case "open":
+	if opts.mode == "open" {
 		openLoop(opts, out)
-	case "closed":
+	} else {
 		closedLoop(opts, out)
-	default:
-		return fmt.Errorf("unknown -mode %q (open or closed)", opts.mode)
 	}
 	wall := time.Since(start)
 	close(out)
@@ -359,7 +378,7 @@ func run() error {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "rocketload:", err)
 		os.Exit(1)
 	}

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§6). Each experiment builds the appropriate scaled workload
 // and platform, executes the Rocket runtime on the simulated cluster, and
-// renders the same rows or series the paper reports. The benchmark harness
-// (bench_test.go) and the rocketbench CLI both call into this package.
+// renders the same rows or series the paper reports. The rocketbench CLI
+// prints them; TestExperimentsGolden pins each one's output sha256, event
+// counts and allocations.
 //
 // Workload scale: the forensics and bioinformatics data sets are divided
 // by Options.Scale (default 10). Cache capacities are divided alongside,
@@ -46,10 +47,9 @@ type Options struct {
 	Workers int
 	// Trace attaches a flight recorder to every core run the experiment
 	// performs (rocketbench -trace). Recording must not change any
-	// reported number: CI runs benchgate on the reports taken with and
-	// without it, which compares each experiment's output sha256 and
-	// holds its allocations within 2%. Its time cost is bench/'s to
-	// measure (obs.spans_overhead_frac).
+	// reported number: TestExperimentsShardInvariance compares every
+	// experiment's output sha256 with and without it. Its time cost is
+	// bench/'s to measure (obs.spans_overhead_frac).
 	Trace bool
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // tiny runs experiments at an aggressive scale so the full suite stays
-// fast; the bench harness runs them at reporting scale.
+// fast; rocketbench runs them at reporting scale.
 var tiny = Options{Scale: 50, Seed: 1}
 
 func TestSetupsScale(t *testing.T) {
@@ -133,7 +133,7 @@ func TestAblationsRun(t *testing.T) {
 			continue
 		}
 		if e.ID == "ablation-steal" || e.ID == "ablation-backoff" {
-			continue // microscopy at full n; covered by the bench suite
+			continue // microscopy at full n; covered by TestExperimentsGolden
 		}
 		out, err := e.Run(tiny)
 		if err != nil {
@@ -287,23 +287,28 @@ func TestElasticityDeterministic(t *testing.T) {
 	}
 }
 
-// TestExperimentsShardInvariance: every committed experiment renders a
-// byte-identical report (asserted via output sha256, the same digest
-// benchgate gates on) whatever the size of the pool that runs the sweep
-// points (Options.Workers, once Options.Shards).
+// TestExperimentsShardInvariance: every experiment renders a
+// byte-identical report (asserted via output sha256) whatever the size of
+// the pool that runs its sweep points (Options.Workers), and with a flight
+// recorder attached to every run (Options.Trace): recording changes no
+// reported number.
 func TestExperimentsShardInvariance(t *testing.T) {
 	for _, e := range All() {
 		var base [sha256.Size]byte
-		for _, w := range []int{1, 4} {
-			out, err := e.Run(Options{Scale: 100, Seed: 1, Workers: w})
+		for i, o := range []Options{
+			{Scale: 100, Seed: 1, Workers: 1},
+			{Scale: 100, Seed: 1, Workers: 4},
+			{Scale: 100, Seed: 1, Workers: 4, Trace: true},
+		} {
+			out, err := e.Run(o)
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", e.ID, w, err)
+				t.Fatalf("%s workers=%d trace=%v: %v", e.ID, o.Workers, o.Trace, err)
 			}
 			sum := sha256.Sum256([]byte(out))
-			if w == 1 {
+			if i == 0 {
 				base = sum
 			} else if sum != base {
-				t.Errorf("%s: output sha at workers=%d differs from workers=1", e.ID, w)
+				t.Errorf("%s: output sha at workers=%d trace=%v differs from workers=1", e.ID, o.Workers, o.Trace)
 			}
 		}
 	}

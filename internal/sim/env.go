@@ -36,8 +36,8 @@ type Env struct {
 var globalEvents atomic.Uint64
 
 // GlobalEvents returns the total number of events dispatched by all
-// environments in this process so far. rocketbench reads it before and
-// after each experiment to record the experiment's event count.
+// environments in this process so far. The experiments golden test reads
+// it before and after each experiment to pin the experiment's event count.
 func GlobalEvents() uint64 { return globalEvents.Load() }
 
 // globalHeapPushes accumulates HeapPushes over all Envs in the process,

@@ -11,8 +11,9 @@ import (
 // same-timestamp ties — and records every observable step in dispatch
 // order. The recorded trace pins the engine's (time, seq) determinism: any
 // change to event ordering (a different heap arity is fine, a different
-// tie-break is not) shows up as a trace diff. The 24 experiment hashes in
-// BENCH_*.json, not this list, are the cross-PR ordering contract.
+// tie-break is not) shows up as a trace diff. The 23 experiment hashes and
+// event counts in internal/experiments' TestExperimentsGolden, not this
+// list, are the cross-change ordering contract.
 func goldenWorkload() []string {
 	e := NewEnv()
 	var log []string
