@@ -28,8 +28,9 @@ race-stress:
 bench:
 	$(GO) run ./cmd/rocketbench -exp all
 
-# Engine microbenchmarks: event dispatch, deep-queue churn, contended
-# resource hand-off, typed-mailbox throughput; -benchmem reads 0 on all.
+# Engine microbenchmarks: event dispatch, deep-queue churn, arrival churn,
+# contended resource hand-off, typed-mailbox throughput; -benchmem reads 0
+# on all.
 bench-sim:
 	$(GO) test -bench=. -benchmem -count=1 -run='^$$' ./internal/sim/
 
@@ -158,6 +159,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzStoreOps -fuzztime=10s ./internal/pairstore/
 	$(GO) test -run='^$$' -fuzz=FuzzQueueProgram -fuzztime=10s ./internal/sched/
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioParse -fuzztime=10s ./internal/scenario/
+	$(GO) test -run='^$$' -fuzz=FuzzKeyHeap -fuzztime=10s ./internal/sim/
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -19,28 +19,17 @@ import "fmt"
 // Because a record must arrive strictly after the instant it was pushed
 // at, pushing straight into a heap at send time is enough to keep that
 // order: no arrival can be queued behind the clock.
+//
+// The records sit in a slab and the heap sifts only their keys, as the
+// Env's eventQueue does. The free slab slots are the indices in the
+// heap's spare tail, keys[len(keys):len(slab)], so the keys and the slab
+// always grow together, in one step, and nothing else is allocated.
 type Arrivals[T any] struct {
 	env     *Env
 	deliver func(T)
-	heap    []arrival[T]
+	keys    keyHeap
+	slab    []T
 	seq     uint64
-}
-
-type arrival[T any] struct {
-	at  Time
-	seq uint64
-	src uint32
-	msg T
-}
-
-func (a *arrival[T]) before(o *arrival[T]) bool {
-	if a.at != o.at {
-		return a.at < o.at
-	}
-	if a.src != o.src {
-		return a.src < o.src
-	}
-	return a.seq < o.seq
 }
 
 // NewArrivals returns an empty queue on e. deliver runs each record in
@@ -60,45 +49,32 @@ func (q *Arrivals[T]) Push(at Time, src uint32, msg T) {
 		panic("sim: arrival pushed on closed Env")
 	}
 	q.seq++
-	if len(q.heap) == cap(q.heap) {
-		q.heap = append(make([]arrival[T], 0, growCap(cap(q.heap))), q.heap...)
-	}
-	q.heap = append(q.heap, arrival[T]{at: at, seq: q.seq, src: src, msg: msg})
-	for i := len(q.heap) - 1; i > 0; {
-		parent := (i - 1) / queueArity
-		if !q.heap[i].before(&q.heap[parent]) {
-			break
+	n := len(q.keys)
+	idx := int32(n)
+	if n < len(q.slab) {
+		idx = q.keys[:n+1][n].idx // the first free slot of the spare tail
+	} else {
+		// No free slot. The keys are as full as the slab, and keyHeap.push
+		// grows them to the same capacity.
+		if n == cap(q.slab) {
+			q.slab = append(make([]T, 0, growCap(n)), q.slab...)
 		}
-		q.heap[i], q.heap[parent] = q.heap[parent], q.heap[i]
-		i = parent
+		q.slab = q.slab[:n+1]
 	}
+	q.slab[idx] = msg
+	q.keys.push(key{at: at, seq: q.seq, src: src, idx: idx})
 }
 
-// pop removes and returns the earliest record.
-func (q *Arrivals[T]) pop() arrival[T] {
-	top := q.heap[0]
-	n := len(q.heap) - 1
-	q.heap[0] = q.heap[n]
-	q.heap[n] = arrival[T]{} // the record may hold pointers
-	q.heap = q.heap[:n]
-	for i := 0; ; {
-		first := queueArity*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		for c := first + 1; c < first+queueArity && c < n; c++ {
-			if q.heap[c].before(&q.heap[min]) {
-				min = c
-			}
-		}
-		if !q.heap[min].before(&q.heap[i]) {
-			break
-		}
-		q.heap[i], q.heap[min] = q.heap[min], q.heap[i]
-		i = min
-	}
-	return top
+// pop removes the earliest record and returns its arrival time and
+// message, and frees its slot.
+func (q *Arrivals[T]) pop() (Time, T) {
+	k := q.keys.pop()
+	n := len(q.keys)
+	q.keys[:n+1][n].idx = k.idx // the slot joins the spare tail
+	msg := q.slab[k.idx]
+	var zero T
+	q.slab[k.idx] = zero // the record may hold pointers
+	return k.at, msg
 }
 
 // RunUntil is Env.RunUntil over both streams: it dispatches arrivals and
@@ -123,14 +99,14 @@ func (q *Arrivals[T]) RunUntil(t Time) uint64 {
 		if local {
 			lt = e.events.minTime(e.now)
 		}
-		if len(q.heap) > 0 && q.heap[0].at <= t && (!local || q.heap[0].at <= lt) {
+		if len(q.keys) > 0 && q.keys[0].at <= t && (!local || q.keys[0].at <= lt) {
 			// The clock moves only when nothing local is queued at the
 			// current instant: with the now-lane non-empty lt is now, so
 			// the arrival is at now too.
-			a := q.pop()
-			e.now = a.at
+			at, msg := q.pop()
+			e.now = at
 			e.eventsProcessed++
-			q.deliver(a.msg)
+			q.deliver(msg)
 			continue
 		}
 		if !local || lt > t {

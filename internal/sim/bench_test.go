@@ -182,6 +182,35 @@ func BenchmarkEventQueueChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkArrivalsChurn measures the arrival path in the fleet's regime:
+// about 200 messages in flight through Arrivals beside about 2 000 timers
+// in the Env's queue. Each round runs one instant: two messages, whose
+// senders tie on the instant, arrive and are sent on for 100 instants
+// later, and one timer fires and re-arms 2 048 instants later.
+func BenchmarkArrivalsChurn(b *testing.B) {
+	e := NewEnv()
+	var timer func()
+	timer = func() { e.After(2048, timer) }
+	for i := 1; i <= 2048; i++ {
+		e.At(Time(i), timer)
+	}
+	var q *Arrivals[uint32]
+	q = NewArrivals(e, func(src uint32) { q.Push(e.Now()+100, src, src) })
+	for i := 0; i < 200; i++ {
+		q.Push(Time(1+i/2), uint32(i%2*7), uint32(i%2*7))
+	}
+	round := func() { q.RunUntil(e.Now() + 1) }
+	requireZeroAllocs(b, round)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	if e.PendingEvents() != 2048 || len(q.keys) != 200 {
+		b.Fatalf("%d timers and %d arrivals in flight, want 2048 and 200", e.PendingEvents(), len(q.keys))
+	}
+}
+
 // BenchmarkSameInstantChain measures dispatch in the pair workloads'
 // regime: a shallow queue (64 timers pending) and continuations that mostly
 // follow one another at the same instant — four hops for the current

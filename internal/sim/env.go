@@ -60,7 +60,7 @@ const (
 )
 
 // event is the payload of one queue entry; its ordering key (at, seq)
-// lives in the heap's eventRef. The arg and use variants exist so the hot
+// lives in the heap's key. The arg and use variants exist so the hot
 // patterns cost zero closure allocations: "continue this record" carries
 // a handle beside a continuation bound once (AtArg), and "occupy a
 // resource for d, then continue" carries the resource, continuation and

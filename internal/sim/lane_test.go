@@ -171,7 +171,7 @@ func driveLaneProgram(e *Env, seed int64, drv laneDriver) (out laneOutcome, lane
 // hands Step a queue holding that one entry.
 type laneReference struct {
 	e       *Env
-	pending []eventRef
+	pending []key
 	seen    uint64 // pushes collected so far
 }
 
@@ -193,7 +193,7 @@ func (r *laneReference) collect() {
 	q.heap = q.heap[:0]
 	for seq := r.seen + 1; seq <= e.seq; seq++ {
 		if !inHeap[seq] {
-			r.pending = append(r.pending, eventRef{at: e.now, seq: seq, idx: q.lane.Pop()})
+			r.pending = append(r.pending, key{at: e.now, seq: seq, idx: q.lane.Pop()})
 		}
 	}
 	if q.lane.Len() != 0 {
