@@ -26,7 +26,7 @@ race-stress:
 # printed. No timing; bench-repo is the timing reference, and
 # internal/experiments' TestExperimentsGolden pins the outputs and counts.
 bench:
-	$(GO) run ./cmd/rocketbench -exp all
+	$(GO) run ./cmd/rocket experiments -exp all
 
 # Engine microbenchmarks: event dispatch, deep-queue churn, arrival churn,
 # contended resource hand-off, typed-mailbox throughput; -benchmem reads 0
@@ -53,18 +53,18 @@ coverage:
 	echo "total coverage: $$total% (floor $(COVERAGE_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVERAGE_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }'
 
-# Mirrors the workflow's smoke job: every example and CLI runs end to end
-# at tiny scale, including a rocketd serve -> drain -> offline-replay
-# round trip.
+# Mirrors the workflow's smoke job: every example and every rocket
+# subcommand runs end to end at tiny scale, including a serve -> drain ->
+# offline-replay round trip.
 smoke:
 	for d in examples/*/; do echo "== go run ./$$d"; $(GO) run "./$$d" > /dev/null || exit 1; done
-	$(GO) run ./cmd/rocketbench -exp fig6 -scale 200 -seed 1 > /dev/null
-	$(GO) run ./cmd/rockettrace timeline -app forensics -n 8 -limit 20 > /dev/null
-	$(GO) run ./cmd/rocketqueue -example > /tmp/rocket-smoke-jobs.json
-	$(GO) run ./cmd/rocketqueue -manifest /tmp/rocket-smoke-jobs.json -policy fifo > /dev/null
-	$(GO) run ./cmd/rocketqueue -replay /tmp/rocket-smoke-jobs.json -json > /dev/null
-	$(GO) build -o /tmp/rocket-smoke-rocketd ./cmd/rocketd
-	/tmp/rocket-smoke-rocketd -addr 127.0.0.1:18080 -nodes 4 -time-scale 0 -log /tmp/rocket-smoke-served.json > /tmp/rocket-smoke-report.txt & \
+	$(GO) build -o /tmp/rocket-smoke ./cmd/rocket
+	/tmp/rocket-smoke experiments -exp fig6 -scale 200 -seed 1 > /dev/null
+	/tmp/rocket-smoke trace timeline -app forensics -n 8 -limit 20 > /dev/null
+	/tmp/rocket-smoke queue -example > /tmp/rocket-smoke-jobs.json
+	/tmp/rocket-smoke queue -manifest /tmp/rocket-smoke-jobs.json -policy fifo > /dev/null
+	/tmp/rocket-smoke queue -replay /tmp/rocket-smoke-jobs.json -json > /dev/null
+	/tmp/rocket-smoke serve -addr 127.0.0.1:18080 -nodes 4 -time-scale 0 -log /tmp/rocket-smoke-served.json > /tmp/rocket-smoke-report.txt & \
 	pid=$$!; \
 	sleep 1; \
 	curl -sf 127.0.0.1:18080/healthz > /dev/null && \
@@ -73,13 +73,13 @@ smoke:
 	sleep 2 && \
 	curl -sf 127.0.0.1:18080/metrics | grep -q 'rocketd_jobs' && \
 	kill -TERM $$pid && wait $$pid || { kill $$pid 2>/dev/null; exit 1; }
-	$(GO) run ./cmd/rocketqueue -replay /tmp/rocket-smoke-served.json > /tmp/rocket-smoke-replay.txt
+	/tmp/rocket-smoke queue -replay /tmp/rocket-smoke-served.json > /tmp/rocket-smoke-replay.txt
 	tail -2 /tmp/rocket-smoke-report.txt > /tmp/rocket-smoke-report-tail.txt
 	tail -2 /tmp/rocket-smoke-replay.txt > /tmp/rocket-smoke-replay-tail.txt
 	diff /tmp/rocket-smoke-report-tail.txt /tmp/rocket-smoke-replay-tail.txt
-	$(GO) run ./cmd/rocketload -local -jobs 16 -clients 8 -items 8
-	$(GO) run ./cmd/rocketload -local -jobs 8 -mode open -rate 100 -items 8 -fault-rate 0.25
-	$(GO) run ./cmd/rocketload -local -jobs 8 -items 8 -max-nodes 4 -scenario scenarios/crash-recovery.yaml
+	/tmp/rocket-smoke load -local -jobs 16 -clients 8 -items 8
+	/tmp/rocket-smoke load -local -jobs 8 -mode open -rate 100 -items 8 -fault-rate 0.25
+	/tmp/rocket-smoke load -local -jobs 8 -items 8 -max-nodes 4 -scenario scenarios/crash-recovery.yaml
 
 # Mirrors the workflow's smoke-scenarios job: every committed scenario
 # runs twice with the same seed; the run fails on any assertion failure
@@ -87,12 +87,12 @@ smoke:
 # byte-identical — a replayability gate over the whole corpus. Reports
 # land in /tmp/rocket-scenario-reports (uploaded as a CI artifact).
 smoke-scenarios:
-	$(GO) build -o /tmp/rocket-smoke-rocketsim ./cmd/rocketsim
-	/tmp/rocket-smoke-rocketsim validate scenarios/*.yaml
+	$(GO) build -o /tmp/rocket-smoke ./cmd/rocket
+	/tmp/rocket-smoke scenario validate scenarios/*.yaml
 	rm -rf /tmp/rocket-scenario-reports /tmp/rocket-scenario-reports-rerun
 	mkdir -p /tmp/rocket-scenario-reports /tmp/rocket-scenario-reports-rerun
-	/tmp/rocket-smoke-rocketsim run -report /tmp/rocket-scenario-reports scenarios/*.yaml
-	/tmp/rocket-smoke-rocketsim run -q -report /tmp/rocket-scenario-reports-rerun scenarios/*.yaml
+	/tmp/rocket-smoke scenario run -report /tmp/rocket-scenario-reports scenarios/*.yaml
+	/tmp/rocket-smoke scenario run -q -report /tmp/rocket-scenario-reports-rerun scenarios/*.yaml
 	diff -r /tmp/rocket-scenario-reports /tmp/rocket-scenario-reports-rerun
 
 # Mirrors the workflow's smoke-incremental step: the pair-store
@@ -102,10 +102,10 @@ smoke-scenarios:
 # byte-identical fleet summaries. Store segment stats land in
 # /tmp/rocket-incr-store-stats.json (uploaded as a CI artifact).
 smoke-incremental:
-	$(GO) build -o /tmp/rocket-incr-rocketd ./cmd/rocketd
+	$(GO) build -o /tmp/rocket-smoke ./cmd/rocket
 	rm -f /tmp/rocket-incr-store.json /tmp/rocket-incr-store.json.datasets
 	rm -rf /tmp/rocket-incr-store.json.segments
-	/tmp/rocket-incr-rocketd -addr 127.0.0.1:18081 -nodes 4 -time-scale 0 \
+	/tmp/rocket-smoke serve -addr 127.0.0.1:18081 -nodes 4 -time-scale 0 \
 		-log /tmp/rocket-incr-served.json -store /tmp/rocket-incr-store.json \
 		-store-stats /tmp/rocket-incr-store-stats.json > /tmp/rocket-incr-report.txt & \
 	pid=$$!; \
@@ -120,7 +120,7 @@ smoke-incremental:
 	curl -sf 127.0.0.1:18081/metrics | grep -q 'rocketd_store_served_pairs_total 66' && \
 	curl -sf 127.0.0.1:18081/v1/store > /dev/null && \
 	kill -TERM $$pid && wait $$pid || { kill $$pid 2>/dev/null; exit 1; }
-	$(GO) run ./cmd/rocketqueue -replay /tmp/rocket-incr-served.json > /tmp/rocket-incr-replay.txt
+	/tmp/rocket-smoke queue -replay /tmp/rocket-incr-served.json > /tmp/rocket-incr-replay.txt
 	tail -3 /tmp/rocket-incr-report.txt > /tmp/rocket-incr-report-tail.txt
 	tail -3 /tmp/rocket-incr-replay.txt > /tmp/rocket-incr-replay-tail.txt
 	diff /tmp/rocket-incr-report-tail.txt /tmp/rocket-incr-replay-tail.txt
@@ -132,18 +132,18 @@ smoke-incremental:
 # export Perfetto JSON twice each and every pair must be byte-identical —
 # the flight recorder's canonical span ordering makes trace output a pure
 # function of the workload. (That recording changes no experiment's output
-# is TestExperimentsShardInvariance's to check.) Exports land in
+# is TestExperimentsWorkerAndTraceInvariance's to check.) Exports land in
 # /tmp/rocket-trace-exports (uploaded as a CI artifact).
 smoke-trace:
-	$(GO) build -o /tmp/rocket-smoke-rockettrace ./cmd/rockettrace
+	$(GO) build -o /tmp/rocket-smoke ./cmd/rocket
 	rm -rf /tmp/rocket-trace-exports
 	mkdir -p /tmp/rocket-trace-exports
 	for sc in quickstart stress-1k; do \
-		/tmp/rocket-smoke-rockettrace export -scenario scenarios/$$sc.yaml -o /tmp/rocket-trace-exports/$$sc.json && \
-		/tmp/rocket-smoke-rockettrace export -scenario scenarios/$$sc.yaml -o /tmp/rocket-trace-exports/$$sc.rerun.json && \
+		/tmp/rocket-smoke trace export -scenario scenarios/$$sc.yaml -o /tmp/rocket-trace-exports/$$sc.json && \
+		/tmp/rocket-smoke trace export -scenario scenarios/$$sc.yaml -o /tmp/rocket-trace-exports/$$sc.rerun.json && \
 		cmp /tmp/rocket-trace-exports/$$sc.json /tmp/rocket-trace-exports/$$sc.rerun.json || exit 1; \
 	done
-	/tmp/rocket-smoke-rockettrace top -scenario scenarios/stress-1k.yaml > /dev/null
+	/tmp/rocket-smoke trace top -scenario scenarios/stress-1k.yaml > /dev/null
 
 # Mirrors the workflow's fuzz step: short go-native fuzz runs over the
 # manifest codec (seed corpus under internal/jobspec/testdata), the

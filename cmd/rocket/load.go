@@ -1,23 +1,3 @@
-// Command rocketload drives a rocketd server with synthetic traffic: an
-// open-loop Poisson arrival process or closed-loop burst clients, over a
-// mixed application workload, optionally spiced with fault injection. It
-// reports submission/completion counts and wall-clock latency statistics.
-//
-// Usage:
-//
-//	rocketload -addr localhost:8080 -mode open -rate 50 -jobs 100
-//	rocketload -addr localhost:8080 -mode closed -clients 8 -jobs 64
-//	rocketload -local -jobs 32          # self-contained smoke: in-process rocketd
-//
-// Open-loop mode submits jobs at exponential inter-arrival times
-// regardless of completions (rate in jobs per wall second), which probes
-// admission backpressure; closed-loop mode runs -clients submitters that
-// each wait for their job to finish before sending the next, which probes
-// service latency. -fault-rate injects a node crash into that fraction of
-// jobs (their first attempt), exercising requeue-under-retry on a live
-// service. -scenario loads a scenario file (see scenarios/) and injects
-// its compiled chaos/fault schedule instead of the synthetic crash, so
-// HTTP load tests and the rocketsim harness share one fault vocabulary.
 package main
 
 import (
@@ -27,9 +7,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -38,9 +18,82 @@ import (
 	"rocket"
 	"rocket/internal/fault"
 	"rocket/internal/jobspec"
-	"rocket/internal/scenario"
 	"rocket/internal/stats"
 )
+
+// cmdLoad drives a rocketd server with synthetic traffic: an open-loop
+// Poisson arrival process or closed-loop burst clients, over a mixed
+// application workload, optionally spiced with fault injection. It
+// reports submission/completion counts and wall-clock latency statistics.
+//
+//	rocket load -addr localhost:8080 -mode open -rate 50 -jobs 100
+//	rocket load -addr localhost:8080 -mode closed -clients 8 -jobs 64
+//	rocket load -local -jobs 32          # self-contained smoke: in-process rocketd
+//
+// Open-loop mode submits jobs at exponential inter-arrival times
+// regardless of completions (rate in jobs per wall second), which probes
+// admission backpressure; closed-loop mode runs -clients submitters that
+// each wait for their job to finish before sending the next, which probes
+// service latency. -fault-rate injects a node crash into that fraction of
+// jobs (their first attempt), exercising requeue-under-retry on a live
+// service. -scenario loads a scenario file (see scenarios/) and injects
+// its compiled chaos/fault schedule instead of the synthetic crash, so
+// HTTP load tests and `rocket scenario` share one fault vocabulary.
+func cmdLoad(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rocket load", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	fs.StringVar(&o.mode, "mode", "closed", "load shape: open (Poisson) or closed (burst clients)")
+	fs.Float64Var(&o.rate, "rate", 20, "open-loop arrival rate, jobs per wall second")
+	fs.IntVar(&o.jobs, "jobs", 32, "total jobs to submit")
+	fs.IntVar(&o.clients, "clients", 8, "closed-loop client count")
+	fs.IntVar(&o.items, "items", 12, "mean data-set size per job")
+	fs.IntVar(&o.maxNodes, "max-nodes", 2, "widest partition a job may request")
+	fs.IntVar(&o.tenants, "tenants", 3, "number of tenants to spread jobs over")
+	fs.Float64Var(&o.faultRate, "fault-rate", 0, "fraction of jobs submitted with a crash fault (with -scenario: with its schedule)")
+	fs.Uint64Var(&o.seed, "seed", 1, "workload-generator seed")
+	fs.DurationVar(&o.timeout, "timeout", 2*time.Minute, "per-job completion timeout")
+	var (
+		addr     = fs.String("addr", "localhost:8080", "rocketd address (host:port)")
+		local    = fs.Bool("local", false, "spin an in-process rocketd instead of dialing -addr")
+		localN   = fs.Int("local-nodes", 4, "cluster size of the in-process rocketd (-local)")
+		appsFlag = fs.String("apps", "forensics,microscopy", "comma-separated app mix")
+		scenPath = fs.String("scenario", "", "scenario file whose compiled chaos/fault schedule replaces the synthetic crash")
+	)
+	if code, ok := parseFlags(fs, args, false); !ok {
+		return code
+	}
+	o.base, o.apps = "http://"+*addr, strings.Split(*appsFlag, ",")
+	err := o.validate()
+	if err == nil && *scenPath != "" {
+		err = o.loadFaults(*scenPath, stderr)
+	}
+	if err != nil {
+		return fail(fs, 2, err)
+	}
+
+	if *local {
+		srv, err := rocket.Serve(rocket.ServeConfig{
+			Nodes:      *localN,
+			Policy:     rocket.PolicyFairShare,
+			MaxRetries: 1,
+			Seed:       o.seed,
+			TimeScale:  1,
+		})
+		if err != nil {
+			return fail(fs, 2, err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		defer srv.Shutdown(context.Background())
+		o.base = ts.URL
+		fmt.Fprintf(stderr, "rocket load: in-process rocketd with %d nodes at %s\n", *localN, ts.URL)
+	}
+	if err := o.run(stdout); err != nil {
+		return fail(fs, 1, err)
+	}
+	return 0
+}
 
 type options struct {
 	base      string
@@ -243,6 +296,10 @@ func (o options) validate() error {
 		return fmt.Errorf("-items %d (want >= 0)", o.items)
 	case o.mode != "open" && o.mode != "closed":
 		return fmt.Errorf("unknown -mode %q (open or closed)", o.mode)
+	case o.timeout <= 0:
+		return fmt.Errorf("-timeout %v (want > 0)", o.timeout)
+	case !(o.faultRate >= 0 && o.faultRate <= 1): // NaN fails both
+		return fmt.Errorf("-fault-rate %v (want 0 <= rate <= 1)", o.faultRate)
 	}
 	for _, app := range o.apps {
 		if app == "" {
@@ -252,95 +309,41 @@ func (o options) validate() error {
 	return nil
 }
 
-func run(args []string) error {
-	fs := flag.NewFlagSet("rocketload", flag.ExitOnError)
-	var (
-		addr      = fs.String("addr", "localhost:8080", "rocketd address (host:port)")
-		local     = fs.Bool("local", false, "spin an in-process rocketd instead of dialing -addr")
-		localN    = fs.Int("local-nodes", 4, "cluster size of the in-process rocketd (-local)")
-		mode      = fs.String("mode", "closed", "load shape: open (Poisson) or closed (burst clients)")
-		rate      = fs.Float64("rate", 20, "open-loop arrival rate, jobs per wall second")
-		jobs      = fs.Int("jobs", 32, "total jobs to submit")
-		clients   = fs.Int("clients", 8, "closed-loop client count")
-		items     = fs.Int("items", 12, "mean data-set size per job")
-		maxNodes  = fs.Int("max-nodes", 2, "widest partition a job may request")
-		appsFlag  = fs.String("apps", "forensics,microscopy", "comma-separated app mix")
-		tenants   = fs.Int("tenants", 3, "number of tenants to spread jobs over")
-		faultRate = fs.Float64("fault-rate", 0, "fraction of jobs submitted with a crash fault (with -scenario: with its schedule)")
-		scenPath  = fs.String("scenario", "", "scenario file whose compiled chaos/fault schedule replaces the synthetic crash")
-		seed      = fs.Uint64("seed", 1, "workload-generator seed")
-		timeout   = fs.Duration("timeout", 2*time.Minute, "per-job completion timeout")
-	)
-	fs.Parse(args)
-
-	opts := options{
-		base:      "http://" + *addr,
-		mode:      *mode,
-		rate:      *rate,
-		jobs:      *jobs,
-		clients:   *clients,
-		items:     *items,
-		maxNodes:  *maxNodes,
-		apps:      strings.Split(*appsFlag, ","),
-		tenants:   *tenants,
-		faultRate: *faultRate,
-		seed:      *seed,
-		timeout:   *timeout,
-	}
-	if err := opts.validate(); err != nil {
+// loadFaults reads the scenario at path and takes its compiled
+// chaos/fault schedule, in wire form, as the faults jobs carry.
+func (o *options) loadFaults(path string, stderr io.Writer) error {
+	sc, err := loadScenario(path)
+	if err != nil {
 		return err
 	}
-	if *scenPath != "" {
-		data, err := os.ReadFile(*scenPath)
-		if err != nil {
-			return err
-		}
-		sc, err := scenario.Parse(data)
-		if err != nil {
-			return fmt.Errorf("scenario %s: %w", *scenPath, err)
-		}
-		sch, err := sc.CompileFaults()
-		if err != nil {
-			return fmt.Errorf("scenario %s: %w", *scenPath, err)
-		}
-		opts.faults, err = jobspec.FaultsFromSchedule(sch)
-		if err != nil {
-			return fmt.Errorf("scenario %s: %w", *scenPath, err)
-		}
-		if len(opts.faults) == 0 {
-			return fmt.Errorf("scenario %s compiles to a fault-free schedule", *scenPath)
-		}
-		if opts.faultRate == 0 {
-			opts.faultRate = 1 // loading a scenario means its faults apply
-		}
-		fmt.Fprintf(os.Stderr, "rocketload: %d faults from scenario %q at rate %.2f\n",
-			len(opts.faults), sc.Name, opts.faultRate)
+	sch, err := sc.CompileFaults()
+	if err != nil {
+		return fmt.Errorf("scenario %s: %w", path, err)
 	}
-
-	if *local {
-		srv, err := rocket.Serve(rocket.ServeConfig{
-			Nodes:      *localN,
-			Policy:     rocket.PolicyFairShare,
-			MaxRetries: 1,
-			Seed:       *seed,
-			TimeScale:  1,
-		})
-		if err != nil {
-			return err
-		}
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		defer srv.Shutdown(context.Background())
-		opts.base = ts.URL
-		fmt.Fprintf(os.Stderr, "rocketload: in-process rocketd with %d nodes at %s\n", *localN, ts.URL)
+	o.faults, err = jobspec.FaultsFromSchedule(sch)
+	if err != nil {
+		return fmt.Errorf("scenario %s: %w", path, err)
 	}
+	if len(o.faults) == 0 {
+		return fmt.Errorf("scenario %s compiles to a fault-free schedule", path)
+	}
+	if o.faultRate == 0 {
+		o.faultRate = 1 // loading a scenario means its faults apply
+	}
+	fmt.Fprintf(stderr, "rocket load: %d faults from scenario %q at rate %.2f\n",
+		len(o.faults), sc.Name, o.faultRate)
+	return nil
+}
 
-	out := make(chan result, opts.jobs)
+// run submits the jobs, waits for every one, and prints the counts and
+// latencies. It fails when a job was lost or never reached the server.
+func (o options) run(stdout io.Writer) error {
+	out := make(chan result, o.jobs)
 	start := time.Now()
-	if opts.mode == "open" {
-		openLoop(opts, out)
+	if o.mode == "open" {
+		openLoop(o, out)
 	} else {
-		closedLoop(opts, out)
+		closedLoop(o, out)
 	}
 	wall := time.Since(start)
 	close(out)
@@ -356,15 +359,15 @@ func run(args []string) error {
 		}
 	}
 	sort.Float64s(sorted)
-	fmt.Printf("rocketload: %s mode, %d jobs in %.2fs wall (%.1f jobs/s)\n",
-		opts.mode, opts.jobs, wall.Seconds(), float64(opts.jobs)/wall.Seconds())
+	fmt.Fprintf(stdout, "rocket load: %s mode, %d jobs in %.2fs wall (%.1f jobs/s)\n",
+		o.mode, o.jobs, wall.Seconds(), float64(o.jobs)/wall.Seconds())
 	for _, st := range []string{"done", "failed", "rejected", "refused", "error", "lost"} {
 		if counts[st] > 0 {
-			fmt.Printf("  %-9s %d\n", st, counts[st])
+			fmt.Fprintf(stdout, "  %-9s %d\n", st, counts[st])
 		}
 	}
 	if lat.N() > 0 {
-		fmt.Printf("  latency   mean %.1fms  p50 %.1fms  p95 %.1fms  max %.1fms\n",
+		fmt.Fprintf(stdout, "  latency   mean %.1fms  p50 %.1fms  p95 %.1fms  max %.1fms\n",
 			1e3*lat.Mean(), 1e3*percentile(sorted, 0.50),
 			1e3*percentile(sorted, 0.95), 1e3*lat.Max())
 	}
@@ -375,11 +378,4 @@ func run(args []string) error {
 		return fmt.Errorf("%d submissions never reached the server", counts["error"])
 	}
 	return nil
-}
-
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "rocketload:", err)
-		os.Exit(1)
-	}
 }

@@ -202,7 +202,7 @@ func TestIntegrationExperimentOutputsDeterministic(t *testing.T) {
 }
 
 func TestIntegrationRockettraceStyleRun(t *testing.T) {
-	// Mirror what cmd/rockettrace does and check timeline rendering.
+	// Mirror what `rocket trace timeline` does and check timeline rendering.
 	s := experiments.ForensicsSetup(experiments.Options{Scale: 100, Seed: 1})
 	rec := rocket.NewSpanRecorder(1, 0)
 	_, err := rocket.New(

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	goruntime "runtime"
 	"slices"
 	"testing"
@@ -100,6 +101,10 @@ func TestRunFixedCost(t *testing.T) {
 // over the same run without it, whatever the data-set size — every task
 // interval goes into a slot that already exists — and reports the same
 // outcome. The slack is for what the Go runtime allocates on its own.
+//
+// Now and then the Go runtime allocates a few objects of its own during a
+// run (a 5 KiB burst, one run in a few hundred under load). That only ever
+// adds, so each side of the comparison is the cheapest of three runs.
 func TestSpansAllocateOnlyTheRing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -110,9 +115,23 @@ func TestSpansAllocateOnlyTheRing(t *testing.T) {
 		cfg := func(rec *obs.Recorder) Config {
 			return Config{App: forensics.New(forensics.Params{N: n, Seed: 1}), Cluster: newCluster(t, 4), Seed: 1, DistCache: true, Spans: rec}
 		}
-		objs, bytes, plain := countRun(t, cfg(nil))
-		rec := obs.New(1, ringCap)
-		tObjs, tBytes, traced := countRun(t, cfg(rec))
+		// cheapest runs cfg three times, each with a fresh recorder when
+		// traced, and returns the fewest objects and bytes any run allocated
+		// with the metrics and recorder of the last.
+		cheapest := func(traced bool) (objs, bytes float64, m *Metrics, rec *obs.Recorder) {
+			objs, bytes = math.Inf(1), math.Inf(1)
+			for range 3 {
+				rec = nil
+				if traced {
+					rec = obs.New(1, ringCap)
+				}
+				o, b, rm := countRun(t, cfg(rec))
+				objs, bytes, m = min(objs, o), min(bytes, b), rm
+			}
+			return objs, bytes, m, rec
+		}
+		objs, bytes, plain, _ := cheapest(false)
+		tObjs, tBytes, traced, rec := cheapest(true)
 		snap := rec.Snapshot()
 		t.Logf("n=%d: %.0f objects, %.0f bytes; with spans %.0f, %.0f (%d recorded, %d retained)",
 			n, objs, bytes, tObjs, tBytes, snap.Recorded, len(snap.Spans))

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§6). Each experiment builds the appropriate scaled workload
 // and platform, executes the Rocket runtime on the simulated cluster, and
-// renders the same rows or series the paper reports. The rocketbench CLI
+// renders the same rows or series the paper reports. `rocket experiments`
 // prints them; TestExperimentsGolden pins each one's output sha256, event
 // counts and allocations.
 //
@@ -46,8 +46,8 @@ type Options struct {
 	// every pool size. 0 or 1 runs sequentially.
 	Workers int
 	// Trace attaches a flight recorder to every core run the experiment
-	// performs (rocketbench -trace). Recording must not change any
-	// reported number: TestExperimentsShardInvariance compares every
+	// performs (`rocket experiments -trace`). Recording must not change any
+	// reported number: TestExperimentsWorkerAndTraceInvariance compares every
 	// experiment's output sha256 with and without it. Its time cost is
 	// bench/'s to measure (obs.spans_overhead_frac).
 	Trace bool

@@ -8,7 +8,7 @@ import (
 )
 
 // tiny runs experiments at an aggressive scale so the full suite stays
-// fast; rocketbench runs them at reporting scale.
+// fast; `rocket experiments` runs them at reporting scale.
 var tiny = Options{Scale: 50, Seed: 1}
 
 func TestSetupsScale(t *testing.T) {
@@ -287,12 +287,12 @@ func TestElasticityDeterministic(t *testing.T) {
 	}
 }
 
-// TestExperimentsShardInvariance: every experiment renders a
+// TestExperimentsWorkerAndTraceInvariance: every experiment renders a
 // byte-identical report (asserted via output sha256) whatever the size of
 // the pool that runs its sweep points (Options.Workers), and with a flight
 // recorder attached to every run (Options.Trace): recording changes no
 // reported number.
-func TestExperimentsShardInvariance(t *testing.T) {
+func TestExperimentsWorkerAndTraceInvariance(t *testing.T) {
 	for _, e := range All() {
 		var base [sha256.Size]byte
 		for i, o := range []Options{

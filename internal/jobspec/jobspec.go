@@ -1,5 +1,5 @@
 // Package jobspec is the shared wire schema for describing all-pairs jobs
-// and fleet manifests outside the process: the rocketqueue CLI's job
+// and fleet manifests outside the process: `rocket queue`'s job
 // manifest, rocketd's HTTP job submissions, and the arrival logs rocketd
 // records for offline replay are all this one format, so a log served
 // online is literally a manifest the batch scheduler can re-run.
@@ -69,7 +69,7 @@ func (f Fault) event() (fault.Event, error) {
 // format, preserving order. It is the inverse of Fault.event (round-trip
 // exact: AtMS = At / 1ms and sim.Millis undoes it), letting a scenario
 // file's compiled chaos or event section ride along on a job submission
-// — rocketload -scenario uses it so HTTP load tests and the scenario
+// — `rocket load -scenario` uses it so HTTP load tests and the scenario
 // harness share one fault vocabulary. A fleet-only event is an error.
 func FaultsFromSchedule(s *fault.Schedule) ([]Fault, error) {
 	if s.Empty() {
@@ -267,7 +267,7 @@ func (m Manifest) ArrivalsOrdered() bool {
 // batch scheduler admits in arrival order — so an out-of-order log
 // would silently derive different jobs than its sorted equivalent.
 // After Normalize, any permutation of the same entries replays
-// identically. rocketqueue -replay normalizes (with a warning) instead
+// identically. `rocket queue -replay` normalizes (with a warning) instead
 // of silently producing a divergent replay.
 func (m *Manifest) Normalize() bool {
 	if m.ArrivalsOrdered() {

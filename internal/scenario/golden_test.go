@@ -25,7 +25,7 @@ var corpusReportSHA = map[string]string{
 }
 
 // corpusWireFaultsSHA pins the sha256 of the JSON of the jobspec.Fault
-// records `rocketload -scenario` sends for each committed scenario whose
+// records `rocket load -scenario` sends for each committed scenario whose
 // compiled schedule is non-empty: the wire bytes are a contract with every
 // rocketd that receives them.
 var corpusWireFaultsSHA = map[string]string{

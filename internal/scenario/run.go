@@ -21,7 +21,7 @@ type RunOptions struct {
 	// Seed, when non-zero, replaces the scenario seed.
 	Seed uint64
 	// Spans, when non-nil, attaches a flight recorder to the run
-	// (rockettrace's export path). Recorded timelines inherit the
+	// (`rocket trace`'s export path). Recorded timelines inherit the
 	// report's determinism: byte-identical across reruns.
 	Spans *rocket.SpanRecorder
 }

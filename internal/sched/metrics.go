@@ -195,8 +195,8 @@ func aggregate(cfg Config, states []*jobState, pool *elasticPool) *Metrics {
 	return m
 }
 
-// Report renders the fleet outcome as the throughput/latency tables the
-// rocketqueue CLI prints.
+// Report renders the fleet outcome as the throughput/latency tables that
+// `rocket queue` prints.
 func (m *Metrics) Report() string {
 	var b strings.Builder
 	jobs := report.NewTable(

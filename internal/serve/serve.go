@@ -23,7 +23,7 @@
 // Every submission is recorded as a jobspec.Spec; once the scheduler
 // assigns its virtual arrival, the submission becomes part of the arrival
 // log, an ordinary batch manifest with nanosecond-exact arrivals. Feeding
-// that log to `rocketqueue -replay` re-executes the served trace offline
+// that log to `rocket queue -replay` re-executes the served trace offline
 // and reproduces the server's fleet metrics byte-for-byte.
 package serve
 
@@ -357,7 +357,7 @@ func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if s.spans == nil {
 		writeError(w, http.StatusNotFound,
-			fmt.Errorf("tracing disabled; start rocketd with -trace"))
+			fmt.Errorf("tracing disabled; start rocket serve with -trace"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
