@@ -7,7 +7,7 @@
 GO ?= go
 COVERAGE_FLOOR ?= 75.0
 
-.PHONY: build test race-stress bench bench-sim bench-repo loc coverage smoke smoke-scenarios smoke-incremental smoke-trace fuzz-smoke lint ci fmt
+.PHONY: build test race-stress alloc-stress bench bench-sim bench-repo loc coverage smoke smoke-scenarios smoke-incremental smoke-trace fuzz-smoke lint ci fmt
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,35 @@ test:
 race-stress:
 	GOMAXPROCS=2 $(GO) test -race -count=2 ./internal/sched/ ./internal/core/ ./internal/serve/
 	GOMAXPROCS=8 $(GO) test -race -count=2 ./internal/sched/ ./internal/core/ ./internal/serve/
+
+# Mirrors the workflow's alloc-stress step: the allocation gates must hold
+# while tests share the CPU, as they do under `go test ./...`. Six copies
+# run at once, eight rounds each; a round runs every allocation gate
+# (experiments' goldens, the pairstore ingest budget, core's and the
+# fleet's allocation tests) from prebuilt test binaries. All 48 rounds
+# must pass.
+ALLOC_GATES = experiments:Golden pairstore:TestIngestAllocationBudget \
+	core:'TestAllocations|TestRunFixedCost|TestSpansAllocateOnlyTheRing' \
+	fleet:TestFleetAllocationBudget
+alloc-stress:
+	rm -rf /tmp/rocket-alloc-stress && mkdir -p /tmp/rocket-alloc-stress
+	for pkg in experiments pairstore core fleet; do \
+		$(GO) test -c -o /tmp/rocket-alloc-stress/$$pkg.test ./internal/$$pkg || exit 1; \
+	done
+	for copy in 1 2 3 4 5 6; do \
+		for round in 1 2 3 4 5 6 7 8; do \
+			ok=pass; \
+			for gate in $(ALLOC_GATES); do \
+				pkg=$${gate%%:*}; \
+				(cd internal/$$pkg && /tmp/rocket-alloc-stress/$$pkg.test -test.run "$${gate#*:}" -test.count 1 > /dev/null) || ok=FAIL; \
+			done; \
+			echo "copy $$copy round $$round $$ok"; \
+		done > /tmp/rocket-alloc-stress/copy$$copy.log & \
+	done; \
+	wait
+	@cat /tmp/rocket-alloc-stress/copy*.log | grep FAIL || true
+	@passed=$$(grep -c 'pass$$' /tmp/rocket-alloc-stress/copy*.log | awk -F: '{n += $$2} END {print n}'); \
+	echo "alloc-stress: $$passed of 48 rounds passed"; test "$$passed" -eq 48
 
 # Full evaluation at reporting scale (minutes): every table and figure,
 # printed. No timing; bench-repo is the timing reference, and
@@ -174,7 +203,7 @@ lint:
 fmt:
 	gofmt -w .
 
-ci: lint build test race-stress bench-sim
+ci: lint build test race-stress alloc-stress bench-sim
 	$(MAKE) coverage
 	$(MAKE) fuzz-smoke
 	$(MAKE) smoke

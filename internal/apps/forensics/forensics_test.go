@@ -86,11 +86,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for i := range img.Pix {
 		img.Pix[i] = uint8(rng.Intn(256))
 	}
-	raw, err := Encode(img)
+	raw, err := encode(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(raw)
+	got, err := decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,35 +112,35 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		append([]byte(imageMagic), make([]byte, 8)...), // zero dims
 	}
 	for i, c := range cases {
-		if _, err := Decode(c); err == nil {
+		if _, err := decode(c); err == nil {
 			t.Errorf("case %d: garbage accepted", i)
 		}
 	}
 }
 
 func TestEncodeValidatesBuffer(t *testing.T) {
-	if _, err := Encode(&Image{W: 4, H: 4, Pix: make([]uint8, 3)}); err == nil {
+	if _, err := encode(&Image{W: 4, H: 4, Pix: make([]uint8, 3)}); err == nil {
 		t.Fatal("mismatched buffer accepted")
 	}
 }
 
 func TestNCCBasics(t *testing.T) {
 	a := []float32{1, -1, 2, -2, 3, -3}
-	if v, err := NCC(a, a); err != nil || math.Abs(v-1) > 1e-9 {
+	if v, err := ncc(a, a); err != nil || math.Abs(v-1) > 1e-9 {
 		t.Fatalf("self NCC = %v, %v; want 1", v, err)
 	}
 	b := make([]float32, len(a))
 	for i := range a {
 		b[i] = -a[i]
 	}
-	if v, _ := NCC(a, b); math.Abs(v+1) > 1e-9 {
+	if v, _ := ncc(a, b); math.Abs(v+1) > 1e-9 {
 		t.Fatalf("negated NCC = %v, want -1", v)
 	}
-	if _, err := NCC(a, a[:2]); err == nil {
+	if _, err := ncc(a, a[:2]); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 	zero := make([]float32, len(a))
-	if v, err := NCC(a, zero); err != nil || v != 0 {
+	if v, err := ncc(a, zero); err != nil || v != 0 {
 		t.Fatalf("zero-variance NCC = %v, %v; want 0", v, err)
 	}
 }
@@ -201,7 +201,7 @@ func TestQuickExtractPattern(t *testing.T) {
 		for i := range img.Pix {
 			img.Pix[i] = uint8(rng.Intn(256))
 		}
-		pat := ExtractPattern(img)
+		pat := extractPattern(img)
 		var mean float64
 		for _, v := range pat {
 			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {

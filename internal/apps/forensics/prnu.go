@@ -22,8 +22,8 @@ type Image struct {
 
 const imageMagic = "PRNU1\n"
 
-// Encode serializes the image into the container format.
-func Encode(img *Image) ([]byte, error) {
+// encode serializes the image into the container format.
+func encode(img *Image) ([]byte, error) {
 	if len(img.Pix) != img.W*img.H {
 		return nil, fmt.Errorf("forensics: pixel buffer %d != %dx%d", len(img.Pix), img.W, img.H)
 	}
@@ -46,8 +46,8 @@ func Encode(img *Image) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode parses a container produced by Encode.
-func Decode(raw []byte) (*Image, error) {
+// decode parses a container produced by encode.
+func decode(raw []byte) (*Image, error) {
 	if len(raw) < len(imageMagic)+8 || string(raw[:len(imageMagic)]) != imageMagic {
 		return nil, fmt.Errorf("forensics: bad image header")
 	}
@@ -75,9 +75,9 @@ type Camera struct {
 	K []float32
 }
 
-// NewCamera creates a camera whose PRNU pattern is drawn from the given
+// newCamera creates a camera whose PRNU pattern is drawn from the given
 // seed. Strength is the pattern's standard deviation (e.g. 0.05).
-func NewCamera(w, h int, strength float64, seed uint64) *Camera {
+func newCamera(w, h int, strength float64, seed uint64) *Camera {
 	rng := stats.NewRNG(seed)
 	k := make([]float32, w*h)
 	for i := range k {
@@ -86,9 +86,9 @@ func NewCamera(w, h int, strength float64, seed uint64) *Camera {
 	return &Camera{W: w, H: h, K: k}
 }
 
-// Shoot produces an image of a random smooth scene as captured by this
+// shoot produces an image of a random smooth scene as captured by this
 // camera: scene luminance modulated by (1 + K) plus shot noise.
-func (c *Camera) Shoot(rng *stats.RNG) *Image {
+func (c *Camera) shoot(rng *stats.RNG) *Image {
 	scene := smoothScene(c.W, c.H, rng)
 	pix := make([]uint8, c.W*c.H)
 	for i, s := range scene {
@@ -131,10 +131,10 @@ func smoothScene(w, h int, rng *stats.RNG) []float64 {
 	return scene
 }
 
-// ExtractPattern computes the noise residual W = I - denoise(I), the PRNU
+// extractPattern computes the noise residual W = I - denoise(I), the PRNU
 // estimate that the paper's GPU kernel produces. The denoise filter is a
 // 3x3 mean filter; the residual is returned zero-meaned.
-func ExtractPattern(img *Image) []float32 {
+func extractPattern(img *Image) []float32 {
 	w, h := img.W, img.H
 	out := make([]float32, w*h)
 	var mean float64
@@ -163,9 +163,9 @@ func ExtractPattern(img *Image) []float32 {
 	return out
 }
 
-// NCC computes the Normalized Cross Correlation between two equally sized
+// ncc computes the Normalized Cross Correlation between two equally sized
 // patterns, the paper's similarity metric for PRNU patterns.
-func NCC(a, b []float32) (float64, error) {
+func ncc(a, b []float32) (float64, error) {
 	if len(a) != len(b) || len(a) == 0 {
 		return 0, fmt.Errorf("forensics: NCC on patterns of size %d and %d", len(a), len(b))
 	}

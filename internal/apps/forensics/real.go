@@ -70,7 +70,7 @@ func NewReal(p RealParams) (*RealApp, error) {
 	for i := range a.truth {
 		a.truth[i] = i % p.Cameras
 	}
-	mem, err := GenerateDataset(p)
+	mem, err := generateDataset(p)
 	if err != nil {
 		return nil, err
 	}
@@ -78,18 +78,18 @@ func NewReal(p RealParams) (*RealApp, error) {
 	return a, nil
 }
 
-// GenerateDataset synthesizes the image files for the given parameters.
-func GenerateDataset(p RealParams) (*MemDataset, error) {
+// generateDataset synthesizes the image files for the given parameters.
+func generateDataset(p RealParams) (*MemDataset, error) {
 	p.fillDefaults()
 	cams := make([]*Camera, p.Cameras)
 	for c := range cams {
-		cams[c] = NewCamera(p.Width, p.Height, p.Strength, stats.HashRNG(p.Seed, uint64(c), 0xca).Uint64())
+		cams[c] = newCamera(p.Width, p.Height, p.Strength, stats.HashRNG(p.Seed, uint64(c), 0xca).Uint64())
 	}
 	ds := &MemDataset{Files: make([][]byte, p.N)}
 	for i := 0; i < p.N; i++ {
 		rng := stats.HashRNG(p.Seed, uint64(i), 0x501)
-		img := cams[i%p.Cameras].Shoot(rng)
-		raw, err := Encode(img)
+		img := cams[i%p.Cameras].shoot(rng)
+		raw, err := encode(img)
 		if err != nil {
 			return nil, err
 		}
@@ -108,15 +108,15 @@ func (a *RealApp) LoadItem(item int) (interface{}, error) {
 	if err != nil {
 		return nil, err
 	}
-	img, err := Decode(raw)
+	img, err := decode(raw)
 	if err != nil {
 		return nil, fmt.Errorf("item %d: %w", item, err)
 	}
-	return ExtractPattern(img), nil
+	return extractPattern(img), nil
 }
 
 // ComparePair implements core.Computer: Normalized Cross Correlation
 // between two PRNU patterns.
 func (a *RealApp) ComparePair(i, j int, x, y interface{}) (interface{}, error) {
-	return NCC(x.([]float32), y.([]float32))
+	return ncc(x.([]float32), y.([]float32))
 }

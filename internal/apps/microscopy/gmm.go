@@ -21,11 +21,11 @@ type Particle struct {
 	Points []Point `json:"points"`
 }
 
-// EncodeJSON serializes a particle.
-func EncodeJSON(p *Particle) ([]byte, error) { return json.Marshal(p) }
+// encodeJSON serializes a particle.
+func encodeJSON(p *Particle) ([]byte, error) { return json.Marshal(p) }
 
-// DecodeJSON parses a particle file.
-func DecodeJSON(raw []byte) (*Particle, error) {
+// decodeJSON parses a particle file.
+func decodeJSON(raw []byte) (*Particle, error) {
 	var p Particle
 	if err := json.Unmarshal(raw, &p); err != nil {
 		return nil, fmt.Errorf("microscopy: bad particle JSON: %w", err)
@@ -36,8 +36,8 @@ func DecodeJSON(raw []byte) (*Particle, error) {
 	return &p, nil
 }
 
-// Centroid returns the mean of the points.
-func (p *Particle) Centroid() Point {
+// centroid returns the mean of the points.
+func (p *Particle) centroid() Point {
 	var cx, cy float64
 	for _, pt := range p.Points {
 		cx += pt.X
@@ -47,9 +47,9 @@ func (p *Particle) Centroid() Point {
 	return Point{cx / n, cy / n}
 }
 
-// Centered returns a copy translated so its centroid is the origin.
-func (p *Particle) Centered() *Particle {
-	c := p.Centroid()
+// centered returns a copy translated so its centroid is the origin.
+func (p *Particle) centered() *Particle {
+	c := p.centroid()
 	out := &Particle{ID: p.ID, Points: make([]Point, len(p.Points))}
 	for i, pt := range p.Points {
 		out.Points[i] = Point{pt.X - c.X, pt.Y - c.Y}
@@ -57,8 +57,8 @@ func (p *Particle) Centered() *Particle {
 	return out
 }
 
-// Rotated returns a copy rotated by theta radians about the origin.
-func (p *Particle) Rotated(theta float64) *Particle {
+// rotated returns a copy rotated by theta radians about the origin.
+func (p *Particle) rotated(theta float64) *Particle {
 	s, c := math.Sin(theta), math.Cos(theta)
 	out := &Particle{ID: p.ID, Points: make([]Point, len(p.Points))}
 	for i, pt := range p.Points {
@@ -67,10 +67,10 @@ func (p *Particle) Rotated(theta float64) *Particle {
 	return out
 }
 
-// CrossTerm is the Gaussian-mixture cross correlation between two point
+// crossTerm is the Gaussian-mixture cross correlation between two point
 // clouds with isotropic kernels of width sigma: the Bhattacharyya-style
 // score of Heydarian et al. Higher is better aligned.
-func CrossTerm(a, b *Particle, sigma float64) float64 {
+func crossTerm(a, b *Particle, sigma float64) float64 {
 	inv := 1 / (4 * sigma * sigma)
 	var sum float64
 	for _, pa := range a.Points {
@@ -82,11 +82,11 @@ func CrossTerm(a, b *Particle, sigma float64) float64 {
 	return sum / float64(len(a.Points)*len(b.Points))
 }
 
-// GMML2 is the quadratic L2 distance between the two Gaussian mixture
+// gmmL2 is the quadratic L2 distance between the two Gaussian mixture
 // models (Jian & Vemuri): ||A||^2 + ||B||^2 - 2<A, B>. Lower is better
 // aligned.
-func GMML2(a, b *Particle, sigma float64) float64 {
-	return CrossTerm(a, a, sigma) + CrossTerm(b, b, sigma) - 2*CrossTerm(a, b, sigma)
+func gmmL2(a, b *Particle, sigma float64) float64 {
+	return crossTerm(a, a, sigma) + crossTerm(b, b, sigma) - 2*crossTerm(a, b, sigma)
 }
 
 // Registration is the outcome of aligning particle B onto particle A.
@@ -102,21 +102,21 @@ type Registration struct {
 	Evals int
 }
 
-// Register aligns b to a: both are centered (translation), then the
+// register aligns b to a: both are centered (translation), then the
 // rotation maximizing the GMM cross-term is found by a coarse angular scan
 // followed by golden-section refinement of every competitive coarse
 // candidate. Ambiguous particle pairs produce several competitive
 // candidates and therefore cost more evaluations — the data-dependent,
 // irregular run time of §5.3.
-func Register(a, b *Particle, sigma float64, coarseSteps int) Registration {
+func register(a, b *Particle, sigma float64, coarseSteps int) Registration {
 	if coarseSteps < 4 {
 		coarseSteps = 4
 	}
-	ca, cb := a.Centered(), b.Centered()
+	ca, cb := a.centered(), b.centered()
 	evals := 0
 	score := func(theta float64) float64 {
 		evals++
-		return CrossTerm(ca, cb.Rotated(theta), sigma)
+		return crossTerm(ca, cb.rotated(theta), sigma)
 	}
 	// Coarse scan.
 	thetas := make([]float64, coarseSteps)
@@ -146,7 +146,7 @@ func Register(a, b *Particle, sigma float64, coarseSteps int) Registration {
 	return Registration{
 		Theta: bestTheta,
 		Score: bestRefined,
-		L2:    GMML2(ca, cb.Rotated(bestTheta), sigma),
+		L2:    gmmL2(ca, cb.rotated(bestTheta), sigma),
 		Evals: evals,
 	}
 }
@@ -181,14 +181,14 @@ type Template struct {
 	Radius float64
 }
 
-// DefaultTemplate returns the structure used by the synthetic generator.
-func DefaultTemplate() Template { return Template{Ring: 40, Spokes: 3, Radius: 50} }
+// defaultTemplate returns the structure used by the synthetic generator.
+func defaultTemplate() Template { return Template{Ring: 40, Spokes: 3, Radius: 50} }
 
-// Points materializes the template point set. Spokes sit at irregular
+// points materializes the template point set. Spokes sit at irregular
 // angles with distinct lengths and the ring is incomplete, so the
 // structure has no approximate rotational self-similarity — ambiguous
 // registrations would otherwise dominate.
-func (t Template) Points() []Point {
+func (t Template) points() []Point {
 	var pts []Point
 	for i := 0; i < t.Ring; i++ {
 		// An incomplete ring (300 degrees) breaks rotational symmetry.
@@ -215,7 +215,7 @@ func (t Template) Observe(rng *stats.RNG, id int, noise, labelEff float64) (*Par
 	dx, dy := 20*rng.NormFloat64(), 20*rng.NormFloat64()
 	s, c := math.Sin(theta), math.Cos(theta)
 	var pts []Point
-	for _, p := range t.Points() {
+	for _, p := range t.points() {
 		detections := 0
 		if rng.Float64() < labelEff {
 			detections = 1 + rng.Intn(2)

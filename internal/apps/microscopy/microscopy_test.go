@@ -42,11 +42,11 @@ func TestCompareTimesHeavyTailed(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	p := &Particle{ID: 7, Points: []Point{{1, 2}, {-3.5, 4.25}}}
-	raw, err := EncodeJSON(p)
+	raw, err := encodeJSON(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeJSON(raw)
+	got, err := decodeJSON(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,22 +56,22 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsBadInput(t *testing.T) {
-	if _, err := DecodeJSON([]byte("{broken")); err == nil {
+	if _, err := decodeJSON([]byte("{broken")); err == nil {
 		t.Fatal("broken JSON accepted")
 	}
-	if _, err := DecodeJSON([]byte(`{"id":1,"points":[]}`)); err == nil {
+	if _, err := decodeJSON([]byte(`{"id":1,"points":[]}`)); err == nil {
 		t.Fatal("empty particle accepted")
 	}
 }
 
 func TestCenteredAndRotated(t *testing.T) {
 	p := &Particle{Points: []Point{{0, 0}, {2, 0}, {0, 2}, {2, 2}}}
-	c := p.Centered()
-	cc := c.Centroid()
+	c := p.centered()
+	cc := c.centroid()
 	if math.Abs(cc.X) > 1e-12 || math.Abs(cc.Y) > 1e-12 {
 		t.Fatalf("centroid after centering = %+v", cc)
 	}
-	r := c.Rotated(math.Pi / 2)
+	r := c.rotated(math.Pi / 2)
 	// (1, 1) rotated 90 degrees -> (-1, 1).
 	found := false
 	for _, pt := range r.Points {
@@ -85,31 +85,31 @@ func TestCenteredAndRotated(t *testing.T) {
 }
 
 func TestCrossTermPeaksAtAlignment(t *testing.T) {
-	tpl := DefaultTemplate()
-	base := &Particle{Points: tpl.Points()}
-	aligned := CrossTerm(base, base, 5)
-	rotated := CrossTerm(base, base.Rotated(1.0), 5)
+	tpl := defaultTemplate()
+	base := &Particle{Points: tpl.points()}
+	aligned := crossTerm(base, base, 5)
+	rotated := crossTerm(base, base.rotated(1.0), 5)
 	if aligned <= rotated {
 		t.Fatalf("cross term aligned %v <= rotated %v", aligned, rotated)
 	}
 }
 
 func TestGMML2SelfIsZero(t *testing.T) {
-	tpl := DefaultTemplate()
-	p := &Particle{Points: tpl.Points()}
-	if l2 := GMML2(p, p, 5); math.Abs(l2) > 1e-9 {
+	tpl := defaultTemplate()
+	p := &Particle{Points: tpl.points()}
+	if l2 := gmmL2(p, p, 5); math.Abs(l2) > 1e-9 {
 		t.Fatalf("self L2 = %v", l2)
 	}
 }
 
 func TestRegisterRecoversRotation(t *testing.T) {
-	tpl := DefaultTemplate()
-	base := &Particle{Points: tpl.Points()}
+	tpl := defaultTemplate()
+	base := &Particle{Points: tpl.points()}
 	for _, want := range []float64{0.4, -1.2, 2.5} {
 		// b is the template rotated by -want, so registering b onto the
 		// base requires rotating it by +want.
-		b := base.Rotated(-want)
-		reg := Register(base, b, 4, 24)
+		b := base.rotated(-want)
+		reg := register(base, b, 4, 24)
 		if math.Abs(angleDiff(reg.Theta, want)) > 0.05 {
 			t.Errorf("recovered theta %.3f, want %.3f", reg.Theta, want)
 		}
@@ -181,8 +181,8 @@ func TestEvalsVaryAcrossPairs(t *testing.T) {
 }
 
 func TestObserveUnderLabeling(t *testing.T) {
-	tpl := DefaultTemplate()
-	full := len(tpl.Points())
+	tpl := defaultTemplate()
+	full := len(tpl.points())
 	rng := stats.NewRNG(4)
 	p, _ := tpl.Observe(rng, 0, 1, 0.5)
 	if len(p.Points) == 0 {
@@ -200,10 +200,10 @@ func TestObserveUnderLabeling(t *testing.T) {
 func TestQuickRegistrationSane(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
-		tpl := DefaultTemplate()
+		tpl := defaultTemplate()
 		a, _ := tpl.Observe(rng, 0, 2, 0.8)
 		b, _ := tpl.Observe(rng, 1, 2, 0.8)
-		reg := Register(a, b, 6, 12)
+		reg := register(a, b, 6, 12)
 		if reg.Theta < -2*math.Pi || reg.Theta > 2*math.Pi {
 			return false
 		}

@@ -67,7 +67,7 @@ type RealApp struct {
 func NewReal(p RealParams) (*RealApp, error) {
 	p.fillDefaults()
 	a := &RealApp{App: New(Params{N: p.N, Seed: p.Seed}), params: p}
-	ds, err := GenerateDataset(p)
+	ds, err := generateDataset(p)
 	if err != nil {
 		return nil, err
 	}
@@ -75,15 +75,15 @@ func NewReal(p RealParams) (*RealApp, error) {
 	return a, nil
 }
 
-// GenerateDataset synthesizes particle files from the default template.
-func GenerateDataset(p RealParams) (*MemDataset, error) {
+// generateDataset synthesizes particle files from the default template.
+func generateDataset(p RealParams) (*MemDataset, error) {
 	p.fillDefaults()
-	tpl := DefaultTemplate()
+	tpl := defaultTemplate()
 	ds := &MemDataset{Files: make([][]byte, p.N), Thetas: make([]float64, p.N)}
 	for i := 0; i < p.N; i++ {
 		rng := stats.HashRNG(p.Seed, uint64(i), 0x9a671c1e)
 		particle, theta := tpl.Observe(rng, i, p.Noise, p.LabelEff)
-		raw, err := EncodeJSON(particle)
+		raw, err := encodeJSON(particle)
 		if err != nil {
 			return nil, err
 		}
@@ -103,7 +103,7 @@ func (a *RealApp) LoadItem(item int) (interface{}, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := DecodeJSON(raw)
+	p, err := decodeJSON(raw)
 	if err != nil {
 		return nil, fmt.Errorf("item %d: %w", item, err)
 	}
@@ -113,5 +113,5 @@ func (a *RealApp) LoadItem(item int) (interface{}, error) {
 // ComparePair implements core.Computer: register the two particles and
 // return the Registration outcome.
 func (a *RealApp) ComparePair(i, j int, x, y interface{}) (interface{}, error) {
-	return Register(x.(*Particle), y.(*Particle), a.params.Sigma, a.params.CoarseSteps), nil
+	return register(x.(*Particle), y.(*Particle), a.params.Sigma, a.params.CoarseSteps), nil
 }

@@ -25,10 +25,10 @@ func init() {
 	}
 }
 
-// EncodeFASTA serializes protein sequences into a deflate-compressed FASTA
+// encodeFASTA serializes protein sequences into a deflate-compressed FASTA
 // file, the input format of the application (§5.2: "files are stored in
 // compressed FASTA format").
-func EncodeFASTA(name string, seqs []string) ([]byte, error) {
+func encodeFASTA(name string, seqs []string) ([]byte, error) {
 	var plain bytes.Buffer
 	for i, s := range seqs {
 		fmt.Fprintf(&plain, ">%s|protein%d\n", name, i)
@@ -54,9 +54,9 @@ func EncodeFASTA(name string, seqs []string) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// DecodeFASTA decompresses and parses a file produced by EncodeFASTA,
+// decodeFASTA decompresses and parses a file produced by encodeFASTA,
 // returning the protein sequences.
-func DecodeFASTA(raw []byte) ([]string, error) {
+func decodeFASTA(raw []byte) ([]string, error) {
 	zr := flate.NewReader(bytes.NewReader(raw))
 	defer zr.Close()
 	plain, err := io.ReadAll(zr)
@@ -101,9 +101,6 @@ type CV struct {
 // Len returns the number of non-zero components.
 func (v *CV) Len() int { return len(v.Keys) }
 
-// Norm returns the Euclidean norm of the vector.
-func (v *CV) Norm() float64 { return v.normV }
-
 // countK counts k-string occurrences over all sequences.
 func countK(seqs []string, k int) (map[uint64]float64, float64) {
 	counts := make(map[uint64]float64)
@@ -139,11 +136,11 @@ func pow20(k int) uint64 {
 	return v
 }
 
-// BuildCV computes the composition vector of order k following Qi et al.:
+// buildCV computes the composition vector of order k following Qi et al.:
 // the relative deviation a(s) = (f(s) - f0(s)) / f0(s) of each observed
 // k-string frequency f from its Markov-model prediction
 // f0(a1..ak) = f(a1..a_{k-1}) f(a2..ak) / f(a2..a_{k-1}).
-func BuildCV(seqs []string, k int) (*CV, error) {
+func buildCV(seqs []string, k int) (*CV, error) {
 	if k < 3 {
 		return nil, fmt.Errorf("phylo: k must be >= 3, got %d", k)
 	}
@@ -183,10 +180,10 @@ func BuildCV(seqs []string, k int) (*CV, error) {
 	return cv, nil
 }
 
-// Correlation computes the cosine similarity C(A, B) between two sparse
+// correlation computes the cosine similarity C(A, B) between two sparse
 // composition vectors by merging their sorted key lists (the "dot product
 // between two sparse vectors" of §5.2).
-func Correlation(a, b *CV) (float64, error) {
+func correlation(a, b *CV) (float64, error) {
 	if a.K != b.K {
 		return 0, fmt.Errorf("phylo: comparing CVs of different k (%d vs %d)", a.K, b.K)
 	}
@@ -210,6 +207,6 @@ func Correlation(a, b *CV) (float64, error) {
 	return dot / (a.normV * b.normV), nil
 }
 
-// Distance converts a correlation into the CV distance D = (1 - C) / 2,
+// distance converts a correlation into the CV distance D = (1 - C) / 2,
 // which lies in [0, 1].
-func Distance(c float64) float64 { return (1 - c) / 2 }
+func distance(c float64) float64 { return (1 - c) / 2 }

@@ -41,11 +41,11 @@ func TestFASTARoundTrip(t *testing.T) {
 		strings.Repeat("ACDEFG", 30), // forces line wrapping
 		"MKVL",
 	}
-	raw, err := EncodeFASTA("test", seqs)
+	raw, err := encodeFASTA("test", seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeFASTA(raw)
+	got, err := decodeFASTA(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,23 +60,23 @@ func TestFASTARoundTrip(t *testing.T) {
 }
 
 func TestDecodeFASTARejectsGarbage(t *testing.T) {
-	if _, err := DecodeFASTA([]byte("not deflate data")); err == nil {
+	if _, err := decodeFASTA([]byte("not deflate data")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
 
 func TestBuildCVValidation(t *testing.T) {
-	if _, err := BuildCV([]string{"ACDEFG"}, 2); err == nil {
+	if _, err := buildCV([]string{"ACDEFG"}, 2); err == nil {
 		t.Fatal("k=2 accepted")
 	}
-	if _, err := BuildCV([]string{"AC"}, 5); err == nil {
+	if _, err := buildCV([]string{"AC"}, 5); err == nil {
 		t.Fatal("too-short sequences accepted")
 	}
 }
 
 func TestBuildCVSortedSparse(t *testing.T) {
 	rng := stats.NewRNG(1)
-	cv, err := BuildCV(randomProteome(rng, 5, 200), 4)
+	cv, err := buildCV(randomProteome(rng, 5, 200), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,25 +88,25 @@ func TestBuildCVSortedSparse(t *testing.T) {
 			t.Fatal("keys not strictly ascending")
 		}
 	}
-	if cv.Norm() <= 0 {
+	if cv.normV <= 0 {
 		t.Fatal("zero norm")
 	}
 }
 
 func TestCorrelationSelfIsOne(t *testing.T) {
 	rng := stats.NewRNG(2)
-	cv, err := BuildCV(randomProteome(rng, 5, 300), 4)
+	cv, err := buildCV(randomProteome(rng, 5, 300), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Correlation(cv, cv)
+	c, err := correlation(cv, cv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(c-1) > 1e-6 {
 		t.Fatalf("self correlation = %v", c)
 	}
-	if d := Distance(c); math.Abs(d) > 1e-6 {
+	if d := distance(c); math.Abs(d) > 1e-6 {
 		t.Fatalf("self distance = %v", d)
 	}
 }
@@ -114,9 +114,9 @@ func TestCorrelationSelfIsOne(t *testing.T) {
 func TestCorrelationMismatchedK(t *testing.T) {
 	rng := stats.NewRNG(3)
 	p := randomProteome(rng, 3, 200)
-	a, _ := BuildCV(p, 3)
-	b, _ := BuildCV(p, 4)
-	if _, err := Correlation(a, b); err == nil {
+	a, _ := buildCV(p, 3)
+	b, _ := buildCV(p, 4)
+	if _, err := correlation(a, b); err == nil {
 		t.Fatal("mismatched k accepted")
 	}
 }
@@ -214,7 +214,7 @@ func TestUPGMASingleLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !root.IsLeaf() || root.Species != 0 {
+	if !root.isLeaf() || root.Species != 0 {
 		t.Fatal("single-species tree wrong")
 	}
 }
@@ -285,16 +285,16 @@ func TestEndToEndTree(t *testing.T) {
 func TestQuickCorrelationBounds(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
-		a, err := BuildCV(randomProteome(rng, 3, 150), 3)
+		a, err := buildCV(randomProteome(rng, 3, 150), 3)
 		if err != nil {
 			return false
 		}
-		b, err := BuildCV(randomProteome(rng, 3, 150), 3)
+		b, err := buildCV(randomProteome(rng, 3, 150), 3)
 		if err != nil {
 			return false
 		}
-		ab, err1 := Correlation(a, b)
-		ba, err2 := Correlation(b, a)
+		ab, err1 := correlation(a, b)
+		ba, err2 := correlation(b, a)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -341,7 +341,7 @@ func TestNeighborJoiningRecoversGroups(t *testing.T) {
 	found := false
 	var walk func(*Node)
 	walk = func(nd *Node) {
-		if nd == nil || nd.IsLeaf() {
+		if nd == nil || nd.isLeaf() {
 			return
 		}
 		ls := nd.Leaves()
@@ -376,11 +376,11 @@ func TestNeighborJoiningValidation(t *testing.T) {
 
 func TestNeighborJoiningSmallInputs(t *testing.T) {
 	one, err := NeighborJoining([][]float64{{0}})
-	if err != nil || !one.IsLeaf() {
+	if err != nil || !one.isLeaf() {
 		t.Fatalf("single leaf: %v %v", one, err)
 	}
 	two, err := NeighborJoining([][]float64{{0, 1}, {1, 0}})
-	if err != nil || two.IsLeaf() || len(two.Leaves()) != 2 {
+	if err != nil || two.isLeaf() || len(two.Leaves()) != 2 {
 		t.Fatalf("two leaves: %v %v", two, err)
 	}
 }

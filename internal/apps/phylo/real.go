@@ -74,7 +74,7 @@ type RealApp struct {
 func NewReal(p RealParams) (*RealApp, error) {
 	p.fillDefaults()
 	a := &RealApp{App: New(Params{N: p.N, Seed: p.Seed}), params: p}
-	ds, err := GenerateDataset(p)
+	ds, err := generateDataset(p)
 	if err != nil {
 		return nil, err
 	}
@@ -88,9 +88,9 @@ func (a *RealApp) Clade(item int) int { return item % a.params.Groups }
 // K returns the configured composition-vector order.
 func (a *RealApp) K() int { return a.params.K }
 
-// GenerateDataset synthesizes proteome files: Groups random ancestor
+// generateDataset synthesizes proteome files: Groups random ancestor
 // proteomes, each species a mutated copy of its clade's ancestor.
-func GenerateDataset(p RealParams) (*MemDataset, error) {
+func generateDataset(p RealParams) (*MemDataset, error) {
 	p.fillDefaults()
 	ancestors := make([][]string, p.Groups)
 	for g := range ancestors {
@@ -101,7 +101,7 @@ func GenerateDataset(p RealParams) (*MemDataset, error) {
 	for i := 0; i < p.N; i++ {
 		rng := stats.HashRNG(p.Seed, uint64(i), 0x59ec1e5)
 		proteome := mutateProteome(ancestors[i%p.Groups], p.MutationRate, rng)
-		raw, err := EncodeFASTA(fmt.Sprintf("species%d", i), proteome)
+		raw, err := encodeFASTA(fmt.Sprintf("species%d", i), proteome)
 		if err != nil {
 			return nil, err
 		}
@@ -144,18 +144,18 @@ func (a *RealApp) LoadItem(item int) (interface{}, error) {
 	if err != nil {
 		return nil, err
 	}
-	seqs, err := DecodeFASTA(raw)
+	seqs, err := decodeFASTA(raw)
 	if err != nil {
 		return nil, fmt.Errorf("item %d: %w", item, err)
 	}
-	return BuildCV(seqs, a.params.K)
+	return buildCV(seqs, a.params.K)
 }
 
 // ComparePair implements core.Computer: the CV correlation distance.
 func (a *RealApp) ComparePair(i, j int, x, y interface{}) (interface{}, error) {
-	c, err := Correlation(x.(*CV), y.(*CV))
+	c, err := correlation(x.(*CV), y.(*CV))
 	if err != nil {
 		return nil, err
 	}
-	return Distance(c), nil
+	return distance(c), nil
 }

@@ -13,13 +13,13 @@ type Node struct {
 	Height      float64
 }
 
-// IsLeaf reports whether the node is a leaf.
-func (n *Node) IsLeaf() bool { return n.Left == nil && n.Right == nil }
+// isLeaf reports whether the node is a leaf.
+func (n *Node) isLeaf() bool { return n.Left == nil && n.Right == nil }
 
 // Leaves returns the species indices under the node in left-to-right
 // order.
 func (n *Node) Leaves() []int {
-	if n.IsLeaf() {
+	if n.isLeaf() {
 		return []int{n.Species}
 	}
 	return append(n.Left.Leaves(), n.Right.Leaves()...)
@@ -34,7 +34,7 @@ func (n *Node) Newick(names []string) string {
 }
 
 func (n *Node) newick(b *strings.Builder, names []string) {
-	if n.IsLeaf() {
+	if n.isLeaf() {
 		if n.Species < len(names) {
 			b.WriteString(names[n.Species])
 		} else {

@@ -128,9 +128,8 @@ type acquirer struct {
 // concurrency; all access happens in simulation context (scheduler
 // callbacks).
 type Cache struct {
-	name     string
-	slotSize int64
-	slots    []*slot
+	name  string
+	slots []*slot
 	// index[item] is the slot holding item (READ or WRITE), nil when the
 	// item is absent or beyond the table, which grows on demand to the
 	// largest item ever stored; resident counts its non-nil entries. Items
@@ -153,18 +152,12 @@ type Cache struct {
 	rng       *stats.RNG
 }
 
-// New returns an LRU cache with the given number of slots, each slotSize
-// bytes. Capacity zero is allowed and behaves as a cache that always
-// misses with no slot to give — callers must handle Acquire never
-// succeeding, so the runtime treats a zero-capacity cache as "disabled"
-// before calling.
-func New(name string, capacity int, slotSize int64) *Cache {
-	return NewWithPolicy(name, capacity, slotSize, PolicyLRU, nil)
-}
-
-// NewWithPolicy returns a cache with an explicit eviction policy.
-// PolicyRandom requires a generator; PolicyLRU ignores it.
-func NewWithPolicy(name string, capacity int, slotSize int64, policy Policy, rng *stats.RNG) *Cache {
+// New returns a cache with the given number of slots and eviction
+// policy. PolicyRandom requires a generator; PolicyLRU ignores it.
+// Capacity zero is allowed and behaves as a cache that always misses with
+// no slot to give — callers must handle Acquire never succeeding, so the
+// runtime treats a zero-capacity cache as "disabled" before calling.
+func New(name string, capacity int, policy Policy, rng *stats.RNG) *Cache {
 	if capacity < 0 {
 		panic(fmt.Sprintf("cache %q: negative capacity %d", name, capacity))
 	}
@@ -172,10 +165,9 @@ func NewWithPolicy(name string, capacity int, slotSize int64, policy Policy, rng
 		panic(fmt.Sprintf("cache %q: PolicyRandom requires an RNG", name))
 	}
 	c := &Cache{
-		name:     name,
-		slotSize: slotSize,
-		policy:   policy,
-		rng:      rng,
+		name:   name,
+		policy: policy,
+		rng:    rng,
 	}
 	c.lru.init()
 	c.retryFn = c.retryNext
@@ -192,9 +184,6 @@ func (c *Cache) Name() string { return c.name }
 
 // Cap returns the number of slots.
 func (c *Cache) Cap() int { return len(c.slots) }
-
-// SlotSize returns the configured slot size in bytes.
-func (c *Cache) SlotSize() int64 { return c.slotSize }
 
 // Stats returns a copy of the activity counters.
 func (c *Cache) Stats() Stats { return c.stats }

@@ -8,6 +8,9 @@ import (
 	"rocket/internal/stats"
 )
 
+// newLRU returns an LRU cache of capacity slots.
+func newLRU(name string, capacity int) *Cache { return New(name, capacity, PolicyLRU, nil) }
+
 // acquire obtains item on a path that cannot suspend (a hit, or a miss
 // with an evictable slot) and returns what the continuation received.
 func acquire(t *testing.T, c *Cache, item int) (h Handle, hit bool) {
@@ -21,7 +24,7 @@ func acquire(t *testing.T, c *Cache, item int) (h Handle, hit bool) {
 }
 
 func TestMissThenHit(t *testing.T) {
-	c := New("dev", 4, 100)
+	c := newLRU("dev", 4)
 	e := sim.NewEnv()
 	h, hit := acquire(t, c, 7)
 	if hit || !h.Write {
@@ -48,7 +51,7 @@ func TestMissThenHit(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New("dev", 2, 100)
+	c := newLRU("dev", 2)
 	e := sim.NewEnv()
 	for _, item := range []int{0, 1} {
 		h, _ := acquire(t, c, item)
@@ -78,7 +81,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestPinnedSlotNotEvicted(t *testing.T) {
-	c := New("dev", 2, 100)
+	c := newLRU("dev", 2)
 	e := sim.NewEnv()
 	h0, _ := acquire(t, c, 0)
 	h0.Publish(e) // keep the read lease: slot pinned
@@ -99,7 +102,7 @@ func TestPinnedSlotNotEvicted(t *testing.T) {
 }
 
 func TestWaitersBlockDuringWrite(t *testing.T) {
-	c := New("dev", 4, 100)
+	c := newLRU("dev", 4)
 	e := sim.NewEnv()
 	var order []string
 	h, hit := acquire(t, c, 5)
@@ -140,7 +143,7 @@ func TestWaitersBlockDuringWrite(t *testing.T) {
 }
 
 func TestAbortLetsWaiterTakeOver(t *testing.T) {
-	c := New("dev", 2, 100)
+	c := newLRU("dev", 2)
 	e := sim.NewEnv()
 	var retried, secondWasWriter bool
 	failing, _ := acquire(t, c, 3)
@@ -168,7 +171,7 @@ func TestAbortLetsWaiterTakeOver(t *testing.T) {
 }
 
 func TestStallWhenAllPinned(t *testing.T) {
-	c := New("dev", 1, 100)
+	c := newLRU("dev", 1)
 	e := sim.NewEnv()
 	holder, _ := acquire(t, c, 0)
 	holder.Publish(e)
@@ -198,7 +201,7 @@ func TestStallWhenAllPinned(t *testing.T) {
 }
 
 func TestContainsIgnoresWriting(t *testing.T) {
-	c := New("dev", 2, 100)
+	c := newLRU("dev", 2)
 	e := sim.NewEnv()
 	h, _ := acquire(t, c, 9)
 	if c.Contains(9) {
@@ -212,7 +215,7 @@ func TestContainsIgnoresWriting(t *testing.T) {
 }
 
 func TestZeroCapacityPanicsOnAcquire(t *testing.T) {
-	c := New("dev", 0, 100)
+	c := newLRU("dev", 0)
 	if c.Cap() != 0 {
 		t.Fatal("capacity should be 0")
 	}
@@ -220,7 +223,7 @@ func TestZeroCapacityPanicsOnAcquire(t *testing.T) {
 }
 
 func TestMisuseHandlePanics(t *testing.T) {
-	c := New("dev", 2, 100)
+	c := newLRU("dev", 2)
 	e := sim.NewEnv()
 	h, _ := acquire(t, c, 0)
 	h.Publish(e)
@@ -252,8 +255,8 @@ func mustPanic(t *testing.T, name string, fn func()) {
 }
 
 func TestResidentAndAccessors(t *testing.T) {
-	c := New("host", 3, 555)
-	if c.Name() != "host" || c.SlotSize() != 555 {
+	c := newLRU("host", 3)
+	if c.Name() != "host" {
 		t.Fatal("accessors wrong")
 	}
 	e := sim.NewEnv()
@@ -266,7 +269,7 @@ func TestResidentAndAccessors(t *testing.T) {
 }
 
 func TestRandomEvictionPolicy(t *testing.T) {
-	c := NewWithPolicy("rnd", 3, 100, PolicyRandom, stats.NewRNG(1))
+	c := New("rnd", 3, PolicyRandom, stats.NewRNG(1))
 	e := sim.NewEnv()
 	// Fill the cache; empties must be consumed before live data.
 	for item := 0; item < 3; item++ {
@@ -300,14 +303,14 @@ func TestRandomPolicyRequiresRNG(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewWithPolicy("bad", 2, 1, PolicyRandom, nil)
+	New("bad", 2, PolicyRandom, nil)
 }
 
 func TestRandomEvictionDiffersFromLRU(t *testing.T) {
 	// Under a cyclic scan over capacity+1 items, LRU always misses; random
 	// eviction eventually hits.
-	lru := New("lru", 4, 1)
-	rnd := NewWithPolicy("rnd", 4, 1, PolicyRandom, stats.NewRNG(7))
+	lru := newLRU("lru", 4)
+	rnd := New("rnd", 4, PolicyRandom, stats.NewRNG(7))
 	e := sim.NewEnv()
 	for round := 0; round < 40; round++ {
 		for item := 0; item < 5; item++ {
@@ -335,7 +338,7 @@ func TestQuickRandomWorkloadInvariants(t *testing.T) {
 	f := func(seed uint64, capRaw, itemsRaw uint8) bool {
 		capacity := int(capRaw%8) + 2
 		items := int(itemsRaw%20) + 1
-		c := New("q", capacity, 10)
+		c := newLRU("q", capacity)
 		rng := stats.NewRNG(seed)
 		e := sim.NewEnv()
 		ok := true
@@ -397,7 +400,7 @@ func TestQuickRandomWorkloadInvariants(t *testing.T) {
 }
 
 func TestItemsSortedAndLimited(t *testing.T) {
-	c := New("items", 5, 1)
+	c := newLRU("items", 5)
 	e := sim.NewEnv()
 	for _, item := range []int{9, 2, 7} {
 		h, _ := acquire(t, c, item)
@@ -418,7 +421,7 @@ func TestItemsSortedAndLimited(t *testing.T) {
 }
 
 func TestWarm(t *testing.T) {
-	c := New("warm", 2, 1)
+	c := newLRU("warm", 2)
 	if !c.Warm(4, "x") {
 		t.Fatal("warm into empty cache failed")
 	}
@@ -447,7 +450,7 @@ func TestWarm(t *testing.T) {
 
 func TestAcquireFuncWaitsForFreeSlot(t *testing.T) {
 	e := sim.NewEnv()
-	c := New("c", 1, 1)
+	c := newLRU("c", 1)
 	h, hit := writeAndPublish(t, e, c, 1)
 	if hit {
 		t.Fatal("first acquire hit")

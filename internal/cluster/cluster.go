@@ -52,7 +52,7 @@ type Node struct {
 	Inbox *sim.Mailbox[Message]
 	// GPUs are the node's devices.
 	GPUs []*gpu.Device
-	// name is the trace identifier, formatted once by AddNode: trace and
+	// name is the trace identifier, formatted once by addNode: trace and
 	// span naming asks for it on hot paths.
 	name string
 	// net is the fabric the node sends on; nicq lists, oldest first, the
@@ -68,16 +68,15 @@ type Node struct {
 func (n *Node) Name() string { return n.name }
 
 // Cluster is the set of nodes plus the fabrics connecting them. Nodes is
-// append-only (IDs are dense, node i at index i); grow it through AddNode
-// so the aggregate counters stay consistent.
+// append-only (IDs are dense, node i at index i); grow it through addNode
+// so totalSpeed stays consistent.
 type Cluster struct {
 	Nodes   []*Node
 	Net     *Network
 	Storage *Storage
 
-	// Incrementally maintained aggregates: membership churn queries these
-	// on every placement decision, so they must not rescan Nodes.
-	totalGPUs  int
+	// totalSpeed is maintained incrementally: membership churn queries it
+	// on every placement decision, so it must not rescan Nodes.
 	totalSpeed float64
 }
 
@@ -111,21 +110,21 @@ func New(specs []NodeSpec, cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: need at least one node")
 	}
 	c := &Cluster{
-		Net:     NewNetwork(cfg.NetLatency, cfg.NetBandwidth),
-		Storage: NewStorage(cfg.StorageLatency, cfg.StorageBandwidth),
+		Net:     newNetwork(cfg.NetLatency, cfg.NetBandwidth),
+		Storage: newStorage(cfg.StorageLatency, cfg.StorageBandwidth),
 	}
 	for i, s := range specs {
-		if _, err := c.AddNode(s); err != nil {
+		if _, err := c.addNode(s); err != nil {
 			return nil, fmt.Errorf("node %d: %w", i, err)
 		}
 	}
 	return c, nil
 }
 
-// AddNode appends one node (ID = current count) and folds its hardware
+// addNode appends one node (ID = current count) and folds its hardware
 // into the aggregate counters. This is the join path under elastic fleets:
 // capacity arriving mid-run registers here before it takes work.
-func (c *Cluster) AddNode(s NodeSpec) (*Node, error) {
+func (c *Cluster) addNode(s NodeSpec) (*Node, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -144,7 +143,6 @@ func (c *Cluster) AddNode(s NodeSpec) (*Node, error) {
 	for g, m := range s.GPUs {
 		d := gpu.New(fmt.Sprintf("%s/gpu%d", name, g), m)
 		n.GPUs = append(n.GPUs, d)
-		c.totalGPUs++
 		c.totalSpeed += d.Speed
 	}
 	c.Nodes = append(c.Nodes, n)
@@ -160,11 +158,7 @@ func (c *Cluster) Node(id int) *Node {
 	return c.Nodes[id]
 }
 
-// TotalGPUs returns the number of devices across all nodes. O(1): the
-// count is maintained incrementally by AddNode.
-func (c *Cluster) TotalGPUs() int { return c.totalGPUs }
-
 // TotalSpeed returns the sum of relative GPU speeds, used by the
 // performance model to compute the heterogeneous lower bound. O(1): the
-// sum is maintained incrementally by AddNode.
+// sum is maintained incrementally by addNode.
 func (c *Cluster) TotalSpeed() float64 { return c.totalSpeed }

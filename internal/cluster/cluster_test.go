@@ -37,10 +37,19 @@ func TestNewValidatesSpecs(t *testing.T) {
 	}
 }
 
+// totalGPUs counts the devices across c's nodes.
+func totalGPUs(c *Cluster) int {
+	n := 0
+	for _, nd := range c.Nodes {
+		n += len(nd.GPUs)
+	}
+	return n
+}
+
 func TestClusterShape(t *testing.T) {
 	c := twoNodeCluster(t)
-	if len(c.Nodes) != 2 || c.TotalGPUs() != 2 {
-		t.Fatalf("nodes=%d gpus=%d", len(c.Nodes), c.TotalGPUs())
+	if len(c.Nodes) != 2 || totalGPUs(c) != 2 {
+		t.Fatalf("nodes=%d gpus=%d", len(c.Nodes), totalGPUs(c))
 	}
 	if c.Nodes[1].Name() != "node1" {
 		t.Errorf("name = %q", c.Nodes[1].Name())
@@ -127,7 +136,7 @@ func TestSendAsyncDoesNotBlock(t *testing.T) {
 }
 
 func TestStorageAccountsAndQueues(t *testing.T) {
-	s := NewStorage(0, 2e9)
+	s := newStorage(0, 2e9)
 	e := sim.NewEnv()
 	var done []sim.Time
 	for i := 0; i < 2; i++ {
@@ -144,7 +153,7 @@ func TestStorageAccountsAndQueues(t *testing.T) {
 }
 
 func TestStorageLatencyApplied(t *testing.T) {
-	s := NewStorage(sim.Millis(1), 1e9)
+	s := newStorage(sim.Millis(1), 1e9)
 	e := sim.NewEnv()
 	var doneAt sim.Time
 	s.ReadFunc(e, 1e9, func() { doneAt = e.Now() })
@@ -204,7 +213,7 @@ func TestSendFuncLocalInline(t *testing.T) {
 }
 
 func TestStorageReadFuncMatchesRead(t *testing.T) {
-	s := NewStorage(sim.Millis(1), 2e9)
+	s := newStorage(sim.Millis(1), 2e9)
 	e := sim.NewEnv()
 	var done []sim.Time
 	for i := 0; i < 3; i++ {
@@ -392,16 +401,16 @@ func TestClusterAddNodeMaintainsAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g0, s0 := c.TotalGPUs(), c.TotalSpeed()
-	n, err := c.AddNode(NodeSpec{Cores: 16, HostCacheBytes: 1 << 30, GPUs: []gpu.Model{gpu.TitanXMaxwell}})
+	g0, s0 := totalGPUs(c), c.TotalSpeed()
+	n, err := c.addNode(NodeSpec{Cores: 16, HostCacheBytes: 1 << 30, GPUs: []gpu.Model{gpu.TitanXMaxwell}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n.ID != 2 || c.Node(2) != n {
-		t.Fatalf("AddNode gave ID %d; Node(2)=%p want %p", n.ID, c.Node(2), n)
+		t.Fatalf("addNode gave ID %d; Node(2)=%p want %p", n.ID, c.Node(2), n)
 	}
-	if c.TotalGPUs() != g0+len(n.GPUs) {
-		t.Fatalf("TotalGPUs=%d after join, want %d", c.TotalGPUs(), g0+len(n.GPUs))
+	if totalGPUs(c) != g0+len(n.GPUs) {
+		t.Fatalf("%d GPUs after join, want %d", totalGPUs(c), g0+len(n.GPUs))
 	}
 	if c.TotalSpeed() <= s0 {
 		t.Fatalf("TotalSpeed=%v did not grow from %v", c.TotalSpeed(), s0)

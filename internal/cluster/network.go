@@ -77,8 +77,8 @@ type transfer struct {
 	done func()
 }
 
-// NewNetwork returns a network with the given characteristics.
-func NewNetwork(latency sim.Time, bandwidth float64) *Network {
+// newNetwork returns a network with the given characteristics.
+func newNetwork(latency sim.Time, bandwidth float64) *Network {
 	if bandwidth <= 0 {
 		panic("cluster: network bandwidth must be positive")
 	}

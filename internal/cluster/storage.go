@@ -29,7 +29,6 @@ type Storage struct {
 	bytesRead    int64
 	reads        uint64
 	bytesWritten int64
-	writes       uint64
 }
 
 // ioRequest is one transfer on its way to the server.
@@ -40,8 +39,8 @@ type ioRequest struct {
 	fn        func()
 }
 
-// NewStorage returns a storage server.
-func NewStorage(latency sim.Time, bandwidth float64) *Storage {
+// newStorage returns a storage server.
+func newStorage(latency sim.Time, bandwidth float64) *Storage {
 	if bandwidth <= 0 {
 		panic("cluster: storage bandwidth must be positive")
 	}
@@ -65,7 +64,6 @@ func (s *Storage) ReadFunc(e *sim.Env, size int64, fn func()) {
 // contend for one fabric. The pairstore uses it to charge segment-log
 // appends.
 func (s *Storage) WriteFunc(e *sim.Env, size int64, fn func()) {
-	s.writes++
 	s.bytesWritten += size
 	s.transfer(e, size, fn)
 }
@@ -102,9 +100,3 @@ func (s *Storage) Reads() uint64 { return s.reads }
 
 // BytesWritten returns the cumulative bytes written.
 func (s *Storage) BytesWritten() int64 { return s.bytesWritten }
-
-// Writes returns the number of write requests served.
-func (s *Storage) Writes() uint64 { return s.writes }
-
-// QueueLen returns the number of requests waiting on the server.
-func (s *Storage) QueueLen() int { return s.server.QueueLen() }

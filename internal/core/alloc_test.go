@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-	goruntime "runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -11,21 +9,29 @@ import (
 	"rocket/internal/apps/phylo"
 	"rocket/internal/gpu"
 	"rocket/internal/obs"
+	"rocket/internal/testutil"
 )
 
-// countRun runs cfg and returns the heap objects and bytes the whole Run
-// allocated, with its metrics.
-func countRun(t *testing.T, cfg Config) (mallocs, bytes float64, m *Metrics) {
+// countRun builds k configurations with mk, runs each (a cluster is not
+// reused across runs), and returns the fewest heap objects and bytes a
+// whole Run allocated (see testutil.Allocs), with the last run's metrics.
+// Building is not counted.
+func countRun(t *testing.T, k int, mk func() Config) (mallocs, bytes float64, m *Metrics) {
 	t.Helper()
-	var before, after goruntime.MemStats
-	goruntime.GC()
-	goruntime.ReadMemStats(&before)
-	m, err := Run(cfg)
-	goruntime.ReadMemStats(&after)
+	cfgs := make([]Config, k)
+	for i := range cfgs {
+		cfgs[i] = mk()
+	}
+	var err error
+	run := 0
+	o, b := testutil.Allocs(func() {
+		m, err = Run(cfgs[run])
+		run++
+	}, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc), m
+	return float64(o), float64(b), m
 }
 
 // The allocation gates of the per-pair path: a cost model at n and at 2n
@@ -61,8 +67,8 @@ func TestAllocationsPerPair(t *testing.T) {
 		}, 2.0, 96},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			m1, b1, r1 := countRun(t, c.cfg(c.n))
-			m2, b2, r2 := countRun(t, c.cfg(2*c.n))
+			m1, b1, r1 := countRun(t, 3, func() Config { return c.cfg(c.n) })
+			m2, b2, r2 := countRun(t, 3, func() Config { return c.cfg(2 * c.n) })
 			p1, p2 := float64(r1.Pairs), float64(r2.Pairs)
 			perPair, bytesPerPair := (m2-m1)/(p2-p1), (b2-b1)/(p2-p1)
 			t.Logf("n=%d: %.0f objects, %.0f bytes, %.0f pairs; n=%d: %.0f, %.0f, %.0f; per added pair %.3f objects, %.1f bytes",
@@ -89,7 +95,9 @@ func TestRunFixedCost(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	objs, bytes, m := countRun(t, Config{App: forensics.New(forensics.Params{N: 4, Seed: 1}), Cluster: newCluster(t, 4), Seed: 1, DistCache: true})
+	objs, bytes, m := countRun(t, 3, func() Config {
+		return Config{App: forensics.New(forensics.Params{N: 4, Seed: 1}), Cluster: newCluster(t, 4), Seed: 1, DistCache: true}
+	})
 	t.Logf("%.0f objects, %.0f bytes, %d pairs", objs, bytes, m.Pairs)
 	if objs > 350 {
 		t.Errorf("a 4-node, 4-item run allocates %.0f objects, want <= 350", objs)
@@ -119,15 +127,13 @@ func TestSpansAllocateOnlyTheRing(t *testing.T) {
 		// traced, and returns the fewest objects and bytes any run allocated
 		// with the metrics and recorder of the last.
 		cheapest := func(traced bool) (objs, bytes float64, m *Metrics, rec *obs.Recorder) {
-			objs, bytes = math.Inf(1), math.Inf(1)
-			for range 3 {
+			objs, bytes, m = countRun(t, 3, func() Config {
 				rec = nil
 				if traced {
 					rec = obs.New(1, ringCap)
 				}
-				o, b, rm := countRun(t, cfg(rec))
-				objs, bytes, m = min(objs, o), min(bytes, b), rm
-			}
+				return cfg(rec)
+			})
 			return objs, bytes, m, rec
 		}
 		objs, bytes, plain, _ := cheapest(false)
@@ -165,8 +171,10 @@ func TestAllocationsRepeatExactly(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	run := func() float64 {
-		objs, _, _ := countRun(t, Config{App: phylo.New(phylo.Params{N: phylo.CartesiusN / 50, Seed: 1}),
-			Cluster: newCluster(t, 48, gpu.K40m, gpu.K40m), Seed: 1, DistCache: true, DeviceSlots: 4, HostSlots: 11})
+		objs, _, _ := countRun(t, 1, func() Config {
+			return Config{App: phylo.New(phylo.Params{N: phylo.CartesiusN / 50, Seed: 1}),
+				Cluster: newCluster(t, 48, gpu.K40m, gpu.K40m), Seed: 1, DistCache: true, DeviceSlots: 4, HostSlots: 11}
+		})
 		return objs
 	}
 	run() // whatever the process initializes once

@@ -349,7 +349,7 @@ func TestRepliesToCrashedRequesterAreStale(t *testing.T) {
 	var crashAt sim.Time
 	for at := sim.Millis(50); crashAt == 0; at += sim.Micros(10) {
 		probe.env.RunUntil(at)
-		if probe.done.Fired() {
+		if probe.done {
 			t.Fatal("the run never had a fetch and a steal in flight on one node")
 		}
 		if f, s := inFlight(probe); f > 0 && s > 0 {

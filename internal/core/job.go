@@ -452,7 +452,7 @@ func (n *nodeRT) pairCompleted(jb *job) {
 	}
 	if rt.pairsDone == rt.totalPairs {
 		rt.markFinished()
-		rt.done.Fire(rt.env)
+		rt.done = true
 		// The computation is complete (and, under fault injection, the
 		// completion time pinned); making the emitted results durable is
 		// charged on top and extends the reported runtime of fault-free
@@ -475,5 +475,5 @@ func (rt *runtime) fail(err error) {
 		rt.err = err
 	}
 	rt.markFinished()
-	rt.done.Fire(rt.env)
+	rt.done = true
 }

@@ -71,7 +71,7 @@ func unitRegion(p pairIJ) pairs.Region {
 // unfinished work, rebuild its volatile state cold, and re-expose the
 // work for stealing.
 func (rt *runtime) onCrash(id int) {
-	if rt.done.Fired() || rt.err != nil {
+	if rt.done || rt.err != nil {
 		return
 	}
 	n := rt.nodes[id]
@@ -122,7 +122,7 @@ func (rt *runtime) onCrash(id int) {
 // handler registered at startup stayed armed — the fabric delivered
 // nothing while the node was down.
 func (rt *runtime) onRestart(id int) {
-	if rt.done.Fired() || rt.err != nil {
+	if rt.done || rt.err != nil {
 		return
 	}
 	n := rt.nodes[id]
@@ -153,7 +153,7 @@ func (rt *runtime) recoverRegions(regions []pairs.Region) {
 	}
 	if target == nil {
 		rt.orphans = append(rt.orphans, regions...)
-		if !rt.inj.RestartsPending() && !rt.done.Fired() {
+		if !rt.inj.RestartsPending() && !rt.done {
 			rt.fail(fmt.Errorf("%w: all %d nodes crashed with %d/%d pairs done",
 				ErrPartitionLost, len(rt.nodes), rt.pairsDone, rt.totalPairs))
 		}

@@ -44,7 +44,7 @@ type runtime struct {
 	totalPairs int64
 	pairsDone  int64
 	loads      uint64
-	done       *sim.Signal
+	done       bool // every pair is compared, or the run failed
 	err        error
 
 	localSteals  uint64
@@ -170,7 +170,6 @@ func launch(cfg Config) (*runtime, error) {
 		cl:         cfg.Cluster,
 		app:        cfg.App,
 		totalPairs: pairs.TotalPairs(cfg.App.NumItems()),
-		done:       sim.NewSignal(),
 	}
 	plan, err := buildStorePlan(cfg)
 	if err != nil {
@@ -256,7 +255,7 @@ func (rt *runtime) collect() (*Metrics, error) {
 	if rt.err != nil {
 		return m, rt.err
 	}
-	if !rt.done.Fired() || rt.pairsDone != rt.totalPairs {
+	if !rt.done || rt.pairsDone != rt.totalPairs {
 		return m, fmt.Errorf("core: runtime stalled after %d/%d pairs at t=%v",
 			rt.pairsDone, rt.totalPairs, m.Runtime)
 	}
@@ -294,7 +293,7 @@ func (n *nodeRT) buildVolatile() error {
 		policy = cache.PolicyRandom
 	}
 	newCache := func(name string, slots int) *cache.Cache {
-		c := cache.NewWithPolicy(name, slots, rt.cfg.App.ItemSize(), policy, n.rootRNG.Fork())
+		c := cache.New(name, slots, policy, n.rootRNG.Fork())
 		c.Reserve(rt.cfg.App.NumItems())
 		return c
 	}
@@ -528,7 +527,7 @@ func (wk *worker) stale() bool { return wk.epoch != wk.n.epoch }
 func (wk *worker) begin() {
 	rt := wk.n.rt
 	if rt.totalPairs == 0 {
-		rt.done.Fire(rt.env)
+		rt.done = true
 		return
 	}
 	wk.step()
@@ -541,7 +540,7 @@ func (wk *worker) step() {
 	if wk.stale() {
 		return
 	}
-	for !rt.done.Fired() && rt.err == nil {
+	for !rt.done && rt.err == nil {
 		region, ok := wk.deque.PopBottom()
 		if !ok {
 			wk.steal()
@@ -594,7 +593,7 @@ func (wk *worker) onSteal(region pairs.Region, ok bool) {
 		return
 	}
 	wk.backoff = rt.cfg.StealBackoff
-	if rt.done.Fired() || rt.err != nil {
+	if rt.done || rt.err != nil {
 		return
 	}
 	if wk.dispatch(region) {
@@ -619,7 +618,7 @@ func (wk *worker) submitFrom(list []pairIJ, k int) bool {
 	rt := wk.n.rt
 	tokens := wk.n.devs[wk.w].jobTokens
 	for ; k < len(list); k++ {
-		if rt.done.Fired() || rt.err != nil {
+		if rt.done || rt.err != nil {
 			continue
 		}
 		i, j := list[k].i, list[k].j

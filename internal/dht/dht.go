@@ -187,15 +187,6 @@ func (e *Engine) Metrics() Metrics {
 	return m
 }
 
-// CandidateList returns the mediator's current candidate list for an item
-// (nil when unknown). Exposed for tests and introspection.
-func (e *Engine) CandidateList(item int) []int {
-	if k := item / e.cfg.NumNodes; item%e.cfg.NumNodes == e.cfg.NodeID && k < len(e.candidates) {
-		return append([]int(nil), e.candidates[k]...)
-	}
-	return nil
-}
-
 // alive reports reachability of a peer (always true without an AliveFunc).
 func (e *Engine) alive(node int) bool {
 	return e.cfg.Alive == nil || e.cfg.Alive(node)

@@ -23,6 +23,15 @@ type harness struct {
 	alive []bool
 }
 
+// candidateList returns the mediator's current candidate list for an item
+// (nil when unknown).
+func (e *Engine) candidateList(item int) []int {
+	if k := item / e.cfg.NumNodes; item%e.cfg.NumNodes == e.cfg.NodeID && k < len(e.candidates) {
+		return append([]int(nil), e.candidates[k]...)
+	}
+	return nil
+}
+
 func newHarness(t *testing.T, n, hops int) *harness {
 	return buildHarness(t, n, hops, false)
 }
@@ -204,7 +213,7 @@ func TestCandidateListBoundedAndDeduplicated(t *testing.T) {
 	for _, requester := range []int{1, 2, 3, 4, 2, 5} {
 		h.fetch(requester, item)
 	}
-	got := h.engines[0].CandidateList(item)
+	got := h.engines[0].candidateList(item)
 	want := []int{5, 2, 4}
 	if len(got) != len(want) {
 		t.Fatalf("candidates = %v, want %v", got, want)
@@ -302,7 +311,7 @@ func TestQuickProtocolBounds(t *testing.T) {
 				}
 			}
 			med := item % n
-			if len(h.engines[med].CandidateList(item)) > hops {
+			if len(h.engines[med].candidateList(item)) > hops {
 				ok = false
 			}
 		}

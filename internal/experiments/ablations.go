@@ -10,11 +10,11 @@ import (
 	"rocket/internal/sim"
 )
 
-// AblationLeafSize measures the effect of the divide-and-conquer leaf
+// ablationLeafSize measures the effect of the divide-and-conquer leaf
 // threshold (pairs per leaf task) on the forensics workload across 4
 // nodes. Tiny leaves stress scheduling overhead; huge leaves reduce
 // stealable parallelism.
-func AblationLeafSize(o Options) (string, error) {
+func ablationLeafSize(o Options) (string, error) {
 	o = o.normalized()
 	s := ForensicsSetup(o)
 	t := report.NewTable("Ablation: leaf size (forensics, 4 nodes)",
@@ -33,11 +33,11 @@ func AblationLeafSize(o Options) (string, error) {
 	return t.String(), nil
 }
 
-// AblationJobLimit measures the effect of the concurrent-job limit (the
+// ablationJobLimit measures the effect of the concurrent-job limit (the
 // paper's back-pressure knob, §4.2) on the bioinformatics workload on one
 // node: too few jobs in flight cannot hide cache-miss latency; the
 // asynchronous design needs enough jobs to "anticipate" misses (§4.3).
-func AblationJobLimit(o Options) (string, error) {
+func ablationJobLimit(o Options) (string, error) {
 	o = o.normalized()
 	s := PhyloSetup(o)
 	t := report.NewTable("Ablation: concurrent job limit (bioinformatics, 1 node)",
@@ -56,7 +56,7 @@ func AblationJobLimit(o Options) (string, error) {
 	return t.String(), nil
 }
 
-// AblationStealPolicy compares the paper's hierarchical victim selection
+// ablationStealPolicy compares the paper's hierarchical victim selection
 // (same-node workers first, then random remote) against flat
 // uniform-random selection and against the §7 future-work cache-aware
 // extension (steal requests carry the thief's working set; victims hand
@@ -64,7 +64,7 @@ func AblationJobLimit(o Options) (string, error) {
 // workload across 4 two-GPU nodes without the distributed cache, where
 // post-steal reuse matters most (victims with several deques give the
 // cache-aware policy an actual choice of task).
-func AblationStealPolicy(o Options) (string, error) {
+func ablationStealPolicy(o Options) (string, error) {
 	o = o.normalized()
 	s := ForensicsSetup(o)
 	policies := []struct {
@@ -102,9 +102,9 @@ func AblationStealPolicy(o Options) (string, error) {
 	return t.String(), nil
 }
 
-// AblationHops sweeps the distributed-cache hop limit h on 16 nodes for
+// ablationHops sweeps the distributed-cache hop limit h on 16 nodes for
 // the forensics workload, extending Fig. 11 with end-to-end effects.
-func AblationHops(o Options) (string, error) {
+func ablationHops(o Options) (string, error) {
 	o = o.normalized()
 	s := ForensicsSetup(o)
 	hops := []int{1, 2, 3}
@@ -141,11 +141,11 @@ func AblationHops(o Options) (string, error) {
 	return t.String(), nil
 }
 
-// AblationEviction compares LRU eviction (the paper's §4.1.1 policy)
+// ablationEviction compares LRU eviction (the paper's §4.1.1 policy)
 // against random eviction on the data-intensive forensics workload.
 // Expected shape: LRU yields lower R (and thus a shorter run) because the
 // divide-and-conquer traversal revisits recently used items.
-func AblationEviction(o Options) (string, error) {
+func ablationEviction(o Options) (string, error) {
 	o = o.normalized()
 	s := ForensicsSetup(o)
 	t := report.NewTable("Ablation: cache eviction policy (forensics, 1 node)",
@@ -168,11 +168,11 @@ func AblationEviction(o Options) (string, error) {
 	return t.String(), nil
 }
 
-// AblationBackoff sweeps the steal backoff interval on the microscopy
+// ablationBackoff sweeps the steal backoff interval on the microscopy
 // workload to show the scheduler is robust to this tuning parameter.
-func AblationBackoff(o Options) (string, error) {
+func ablationBackoff(o Options) (string, error) {
 	o = o.normalized()
-	s := MicroscopySetup(o)
+	s := microscopySetup(o)
 	t := report.NewTable("Ablation: steal backoff (microscopy, 8 nodes)",
 		"backoff", "runtime", "failed steals")
 	for _, backoff := range []sim.Time{sim.Micros(10), sim.Micros(100), sim.Millis(1), sim.Millis(10)} {
@@ -189,7 +189,7 @@ func AblationBackoff(o Options) (string, error) {
 	return t.String(), nil
 }
 
-// AblationPrewarm exercises the §7 persistent-cache extension: host
+// ablationPrewarm exercises the §7 persistent-cache extension: host
 // caches pre-filled with a fraction of the items a previous run left
 // behind. Two regimes are measured. With a host cache large enough to
 // keep the working set (the persistent-cache scenario), loads fall in
@@ -197,7 +197,7 @@ func AblationBackoff(o Options) (string, error) {
 // prewarmed entries are evicted before reuse and the benefit vanishes —
 // the quantitative reason persistence only pays off alongside sufficient
 // capacity.
-func AblationPrewarm(o Options) (string, error) {
+func ablationPrewarm(o Options) (string, error) {
 	o = o.normalized()
 	s := PhyloSetup(o)
 	n := s.App.NumItems()

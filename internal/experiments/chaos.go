@@ -9,14 +9,14 @@ import (
 	"rocket/internal/sim"
 )
 
-// Chaos runs a seeded fault storm — independent crashes with recoveries,
+// chaos runs a seeded fault storm — independent crashes with recoveries,
 // straggler windows, link cuts and degradations, a cascading failure, and
 // a full zone outage — against the fleet workload. The storm is sampled
 // by fault.ChaosConfig from the experiment seed, so the whole exercise is
 // replayable (chaos schedules collide on timestamps on purpose, and the
 // injector's tie-break makes that deterministic); the report lists the
 // run summary and the storm's composition.
-func Chaos(o Options) (string, error) {
+func chaos(o Options) (string, error) {
 	o = o.normalized()
 	nodes := 2048 / o.Scale
 	if nodes < 64 {

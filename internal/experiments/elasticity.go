@@ -17,7 +17,7 @@ import (
 // between bursts while an elastic one pays per use.
 const elasticNodes = 6
 
-// Elasticity is the dynamic-membership experiment, in two halves.
+// elasticity is the dynamic-membership experiment, in two halves.
 //
 // The first half is the churn run: a fleet with seeded churn — wave
 // arrivals with cold-start jitter plus spot preemptions that drain work to
@@ -29,7 +29,7 @@ const elasticNodes = 6
 // the fixed fleet's p99 wait exactly — same-instant capacity means
 // provably identical job starts — while billing strictly fewer
 // node-seconds; both properties are asserted, not just printed.
-func Elasticity(o Options) (string, error) {
+func elasticity(o Options) (string, error) {
 	o = o.normalized()
 	var b strings.Builder
 	churn, err := elasticChurn(o)

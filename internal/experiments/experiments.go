@@ -172,9 +172,9 @@ func PhyloSetup(o Options) Setup {
 	}
 }
 
-// CartesiusPhyloSetup prepares the §6.6 UniProt workload (6818 proteomes)
+// cartesiusPhyloSetup prepares the §6.6 UniProt workload (6818 proteomes)
 // with the Cartesius per-node capacities (80 GiB host cache = 561 slots).
-func CartesiusPhyloSetup(o Options) Setup {
+func cartesiusPhyloSetup(o Options) Setup {
 	o = o.normalized()
 	app := phylo.New(phylo.Params{N: phylo.CartesiusN / o.Scale, Seed: o.Seed})
 	return Setup{
@@ -188,10 +188,10 @@ func CartesiusPhyloSetup(o Options) Setup {
 	}
 }
 
-// MicroscopySetup prepares the localization-microscopy workload. It always
+// microscopySetup prepares the localization-microscopy workload. It always
 // runs at paper scale: the data set is tiny and cache capacity is never
 // the bottleneck (Table 1: 256 slots at both levels).
-func MicroscopySetup(o Options) Setup {
+func microscopySetup(o Options) Setup {
 	o = o.normalized()
 	app := microscopy.New(microscopy.Params{N: microscopy.DefaultN, Seed: o.Seed})
 	return Setup{
@@ -207,7 +207,7 @@ func MicroscopySetup(o Options) Setup {
 
 // AllSetups returns the three applications in paper order.
 func AllSetups(o Options) []Setup {
-	return []Setup{ForensicsSetup(o), PhyloSetup(o), MicroscopySetup(o)}
+	return []Setup{ForensicsSetup(o), PhyloSetup(o), microscopySetup(o)}
 }
 
 // SetupByName returns the named setup ("forensics", "bioinformatics",
@@ -218,7 +218,7 @@ func SetupByName(name string, o Options) (Setup, error) {
 			return s, nil
 		}
 	}
-	if s := CartesiusPhyloSetup(o); s.Name == name {
+	if s := cartesiusPhyloSetup(o); s.Name == name {
 		return s, nil
 	}
 	return Setup{}, fmt.Errorf("experiments: unknown application %q", name)

@@ -20,11 +20,11 @@ func TestSetupsScale(t *testing.T) {
 	if f.DevSlots != 29 || f.HostSlots != 105 {
 		t.Errorf("forensics slots = %d/%d, want 29/105", f.DevSlots, f.HostSlots)
 	}
-	m := MicroscopySetup(o)
+	m := microscopySetup(o)
 	if m.App.NumItems() != 256 {
 		t.Errorf("microscopy must stay at paper scale, got %d", m.App.NumItems())
 	}
-	c := CartesiusPhyloSetup(o)
+	c := cartesiusPhyloSetup(o)
 	if c.App.NumItems() != 681 {
 		t.Errorf("cartesius n = %d, want 681", c.App.NumItems())
 	}
@@ -75,20 +75,20 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestTable1Content(t *testing.T) {
-	out, err := Table1(tiny)
+	out, err := table1(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"forensics", "bioinformatics", "microscopy",
 		"no. of pairs", "cache slot size", "N/A"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("Table1 output missing %q:\n%s", want, out)
+			t.Errorf("table1 output missing %q:\n%s", want, out)
 		}
 	}
 }
 
 func TestFig7ShowsIrregularity(t *testing.T) {
-	out, err := Fig7(tiny)
+	out, err := fig7(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestFig7ShowsIrregularity(t *testing.T) {
 }
 
 func TestFig8SingleNode(t *testing.T) {
-	out, err := Fig8(tiny)
+	out, err := fig8(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestFig8SingleNode(t *testing.T) {
 }
 
 func TestFig9Sweep(t *testing.T) {
-	out, err := Fig9(Options{Scale: 50, Seed: 1})
+	out, err := fig9(Options{Scale: 50, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestFig9Sweep(t *testing.T) {
 }
 
 func TestFig11Hops(t *testing.T) {
-	out, err := Fig11(tiny)
+	out, err := fig11(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestAblationsRun(t *testing.T) {
 }
 
 func TestQueueScalingReport(t *testing.T) {
-	out, err := QueueScaling(tiny)
+	out, err := queueScaling(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestQueueMixIsSkewedAcrossTenantsAndApps(t *testing.T) {
 }
 
 func TestResilienceSweep(t *testing.T) {
-	out, err := Resilience(tiny)
+	out, err := resilience(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +196,11 @@ func TestResilienceSweep(t *testing.T) {
 // With a fixed seed and fault schedule the resilience experiment must be
 // byte-deterministic across runs.
 func TestResilienceDeterministic(t *testing.T) {
-	a, err := Resilience(tiny)
+	a, err := resilience(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Resilience(tiny)
+	b, err := resilience(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestResilienceDeterministic(t *testing.T) {
 }
 
 func TestIncrementalSweep(t *testing.T) {
-	out, err := Incremental(tiny)
+	out, err := incremental(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,11 +240,11 @@ func TestIncrementalSweep(t *testing.T) {
 }
 
 func TestIncrementalDeterministic(t *testing.T) {
-	a, err := Incremental(tiny)
+	a, err := incremental(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Incremental(tiny)
+	b, err := incremental(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestIncrementalDeterministic(t *testing.T) {
 }
 
 func TestElasticityReport(t *testing.T) {
-	out, err := Elasticity(tiny)
+	out, err := elasticity(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,11 +274,11 @@ func TestElasticityReport(t *testing.T) {
 }
 
 func TestElasticityDeterministic(t *testing.T) {
-	a, err := Elasticity(tiny)
+	a, err := elasticity(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Elasticity(tiny)
+	b, err := elasticity(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}

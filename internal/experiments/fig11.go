@@ -8,12 +8,12 @@ import (
 	"rocket/internal/report"
 )
 
-// Fig11 reproduces Fig. 11: the outcome distribution of distributed-cache
+// fig11 reproduces Fig. 11: the outcome distribution of distributed-cache
 // requests with h = 3 on 16 nodes. Expected shape: the vast majority of
 // requests either hit at the first hop (75-88% in the paper) or miss
 // (11-19%); later hops contribute little — the justification for running
 // everything else at h = 1.
-func Fig11(o Options) (string, error) {
+func fig11(o Options) (string, error) {
 	o = o.normalized()
 	var b strings.Builder
 	const hops = 3

@@ -9,14 +9,14 @@ import (
 	"rocket/internal/sim"
 )
 
-// Fig12 reproduces Fig. 12: speedup, system efficiency, data reuse R, and
+// fig12 reproduces Fig. 12: speedup, system efficiency, data reuse R, and
 // average I/O usage when scaling from 1 to 16 nodes, with the distributed
 // cache enabled and disabled. Expected shapes: microscopy scales near
 // linearly regardless; forensics and bioinformatics show super-linear
 // speedup with the distributed cache (R drops as aggregate memory grows)
 // and sub-linear without it, and their I/O usage grows far slower with
 // the distributed cache enabled.
-func Fig12(o Options) (string, error) {
+func fig12(o Options) (string, error) {
 	o = o.normalized()
 	nodeCounts := []int{1, 2, 4, 8, 16}
 	type point struct {

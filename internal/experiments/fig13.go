@@ -11,12 +11,12 @@ import (
 	"rocket/internal/sim"
 )
 
-// Fig13 reproduces Fig. 13: average throughput (pairs per second) of each
+// fig13 reproduces Fig. 13: average throughput (pairs per second) of each
 // of the four heterogeneous nodes individually, their sum, and the
 // combined 4-node run. Expected shape: per-node throughput ordered by GPU
 // capability (node III fastest, node I slowest), and the combined run
 // matching or exceeding the sum thanks to the distributed cache.
-func Fig13(o Options) (string, error) {
+func fig13(o Options) (string, error) {
 	o = o.normalized()
 	specs := heterogeneousNodes()
 	names := []string{"node I (K20m)", "node II (GTX980+TitanXp)", "node III (2xRTX2080Ti)", "node IV (GTXTitan+TitanXp)"}
@@ -54,14 +54,14 @@ func Fig13(o Options) (string, error) {
 	return b.String(), nil
 }
 
-// Fig14 reproduces Fig. 14: per-GPU processing throughput over time for
+// fig14 reproduces Fig. 14: per-GPU processing throughput over time for
 // the microscopy application on the heterogeneous platform. Expected
 // shape: every GPU sustains a steady rate proportional to its capability,
 // all GPUs stay busy until the end (work-stealing balance), and all
 // finish at roughly the same time.
-func Fig14(o Options) (string, error) {
+func fig14(o Options) (string, error) {
 	o = o.normalized()
-	s := MicroscopySetup(o)
+	s := microscopySetup(o)
 	cl, err := cluster.New(heterogeneousNodes(), cluster.DefaultConfig())
 	if err != nil {
 		return "", err

@@ -8,15 +8,15 @@ import (
 	"rocket/internal/sim"
 )
 
-// Fig15 reproduces Fig. 15: the large-scale Cartesius experiment — the
+// fig15 reproduces Fig. 15: the large-scale Cartesius experiment — the
 // bioinformatics application on all UniProt reference bacteria proteomes
 // (6818 files, scaled), from 1 node (2 GPUs) to 48 nodes (96 GPUs).
 // Expected shapes: run time dropping from hours to minutes, super-linear
 // speedup throughout (the paper reports R dropping 11.8x from 31.9 to 2.7
 // between 1 and 48 nodes), and efficiency increasing with node count.
-func Fig15(o Options) (string, error) {
+func fig15(o Options) (string, error) {
 	o = o.normalized()
-	s := CartesiusPhyloSetup(o)
+	s := cartesiusPhyloSetup(o)
 	nodeCounts := []int{1, 8, 16, 32, 48}
 	metrics := make([]*core.Metrics, len(nodeCounts))
 	speeds := make([]float64, len(nodeCounts))

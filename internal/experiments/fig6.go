@@ -10,14 +10,14 @@ import (
 	"rocket/internal/sim"
 )
 
-// Fig6 reproduces Fig. 6: a section of a profiling trace of the forensics
+// fig6 reproduces Fig. 6: a section of a profiling trace of the forensics
 // application visualized per resource ("rows represent threads and boxes
 // represent executed tasks"). It runs a small slice of the workload with
 // a flight recorder attached and prints the timeline, plus the asynchrony
 // evidence the paper draws from the figure: while the GPU executes
 // comparisons, parsing, I/O, and transfers proceed concurrently on their
 // own threads.
-func Fig6(o Options) (string, error) {
+func fig6(o Options) (string, error) {
 	o = o.normalized()
 	s := ForensicsSetup(Options{Scale: 100, Seed: o.Seed, Trace: o.Trace})
 	rec := obs.New(1, 0)

@@ -9,12 +9,12 @@ import (
 	"rocket/internal/report"
 )
 
-// Fig8 reproduces Fig. 8: per-thread-class busy time on one node (TitanX
+// fig8 reproduces Fig. 8: per-thread-class busy time on one node (TitanX
 // Maxwell) for each application, next to the overall run time and the
 // modeled lower bound T_min. The expected shape: the GPU bar dominates and
 // nearly equals the run time (asynchronous processing overlaps everything
 // else), and efficiency is high (94.6% / 88.5% / 99.2% in the paper).
-func Fig8(o Options) (string, error) {
+func fig8(o Options) (string, error) {
 	o = o.normalized()
 	var b strings.Builder
 	t := report.NewTable("Fig 8: processing time per thread class, 1 node (values in virtual seconds)",
@@ -44,11 +44,11 @@ func Fig8(o Options) (string, error) {
 	return b.String(), nil
 }
 
-// Fig10 reproduces Fig. 10: per-thread busy time of the forensics
+// fig10 reproduces Fig. 10: per-thread busy time of the forensics
 // application on one node when the host cache shrinks from 20 GB to 10 GB
 // to 5 GB. Expected shape: all bars grow as the cache shrinks, because
 // items are re-loaded more often.
-func Fig10(o Options) (string, error) {
+func fig10(o Options) (string, error) {
 	o = o.normalized()
 	s := ForensicsSetup(o)
 	slotMB := float64(s.App.ItemSize()) / 1e6

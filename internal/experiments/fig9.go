@@ -8,14 +8,14 @@ import (
 	"rocket/internal/report"
 )
 
-// Fig9 reproduces Fig. 9: system efficiency and the relative number of
+// fig9 reproduces Fig. 9: system efficiency and the relative number of
 // loads R as functions of the total local cache size on one node. Below
 // the device-memory limit the host cache is disabled and only the device
 // cache shrinks; above it, the device cache is fixed at its capacity and
 // the host cache grows. Expected shapes: microscopy is insensitive (its
 // data set always fits); forensics and bioinformatics degrade gracefully,
 // with R roughly inversely proportional to cache size.
-func Fig9(o Options) (string, error) {
+func fig9(o Options) (string, error) {
 	o = o.normalized()
 	var b strings.Builder
 	for _, s := range AllSetups(o) {

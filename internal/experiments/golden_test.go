@@ -6,7 +6,9 @@ import (
 	"runtime"
 	"testing"
 
+	"rocket/internal/pairstore"
 	"rocket/internal/sim"
+	"rocket/internal/testutil"
 )
 
 // goldenOpts is the configuration every experiment row below was captured
@@ -20,6 +22,16 @@ var goldenOpts = Options{Scale: 50, Seed: 1}
 // The race detector's shadow allocations move them, so under -race only
 // the exact columns are checked.
 const maxAllocGrowth = 0.02
+
+// allocRuns is how many times a golden runs what it counts the
+// allocations of, keeping the cheapest run (see testutil.Allocs); under
+// -race, where allocations go unchecked, once.
+func allocRuns() int {
+	if raceEnabled {
+		return 1
+	}
+	return 3
+}
 
 // experimentRow pins one experiment at goldenOpts: the sha256 of its
 // rendered output, the simulation events it dispatched and how many of
@@ -89,7 +101,6 @@ func TestExperimentsGolden(t *testing.T) {
 	for _, r := range experimentGolden {
 		want[r.id] = r
 	}
-	var mem runtime.MemStats
 	for _, e := range All() {
 		w, ok := want[e.ID]
 		if !ok {
@@ -97,22 +108,20 @@ func TestExperimentsGolden(t *testing.T) {
 			continue
 		}
 		delete(want, e.ID)
-		runtime.ReadMemStats(&mem)
-		mallocs0 := mem.Mallocs
-		events0, heap0 := sim.GlobalEvents(), sim.GlobalHeapPushes()
-		out, err := e.Run(goldenOpts)
+		// Every run is the same simulation; the row is read off the last.
+		got := experimentRow{id: e.ID}
+		var out string
+		var err error
+		got.mallocs, _ = testutil.Allocs(func() {
+			events0, heap0 := sim.GlobalEvents(), sim.GlobalHeapPushes()
+			out, err = e.Run(goldenOpts)
+			got.events, got.heapPushes = sim.GlobalEvents()-events0, sim.GlobalHeapPushes()-heap0
+		}, allocRuns())
 		if err != nil {
 			t.Errorf("%s: %v", e.ID, err)
 			continue
 		}
-		runtime.ReadMemStats(&mem)
-		got := experimentRow{
-			id:         e.ID,
-			sha:        fmt.Sprintf("%x", sha256.Sum256([]byte(out))),
-			events:     sim.GlobalEvents() - events0,
-			heapPushes: sim.GlobalHeapPushes() - heap0,
-			mallocs:    mem.Mallocs - mallocs0,
-		}
+		got.sha = fmt.Sprintf("%x", sha256.Sum256([]byte(out)))
 		if got.sha != w.sha || got.events != w.events || got.heapPushes != w.heapPushes {
 			t.Errorf("%s: sha %.12s… events %d heap pushes %d, golden %.12s… %d %d",
 				e.ID, got.sha, got.events, got.heapPushes, w.sha, w.events, w.heapPushes)
@@ -130,7 +139,8 @@ func TestExperimentsGolden(t *testing.T) {
 // TestStorageGolden pins the pairstore lifecycle MeasureStorage drives
 // (ingest → seal → compact → save → load → plan a delta) at 10^5 and 10^6
 // pairs. Every byte count, hash and block count repeats exactly; the plan
-// may inflate each block at most once.
+// may inflate each block at most once. The ingestion (every Put and the
+// final Seal into a fresh store) is then counted on its own.
 func TestStorageGolden(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, w := range storageGolden {
@@ -150,12 +160,23 @@ func TestStorageGolden(t *testing.T) {
 		if raceEnabled {
 			continue
 		}
+		digest := pairstore.DigestFunc(storageRef, "storage", 1)
+		stores := make([]*pairstore.Store, allocRuns())
+		for i := range stores {
+			stores[i] = newStorageStore()
+		}
+		run := 0
+		objs, bytes := testutil.Allocs(func() {
+			s := stores[run]
+			stores[run], run = nil, run+1
+			storageIngest(s, got.Items, digest)
+		}, len(stores))
 		for _, m := range []struct {
 			name      string
 			got, want float64
 		}{
-			{"bytes", got.IngestBytesPerPair, w.ingestBytes},
-			{"objects", got.IngestAllocsPerPair, w.ingestObjects},
+			{"bytes", float64(bytes) / float64(got.Pairs), w.ingestBytes},
+			{"objects", float64(objs) / float64(got.Pairs), w.ingestObjects},
 		} {
 			if m.got > m.want*(1+maxAllocGrowth) {
 				t.Errorf("%d pairs: ingest %s per pair %.4g, %.1f%% over the golden %.4g (limit %.0f%%)",

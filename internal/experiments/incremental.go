@@ -17,7 +17,7 @@ const incrementalNodes = 4
 // lineage uses.
 const incrementalRef = "incremental"
 
-// Incremental measures the pair store's warm-start payoff: the
+// incremental measures the pair store's warm-start payoff: the
 // append-only growth scenario the store exists for. A forensics corpus
 // of n items is computed once into a fresh store (the base run), then
 // grown by a sweep of append ratios. For each grown size the
@@ -32,7 +32,7 @@ const incrementalRef = "incremental"
 // equals the full set, and — because comparisons dominate this
 // workload — the speedup tracks the pair ratio: ≥5x at 10% growth
 // (delta is ~17% of the full set), falling toward ~2x at 50% growth.
-func Incremental(o Options) (string, error) {
+func incremental(o Options) (string, error) {
 	o = o.normalized()
 	s := ForensicsSetup(o)
 	n0 := s.App.NumItems()

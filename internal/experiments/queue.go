@@ -72,13 +72,13 @@ func QueueMix(jobs, nodes int, o Options) []sched.Job {
 	return out
 }
 
-// QueueScaling evaluates the rocketd scheduler: job count x policy over
+// queueScaling evaluates the rocketd scheduler: job count x policy over
 // the skewed QueueMix workload on one shared cluster, reporting makespan,
 // mean/max wait, utilization, and job throughput per cell. Expected
 // shape: makespan is policy-insensitive (the same work runs either way),
 // while mean wait drops sharply from FIFO to SJF/fair-share because
 // narrow interactive jobs stop queueing behind wide batch jobs.
-func QueueScaling(o Options) (string, error) {
+func queueScaling(o Options) (string, error) {
 	o = o.normalized()
 	t := report.NewTable(
 		fmt.Sprintf("queue-scaling: skewed job mix on %d shared nodes", queueNodes),

@@ -12,7 +12,7 @@ import (
 // resilienceNodes is the platform size of the resilience sweep.
 const resilienceNodes = 8
 
-// Resilience proves the paper's §4.2 robustness claim end to end under
+// resilience proves the paper's §4.2 robustness claim end to end under
 // injected faults: work stealing plus the replicated multi-level cache
 // keep the all-pairs computation running — and completing correctly —
 // through node crashes, restarts, straggler GPUs, and degraded or
@@ -25,7 +25,7 @@ const resilienceNodes = 8
 // resolved as failures. Every scenario completes all pairs; inflation
 // stays far below the lost capacity share because survivors re-steal the
 // dead nodes' regions immediately.
-func Resilience(o Options) (string, error) {
+func resilience(o Options) (string, error) {
 	o = o.normalized()
 	s := ForensicsSetup(o)
 	mutate := func(cfg *core.Config) { cfg.DistCache = true }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"rocket/internal/pairstore"
 )
@@ -33,12 +32,6 @@ type StorageResult struct {
 	// BlockDecodes the block inflations the plan caused.
 	Blocks       int
 	BlockDecodes uint64
-	// IngestBytesPerPair and IngestAllocsPerPair are the heap bytes and
-	// objects the ingestion (every Put and the final Seal) allocated per
-	// pair, by runtime.MemStats deltas: counts that repeat, where the
-	// ingest's wall time does not.
-	IngestBytesPerPair  float64
-	IngestAllocsPerPair float64
 }
 
 // storageItemsForPairs returns the item count whose all-pairs set is
@@ -49,6 +42,25 @@ func storageItemsForPairs(pairs int64) int {
 		n++
 	}
 	return n
+}
+
+// newStorageStore returns an empty store whose bounded memtable forces
+// ingestion through auto-seal and tiered compaction instead of building
+// one giant log in memory.
+func newStorageStore() *pairstore.Store {
+	s := pairstore.New()
+	s.SetAutoSealThreshold(1 << 18)
+	return s
+}
+
+// storageIngest puts every pair of items into s, then seals it.
+func storageIngest(s *pairstore.Store, items int, digest func(int) pairstore.Digest) {
+	for i := 0; i < items; i++ {
+		for j := i + 1; j < items; j++ {
+			s.Put(pairstore.Entry{Key: pairstore.PairKey(digest, i, j), Version: items})
+		}
+	}
+	s.Seal()
 }
 
 // MeasureStorage runs one storage point: build an all-pairs store over
@@ -67,20 +79,8 @@ func MeasureStorage(pairs int64, seed uint64) (StorageResult, error) {
 	items := storageItemsForPairs(pairs)
 	digest := pairstore.DigestFunc(storageRef, "storage", seed)
 
-	s := pairstore.New()
-	// A bounded memtable forces the ingestion path through auto-seal and
-	// tiered compaction instead of building one giant log in memory.
-	s.SetAutoSealThreshold(1 << 18)
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < items; i++ {
-		for j := i + 1; j < items; j++ {
-			s.Put(pairstore.Entry{Key: pairstore.PairKey(digest, i, j), Version: items})
-		}
-	}
-	s.Seal()
-	runtime.ReadMemStats(&m1)
+	s := newStorageStore()
+	storageIngest(s, items, digest)
 	s.Compact()
 
 	path := filepath.Join(dir, "store.json")
@@ -93,8 +93,6 @@ func MeasureStorage(pairs int64, seed uint64) (StorageResult, error) {
 	}
 
 	res := StorageResult{Items: items, Pairs: int64(items) * int64(items-1) / 2}
-	res.IngestBytesPerPair = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(res.Pairs)
-	res.IngestAllocsPerPair = float64(m1.Mallocs-m0.Mallocs) / float64(res.Pairs)
 	st := r.Stats()
 	res.DiskBytes = st.DiskBytes
 	res.BytesPerPair = st.BytesPerPair

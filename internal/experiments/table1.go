@@ -10,11 +10,11 @@ import (
 	"rocket/internal/stats"
 )
 
-// Table1 reproduces Table 1: the characteristics of the three applications
+// table1 reproduces Table 1: the characteristics of the three applications
 // on a TitanX Maxwell node. Data-set rows are computed from the scaled
 // workloads; timing rows are sample statistics of the calibrated cost
 // models (mean ± standard deviation over the data set).
-func Table1(o Options) (string, error) {
+func table1(o Options) (string, error) {
 	// Table 1 only samples the cost models (no runtime execution), so it
 	// always reports paper scale regardless of Options.Scale.
 	setups := AllSetups(Options{Scale: 1, Seed: o.Seed})
@@ -108,15 +108,15 @@ func bytesString(b int64) string {
 	}
 }
 
-// Fig7 reproduces Fig. 7: histograms of the comparison-kernel run times of
+// fig7 reproduces Fig. 7: histograms of the comparison-kernel run times of
 // the three applications, confirming forensics is regular while the other
 // two are highly irregular.
-func Fig7(o Options) (string, error) {
+func fig7(o Options) (string, error) {
 	// Histograms sample the cost models directly; paper scale is cheap.
 	var b strings.Builder
 	for _, s := range AllSetups(Options{Scale: 1, Seed: o.Seed}) {
 		mean := s.Costs.Compare.Millis()
-		h := stats.NewHistogram(0, 4*mean, 16, false)
+		h := stats.NewHistogram(0, 4*mean, 16)
 		n := s.App.NumItems()
 		samples := 0
 		for i := 0; i < n && samples < 20000; i++ {

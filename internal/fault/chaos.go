@@ -70,21 +70,8 @@ type ChaosConfig struct {
 	ZoneOutageDuration sim.Time
 }
 
-// ZoneOf returns the zone owning node i under a contiguous split of nodes
-// into zones near-equal blocks, so zone boundaries are a pure function of
-// the pair (nodes, zones).
-func ZoneOf(node, nodes, zones int) int {
-	if zones <= 1 {
-		return 0
-	}
-	if zones > nodes {
-		zones = nodes
-	}
-	return node * zones / nodes
-}
-
-// ZoneRange returns the half-open node interval [lo, hi) of zone z.
-func ZoneRange(z, nodes, zones int) (lo, hi int) {
+// zoneRange returns the half-open node interval [lo, hi) of zone z.
+func zoneRange(z, nodes, zones int) (lo, hi int) {
 	if zones <= 1 {
 		return 0, nodes
 	}
@@ -270,7 +257,7 @@ func (c ChaosConfig) Generate() (*Schedule, error) {
 	for i := 0; i < c.ZoneOutages; i++ {
 		z := rng.Intn(c.Zones)
 		t := at(0.20, 0.65)
-		lo, hi := ZoneRange(z, c.Nodes, c.Zones)
+		lo, hi := zoneRange(z, c.Nodes, c.Zones)
 		for n := lo; n < hi; n++ {
 			events = append(events, Event{At: t, Kind: NodeCrash, Node: n})
 		}

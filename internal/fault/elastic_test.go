@@ -81,8 +81,8 @@ func TestInjectorJoinPreemptLifecycle(t *testing.T) {
 	if inj.Alive(2) {
 		t.Fatal("node 2 alive before its join")
 	}
-	if got := inj.AliveCount(); got != 2 {
-		t.Fatalf("initial AliveCount = %d, want 2", got)
+	if got := inj.aliveCount(); got != 2 {
+		t.Fatalf("initial aliveCount = %d, want 2", got)
 	}
 	env.RunUntil(sim.Millis(3))
 	if !inj.Alive(2) {

@@ -544,17 +544,6 @@ func (inj *Injector) setOrClear(key [2]int, lh linkHealth) {
 // Alive reports node liveness.
 func (inj *Injector) Alive(node int) bool { return inj.alive[node] }
 
-// AliveCount returns the number of live nodes.
-func (inj *Injector) AliveCount() int {
-	n := 0
-	for _, a := range inj.alive {
-		if a {
-			n++
-		}
-	}
-	return n
-}
-
 // RestartsPending reports whether any NodeRestart event has yet to fire —
 // i.e. whether an all-dead partition can still heal on its own.
 func (inj *Injector) RestartsPending() bool { return inj.restartsLeft > 0 }

@@ -6,6 +6,17 @@ import (
 	"rocket/internal/sim"
 )
 
+// aliveCount returns the number of live nodes.
+func (inj *Injector) aliveCount() int {
+	n := 0
+	for _, a := range inj.alive {
+		if a {
+			n++
+		}
+	}
+	return n
+}
+
 func TestScheduleValidate(t *testing.T) {
 	gpus := []int{2, 1}
 	cases := []*Schedule{
@@ -59,11 +70,11 @@ func TestInjectorLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !inj.Alive(1) || inj.AliveCount() != 3 || !inj.RestartsPending() {
+	if !inj.Alive(1) || inj.aliveCount() != 3 || !inj.RestartsPending() {
 		t.Fatal("initial state wrong")
 	}
 	e.RunUntil(2 * sim.Second)
-	if inj.Alive(1) || inj.AliveCount() != 2 {
+	if inj.Alive(1) || inj.aliveCount() != 2 {
 		t.Fatal("crash not applied")
 	}
 	if f := inj.GPUFactor(0, 0); f != 3 {

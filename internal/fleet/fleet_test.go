@@ -2,11 +2,11 @@ package fleet
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"rocket/internal/fault"
 	"rocket/internal/sim"
+	"rocket/internal/testutil"
 )
 
 // smallConfig keeps unit-test runs fast while still exercising every
@@ -148,7 +148,8 @@ func TestFleetElasticShardInvariance(t *testing.T) {
 
 // TestFleetAllocationBudget holds a run to a constant number of heap
 // objects: setup allocates, messages and timers do not. Doubling the
-// simulated time (about 1.8x the events) must not raise the count.
+// simulated time (about 1.8x the events) must not raise the count, the
+// cheapest of three runs (see testutil.Allocs).
 func TestFleetAllocationBudget(t *testing.T) {
 	const objsBudget, bytesBudget = 64, 512 << 10
 	if raceEnabled {
@@ -157,15 +158,12 @@ func TestFleetAllocationBudget(t *testing.T) {
 	for _, stretch := range []sim.Time{1, 2} {
 		cfg := ScalingConfig(1)
 		cfg.Duration *= stretch
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		r, err := Run(cfg)
-		runtime.ReadMemStats(&after)
+		var r Result
+		var err error
+		objs, bytes := testutil.Allocs(func() { r, err = Run(cfg) }, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		objs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
 		t.Logf("%v: %d events, %d objects, %d B", cfg.Duration, r.Events, objs, bytes)
 		if objs > objsBudget || bytes > bytesBudget {
 			t.Errorf("%v: %d objects and %d B per run, budget %d and %d B",

@@ -44,21 +44,6 @@ var (
 	K40m          = Model{Name: "K40m", Generation: "Kepler", Speed: 0.65, MemBytes: 11 * GiB, PCIeBW: defaultPCIe}
 )
 
-// Models returns all known models, for lookups and CLI listings.
-func Models() []Model {
-	return []Model{TitanXMaxwell, K20m, GTXTitan, GTX980, TitanXPascal, RTX2080Ti, K40m}
-}
-
-// ModelByName returns the model with the given name.
-func ModelByName(name string) (Model, error) {
-	for _, m := range Models() {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return Model{}, fmt.Errorf("gpu: unknown model %q", name)
-}
-
 // Device is one simulated GPU installed in a node.
 type Device struct {
 	Model
@@ -106,9 +91,9 @@ func New(id string, m Model) *Device {
 	}
 }
 
-// KernelTime converts a baseline kernel duration (measured on the TitanX
+// kernelTime converts a baseline kernel duration (measured on the TitanX
 // Maxwell) into this device's duration.
-func (d *Device) KernelTime(base sim.Time) sim.Time {
+func (d *Device) kernelTime(base sim.Time) sim.Time {
 	return sim.Time(float64(base) / d.Speed)
 }
 
@@ -124,7 +109,7 @@ func (d *Device) TransferTime(size int64) sim.Time {
 // zero-allocation callback chain in the simulator, with no goroutine per
 // launch. fn must not block.
 func (d *Device) LaunchKernel(e *sim.Env, base sim.Time, fn func(start sim.Time)) {
-	dur := d.KernelTime(base)
+	dur := d.kernelTime(base)
 	if f := d.slowdown(); f != 1 {
 		dur = sim.Time(float64(dur) * f)
 	}

@@ -6,21 +6,25 @@ import (
 	"rocket/internal/sim"
 )
 
+// models lists every known model.
+var models = []Model{TitanXMaxwell, K20m, GTXTitan, GTX980, TitanXPascal, RTX2080Ti, K40m}
+
+// Each model carries its own name, and no two share one.
 func TestModelByName(t *testing.T) {
-	m, err := ModelByName("RTX2080Ti")
-	if err != nil {
-		t.Fatal(err)
+	if RTX2080Ti.Name != "RTX2080Ti" || RTX2080Ti.Generation != "Turing" {
+		t.Errorf("RTX2080Ti = %+v", RTX2080Ti)
 	}
-	if m.Generation != "Turing" {
-		t.Errorf("generation = %q", m.Generation)
-	}
-	if _, err := ModelByName("nope"); err == nil {
-		t.Error("expected error for unknown model")
+	seen := map[string]bool{}
+	for _, m := range models {
+		if m.Name == "" || seen[m.Name] {
+			t.Errorf("model name %q empty or repeated", m.Name)
+		}
+		seen[m.Name] = true
 	}
 }
 
 func TestModelsHavePositiveSpeeds(t *testing.T) {
-	for _, m := range Models() {
+	for _, m := range models {
 		if m.Speed <= 0 || m.MemBytes <= 0 || m.PCIeBW <= 0 {
 			t.Errorf("model %q has non-positive parameters: %+v", m.Name, m)
 		}
@@ -37,15 +41,15 @@ func TestKernelTimeScaling(t *testing.T) {
 	fast := New("t/fast", RTX2080Ti)
 	slow := New("t/slow", K20m)
 	base := sim.Millis(10)
-	if fast.KernelTime(base) >= base {
-		t.Errorf("faster GPU must shorten kernels: %v", fast.KernelTime(base))
+	if fast.kernelTime(base) >= base {
+		t.Errorf("faster GPU must shorten kernels: %v", fast.kernelTime(base))
 	}
-	if slow.KernelTime(base) <= base {
-		t.Errorf("slower GPU must lengthen kernels: %v", slow.KernelTime(base))
+	if slow.kernelTime(base) <= base {
+		t.Errorf("slower GPU must lengthen kernels: %v", slow.kernelTime(base))
 	}
 	d := New("t/base", TitanXMaxwell)
-	if d.KernelTime(base) != base {
-		t.Errorf("baseline device changed duration: %v", d.KernelTime(base))
+	if d.kernelTime(base) != base {
+		t.Errorf("baseline device changed duration: %v", d.kernelTime(base))
 	}
 }
 
@@ -91,7 +95,7 @@ func TestLaunchKernelOccupiesCompute(t *testing.T) {
 	}
 	e.Run()
 	e.Close()
-	dur := d.KernelTime(base)
+	dur := d.kernelTime(base)
 	want := [][2]sim.Time{{0, dur}, {dur, 2 * dur}}
 	for i := range want {
 		if intervals[i] != want[i] {
@@ -99,8 +103,12 @@ func TestLaunchKernelOccupiesCompute(t *testing.T) {
 				i, intervals[i], want[i])
 		}
 	}
-	if d.Compute.BusyTime(e.Now()) != 2*dur {
-		t.Fatalf("compute busy %v, want %v", d.Compute.BusyTime(e.Now()), 2*dur)
+	var busy sim.Time
+	for _, iv := range intervals {
+		busy += iv[1] - iv[0]
+	}
+	if busy != 2*dur {
+		t.Fatalf("compute busy %v, want %v", busy, 2*dur)
 	}
 }
 

@@ -248,11 +248,11 @@ func (m Manifest) JSON() ([]byte, error) {
 	return append(buf, '\n'), nil
 }
 
-// ArrivalsOrdered reports whether the jobs are in non-decreasing
+// arrivalsOrdered reports whether the jobs are in non-decreasing
 // arrival order. Logs recorded by a rocketd server always are (the
 // online scheduler assigns monotone arrivals in submission order);
 // hand-edited or merged logs may not be.
-func (m Manifest) ArrivalsOrdered() bool {
+func (m Manifest) arrivalsOrdered() bool {
 	for i := 1; i < len(m.Jobs); i++ {
 		if m.Jobs[i].Arrival() < m.Jobs[i-1].Arrival() {
 			return false
@@ -270,7 +270,7 @@ func (m Manifest) ArrivalsOrdered() bool {
 // identically. `rocket queue -replay` normalizes (with a warning) instead
 // of silently producing a divergent replay.
 func (m *Manifest) Normalize() bool {
-	if m.ArrivalsOrdered() {
+	if m.arrivalsOrdered() {
 		return false
 	}
 	sort.SliceStable(m.Jobs, func(i, j int) bool {

@@ -107,7 +107,7 @@ func TestNormalizeSortsOutOfOrderArrivals(t *testing.T) {
 		{ID: "b1", App: "forensics", Items: 8, ArrivalNS: 200},
 		{ID: "b2", App: "microscopy", Items: 8, ArrivalNS: 200},
 	}}
-	if m.ArrivalsOrdered() {
+	if m.arrivalsOrdered() {
 		t.Fatal("out-of-order manifest reported ordered")
 	}
 	if !m.Normalize() {

@@ -20,24 +20,24 @@ type Costs struct {
 	FileBytes float64
 }
 
-// TGPU returns equation (1): total GPU processing time for n items with
+// tGPU returns equation (1): total GPU processing time for n items with
 // data-reuse factor R on a single reference GPU.
-func TGPU(c Costs, n int, r float64) sim.Time {
+func tGPU(c Costs, n int, r float64) sim.Time {
 	loads := r * float64(n)
 	return sim.Time(loads*float64(c.Preprocess)) +
 		sim.Time(float64(pairs.TotalPairs(n))*float64(c.Compare))
 }
 
-// TCPU returns equation (2): total CPU processing time.
-func TCPU(c Costs, n int, r float64) sim.Time {
+// tCPU returns equation (2): total CPU processing time.
+func tCPU(c Costs, n int, r float64) sim.Time {
 	loads := r * float64(n)
 	return sim.Time(loads*float64(c.Parse)) +
 		sim.Time(float64(pairs.TotalPairs(n))*float64(c.Post))
 }
 
-// TIO returns equation (3): estimated I/O time given an average storage
+// tIO returns equation (3): estimated I/O time given an average storage
 // bandwidth in bytes/second.
-func TIO(c Costs, n int, r float64, bandwidth float64) sim.Time {
+func tIO(c Costs, n int, r float64, bandwidth float64) sim.Time {
 	if bandwidth <= 0 {
 		return 0
 	}
@@ -49,14 +49,14 @@ func TIO(c Costs, n int, r float64, bandwidth float64) sim.Time {
 // reuse (R = 1), infinite I/O bandwidth, and GPU-dominated processing, on
 // one reference GPU.
 func Tmin(c Costs, n int) sim.Time {
-	return TGPU(c, n, 1)
+	return tGPU(c, n, 1)
 }
 
-// TminOn returns the lower bound on a platform with the given total
+// tminOn returns the lower bound on a platform with the given total
 // relative GPU speed (sum of per-device speeds, reference GPU = 1.0). This
 // generalizes Tmin/p to heterogeneous platforms: p identical reference
 // GPUs have totalSpeed = p.
-func TminOn(c Costs, n int, totalSpeed float64) sim.Time {
+func tminOn(c Costs, n int, totalSpeed float64) sim.Time {
 	if totalSpeed <= 0 {
 		return 0
 	}
@@ -71,11 +71,11 @@ func Efficiency(c Costs, n int, totalSpeed float64, measured sim.Time) float64 {
 	if measured <= 0 {
 		return 0
 	}
-	return float64(TminOn(c, n, totalSpeed)) / float64(measured)
+	return float64(tminOn(c, n, totalSpeed)) / float64(measured)
 }
 
-// Speedup returns t1/tp.
-func Speedup(t1, tp sim.Time) float64 {
+// speedup returns t1/tp.
+func speedup(t1, tp sim.Time) float64 {
 	if tp <= 0 {
 		return 0
 	}

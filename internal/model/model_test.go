@@ -18,46 +18,46 @@ var c = Costs{
 func TestTGPU(t *testing.T) {
 	// n=10, R=1: 10 preprocess + 45 comparisons.
 	want := 10*sim.Millis(20.5) + 45*sim.Millis(1.1)
-	if got := TGPU(c, 10, 1); got != want {
-		t.Fatalf("TGPU = %v, want %v", got, want)
+	if got := tGPU(c, 10, 1); got != want {
+		t.Fatalf("tGPU = %v, want %v", got, want)
 	}
 	// R=2 doubles only the preprocess share.
 	want2 := 20*sim.Millis(20.5) + 45*sim.Millis(1.1)
-	if got := TGPU(c, 10, 2); got != want2 {
-		t.Fatalf("TGPU(R=2) = %v, want %v", got, want2)
+	if got := tGPU(c, 10, 2); got != want2 {
+		t.Fatalf("tGPU(R=2) = %v, want %v", got, want2)
 	}
 }
 
 func TestTCPU(t *testing.T) {
 	want := 10 * sim.Millis(130.8)
-	if got := TCPU(c, 10, 1); got != want {
-		t.Fatalf("TCPU = %v, want %v", got, want)
+	if got := tCPU(c, 10, 1); got != want {
+		t.Fatalf("tCPU = %v, want %v", got, want)
 	}
 }
 
 func TestTIO(t *testing.T) {
-	got := TIO(c, 10, 1, 4.1e6) // 10 files at file-size bandwidth = 10s
+	got := tIO(c, 10, 1, 4.1e6) // 10 files at file-size bandwidth = 10s
 	if got != 10*sim.Second {
-		t.Fatalf("TIO = %v, want 10s", got)
+		t.Fatalf("tIO = %v, want 10s", got)
 	}
-	if TIO(c, 10, 1, 0) != 0 {
+	if tIO(c, 10, 1, 0) != 0 {
 		t.Fatal("zero bandwidth should yield 0 (treated as infinite)")
 	}
 }
 
 func TestTminEqualsTGPUAtR1(t *testing.T) {
-	if Tmin(c, 100) != TGPU(c, 100, 1) {
-		t.Fatal("Tmin != TGPU(R=1)")
+	if Tmin(c, 100) != tGPU(c, 100, 1) {
+		t.Fatal("Tmin != tGPU(R=1)")
 	}
 }
 
 func TestTminOnScalesWithSpeed(t *testing.T) {
-	t1 := TminOn(c, 100, 1)
-	t4 := TminOn(c, 100, 4)
+	t1 := tminOn(c, 100, 1)
+	t4 := tminOn(c, 100, 4)
 	if t1 != 4*t4 {
-		t.Fatalf("TminOn(4) = %v, want quarter of %v", t4, t1)
+		t.Fatalf("tminOn(4) = %v, want quarter of %v", t4, t1)
 	}
-	if TminOn(c, 100, 0) != 0 {
+	if tminOn(c, 100, 0) != 0 {
 		t.Fatal("zero speed should yield 0")
 	}
 }
@@ -76,10 +76,10 @@ func TestEfficiency(t *testing.T) {
 }
 
 func TestSpeedup(t *testing.T) {
-	if Speedup(10*sim.Second, 2*sim.Second) != 5 {
+	if speedup(10*sim.Second, 2*sim.Second) != 5 {
 		t.Fatal("speedup wrong")
 	}
-	if Speedup(time1(), 0) != 0 {
+	if speedup(time1(), 0) != 0 {
 		t.Fatal("zero denominator")
 	}
 }
@@ -87,13 +87,13 @@ func TestSpeedup(t *testing.T) {
 func time1() sim.Time { return sim.Second }
 
 // Property: efficiency is monotonically decreasing in measured time and
-// TGPU is monotonically increasing in R.
+// tGPU is monotonically increasing in R.
 func TestQuickMonotonicity(t *testing.T) {
 	f := func(nRaw uint8, r1Raw, r2Raw uint16) bool {
 		n := int(nRaw%100) + 2
 		r1 := 1 + float64(r1Raw)/1000
 		r2 := r1 + float64(r2Raw)/1000
-		if TGPU(c, n, r2) < TGPU(c, n, r1) {
+		if tGPU(c, n, r2) < tGPU(c, n, r1) {
 			return false
 		}
 		m1 := Tmin(c, n)

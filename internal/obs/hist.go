@@ -9,7 +9,7 @@ import (
 // int64 samples. Values below 32 land in exact unit buckets; above that,
 // each power of two is split into 32 sub-buckets, bounding the relative
 // quantile error at ~3% while keeping the bucket count small enough to
-// export on /metrics. All state is integer, so merging and quantile
+// export on /metrics. All state is integer, so merging and bucket
 // extraction are deterministic.
 //
 // The zero value is ready to use. Histogram is not safe for concurrent
@@ -73,32 +73,6 @@ func (h *Histogram) Sum() int64 { return h.sum }
 
 // Max returns the largest observed sample (0 when empty).
 func (h *Histogram) Max() int64 { return h.max }
-
-// Quantile returns an upper bound for the q-quantile (0 ≤ q ≤ 1): the
-// upper bound of the bucket holding the ⌈q·count⌉-th sample. Exact for
-// values < 32; within one sub-bucket (≤ ~3% relative) above. Returns 0
-// for an empty histogram.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h.count == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(h.count))
-	if rank >= h.count {
-		rank = h.count - 1
-	}
-	var seen uint64
-	for i, c := range h.counts {
-		seen += c
-		if seen > rank {
-			u := histUpper(i)
-			if u > h.max {
-				u = h.max
-			}
-			return u
-		}
-	}
-	return h.max
-}
 
 // Merge adds o's samples into h. The max is the max of both.
 func (h *Histogram) Merge(o *Histogram) {

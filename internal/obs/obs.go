@@ -85,19 +85,6 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind inverts String for every declared kind.
-func ParseKind(s string) (Kind, bool) {
-	for k := Kind(0); k < numKinds; k++ {
-		if k.String() == s {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
-// NumKinds returns the number of declared span kinds (for table tests).
-func NumKinds() int { return int(numKinds) }
-
 // Span is one recorded interval of virtual time on a track. Instant
 // events are spans with End == Start.
 type Span struct {
@@ -197,17 +184,6 @@ func New(lanes, capacity int) *Recorder {
 		r.lanes[i].cap = capacity
 	}
 	return r
-}
-
-// Enabled reports whether the recorder records (false for nil).
-func (r *Recorder) Enabled() bool { return r != nil }
-
-// Lanes returns the lane count (0 for nil).
-func (r *Recorder) Lanes() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.lanes)
 }
 
 // Record appends one span to the given lane's ring (modulo the lane

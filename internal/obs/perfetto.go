@@ -186,9 +186,9 @@ type TopEntry struct {
 	Count int
 }
 
-// Top aggregates span durations by track ("track") or kind ("kind"),
+// top aggregates span durations by track ("track") or kind ("kind"),
 // sorted by descending busy time then key.
-func (snap Snapshot) Top(by string) []TopEntry {
+func (snap Snapshot) top(by string) []TopEntry {
 	agg := map[string]*TopEntry{}
 	for _, s := range snap.Spans {
 		key := s.Track
@@ -216,11 +216,11 @@ func (snap Snapshot) Top(by string) []TopEntry {
 	return out
 }
 
-// WriteTop renders Top as a table.
+// WriteTop renders the snapshot's top(by) as a table.
 func (snap Snapshot) WriteTop(w io.Writer, by string, limit int) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "%-24s %14s %8s\n", by, "BUSY", "COUNT")
-	for i, e := range snap.Top(by) {
+	for i, e := range snap.top(by) {
 		if limit > 0 && i >= limit {
 			break
 		}

@@ -56,8 +56,8 @@ func (r Region) Count() int64 {
 // Empty reports whether the region contains no pairs.
 func (r Region) Empty() bool { return r.Count() == 0 }
 
-// Dims returns the row and column extents.
-func (r Region) Dims() (rows, cols int) {
+// dims returns the row and column extents.
+func (r Region) dims() (rows, cols int) {
 	return r.RowHi - r.RowLo, r.ColHi - r.ColLo
 }
 
@@ -67,7 +67,7 @@ func (r Region) Dims() (rows, cols int) {
 // bottom-right) order. Splitting a region with a single row and column is
 // invalid; callers stop splitting at leaves.
 func (r Region) Split() []Region {
-	rows, cols := r.Dims()
+	rows, cols := r.dims()
 	if rows <= 1 && cols <= 1 {
 		panic(fmt.Sprintf("pairs: splitting unit region %v", r))
 	}

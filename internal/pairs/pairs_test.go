@@ -171,9 +171,9 @@ func TestItemsDeduplicated(t *testing.T) {
 }
 
 func TestDims(t *testing.T) {
-	rows, cols := (Region{1, 4, 2, 8}).Dims()
+	rows, cols := (Region{1, 4, 2, 8}).dims()
 	if rows != 3 || cols != 6 {
-		t.Fatalf("Dims = %d, %d", rows, cols)
+		t.Fatalf("dims = %d, %d", rows, cols)
 	}
 }
 

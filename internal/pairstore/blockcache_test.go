@@ -295,7 +295,7 @@ func TestSegmentNamesStable(t *testing.T) {
 			s.Put(e)
 		}
 		if j%40 == 0 {
-			s.Delete(PairKey(digest, 0, j))
+			s.retract(PairKey(digest, 0, j))
 		}
 	}
 	s.Seal()

@@ -6,9 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"testing"
+
+	"rocket/internal/testutil"
 )
 
 // ingestShape is the benchmark's store_delta ingest at a reduced size:
@@ -16,10 +17,9 @@ import (
 // of items), ingested by Put and by Batch + Merge in turn and sealed
 // after each; then one key is deleted and put again. Every thirteenth
 // pair carries a value, so the value columns are written too. The
-// batches are built before the store sees them, so measure, when
-// non-nil, brackets exactly the store's calls. Returns the pairs
-// ingested.
-func ingestShape(t testing.TB, s *Store, items int, measure func(start bool)) int {
+// batches are built up front; the returned ingest makes exactly the
+// store's calls on s and returns the pairs ingested.
+func ingestShape(t testing.TB, items int) (ingest func(s *Store) int) {
 	t.Helper()
 	digest := DigestFunc("ingest", "forensics", 1)
 	dg := make([]Digest, items)
@@ -42,29 +42,25 @@ func ingestShape(t testing.TB, s *Store, items int, measure func(start bool)) in
 		versions = append(versions, b)
 		prev = n
 	}
-	if measure != nil {
-		measure(true)
-	}
-	pairs := 0
-	for v, b := range versions {
-		if v%2 == 0 {
-			for _, e := range b.entries {
-				s.Put(e)
+	return func(s *Store) int {
+		pairs := 0
+		for v, b := range versions {
+			if v%2 == 0 {
+				for _, e := range b.entries {
+					s.Put(e)
+				}
+			} else if got := s.Merge(b); got != b.Len() {
+				t.Fatalf("version %d: merged %d of %d", v, got, b.Len())
 			}
-		} else if got := s.Merge(b); got != b.Len() {
-			t.Fatalf("version %d: merged %d of %d", v, got, b.Len())
+			s.Seal()
+			pairs += b.Len()
 		}
-		s.Seal()
-		pairs += b.Len()
+		k := Key{A: dg[3], B: dg[items/2]}
+		if !s.retract(k) || !s.Put(Entry{Key: k, Version: items + 1, Value: []byte(`{"s":-1}`)}) {
+			t.Fatal("delete and re-put of a live key rejected")
+		}
+		return pairs
 	}
-	k := Key{A: dg[3], B: dg[items/2]}
-	if !s.Delete(k) || !s.Put(Entry{Key: k, Version: items + 1, Value: []byte(`{"s":-1}`)}) {
-		t.Fatal("delete and re-put of a live key rejected")
-	}
-	if measure != nil {
-		measure(false)
-	}
-	return pairs
 }
 
 // saveDigest saves s to path and hashes what landed on disk: the
@@ -103,7 +99,7 @@ func saveDigest(t *testing.T, s *Store, path string) string {
 func TestIngestGolden(t *testing.T) {
 	s := New()
 	s.SetAutoSealThreshold(1 << 10)
-	ingestShape(t, s, 200, nil)
+	ingestShape(t, 200)(s)
 	if st := s.Stats(); st.Levels < 2 || st.Tombstones == 0 {
 		t.Fatalf("ingest shape lost its point: %d levels, %d tombstones", st.Levels, st.Tombstones)
 	}
@@ -122,7 +118,8 @@ func TestIngestGolden(t *testing.T) {
 
 // TestIngestAllocationBudget holds the write path to a count budget:
 // objects and bytes allocated per ingested pair, by MemStats deltas over
-// the store's calls alone, at two sizes of the golden's shape with the
+// the store's calls alone (the cheapest of three ingests into fresh
+// stores, see testutil.Allocs), at two sizes of the golden's shape with the
 // benchmark's ratio of pairs to auto-seal threshold (≈ 7.6). Before the
 // presized memtable and the streaming seal the two sizes read 0.032 and
 // 0.029 objects, 927 and 919 B per pair; the byte budget is half the
@@ -134,19 +131,19 @@ func TestIngestAllocationBudget(t *testing.T) {
 		t.Skip("the race detector's shadow allocations make MemStats deltas meaningless")
 	}
 	for _, c := range []struct{ items, autoSeal int }{{1000, 1 << 16}, {1400, 1 << 17}} {
-		s := New()
-		s.SetAutoSealThreshold(c.autoSeal)
-		var before, after runtime.MemStats
-		pairs := ingestShape(t, s, c.items, func(start bool) {
-			if start {
-				runtime.GC()
-				runtime.ReadMemStats(&before)
-			} else {
-				runtime.ReadMemStats(&after)
-			}
-		})
-		objs := float64(after.Mallocs-before.Mallocs) / float64(pairs)
-		bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(pairs)
+		ingest := ingestShape(t, c.items)
+		stores := make([]*Store, 3)
+		for i := range stores {
+			stores[i] = New()
+			stores[i].SetAutoSealThreshold(c.autoSeal)
+		}
+		run, pairs := 0, 0
+		o, b := testutil.Allocs(func() {
+			s := stores[run]
+			stores[run], run = nil, run+1
+			pairs = ingest(s)
+		}, len(stores))
+		objs, bytes := float64(o)/float64(pairs), float64(b)/float64(pairs)
 		t.Logf("%d items, auto-seal %d: %.5f objects and %.0f B per pair", c.items, c.autoSeal, objs, bytes)
 		if objs > objsBudget || bytes > bytesBudget {
 			t.Errorf("%d items: %.4f objects and %.0f B per ingested pair, budget %.2f and %d B",

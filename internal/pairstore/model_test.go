@@ -195,12 +195,12 @@ var modelProbe = func() []Key {
 // view is what a Store and a Snapshot both answer.
 type view interface {
 	Get(Key) (Entry, bool)
-	Has(Key) bool
+	has(Key) bool
 	Len() int
 }
 
 // checkView compares v against the live map: Len, HasMany on every
-// probe key, Has on has and Get on gets. Point probes are kept off the
+// probe key, has on has and Get on gets. Point probes are kept off the
 // hot loop where they are dear — Get inflates a block per sealed hit,
 // and a snapshot's probe into a segment compaction replaced inflates
 // one too.
@@ -217,8 +217,8 @@ func checkView(t *testing.T, what string, live map[Key]Entry, v view, hasMany fu
 		}
 	}
 	for _, k := range has {
-		if _, ok := live[k]; v.Has(k) != ok {
-			t.Fatalf("%s: Has(%v) = %v, model %v", what, k, v.Has(k), ok)
+		if _, ok := live[k]; v.has(k) != ok {
+			t.Fatalf("%s: has(%v) = %v, model %v", what, k, v.has(k), ok)
 		}
 	}
 	for _, k := range gets {
@@ -293,7 +293,7 @@ func checkStoreOps(t *testing.T, prog []byte) {
 			k := modelKey(next())
 			touched = append(touched, k)
 			what = fmt.Sprintf("Delete(%v)", k)
-			if got, want := s.Delete(k), m.del(k); got != want {
+			if got, want := s.retract(k), m.del(k); got != want {
 				t.Fatalf("step %d: %s = %v, model %v", step, what, got, want)
 			}
 		case 8, 9:

@@ -189,7 +189,7 @@ type Stats struct {
 	Compactions   uint64 `json:"compactions"`
 	CompactedAway uint64 `json:"compacted_away"`
 	// BloomProbes counts segment probes that consulted a bloom filter:
-	// every point probe (Get, Has, Put's duplicate check) and the
+	// every point probe (Get, has, Put's duplicate check) and the
 	// HasMany probes whose block was not in the block cache.
 	// BloomNegatives are the probes the filter answered "definitely
 	// absent" without decoding a block; BloomFalsePositives the probes
@@ -442,10 +442,10 @@ func (s *Store) putLocked(e Entry) bool {
 	return true
 }
 
-// Delete retracts a live key by appending a tombstone, reporting
+// retract deletes a live key by appending a tombstone, reporting
 // whether anything was deleted. The record is physically removed when
 // compaction reaches the bottom level.
-func (s *Store) Delete(k Key) bool {
+func (s *Store) retract(k Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if cur, ok := s.lookupLocked(k, false); !ok || cur.Tombstone {
@@ -483,14 +483,6 @@ func (s *Store) Get(k Key) (Entry, bool) {
 		return Entry{}, false
 	}
 	return e, true
-}
-
-// Has reports whether k is live.
-func (s *Store) Has(k Key) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.lookupLocked(k, false)
-	return ok && !e.Tombstone
 }
 
 // Len returns the number of distinct live keys.
@@ -829,17 +821,6 @@ func (sn *Snapshot) resolve(k Key, wantRow bool) (Entry, bool) {
 		}
 	}
 	return Entry{}, false
-}
-
-// Has reports whether k was live when the snapshot was taken.
-func (sn *Snapshot) Has(k Key) bool {
-	if sn == nil || sn.s == nil {
-		return false
-	}
-	sn.s.mu.Lock()
-	defer sn.s.mu.Unlock()
-	e, ok := sn.resolve(k, false)
-	return ok && !e.Tombstone
 }
 
 // Get returns the entry for k, if live at snapshot time.

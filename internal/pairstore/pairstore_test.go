@@ -6,6 +6,25 @@ import (
 	"testing"
 )
 
+// has reports whether k is live.
+func (s *Store) has(k Key) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.lookupLocked(k, false)
+	return ok && !e.Tombstone
+}
+
+// has reports whether k was live when the snapshot was taken.
+func (sn *Snapshot) has(k Key) bool {
+	if sn == nil || sn.s == nil {
+		return false
+	}
+	sn.s.mu.Lock()
+	defer sn.s.mu.Unlock()
+	e, ok := sn.resolve(k, false)
+	return ok && !e.Tombstone
+}
+
 func keyOf(i, j int) Key {
 	d := DigestFunc("ref", "app", 7)
 	return PairKey(d, i, j)
@@ -66,7 +85,7 @@ func TestPutGetAppendOnly(t *testing.T) {
 	if !ok || string(got.Value) != "1" || got.Version != 4 {
 		t.Fatalf("Get = %+v, %v; want first write", got, ok)
 	}
-	if s.Has(keyOf(0, 2)) {
+	if s.has(keyOf(0, 2)) {
 		t.Fatal("Has reports an absent key")
 	}
 	st := s.Stats()
@@ -80,17 +99,17 @@ func TestSnapshotImmutable(t *testing.T) {
 	s.Put(Entry{Key: keyOf(0, 1)})
 	snap := s.Snapshot()
 	s.Put(Entry{Key: keyOf(0, 2)})
-	if !snap.Has(keyOf(0, 1)) {
+	if !snap.has(keyOf(0, 1)) {
 		t.Fatal("snapshot lost a resident key")
 	}
-	if snap.Has(keyOf(0, 2)) {
+	if snap.has(keyOf(0, 2)) {
 		t.Fatal("snapshot observed a later append")
 	}
 	if snap.Len() != 1 || s.Len() != 2 {
 		t.Fatalf("Len: snap %d store %d", snap.Len(), s.Len())
 	}
 	var nilSnap *Snapshot
-	if nilSnap.Has(keyOf(0, 1)) || nilSnap.Len() != 0 {
+	if nilSnap.has(keyOf(0, 1)) || nilSnap.Len() != 0 {
 		t.Fatal("nil snapshot must be empty")
 	}
 }
@@ -132,7 +151,7 @@ func TestSealAndCompact(t *testing.T) {
 	if st.Segments != 1 || st.LogEntries != 2 || st.Compactions != 1 {
 		t.Fatalf("after compact: %+v", st)
 	}
-	if !s.Has(keyOf(0, 1)) || !s.Has(keyOf(0, 2)) {
+	if !s.has(keyOf(0, 1)) || !s.has(keyOf(0, 2)) {
 		t.Fatal("compact lost keys")
 	}
 }
@@ -176,7 +195,7 @@ func TestMemtableGrowsPastChurn(t *testing.T) {
 	s := New()
 	s.Put(Entry{Key: keyOf(0, 1)})
 	for v := 1; v <= 20; v++ {
-		s.Delete(keyOf(0, 1))
+		s.retract(keyOf(0, 1))
 		s.Put(Entry{Key: keyOf(0, 1), Version: v})
 	}
 	for j := 2; j <= 65; j++ { // 41 entries, then keys 2..65 double the index twice

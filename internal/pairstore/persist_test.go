@@ -20,7 +20,7 @@ func TestSaveLoadColumnarRoundTrip(t *testing.T) {
 	for i := 300; i < 400; i++ {
 		s.Put(Entry{Key: PairKey(digest, i, i+1), Version: 400})
 	}
-	s.Delete(PairKey(digest, 0, 1)) // a tombstone in the mutable log
+	s.retract(PairKey(digest, 0, 1)) // a tombstone in the mutable log
 	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestSaveLoadColumnarRoundTrip(t *testing.T) {
 	if r.Len() != 399 {
 		t.Fatalf("reloaded len = %d, want 399", r.Len())
 	}
-	if r.Has(PairKey(digest, 0, 1)) {
+	if r.has(PairKey(digest, 0, 1)) {
 		t.Fatal("reloaded store forgot the tombstone")
 	}
 	if e, ok := r.Get(PairKey(digest, 5, 6)); !ok || string(e.Value) != `{"r":1}` {

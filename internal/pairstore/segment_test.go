@@ -166,13 +166,13 @@ func TestStoreDeleteAndRevive(t *testing.T) {
 	if !s.Put(Entry{Key: k, Value: json.RawMessage(`1`)}) {
 		t.Fatal("put rejected")
 	}
-	if !s.Delete(k) {
+	if !s.retract(k) {
 		t.Fatal("delete of live key rejected")
 	}
-	if s.Delete(k) {
+	if s.retract(k) {
 		t.Fatal("double delete accepted")
 	}
-	if s.Has(k) || s.Len() != 0 {
+	if s.has(k) || s.Len() != 0 {
 		t.Fatal("deleted key still visible")
 	}
 	if !s.Put(Entry{Key: k, Value: json.RawMessage(`2`)}) {
@@ -185,9 +185,9 @@ func TestStoreDeleteAndRevive(t *testing.T) {
 	s2 := New()
 	s2.Put(Entry{Key: k})
 	s2.Seal()
-	s2.Delete(k)
+	s2.retract(k)
 	s2.Seal()
-	if s2.Has(k) || s2.Len() != 0 {
+	if s2.has(k) || s2.Len() != 0 {
 		t.Fatal("sealed tombstone does not shadow sealed entry")
 	}
 	s2.Put(Entry{Key: k, Version: 9})
@@ -231,7 +231,7 @@ func TestCompactEdgeCases(t *testing.T) {
 		}
 		s.Seal()
 		for i := 0; i < 8; i++ {
-			s.Delete(Key{A: Digest(i), B: 1})
+			s.retract(Key{A: Digest(i), B: 1})
 		}
 		s.Seal() // a segment of pure tombstones
 		if got := len(s.segmentsNewestFirst()); got != 2 {
@@ -251,7 +251,7 @@ func TestCompactEdgeCases(t *testing.T) {
 		k := Key{A: 42, B: 43}
 		s.Put(Entry{Key: k, Version: 1})
 		s.Seal()
-		s.Delete(k)
+		s.retract(k)
 		s.Seal()
 		s.Put(Entry{Key: k, Version: 3})
 		s.Seal()
@@ -289,7 +289,7 @@ func TestAutoSealBoundsMemtable(t *testing.T) {
 		t.Fatalf("entries = %d, want %d", st.Entries, n)
 	}
 	for i := 0; i < n; i++ {
-		if !s.Has(PairKey(digest, i, i+1)) {
+		if !s.has(PairKey(digest, i, i+1)) {
 			t.Fatalf("key %d lost across auto-seals", i)
 		}
 	}
@@ -310,15 +310,15 @@ func TestSnapshotImmuneToSealAndCompact(t *testing.T) {
 		s.Put(Entry{Key: PairKey(digest, i, i+1)})
 	}
 	s.Compact()
-	s.Delete(PairKey(digest, 0, 1))
+	s.retract(PairKey(digest, 0, 1))
 
 	if snap.Len() != 100 {
 		t.Fatalf("snapshot len = %d, want 100", snap.Len())
 	}
-	if !snap.Has(PairKey(digest, 0, 1)) {
+	if !snap.has(PairKey(digest, 0, 1)) {
 		t.Fatal("snapshot lost a pre-snapshot key (or saw a later delete)")
 	}
-	if snap.Has(PairKey(digest, 150, 151)) {
+	if snap.has(PairKey(digest, 150, 151)) {
 		t.Fatal("snapshot sees a post-snapshot key")
 	}
 	keys := make([]Key, 200)
@@ -364,7 +364,7 @@ func TestHasManyAgreesWithHas(t *testing.T) {
 		if out[i] != want[i] {
 			t.Fatalf("HasMany[%d] = %v, want %v", i, out[i], want[i])
 		}
-		if snap.Has(keys[i]) != want[i] {
+		if snap.has(keys[i]) != want[i] {
 			t.Fatalf("Has(%v) disagrees", keys[i])
 		}
 	}

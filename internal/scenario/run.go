@@ -93,7 +93,7 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 
 	rep.Pass = true
 	for i, a := range run.Asserts {
-		r := AssertionResult{Desc: a.Describe(), Pass: true}
+		r := AssertionResult{Desc: a.describe(), Pass: true}
 		switch a.Kind {
 		case AssertNodeDead, AssertNodeAlive:
 			r.AtMS = a.At.Seconds() * 1e3
@@ -189,7 +189,7 @@ func runFleet(sc *Scenario, faults *fault.Schedule, probes []fault.Probe, spans 
 	res, err := r.RunFleet(func(c *rocket.FleetConfig) {
 		c.Duration = sc.Duration
 		if sc.Gen != nil {
-			c.StartAt = sc.Gen.StartTimes()
+			c.StartAt = sc.Gen.startTimes()
 		}
 		if sc.Elastic != nil {
 			e := sc.elasticity()

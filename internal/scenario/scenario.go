@@ -131,8 +131,8 @@ type Assertion struct {
 	HasMax bool
 }
 
-// Describe renders the assertion for reports.
-func (a Assertion) Describe() string {
+// describe renders the assertion for reports.
+func (a Assertion) describe() string {
 	switch a.Kind {
 	case AssertNodeDead, AssertNodeAlive:
 		return fmt.Sprintf("%s node=%d at=%v", a.Kind, a.Node, a.At)
@@ -463,7 +463,7 @@ func (sc *Scenario) nodeCount() int {
 // gpuShape returns the per-node device counts of the platform.
 func (sc *Scenario) gpuShape() []int {
 	if sc.Gen != nil {
-		return sc.Gen.GPUShape(sc.Seed)
+		return sc.Gen.gpuShape(sc.Seed)
 	}
 	shape := make([]int, sc.Fleet.Nodes)
 	for i := range shape {
@@ -472,11 +472,11 @@ func (sc *Scenario) gpuShape() []int {
 	return shape
 }
 
-// GPUShape assigns a template to every node by seeded weighted sampling
+// gpuShape assigns a template to every node by seeded weighted sampling
 // and returns the per-node device counts. The assignment is a pure
 // function of (gen, seed): stress fleets are heterogeneous but exactly
 // reproducible.
-func (g *FleetGen) GPUShape(seed uint64) []int {
+func (g *FleetGen) gpuShape(seed uint64) []int {
 	total := 0
 	for _, t := range g.Templates {
 		total += t.Weight
@@ -496,10 +496,10 @@ func (g *FleetGen) GPUShape(seed uint64) []int {
 	return shape
 }
 
-// StartTimes returns the per-node boot offsets of the startup pattern
+// startTimes returns the per-node boot offsets of the startup pattern
 // (nil for instant boot, which keeps the fleet on its bit-identical
 // fast path).
-func (g *FleetGen) StartTimes() []sim.Time {
+func (g *FleetGen) startTimes() []sim.Time {
 	if g.Startup.Pattern == StartupInstant {
 		return nil
 	}

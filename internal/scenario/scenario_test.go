@@ -114,11 +114,11 @@ func TestFleetGenShapes(t *testing.T) {
 		},
 		Startup: Startup{Pattern: StartupWave, Over: sim.Millis(4), Waves: 4},
 	}
-	shape := g.GPUShape(9)
-	again := g.GPUShape(9)
+	shape := g.gpuShape(9)
+	again := g.gpuShape(9)
 	for i := range shape {
 		if shape[i] != again[i] {
-			t.Fatal("GPUShape not deterministic")
+			t.Fatal("gpuShape not deterministic")
 		}
 	}
 	ones, twos := 0, 0
@@ -137,7 +137,7 @@ func TestFleetGenShapes(t *testing.T) {
 		t.Fatalf("weighting off: %d ones, %d twos", ones, twos)
 	}
 
-	at := g.StartTimes()
+	at := g.startTimes()
 	if at[0] != 0 {
 		t.Fatalf("first node boots at %v, want 0", at[0])
 	}
@@ -156,12 +156,12 @@ func TestFleetGenShapes(t *testing.T) {
 	}
 
 	g.Startup = Startup{Pattern: StartupInstant}
-	if g.StartTimes() != nil {
+	if g.startTimes() != nil {
 		t.Fatal("instant startup must return nil (the fast path)")
 	}
 
 	g.Startup = Startup{Pattern: StartupExponential, Over: sim.Millis(4)}
-	at = g.StartTimes()
+	at = g.startTimes()
 	if at[0] != 0 || at[len(at)-1] != at[len(at)-2] && at[len(at)-1] > g.Startup.Over {
 		t.Fatalf("exponential start times out of range: first=%v last=%v", at[0], at[len(at)-1])
 	}

@@ -7,9 +7,9 @@ import "net/http"
 const MediaV1 = "application/vnd.rocket.v1+json"
 
 // apiV1 is the complete version-1 surface: one method per endpoint.
-// *Server implements it; Mux is the only place routes are bound, so the
+// *Server implements it; newMux is the only place routes are bound, so the
 // route table below is the single source of truth for the wire API
-// (the /v1/capabilities endpoint lists it via Routes).
+// (the /v1/capabilities endpoint lists it via routePatterns).
 type apiV1 interface {
 	handleSubmit(w http.ResponseWriter, r *http.Request)
 	handleList(w http.ResponseWriter, r *http.Request)
@@ -58,11 +58,11 @@ var v1Routes = []route{
 	{"GET /healthz", func(v apiV1) http.HandlerFunc { return v.handleHealthz }},
 }
 
-// Mux builds the service's route table over a version-1 implementation.
+// newMux builds the service's route table over a version-1 implementation.
 // New calls it with the Server itself; it exists as a separate
 // constructor so the full surface is declared (and testable) in one
 // place instead of scattered across registration calls.
-func Mux(v1 apiV1) *http.ServeMux {
+func newMux(v1 apiV1) *http.ServeMux {
 	mux := http.NewServeMux()
 	for _, rt := range v1Routes {
 		mux.HandleFunc(rt.pattern, rt.handler(v1))
@@ -70,9 +70,9 @@ func Mux(v1 apiV1) *http.ServeMux {
 	return mux
 }
 
-// Routes returns the method+pattern strings of the version-1 surface in
+// routePatterns returns the method+pattern strings of the version-1 surface in
 // table order — what /v1/capabilities advertises.
-func Routes() []string {
+func routePatterns() []string {
 	out := make([]string, len(v1Routes))
 	for i, rt := range v1Routes {
 		out[i] = rt.pattern

@@ -32,7 +32,7 @@ func TestRoutesTableCoversEverything(t *testing.T) {
 		"GET /metrics",
 		"GET /healthz",
 	}
-	got := Routes()
+	got := routePatterns()
 	if len(got) != len(want) {
 		t.Fatalf("route table has %d entries, want %d: %v", len(got), len(want), got)
 	}
@@ -80,8 +80,8 @@ func TestCapabilitiesEndpoint(t *testing.T) {
 	if doc.Nodes != 4 {
 		t.Fatalf("nodes=%d, want 4", doc.Nodes)
 	}
-	if len(doc.Routes) != len(Routes()) {
-		t.Fatalf("capabilities advertises %d routes, table has %d", len(doc.Routes), len(Routes()))
+	if len(doc.Routes) != len(routePatterns()) {
+		t.Fatalf("capabilities advertises %d routes, table has %d", len(doc.Routes), len(routePatterns()))
 	}
 	if doc.Store.Entries != 0 || doc.Store.Datasets != 0 {
 		t.Fatalf("fresh server store state: %+v", doc.Store)

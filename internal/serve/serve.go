@@ -16,7 +16,7 @@
 //	GET  /metrics             Prometheus text exposition
 //	GET  /healthz             liveness; 503 while draining
 //
-// The full method+pattern table lives in one place (Mux); the dataset
+// The full method+pattern table lives in one place (newMux); the dataset
 // endpoints are documented in datasets.go. Every error is a
 // {"error":{"code","message"}} document with the matching HTTP status.
 //
@@ -131,7 +131,7 @@ func New(cfg Config) (*Server, error) {
 		s.datasets[ds.ID] = &ds
 		s.dsOrder = append(s.dsOrder, ds.ID)
 	}
-	s.mux = Mux(s)
+	s.mux = newMux(s)
 	return s, nil
 }
 
@@ -348,7 +348,7 @@ func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 			LogBytes: st.Bytes,
 			Datasets: datasets,
 		},
-		Routes: Routes(),
+		Routes: routePatterns(),
 	})
 }
 

@@ -112,7 +112,7 @@ func (q *Arrivals[T]) RunUntil(t Time) uint64 {
 		if !local || lt > t {
 			break
 		}
-		e.Step()
+		e.step()
 	}
 	if e.now < t {
 		e.setNow(t)

@@ -23,7 +23,7 @@ func TestZeroAllocEventDispatch(t *testing.T) {
 	e.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.After(1, fn)
-		e.Step()
+		e.step()
 	})
 	if allocs != 0 {
 		t.Fatalf("event schedule+dispatch allocates %.1f objects/event, want 0", allocs)
@@ -46,7 +46,7 @@ func TestZeroAllocArgEvent(t *testing.T) {
 	e.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.AtArg(e.Now(), fn, 2)
-		e.Step()
+		e.step()
 	})
 	if allocs != 0 {
 		t.Fatalf("argument event schedule+dispatch allocates %.1f objects/event, want 0", allocs)
@@ -112,23 +112,24 @@ func TestZeroAllocResourceGrant(t *testing.T) {
 func TestZeroAllocContendedResource(t *testing.T) {
 	e := NewEnv()
 	r := NewResource("r", 1)
-	held := func(Time) {}
-	release := func() { r.Release(e) }
+	grants := 0
+	held := func(Time) { grants++ }
+	release := func() { grants++; r.Release(e) }
 	round := func() {
 		// The first UseFunc takes the unit; the other seven calls queue.
 		for i := 0; i < 4; i++ {
 			r.UseFunc(e, 1, held)
 			r.AcquireFunc(e, release)
 		}
-		for e.Step() {
+		for e.step() {
 		}
 	}
 	round() // grow the ring and the event queue to steady-state capacity
 	if allocs := testing.AllocsPerRun(100000, round); allocs != 0 {
 		t.Fatalf("a drain-and-refill round of a contended resource allocates %.2f objects, want 0", allocs)
 	}
-	if r.InUse() != 0 || r.QueueLen() != 0 || r.Acquires() != 8*100002 {
-		t.Fatalf("resource did not drain: in use %d, queued %d, acquires %d", r.InUse(), r.QueueLen(), r.Acquires())
+	if r.InUse() != 0 || r.waiters.Len() != 0 || grants != 8*100002 {
+		t.Fatalf("resource did not drain: in use %d, queued %d, grants %d", r.InUse(), r.waiters.Len(), grants)
 	}
 }
 
@@ -139,7 +140,7 @@ func BenchmarkEventDispatch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.After(1, fn)
-		e.Step()
+		e.step()
 	}
 }
 
@@ -169,7 +170,7 @@ func BenchmarkEventQueueChurn(b *testing.B) {
 		} else {
 			e.After(2048, fn)
 		}
-		e.Step()
+		e.step()
 	}
 	requireZeroAllocs(b, round)
 	b.ReportAllocs()
@@ -231,7 +232,7 @@ func BenchmarkSameInstantChain(b *testing.B) {
 		}
 	}
 	e.AtArg(0, hop, 1)
-	round := func() { e.Step() }
+	round := func() { e.step() }
 	requireZeroAllocs(b, round)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -244,7 +245,7 @@ func BenchmarkSameInstantChain(b *testing.B) {
 }
 
 // BenchmarkResourceContentionCallback measures a capacity-1 resource with
-// a deep callback wait queue: one grant hand-off per Step pair.
+// a deep callback wait queue: one grant hand-off per step pair.
 func BenchmarkResourceContentionCallback(b *testing.B) {
 	e := NewEnv()
 	r := NewResource("r", 1)
@@ -258,7 +259,7 @@ func BenchmarkResourceContentionCallback(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Step()
+		e.step()
 	}
 }
 
@@ -281,6 +282,6 @@ func BenchmarkMailboxThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Send(e, message{from: i})
-		e.Step()
+		e.step()
 	}
 }

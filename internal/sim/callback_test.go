@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 )
@@ -55,34 +54,13 @@ func TestUseFuncOccupancy(t *testing.T) {
 				i, starts[i], ends[i], wantStarts[i], wantEnds[i])
 		}
 	}
-	if r.BusyTime(e.Now()) != Millis(30) {
-		t.Fatalf("busy = %v, want 30ms", r.BusyTime(e.Now()))
+	var busy, waited Time
+	for i := range starts {
+		busy += ends[i] - starts[i]
+		waited += starts[i] // all three queued at 0
 	}
-	if r.WaitedTime() != Millis(30) { // 10 + 20 queued
-		t.Fatalf("waited = %v, want 30ms", r.WaitedTime())
-	}
-}
-
-func TestOnFire(t *testing.T) {
-	e := NewEnv()
-	s := NewSignal()
-	var order []string
-	s.OnFire(e, func() { order = append(order, "cb1") })
-	e.Defer(func() { s.OnFire(e, func() { order = append(order, "cb2") }) })
-	e.At(Millis(1), func() {
-		s.OnFire(e, func() { order = append(order, "cb3") })
-		s.Fire(e)
-	})
-	e.Run()
-	want := []string{"cb1", "cb2", "cb3"}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Fatalf("wake order %v, want %v (registration order)", order, want)
-	}
-	// Already fired: runs inline.
-	ran := false
-	s.OnFire(e, func() { ran = true })
-	if !ran {
-		t.Fatal("OnFire on fired signal must run inline")
+	if busy != Millis(30) || waited != Millis(30) { // 10 + 20 queued
+		t.Fatalf("busy = %v, waited = %v, want 30ms each", busy, waited)
 	}
 }
 
@@ -201,11 +179,10 @@ func TestReentrancyPanics(t *testing.T) {
 
 // mixedWorkload queues a little of everything the engine offers: plain
 // callbacks with and without an argument, now and later, timed holds and plain
-// acquisitions contending for one unit, a signal with waiters, and a
-// mailbox receiver that re-arms itself.
+// acquisitions contending for one unit, and a mailbox receiver that re-arms
+// itself.
 func mixedWorkload(e *Env) {
 	r := NewResource("r", 1)
-	s := NewSignal()
 	m := NewMailbox[int]("m")
 	var recv func(v int)
 	recv = func(int) { m.RecvFunc(e, recv) }
@@ -218,9 +195,7 @@ func mixedWorkload(e *Env) {
 		e.AtArg(e.Now(), func(uint64) {}, 0)
 		r.UseFunc(e, d, func(Time) {})
 		r.AcquireFunc(e, func() { r.Release(e) })
-		s.OnFire(e, func() {})
 	}
-	e.After(3, func() { s.Fire(e) })
 }
 
 // Every event popped from the queue is dispatched and counted: there is no
@@ -233,14 +208,14 @@ func TestEveryPopIsADispatch(t *testing.T) {
 	e := NewEnv()
 	mixedWorkload(e)
 	var steps uint64
-	for e.Step() {
+	for e.step() {
 		steps++
 	}
 	if steps == 0 || e.EventsProcessed() != steps {
-		t.Fatalf("EventsProcessed = %d after %d Steps returned true", e.EventsProcessed(), steps)
+		t.Fatalf("EventsProcessed = %d after %d steps returned true", e.EventsProcessed(), steps)
 	}
 	if got := pops(e, 0, 0); got != steps {
-		t.Fatalf("%d entries left the queue in %d Steps", got, steps)
+		t.Fatalf("%d entries left the queue in %d steps", got, steps)
 	}
 	// Both halves of the queue took part.
 	if e.HeapPushes() == 0 || e.LanePushes() == 0 {
@@ -259,11 +234,11 @@ func TestEveryPopIsADispatch(t *testing.T) {
 		total += n
 	}
 	if total != steps || e.EventsProcessed() != steps {
-		t.Fatalf("RunUntil dispatched %d (EventsProcessed %d), Step loop %d", total, e.EventsProcessed(), steps)
+		t.Fatalf("RunUntil dispatched %d (EventsProcessed %d), step loop %d", total, e.EventsProcessed(), steps)
 	}
 }
 
-// push hands out slab slots unzeroed and relies on Step having cleared
+// push hands out slab slots unzeroed and relies on step having cleared
 // the pointer fields of whatever kind last used the slot. Drive every
 // event kind through a small slab and require every slot to come back
 // pointer-free, so a kind that forgets a field fails here instead of
@@ -275,7 +250,7 @@ func TestReleasedEventSlotsHoldNoPointers(t *testing.T) {
 	e := NewEnv()
 	mixedWorkload(e)
 	for e.events.Len() > 0 {
-		// The slot Step is about to pop: the lane front unless a heap
+		// The slot step is about to pop: the lane front unless a heap
 		// entry shares the current instant.
 		q := &e.events
 		var idx int32
@@ -286,7 +261,7 @@ func TestReleasedEventSlotsHoldNoPointers(t *testing.T) {
 			idx = q.heap[0].idx
 		}
 		kinds[q.slab[idx].kind] = true
-		e.Step()
+		e.step()
 	}
 	if !kinds[evFn] || !kinds[evArg] || !kinds[evUseGrant] || !kinds[evUseEnd] || len(kinds) != 4 {
 		t.Fatalf("workload dispatched kinds %v, want all four", kinds)
@@ -335,7 +310,7 @@ func TestScheduleOnClosedEnvPanics(t *testing.T) {
 			t.Errorf("%s on a closed Env: recovered %v", name, r)
 		}
 	}
-	if e.PendingEvents() != 0 || e.Step() {
+	if e.PendingEvents() != 0 || e.step() {
 		t.Fatalf("closed Env holds %d events", e.PendingEvents())
 	}
 }

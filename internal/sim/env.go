@@ -7,7 +7,7 @@ import (
 
 // Env is a discrete-event simulation environment. All callbacks, resources,
 // and mailboxes belong to exactly one Env, and an Env must only be driven
-// from a single OS goroutine (the one that calls Run or Step).
+// from a single OS goroutine (the one that calls Run or RunUntil).
 type Env struct {
 	now    Time
 	events eventQueue
@@ -65,7 +65,7 @@ const (
 // a handle beside a continuation bound once (AtArg), and "occupy a
 // resource for d, then continue" carries the resource, continuation and
 // grant time inline (Resource.UseFunc). Each kind sets only its own
-// fields on push and Step clears only those on pop, so queueing never
+// fields on push and step clears only those on pop, so queueing never
 // copies or zeroes a whole event.
 type event struct {
 	kind  eventKind
@@ -176,9 +176,9 @@ func (e *Env) AtArg(t Time, fn func(arg uint64), arg uint64) {
 	ev.kind, ev.argFn, ev.word = evArg, fn, arg
 }
 
-// Step executes the next pending event, advancing virtual time. It returns
+// step executes the next pending event, advancing virtual time. It returns
 // false if the event queue is empty.
-func (e *Env) Step() bool {
+func (e *Env) step() bool {
 	if e.closed {
 		return false
 	}
@@ -220,7 +220,7 @@ func (e *Env) Step() bool {
 }
 
 // Run executes events until the queue is empty. Continuations still
-// registered on a Resource, Signal, or Mailbox (for example a server's
+// registered on a Resource or Mailbox (for example a server's
 // RecvFunc loop) simply never run.
 func (e *Env) Run() {
 	if e.running {
@@ -231,7 +231,7 @@ func (e *Env) Run() {
 		e.running = false
 		e.flushGlobalEvents()
 	}()
-	for e.Step() {
+	for e.step() {
 	}
 }
 
@@ -249,7 +249,7 @@ func (e *Env) RunUntil(t Time) uint64 {
 		e.flushGlobalEvents()
 	}()
 	for e.events.Len() > 0 && e.events.minTime(e.now) <= t {
-		e.Step()
+		e.step()
 	}
 	if e.now < t {
 		e.setNow(t)

@@ -7,7 +7,7 @@ import (
 )
 
 // goldenWorkload drives a fixed mixed workload — delays, contended timed
-// holds, signal broadcast, mailbox hand-off, deferred callbacks, and
+// holds, mailbox hand-off, deferred callbacks, and
 // same-timestamp ties — and records every observable step in dispatch
 // order. The recorded trace pins the engine's (time, seq) determinism: any
 // change to event ordering (a different heap arity is fine, a different
@@ -22,7 +22,6 @@ func goldenWorkload() []string {
 	}
 
 	r := NewResource("r", 2)
-	s := NewSignal()
 	m := NewMailbox[int]("m")
 
 	for i := 0; i < 4; i++ {
@@ -32,14 +31,12 @@ func goldenWorkload() []string {
 			r.UseFunc(e, Time(3+i)*Millisecond, func(Time) {
 				rec("w%d used r", i)
 				m.Send(e, i)
-				s.OnFire(e, func() { rec("w%d signalled", i) })
 			})
 		})
 	}
 	recvN(e, m, 4, func(v int) {
 		rec("recv %v", v)
 		if v == 3 {
-			s.Fire(e)
 			rec("fired")
 		}
 	})
@@ -74,11 +71,7 @@ var goldenTrace = []string{
 	"11.000ms w3 used r",
 	"11.000ms recv 3",
 	"11.000ms fired",
-	"11.000ms w0 signalled",
-	"11.000ms w1 signalled",
-	"11.000ms w2 signalled",
-	"11.000ms w3 signalled",
-	"11.000ms done events=22",
+	"11.000ms done events=18",
 }
 
 func TestGoldenTrace(t *testing.T) {

@@ -24,8 +24,10 @@ type laneProgram struct {
 	log    []laneRecord
 	res    [2]*Resource
 	mb     [2]*Mailbox[uint64]
-	sig    *Signal
-	argFn  func(id uint64)
+	// sig holds the waiters of the current broadcast: a fire defers
+	// each, in registration order, and starts a new one.
+	sig   []func()
+	argFn func(id uint64)
 	// send, src and peers are set when entities exchange messages.
 	send  func(at Time, src uint32, m laneMsg)
 	src   uint32
@@ -48,7 +50,7 @@ type laneRecord struct {
 }
 
 func newLaneProgram(e *Env, seed int64, budget int) *laneProgram {
-	p := &laneProgram{e: e, rng: rand.New(rand.NewSource(seed)), budget: budget, sig: NewSignal()}
+	p := &laneProgram{e: e, rng: rand.New(rand.NewSource(seed)), budget: budget}
 	p.argFn = p.visit
 	for i := range p.res {
 		p.res[i] = NewResource("r", 1+i)
@@ -100,10 +102,12 @@ func (p *laneProgram) act() {
 	case 6:
 		p.mb[id%2].RecvFunc(e, func(v uint64) { p.visit(id ^ v<<32) })
 	case 7:
-		p.sig.OnFire(e, func() { p.visit(id) })
+		p.sig = append(p.sig, func() { p.visit(id) })
 	case 8:
-		p.sig.Fire(e)
-		p.sig = NewSignal()
+		for _, fn := range p.sig {
+			e.Defer(fn)
+		}
+		p.sig = nil
 	case 9:
 		p.send(e.now+laneLatency+d, p.src, laneMsg{to: p.rng.Intn(p.peers), id: id | 1<<63})
 	}
@@ -128,7 +132,7 @@ type laneOutcome struct {
 // driveLaneProgram runs the program of a seed on e through drv: bursts of
 // top-level scheduling (at time zero, and at every instant a RunUntil
 // stopped the clock at), RunUntil to boundaries before, on and after
-// pending events, stretches of single Steps, and at the end either a run
+// pending events, stretches of single steps, and at the end either a run
 // to completion or a Close with work still queued.
 func driveLaneProgram(e *Env, seed int64, drv laneDriver) (out laneOutcome, laneAtClose int) {
 	p := newLaneProgram(e, seed, 400)
@@ -168,7 +172,7 @@ func driveLaneProgram(e *Env, seed int64, drv laneDriver) (out laneOutcome, lane
 // laneReference drives an Env in an order that owes nothing to the lane
 // or to the heap: it keeps every queued event in a plain list under the
 // (at, seq) it was pushed with, finds the minimum by a linear scan, and
-// hands Step a queue holding that one entry.
+// hands step a queue holding that one entry.
 type laneReference struct {
 	e       *Env
 	pending []key
@@ -221,7 +225,7 @@ func (r *laneReference) step() bool {
 	m := r.min()
 	r.e.events.heap = append(r.e.events.heap, r.pending[m])
 	r.pending = slices.Delete(r.pending, m, m+1)
-	return r.e.Step()
+	return r.e.step()
 }
 
 func (r *laneReference) runUntil(t Time) uint64 {
@@ -243,7 +247,7 @@ func (r *laneReference) driver() laneDriver {
 }
 
 // The queue's claim is that the lane changes nothing but the cost: for
-// every program, Step dispatches in exactly the order a queue sorted by
+// every program, step dispatches in exactly the order a queue sorted by
 // (at, seq) alone would.
 func TestLaneDispatchesInAtSeqOrder(t *testing.T) {
 	var lanePushes, heapPushes uint64
@@ -253,7 +257,7 @@ func TestLaneDispatchesInAtSeqOrder(t *testing.T) {
 		want, _ := driveLaneProgram(ref.e, seed, ref.driver())
 
 		e := NewEnv()
-		got, laneAtClose := driveLaneProgram(e, seed, laneDriver{step: e.Step, runUntil: e.RunUntil, pending: e.PendingEvents})
+		got, laneAtClose := driveLaneProgram(e, seed, laneDriver{step: e.step, runUntil: e.RunUntil, pending: e.PendingEvents})
 		if laneAtClose > 0 {
 			closedWithLane++
 		}

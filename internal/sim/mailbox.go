@@ -15,7 +15,6 @@ type Mailbox[T any] struct {
 	// event has not dispatched yet.
 	woken     Ring[func(v T)]
 	deliverFn func()
-	sent      uint64
 }
 
 // NewMailbox returns an empty mailbox.
@@ -27,12 +26,8 @@ func (m *Mailbox[T]) Name() string { return m.name }
 // Len returns the number of queued (undelivered) messages.
 func (m *Mailbox[T]) Len() int { return m.q.Len() }
 
-// Sent returns the total number of messages ever sent.
-func (m *Mailbox[T]) Sent() uint64 { return m.sent }
-
 // Send enqueues v and wakes the longest-waiting receiver, if any.
 func (m *Mailbox[T]) Send(e *Env, v T) {
-	m.sent++
 	m.q.Push(v)
 	if m.waiters.Len() > 0 {
 		m.woken.Push(m.waiters.Pop())

@@ -38,7 +38,7 @@ func (q *eventQueue) minTime(now Time) Time {
 }
 
 // alloc reserves a payload slot, growing the slab in bulk when full. The
-// slot's pointer fields are nil (Step clears what each kind sets), so the
+// slot's pointer fields are nil (step clears what each kind sets), so the
 // caller writes only what its kind uses.
 func (q *eventQueue) alloc() int32 {
 	if n := len(q.free); n > 0 {

@@ -9,7 +9,6 @@ type rwaiter struct {
 	fn     func()
 	useFn  func(start Time)
 	useDur Time
-	start  Time // enqueue time, for queued-time accounting
 }
 
 // Resource is a counting semaphore with a FIFO wait queue, used to model
@@ -23,12 +22,6 @@ type Resource struct {
 	cap     int
 	inUse   int
 	waiters Ring[rwaiter]
-
-	// Accounting.
-	busy      Time // total (units x time) the resource spent occupied
-	lastStamp Time
-	acquires  uint64
-	waited    Time // total time waiters spent queued
 }
 
 // NewResource returns a resource with the given capacity (>= 1).
@@ -48,35 +41,11 @@ func (r *Resource) Cap() int { return r.cap }
 // InUse returns the number of currently held units.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of waiters queued to acquire.
-func (r *Resource) QueueLen() int { return r.waiters.Len() }
-
-// Acquires returns the total number of successful acquisitions.
-func (r *Resource) Acquires() uint64 { return r.acquires }
-
-// BusyTime returns the integral of units-in-use over time, i.e. the total
-// occupied time summed over units. Divide by capacity and elapsed time for
-// utilization.
-func (r *Resource) BusyTime(now Time) Time {
-	r.account(now)
-	return r.busy
-}
-
-// WaitedTime returns the cumulative time waiters spent queued on r.
-func (r *Resource) WaitedTime() Time { return r.waited }
-
-func (r *Resource) account(now Time) {
-	r.busy += Time(int64(r.inUse) * int64(now-r.lastStamp))
-	r.lastStamp = now
-}
-
 // TryAcquire takes a unit of r if one is free and nobody is queued ahead,
 // reporting whether it succeeded. It never queues.
 func (r *Resource) TryAcquire(e *Env) bool {
 	if r.inUse < r.cap && r.waiters.Len() == 0 {
-		r.account(e.now)
 		r.inUse++
-		r.acquires++
 		return true
 	}
 	return false
@@ -88,13 +57,11 @@ func (r *Resource) TryAcquire(e *Env) bool {
 // granted. fn must not block; it must eventually lead to a Release.
 func (r *Resource) AcquireFunc(e *Env, fn func()) {
 	if r.inUse < r.cap && r.waiters.Len() == 0 {
-		r.account(e.now)
 		r.inUse++
-		r.acquires++
 		fn()
 		return
 	}
-	r.waiters.Push(rwaiter{fn: fn, start: e.now})
+	r.waiters.Push(rwaiter{fn: fn})
 }
 
 // Release returns one unit of r, scheduling the longest-waiting waiter, if
@@ -104,12 +71,9 @@ func (r *Resource) Release(e *Env) {
 	if r.inUse <= 0 {
 		panic(fmt.Sprintf("sim: release of idle resource %q", r.name))
 	}
-	r.account(e.now)
 	if r.waiters.Len() > 0 {
 		// Hand the unit to the next waiter without dropping inUse.
 		next := r.waiters.Pop()
-		r.acquires++
-		r.waited += e.now - next.start
 		if next.useFn != nil {
 			e.scheduleUseGrant(r, next.useDur, next.useFn)
 		} else {
@@ -131,11 +95,9 @@ func (r *Resource) UseFunc(e *Env, d Time, fn func(start Time)) {
 		panic(fmt.Sprintf("sim: negative UseFunc duration %v", d))
 	}
 	if r.inUse < r.cap && r.waiters.Len() == 0 {
-		r.account(e.now)
 		r.inUse++
-		r.acquires++
 		e.scheduleUseEnd(r, d, fn, e.now)
 		return
 	}
-	r.waiters.Push(rwaiter{useFn: fn, useDur: d, start: e.now})
+	r.waiters.Push(rwaiter{useFn: fn, useDur: d})
 }

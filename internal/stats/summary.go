@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -66,32 +65,25 @@ func (s *Summary) String() string {
 type Histogram struct {
 	Lo, Hi   float64
 	Counts   []uint64
-	under    uint64
 	over     uint64
-	samples  []float64 // retained when KeepSamples is set, for percentiles
-	keepAll  bool
 	nSamples uint64
 }
 
 // NewHistogram returns a histogram over [lo, hi) with the given number of
-// bins. If keepSamples is true, raw samples are retained for exact
-// percentile queries.
-func NewHistogram(lo, hi float64, bins int, keepSamples bool) *Histogram {
+// bins.
+func NewHistogram(lo, hi float64, bins int) *Histogram {
 	if bins < 1 || hi <= lo {
 		panic(fmt.Sprintf("stats: invalid histogram [%g, %g) x%d", lo, hi, bins))
 	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]uint64, bins), keepAll: keepSamples}
+	return &Histogram{Lo: lo, Hi: hi, Counts: make([]uint64, bins)}
 }
 
-// Add records one sample.
+// Add records one sample. Samples below Lo count only toward N; samples
+// at or above Hi count toward N and the overflow row of Render.
 func (h *Histogram) Add(x float64) {
 	h.nSamples++
-	if h.keepAll {
-		h.samples = append(h.samples, x)
-	}
 	switch {
 	case x < h.Lo:
-		h.under++
 	case x >= h.Hi:
 		h.over++
 	default:
@@ -106,31 +98,10 @@ func (h *Histogram) Add(x float64) {
 // N returns the total number of samples, including out-of-range ones.
 func (h *Histogram) N() uint64 { return h.nSamples }
 
-// Underflow and Overflow report samples outside [Lo, Hi).
-func (h *Histogram) Underflow() uint64 { return h.under }
-
-// Overflow reports the number of samples >= Hi.
-func (h *Histogram) Overflow() uint64 { return h.over }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
+// binCenter returns the midpoint of bin i.
+func (h *Histogram) binCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
 	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Percentile returns the p-quantile (0 <= p <= 1) from retained samples.
-// It panics if the histogram was created without keepSamples.
-func (h *Histogram) Percentile(p float64) float64 {
-	if !h.keepAll {
-		panic("stats: Percentile requires keepSamples")
-	}
-	if len(h.samples) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), h.samples...)
-	sort.Float64s(s)
-	i := int(p * float64(len(s)-1))
-	return s[i]
 }
 
 // Render draws a textual histogram with the given width in characters,
@@ -148,7 +119,7 @@ func (h *Histogram) Render(width int) string {
 		if peak > 0 {
 			bar = int(float64(width) * float64(c) / float64(peak))
 		}
-		fmt.Fprintf(&b, "%10.3g | %-*s %d\n", h.BinCenter(i), width, strings.Repeat("#", bar), c)
+		fmt.Fprintf(&b, "%10.3g | %-*s %d\n", h.binCenter(i), width, strings.Repeat("#", bar), c)
 	}
 	if h.over > 0 {
 		fmt.Fprintf(&b, "%10s | %d overflow\n", ">", h.over)

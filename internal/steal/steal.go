@@ -15,7 +15,7 @@ import (
 // simulation is single-threaded, so no synchronization is needed — the
 // contract matches Cilk/Constellation semantics, not lock-free mechanics.
 //
-// Storage is a slice with an explicit head index. StealTop advances head
+// Storage is a slice with an explicit head index. stealTop advances head
 // instead of re-slicing (tasks = tasks[1:] would walk the slice ever
 // deeper into its backing array, forcing append to reallocate and grow it
 // without bound under sustained push/steal cycles); the occupied window is
@@ -26,7 +26,7 @@ type Deque struct {
 	head  int
 }
 
-// compactAt is the dead-prefix length beyond which StealTop shifts the
+// compactAt is the dead-prefix length beyond which stealTop shifts the
 // live window back to the front of the backing array. Compaction copies at
 // most as many elements as were stolen since the last one, so the
 // amortized cost per steal is O(1).
@@ -55,9 +55,9 @@ func (d *Deque) PopBottom() (pairs.Region, bool) {
 	return r, true
 }
 
-// StealTop removes and returns the oldest task (FIFO), which sits highest
+// stealTop removes and returns the oldest task (FIFO), which sits highest
 // in the divide-and-conquer tree and therefore represents the most work.
-func (d *Deque) StealTop() (pairs.Region, bool) {
+func (d *Deque) stealTop() (pairs.Region, bool) {
 	if d.Len() == 0 {
 		return pairs.Region{}, false
 	}
@@ -79,8 +79,8 @@ func (d *Deque) StealTop() (pairs.Region, bool) {
 // deque.
 func (d *Deque) top() pairs.Region { return d.tasks[d.head] }
 
-// PeekTopCount returns the pair count of the top task, or 0 if empty.
-func (d *Deque) PeekTopCount() int64 {
+// peekTopCount returns the pair count of the top task, or 0 if empty.
+func (d *Deque) peekTopCount() int64 {
 	if d.Len() == 0 {
 		return 0
 	}
@@ -107,15 +107,6 @@ func (g *Group) Deque(i int) *Deque { return g.deques[i] }
 // Size returns the number of workers in the group.
 func (g *Group) Size() int { return len(g.deques) }
 
-// QueuedTasks returns the total number of tasks across the group.
-func (g *Group) QueuedTasks() int {
-	total := 0
-	for _, d := range g.deques {
-		total += d.Len()
-	}
-	return total
-}
-
 // Drain removes and returns every queued task in the group, deque by
 // deque in top-to-bottom (FIFO) order. Crash recovery uses it to re-expose
 // a dead node's unfinished regions for stealing elsewhere.
@@ -123,7 +114,7 @@ func (g *Group) Drain() []pairs.Region {
 	var out []pairs.Region
 	for _, d := range g.deques {
 		for {
-			r, ok := d.StealTop()
+			r, ok := d.stealTop()
 			if !ok {
 				break
 			}
@@ -155,7 +146,7 @@ func (g *Group) StealBestOverlap(resident []int) (pairs.Region, bool) {
 	if best < 0 {
 		return pairs.Region{}, false
 	}
-	return g.deques[best].StealTop()
+	return g.deques[best].stealTop()
 }
 
 // StealLocal steals the largest top task from any deque in the group other
@@ -168,12 +159,12 @@ func (g *Group) StealLocal(except int) (pairs.Region, bool) {
 		if i == except {
 			continue
 		}
-		if c := d.PeekTopCount(); c > bestCount {
+		if c := d.peekTopCount(); c > bestCount {
 			best, bestCount = i, c
 		}
 	}
 	if best < 0 {
 		return pairs.Region{}, false
 	}
-	return g.deques[best].StealTop()
+	return g.deques[best].stealTop()
 }

@@ -8,6 +8,15 @@ import (
 	"rocket/internal/stats"
 )
 
+// queuedTasks returns the total number of tasks across the group.
+func (g *Group) queuedTasks() int {
+	total := 0
+	for _, d := range g.deques {
+		total += d.Len()
+	}
+	return total
+}
+
 func region(n int) pairs.Region { return pairs.Root(n) }
 
 func TestDequeLIFOBottomFIFOTop(t *testing.T) {
@@ -21,8 +30,8 @@ func TestDequeLIFOBottomFIFOTop(t *testing.T) {
 	if r, ok := d.PopBottom(); !ok || r != region(4) {
 		t.Fatalf("PopBottom = %v, %v; want most recent", r, ok)
 	}
-	if r, ok := d.StealTop(); !ok || r != region(2) {
-		t.Fatalf("StealTop = %v, %v; want oldest", r, ok)
+	if r, ok := d.stealTop(); !ok || r != region(2) {
+		t.Fatalf("stealTop = %v, %v; want oldest", r, ok)
 	}
 	if r, ok := d.PopBottom(); !ok || r != region(3) {
 		t.Fatalf("PopBottom = %v, %v", r, ok)
@@ -30,20 +39,20 @@ func TestDequeLIFOBottomFIFOTop(t *testing.T) {
 	if _, ok := d.PopBottom(); ok {
 		t.Fatal("pop from empty deque succeeded")
 	}
-	if _, ok := d.StealTop(); ok {
+	if _, ok := d.stealTop(); ok {
 		t.Fatal("steal from empty deque succeeded")
 	}
 }
 
 func TestPeekTopCount(t *testing.T) {
 	d := &Deque{}
-	if d.PeekTopCount() != 0 {
+	if d.peekTopCount() != 0 {
 		t.Fatal("empty deque peek != 0")
 	}
 	d.PushBottom(region(10)) // 45 pairs
 	d.PushBottom(region(2))  // 1 pair
-	if d.PeekTopCount() != 45 {
-		t.Fatalf("PeekTopCount = %d, want 45 (top is oldest)", d.PeekTopCount())
+	if d.peekTopCount() != 45 {
+		t.Fatalf("peekTopCount = %d, want 45 (top is oldest)", d.peekTopCount())
 	}
 }
 
@@ -85,7 +94,7 @@ func TestGroupEmptySteal(t *testing.T) {
 	if _, ok := g.StealLocal(-1); ok {
 		t.Fatal("steal from empty group succeeded")
 	}
-	if g.QueuedTasks() != 0 || g.Size() != 4 {
+	if g.queuedTasks() != 0 || g.Size() != 4 {
 		t.Fatal("accounting wrong")
 	}
 }
@@ -136,14 +145,14 @@ func TestQuickConservation(t *testing.T) {
 				return false
 			}
 		}
-		return g.QueuedTasks() == 0
+		return g.queuedTasks() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Regression for the backing-array leak: StealTop used to re-slice
+// Regression for the backing-array leak: stealTop used to re-slice
 // (tasks = tasks[1:]), so sustained push/steal cycles walked the slice
 // ever deeper into a backing array that append then had to regrow without
 // bound. With the head index + compaction, capacity must stay proportional
@@ -156,7 +165,7 @@ func TestStealTopBoundedCapacity(t *testing.T) {
 			d.PushBottom(region(i + 2))
 		}
 		for i := 0; i < depth; i++ {
-			if _, ok := d.StealTop(); !ok {
+			if _, ok := d.stealTop(); !ok {
 				t.Fatal("steal failed")
 			}
 		}
@@ -185,8 +194,8 @@ func TestStealTopCompactionPreservesOrder(t *testing.T) {
 	for k := 0; k < 50000; k++ {
 		d.PushBottom(region(next))
 		next++
-		if r, ok := d.StealTop(); !ok || r != region(expectTop) {
-			t.Fatalf("cycle %d: StealTop = %v, want %v", k, r, region(expectTop))
+		if r, ok := d.stealTop(); !ok || r != region(expectTop) {
+			t.Fatalf("cycle %d: stealTop = %v, want %v", k, r, region(expectTop))
 		}
 		expectTop++
 	}
@@ -217,7 +226,7 @@ func TestGroupDrain(t *testing.T) {
 			t.Fatalf("Drain[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if g.QueuedTasks() != 0 {
+	if g.queuedTasks() != 0 {
 		t.Fatal("group not empty after Drain")
 	}
 }
