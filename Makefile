@@ -88,7 +88,7 @@ coverage:
 smoke:
 	for d in examples/*/; do echo "== go run ./$$d"; $(GO) run "./$$d" > /dev/null || exit 1; done
 	$(GO) build -o /tmp/rocket-smoke ./cmd/rocket
-	/tmp/rocket-smoke experiments -exp fig6 -scale 200 -seed 1 > /dev/null
+	/tmp/rocket-smoke experiments -exp fig11 -scale 200 -workers 2 -seed 1 > /dev/null
 	/tmp/rocket-smoke trace timeline -app forensics -n 8 -limit 20 > /dev/null
 	/tmp/rocket-smoke queue -example > /tmp/rocket-smoke-jobs.json
 	/tmp/rocket-smoke queue -manifest /tmp/rocket-smoke-jobs.json -policy fifo > /dev/null

@@ -189,9 +189,7 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintln(stdout, "busy time per thread class:")
 	fmt.Fprint(stdout, m.Phases.Summary())
 	fmt.Fprintln(stdout, "\ntask timeline (Fig. 6 view):")
-	if err := snapshot(rec, stderr).WriteTimeline(stdout, *limit); err != nil {
-		return fail(fs, 1, err)
-	}
+	fmt.Fprint(stdout, snapshot(rec, stderr).Timeline(*limit))
 	return 0
 }
 

@@ -195,7 +195,7 @@ func TestIntegrationExperimentOutputsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a != b {
+		if a.String() != b.String() {
 			t.Errorf("%s output differs across identical runs", id)
 		}
 	}
@@ -215,11 +215,7 @@ func TestIntegrationRockettraceStyleRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	if err := rec.Snapshot().WriteTimeline(&b, 0); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := rec.Snapshot().Timeline(0)
 	for _, want := range []string{"parse", "compare", "io"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("timeline missing %q tasks:\n%s", want, out[:min(len(out), 500)])

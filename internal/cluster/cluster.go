@@ -23,6 +23,24 @@ type NodeSpec struct {
 	GPUs []gpu.Model
 }
 
+// DAS5Node returns the paper's DAS-5 node type: 16 cores and a 40 GiB host
+// cache, with the given GPUs installed.
+func DAS5Node(gpus ...gpu.Model) NodeSpec {
+	return NodeSpec{Cores: 16, HostCacheBytes: 40 * gpu.GiB, GPUs: gpus}
+}
+
+// PaperTopology returns the four mixed-generation DAS-5 nodes of §6.5:
+// node I (K20m), node II (GTX980 + TitanX Pascal), node III (2x
+// RTX2080Ti), and node IV (GTX Titan + TitanX Pascal).
+func PaperTopology() []NodeSpec {
+	return []NodeSpec{
+		DAS5Node(gpu.K20m),
+		DAS5Node(gpu.GTX980, gpu.TitanXPascal),
+		DAS5Node(gpu.RTX2080Ti, gpu.RTX2080Ti),
+		DAS5Node(gpu.GTXTitan, gpu.TitanXPascal),
+	}
+}
+
 // Validate reports an error for nonsensical specs.
 func (s NodeSpec) Validate() error {
 	if s.Cores < 1 {

@@ -103,13 +103,10 @@ func TestRecordWritesOneSpanAndBumpsTheTable(t *testing.T) {
 				t.Errorf("span %d = %+v, want %+v", i, s, want[i])
 			}
 		}
-		var b strings.Builder
-		if err := snap.WriteTimeline(&b, 0); err != nil {
-			t.Fatal(err)
-		}
+		timeline := snap.Timeline(0)
 		for _, row := range []string{"== n0/gpu0 ==", "compare     pair (2, 7)", "preprocess  item 3", "store-read  item -1"} {
-			if !strings.Contains(b.String(), row) {
-				t.Errorf("timeline lacks %q:\n%s", row, b.String())
+			if !strings.Contains(timeline, row) {
+				t.Errorf("timeline lacks %q:\n%s", row, timeline)
 			}
 		}
 	}

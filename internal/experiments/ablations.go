@@ -14,7 +14,7 @@ import (
 // threshold (pairs per leaf task) on the forensics workload across 4
 // nodes. Tiny leaves stress scheduling overhead; huge leaves reduce
 // stealable parallelism.
-func ablationLeafSize(o Options) (string, error) {
+func ablationLeafSize(o Options) (Result, error) {
 	o = o.normalized()
 	s := ForensicsSetup(o)
 	t := report.NewTable("Ablation: leaf size (forensics, 4 nodes)",
@@ -26,18 +26,18 @@ func ablationLeafSize(o Options) (string, error) {
 			cfg.LeafPairs = leaf
 		})
 		if err != nil {
-			return "", fmt.Errorf("leaf=%d: %w", leaf, err)
+			return nil, fmt.Errorf("leaf=%d: %w", leaf, err)
 		}
-		t.AddRow(leaf, m.Runtime.String(), m.RemoteSteals, m.FailedSteals, m.R)
+		t.AddRow(leaf, m.Runtime, m.RemoteSteals, m.FailedSteals, m.R)
 	}
-	return t.String(), nil
+	return Result{{Table: t}}, nil
 }
 
 // ablationJobLimit measures the effect of the concurrent-job limit (the
 // paper's back-pressure knob, §4.2) on the bioinformatics workload on one
 // node: too few jobs in flight cannot hide cache-miss latency; the
 // asynchronous design needs enough jobs to "anticipate" misses (§4.3).
-func ablationJobLimit(o Options) (string, error) {
+func ablationJobLimit(o Options) (Result, error) {
 	o = o.normalized()
 	s := PhyloSetup(o)
 	t := report.NewTable("Ablation: concurrent job limit (bioinformatics, 1 node)",
@@ -48,12 +48,12 @@ func ablationJobLimit(o Options) (string, error) {
 			cfg.ConcurrentJobs = limit
 		})
 		if err != nil {
-			return "", fmt.Errorf("limit=%d: %w", limit, err)
+			return nil, fmt.Errorf("limit=%d: %w", limit, err)
 		}
-		t.AddRow(m.JobLimit, m.Runtime.String(),
-			fmt.Sprintf("%.1f%%", 100*s.Efficiency(m, 1)), m.R)
+		t.AddRow(m.JobLimit, m.Runtime,
+			report.Percent(100*s.Efficiency(m, 1)), m.R)
 	}
-	return t.String(), nil
+	return Result{{Table: t}}, nil
 }
 
 // ablationStealPolicy compares the paper's hierarchical victim selection
@@ -64,7 +64,7 @@ func ablationJobLimit(o Options) (string, error) {
 // workload across 4 two-GPU nodes without the distributed cache, where
 // post-steal reuse matters most (victims with several deques give the
 // cache-aware policy an actual choice of task).
-func ablationStealPolicy(o Options) (string, error) {
+func ablationStealPolicy(o Options) (Result, error) {
 	o = o.normalized()
 	s := ForensicsSetup(o)
 	policies := []struct {
@@ -75,36 +75,25 @@ func ablationStealPolicy(o Options) (string, error) {
 		{"flat-random", core.StealFlat},
 		{"cache-aware", core.StealCacheAware},
 	}
-	specs := make([]cluster.NodeSpec, 4)
-	for i := range specs {
-		specs[i] = cluster.NodeSpec{
-			Cores:          16,
-			HostCacheBytes: 40 * gpu.GiB,
-			GPUs:           []gpu.Model{gpu.TitanXMaxwell, gpu.TitanXMaxwell},
-		}
-	}
+	specs := nodes(4, cluster.DAS5Node(gpu.TitanXMaxwell, gpu.TitanXMaxwell))
 	t := report.NewTable("Ablation: steal policy (forensics, 4 nodes x 2 GPUs, no distributed cache)",
 		"policy", "runtime", "R", "local steals", "remote steals", "failed steals")
 	for _, pc := range policies {
 		pc := pc
-		cl, err := clusterFromSpecs(specs)
-		if err != nil {
-			return "", err
-		}
-		m, err := s.run(cl, func(cfg *core.Config) {
+		m, err := s.run(specs, func(cfg *core.Config) {
 			cfg.StealPolicy = pc.pol
 		})
 		if err != nil {
-			return "", fmt.Errorf("policy=%s: %w", pc.name, err)
+			return nil, fmt.Errorf("policy=%s: %w", pc.name, err)
 		}
-		t.AddRow(pc.name, m.Runtime.String(), m.R, m.LocalSteals, m.RemoteSteals, m.FailedSteals)
+		t.AddRow(pc.name, m.Runtime, m.R, m.LocalSteals, m.RemoteSteals, m.FailedSteals)
 	}
-	return t.String(), nil
+	return Result{{Table: t}}, nil
 }
 
 // ablationHops sweeps the distributed-cache hop limit h on 16 nodes for
 // the forensics workload, extending Fig. 11 with end-to-end effects.
-func ablationHops(o Options) (string, error) {
+func ablationHops(o Options) (Result, error) {
 	o = o.normalized()
 	s := ForensicsSetup(o)
 	hops := []int{1, 2, 3}
@@ -121,7 +110,7 @@ func ablationHops(o Options) (string, error) {
 		return nil
 	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	t := report.NewTable("Ablation: distributed-cache hops (forensics, 16 nodes)",
 		"h", "runtime", "R", "hit rate", "net GB")
@@ -135,17 +124,17 @@ func ablationHops(o Options) (string, error) {
 		if m.DHT.Requests > 0 {
 			rate = float64(hits) / float64(m.DHT.Requests)
 		}
-		t.AddRow(h, m.Runtime.String(), m.R,
-			fmt.Sprintf("%.1f%%", 100*rate), float64(m.NetBytes)/1e9)
+		t.AddRow(h, m.Runtime, m.R,
+			report.Percent(100*rate), float64(m.NetBytes)/1e9)
 	}
-	return t.String(), nil
+	return Result{{Table: t}}, nil
 }
 
 // ablationEviction compares LRU eviction (the paper's §4.1.1 policy)
 // against random eviction on the data-intensive forensics workload.
 // Expected shape: LRU yields lower R (and thus a shorter run) because the
 // divide-and-conquer traversal revisits recently used items.
-func ablationEviction(o Options) (string, error) {
+func ablationEviction(o Options) (Result, error) {
 	o = o.normalized()
 	s := ForensicsSetup(o)
 	t := report.NewTable("Ablation: cache eviction policy (forensics, 1 node)",
@@ -156,21 +145,22 @@ func ablationEviction(o Options) (string, error) {
 			cfg.EvictRandom = random
 		})
 		if err != nil {
-			return "", fmt.Errorf("random=%v: %w", random, err)
+			return nil, fmt.Errorf("random=%v: %w", random, err)
 		}
 		name := "LRU"
 		if random {
 			name = "random"
 		}
-		t.AddRow(name, m.Runtime.String(), m.R,
-			fmt.Sprintf("%.1f%%", 100*s.Efficiency(m, 1)))
+		t.AddRow(name, m.Runtime, m.R,
+			report.Percent(100*s.Efficiency(m, 1)))
 	}
-	return t.String(), nil
+	return Result{{Table: t}}, nil
 }
 
 // ablationBackoff sweeps the steal backoff interval on the microscopy
-// workload to show the scheduler is robust to this tuning parameter.
-func ablationBackoff(o Options) (string, error) {
+// workload to show the scheduler is robust to this tuning parameter. It
+// ignores Options.Scale: microscopy always runs at paper scale.
+func ablationBackoff(o Options) (Result, error) {
 	o = o.normalized()
 	s := microscopySetup(o)
 	t := report.NewTable("Ablation: steal backoff (microscopy, 8 nodes)",
@@ -182,11 +172,11 @@ func ablationBackoff(o Options) (string, error) {
 			cfg.StealBackoff = backoff
 		})
 		if err != nil {
-			return "", fmt.Errorf("backoff=%v: %w", backoff, err)
+			return nil, fmt.Errorf("backoff=%v: %w", backoff, err)
 		}
-		t.AddRow(backoff.String(), m.Runtime.String(), m.FailedSteals)
+		t.AddRow(backoff, m.Runtime, m.FailedSteals)
 	}
-	return t.String(), nil
+	return Result{{Table: t}}, nil
 }
 
 // ablationPrewarm exercises the §7 persistent-cache extension: host
@@ -197,7 +187,7 @@ func ablationBackoff(o Options) (string, error) {
 // prewarmed entries are evicted before reuse and the benefit vanishes —
 // the quantitative reason persistence only pays off alongside sufficient
 // capacity.
-func ablationPrewarm(o Options) (string, error) {
+func ablationPrewarm(o Options) (Result, error) {
 	o = o.normalized()
 	s := PhyloSetup(o)
 	n := s.App.NumItems()
@@ -213,15 +203,15 @@ func ablationPrewarm(o Options) (string, error) {
 				}
 			})
 			if err != nil {
-				return "", fmt.Errorf("big=%v prewarm=%v: %w", big, frac, err)
+				return nil, fmt.Errorf("big=%v prewarm=%v: %w", big, frac, err)
 			}
 			size := "full data set"
 			if !big {
 				size = "paper (scaled)"
 			}
 			t.AddRow(size, fmt.Sprintf("%.0f%%", 100*frac),
-				m.Runtime.String(), m.Loads, m.R)
+				m.Runtime, m.Loads, m.R)
 		}
 	}
-	return t.String(), nil
+	return Result{{Table: t}}, nil
 }

@@ -16,7 +16,7 @@ import (
 // replayable (chaos schedules collide on timestamps on purpose, and the
 // injector's tie-break makes that deterministic); the report lists the
 // run summary and the storm's composition.
-func chaos(o Options) (string, error) {
+func chaos(o Options) (Result, error) {
 	o = o.normalized()
 	nodes := 2048 / o.Scale
 	if nodes < 64 {
@@ -52,7 +52,7 @@ func chaos(o Options) (string, error) {
 	}
 	storm, err := cc.Generate()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 
 	byKind := map[fault.EventKind]int{}
@@ -67,18 +67,18 @@ func chaos(o Options) (string, error) {
 
 	r, err := fleet.Run(cfg)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 
 	t := report.NewTable(
 		fmt.Sprintf("Chaos storm: fleet of %d nodes, %v, %d fault events (seed %d)",
 			nodes, cfg.Duration, len(storm.Events), o.Seed),
 		"events", "msgs", "dropped", "heartbeats", "work", "state hash")
-	t.AddRow(r.Events, r.Messages, r.Dropped, r.Heartbeats, r.WorkDone, fmt.Sprintf("%016x", r.StateHash))
-	out := t.String()
-	out += fmt.Sprintf("storm: crashes=%d restarts=%d gpu=%d link-down=%d link-up=%d link-degrade=%d\n",
-		byKind[fault.NodeCrash], byKind[fault.NodeRestart], byKind[fault.GPUSlowdown],
-		byKind[fault.LinkDown], byKind[fault.LinkUp], byKind[fault.LinkDegrade])
-	out += fmt.Sprintf("run: %s\n", r)
-	return out, nil
+	t.AddRow(r.Events, r.Messages, r.Dropped, r.Heartbeats, r.WorkDone, report.Hash(r.StateHash))
+	return Result{{Table: t, Lines: []string{
+		fmt.Sprintf("storm: crashes=%d restarts=%d gpu=%d link-down=%d link-up=%d link-degrade=%d",
+			byKind[fault.NodeCrash], byKind[fault.NodeRestart], byKind[fault.GPUSlowdown],
+			byKind[fault.LinkDown], byKind[fault.LinkUp], byKind[fault.LinkDegrade]),
+		"run: " + r.String(),
+	}}}, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"rocket/internal/apps/forensics"
 	"rocket/internal/fault"
@@ -29,21 +28,17 @@ const elasticNodes = 6
 // the fixed fleet's p99 wait exactly — same-instant capacity means
 // provably identical job starts — while billing strictly fewer
 // node-seconds; both properties are asserted, not just printed.
-func elasticity(o Options) (string, error) {
+func elasticity(o Options) (Result, error) {
 	o = o.normalized()
-	var b strings.Builder
 	churn, err := elasticChurn(o)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	b.WriteString(churn)
-	b.WriteByte('\n')
 	bench, err := autoscalerBench(o)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	b.WriteString(bench)
-	return b.String(), nil
+	return Result{churn, bench}, nil
 }
 
 // elasticChurnConfig sizes the churn fleet off Options.Scale: 10240 slots
@@ -67,18 +62,18 @@ func elasticChurnConfig(o Options) fleet.Config {
 	return cfg
 }
 
-func elasticChurn(o Options) (string, error) {
+func elasticChurn(o Options) (Section, error) {
 	cfg := elasticChurnConfig(o)
 	r, err := fleet.Run(cfg)
 	if err != nil {
-		return "", fmt.Errorf("elasticity: %w", err)
+		return Section{}, fmt.Errorf("elasticity: %w", err)
 	}
 	t := report.NewTable(
 		fmt.Sprintf("Elastic fleet: %d slots, %d initial, wave joins + %.0f%% preemptions, %v",
 			cfg.Nodes, cfg.Elastic.InitialNodes, 100*cfg.Elastic.PreemptFraction, cfg.Duration),
 		"joins", "preempts", "drained", "events", "msgs", "work", "state hash")
-	t.AddRow(r.Joins, r.Preempts, r.Drained, r.Events, r.Messages, r.WorkDone, fmt.Sprintf("%016x", r.StateHash))
-	return t.String() + fmt.Sprintf("\nrun: %s\n", r), nil
+	t.AddRow(r.Joins, r.Preempts, r.Drained, r.Events, r.Messages, r.WorkDone, report.Hash(r.StateHash))
+	return Section{Table: t, Lines: []string{"", "run: " + r.String(), ""}}, nil
 }
 
 // elasticBurstJobs builds the autoscaler workload: bursts of single-node
@@ -103,7 +98,7 @@ func elasticBurstJobs(o Options, bursts, width int, gap sim.Time) []sched.Job {
 	return jobs
 }
 
-func autoscalerBench(o Options) (string, error) {
+func autoscalerBench(o Options) (Section, error) {
 	jobs := elasticBurstJobs(o, 3, 2*elasticNodes, sim.Seconds(60))
 	runWith := func(a *sched.Autoscale) (*sched.Metrics, error) {
 		return sched.Run(sched.Config{
@@ -115,11 +110,11 @@ func autoscalerBench(o Options) (string, error) {
 	}
 	fixed, err := runWith(nil)
 	if err != nil {
-		return "", fmt.Errorf("elasticity fixed fleet: %w", err)
+		return Section{}, fmt.Errorf("elasticity fixed fleet: %w", err)
 	}
 	warm, err := runWith(&sched.Autoscale{MinNodes: 1, IdleTimeout: sim.Seconds(10)})
 	if err != nil {
-		return "", fmt.Errorf("elasticity warm pool: %w", err)
+		return Section{}, fmt.Errorf("elasticity warm pool: %w", err)
 	}
 	cold, err := runWith(&sched.Autoscale{
 		BootNodes:      1,
@@ -128,7 +123,7 @@ func autoscalerBench(o Options) (string, error) {
 		ProvisionDelay: sim.Millis(10),
 	})
 	if err != nil {
-		return "", fmt.Errorf("elasticity cold pool: %w", err)
+		return Section{}, fmt.Errorf("elasticity cold pool: %w", err)
 	}
 
 	t := report.NewTable(
@@ -139,8 +134,8 @@ func autoscalerBench(o Options) (string, error) {
 		if !m.Elastic {
 			peak = m.TotalNodes
 		}
-		t.AddRow(name, fmt.Sprintf("%.2f", m.NodeSeconds), m.P99Wait.String(),
-			m.MeanWait.String(), peak, m.ScaleUps, m.ScaleDowns, m.Makespan.String())
+		t.AddRow(name, fmt.Sprintf("%.2f", m.NodeSeconds), m.P99Wait,
+			m.MeanWait, peak, m.ScaleUps, m.ScaleDowns, m.Makespan)
 	}
 	row("fixed", fixed)
 	row("warm", warm)
@@ -149,16 +144,15 @@ func autoscalerBench(o Options) (string, error) {
 	// The headline claims are load-bearing: fail the experiment rather
 	// than render numbers that no longer support them.
 	if warm.P99Wait != fixed.P99Wait {
-		return "", fmt.Errorf("elasticity: warm pool p99 wait %v != fixed fleet %v (same-instant capacity must not delay starts)",
+		return Section{}, fmt.Errorf("elasticity: warm pool p99 wait %v != fixed fleet %v (same-instant capacity must not delay starts)",
 			warm.P99Wait, fixed.P99Wait)
 	}
 	if warm.NodeSeconds >= fixed.NodeSeconds {
-		return "", fmt.Errorf("elasticity: warm pool bill %.2f node-seconds not below fixed fleet %.2f",
+		return Section{}, fmt.Errorf("elasticity: warm pool bill %.2f node-seconds not below fixed fleet %.2f",
 			warm.NodeSeconds, fixed.NodeSeconds)
 	}
 
-	out := t.String()
-	out += fmt.Sprintf("\nwarm pool: %.1f%% of the fixed-fleet bill at identical p99 wait (%v); cold pool trades %v of p99 for provisioning\n",
-		100*warm.NodeSeconds/fixed.NodeSeconds, fixed.P99Wait, cold.P99Wait-fixed.P99Wait)
-	return out, nil
+	return Section{Table: t, Lines: []string{"", fmt.Sprintf(
+		"warm pool: %.1f%% of the fixed-fleet bill at identical p99 wait (%v); cold pool trades %v of p99 for provisioning",
+		100*warm.NodeSeconds/fixed.NodeSeconds, fixed.P99Wait, cold.P99Wait-fixed.P99Wait)}}, nil
 }

@@ -142,50 +142,45 @@ func scaleCosts(c model.Costs, div int64) model.Costs {
 	return c
 }
 
+// scaledSetup prepares app, whose data set is already divided by
+// o.Scale, with its per-item costs and the paper's per-node cache
+// capacities (dev and host slots) divided alongside.
+func scaledSetup(o Options, name string, app interface {
+	core.Application
+	meanCoster
+}, dev, host int) Setup {
+	return Setup{
+		Name:      name,
+		App:       scaledApp{Application: app, Div: int64(o.Scale)},
+		Costs:     scaleCosts(costsOf(app), int64(o.Scale)),
+		DevSlots:  scaleSlots(dev, o.Scale),
+		HostSlots: scaleSlots(host, o.Scale),
+		Seed:      o.Seed,
+		Trace:     o.Trace,
+	}
+}
+
 // ForensicsSetup prepares the digital-forensics workload.
 func ForensicsSetup(o Options) Setup {
 	o = o.normalized()
 	app := forensics.New(forensics.Params{N: forensics.DefaultN / o.Scale, Seed: o.Seed})
-	return Setup{
-		Name:      app.Name(),
-		App:       scaledApp{Application: app, Div: int64(o.Scale)},
-		Costs:     scaleCosts(costsOf(app), int64(o.Scale)),
-		DevSlots:  scaleSlots(291, o.Scale),
-		HostSlots: scaleSlots(1050, o.Scale),
-		Seed:      o.Seed,
-		Trace:     o.Trace,
-	}
+	return scaledSetup(o, app.Name(), app, 291, 1050)
 }
 
 // PhyloSetup prepares the bioinformatics workload (DAS-5 data set).
 func PhyloSetup(o Options) Setup {
 	o = o.normalized()
 	app := phylo.New(phylo.Params{N: phylo.DefaultN / o.Scale, Seed: o.Seed})
-	return Setup{
-		Name:      app.Name(),
-		App:       scaledApp{Application: app, Div: int64(o.Scale)},
-		Costs:     scaleCosts(costsOf(app), int64(o.Scale)),
-		DevSlots:  scaleSlots(81, o.Scale),
-		HostSlots: scaleSlots(280, o.Scale),
-		Seed:      o.Seed,
-		Trace:     o.Trace,
-	}
+	return scaledSetup(o, app.Name(), app, 81, 280)
 }
 
 // cartesiusPhyloSetup prepares the §6.6 UniProt workload (6818 proteomes)
-// with the Cartesius per-node capacities (80 GiB host cache = 561 slots).
+// with the Cartesius per-node capacities: 82 device slots (11 GiB K40m /
+// 145.8 MB) and 561 host slots (80 GiB / 145.8 MB).
 func cartesiusPhyloSetup(o Options) Setup {
 	o = o.normalized()
 	app := phylo.New(phylo.Params{N: phylo.CartesiusN / o.Scale, Seed: o.Seed})
-	return Setup{
-		Name:      app.Name() + "-cartesius",
-		App:       scaledApp{Application: app, Div: int64(o.Scale)},
-		Costs:     scaleCosts(costsOf(app), int64(o.Scale)),
-		DevSlots:  scaleSlots(82, o.Scale),  // 11 GiB K40m / 145.8 MB
-		HostSlots: scaleSlots(561, o.Scale), // 80 GiB / 145.8 MB
-		Seed:      o.Seed,
-		Trace:     o.Trace,
-	}
+	return scaledSetup(o, app.Name()+"-cartesius", app, 82, 561)
 }
 
 // microscopySetup prepares the localization-microscopy workload. It always
@@ -194,15 +189,7 @@ func cartesiusPhyloSetup(o Options) Setup {
 func microscopySetup(o Options) Setup {
 	o = o.normalized()
 	app := microscopy.New(microscopy.Params{N: microscopy.DefaultN, Seed: o.Seed})
-	return Setup{
-		Name:      app.Name(),
-		App:       app,
-		Costs:     costsOf(app),
-		DevSlots:  256,
-		HostSlots: 256,
-		Seed:      o.Seed,
-		Trace:     o.Trace,
-	}
+	return scaledSetup(Options{Scale: 1, Seed: o.Seed, Trace: o.Trace}, app.Name(), app, 256, 256)
 }
 
 // AllSetups returns the three applications in paper order.
@@ -224,53 +211,27 @@ func SetupByName(name string, o Options) (Setup, error) {
 	return Setup{}, fmt.Errorf("experiments: unknown application %q", name)
 }
 
-// das5 builds a homogeneous DAS-5 platform with one TitanX Maxwell per
-// node (the §6.3/6.4 configuration).
-func das5(nodes int) (*cluster.Cluster, error) {
-	specs := make([]cluster.NodeSpec, nodes)
+// cartesiusNode is the §6.6 node: 16 cores, an 80 GiB host cache and two
+// K40m GPUs.
+var cartesiusNode = cluster.NodeSpec{Cores: 16, HostCacheBytes: 80 * gpu.GiB, GPUs: []gpu.Model{gpu.K40m, gpu.K40m}}
+
+// nodes returns n copies of spec.
+func nodes(n int, spec cluster.NodeSpec) []cluster.NodeSpec {
+	specs := make([]cluster.NodeSpec, n)
 	for i := range specs {
-		specs[i] = cluster.NodeSpec{
-			Cores:          16,
-			HostCacheBytes: 40 * gpu.GiB,
-			GPUs:           []gpu.Model{gpu.TitanXMaxwell},
-		}
+		specs[i] = spec
 	}
-	return cluster.New(specs, cluster.DefaultConfig())
+	return specs
 }
 
-// cartesius builds the §6.6 platform: nodes with two K40m GPUs each.
-func cartesius(nodes int) (*cluster.Cluster, error) {
-	specs := make([]cluster.NodeSpec, nodes)
-	for i := range specs {
-		specs[i] = cluster.NodeSpec{
-			Cores:          16,
-			HostCacheBytes: 80 * gpu.GiB,
-			GPUs:           []gpu.Model{gpu.K40m, gpu.K40m},
-		}
+// run executes the setup on a platform of the given nodes, joined by the
+// default (DAS-5) fabric, with optional config tweaks. Every experiment
+// builds its platform here.
+func (s Setup) run(specs []cluster.NodeSpec, mutate func(*core.Config)) (*core.Metrics, error) {
+	cl, err := cluster.New(specs, cluster.DefaultConfig())
+	if err != nil {
+		return nil, err
 	}
-	return cluster.New(specs, cluster.DefaultConfig())
-}
-
-// clusterFromSpecs builds a platform with default fabric characteristics.
-func clusterFromSpecs(specs []cluster.NodeSpec) (*cluster.Cluster, error) {
-	return cluster.New(specs, cluster.DefaultConfig())
-}
-
-// heterogeneousNodes returns the §6.5 mixed platform specs (nodes I-IV).
-func heterogeneousNodes() []cluster.NodeSpec {
-	mk := func(models ...gpu.Model) cluster.NodeSpec {
-		return cluster.NodeSpec{Cores: 16, HostCacheBytes: 40 * gpu.GiB, GPUs: models}
-	}
-	return []cluster.NodeSpec{
-		mk(gpu.K20m),                       // node I
-		mk(gpu.GTX980, gpu.TitanXPascal),   // node II
-		mk(gpu.RTX2080Ti, gpu.RTX2080Ti),   // node III
-		mk(gpu.GTXTitan, gpu.TitanXPascal), // node IV
-	}
-}
-
-// run executes the setup on a platform with optional config tweaks.
-func (s Setup) run(cl *cluster.Cluster, mutate func(*core.Config)) (*core.Metrics, error) {
 	cfg := core.Config{
 		App:         s.App,
 		Cluster:     cl,
@@ -289,13 +250,10 @@ func (s Setup) run(cl *cluster.Cluster, mutate func(*core.Config)) (*core.Metric
 	return core.Run(cfg)
 }
 
-// runDAS5 executes the setup on an n-node DAS-5 platform.
-func (s Setup) runDAS5(nodes int, mutate func(*core.Config)) (*core.Metrics, error) {
-	cl, err := das5(nodes)
-	if err != nil {
-		return nil, err
-	}
-	return s.run(cl, mutate)
+// runDAS5 executes the setup on n DAS-5 nodes with one TitanX Maxwell
+// each (the §6.3/6.4 configuration).
+func (s Setup) runDAS5(n int, mutate func(*core.Config)) (*core.Metrics, error) {
+	return s.run(nodes(n, cluster.DAS5Node(gpu.TitanXMaxwell)), mutate)
 }
 
 // Efficiency evaluates equation (5) for a run on a platform with the

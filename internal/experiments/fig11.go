@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"rocket/internal/core"
 	"rocket/internal/report"
@@ -13,9 +12,8 @@ import (
 // requests either hit at the first hop (75-88% in the paper) or miss
 // (11-19%); later hops contribute little — the justification for running
 // everything else at h = 1.
-func fig11(o Options) (string, error) {
+func fig11(o Options) (Result, error) {
 	o = o.normalized()
-	var b strings.Builder
 	const hops = 3
 	t := report.NewTable("Fig 11: distributed cache request outcomes, h=3, 16 nodes",
 		"app", "requests", "hit@1", "hit@2", "hit@3", "miss")
@@ -25,17 +23,16 @@ func fig11(o Options) (string, error) {
 			cfg.Hops = hops
 		})
 		if err != nil {
-			return "", fmt.Errorf("%s: %w", s.Name, err)
+			return nil, fmt.Errorf("%s: %w", s.Name, err)
 		}
 		total := float64(m.DHT.Requests)
 		if total == 0 {
 			total = 1
 		}
-		pct := func(v uint64) string { return fmt.Sprintf("%.1f%%", 100*float64(v)/total) }
+		pct := func(v uint64) report.Percent { return report.Percent(100 * float64(v) / total) }
 		t.AddRow(s.Name, m.DHT.Requests,
 			pct(m.DHT.HitAtHop[0]), pct(m.DHT.HitAtHop[1]), pct(m.DHT.HitAtHop[2]),
 			pct(m.DHT.Misses))
 	}
-	b.WriteString(t.String())
-	return b.String(), nil
+	return Result{{Table: t}}, nil
 }

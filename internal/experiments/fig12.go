@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"rocket/internal/core"
 	"rocket/internal/report"
@@ -16,7 +15,7 @@ import (
 // speedup with the distributed cache (R drops as aggregate memory grows)
 // and sub-linear without it, and their I/O usage grows far slower with
 // the distributed cache enabled.
-func fig12(o Options) (string, error) {
+func fig12(o Options) (Result, error) {
 	o = o.normalized()
 	nodeCounts := []int{1, 2, 4, 8, 16}
 	type point struct {
@@ -32,7 +31,7 @@ func fig12(o Options) (string, error) {
 			points = append(points, point{dist, nodes})
 		}
 	}
-	var b strings.Builder
+	var r Result
 	for _, s := range AllSetups(o) {
 		metrics := make([]*core.Metrics, len(points))
 		err := o.forEach(len(points), func(i int) error {
@@ -47,7 +46,7 @@ func fig12(o Options) (string, error) {
 			return nil
 		})
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		t := report.NewTable(
 			fmt.Sprintf("Fig 12 (%s): scaling 1-16 nodes", s.Name),
@@ -66,17 +65,16 @@ func fig12(o Options) (string, error) {
 			t.AddRow(
 				p.nodes,
 				label,
-				m.Runtime.String(),
-				fmt.Sprintf("%.2fx", float64(base)/float64(m.Runtime)),
-				fmt.Sprintf("%.1f%%", 100*s.Efficiency(m, float64(p.nodes))),
+				m.Runtime,
+				report.Ratio(float64(base)/float64(m.Runtime)),
+				report.Percent(100*s.Efficiency(m, float64(p.nodes))),
 				m.R,
 				ioRate,
 			)
 		}
-		b.WriteString(t.String())
-		b.WriteByte('\n')
+		r = append(r, Section{Table: t, Lines: []string{""}})
 	}
-	return b.String(), nil
+	return r, nil
 }
 
 func onOff(v bool) string {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"rocket/internal/cluster"
 	"rocket/internal/core"
@@ -16,66 +15,54 @@ import (
 // combined 4-node run. Expected shape: per-node throughput ordered by GPU
 // capability (node III fastest, node I slowest), and the combined run
 // matching or exceeding the sum thanks to the distributed cache.
-func fig13(o Options) (string, error) {
+func fig13(o Options) (Result, error) {
 	o = o.normalized()
-	specs := heterogeneousNodes()
+	specs := cluster.PaperTopology()
 	names := []string{"node I (K20m)", "node II (GTX980+TitanXp)", "node III (2xRTX2080Ti)", "node IV (GTXTitan+TitanXp)"}
-	var b strings.Builder
+	var r Result
 	for _, s := range AllSetups(o) {
 		t := report.NewTable(
 			fmt.Sprintf("Fig 13 (%s): heterogeneous throughput (pairs/second)", s.Name),
 			"platform", "throughput", "runtime")
 		var sum float64
 		for i, spec := range specs {
-			cl, err := cluster.New([]cluster.NodeSpec{spec}, cluster.DefaultConfig())
+			m, err := s.run([]cluster.NodeSpec{spec}, nil)
 			if err != nil {
-				return "", err
-			}
-			m, err := s.run(cl, nil)
-			if err != nil {
-				return "", fmt.Errorf("%s %s: %w", s.Name, names[i], err)
+				return nil, fmt.Errorf("%s %s: %w", s.Name, names[i], err)
 			}
 			sum += m.Throughput()
-			t.AddRow(names[i], m.Throughput(), m.Runtime.String())
+			t.AddRow(names[i], m.Throughput(), m.Runtime)
 		}
 		t.AddRow("sum of nodes", sum, "")
-		cl, err := cluster.New(specs, cluster.DefaultConfig())
+		m, err := s.run(specs, func(cfg *core.Config) { cfg.DistCache = true })
 		if err != nil {
-			return "", err
+			return nil, fmt.Errorf("%s combined: %w", s.Name, err)
 		}
-		m, err := s.run(cl, func(cfg *core.Config) { cfg.DistCache = true })
-		if err != nil {
-			return "", fmt.Errorf("%s combined: %w", s.Name, err)
-		}
-		t.AddRow("all (4 nodes, 7 GPUs)", m.Throughput(), m.Runtime.String())
-		b.WriteString(t.String())
-		b.WriteByte('\n')
+		t.AddRow("all (4 nodes, 7 GPUs)", m.Throughput(), m.Runtime)
+		r = append(r, Section{Table: t, Lines: []string{""}})
 	}
-	return b.String(), nil
+	return r, nil
 }
 
 // fig14 reproduces Fig. 14: per-GPU processing throughput over time for
 // the microscopy application on the heterogeneous platform. Expected
 // shape: every GPU sustains a steady rate proportional to its capability,
 // all GPUs stay busy until the end (work-stealing balance), and all
-// finish at roughly the same time.
-func fig14(o Options) (string, error) {
+// finish at roughly the same time. It ignores Options.Scale: microscopy
+// always runs at paper scale.
+func fig14(o Options) (Result, error) {
 	o = o.normalized()
 	s := microscopySetup(o)
-	cl, err := cluster.New(heterogeneousNodes(), cluster.DefaultConfig())
-	if err != nil {
-		return "", err
-	}
-	m, err := s.run(cl, func(cfg *core.Config) {
+	m, err := s.run(cluster.PaperTopology(), func(cfg *core.Config) {
 		cfg.DistCache = true
 		cfg.ThroughputWindow = sim.Minute
 	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "## Fig 14 (%s): per-GPU throughput over time (pairs/s, 1-minute buckets)\n", s.Name)
-	fmt.Fprintf(&b, "run time: %v over %d GPUs\n", m.Runtime, len(m.DeviceIDs))
+	title := fmt.Sprintf("Fig 14 (%s): per-GPU throughput over time (pairs/s, 1-minute buckets)", s.Name)
+	lines := make([]string, 1, 1+len(m.DeviceIDs))
+	lines[0] = fmt.Sprintf("run time: %v over %d GPUs", m.Runtime, len(m.DeviceIDs))
 	ids := append([]string(nil), m.DeviceIDs...)
 	sort.Strings(ids)
 	for _, id := range ids {
@@ -91,13 +78,13 @@ func fig14(o Options) (string, error) {
 		if len(rates) > 0 {
 			mean /= float64(len(rates))
 		}
-		fmt.Fprintf(&b, "%-14s mean %.2f pairs/s | ", id, mean)
-		for _, r := range rates {
-			b.WriteByte(sparkChar(r, rates))
+		spark := make([]byte, len(rates))
+		for i, r := range rates {
+			spark[i] = sparkChar(r, rates)
 		}
-		b.WriteByte('\n')
+		lines = append(lines, fmt.Sprintf("%-14s mean %.2f pairs/s | %s", id, mean, spark))
 	}
-	return b.String(), nil
+	return Result{{Title: title, Lines: lines}}, nil
 }
 
 // sparkChar maps a rate to a 4-level ASCII sparkline character relative to

@@ -14,29 +14,25 @@ import (
 // Expected shapes: run time dropping from hours to minutes, super-linear
 // speedup throughout (the paper reports R dropping 11.8x from 31.9 to 2.7
 // between 1 and 48 nodes), and efficiency increasing with node count.
-func fig15(o Options) (string, error) {
+func fig15(o Options) (Result, error) {
 	o = o.normalized()
 	s := cartesiusPhyloSetup(o)
 	nodeCounts := []int{1, 8, 16, 32, 48}
 	metrics := make([]*core.Metrics, len(nodeCounts))
 	speeds := make([]float64, len(nodeCounts))
 	err := o.forEach(len(nodeCounts), func(i int) error {
-		cl, err := cartesius(nodeCounts[i])
-		if err != nil {
-			return err
-		}
-		m, err := s.run(cl, func(cfg *core.Config) {
+		m, err := s.run(nodes(nodeCounts[i], cartesiusNode), func(cfg *core.Config) {
 			cfg.DistCache = true
+			speeds[i] = cfg.Cluster.TotalSpeed()
 		})
 		if err != nil {
 			return fmt.Errorf("nodes=%d: %w", nodeCounts[i], err)
 		}
 		metrics[i] = m
-		speeds[i] = cl.TotalSpeed()
 		return nil
 	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	t := report.NewTable(
 		fmt.Sprintf("Fig 15: Cartesius scaling, %s (n=%d, 2 K40m GPUs/node)", s.Name, s.App.NumItems()),
@@ -50,11 +46,11 @@ func fig15(o Options) (string, error) {
 		t.AddRow(
 			nodes,
 			2*nodes,
-			m.Runtime.String(),
-			fmt.Sprintf("%.2fx", float64(base)/float64(m.Runtime)),
+			m.Runtime,
+			report.Ratio(float64(base)/float64(m.Runtime)),
 			m.R,
-			fmt.Sprintf("%.1f%%", 100*s.Efficiency(m, speeds[i])),
+			report.Percent(100*s.Efficiency(m, speeds[i])),
 		)
 	}
-	return t.String(), nil
+	return Result{{Table: t}}, nil
 }

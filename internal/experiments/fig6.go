@@ -16,31 +16,31 @@ import (
 // a flight recorder attached and prints the timeline, plus the asynchrony
 // evidence the paper draws from the figure: while the GPU executes
 // comparisons, parsing, I/O, and transfers proceed concurrently on their
-// own threads.
-func fig6(o Options) (string, error) {
+// own threads. It ignores Options.Scale: the slice always runs at scale
+// 100, small enough to print.
+func fig6(o Options) (Result, error) {
 	o = o.normalized()
 	s := ForensicsSetup(Options{Scale: 100, Seed: o.Seed, Trace: o.Trace})
 	rec := obs.New(1, 0)
 	m, err := s.runDAS5(1, func(cfg *core.Config) { cfg.Spans = rec })
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	snap := rec.Snapshot()
-	var b strings.Builder
-	fmt.Fprintf(&b, "## Fig 6: task trace, forensics, 1 node (n=%d, %d tasks recorded)\n",
+	title := fmt.Sprintf("Fig 6: task trace, forensics, 1 node (n=%d, %d tasks recorded)",
 		s.App.NumItems(), len(snap.Spans))
-	fmt.Fprintf(&b, "busy per thread class:\n%s\n", m.Phases.Summary())
-
 	// Quantify overlap: how much of the GPU-busy interval also has CPU or
 	// I/O activity in flight — the "GPU remains fully utilized while slow
 	// I/O and CPU tasks run in the background" observation.
 	overlap := overlappedTime(snap.Spans, obs.KindKernel, obs.KindCPU)
-	fmt.Fprintf(&b, "GPU-busy time with CPU work concurrently in flight: %v\n\n", overlap)
-
-	if err := snap.WriteTimeline(&b, 80); err != nil {
-		return "", err
-	}
-	return b.String(), nil
+	return Result{{Title: title, Lines: []string{
+		"busy per thread class:",
+		strings.TrimSuffix(m.Phases.Summary(), "\n"),
+		"",
+		fmt.Sprintf("GPU-busy time with CPU work concurrently in flight: %v", overlap),
+		"",
+		strings.TrimSuffix(snap.Timeline(80), "\n"),
+	}}}, nil
 }
 
 // overlappedTime returns the total time during which at least one span of

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"rocket/internal/core"
 	"rocket/internal/model"
@@ -14,15 +13,14 @@ import (
 // modeled lower bound T_min. The expected shape: the GPU bar dominates and
 // nearly equals the run time (asynchronous processing overlaps everything
 // else), and efficiency is high (94.6% / 88.5% / 99.2% in the paper).
-func fig8(o Options) (string, error) {
+func fig8(o Options) (Result, error) {
 	o = o.normalized()
-	var b strings.Builder
 	t := report.NewTable("Fig 8: processing time per thread class, 1 node (values in virtual seconds)",
 		"app", "GPU", "GPU:pre", "GPU:cmp", "CPU", "CPU>GPU", "GPU>CPU", "IO", "runtime", "Tmin", "efficiency", "R")
 	for _, s := range AllSetups(o) {
 		m, err := s.runDAS5(1, nil)
 		if err != nil {
-			return "", fmt.Errorf("%s: %w", s.Name, err)
+			return nil, fmt.Errorf("%s: %w", s.Name, err)
 		}
 		tmin := model.Tmin(s.Costs, s.App.NumItems())
 		t.AddRow(
@@ -36,19 +34,18 @@ func fig8(o Options) (string, error) {
 			m.Phases.Busy(core.ClassIO).Seconds(),
 			m.Runtime.Seconds(),
 			tmin.Seconds(),
-			fmt.Sprintf("%.1f%%", 100*s.Efficiency(m, 1)),
+			report.Percent(100*s.Efficiency(m, 1)),
 			m.R,
 		)
 	}
-	b.WriteString(t.String())
-	return b.String(), nil
+	return Result{{Table: t}}, nil
 }
 
 // fig10 reproduces Fig. 10: per-thread busy time of the forensics
 // application on one node when the host cache shrinks from 20 GB to 10 GB
 // to 5 GB. Expected shape: all bars grow as the cache shrinks, because
 // items are re-loaded more often.
-func fig10(o Options) (string, error) {
+func fig10(o Options) (Result, error) {
 	o = o.normalized()
 	s := ForensicsSetup(o)
 	slotMB := float64(s.App.ItemSize()) / 1e6
@@ -61,7 +58,7 @@ func fig10(o Options) (string, error) {
 		}
 		m, err := s.runDAS5(1, func(cfg *core.Config) { cfg.HostSlots = slots })
 		if err != nil {
-			return "", fmt.Errorf("cache %vGB: %w", gb, err)
+			return nil, fmt.Errorf("cache %vGB: %w", gb, err)
 		}
 		t.AddRow(
 			fmt.Sprintf("%.0f GB/%d", gb, o.Scale),
@@ -75,5 +72,5 @@ func fig10(o Options) (string, error) {
 			m.R,
 		)
 	}
-	return t.String(), nil
+	return Result{{Table: t}}, nil
 }

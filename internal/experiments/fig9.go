@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"rocket/internal/core"
 	"rocket/internal/report"
@@ -15,9 +14,9 @@ import (
 // the host cache grows. Expected shapes: microscopy is insensitive (its
 // data set always fits); forensics and bioinformatics degrade gracefully,
 // with R roughly inversely proportional to cache size.
-func fig9(o Options) (string, error) {
+func fig9(o Options) (Result, error) {
 	o = o.normalized()
-	var b strings.Builder
+	var r Result
 	for _, s := range AllSetups(o) {
 		points := fig9Points(s)
 		metrics := make([]*core.Metrics, len(points))
@@ -38,7 +37,7 @@ func fig9(o Options) (string, error) {
 			return nil
 		})
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		t := report.NewTable(
 			fmt.Sprintf("Fig 9 (%s): efficiency and R vs cache size", s.Name),
@@ -52,15 +51,14 @@ func fig9(o Options) (string, error) {
 			t.AddRow(
 				fmt.Sprintf("%d+%d", devSlots, hostSlots),
 				regime,
-				fmt.Sprintf("%.1f%%", 100*s.Efficiency(m, 1)),
+				report.Percent(100*s.Efficiency(m, 1)),
 				m.R,
 				m.Loads,
 			)
 		}
-		b.WriteString(t.String())
-		b.WriteByte('\n')
+		r = append(r, Section{Table: t, Lines: []string{""}})
 	}
-	return b.String(), nil
+	return r, nil
 }
 
 // fig9Points returns (deviceSlots, hostSlots) sweep points: first the

@@ -110,17 +110,24 @@ func TestExperimentsGolden(t *testing.T) {
 		delete(want, e.ID)
 		// Every run is the same simulation; the row is read off the last.
 		got := experimentRow{id: e.ID}
+		// The measured region is the run and its rendering, as the rows
+		// were captured.
+		var res Result
 		var out string
 		var err error
 		got.mallocs, _ = testutil.Allocs(func() {
 			events0, heap0 := sim.GlobalEvents(), sim.GlobalHeapPushes()
-			out, err = e.Run(goldenOpts)
+			res, err = e.Run(goldenOpts)
+			if err == nil {
+				out = res.String()
+			}
 			got.events, got.heapPushes = sim.GlobalEvents()-events0, sim.GlobalHeapPushes()-heap0
 		}, allocRuns())
 		if err != nil {
 			t.Errorf("%s: %v", e.ID, err)
 			continue
 		}
+		goldenResults[e.ID] = res
 		got.sha = fmt.Sprintf("%x", sha256.Sum256([]byte(out)))
 		if got.sha != w.sha || got.events != w.events || got.heapPushes != w.heapPushes {
 			t.Errorf("%s: sha %.12s… events %d heap pushes %d, golden %.12s… %d %d",
@@ -133,6 +140,31 @@ func TestExperimentsGolden(t *testing.T) {
 	}
 	for id := range want {
 		t.Errorf("%s: golden row for an experiment All() no longer lists", id)
+	}
+}
+
+// TestExperimentsThatIgnoreScale: five experiments fix their own scale,
+// so at scale 10 they render the bytes their golden rows pin at scale 50.
+// table1 and fig7 sample the cost models at paper scale, fig6 traces a
+// scale-100 slice, and fig14 and ablation-backoff run only microscopy,
+// which is always at paper scale.
+func TestExperimentsThatIgnoreScale(t *testing.T) {
+	golden := map[string]string{}
+	for _, r := range experimentGolden {
+		golden[r.id] = r.sha
+	}
+	for _, id := range []string{"table1", "fig6", "fig7", "fig14", "ablation-backoff"} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run(Options{Scale: 10, Seed: goldenOpts.Seed})
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if sha := fmt.Sprintf("%x", sha256.Sum256([]byte(res.String()))); sha != golden[id] {
+			t.Errorf("%s: sha %.12s… at scale 10, %.12s… at scale %d", id, sha, golden[id], goldenOpts.Scale)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rocket/internal/apps/forensics"
-	"rocket/internal/cluster"
 	"rocket/internal/core"
 	"rocket/internal/pairstore"
 	"rocket/internal/report"
@@ -32,51 +31,34 @@ const incrementalRef = "incremental"
 // equals the full set, and — because comparisons dominate this
 // workload — the speedup tracks the pair ratio: ≥5x at 10% growth
 // (delta is ~17% of the full set), falling toward ~2x at 50% growth.
-func incremental(o Options) (string, error) {
+func incremental(o Options) (Result, error) {
 	o = o.normalized()
 	s := ForensicsSetup(o)
 	n0 := s.App.NumItems()
 	digest := pairstore.DigestFunc(incrementalRef, s.App.Name(), o.Seed)
 
-	// grown builds the same dataset lineage at a larger size: same seed,
-	// same per-item scaling, more items — item i is identical in every
-	// version, which is what makes the store's content addressing hit.
-	grown := func(n int) core.Application {
-		return scaledApp{
+	// run executes the same dataset lineage at n items: same seed, same
+	// per-item scaling — item i is identical in every version, which is
+	// what makes the store's content addressing hit.
+	run := func(n int, mutate func(*core.Config)) (*core.Metrics, error) {
+		g := s
+		g.App = scaledApp{
 			Application: forensics.New(forensics.Params{N: n, Seed: o.Seed}),
 			Div:         int64(o.Scale),
 		}
-	}
-
-	platform := func() (*cluster.Cluster, error) { return das5(incrementalNodes) }
-	run := func(app core.Application, mutate func(*core.Config)) (*core.Metrics, error) {
-		cl, err := platform()
-		if err != nil {
-			return nil, err
-		}
-		cfg := core.Config{
-			App:         app,
-			Cluster:     cl,
-			DeviceSlots: s.DevSlots,
-			HostSlots:   s.HostSlots,
-			Seed:        o.Seed,
-			DistCache:   true,
-		}
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		return core.Run(cfg)
+		return g.runDAS5(incrementalNodes, func(cfg *core.Config) {
+			cfg.DistCache = true
+			cfg.ItemDigest = digest
+			mutate(cfg)
+		})
 	}
 
 	// Base run: compute the initial corpus into a fresh store.
 	store := pairstore.New()
 	batch := pairstore.NewBatch()
-	base, err := run(grown(n0), func(cfg *core.Config) {
-		cfg.StoreBatch = batch
-		cfg.ItemDigest = digest
-	})
+	base, err := run(n0, func(cfg *core.Config) { cfg.StoreBatch = batch })
 	if err != nil {
-		return "", fmt.Errorf("base run: %w", err)
+		return nil, fmt.Errorf("base run: %w", err)
 	}
 	store.Merge(batch)
 
@@ -91,27 +73,23 @@ func incremental(o Options) (string, error) {
 		}
 		n1 := n0 + k
 
-		full, err := run(grown(n1), func(cfg *core.Config) {
-			cfg.StoreBatch = pairstore.NewBatch()
-			cfg.ItemDigest = digest
-		})
+		full, err := run(n1, func(cfg *core.Config) { cfg.StoreBatch = pairstore.NewBatch() })
 		if err != nil {
-			return "", fmt.Errorf("full n=%d: %w", n1, err)
+			return nil, fmt.Errorf("full n=%d: %w", n1, err)
 		}
-		delta, err := run(grown(n1), func(cfg *core.Config) {
+		delta, err := run(n1, func(cfg *core.Config) {
 			cfg.BaseItems = n0
 			cfg.Store = store.Snapshot()
 			cfg.StoreBatch = pairstore.NewBatch()
-			cfg.ItemDigest = digest
 		})
 		if err != nil {
-			return "", fmt.Errorf("delta n=%d: %w", n1, err)
+			return nil, fmt.Errorf("delta n=%d: %w", n1, err)
 		}
 		if got, want := int64(delta.Pairs), pairstore.DeltaPairs(n1, n0); got != want {
-			return "", fmt.Errorf("delta n=%d computed %d pairs, want %d", n1, got, want)
+			return nil, fmt.Errorf("delta n=%d computed %d pairs, want %d", n1, got, want)
 		}
 		if int64(delta.Pairs+delta.StoreHits) != pairstore.DeltaPairs(n1, 0) {
-			return "", fmt.Errorf("delta n=%d covers %d pairs, want %d",
+			return nil, fmt.Errorf("delta n=%d covers %d pairs, want %d",
 				n1, delta.Pairs+delta.StoreHits, pairstore.DeltaPairs(n1, 0))
 		}
 		t.AddRow(
@@ -122,8 +100,8 @@ func incremental(o Options) (string, error) {
 			delta.StoreHits,
 			full.Runtime.Seconds(),
 			delta.Runtime.Seconds(),
-			fmt.Sprintf("%.2fx", float64(full.Runtime)/float64(delta.Runtime)),
+			report.Ratio(float64(full.Runtime)/float64(delta.Runtime)),
 		)
 	}
-	return t.String(), nil
+	return Result{{Table: t}}, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"rocket/internal/apps/forensics"
 	"rocket/internal/apps/microscopy"
@@ -78,7 +77,7 @@ func QueueMix(jobs, nodes int, o Options) []sched.Job {
 // shape: makespan is policy-insensitive (the same work runs either way),
 // while mean wait drops sharply from FIFO to SJF/fair-share because
 // narrow interactive jobs stop queueing behind wide batch jobs.
-func queueScaling(o Options) (string, error) {
+func queueScaling(o Options) (Result, error) {
 	o = o.normalized()
 	t := report.NewTable(
 		fmt.Sprintf("queue-scaling: skewed job mix on %d shared nodes", queueNodes),
@@ -93,19 +92,18 @@ func queueScaling(o Options) (string, error) {
 				Seed:   o.Seed,
 			})
 			if err != nil {
-				return "", fmt.Errorf("queue-scaling %d/%s: %w", jobs, p, err)
+				return nil, fmt.Errorf("queue-scaling %d/%s: %w", jobs, p, err)
 			}
 			meanWait[fmt.Sprintf("%d/%s", jobs, p)] = m.MeanWait
-			t.AddRow(jobs, p.String(), m.Makespan.String(), m.MeanWait.String(),
-				m.MaxWait.String(), 100*m.Utilization, m.JobsPerHour)
+			t.AddRow(jobs, p, m.Makespan, m.MeanWait,
+				m.MaxWait, 100*m.Utilization, m.JobsPerHour)
 		}
 	}
-	var b strings.Builder
-	b.WriteString(t.String())
+	sec := Section{Table: t}
 	fifo, fair := meanWait["32/fifo"], meanWait["32/fair"]
 	if fair > 0 {
-		fmt.Fprintf(&b, "fair-share mean wait at 32 jobs: %v vs FIFO %v (%.1fx lower)\n",
-			fair, fifo, float64(fifo)/float64(fair))
+		sec.Lines = []string{fmt.Sprintf("fair-share mean wait at 32 jobs: %v vs FIFO %v (%.1fx lower)",
+			fair, fifo, float64(fifo)/float64(fair))}
 	}
-	return b.String(), nil
+	return Result{sec}, nil
 }

@@ -3,6 +3,9 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strings"
+
+	"rocket/internal/report"
 )
 
 // Experiment is one runnable evaluation artefact.
@@ -14,8 +17,38 @@ type Experiment struct {
 	Paper string
 	// Description summarizes what is measured.
 	Description string
-	// Run executes the experiment and returns the rendered report.
-	Run func(Options) (string, error)
+	// Run executes the experiment and returns its tables and text.
+	Run func(Options) (Result, error)
+}
+
+// Result is what an experiment returns: its tables in report order, each
+// followed by the text lines printed under it.
+type Result []Section
+
+// Section is one table of a Result and the lines printed after it. A
+// section without a table is a titled block of text.
+type Section struct {
+	Title string // printed when Table is nil
+	Table *report.Table
+	Lines []string
+}
+
+// String renders the result: each table (or title), then its lines, one
+// per line.
+func (r Result) String() string {
+	var b strings.Builder
+	for _, s := range r {
+		if s.Table != nil {
+			b.WriteString(s.Table.String())
+		} else {
+			b.WriteString("## " + s.Title + "\n")
+		}
+		for _, l := range s.Lines {
+			b.WriteString(l)
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
 }
 
 // All returns every experiment in presentation order.

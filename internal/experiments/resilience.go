@@ -25,14 +25,14 @@ const resilienceNodes = 8
 // resolved as failures. Every scenario completes all pairs; inflation
 // stays far below the lost capacity share because survivors re-steal the
 // dead nodes' regions immediately.
-func resilience(o Options) (string, error) {
+func resilience(o Options) (Result, error) {
 	o = o.normalized()
 	s := ForensicsSetup(o)
 	mutate := func(cfg *core.Config) { cfg.DistCache = true }
 
 	base, err := s.runDAS5(resilienceNodes, mutate)
 	if err != nil {
-		return "", fmt.Errorf("baseline: %w", err)
+		return nil, fmt.Errorf("baseline: %w", err)
 	}
 	t0 := base.Runtime
 	frac := func(f float64) sim.Time { return sim.Time(f * float64(t0)) }
@@ -78,13 +78,13 @@ func resilience(o Options) (string, error) {
 				cfg.Faults = sc.sched
 			})
 			if err != nil {
-				return "", fmt.Errorf("%s: %w", sc.name, err)
+				return nil, fmt.Errorf("%s: %w", sc.name, err)
 			}
 		}
 		t.AddRow(
 			sc.name,
 			m.Runtime.Seconds(),
-			fmt.Sprintf("%.3fx", float64(m.Runtime)/float64(t0)),
+			report.FineRatio(float64(m.Runtime)/float64(t0)),
 			m.Pairs,
 			m.RecoveredPairs,
 			m.DroppedMessages,
@@ -93,5 +93,5 @@ func resilience(o Options) (string, error) {
 			m.R,
 		)
 	}
-	return t.String(), nil
+	return Result{{Table: t}}, nil
 }

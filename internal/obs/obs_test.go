@@ -299,24 +299,22 @@ func TestWriteTableAndTop(t *testing.T) {
 	}
 }
 
-// TestWriteTimeline: spans group under their track in name order, each
-// track in canonical order, and a non-zero Arg2 prints as a pair.
+// TestWriteTimeline: Timeline groups spans under their track in name
+// order, each track in canonical order, and a non-zero Arg2 prints as a
+// pair.
 func TestWriteTimeline(t *testing.T) {
 	r := New(1, 0)
 	r.Record(0, Span{Start: 10, End: 20, Kind: KindKernel, Track: "n0/gpu0", Name: "compare", Arg: 1, Arg2: 3})
 	r.Record(0, Span{Start: 0, End: 5, Kind: KindCPU, Track: "n0/cpu", Name: "parse", Arg: 7})
 	r.Record(0, Span{Start: 0, End: 3, Kind: KindKernel, Track: "n0/gpu0", Name: "preprocess", Arg: 7})
-	var b strings.Builder
-	if err := r.Snapshot().WriteTimeline(&b, 0); err != nil {
-		t.Fatal(err)
-	}
+	got := r.Snapshot().Timeline(0)
 	want := "== n0/cpu ==\n" +
 		"           0ns .. 5ns          parse       item 7\n" +
 		"== n0/gpu0 ==\n" +
 		"           0ns .. 3ns          preprocess  item 7\n" +
 		"          10ns .. 20ns         compare     pair (1, 2)\n"
-	if b.String() != want {
-		t.Errorf("timeline:\n%s\nwant:\n%s", b.String(), want)
+	if got != want {
+		t.Errorf("timeline:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -326,11 +324,8 @@ func TestWriteTimelineLimit(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Record(0, Span{Start: sim.Time(i), End: sim.Time(i + 1), Kind: KindCPU, Track: "r" + strconv.Itoa(i%2), Name: "parse", Arg: int64(i)})
 	}
-	var b strings.Builder
-	if err := r.Snapshot().WriteTimeline(&b, 6); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(b.String(), "\n"); lines != 8 { // 2 headers + 5 rows of r0 + 1 of r1
-		t.Errorf("got %d lines, want 8:\n%s", lines, b.String())
+	got := r.Snapshot().Timeline(6)
+	if lines := strings.Count(got, "\n"); lines != 8 { // 2 headers + 5 rows of r0 + 1 of r1
+		t.Errorf("got %d lines, want 8:\n%s", lines, got)
 	}
 }

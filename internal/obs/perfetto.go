@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 
 	"rocket/internal/sim"
 )
@@ -140,12 +141,12 @@ func (snap Snapshot) WriteTable(w io.Writer, limit int) error {
 	return bw.Flush()
 }
 
-// WriteTimeline renders the snapshot as a per-track textual timeline, the
+// Timeline renders the snapshot as a per-track textual timeline, the
 // Fig. 6 view: tracks in name order, each track's spans in canonical
 // order, at most limit rows in all (0 = all). Arg prints as the item a
 // span worked on; a non-zero Arg2 is the second item of a pair plus one,
 // which is how core records its pipeline phases.
-func (snap Snapshot) WriteTimeline(w io.Writer, limit int) error {
+func (snap Snapshot) Timeline(limit int) string {
 	byTrack := map[string][]int{}
 	for i, s := range snap.Spans {
 		byTrack[s.Track] = append(byTrack[s.Track], i)
@@ -155,28 +156,28 @@ func (snap Snapshot) WriteTimeline(w io.Writer, limit int) error {
 		tracks = append(tracks, t)
 	}
 	sort.Strings(tracks)
-	bw := bufio.NewWriter(w)
+	var b strings.Builder
 	rows := 0
 	for _, t := range tracks {
 		if limit > 0 && rows >= limit {
 			break
 		}
-		fmt.Fprintf(bw, "== %s ==\n", t)
+		fmt.Fprintf(&b, "== %s ==\n", t)
 		for _, i := range byTrack[t] {
 			if limit > 0 && rows >= limit {
 				break
 			}
 			s := snap.Spans[i]
-			fmt.Fprintf(bw, "  %12v .. %-12v %-11s ", s.Start, s.End, s.Name)
+			fmt.Fprintf(&b, "  %12v .. %-12v %-11s ", s.Start, s.End, s.Name)
 			if s.Arg2 != 0 {
-				fmt.Fprintf(bw, "pair (%d, %d)\n", s.Arg, s.Arg2-1)
+				fmt.Fprintf(&b, "pair (%d, %d)\n", s.Arg, s.Arg2-1)
 			} else {
-				fmt.Fprintf(bw, "item %d\n", s.Arg)
+				fmt.Fprintf(&b, "item %d\n", s.Arg)
 			}
 			rows++
 		}
 	}
-	return bw.Flush()
+	return b.String()
 }
 
 // TopEntry aggregates busy virtual time over one grouping key.

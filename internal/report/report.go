@@ -4,37 +4,72 @@
 package report
 
 import (
+	"encoding/csv"
 	"fmt"
-	"io"
 	"strings"
+	"unicode/utf8"
 )
 
-// Table is a simple column-aligned text table.
+// Table is a simple column-aligned text table. Rows keep the values they
+// were given, so a caller can read a cell back as a number; each is
+// formatted only when the table renders.
 type Table struct {
-	title   string
-	headers []string
-	rows    [][]string
+	Title   string
+	Headers []string
+	Rows    [][]any
 }
 
 // NewTable creates a table with the given title and column headers.
 func NewTable(title string, headers ...string) *Table {
-	return &Table{title: title, headers: headers}
+	return &Table{Title: title, Headers: headers}
 }
 
-// AddRow appends a row; values are formatted with %v.
-func (t *Table) AddRow(values ...interface{}) {
-	row := make([]string, len(values))
-	for i, v := range values {
-		switch x := v.(type) {
-		case float64:
-			row[i] = formatFloat(x)
-		case float32:
-			row[i] = formatFloat(float64(x))
-		default:
-			row[i] = fmt.Sprintf("%v", v)
-		}
+// AddRow appends a row of one value per header. A row of any other length
+// is a programming error, and panics.
+func (t *Table) AddRow(values ...any) {
+	t.checkRow(values)
+	t.Rows = append(t.Rows, values)
+}
+
+// checkRow panics unless row has one value per header.
+func (t *Table) checkRow(row []any) {
+	if len(row) != len(t.Headers) {
+		panic(fmt.Sprintf("report: table %q: row of %d cells, %d headers", t.Title, len(row), len(t.Headers)))
 	}
-	t.rows = append(t.rows, row)
+}
+
+// Percent is a percentage (not a fraction), rendered to one decimal.
+type Percent float64
+
+func (p Percent) String() string { return fmt.Sprintf("%.1f%%", float64(p)) }
+
+// Ratio is a speedup or slowdown factor, rendered to two decimals.
+type Ratio float64
+
+func (r Ratio) String() string { return fmt.Sprintf("%.2fx", float64(r)) }
+
+// FineRatio is a factor close to 1, rendered to three decimals.
+type FineRatio float64
+
+func (r FineRatio) String() string { return fmt.Sprintf("%.3fx", float64(r)) }
+
+// Hash is a 64-bit fingerprint, rendered as 16 hex digits.
+type Hash uint64
+
+func (h Hash) String() string { return fmt.Sprintf("%016x", uint64(h)) }
+
+// format renders one cell: floats by magnitude, everything else with %v.
+func format(v any) string {
+	switch x := v.(type) {
+	case string:
+		return x
+	case float64:
+		return formatFloat(x)
+	case float32:
+		return formatFloat(float64(x))
+	default:
+		return fmt.Sprintf("%v", v)
+	}
 }
 
 func formatFloat(x float64) string {
@@ -50,70 +85,78 @@ func formatFloat(x float64) string {
 	}
 }
 
-// Write renders the table.
-func (t *Table) Write(w io.Writer) error {
-	widths := make([]int, len(t.headers))
-	for i, h := range t.headers {
-		widths[i] = len(h)
-	}
-	for _, row := range t.rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+// cells returns the headers and the formatted rows. A row appended to
+// Rows without AddRow is held to the same length check.
+func (t *Table) cells() [][]string {
+	out := make([][]string, 0, 1+len(t.Rows))
+	out = append(out, t.Headers)
+	for _, row := range t.Rows {
+		t.checkRow(row)
+		cells := make([]string, len(row))
+		for i, v := range row {
+			cells[i] = format(v)
 		}
+		out = append(out, cells)
 	}
-	if t.title != "" {
-		if _, err := fmt.Fprintf(w, "## %s\n", t.title); err != nil {
-			return err
-		}
-	}
-	line := func(cells []string) error {
-		var b strings.Builder
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
-		}
-		_, err := fmt.Fprintln(w, strings.TrimRight(b.String(), " "))
-		return err
-	}
-	if err := line(t.headers); err != nil {
-		return err
-	}
-	sep := make([]string, len(t.headers))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	if err := line(sep); err != nil {
-		return err
-	}
-	for _, row := range t.rows {
-		if err := line(row); err != nil {
-			return err
-		}
-	}
-	return nil
+	return out
 }
 
-// String renders the table to a string.
+// String renders the table: the title, the header line, a separator and
+// the rows.
 func (t *Table) String() string {
-	var b strings.Builder
-	if err := t.Write(&b); err != nil {
-		return err.Error()
+	rows := t.cells()
+	widths := make([]int, len(t.Headers))
+	size := len("## \n") + len(t.Title)
+	for i := range widths {
+		for _, cells := range rows {
+			widths[i] = max(widths[i], len(cells[i]))
+		}
+		size += (2 + len(rows)) * (widths[i] + len("  "))
 	}
-	return b.String()
+	sep := make([]string, len(widths))
+	for i, w := range widths {
+		sep[i] = strings.Repeat("-", w)
+	}
+	buf := make([]byte, 0, size)
+	if t.Title != "" {
+		buf = append(append(append(buf, "## "...), t.Title...), '\n')
+	}
+	for r, cells := range rows {
+		buf = appendLine(buf, cells, widths)
+		if r == 0 {
+			buf = appendLine(buf, sep, widths)
+		}
+	}
+	return string(buf)
 }
 
-// CSV renders comma-separated values (headers + rows), for plotting.
+// appendLine appends cells to buf, two spaces apart, without trailing
+// spaces, and ends the line. A column's width counts bytes and its
+// padding counts runes (as "%-*s" pads), so a cell holding a multi-byte
+// rune such as "±" stays short of the column's edge.
+func appendLine(buf []byte, cells []string, widths []int) []byte {
+	start := len(buf)
+	for i, cell := range cells {
+		if i > 0 {
+			buf = append(buf, "  "...)
+		}
+		buf = append(buf, cell...)
+		for range widths[i] - utf8.RuneCountInString(cell) {
+			buf = append(buf, ' ')
+		}
+	}
+	for len(buf) > start && buf[len(buf)-1] == ' ' {
+		buf = buf[:len(buf)-1]
+	}
+	return append(buf, '\n')
+}
+
+// CSV renders comma-separated values (headers + rows), for plotting,
+// quoting a cell as RFC 4180 asks (one holding a comma, a quote or a
+// line break).
 func (t *Table) CSV() string {
 	var b strings.Builder
-	b.WriteString(strings.Join(t.headers, ","))
-	b.WriteByte('\n')
-	for _, row := range t.rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteByte('\n')
-	}
+	w := csv.NewWriter(&b)
+	w.WriteAll(t.cells()) // a strings.Builder never fails a write
 	return b.String()
 }

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/csv"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -278,5 +280,21 @@ assertions:
 		if !strings.HasPrefix(f.Target, "node ") {
 			t.Fatalf("membership event rendered as %q", f.Target)
 		}
+	}
+}
+
+// TestReportCSVQuotesScenarioName: a scenario name may hold a comma or a
+// quote (Validate only asks that it be non-empty); the CSV still parses
+// back to three fields a row, the name intact.
+func TestReportCSVQuotesScenarioName(t *testing.T) {
+	const name = `a, "b"`
+	r := &Report{Scenario: name, Metrics: []MetricValue{{Name: "events", Value: 3}, {Name: "r", Value: 1.5}}}
+	rows, err := csv.NewReader(strings.NewReader(r.CSV())).ReadAll()
+	if err != nil {
+		t.Fatalf("%v:\n%s", err, r.CSV())
+	}
+	want := [][]string{{"scenario", "metric", "value"}, {name, "events", "3.000"}, {name, "r", "1.500"}}
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("rows %q, want %q", rows, want)
 	}
 }

@@ -221,11 +221,7 @@ func (cfg Config) normalize() (Config, error) {
 		return cfg, fmt.Errorf("sched: Config.Nodes must be >= 1, got %d", cfg.Nodes)
 	}
 	if cfg.NodeSpec.Cores == 0 && cfg.NodeSpec.HostCacheBytes == 0 && len(cfg.NodeSpec.GPUs) == 0 {
-		cfg.NodeSpec = cluster.NodeSpec{
-			Cores:          16,
-			HostCacheBytes: 40 * gpu.GiB,
-			GPUs:           []gpu.Model{gpu.TitanXMaxwell},
-		}
+		cfg.NodeSpec = cluster.DAS5Node(gpu.TitanXMaxwell)
 	}
 	if err := cfg.NodeSpec.Validate(); err != nil {
 		return cfg, err

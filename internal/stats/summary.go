@@ -114,6 +114,7 @@ func (h *Histogram) Render(width int) string {
 		}
 	}
 	var b strings.Builder
+	b.Grow((len(h.Counts) + 1) * (width + 24)) // a line is the bar plus ~20 bytes
 	for i, c := range h.Counts {
 		bar := 0
 		if peak > 0 {

@@ -208,19 +208,10 @@ func DeltaPairs(n, base int) int64 { return pairstore.DeltaPairs(n, base) }
 
 // DAS5Node returns the paper's DAS-5 node type: 16 cores and a 40 GiB host
 // cache, with the given GPUs installed.
-func DAS5Node(gpus ...GPUModel) NodeSpec {
-	return NodeSpec{Cores: 16, HostCacheBytes: 40 * GiB, GPUs: gpus}
-}
+func DAS5Node(gpus ...GPUModel) NodeSpec { return cluster.DAS5Node(gpus...) }
 
 // PaperTopology returns the four mixed-generation node specs of §6.5:
 // node I (K20m), node II (GTX980 + TitanX Pascal), node III (2x
 // RTX2080Ti), and node IV (GTX Titan + TitanX Pascal). Pass it to
 // WithTopology.
-func PaperTopology() []NodeSpec {
-	return []NodeSpec{
-		DAS5Node(K20m),
-		DAS5Node(GTX980, TitanXPascal),
-		DAS5Node(RTX2080Ti, RTX2080Ti),
-		DAS5Node(GTXTitan, TitanXPascal),
-	}
-}
+func PaperTopology() []NodeSpec { return cluster.PaperTopology() }
