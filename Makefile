@@ -84,9 +84,15 @@ coverage:
 
 # Mirrors the workflow's smoke job: every example and every rocket
 # subcommand runs end to end at tiny scale, including a serve -> drain ->
-# offline-replay round trip.
+# offline-replay round trip. Each example runs twice and its two outputs
+# must be byte-identical.
 smoke:
-	for d in examples/*/; do echo "== go run ./$$d"; $(GO) run "./$$d" > /dev/null || exit 1; done
+	for d in examples/*/; do \
+		echo "== go run ./$$d"; \
+		$(GO) run "./$$d" > /tmp/rocket-smoke-example.out && \
+		$(GO) run "./$$d" > /tmp/rocket-smoke-example.rerun.out && \
+		cmp /tmp/rocket-smoke-example.out /tmp/rocket-smoke-example.rerun.out || exit 1; \
+	done
 	$(GO) build -o /tmp/rocket-smoke ./cmd/rocket
 	/tmp/rocket-smoke experiments -exp fig11 -scale 200 -workers 2 -seed 1 > /dev/null
 	/tmp/rocket-smoke trace timeline -app forensics -n 8 -limit 20 > /dev/null

@@ -21,11 +21,10 @@ var exportAllowlist = map[string]string{
 	"cache.Cache.Pinned":            "core's TestPooledJobLifecycle checks that a finished job leaves no slot pinned",
 	"experiments.AllSetups":         "TestIntegrationRuntimeNeverBeatsModelBound (integration_test.go) runs every application",
 	"experiments.MeasureStorage":    "BenchmarkPairstoreScale (bench_test.go) measures the 10^7-pair point",
-	"experiments.QueueMix":          "TestRunQueueMixedPolicies (rocket_test.go) drives the scheduler with it",
 	"fault.Schedule.Preempt":        "core's TestFaultScheduleValidated, fleet's TestFleetPreemptDrains and jobspec's TestMembershipFaultsAreFleetOnly build preemptions with it",
 	"sched.JobStatus.MarshalJSON":   "satisfies json.Marshaler: a status travels as its name",
 	"sched.JobStatus.UnmarshalJSON": "satisfies json.Unmarshaler: HTTP clients decode the name back",
-	"sched.Online.ReplayConfig":     "TestStartQueueOnlineThroughPublicAPI (rocket_test.go) replays the online run with it",
+	"sched.Online.ReplayConfig":     "TestStartQueueOnlineThroughPublicAPI (rocket_test.go) replays the served queue with sched.Run",
 	"sched.SetEventCap":             "serve's TestEventStreamAfterWindowSlides and TestJobEventStreamEndsAfterWindowSlides shrink the event window",
 	"serve.Server.Queue":            "TestServeThroughPublicAPI and TestStartQueueOnlineThroughPublicAPI (rocket_test.go) read the served queue",
 	"sim.Env.PendingEvents":         "cluster's TestNetworkLocalSendImmediate checks that a local send queues no event",
@@ -48,16 +47,26 @@ var exportAllowlist = map[string]string{
 // its import name; a method, when another package selects any field or
 // method of that name. Matching methods by name can miss an orphan but
 // never flags a called one.
+//
+// Package rocket's exported types, constants and variables are held to
+// the same rule, with no allowlist: each must be referenced from a
+// non-test file of another package, or be named in the signature of an
+// exported root function or method that is.
 func TestEveryExportedFuncHasACaller(t *testing.T) {
 	repo := parseRepo(t)
 
-	// declared maps "pkg.F" and "pkg.T.M" to the declaring directory.
+	// declared maps "pkg.F" and "pkg.T.M" to the declaring directory;
+	// rootNames holds "rocket.N" for the root's other exports.
 	declared := map[string]string{}
+	var rootNames []string
 	for _, f := range repo.files {
 		if f.test || (f.dir != "." && !strings.HasPrefix(f.dir, "internal/")) {
 			continue
 		}
 		for _, d := range f.ast.Decls {
+			if gen, ok := d.(*ast.GenDecl); ok && f.dir == "." {
+				rootNames = append(rootNames, exportedNames(gen)...)
+			}
 			fn, ok := d.(*ast.FuncDecl)
 			if !ok || !fn.Name.IsExported() {
 				continue
@@ -65,11 +74,37 @@ func TestEveryExportedFuncHasACaller(t *testing.T) {
 			declared[exportKey(repo.pkgName[f.dir], fn)] = f.dir
 		}
 	}
-	if len(declared) == 0 {
-		t.Fatal("found no exported functions")
+	if len(declared) == 0 || len(rootNames) == 0 {
+		t.Fatal("found no exported functions or root types")
+	}
+
+	// inSignature holds every identifier named in the signature of a
+	// root function or method that another package calls.
+	inSignature := map[string]bool{}
+	for _, f := range repo.files {
+		if f.test || f.dir != "." {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() || !repo.referenced(exportKey("rocket", fn), ".", false) {
+				continue
+			}
+			ast.Inspect(fn.Type, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					inSignature[id.Name] = true
+				}
+				return true
+			})
+		}
 	}
 
 	var orphans, stale []string
+	for _, key := range rootNames {
+		if !repo.referenced(key, ".", false) && !inSignature[strings.TrimPrefix(key, "rocket.")] {
+			orphans = append(orphans, key+" (no other package names it, nor does the signature of a root function one calls: delete it)")
+		}
+	}
 	for key, dir := range declared {
 		reason, allowed := exportAllowlist[key]
 		switch called := repo.referenced(key, dir, false); {
@@ -94,8 +129,45 @@ func TestEveryExportedFuncHasACaller(t *testing.T) {
 		t.Error(s)
 	}
 	if len(orphans) > 0 {
-		t.Errorf("%d of %d exported functions and methods have no caller outside their package and tests:\n\t%s",
-			len(orphans), len(declared), strings.Join(orphans, "\n\t"))
+		t.Errorf("%d of %d exported names have no caller outside their package and tests:\n\t%s",
+			len(orphans), len(declared)+len(rootNames), strings.Join(orphans, "\n\t"))
+	}
+}
+
+// exportedNames returns "rocket.N" for each exported type, constant or
+// variable a root declaration introduces.
+func exportedNames(gen *ast.GenDecl) []string {
+	var names []string
+	for _, spec := range gen.Specs {
+		switch s := spec.(type) {
+		case *ast.TypeSpec:
+			if s.Name.IsExported() {
+				names = append(names, "rocket."+s.Name.Name)
+			}
+		case *ast.ValueSpec:
+			for _, id := range s.Names {
+				if id.IsExported() {
+					names = append(names, "rocket."+id.Name)
+				}
+			}
+		}
+	}
+	return names
+}
+
+// TestInternalDoesNotImportRoot holds the layering: package rocket is
+// the public door onto internal/, so no package under internal/, test
+// files included, may import it back.
+func TestInternalDoesNotImportRoot(t *testing.T) {
+	for _, f := range parseRepo(t).files {
+		if !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		for _, imp := range f.ast.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); path == "rocket" {
+				t.Errorf("%s imports package rocket", f.dir)
+			}
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"rocket"
 	"rocket/internal/jobspec"
+	"rocket/internal/sched"
 )
 
 // cmdQueue is rocketd's batch mode: it reads a job manifest, schedules
@@ -91,7 +92,7 @@ func cmdQueue(args []string, stdout, stderr io.Writer) int {
 			return fail(fs, 1, err)
 		}
 	}
-	m, err := rocket.New(rocket.WithQueueConfig(cfg)).RunQueue()
+	m, err := sched.Run(cfg)
 	if err != nil {
 		return fail(fs, 1, err)
 	}
@@ -114,14 +115,14 @@ func cmdQueue(args []string, stdout, stderr io.Writer) int {
 
 // queueConfig reads and checks the manifest at path and applies the
 // command-line overrides (policy "" and seed 0 keep the manifest's).
-func queueConfig(path string, replay bool, policy string, seed uint64, stderr io.Writer) (rocket.QueueConfig, error) {
+func queueConfig(path string, replay bool, policy string, seed uint64, stderr io.Writer) (sched.Config, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return rocket.QueueConfig{}, err
+		return sched.Config{}, err
 	}
 	man, err := jobspec.Parse(raw)
 	if err != nil {
-		return rocket.QueueConfig{}, fmt.Errorf("%s: %w", path, err)
+		return sched.Config{}, fmt.Errorf("%s: %w", path, err)
 	}
 	// An arrival log must be in arrival order: submission indices drive
 	// derived IDs and seeds, so replaying an out-of-order log as-is would

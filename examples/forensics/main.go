@@ -70,15 +70,25 @@ func main() {
 		}
 	}
 
-	groups := map[int][]int{}
+	// Group images by root; scanning in index order puts each group's
+	// smallest member first and orders the groups by it, so the listing
+	// is the same on every run.
+	var groups [][]int
+	groupOf := map[int]int{}
 	for i := 0; i < images; i++ {
 		root := find(i)
-		groups[root] = append(groups[root], i)
+		g, ok := groupOf[root]
+		if !ok {
+			g = len(groups)
+			groupOf[root] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
 	}
 	fmt.Printf("recovered %d source groups (true cameras: %d):\n", len(groups), cameras)
 	correct := true
-	for root, members := range groups {
-		fmt.Printf("  group %2d:", root)
+	for _, members := range groups {
+		fmt.Printf("  group %2d:", members[0])
 		for _, img := range members {
 			fmt.Printf(" img%02d(cam%d)", img, app.Camera(img))
 			if app.Camera(img) != app.Camera(members[0]) {

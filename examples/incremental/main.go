@@ -57,12 +57,17 @@ func main() {
 		rocket.WithItemDigest(digest),
 	)
 	store.Merge(batch)
-	path := filepath.Join(os.TempDir(), "rocket-incremental-store.json")
+	dir, err := os.MkdirTemp("", "rocket-incremental")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "store.json")
 	if err := store.Save(path); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("day 1: computed %d pairs over %d items in %v; %d results persisted to %s\n",
-		cold.Pairs, baseItems, cold.Runtime, store.Len(), path)
+	fmt.Printf("day 1: computed %d pairs over %d items in %v; %d results persisted\n",
+		cold.Pairs, baseItems, cold.Runtime, store.Len())
 
 	// Day 2: the corpus has grown. Reload the store and run the delta:
 	// the base region is served from the store, only new-vs-all pairs
@@ -91,5 +96,4 @@ func main() {
 	fmt.Printf("full recompute of %d items: %d pairs in %v -> warm start is %.1fx faster\n",
 		totalItems, full.Pairs, full.Runtime, float64(full.Runtime)/float64(warm.Runtime))
 	fmt.Printf("store now holds %d results (%d new appended)\n", reloaded.Len(), warm.StorePuts)
-	os.Remove(path)
 }

@@ -15,7 +15,7 @@ import (
 // wordApp compares every pair of words by a (simulated) GPU kernel and
 // computes their shared-letter count on the CPU side as the real result.
 // It implements rocket.Application (the cost model: sizes and stage
-// durations) and rocket.Computer (the real kernels).
+// durations) and core.Computer (the real kernels) from rocket/internal/core.
 type wordApp struct {
 	words []string
 }

@@ -73,7 +73,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestQueueMixIsSkewedAcrossTenantsAndApps(t *testing.T) {
-	jobs := QueueMix(16, queueNodes, tiny)
+	jobs := queueMix(16, queueNodes, tiny)
 	if len(jobs) != 16 {
 		t.Fatalf("len = %d", len(jobs))
 	}

@@ -16,7 +16,7 @@ import (
 // nodes they could run on if the policy lets them through.
 const queueNodes = 8
 
-// QueueMix builds the skewed two-tenant workload the scheduler evaluation
+// queueMix builds the skewed two-tenant workload the scheduler evaluation
 // uses, sized for a shared cluster of the given node count: tenant
 // "batch" front-loads wide, long microscopy jobs (every 4th job, half
 // the cluster each, arriving at t=0; microscopy comparisons cost ~564 ms
@@ -26,7 +26,7 @@ const queueNodes = 8
 // batch jobs at the head of the queue block the interactive ones even
 // while half the cluster idles; SJF and fair-share let them through,
 // which is exactly the difference the experiment measures.
-func QueueMix(jobs, nodes int, o Options) []sched.Job {
+func queueMix(jobs, nodes int, o Options) []sched.Job {
 	o = o.normalized()
 	batchNodes := nodes / 2
 	if batchNodes < 1 {
@@ -72,7 +72,7 @@ func QueueMix(jobs, nodes int, o Options) []sched.Job {
 }
 
 // queueScaling evaluates the rocketd scheduler: job count x policy over
-// the skewed QueueMix workload on one shared cluster, reporting makespan,
+// the skewed queueMix workload on one shared cluster, reporting makespan,
 // mean/max wait, utilization, and job throughput per cell. Expected
 // shape: makespan is policy-insensitive (the same work runs either way),
 // while mean wait drops sharply from FIFO to SJF/fair-share because
@@ -86,7 +86,7 @@ func queueScaling(o Options) (Result, error) {
 	for _, jobs := range []int{8, 16, 32} {
 		for _, p := range sched.Policies() {
 			m, err := sched.Run(sched.Config{
-				Jobs:   QueueMix(jobs, queueNodes, o),
+				Jobs:   queueMix(jobs, queueNodes, o),
 				Nodes:  queueNodes,
 				Policy: p,
 				Seed:   o.Seed,

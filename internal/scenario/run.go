@@ -11,9 +11,13 @@ import (
 	"fmt"
 	"sort"
 
-	"rocket"
+	"rocket/internal/cluster"
+	"rocket/internal/core"
 	"rocket/internal/fault"
+	"rocket/internal/fleet"
+	"rocket/internal/gpu"
 	"rocket/internal/jobspec"
+	"rocket/internal/obs"
 )
 
 // RunOptions override scenario fields from the command line.
@@ -23,7 +27,7 @@ type RunOptions struct {
 	// Spans, when non-nil, attaches a flight recorder to the run
 	// (`rocket trace`'s export path). Recorded timelines inherit the
 	// report's determinism: byte-identical across reruns.
-	Spans *rocket.SpanRecorder
+	Spans *obs.Recorder
 }
 
 // Run executes the scenario and returns its report. The error return is
@@ -129,22 +133,31 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 	return rep, nil
 }
 
-// runPairs executes the all-pairs application through the public API.
-func runPairs(sc *Scenario, faults *fault.Schedule, probes []fault.Probe, spans *rocket.SpanRecorder) (map[string]float64, string, error) {
+// runPairs executes the all-pairs application on a fresh homogeneous
+// cluster of DAS-5 nodes.
+func runPairs(sc *Scenario, faults *fault.Schedule, probes []fault.Probe, spans *obs.Recorder) (map[string]float64, string, error) {
 	app, err := jobspec.Spec{ID: sc.Name, App: sc.App.Kind, Items: sc.App.Items}.BuildApp(sc.Seed)
 	if err != nil {
 		return nil, "", err
 	}
-	spec := rocket.DAS5Node(gpuModels(sc.Fleet.GPUsPerNode)...)
-	r := rocket.New(
-		rocket.WithHomogeneous(sc.Fleet.Nodes, spec),
-		rocket.WithSeed(sc.Seed),
-		rocket.WithDistCache(sc.Fleet.DistCache),
-		rocket.WithFaults(faults),
-		rocket.WithFaultProbes(probes...),
-		rocket.WithSpans(spans),
-	)
-	m, err := r.Run(app)
+	spec := cluster.DAS5Node(gpuModels(sc.Fleet.GPUsPerNode)...)
+	specs := make([]cluster.NodeSpec, sc.Fleet.Nodes)
+	for i := range specs {
+		specs[i] = spec
+	}
+	c, err := cluster.New(specs, cluster.DefaultConfig())
+	if err != nil {
+		return nil, "", fmt.Errorf("scenario %s: %w", sc.Name, err)
+	}
+	m, err := core.Run(core.Config{
+		App:         app,
+		Cluster:     c,
+		Seed:        sc.Seed,
+		DistCache:   sc.Fleet.DistCache,
+		Faults:      faults,
+		FaultProbes: probes,
+		Spans:       spans,
+	})
 	if err != nil {
 		return nil, "", fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
@@ -172,30 +185,28 @@ func runPairs(sc *Scenario, faults *fault.Schedule, probes []fault.Probe, spans 
 	return metrics, summary, nil
 }
 
-// runFleet executes the fleet workload.
-func runFleet(sc *Scenario, faults *fault.Schedule, probes []fault.Probe, spans *rocket.SpanRecorder) (map[string]float64, string, error) {
-	shape := sc.gpuShape()
-	specs := make([]rocket.NodeSpec, len(shape))
-	for i, g := range shape {
-		specs[i] = rocket.DAS5Node(gpuModels(g)...)
+// runFleet executes the fleet workload: one fleet node per entry of the
+// scenario's GPU shape, each with at least one device.
+func runFleet(sc *Scenario, faults *fault.Schedule, probes []fault.Probe, spans *obs.Recorder) (map[string]float64, string, error) {
+	gpus := sc.gpuShape()
+	for i := range gpus {
+		gpus[i] = max(gpus[i], 1)
 	}
-	r := rocket.New(
-		rocket.WithTopology(specs...),
-		rocket.WithSeed(sc.Seed),
-		rocket.WithFaults(faults),
-		rocket.WithFaultProbes(probes...),
-		rocket.WithSpans(spans),
-	)
-	res, err := r.RunFleet(func(c *rocket.FleetConfig) {
-		c.Duration = sc.Duration
-		if sc.Gen != nil {
-			c.StartAt = sc.Gen.startTimes()
-		}
-		if sc.Elastic != nil {
-			e := sc.elasticity()
-			c.Elastic = &e
-		}
-	})
+	cfg := fleet.DefaultConfig(len(gpus))
+	cfg.Seed = sc.Seed
+	cfg.Duration = sc.Duration
+	cfg.Faults = faults
+	cfg.Probes = probes
+	cfg.GPUs = gpus
+	cfg.Spans = spans
+	if sc.Gen != nil {
+		cfg.StartAt = sc.Gen.startTimes()
+	}
+	if sc.Elastic != nil {
+		e := sc.elasticity()
+		cfg.Elastic = &e
+	}
+	res, err := fleet.Run(cfg)
 	if err != nil {
 		return nil, "", fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
@@ -221,10 +232,10 @@ func runFleet(sc *Scenario, faults *fault.Schedule, probes []fault.Probe, spans 
 }
 
 // gpuModels returns n TitanX-Maxwell entries (the DAS-5 baseline device).
-func gpuModels(n int) []rocket.GPUModel {
-	models := make([]rocket.GPUModel, n)
+func gpuModels(n int) []gpu.Model {
+	models := make([]gpu.Model, n)
 	for i := range models {
-		models[i] = rocket.TitanXMaxwell
+		models[i] = gpu.TitanXMaxwell
 	}
 	return models
 }

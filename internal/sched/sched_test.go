@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"rocket/internal/cluster"
 	"rocket/internal/core"
 	"rocket/internal/fault"
 	"rocket/internal/sim"
@@ -341,17 +343,20 @@ func TestRunValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
+		want string
 	}{
-		{"no jobs", Config{Nodes: 2}},
-		{"no nodes", Config{Jobs: []Job{{App: app}}}},
-		{"missing app", Config{Jobs: []Job{{}}, Nodes: 2}},
-		{"too wide", Config{Jobs: []Job{{App: app, Nodes: 3}}, Nodes: 2}},
-		{"duplicate ids", Config{Jobs: []Job{{ID: "x", App: app}, {ID: "x", App: app}}, Nodes: 2}},
-		{"negative arrival", Config{Jobs: []Job{{App: app, Arrival: -1}}, Nodes: 2}},
+		{"no jobs", Config{Nodes: 2}, "Config.Jobs is empty"},
+		{"no nodes", Config{Jobs: []Job{{App: app}}}, "Config.Nodes must be >= 1"},
+		// A node spec describes each node; it does not size the fleet.
+		{"node spec but no nodes", Config{Jobs: []Job{{App: app}}, NodeSpec: cluster.PaperTopology()[1]}, "Config.Nodes must be >= 1"},
+		{"missing app", Config{Jobs: []Job{{}}, Nodes: 2}, "has no App"},
+		{"too wide", Config{Jobs: []Job{{App: app, Nodes: 3}}, Nodes: 2}, "requests 3 nodes"},
+		{"duplicate ids", Config{Jobs: []Job{{ID: "x", App: app}, {ID: "x", App: app}}, Nodes: 2}, "share ID"},
+		{"negative arrival", Config{Jobs: []Job{{App: app, Arrival: -1}}, Nodes: 2}, "negative arrival"},
 	}
 	for _, tc := range cases {
-		if _, err := Run(tc.cfg); err == nil {
-			t.Errorf("%s: Run accepted invalid config", tc.name)
+		if _, err := Run(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Run error = %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -50,68 +50,24 @@ type (
 	// Application is the cost-model interface every application
 	// implements (paper Fig. 3).
 	Application = core.Application
-	// Computer is the optional real-kernel extension.
-	Computer = core.Computer
-	// Result is one collected comparison output.
-	Result = core.Result
 	// NodeSpec describes one node's hardware.
 	NodeSpec = cluster.NodeSpec
 	// GPUModel identifies a GPU product.
 	GPUModel = gpu.Model
 )
 
-// GPU models of the evaluation platforms.
-var (
-	TitanXMaxwell = gpu.TitanXMaxwell
-	TitanXPascal  = gpu.TitanXPascal
-	GTX980        = gpu.GTX980
-	GTXTitan      = gpu.GTXTitan
-	K20m          = gpu.K20m
-	K40m          = gpu.K40m
-	RTX2080Ti     = gpu.RTX2080Ti
-)
+// TitanXMaxwell is the GPU of the paper's DAS-5 nodes.
+var TitanXMaxwell = gpu.TitanXMaxwell
 
-// GiB is 2^30 bytes, for sizing host caches.
-const GiB = gpu.GiB
-
-// Scheduler types: see package rocket/internal/sched (rocketd) for full
-// documentation.
-type (
-	// QueueConfig configures one multi-job scheduler run.
-	QueueConfig = sched.Config
-	// QueueJob is one all-pairs workload submitted to the scheduler.
-	QueueJob = sched.Job
-	// QueueMetrics is the fleet-wide outcome of a scheduler run.
-	QueueMetrics = sched.Metrics
-	// JobMetrics is one job's outcome within QueueMetrics.
-	JobMetrics = sched.JobMetrics
-	// QueuePolicy selects the placement order of queued jobs.
-	QueuePolicy = sched.Policy
-)
-
-// Queue policies (see sched.Policy).
-const (
-	PolicyFIFO      = sched.PolicyFIFO
-	PolicySJF       = sched.PolicySJF
-	PolicyFairShare = sched.PolicyFairShare
-)
+// PolicyFairShare is the scheduler's fair-share policy (see sched.Policy).
+const PolicyFairShare = sched.PolicyFairShare
 
 // ParseQueuePolicy maps a manifest name ("fifo", "sjf", "fair") to a
 // policy.
-func ParseQueuePolicy(name string) (QueuePolicy, error) { return sched.ParsePolicy(name) }
+func ParseQueuePolicy(name string) (sched.Policy, error) { return sched.ParsePolicy(name) }
 
-// Online-scheduling types: see package rocket/internal/sched (Online) and
-// rocket/internal/serve.
+// Service types: see package rocket/internal/serve.
 type (
-	// QueueSubmitter is the online scheduler: jobs are submitted while
-	// the fleet runs, and every served trace is replayable offline.
-	QueueSubmitter = sched.Online
-	// QueueJobInfo is a point-in-time snapshot of one online submission.
-	QueueJobInfo = sched.JobInfo
-	// QueueJobStatus is an online submission's lifecycle position.
-	QueueJobStatus = sched.JobStatus
-	// QueueEvent is one entry of the online scheduler's event stream.
-	QueueEvent = sched.Event
 	// ServeConfig configures the rocketd HTTP service layer.
 	ServeConfig = serve.Config
 	// ServeDataset is one registered append-only dataset (the unit of
@@ -122,10 +78,6 @@ type (
 	// REST + SSE API with a replayable arrival log.
 	Server = serve.Server
 )
-
-// ErrShuttingDown is returned by QueueSubmitter.Submit once Shutdown has
-// begun.
-var ErrShuttingDown = sched.ErrShuttingDown
 
 // Serve starts rocketd's HTTP service layer over an online scheduler.
 // The returned server exposes its http.Handler; pair it with an
@@ -159,8 +111,6 @@ type (
 	// SpanRecorder is the flight recorder: per-lane fixed-size rings of
 	// virtual-time spans, nil-safe (a nil recorder is the off state).
 	SpanRecorder = obs.Recorder
-	// Span is one recorded interval of virtual time on a track.
-	Span = obs.Span
 	// SpanSnapshot is a canonical-order copy of a recorder's contents.
 	SpanSnapshot = obs.Snapshot
 	// TraceExportOptions is ExportTrace's settings (none today).

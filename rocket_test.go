@@ -14,7 +14,7 @@ import (
 	"rocket"
 	"rocket/internal/apps/forensics"
 	"rocket/internal/apps/microscopy"
-	"rocket/internal/experiments"
+	"rocket/internal/sched"
 	"rocket/internal/sim"
 )
 
@@ -90,65 +90,18 @@ func TestRealKernelsThroughPublicAPI(t *testing.T) {
 	}
 }
 
-// TestRunQueueMixedPolicies drives the rocketd scheduler through the
-// public API: 16 mixed-app jobs (microscopy, forensics, bioinformatics)
-// scheduled concurrently over one shared cluster under all three
-// policies, with seeded, repeatable results. On the skewed two-tenant
-// mix, fair-share must beat FIFO on mean wait: narrow interactive jobs
-// stop queueing behind wide batch jobs.
-func TestRunQueueMixedPolicies(t *testing.T) {
-	const queueTestNodes = 8
-	opts := experiments.Options{Scale: 25, Seed: 1}
-	waits := make(map[rocket.QueuePolicy]sim.Time)
-	for _, p := range []rocket.QueuePolicy{rocket.PolicyFIFO, rocket.PolicySJF, rocket.PolicyFairShare} {
-		run := func() *rocket.QueueMetrics {
-			m, err := rocket.New(rocket.WithQueueConfig(rocket.QueueConfig{
-				Jobs:   experiments.QueueMix(16, queueTestNodes, opts),
-				Nodes:  queueTestNodes,
-				Policy: p,
-				Seed:   1,
-			})).RunQueue()
-			if err != nil {
-				t.Fatalf("policy %v: %v", p, err)
-			}
-			return m
-		}
-		m := run()
-		if m.Completed != 16 || m.Rejected != 0 {
-			t.Fatalf("policy %v: completed %d rejected %d, want 16/0", p, m.Completed, m.Rejected)
-		}
-		apps := make(map[string]bool)
-		for _, j := range m.Jobs {
-			apps[j.App] = true
-		}
-		if len(apps) < 3 {
-			t.Fatalf("policy %v: want >= 3 distinct apps in the mix, got %v", p, apps)
-		}
-		again := run()
-		if m.Makespan != again.Makespan || m.MeanWait != again.MeanWait || m.Pairs != again.Pairs {
-			t.Fatalf("policy %v: results not deterministic: %v/%v vs %v/%v",
-				p, m.Makespan, m.MeanWait, again.Makespan, again.MeanWait)
-		}
-		waits[p] = m.MeanWait
-	}
-	if waits[rocket.PolicyFairShare] >= waits[rocket.PolicyFIFO] {
-		t.Fatalf("fair-share mean wait %v should beat FIFO %v on the skewed mix",
-			waits[rocket.PolicyFairShare], waits[rocket.PolicyFIFO])
-	}
-}
-
 // The online public API: the queue a Serve starts accepts submissions
 // while the fleet runs, drains on Shutdown, and its arrival log replays
-// through RunQueue with identical fleet metrics.
+// through sched.Run with identical fleet metrics.
 func TestStartQueueOnlineThroughPublicAPI(t *testing.T) {
-	srv, err := rocket.Serve(rocket.ServeConfig{Nodes: 2, Policy: rocket.PolicySJF, Seed: 5})
+	srv, err := rocket.Serve(rocket.ServeConfig{Nodes: 2, Policy: sched.PolicySJF, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := srv.Queue()
 	for i := 0; i < 4; i++ {
 		app := forensics.New(forensics.Params{N: 8, Seed: uint64(i + 1)})
-		if _, err := q.Submit(rocket.QueueJob{App: app}); err != nil {
+		if _, err := q.Submit(sched.Job{App: app}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,10 +112,10 @@ func TestStartQueueOnlineThroughPublicAPI(t *testing.T) {
 	if m.Completed != 4 {
 		t.Fatalf("completed %d/4", m.Completed)
 	}
-	if _, err := q.Submit(rocket.QueueJob{App: forensics.New(forensics.Params{N: 8, Seed: 9})}); !errors.Is(err, rocket.ErrShuttingDown) {
+	if _, err := q.Submit(sched.Job{App: forensics.New(forensics.Params{N: 8, Seed: 9})}); !errors.Is(err, sched.ErrShuttingDown) {
 		t.Fatalf("submit after shutdown: %v, want ErrShuttingDown", err)
 	}
-	replay, err := rocket.New(rocket.WithQueueConfig(q.ReplayConfig())).RunQueue()
+	replay, err := sched.Run(q.ReplayConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,6 +123,16 @@ func TestStartQueueOnlineThroughPublicAPI(t *testing.T) {
 	b, _ := replay.JSON()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("replay differs:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// The queue rocket.Serve starts sizes its fleet from Nodes alone: a node
+// spec describes each node, so a spec without Nodes is refused with the
+// scheduler's Nodes error.
+func TestRunQueueNeedsQueueNodes(t *testing.T) {
+	_, err := rocket.Serve(rocket.ServeConfig{NodeSpec: rocket.PaperTopology()[1], Seed: 2})
+	if err == nil || !strings.Contains(err.Error(), "Config.Nodes must be >= 1") {
+		t.Fatalf("Serve without Nodes: err = %v, want the Nodes error", err)
 	}
 }
 
@@ -193,9 +156,7 @@ func TestServeThroughPublicAPI(t *testing.T) {
 	if _, err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	var info rocket.QueueJobInfo
-	ok := false
-	if info, ok = srv.Queue().Job("job0"); !ok || info.Status.String() != "done" {
+	if info, ok := srv.Queue().Job("job0"); !ok || info.Status.String() != "done" {
 		t.Fatalf("job0: %+v (ok=%v), want done", info, ok)
 	}
 }

@@ -2,7 +2,6 @@ package rocket_test
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"rocket"
@@ -77,91 +76,5 @@ func TestRunnerOptionErrorsSurfaceAtRun(t *testing.T) {
 	}
 	if _, err := rocket.New().Run(nil); err == nil {
 		t.Error("Run(nil app) should fail")
-	}
-}
-
-// RunQueue sizes its cluster from the queue configuration alone: a
-// Runner's topology describes Run and RunFleet platforms, and a queue with
-// no QueueConfig.Nodes is refused instead of running copies of the first
-// node.
-func TestRunQueueNeedsQueueNodes(t *testing.T) {
-	job := rocket.QueueJob{App: forensics.New(forensics.Params{N: 12, Seed: 2})}
-	_, err := rocket.New(rocket.WithTopology(rocket.PaperTopology()...)).RunQueue(job)
-	if err == nil || !strings.Contains(err.Error(), "Config.Nodes must be >= 1") {
-		t.Fatalf("RunQueue without QueueConfig.Nodes: err = %v, want the Nodes error", err)
-	}
-}
-
-// TestRunnerQueueEquivalentForms: the two ways of feeding the queue —
-// pre-loaded cfg.Jobs and argument append — must produce bit-identical
-// reports.
-func TestRunnerQueueEquivalentForms(t *testing.T) {
-	jobs := []rocket.QueueJob{
-		{App: forensics.New(forensics.Params{N: 16, Seed: 2}), Nodes: 2},
-		{App: microscopy.New(microscopy.Params{N: 12, Seed: 3}), Nodes: 1},
-		{App: forensics.New(forensics.Params{N: 12, Seed: 4}), Nodes: 1},
-	}
-	cfg := rocket.QueueConfig{Jobs: jobs, Nodes: 3, Seed: 11, Policy: rocket.PolicySJF}
-
-	ref, err := rocket.New(rocket.WithQueueConfig(cfg)).RunQueue()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Jobs passed as arguments append to the configured queue.
-	base := rocket.QueueConfig{Nodes: 3, Seed: 11, Policy: rocket.PolicySJF}
-	argd, err := rocket.New(rocket.WithQueueConfig(base)).RunQueue(jobs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if argd.Report() != ref.Report() {
-		t.Fatal("RunQueue(jobs...) diverged from pre-loaded cfg.Jobs")
-	}
-}
-
-// TestRunnerElasticOptions drives both elastic surfaces through the
-// public API: FleetConfig.Elastic churns a fleet run, and
-// QueueConfig.Elastic puts queue runs on a pay-per-use bill.
-func TestRunnerElasticOptions(t *testing.T) {
-	r := rocket.New(
-		rocket.WithHomogeneous(16, rocket.DAS5Node(rocket.TitanXMaxwell)),
-		rocket.WithSeed(3),
-	)
-	res, err := r.RunFleet(func(c *rocket.FleetConfig) {
-		c.Duration = 4e6 // 4ms
-		c.Elastic = &rocket.Elasticity{
-			InitialNodes:    4,
-			Arrival:         "wave",
-			Waves:           2,
-			PreemptFraction: 0.25,
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Joins == 0 || res.Preempts == 0 {
-		t.Fatalf("elastic fleet saw no churn: %+v", res)
-	}
-
-	jobs := []rocket.QueueJob{
-		{App: forensics.New(forensics.Params{N: 12, Seed: 2})},
-		{App: forensics.New(forensics.Params{N: 12, Seed: 3})},
-	}
-	m, err := rocket.New(
-		rocket.WithSeed(5),
-		rocket.WithQueueConfig(rocket.QueueConfig{
-			Nodes:   4,
-			Seed:    5,
-			Elastic: &rocket.Autoscale{MinNodes: 1, IdleTimeout: 1e9},
-		}),
-	).RunQueue(jobs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Elastic || m.Completed != 2 {
-		t.Fatalf("autoscaled queue: elastic=%v completed=%d", m.Elastic, m.Completed)
-	}
-	if m.NodeSeconds >= float64(m.TotalNodes)*m.Makespan.Seconds() {
-		t.Fatalf("autoscaler bill %.3f not below fixed fleet", m.NodeSeconds)
 	}
 }
