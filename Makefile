@@ -1,8 +1,8 @@
-# Local entry points mirroring .github/workflows/ci.yml, so local and CI
-# runs cannot drift: `make ci` executes exactly the workflow's steps.
-# (The only tolerated difference: staticcheck/govulncheck are installed
-# on CI runners; locally they run when present on PATH and are skipped
-# with a notice otherwise, since offline sandboxes cannot `go install`.)
+# The checks .github/workflows/ci.yml runs: its steps call these targets,
+# so local and CI runs cannot drift, and `make ci` runs them all. (The
+# only tolerated difference: staticcheck/govulncheck are installed on CI
+# runners; locally they run when present on PATH and are skipped with a
+# notice otherwise, since offline sandboxes cannot `go install`.)
 
 GO ?= go
 COVERAGE_FLOOR ?= 75.0
@@ -15,14 +15,14 @@ build:
 test:
 	$(GO) test -race ./...
 
-# Mirrors the workflow's race-stress step: exercise the parallel sweep
+# Exercise the parallel sweep
 # workers, the online submission paths, and fault recovery repeatedly
 # under -race at two GOMAXPROCS widths.
 race-stress:
 	GOMAXPROCS=2 $(GO) test -race -count=2 ./internal/sched/ ./internal/core/ ./internal/serve/
 	GOMAXPROCS=8 $(GO) test -race -count=2 ./internal/sched/ ./internal/core/ ./internal/serve/
 
-# Mirrors the workflow's alloc-stress step: the allocation gates must hold
+# The allocation gates must hold
 # while tests share the CPU, as they do under `go test ./...`. Six copies
 # run at once, eight rounds each; a round runs every allocation gate
 # (experiments' goldens, the pairstore ingest budget, core's and the
@@ -73,7 +73,7 @@ bench-repo:
 loc:
 	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l
 
-# Mirrors the workflow's coverage job: total statement coverage across all
+# Total statement coverage across all
 # packages must not drop below the seed-measured floor.
 coverage:
 	$(GO) test -count=1 -coverprofile=cover.out -coverpkg=./... ./...
@@ -82,10 +82,10 @@ coverage:
 	echo "total coverage: $$total% (floor $(COVERAGE_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVERAGE_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }'
 
-# Mirrors the workflow's smoke job: every example and every rocket
-# subcommand runs end to end at tiny scale, including a serve -> drain ->
-# offline-replay round trip. Each example runs twice and its two outputs
-# must be byte-identical.
+# Every example and every rocket subcommand runs end to end at tiny
+# scale, including a serve -> submit -> result -> drain -> offline-replay
+# round trip. Each example runs twice and its two outputs must be
+# byte-identical.
 smoke:
 	for d in examples/*/; do \
 		echo "== go run ./$$d"; \
@@ -106,6 +106,7 @@ smoke:
 	curl -sf 127.0.0.1:18080/v1/jobs -d '{"app":"forensics","items":8}' > /dev/null && \
 	curl -sf 127.0.0.1:18080/v1/jobs -d '{"app":"microscopy","items":8,"tenant":"lab"}' > /dev/null && \
 	sleep 2 && \
+	curl -sf 127.0.0.1:18080/v1/jobs/job0/result > /dev/null && \
 	curl -sf 127.0.0.1:18080/metrics | grep -q 'rocketd_jobs' && \
 	kill -TERM $$pid && wait $$pid || { kill $$pid 2>/dev/null; exit 1; }
 	/tmp/rocket-smoke queue -replay /tmp/rocket-smoke-served.json > /tmp/rocket-smoke-replay.txt
@@ -116,7 +117,7 @@ smoke:
 	/tmp/rocket-smoke load -local -jobs 8 -mode open -rate 100 -items 8 -fault-rate 0.25
 	/tmp/rocket-smoke load -local -jobs 8 -items 8 -max-nodes 4 -scenario scenarios/crash-recovery.yaml
 
-# Mirrors the workflow's smoke-scenarios job: every committed scenario
+# Every committed scenario
 # runs twice with the same seed; the run fails on any assertion failure
 # (exit 1) and the two JSON reports of each scenario must be
 # byte-identical — a replayability gate over the whole corpus. Reports
@@ -130,8 +131,7 @@ smoke-scenarios:
 	/tmp/rocket-smoke scenario run -q -report /tmp/rocket-scenario-reports-rerun scenarios/*.yaml
 	diff -r /tmp/rocket-scenario-reports /tmp/rocket-scenario-reports-rerun
 
-# Mirrors the workflow's smoke-incremental step: the pair-store
-# warm-start flow end to end — create a dataset, run it, append, run the
+# The pair-store warm-start flow end to end — create a dataset, run it, append, run the
 # delta, assert the base pairs were served from the store (66 = C(12,2)
 # hits on the delta job), then replay the served log offline and require
 # byte-identical fleet summaries. Store segment stats land in
@@ -162,8 +162,7 @@ smoke-incremental:
 	test -s /tmp/rocket-incr-store.json
 	test -s /tmp/rocket-incr-store-stats.json
 
-# Mirrors the workflow's smoke-trace step: the observability layer's
-# determinism gate. The quickstart and stress-1k scenarios
+# The observability layer's determinism gate. The quickstart and stress-1k scenarios
 # export Perfetto JSON twice each and every pair must be byte-identical —
 # the flight recorder's canonical span ordering makes trace output a pure
 # function of the workload. (That recording changes no experiment's output
@@ -180,7 +179,7 @@ smoke-trace:
 	done
 	/tmp/rocket-smoke trace top -scenario scenarios/stress-1k.yaml > /dev/null
 
-# Mirrors the workflow's fuzz step: short go-native fuzz runs over the
+# Short go-native fuzz runs over the
 # manifest codec (seed corpus under internal/jobspec/testdata), the
 # columnar segment codec — truncated or bit-flipped segment files must
 # fail with a structured *CorruptError, never a panic — the store against

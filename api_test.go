@@ -1,11 +1,18 @@
 package rocket_test
 
 import (
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -196,6 +203,7 @@ type goFile struct {
 }
 
 type goRepo struct {
+	fset    *token.FileSet
 	files   []goFile
 	pkgName map[string]string // directory -> package name of its non-test files
 }
@@ -205,7 +213,7 @@ type goRepo struct {
 func parseRepo(t *testing.T) *goRepo {
 	t.Helper()
 	fset := token.NewFileSet()
-	repo := &goRepo{pkgName: map[string]string{}}
+	repo := &goRepo{fset: fset, pkgName: map[string]string{}}
 	for _, root := range []string{".", "cmd", "examples", "bench", "internal"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
@@ -316,3 +324,234 @@ func (r *goRepo) importName(f *ast.File, dir string) string {
 	}
 	return ""
 }
+
+// configFieldAllowlist names the config fields that stay settable
+// without a writer outside their package. Each value says who sets it.
+var configFieldAllowlist = map[string]string{
+	"fleet.Config.Nodes": "fleet.DefaultConfig(nodes) sets it from its argument, which every caller outside fleet passes",
+}
+
+// TestEveryConfigFieldIsSet holds every knob under internal/ to a
+// caller. It covers the exported fields of the exported struct types
+// named Config or ending in Config, Params or Options, plus
+// sched.Autoscale and fault.Elasticity. A field passes when a non-test
+// file of another package (the root, cmd/, examples/, bench/ or
+// internal/) writes it: as a composite-literal key or element, as the
+// target of an assignment, or through &x.F (a flag binding). A field
+// with a json tag passes, since decoding sets it. A field that only its
+// own package's defaults or tests set has one value in use: make it a
+// constant, or delete it.
+//
+// Writes are matched per field object with go/types, not per name, so
+// one package writing its own NodeSpec does not hide another's.
+func TestEveryConfigFieldIsSet(t *testing.T) {
+	pkgs := typeCheckRepo(t, parseRepo(t))
+
+	fields := map[*types.Var]string{}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.Path(), "rocket/internal/") {
+			continue
+		}
+		scope := p.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() || !isConfigType(p.Name()+"."+name) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if _, decoded := reflect.StructTag(st.Tag(i)).Lookup("json"); f.Exported() && !decoded {
+					fields[f] = p.Name() + "." + name + "." + f.Name()
+				}
+			}
+		}
+	}
+	if len(fields) == 0 {
+		t.Fatal("found no config fields")
+	}
+
+	written := map[*types.Var]bool{}
+	for _, p := range pkgs {
+		p.writes(func(f *types.Var) {
+			if f.Pkg() != p.Package {
+				written[f] = true
+			}
+		})
+	}
+
+	keys := map[string]bool{}
+	var unset []string
+	for f, key := range fields {
+		keys[key] = true
+		_, allowed := configFieldAllowlist[key]
+		switch {
+		case written[f] && allowed:
+			t.Errorf("%s is written outside its package; drop it from configFieldAllowlist", key)
+		case !written[f] && !allowed:
+			unset = append(unset, key)
+		}
+	}
+	for key := range configFieldAllowlist {
+		if !keys[key] {
+			t.Errorf("%s is on configFieldAllowlist but is no config field", key)
+		}
+	}
+	sort.Strings(unset)
+	if len(unset) > 0 {
+		t.Errorf("%d of %d config fields are set only by their own package or tests (make each a constant, or delete it):\n\t%s",
+			len(unset), len(fields), strings.Join(unset, "\n\t"))
+	}
+}
+
+// isConfigType reports whether "pkg.T" names a configuration struct.
+func isConfigType(name string) bool {
+	if name == "sched.Autoscale" || name == "fault.Elasticity" {
+		return true
+	}
+	for _, suffix := range []string{"Config", "Params", "Options"} {
+		if strings.HasSuffix(name, suffix) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkedPkg is one type-checked package of the repository: its
+// non-test files and what go/types recorded about them.
+type checkedPkg struct {
+	*types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// writes calls fn on each struct field that p's files write: a keyed or
+// positional composite-literal element, an assignment or ++/-- target,
+// or the operand of &.
+func (p *checkedPkg) writes(fn func(*types.Var)) {
+	target := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+				continue
+			case *ast.IndexExpr:
+				e = x.X
+				continue
+			case *ast.SelectorExpr:
+				if f, ok := p.info.Uses[x.Sel].(*types.Var); ok && f.IsField() {
+					fn(f)
+				}
+			}
+			return
+		}
+	}
+	for _, file := range p.files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.CompositeLit:
+				st, ok := p.info.TypeOf(x).Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range x.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if f, ok := p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							fn(f)
+						}
+					} else {
+						fn(st.Field(i))
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					target(lhs)
+				}
+			case *ast.IncDecStmt:
+				target(x.X)
+			case *ast.UnaryExpr:
+				if x.Op == token.AND {
+					target(x.X)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// typeCheckRepo type-checks the non-test files of every package
+// parseRepo read. Repository imports resolve to these checked packages,
+// so a field is one object wherever it is named; the standard library
+// comes from the export data `go list -export` reports.
+func typeCheckRepo(t *testing.T, repo *goRepo) []*checkedPkg {
+	t.Helper()
+	out, err := exec.Command("go", "list", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}", "./...").Output()
+	if err != nil {
+		t.Fatalf("go list -export: %v", err)
+	}
+	export := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if path, file, ok := strings.Cut(line, "="); ok {
+			export[path] = file
+		}
+	}
+	std := importer.ForCompiler(repo.fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := export[path]
+		if !ok || file == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
+
+	files := map[string][]*ast.File{}
+	for _, f := range repo.files {
+		if !f.test {
+			path := "rocket"
+			if f.dir != "." {
+				path += "/" + f.dir
+			}
+			files[path] = append(files[path], f.ast)
+		}
+	}
+	checked := map[string]*checkedPkg{}
+	var check func(path string) (*types.Package, error)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if _, ok := files[path]; !ok {
+			return std.Import(path)
+		}
+		return check(path)
+	})
+	check = func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p.Package, nil
+		}
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(path, repo.fset, files[path], info)
+		if err != nil {
+			return nil, err
+		}
+		checked[path] = &checkedPkg{Package: pkg, files: files[path], info: info}
+		return pkg, nil
+	}
+	paths := make([]string, 0, len(files))
+	for path := range files {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	pkgs := make([]*checkedPkg, 0, len(paths))
+	for _, path := range paths {
+		if _, err := check(path); err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
+		pkgs = append(pkgs, checked[path])
+	}
+	return pkgs
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

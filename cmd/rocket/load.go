@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -276,12 +277,15 @@ func closedLoop(opts options, out chan<- result) {
 	wg.Wait()
 }
 
+// percentile interpolates linearly between the two samples around rank
+// p·(n−1) of sorted.
 func percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
+	pos := p * float64(len(sorted)-1)
+	lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
+	return sorted[lo] + (pos-float64(lo))*(sorted[hi]-sorted[lo])
 }
 
 // validate rejects option values the load generator cannot run with. It

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -60,5 +61,25 @@ func TestLoadLocal(t *testing.T) {
 	}
 	if !strings.HasPrefix(out, "rocket load: closed mode, 4 jobs") || !strings.Contains(out, "done") {
 		t.Errorf("unexpected report:\n%s", out)
+	}
+}
+
+// TestPercentileInterpolates: the printed p50 and p95 interpolate between
+// the samples around rank p·(n−1), as the repository benchmark's
+// quantiles do, instead of truncating to the lower one.
+func TestPercentileInterpolates(t *testing.T) {
+	for _, tc := range []struct {
+		sorted  []float64
+		p, want float64
+	}{
+		{[]float64{5}, 0.95, 5},
+		{[]float64{1, 2}, 0.50, 1.5},
+		{[]float64{1, 2}, 0.95, 1.95},
+		{[]float64{1, 2, 3, 4, 5, 6, 7, 8}, 0.50, 4.5},
+		{[]float64{1, 2, 3, 4, 5, 6, 7, 8}, 0.95, 7.65},
+	} {
+		if got := percentile(tc.sorted, tc.p); math.Abs(got-tc.want) > 1e-9 {
+			t.Errorf("p%.0f of %d samples = %v, want %v", 100*tc.p, len(tc.sorted), got, tc.want)
+		}
 	}
 }

@@ -26,7 +26,7 @@ func runForensics(t *testing.T, nodes int, mutate func(*core.Config)) *rocket.Me
 	for i := range specs {
 		specs[i] = rocket.DAS5Node(rocket.TitanXMaxwell)
 	}
-	cl, err := cluster.New(specs, cluster.DefaultConfig())
+	cl, err := cluster.New(specs)
 	if err != nil {
 		t.Fatal(err)
 	}

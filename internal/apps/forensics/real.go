@@ -26,13 +26,16 @@ type RealParams struct {
 	// Cameras is the number of distinct source cameras; images are
 	// assigned round-robin.
 	Cameras int
-	// Width and Height are the image dimensions (the paper uses
-	// 3648x2736; the synthetic default is 128x96 so examples run fast).
-	Width, Height int
-	// Strength is the PRNU pattern standard deviation.
-	Strength float64
-	Seed     uint64
+	Seed    uint64
 }
+
+const (
+	// width and height are the image dimensions (the paper uses
+	// 3648x2736; the synthetic images are 128x96 so examples run fast).
+	width, height = 128, 96
+	// strength is the PRNU pattern standard deviation.
+	strength = 0.05
+)
 
 func (p *RealParams) fillDefaults() {
 	if p.N == 0 {
@@ -40,15 +43,6 @@ func (p *RealParams) fillDefaults() {
 	}
 	if p.Cameras == 0 {
 		p.Cameras = 4
-	}
-	if p.Width == 0 {
-		p.Width = 128
-	}
-	if p.Height == 0 {
-		p.Height = 96
-	}
-	if p.Strength == 0 {
-		p.Strength = 0.05
 	}
 }
 
@@ -83,7 +77,7 @@ func generateDataset(p RealParams) (*MemDataset, error) {
 	p.fillDefaults()
 	cams := make([]*Camera, p.Cameras)
 	for c := range cams {
-		cams[c] = newCamera(p.Width, p.Height, p.Strength, stats.HashRNG(p.Seed, uint64(c), 0xca).Uint64())
+		cams[c] = newCamera(width, height, strength, stats.HashRNG(p.Seed, uint64(c), 0xca).Uint64())
 	}
 	ds := &MemDataset{Files: make([][]byte, p.N)}
 	for i := 0; i < p.N; i++ {

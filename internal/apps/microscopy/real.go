@@ -29,12 +29,13 @@ type RealParams struct {
 	Noise float64
 	// LabelEff is the labeling efficiency (detection probability).
 	LabelEff float64
-	// Sigma is the GMM kernel width used by the registration.
-	Sigma float64
 	// CoarseSteps is the number of coarse rotation-scan angles.
 	CoarseSteps int
 	Seed        uint64
 }
+
+// kernelSigma is the GMM kernel width used by the registration.
+const kernelSigma = 6
 
 func (p *RealParams) fillDefaults() {
 	if p.N == 0 {
@@ -45,9 +46,6 @@ func (p *RealParams) fillDefaults() {
 	}
 	if p.LabelEff == 0 {
 		p.LabelEff = 0.7
-	}
-	if p.Sigma == 0 {
-		p.Sigma = 6
 	}
 	if p.CoarseSteps == 0 {
 		p.CoarseSteps = 24
@@ -113,5 +111,5 @@ func (a *RealApp) LoadItem(item int) (interface{}, error) {
 // ComparePair implements core.Computer: register the two particles and
 // return the Registration outcome.
 func (a *RealApp) ComparePair(i, j int, x, y interface{}) (interface{}, error) {
-	return register(x.(*Particle), y.(*Particle), a.params.Sigma, a.params.CoarseSteps), nil
+	return register(x.(*Particle), y.(*Particle), kernelSigma, a.params.CoarseSteps), nil
 }

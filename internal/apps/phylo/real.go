@@ -28,17 +28,21 @@ type RealParams struct {
 	// Groups is the number of ancestral clades; species are assigned
 	// round-robin, so species i belongs to clade i mod Groups.
 	Groups int
-	// Proteins is the number of proteins per proteome.
-	Proteins int
-	// ProteinLen is the mean protein length (amino acids).
-	ProteinLen int
-	// MutationRate is the per-residue substitution probability applied
-	// when deriving a species from its clade ancestor.
-	MutationRate float64
-	// K is the composition-vector string length.
-	K    int
-	Seed uint64
+	Seed   uint64
 }
+
+// The shape of the synthetic proteomes and of their composition vectors.
+const (
+	// proteins is the number of proteins per proteome.
+	proteins = 20
+	// proteinLen is the mean protein length (amino acids).
+	proteinLen = 300
+	// mutationRate is the per-residue substitution probability applied
+	// when deriving a species from its clade ancestor.
+	mutationRate = 0.05
+	// cvOrder is the composition-vector string length K.
+	cvOrder = 4
+)
 
 func (p *RealParams) fillDefaults() {
 	if p.N == 0 {
@@ -46,18 +50,6 @@ func (p *RealParams) fillDefaults() {
 	}
 	if p.Groups == 0 {
 		p.Groups = 3
-	}
-	if p.Proteins == 0 {
-		p.Proteins = 20
-	}
-	if p.ProteinLen == 0 {
-		p.ProteinLen = 300
-	}
-	if p.MutationRate == 0 {
-		p.MutationRate = 0.05
-	}
-	if p.K == 0 {
-		p.K = 4
 	}
 }
 
@@ -85,8 +77,8 @@ func NewReal(p RealParams) (*RealApp, error) {
 // Clade returns the ground-truth clade of a species.
 func (a *RealApp) Clade(item int) int { return item % a.params.Groups }
 
-// K returns the configured composition-vector order.
-func (a *RealApp) K() int { return a.params.K }
+// K returns the composition-vector order.
+func (a *RealApp) K() int { return cvOrder }
 
 // generateDataset synthesizes proteome files: Groups random ancestor
 // proteomes, each species a mutated copy of its clade's ancestor.
@@ -95,12 +87,12 @@ func generateDataset(p RealParams) (*MemDataset, error) {
 	ancestors := make([][]string, p.Groups)
 	for g := range ancestors {
 		rng := stats.HashRNG(p.Seed, uint64(g), 0xa9ce5)
-		ancestors[g] = randomProteome(rng, p.Proteins, p.ProteinLen)
+		ancestors[g] = randomProteome(rng, proteins, proteinLen)
 	}
 	ds := &MemDataset{Files: make([][]byte, p.N)}
 	for i := 0; i < p.N; i++ {
 		rng := stats.HashRNG(p.Seed, uint64(i), 0x59ec1e5)
-		proteome := mutateProteome(ancestors[i%p.Groups], p.MutationRate, rng)
+		proteome := mutateProteome(ancestors[i%p.Groups], mutationRate, rng)
 		raw, err := encodeFASTA(fmt.Sprintf("species%d", i), proteome)
 		if err != nil {
 			return nil, err
@@ -148,7 +140,7 @@ func (a *RealApp) LoadItem(item int) (interface{}, error) {
 	if err != nil {
 		return nil, fmt.Errorf("item %d: %w", item, err)
 	}
-	return buildCV(seqs, a.params.K)
+	return buildCV(seqs, cvOrder)
 }
 
 // ComparePair implements core.Computer: the CV correlation distance.

@@ -98,38 +98,29 @@ type Cluster struct {
 	totalSpeed float64
 }
 
-// Config configures fabric characteristics.
-type Config struct {
+// The fabric is the paper's DAS-5 setup: 56 Gb/s FDR InfiniBand and a
+// MinIO server on the same fabric.
+const (
 	// NetLatency is the one-way message latency (FDR InfiniBand ~ few us).
-	NetLatency sim.Time
+	NetLatency = 5 * sim.Microsecond
 	// NetBandwidth is per-NIC bandwidth in bytes/second (56 Gb/s FDR = 7e9).
-	NetBandwidth float64
+	NetBandwidth = 7e9
 	// StorageLatency is the per-request overhead of the storage server.
-	StorageLatency sim.Time
+	StorageLatency = 500 * sim.Microsecond
 	// StorageBandwidth is the server's aggregate bandwidth in bytes/second,
 	// shared by all nodes.
-	StorageBandwidth float64
-}
+	StorageBandwidth = 2e9
+)
 
-// DefaultConfig returns fabric parameters modeled on the DAS-5 setup:
-// 56 Gb/s FDR InfiniBand and a MinIO server on the same fabric.
-func DefaultConfig() Config {
-	return Config{
-		NetLatency:       sim.Micros(5),
-		NetBandwidth:     7e9,
-		StorageLatency:   sim.Micros(500),
-		StorageBandwidth: 2e9,
-	}
-}
-
-// New builds a cluster of the given nodes. Node i gets ID i.
-func New(specs []NodeSpec, cfg Config) (*Cluster, error) {
+// New builds a cluster of the given nodes on the DAS-5 fabric. Node i
+// gets ID i.
+func New(specs []NodeSpec) (*Cluster, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("cluster: need at least one node")
 	}
 	c := &Cluster{
-		Net:     newNetwork(cfg.NetLatency, cfg.NetBandwidth),
-		Storage: newStorage(cfg.StorageLatency, cfg.StorageBandwidth),
+		Net:     &Network{},
+		Storage: &Storage{server: sim.NewResource("storage", 1)},
 	}
 	for i, s := range specs {
 		if _, err := c.addNode(s); err != nil {

@@ -11,7 +11,7 @@ import (
 func twoNodeCluster(t *testing.T) *Cluster {
 	t.Helper()
 	spec := NodeSpec{Cores: 16, HostCacheBytes: 40 * gpu.GiB, GPUs: []gpu.Model{gpu.TitanXMaxwell}}
-	c, err := New([]NodeSpec{spec, spec}, DefaultConfig())
+	c, err := New([]NodeSpec{spec, spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,20 +19,20 @@ func twoNodeCluster(t *testing.T) *Cluster {
 }
 
 func TestNewValidatesSpecs(t *testing.T) {
-	_, err := New(nil, DefaultConfig())
+	_, err := New(nil)
 	if err == nil {
 		t.Error("empty cluster accepted")
 	}
 	bad := []NodeSpec{{Cores: 0, GPUs: []gpu.Model{gpu.K20m}}}
-	if _, err := New(bad, DefaultConfig()); err == nil {
+	if _, err := New(bad); err == nil {
 		t.Error("zero-core node accepted")
 	}
 	noGPU := []NodeSpec{{Cores: 4}}
-	if _, err := New(noGPU, DefaultConfig()); err == nil {
+	if _, err := New(noGPU); err == nil {
 		t.Error("GPU-less node accepted")
 	}
 	negMem := []NodeSpec{{Cores: 4, HostCacheBytes: -1, GPUs: []gpu.Model{gpu.K20m}}}
-	if _, err := New(negMem, DefaultConfig()); err == nil {
+	if _, err := New(negMem); err == nil {
 		t.Error("negative host cache accepted")
 	}
 }
@@ -80,7 +80,7 @@ func TestNetworkSendDelivers(t *testing.T) {
 	if got.Payload != "hello" || got.From != 0 || got.To != 1 {
 		t.Fatalf("message = %+v", got)
 	}
-	want := sim.Second + c.Net.Latency
+	want := sim.Second + NetLatency
 	if gotAt != want {
 		t.Fatalf("delivered at %v, want %v", gotAt, want)
 	}
@@ -130,13 +130,13 @@ func TestSendAsyncDoesNotBlock(t *testing.T) {
 	}
 	e.Run()
 	e.Close()
-	if got.Payload != "big" || gotAt != sim.Second+c.Net.Latency {
+	if got.Payload != "big" || gotAt != sim.Second+NetLatency {
 		t.Errorf("async delivery of %v at %v", got.Payload, gotAt)
 	}
 }
 
 func TestStorageAccountsAndQueues(t *testing.T) {
-	s := newStorage(0, 2e9)
+	s := twoNodeCluster(t).Storage
 	e := sim.NewEnv()
 	var done []sim.Time
 	for i := 0; i < 2; i++ {
@@ -144,7 +144,7 @@ func TestStorageAccountsAndQueues(t *testing.T) {
 	}
 	e.Run()
 	e.Close()
-	if len(done) != 2 || done[0] != sim.Second || done[1] != 2*sim.Second {
+	if len(done) != 2 || done[0] != StorageLatency+sim.Second || done[1] != StorageLatency+2*sim.Second {
 		t.Fatalf("reads completed at %v; bandwidth must be shared", done)
 	}
 	if s.BytesRead() != 4e9 || s.Reads() != 2 {
@@ -153,24 +153,14 @@ func TestStorageAccountsAndQueues(t *testing.T) {
 }
 
 func TestStorageLatencyApplied(t *testing.T) {
-	s := newStorage(sim.Millis(1), 1e9)
+	s := twoNodeCluster(t).Storage
 	e := sim.NewEnv()
 	var doneAt sim.Time
-	s.ReadFunc(e, 1e9, func() { doneAt = e.Now() })
+	s.ReadFunc(e, 2e9, func() { doneAt = e.Now() })
 	e.Run()
 	e.Close()
-	if want := sim.Millis(1) + sim.Second; doneAt != want {
+	if want := StorageLatency + sim.Second; doneAt != want {
 		t.Errorf("read took %v, want %v", doneAt, want)
-	}
-}
-
-func TestDefaultConfigSane(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.NetBandwidth <= 0 || cfg.StorageBandwidth <= 0 {
-		t.Fatal("default bandwidths must be positive")
-	}
-	if cfg.NetLatency <= 0 {
-		t.Fatal("default latency must be positive")
 	}
 }
 
@@ -190,7 +180,7 @@ func TestSendFuncMirrorsBlockingSend(t *testing.T) {
 	if returned != sim.Second {
 		t.Errorf("SendFunc continuation at %v, want 1s (after serialization)", returned)
 	}
-	if got.Payload != "big" || delivered != sim.Second+c.Net.Latency {
+	if got.Payload != "big" || delivered != sim.Second+NetLatency {
 		t.Errorf("delivery of %v at %v, want big at 1s + latency", got.Payload, delivered)
 	}
 }
@@ -213,7 +203,7 @@ func TestSendFuncLocalInline(t *testing.T) {
 }
 
 func TestStorageReadFuncMatchesRead(t *testing.T) {
-	s := newStorage(sim.Millis(1), 2e9)
+	s := twoNodeCluster(t).Storage
 	e := sim.NewEnv()
 	var done []sim.Time
 	for i := 0; i < 3; i++ {
@@ -222,7 +212,7 @@ func TestStorageReadFuncMatchesRead(t *testing.T) {
 	e.Run()
 	e.Close()
 	// All three pay the latency concurrently, then queue for 1s each.
-	want := []sim.Time{sim.Millis(1) + sim.Second, sim.Millis(1) + 2*sim.Second, sim.Millis(1) + 3*sim.Second}
+	want := []sim.Time{StorageLatency + sim.Second, StorageLatency + 2*sim.Second, StorageLatency + 3*sim.Second}
 	if fmt.Sprint(done) != fmt.Sprint(want) {
 		t.Fatalf("ReadFunc completions %v, want %v", done, want)
 	}
@@ -320,7 +310,7 @@ func TestNetworkLinkPartitionAndDegradation(t *testing.T) {
 	c.Net.SendAsync(e, c.Nodes[0], c.Nodes[1], 7e9, "slow") // 1s healthy
 	e.Run()
 	e.Close()
-	want := 4*sim.Second + 2*c.Net.Latency
+	want := 4*sim.Second + 2*NetLatency
 	if got.Payload != "slow" || gotAt != want {
 		t.Fatalf("degraded delivery of %v at %v, want slow at %v", got.Payload, gotAt, want)
 	}
@@ -397,7 +387,7 @@ func TestTransferSlotDoubleFreePanics(t *testing.T) {
 }
 
 func TestClusterAddNodeMaintainsAggregates(t *testing.T) {
-	c, err := New([]NodeSpec{NodeSpec{Cores: 16, HostCacheBytes: 1 << 30, GPUs: []gpu.Model{gpu.TitanXMaxwell}}, NodeSpec{Cores: 16, HostCacheBytes: 1 << 30, GPUs: []gpu.Model{gpu.TitanXMaxwell}}}, DefaultConfig())
+	c, err := New([]NodeSpec{NodeSpec{Cores: 16, HostCacheBytes: 1 << 30, GPUs: []gpu.Model{gpu.TitanXMaxwell}}, NodeSpec{Cores: 16, HostCacheBytes: 1 << 30, GPUs: []gpu.Model{gpu.TitanXMaxwell}}})
 	if err != nil {
 		t.Fatal(err)
 	}

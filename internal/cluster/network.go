@@ -47,9 +47,6 @@ var healthyLink = LinkState{Up: true, LatencyFactor: 1, BandwidthFactor: 1}
 // while it was in flight) was transmitted, so it counts in Messages,
 // BytesSent, and Dropped.
 type Network struct {
-	Latency   sim.Time
-	Bandwidth float64 // bytes/sec per NIC
-
 	bytesSent int64
 	messages  uint64
 	dropped   uint64
@@ -75,14 +72,6 @@ type transfer struct {
 	latency sim.Time
 	// done is the sender-side completion of a SendFunc, nil for SendAsync.
 	done func()
-}
-
-// newNetwork returns a network with the given characteristics.
-func newNetwork(latency sim.Time, bandwidth float64) *Network {
-	if bandwidth <= 0 {
-		panic("cluster: network bandwidth must be positive")
-	}
-	return &Network{Latency: latency, Bandwidth: bandwidth}
 }
 
 // SetAliveFunc installs the node-liveness hook. A message whose sender or
@@ -115,7 +104,7 @@ func (nw *Network) Dropped() uint64 { return nw.dropped }
 
 // TransferTime returns the serialization time for size bytes on one NIC.
 func (nw *Network) TransferTime(size int64) sim.Time {
-	return sim.Seconds(float64(size) / nw.Bandwidth)
+	return sim.Seconds(float64(size) / NetBandwidth)
 }
 
 // nodeUp reports hook-provided liveness (no hook: always alive).
@@ -196,7 +185,7 @@ func (nw *Network) transmit(h uint32) bool {
 	}
 	nw.messages++
 	nw.bytesSent += size
-	t.latency = scaled(nw.Latency, ls.LatencyFactor)
+	t.latency = scaled(NetLatency, ls.LatencyFactor)
 	if from.sentFn == nil {
 		from.sentFn = from.sent
 	}
@@ -243,7 +232,7 @@ func (nw *Network) deliver(slot uint64) {
 
 // SendFunc transmits payload from one node to another: it occupies the
 // sender's NIC for the serialization time, schedules delivery into
-// to.Inbox Latency later, and then calls fn — the sender-side completion,
+// to.Inbox NetLatency later, and then calls fn — the sender-side completion,
 // which may be nil. Local sends (from == to) deliver immediately, without
 // occupying the NIC or touching the fabric counters, and call fn inline;
 // so does a message the fabric refuses — the local send completed, the

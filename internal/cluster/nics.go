@@ -8,13 +8,10 @@ import "rocket/internal/sim"
 //
 // A message from node a first serializes on a's NIC — a per-node departure
 // clock, so back-to-back sends queue behind each other — and arrives
-// Latency after it departs. A send from a dead node is refused and counts
+// NetLatency after it departs. A send from a dead node is refused and counts
 // only as a drop; a message to a node that is dead on arrival was
 // transmitted, so it counts as a message and as a drop.
 type NICs struct {
-	Latency   sim.Time
-	Bandwidth float64
-
 	free      []sim.Time // per node: when its NIC is next idle
 	aliveFn   func(node int) bool
 	messages  uint64
@@ -22,16 +19,9 @@ type NICs struct {
 	dropped   uint64
 }
 
-// NewNICs returns the send model of nodes nodes. Latency must be positive:
-// a message arrives strictly after it is sent.
-func NewNICs(nodes int, latency sim.Time, bandwidth float64) *NICs {
-	if latency <= 0 {
-		panic("cluster: NIC latency must be positive")
-	}
-	if bandwidth <= 0 {
-		panic("cluster: network bandwidth must be positive")
-	}
-	return &NICs{Latency: latency, Bandwidth: bandwidth, free: make([]sim.Time, nodes)}
+// NewNICs returns the send model of nodes nodes.
+func NewNICs(nodes int) *NICs {
+	return &NICs{free: make([]sim.Time, nodes)}
 }
 
 // SetAliveFunc installs the node-liveness hook. Passing nil restores the
@@ -45,11 +35,11 @@ func (n *NICs) Send(now sim.Time, from int, size int64) (at sim.Time, ok bool) {
 		n.dropped++
 		return 0, false
 	}
-	depart := max(now, n.free[from]) + sim.Seconds(float64(size)/n.Bandwidth)
+	depart := max(now, n.free[from]) + sim.Seconds(float64(size)/NetBandwidth)
 	n.free[from] = depart
 	n.messages++
 	n.bytesSent += size
-	return depart + n.Latency, true
+	return depart + NetLatency, true
 }
 
 // Receive reports whether a message arriving at node to is delivered; one

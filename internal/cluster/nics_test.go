@@ -21,7 +21,7 @@ type nicsRig struct {
 }
 
 func newNICsRig(nodes int) *nicsRig {
-	r := &nicsRig{env: sim.NewEnv(), nics: NewNICs(nodes, sim.Micros(5), 1e9)}
+	r := &nicsRig{env: sim.NewEnv(), nics: NewNICs(nodes)}
 	r.q = sim.NewArrivals(r.env, func(to int) {
 		if r.nics.Receive(to) {
 			r.arrived = append(r.arrived, r.env.Now())
@@ -38,13 +38,13 @@ func (r *nicsRig) send(from, to int, size int64) {
 
 func TestShardedNetDeliveryTiming(t *testing.T) {
 	r := newNICsRig(4)
-	// 1000 bytes at 1 GB/s = 1us serialization + 5us latency.
-	r.env.Defer(func() { r.send(0, 3, 1000) })
+	// 7000 bytes at 7 GB/s = 1us serialization + 5us latency.
+	r.env.Defer(func() { r.send(0, 3, 7000) })
 	r.q.RunUntil(sim.Millis(1))
 	if len(r.arrived) != 1 || r.arrived[0] != sim.Micros(6) {
 		t.Fatalf("delivered at %v, want [6us]", r.arrived)
 	}
-	if r.nics.Messages() != 1 || r.nics.BytesSent() != 1000 || r.nics.Dropped() != 0 {
+	if r.nics.Messages() != 1 || r.nics.BytesSent() != 7000 || r.nics.Dropped() != 0 {
 		t.Fatalf("counters: msgs=%d bytes=%d dropped=%d", r.nics.Messages(), r.nics.BytesSent(), r.nics.Dropped())
 	}
 }
@@ -54,8 +54,8 @@ func TestShardedNetNICSerialization(t *testing.T) {
 	r.env.Defer(func() {
 		// Two back-to-back sends queue on node 0's NIC: departures at 1us
 		// and 2us, deliveries at 6us and 7us.
-		r.send(0, 1, 1000)
-		r.send(0, 1, 1000)
+		r.send(0, 1, 7000)
+		r.send(0, 1, 7000)
 	})
 	r.q.RunUntil(sim.Millis(1))
 	if len(r.arrived) != 2 || r.arrived[0] != sim.Micros(6) || r.arrived[1] != sim.Micros(7) {
@@ -84,15 +84,4 @@ func TestShardedNetLiveness(t *testing.T) {
 	if r.nics.Messages() != 1 {
 		t.Fatalf("Messages = %d, want 1 (send-time refusal not transmitted)", r.nics.Messages())
 	}
-}
-
-// What is left of the lookahead rule: a message must arrive after it is
-// sent, so a fabric without latency is refused.
-func TestShardedNetLatencyBelowLookaheadPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero latency accepted")
-		}
-	}()
-	NewNICs(2, 0, 1e9)
 }

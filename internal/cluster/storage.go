@@ -13,11 +13,6 @@ import (
 // requests reach and leave the server in the order they were made: two
 // rings and two continuations bound once carry any number of transfers.
 type Storage struct {
-	// Latency is per-request overhead (connection, lookup).
-	Latency sim.Time
-	// Bandwidth is the aggregate server bandwidth in bytes/second.
-	Bandwidth float64
-
 	server *sim.Resource
 	// arriving holds the requests still in their latency phase, serving
 	// the completions of those queued on or occupying the server.
@@ -31,24 +26,12 @@ type Storage struct {
 	bytesWritten int64
 }
 
-// ioRequest is one transfer on its way to the server.
+// ioRequest is one transfer on its way to the server: hold is its time
+// on the server.
 type ioRequest struct {
-	env *sim.Env
-	// due is when the latency phase ends; hold the time on the server.
-	due, hold sim.Time
-	fn        func()
-}
-
-// newStorage returns a storage server.
-func newStorage(latency sim.Time, bandwidth float64) *Storage {
-	if bandwidth <= 0 {
-		panic("cluster: storage bandwidth must be positive")
-	}
-	return &Storage{
-		Latency:   latency,
-		Bandwidth: bandwidth,
-		server:    sim.NewResource("storage", 1),
-	}
+	env  *sim.Env
+	hold sim.Time
+	fn   func()
 }
 
 // ReadFunc simulates fetching size bytes: it accounts the bytes, charges
@@ -69,22 +52,18 @@ func (s *Storage) WriteFunc(e *sim.Env, size int64, fn func()) {
 }
 
 // transfer moves size bytes in either direction: the request latency, then
-// the server for size/Bandwidth, then fn.
+// the server for size/StorageBandwidth, then fn.
 func (s *Storage) transfer(e *sim.Env, size int64, fn func()) {
 	if s.arriveFn == nil {
 		s.arriveFn, s.usedFn = s.arrive, s.used
 	}
-	due := e.Now() + s.Latency
-	s.arriving.Push(ioRequest{env: e, due: due, hold: sim.Seconds(float64(size) / s.Bandwidth), fn: fn})
-	e.At(due, s.arriveFn)
+	s.arriving.Push(ioRequest{env: e, hold: sim.Seconds(float64(size) / StorageBandwidth), fn: fn})
+	e.At(e.Now()+StorageLatency, s.arriveFn)
 }
 
 // arrive queues the oldest request in flight on the server.
 func (s *Storage) arrive() {
 	r := s.arriving.Pop()
-	if r.due != r.env.Now() {
-		panic("cluster: storage latency changed with requests in flight")
-	}
 	s.serving.Push(r.fn)
 	s.server.UseFunc(r.env, r.hold, s.usedFn)
 }

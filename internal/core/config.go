@@ -92,10 +92,6 @@ type Config struct {
 	// ItemDigest derives the content digest of one item for store keys;
 	// see pairstore.DigestFunc.
 	ItemDigest func(item int) pairstore.Digest
-	// OnResult, when non-nil, is invoked in scheduler context once per
-	// computed pair at completion (value is nil for cost-model runs).
-	// It must not block.
-	OnResult func(i, j int, value interface{})
 
 	// Seed drives all randomized behavior (durations, victim selection).
 	Seed uint64
@@ -105,7 +101,9 @@ type Config struct {
 	// (the paper's profiling flag). Nil — the default — retains nothing
 	// but the per-phase busy times and counts.
 	Spans *obs.Recorder
-	// CollectResults stores comparison outputs (real-kernel runs).
+	// CollectResults stores every computed pair in Metrics.Results, in
+	// completion order, with its comparison output (nil for cost-model
+	// runs).
 	CollectResults bool
 	// ThroughputWindow, when positive, records per-device completed-pair
 	// counts bucketed by this window (Fig. 14). Zero disables.

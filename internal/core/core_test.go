@@ -80,7 +80,7 @@ func newCluster(t testing.TB, nodes int, models ...gpu.Model) *cluster.Cluster {
 	for i := range specs {
 		specs[i] = spec
 	}
-	c, err := cluster.New(specs, cluster.DefaultConfig())
+	c, err := cluster.New(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +490,7 @@ func ExampleRun() {
 		parse: sim.Millis(2), pre: sim.Millis(1), cmp: sim.Millis(1),
 	}
 	spec := cluster.NodeSpec{Cores: 4, HostCacheBytes: 1 << 30, GPUs: []gpu.Model{gpu.TitanXMaxwell}}
-	cl, _ := cluster.New([]cluster.NodeSpec{spec}, cluster.DefaultConfig())
+	cl, _ := cluster.New([]cluster.NodeSpec{spec})
 	m, err := Run(Config{App: app, Cluster: cl, Seed: 1})
 	if err != nil {
 		fmt.Println("error:", err)

@@ -307,17 +307,24 @@ func TestFullPartitionWithLiveNodesCompletes(t *testing.T) {
 // twice (a second return panics).
 func TestRepliesToCrashedRequesterAreStale(t *testing.T) {
 	const n, nodes, victim = 48, 4, 0
+	// slowLinks stretches the round trips: every link is degraded from
+	// the start.
+	const slowLinks = 40
 	config := func(crashAt, downFor sim.Time) Config {
-		s := new(fault.Schedule).Crash(victim, crashAt).Restart(victim, crashAt+downFor)
+		s := new(fault.Schedule)
+		for a := 0; a < nodes; a++ {
+			for b := a + 1; b < nodes; b++ {
+				s.DegradeLink(a, b, 0, slowLinks, 1)
+			}
+		}
+		s.Crash(victim, crashAt).Restart(victim, crashAt+downFor)
 		// A worker steals with its own jobs past their fetches, so the node
-		// needs a second one; a slow fabric stretches the round trips.
-		fabric := cluster.DefaultConfig()
-		fabric.NetLatency = sim.Micros(200)
+		// needs a second one.
 		specs := make([]cluster.NodeSpec, nodes)
 		for i := range specs {
 			specs[i] = cluster.NodeSpec{Cores: 16, HostCacheBytes: 2 << 30, GPUs: []gpu.Model{gpu.TitanXMaxwell, gpu.TitanXMaxwell}}
 		}
-		cl, err := cluster.New(specs, fabric)
+		cl, err := cluster.New(specs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,8 +374,7 @@ func TestRepliesToCrashedRequesterAreStale(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := config(crashAt, c.downFor)
-			seen := make(map[pairIJ]int)
-			cfg.OnResult = func(i, j int, _ interface{}) { seen[pairIJ{i, j}]++ }
+			cfg.CollectResults = true
 			rt, err := launch(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -383,6 +389,7 @@ func TestRepliesToCrashedRequesterAreStale(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			seen := emitted(m)
 			if want := pairs.TotalPairs(n); int64(len(seen)) != want || m.Pairs != uint64(want) {
 				t.Fatalf("%d distinct pairs emitted, %d counted, want %d", len(seen), m.Pairs, want)
 			}
@@ -397,7 +404,7 @@ func TestRepliesToCrashedRequesterAreStale(t *testing.T) {
 				}
 			}
 			t.Logf("stale replies: %d fetch, %d steal; %d messages dropped", m.DHT.StaleReplies, m.StaleStealReplies, m.DroppedMessages)
-			if c.downFor < rt.cl.Net.Latency {
+			if c.downFor < slowLinks*cluster.NetLatency {
 				// Whatever was on the wire to the victim outlived the outage.
 				if m.DHT.StaleReplies == 0 || m.StaleStealReplies == 0 {
 					t.Errorf("stale replies: %d fetch, %d steal, want both counted", m.DHT.StaleReplies, m.StaleStealReplies)

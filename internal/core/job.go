@@ -409,9 +409,9 @@ func (jb *job) finish() {
 			return
 		}
 		value = v
-		if rt.cfg.CollectResults {
-			rt.results = append(rt.results, Result{I: jb.i, J: jb.j, Value: value})
-		}
+	}
+	if rt.cfg.CollectResults {
+		rt.results = append(rt.results, Result{I: jb.i, J: jb.j, Value: value})
 	}
 	if rt.plan != nil {
 		rt.emitResult(jb.i, jb.j, value)

@@ -66,13 +66,21 @@ var lifecycleCases = []lifecycleCase{
 	},
 }
 
+// emitted counts how often each pair appears in m.Results.
+func emitted(m *Metrics) map[pairIJ]int {
+	seen := make(map[pairIJ]int, len(m.Results))
+	for _, r := range m.Results {
+		seen[pairIJ{r.I, r.J}]++
+	}
+	return seen
+}
+
 func TestPooledJobLifecycle(t *testing.T) {
 	for _, c := range lifecycleCases {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.cfg(t)
 			n := cfg.App.NumItems()
-			seen := make(map[pairIJ]int)
-			cfg.OnResult = func(i, j int, _ interface{}) { seen[pairIJ{i, j}]++ }
+			cfg.CollectResults = true
 			rt, err := launch(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -105,6 +113,7 @@ func TestPooledJobLifecycle(t *testing.T) {
 			}
 
 			// Exactly once, whatever the steal, eviction and crash history.
+			seen := emitted(m)
 			if want := pairs.TotalPairs(n); int64(len(seen)) != want || m.Pairs != uint64(want) {
 				t.Fatalf("%d distinct pairs emitted, %d counted, want %d", len(seen), m.Pairs, want)
 			}

@@ -88,8 +88,8 @@ type Metrics struct {
 	// JobLimit records the derived per-device concurrent-job limit.
 	JobLimit int
 
-	// Results holds comparison outputs for real-kernel runs with
-	// CollectResults set.
+	// Results holds every computed pair, in completion order, when
+	// CollectResults is set; Value is nil for cost-model runs.
 	Results []Result
 
 	// Events is the number of simulation events processed (cost metric).

@@ -43,7 +43,7 @@ type storePlan struct {
 // buildStorePlan resolves the incremental plan, or returns (nil, nil)
 // when the configuration has no store participation at all.
 func buildStorePlan(cfg Config) (*storePlan, error) {
-	if cfg.BaseItems == 0 && cfg.Store == nil && cfg.StoreBatch == nil && cfg.OnResult == nil {
+	if cfg.BaseItems == 0 && cfg.Store == nil && cfg.StoreBatch == nil {
 		return nil, nil
 	}
 	if (cfg.Store != nil || cfg.StoreBatch != nil) && cfg.ItemDigest == nil {
@@ -125,12 +125,8 @@ func (p *storePlan) pruneRegion(r pairs.Region) bool {
 	return p.pruneOK && r.RowHi <= p.base && r.ColHi <= p.base
 }
 
-// emit records one computed pair into the batch (when attached) and
-// invokes the result-emission hook.
+// emitResult records one computed pair into the batch, when attached.
 func (rt *runtime) emitResult(i, j int, value interface{}) {
-	if rt.cfg.OnResult != nil {
-		rt.cfg.OnResult(i, j, value)
-	}
 	p := rt.plan
 	if p == nil || p.batch == nil {
 		return

@@ -228,7 +228,7 @@ func nodes(n int, spec cluster.NodeSpec) []cluster.NodeSpec {
 // default (DAS-5) fabric, with optional config tweaks. Every experiment
 // builds its platform here.
 func (s Setup) run(specs []cluster.NodeSpec, mutate func(*core.Config)) (*core.Metrics, error) {
-	cl, err := cluster.New(specs, cluster.DefaultConfig())
+	cl, err := cluster.New(specs)
 	if err != nil {
 		return nil, err
 	}

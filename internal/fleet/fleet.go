@@ -37,20 +37,6 @@ type Config struct {
 	Seed uint64
 	// Duration is the virtual time simulated.
 	Duration sim.Time
-	// HeartbeatPeriod is the mean heartbeat interval; each node jitters
-	// every interval by ±50% from its own generator.
-	HeartbeatPeriod sim.Time
-	// GossipTTL is how many hops a rumor spawned by a heartbeat travels
-	// (0 disables gossip).
-	GossipTTL int
-	// WorkItems is the initial work queue length per node; nodes that run
-	// dry steal half a random peer's queue.
-	WorkItems int
-	// NetLatency is the fabric's one-way propagation latency. It must be
-	// positive: a message arrives strictly after it is sent.
-	NetLatency sim.Time
-	// NetBandwidth is per-NIC bandwidth in bytes/second.
-	NetBandwidth float64
 	// Faults is an optional fault schedule (node crashes/restarts, joins,
 	// preemptions, straggler windows).
 	Faults *fault.Schedule
@@ -81,22 +67,23 @@ type Config struct {
 	Spans *obs.Recorder
 }
 
-// DefaultConfig returns a chatty fleet over the default DAS-5-style
-// fabric: the heartbeat period is deliberately aggressive so the event
-// queue stays dense and the workload stresses the engine rather than
-// idling.
+// The fleet protocol is chatty over the DAS-5 fabric (cluster.NewNICs):
+// the heartbeat period is deliberately aggressive so the event queue
+// stays dense and the workload stresses the engine rather than idling.
+const (
+	// heartbeatPeriod is the mean heartbeat interval; each node jitters
+	// every interval by ±50% from its own generator.
+	heartbeatPeriod = 100 * sim.Microsecond
+	// gossipTTL is how many hops a rumor spawned by a heartbeat travels.
+	gossipTTL = 3
+	// workItems is the initial work queue length per node; nodes that run
+	// dry steal half a random peer's queue.
+	workItems = 32
+)
+
+// DefaultConfig returns a 50 ms run of nodes nodes from seed 1.
 func DefaultConfig(nodes int) Config {
-	fabric := cluster.DefaultConfig()
-	return Config{
-		Nodes:           nodes,
-		Seed:            1,
-		Duration:        sim.Millis(50),
-		HeartbeatPeriod: sim.Micros(100),
-		GossipTTL:       3,
-		WorkItems:       32,
-		NetLatency:      fabric.NetLatency,
-		NetBandwidth:    fabric.NetBandwidth,
-	}
+	return Config{Nodes: nodes, Seed: 1, Duration: sim.Millis(50)}
 }
 
 // ScalingConfig is the fixed 1024-node fleet the repository benchmark
@@ -241,15 +228,6 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Nodes < 2 {
 		return Result{}, fmt.Errorf("fleet: need at least 2 nodes, got %d", cfg.Nodes)
 	}
-	if cfg.NetLatency <= 0 {
-		return Result{}, fmt.Errorf("fleet: NetLatency must be positive (a message arrives after it is sent)")
-	}
-	if cfg.NetBandwidth <= 0 {
-		return Result{}, fmt.Errorf("fleet: NetBandwidth must be positive")
-	}
-	if cfg.HeartbeatPeriod <= 0 {
-		return Result{}, fmt.Errorf("fleet: HeartbeatPeriod must be positive")
-	}
 	if cfg.GPUs != nil && len(cfg.GPUs) != cfg.Nodes {
 		return Result{}, fmt.Errorf("fleet: GPUs shape has %d entries for %d nodes", len(cfg.GPUs), cfg.Nodes)
 	}
@@ -297,13 +275,13 @@ func Run(cfg Config) (Result, error) {
 		faults = merged
 	}
 
-	env := sim.NewEnv(sim.WithSeed(cfg.Seed))
+	env := sim.NewEnv()
 	fs := &fleetSim{
 		cfg:   cfg,
 		env:   env,
 		nodes: make([]node, cfg.Nodes),
 		spans: cfg.Spans,
-		nics:  cluster.NewNICs(cfg.Nodes, cfg.NetLatency, cfg.NetBandwidth),
+		nics:  cluster.NewNICs(cfg.Nodes),
 	}
 	fs.arrivals = sim.NewArrivals(env, fs.deliver)
 	fs.heartbeatFn, fs.pumpFn, fs.serviceFn, fs.stealFn = fs.heartbeat, fs.pumpArg, fs.serviceDone, fs.stealArg
@@ -311,7 +289,7 @@ func Run(cfg Config) (Result, error) {
 		fs.nodes[i] = node{
 			id:    i,
 			rng:   rng{s: cfg.Seed*fnvPrime + uint64(i)},
-			queue: cfg.WorkItems,
+			queue: workItems,
 		}
 	}
 	members := fault.InitialMembers(faults, cfg.Nodes)
@@ -358,7 +336,7 @@ func Run(cfg Config) (Result, error) {
 		if cfg.StartAt != nil {
 			start = cfg.StartAt[i]
 		}
-		env.AtArg(start+n.rng.jitter(cfg.HeartbeatPeriod), fs.heartbeatFn, uint64(i))
+		env.AtArg(start+n.rng.jitter(heartbeatPeriod), fs.heartbeatFn, uint64(i))
 		env.AtArg(start, fs.pumpFn, uint64(i))
 	}
 
@@ -413,9 +391,7 @@ func (fs *fleetSim) deliver(m msg) {
 		// Record the observation and spawn a rumor walk.
 		n.heartbeats++
 		n.fold(0x48, now, uint64(m.from))
-		if fs.cfg.GossipTTL > 0 {
-			fs.gossip(n, uint64(m.from)<<8^uint64(n.id), fs.cfg.GossipTTL)
-		}
+		fs.gossip(n, uint64(m.from)<<8^uint64(n.id), gossipTTL)
 	case msgRumor:
 		n.rumors++
 		n.fold(0x52, now, m.word)
@@ -451,7 +427,7 @@ func (fs *fleetSim) join(n *node) {
 	fs.nodeSpan(n, obs.Span{Start: now, End: now, Kind: obs.KindMark, Name: "join", Arg: int64(n.joins)})
 	if !n.booted {
 		n.booted = true
-		fs.env.AtArg(now+n.rng.jitter(fs.cfg.HeartbeatPeriod), fs.heartbeatFn, uint64(n.id))
+		fs.env.AtArg(now+n.rng.jitter(heartbeatPeriod), fs.heartbeatFn, uint64(n.id))
 	}
 	if !n.busy {
 		fs.pump(n)
@@ -483,7 +459,7 @@ func (fs *fleetSim) drain(n *node) {
 func (fs *fleetSim) heartbeat(id uint64) {
 	n := &fs.nodes[id]
 	fs.send(n.id, (n.id+1)%fs.cfg.Nodes, heartbeatBytes, msg{kind: msgHeartbeat})
-	fs.env.AtArg(fs.env.Now()+n.rng.jitter(fs.cfg.HeartbeatPeriod), fs.heartbeatFn, id)
+	fs.env.AtArg(fs.env.Now()+n.rng.jitter(heartbeatPeriod), fs.heartbeatFn, id)
 }
 
 // gossip forwards a rumor to a random peer chosen by the forwarding node's

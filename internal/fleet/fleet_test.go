@@ -208,21 +208,6 @@ func TestFleetConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Nodes: 1}); err == nil {
 		t.Fatal("Nodes=1 accepted")
 	}
-	cfg := DefaultConfig(4)
-	cfg.NetLatency = 0
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("zero NetLatency accepted")
-	}
-	cfg = DefaultConfig(4)
-	cfg.NetBandwidth = 0
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("zero NetBandwidth accepted")
-	}
-	cfg = DefaultConfig(4)
-	cfg.HeartbeatPeriod = 0
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("zero HeartbeatPeriod accepted")
-	}
 }
 
 // TestFleetElasticReplayable pins that reruns of the same elastic config
@@ -283,8 +268,8 @@ func TestFleetJoinerPullsWork(t *testing.T) {
 // hands its queue to the ring successor inside the drain window.
 func TestFleetPreemptDrains(t *testing.T) {
 	cfg := smallConfig()
-	cfg.WorkItems = 10000 // deep queues so the victim still holds items
-	cfg.Faults = new(fault.Schedule).Preempt(5, sim.Micros(50))
+	// Early enough that the victim still holds items of its first queue.
+	cfg.Faults = new(fault.Schedule).Preempt(5, sim.Micros(10))
 	r, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +278,7 @@ func TestFleetPreemptDrains(t *testing.T) {
 		t.Fatalf("preempts = %d, want 1", r.Preempts)
 	}
 	if r.Drained == 0 {
-		t.Fatal("preemption drained nothing despite a deep queue")
+		t.Fatal("preemption drained nothing despite a full queue")
 	}
 }
 

@@ -145,7 +145,7 @@ func runPairs(sc *Scenario, faults *fault.Schedule, probes []fault.Probe, spans 
 	for i := range specs {
 		specs[i] = spec
 	}
-	c, err := cluster.New(specs, cluster.DefaultConfig())
+	c, err := cluster.New(specs)
 	if err != nil {
 		return nil, "", fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}

@@ -7,16 +7,6 @@ import (
 	"rocket/internal/sim"
 )
 
-// Preemption is one scheduled spot reclaim: the provider takes node Node
-// back at virtual time At, whatever the scheduler is doing with it. A free
-// or warming node simply departs; a leased node crashes inside the
-// running job's partition (the job drains through steal-based harvest and
-// is requeued on partition loss, exactly like any other node failure).
-type Preemption struct {
-	Node int
-	At   sim.Time
-}
-
 // Autoscale is the elastic-fleet policy: the scheduler starts with
 // BootNodes active nodes out of a Config.Nodes-slot capacity and grows or
 // shrinks the active set against queue depth.
@@ -43,8 +33,6 @@ type Autoscale struct {
 	ProvisionDelay sim.Time
 	// IdleTimeout retires a node idle this long; 0 never scales down.
 	IdleTimeout sim.Time
-	// Preemptions are scheduled spot reclaims.
-	Preemptions []Preemption
 }
 
 func (a Autoscale) normalize(nodes int) (Autoscale, error) {
@@ -63,19 +51,6 @@ func (a Autoscale) normalize(nodes int) (Autoscale, error) {
 	if a.ProvisionDelay < 0 || a.IdleTimeout < 0 {
 		return a, fmt.Errorf("sched: negative autoscale delay")
 	}
-	seen := make(map[int]bool, len(a.Preemptions))
-	for _, p := range a.Preemptions {
-		if p.Node < 0 || p.Node >= nodes {
-			return a, fmt.Errorf("sched: preemption targets node %d of %d", p.Node, nodes)
-		}
-		if p.At <= 0 {
-			return a, fmt.Errorf("sched: preemption of node %d at non-positive time %v", p.Node, p.At)
-		}
-		if seen[p.Node] {
-			return a, fmt.Errorf("sched: node %d preempted twice", p.Node)
-		}
-		seen[p.Node] = true
-	}
 	return a, nil
 }
 
@@ -86,24 +61,21 @@ const (
 	slotProvisioning
 	slotFree
 	slotLeased
-	slotDeparted
 )
 
 // slot is one capacity slot of the elastic pool. IDs are the shared
 // cluster's node IDs; a slot cycles absent → provisioning → free ⇄ leased
-// and leaves via idle retirement (back to absent) or preemption
-// (departed for good).
+// and goes back to absent on idle retirement.
 type slot struct {
 	state       slotState
 	readyAt     sim.Time // provisioning: when it becomes free
 	idleSince   sim.Time // free: when it last became idle
 	activeSince sim.Time // free/leased: start of the current billing span
-	preemptAt   sim.Time // scheduled reclaim; 0 = none
 }
 
 // elasticPool tracks slot lifecycles and the exact node-seconds bill.
-// Cost accrues per slot over [activeSince, retirement] — provisioning
-// time is free, reclaim stops the meter even mid-lease.
+// Cost accrues per slot over [activeSince, retirement]; provisioning
+// time is free.
 type elasticPool struct {
 	policy Autoscale
 	slots  []slot
@@ -111,7 +83,6 @@ type elasticPool struct {
 	nodeSeconds float64
 	scaleUps    int
 	scaleDowns  int
-	preempted   int
 	peak        int
 	finished    bool
 }
@@ -120,9 +91,6 @@ func newElasticPool(a Autoscale, nodes int) *elasticPool {
 	p := &elasticPool{policy: a, slots: make([]slot, nodes)}
 	for i := 0; i < a.BootNodes; i++ {
 		p.slots[i].state = slotFree
-	}
-	for _, pre := range a.Preemptions {
-		p.slots[pre.Node].preemptAt = pre.At
 	}
 	p.peak = a.BootNodes
 	return p
@@ -202,38 +170,23 @@ func (p *elasticPool) ready(clock sim.Time) []int {
 	return ids
 }
 
-// retire processes scale-downs and free/warming-slot preemptions due by
-// clock, retroactively at their exact expiry instants, and reports the
-// retired slot IDs (the scheduler removes them from its free pool).
-// Candidates retire in expiry order, ties broken by descending ID so the
-// low IDs that leases prefer stay stable. Idle retirement respects the
-// MinNodes floor; preemption does not — the provider is not asking.
+// retire processes the scale-downs due by clock, retroactively at their
+// exact expiry instants, and reports the retired slot IDs (the scheduler
+// removes them from its free pool). Slots retire in expiry order, ties
+// broken by descending ID so the low IDs that leases prefer stay stable,
+// and never below the MinNodes floor.
 func (p *elasticPool) retire(clock sim.Time) []int {
+	if p.policy.IdleTimeout == 0 {
+		return nil
+	}
 	type cand struct {
-		id      int
-		at      sim.Time
-		preempt bool
+		id int
+		at sim.Time
 	}
 	var cands []cand
-	for i := range p.slots {
-		s := &p.slots[i]
-		switch s.state {
-		case slotProvisioning:
-			if s.preemptAt > 0 && s.preemptAt <= clock {
-				// Reclaimed before it ever came online: no billing span.
-				s.state = slotDeparted
-				p.preempted++
-			}
-		case slotFree:
-			if s.preemptAt > 0 && s.preemptAt <= clock {
-				cands = append(cands, cand{i, s.preemptAt, true})
-				continue
-			}
-			if p.policy.IdleTimeout > 0 {
-				if exp := s.idleSince + p.policy.IdleTimeout; exp <= clock {
-					cands = append(cands, cand{i, exp, false})
-				}
-			}
+	for i, s := range p.slots {
+		if exp := s.idleSince + p.policy.IdleTimeout; s.state == slotFree && exp <= clock {
+			cands = append(cands, cand{i, exp})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
@@ -244,18 +197,13 @@ func (p *elasticPool) retire(clock sim.Time) []int {
 	})
 	var retired []int
 	for _, c := range cands {
-		s := &p.slots[c.id]
-		if !c.preempt && p.activeCount() <= p.policy.MinNodes {
+		if p.activeCount() <= p.policy.MinNodes {
 			continue
 		}
+		s := &p.slots[c.id]
 		p.nodeSeconds += (c.at - s.activeSince).Seconds()
-		if c.preempt {
-			s.state = slotDeparted
-			p.preempted++
-		} else {
-			s.state = slotAbsent
-			p.scaleDowns++
-		}
+		s.state = slotAbsent
+		p.scaleDowns++
 		retired = append(retired, c.id)
 	}
 	return retired
@@ -272,9 +220,6 @@ func (p *elasticPool) provision(want int, clock sim.Time) (freeNow []int) {
 		s := &p.slots[i]
 		if s.state != slotAbsent {
 			continue
-		}
-		if s.preemptAt > 0 && s.preemptAt <= clock {
-			continue // already reclaimed; not capacity anymore
 		}
 		want--
 		p.scaleUps++
@@ -297,25 +242,13 @@ func (p *elasticPool) provision(want int, clock sim.Time) (freeNow []int) {
 // lease marks slot id leased. The billing span keeps running.
 func (p *elasticPool) lease(id int) { p.slots[id].state = slotLeased }
 
-// release returns a lease's slots at job end time. A slot whose scheduled
-// reclaim fired during the lease departs (its crash already happened
-// inside the job); the rest go back to the free pool. Returns the IDs
-// that are free again, ascending by construction of the caller's lease.
-func (p *elasticPool) release(ids []int, end sim.Time) []int {
-	var free []int
+// release returns a lease's slots to the free pool at job end time.
+func (p *elasticPool) release(ids []int, end sim.Time) {
 	for _, id := range ids {
 		s := &p.slots[id]
-		if s.preemptAt > 0 && s.preemptAt <= end {
-			p.nodeSeconds += (s.preemptAt - s.activeSince).Seconds()
-			s.state = slotDeparted
-			p.preempted++
-			continue
-		}
 		s.state = slotFree
 		s.idleSince = end
-		free = append(free, id)
 	}
-	return free
 }
 
 // finish closes the books at the makespan: every still-active slot is

@@ -100,43 +100,6 @@ func TestColdProvisioningDelaysPlacement(t *testing.T) {
 	}
 }
 
-// TestSpotPreemptionCrashesLeaseAndRetries pins the reclaim semantics:
-// preempting the only leased node mid-job kills the partition, the job
-// retries on remaining capacity, and the slot never comes back.
-func TestSpotPreemptionCrashesLeaseAndRetries(t *testing.T) {
-	job := Job{App: smallApp("victim", 10, sim.Millis(20))}
-	m, err := Run(Config{
-		Jobs:       []Job{job},
-		Nodes:      2,
-		Seed:       1,
-		MaxRetries: 2,
-		Elastic: &Autoscale{
-			BootNodes: 2,
-			MinNodes:  2,
-			Preemptions: []Preemption{
-				{Node: 0, At: sim.Millis(1)},
-			},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Completed != 1 {
-		t.Fatalf("completed %d of 1", m.Completed)
-	}
-	if m.Retries != 1 {
-		t.Fatalf("retries = %d, want 1 (preemption kills the 1-node lease)", m.Retries)
-	}
-	if m.Preempted != 1 {
-		t.Fatalf("preempted = %d, want 1", m.Preempted)
-	}
-	// The retry must land on the surviving node, not the reclaimed one.
-	final := m.Jobs[0].Nodes
-	if len(final) != 1 || final[0] != 1 {
-		t.Fatalf("final lease %v, want [1]", final)
-	}
-}
-
 // TestAutoscaleDeterministicReruns pins replayability of the full elastic
 // machinery across reruns and worker counts.
 func TestAutoscaleDeterministicReruns(t *testing.T) {
@@ -146,7 +109,6 @@ func TestAutoscaleDeterministicReruns(t *testing.T) {
 			BootNodes:      2,
 			ProvisionDelay: sim.Seconds(2),
 			IdleTimeout:    sim.Seconds(120),
-			Preemptions:    []Preemption{{Node: 5, At: sim.Seconds(1)}},
 		}})
 		if err != nil {
 			t.Fatal(err)
@@ -157,7 +119,7 @@ func TestAutoscaleDeterministicReruns(t *testing.T) {
 	for _, other := range []*Metrics{b, c} {
 		if a.NodeSeconds != other.NodeSeconds || a.P99Wait != other.P99Wait ||
 			a.ScaleUps != other.ScaleUps || a.ScaleDowns != other.ScaleDowns ||
-			a.Preempted != other.Preempted || a.Makespan != other.Makespan {
+			a.Makespan != other.Makespan {
 			t.Fatalf("elastic rerun diverged:\n%+v\nvs\n%+v", summary(a), summary(other))
 		}
 		for i := range a.Jobs {
@@ -171,7 +133,7 @@ func TestAutoscaleDeterministicReruns(t *testing.T) {
 func summary(m *Metrics) map[string]any {
 	return map[string]any{
 		"nodeSeconds": m.NodeSeconds, "p99": m.P99Wait, "ups": m.ScaleUps,
-		"downs": m.ScaleDowns, "preempted": m.Preempted, "makespan": m.Makespan,
+		"downs": m.ScaleDowns, "makespan": m.Makespan,
 	}
 }
 
@@ -188,9 +150,6 @@ func TestAutoscaleValidation(t *testing.T) {
 		{"boot below min", Autoscale{MinNodes: 3, BootNodes: 2}},
 		{"boot above capacity", Autoscale{BootNodes: 5}},
 		{"negative delay", Autoscale{ProvisionDelay: -1}},
-		{"preempt out of range", Autoscale{Preemptions: []Preemption{{Node: 9, At: 1}}}},
-		{"preempt at zero", Autoscale{Preemptions: []Preemption{{Node: 1}}}},
-		{"double preempt", Autoscale{Preemptions: []Preemption{{Node: 1, At: 1}, {Node: 1, At: 2}}}},
 	}
 	for _, c := range cases {
 		cfg := base()

@@ -110,7 +110,6 @@ type Metrics struct {
 	Elastic    bool
 	ScaleUps   int
 	ScaleDowns int
-	Preempted  int
 	// PeakNodes is the largest concurrently-usable node count observed.
 	PeakNodes int
 }
@@ -182,7 +181,6 @@ func aggregate(cfg Config, states []*jobState, pool *elasticPool) *Metrics {
 		m.NodeSeconds = pool.nodeSeconds
 		m.ScaleUps = pool.scaleUps
 		m.ScaleDowns = pool.scaleDowns
-		m.Preempted = pool.preempted
 		m.PeakNodes = pool.peak
 	}
 	for name, t := range tenants {
@@ -244,8 +242,8 @@ func (m *Metrics) Report() string {
 	// (and their goldens) are unchanged.
 	if m.Elastic {
 		fixed := float64(m.TotalNodes) * m.Makespan.Seconds()
-		fmt.Fprintf(&b, "autoscaler: %.2f node-seconds (fixed fleet %.2f) | p99 wait %v | peak %d nodes | %d up / %d down / %d preempted\n",
-			m.NodeSeconds, fixed, m.P99Wait, m.PeakNodes, m.ScaleUps, m.ScaleDowns, m.Preempted)
+		fmt.Fprintf(&b, "autoscaler: %.2f node-seconds (fixed fleet %.2f) | p99 wait %v | peak %d nodes | %d up / %d down\n",
+			m.NodeSeconds, fixed, m.P99Wait, m.PeakNodes, m.ScaleUps, m.ScaleDowns)
 	}
 	return b.String()
 }

@@ -30,7 +30,7 @@ const (
 	progMaxQueued = 1 << iota
 	progMaxRunning
 	progFaults  // crash faults on some jobs, MaxRetries and KeepGoing
-	progElastic // autoscaled pool: provision delay, idle timeout, preemptions
+	progElastic // autoscaled pool: provision delay, idle timeout
 	progStore   // every other job in one pair-store namespace
 )
 
@@ -38,8 +38,7 @@ const (
 // up to 3 nodes over 2–6 nodes, arrivals in 10 ms steps (ties included),
 // any policy and admission limit, crash faults with a retry budget, and
 // fixed or elastic pools. Every program is valid and runs to completion:
-// KeepGoing is set whenever a job can lose its partition, and no job is
-// wider than the capacity preemptions leave.
+// KeepGoing is set whenever a job can lose its partition.
 func queueProgram(data []byte) Config {
 	r := programBytes(data)
 	flags := r.next()
@@ -59,7 +58,6 @@ func queueProgram(data []byte) Config {
 		cfg.MaxRetries = r.next() % 3
 		cfg.KeepGoing = true
 	}
-	width := cfg.Nodes
 	if flags&progElastic != 0 {
 		a := &Autoscale{
 			MinNodes:       1 + r.next()%2,
@@ -67,22 +65,9 @@ func queueProgram(data []byte) Config {
 			IdleTimeout:    sim.Millis(float64(20 * (r.next() % 4))),
 		}
 		a.BootNodes = a.MinNodes + r.next()%(cfg.Nodes-a.MinNodes+1)
-		first, count := r.next(), r.next()%3
-		for k := 0; k < count && k < cfg.Nodes-1; k++ {
-			a.Preemptions = append(a.Preemptions, Preemption{
-				Node: (first + k) % cfg.Nodes,
-				At:   sim.Millis(float64(1 + r.next()%80)),
-			})
-		}
-		if len(a.Preemptions) > 0 {
-			cfg.KeepGoing = true
-			width -= len(a.Preemptions)
-		}
 		cfg.Elastic = a
 	}
-	if width > 3 {
-		width = 3
-	}
+	width := min(cfg.Nodes, 3)
 	var at sim.Time
 	for i, n := 0, 1+r.next()%12; i < n; i++ {
 		items := 3 + r.next()%8
@@ -145,9 +130,9 @@ func runDoc(t testing.TB, cfg Config) (*Metrics, []byte) {
 func TestRunGolden(t *testing.T) {
 	want := []string{
 		"195022fdb4cf2423", "8de2987634f646fa", "aba29b33bc963b99", "c71c3f57a655ae6d",
-		"9fb5927a34a3fc61", "ed6cbd3b227d6d9f", "cfde0bdf54257261", "78fe58ab14631ee3",
-		"1c46e313f70b8968", "7f6c3e307b8f6f62", "b7f69a9dab36fa8b", "c205f51055c1c715",
-		"a58f9a159e2fb8fd", "f19f3884377d6938", "55660366f1766e56", "6c28932622a54209",
+		"a52e0b513e6a350f", "abc49811cc9c95ee", "cfde0bdf54257261", "78fe58ab14631ee3",
+		"1987d74dde4e9d77", "7f6c3e307b8f6f62", "aa3b257d3e5ef980", "7d49c545d06d7bbb",
+		"a58f9a159e2fb8fd", "86772f884a157cf6", "bd4bb58ee2c21de0", "f0a8ec3b6af6cdff",
 	}
 	for i := range want {
 		_, doc := runDoc(t, queueProgram(goldenProgram(i)))

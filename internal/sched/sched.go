@@ -79,15 +79,16 @@ type Job struct {
 	Digest func(item int) pairstore.Digest
 }
 
+// nodeSpec is the hardware of every node: a DAS-5 node with one TitanX
+// Maxwell.
+var nodeSpec = cluster.DAS5Node(gpu.TitanXMaxwell)
+
 // Config configures one scheduler run.
 type Config struct {
 	// Jobs is the workload to schedule (required).
 	Jobs []Job
 	// Nodes is the size of the shared cluster (required).
 	Nodes int
-	// NodeSpec is the hardware of every node. The zero value defaults to
-	// a DAS-5 node with one TitanX Maxwell.
-	NodeSpec cluster.NodeSpec
 	// Policy selects the placement order; default PolicyFIFO.
 	Policy Policy
 	// MaxQueued is the admission limit: a job arriving while this many
@@ -163,12 +164,6 @@ type jobState struct {
 	// the scheduler loop, never from inner-sim goroutines).
 	storeSnap  *pairstore.Snapshot
 	storeBatch *pairstore.Batch
-	// preempts are spot reclaims scheduled inside this attempt's lease,
-	// expressed as crash events in the inner run's node indices and
-	// relative time. Computed at placement; reclaims beyond the job's
-	// completion are harmless (the inner runtime pins its completion
-	// time before draining armed events).
-	preempts []fault.Event
 }
 
 // resetForRetry returns the state to the queue for another attempt.
@@ -180,7 +175,6 @@ func (js *jobState) resetForRetry() {
 	js.err = nil
 	js.storeSnap = nil
 	js.storeBatch = nil
-	js.preempts = nil
 	js.done = make(chan struct{})
 }
 
@@ -219,12 +213,6 @@ func (js *jobState) metrics() JobMetrics {
 func (cfg Config) normalize() (Config, error) {
 	if cfg.Nodes < 1 {
 		return cfg, fmt.Errorf("sched: Config.Nodes must be >= 1, got %d", cfg.Nodes)
-	}
-	if cfg.NodeSpec.Cores == 0 && cfg.NodeSpec.HostCacheBytes == 0 && len(cfg.NodeSpec.GPUs) == 0 {
-		cfg.NodeSpec = cluster.DAS5Node(gpu.TitanXMaxwell)
-	}
-	if err := cfg.NodeSpec.Validate(); err != nil {
-		return cfg, err
 	}
 	if cfg.Policy < PolicyFIFO || cfg.Policy > PolicyFairShare {
 		return cfg, fmt.Errorf("sched: unknown policy %d", cfg.Policy)
@@ -294,7 +282,7 @@ func newState(cfg Config, j Job, i int, seen map[string]int) (*jobState, error) 
 		id:     id,
 		tenant: tenant,
 		seed:   seed,
-		est:    estimate(j.App, j.Nodes, len(cfg.NodeSpec.GPUs)),
+		est:    estimate(j.App, j.Nodes, len(nodeSpec.GPUs)),
 		done:   make(chan struct{}),
 	}, nil
 }
@@ -499,8 +487,8 @@ func (s *scheduler) admit(f frontier) {
 }
 
 // syncPool applies pool lifecycle events due by the scheduler clock:
-// provisioning completions join the free pool, idle expiries and
-// free-slot reclaims leave it. Both are retroactively exact, so placement
+// provisioning completions join the free pool, idle expiries leave it.
+// Both are retroactively exact, so placement
 // sees the capacity that actually exists at this instant and the
 // node-seconds bill is never distorted.
 func (s *scheduler) syncPool() {
@@ -574,15 +562,8 @@ func (s *scheduler) place() {
 		s.free = s.free[js.job.Nodes:]
 		js.start = s.clock
 		if s.pool != nil {
-			// Reclaims scheduled inside the lease become crash events at
-			// the slot's partition-local index; the job drains through
-			// steal-based harvest like any crash.
-			for k, id := range js.lease {
+			for _, id := range js.lease {
 				s.pool.lease(id)
-				if at := s.pool.slots[id].preemptAt; at > s.clock {
-					js.preempts = append(js.preempts,
-						fault.Event{At: at - s.clock, Kind: fault.NodeCrash, Node: k})
-				}
 			}
 		}
 		if js.job.StoreRef != "" {
@@ -679,10 +660,9 @@ func (s *scheduler) harvest() {
 		}
 		s.usage[js.tenant] += float64(len(js.lease)) * (js.end - js.start).Seconds()
 		if s.pool != nil {
-			s.free = append(s.free, s.pool.release(js.lease, js.end)...)
-		} else {
-			s.free = append(s.free, js.lease...)
+			s.pool.release(js.lease, js.end)
 		}
+		s.free = append(s.free, js.lease...)
 		if js.storeBatch != nil && !js.retry && !js.failed {
 			// Completion is the deterministic merge point: the job's
 			// emitted results become visible to every job placed from this
@@ -776,9 +756,9 @@ func (cfg Config) runInner(js *jobState, sem chan struct{}) {
 
 	specs := make([]cluster.NodeSpec, len(js.lease))
 	for i := range specs {
-		specs[i] = cfg.NodeSpec
+		specs[i] = nodeSpec
 	}
-	cl, err := cluster.New(specs, cluster.DefaultConfig())
+	cl, err := cluster.New(specs)
 	if err != nil {
 		js.err = err
 		return
@@ -801,16 +781,6 @@ func (cfg Config) runInner(js *jobState, sem chan struct{}) {
 	if js.attempt == 0 {
 		// Retries model placement on fresh nodes and run fault-free.
 		ccfg.Faults = js.job.Faults
-	}
-	if len(js.preempts) > 0 {
-		// Spot reclaims follow the slots, not the attempt: every
-		// placement onto a doomed slot crashes at the scheduled instant.
-		merged := &fault.Schedule{}
-		if !ccfg.Faults.Empty() {
-			merged.Events = append(merged.Events, ccfg.Faults.Events...)
-		}
-		merged.Events = append(merged.Events, js.preempts...)
-		ccfg.Faults = merged
 	}
 	js.inner, js.err = core.Run(ccfg)
 }

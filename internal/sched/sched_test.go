@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"rocket/internal/cluster"
 	"rocket/internal/core"
 	"rocket/internal/fault"
 	"rocket/internal/sim"
@@ -347,8 +346,6 @@ func TestRunValidation(t *testing.T) {
 	}{
 		{"no jobs", Config{Nodes: 2}, "Config.Jobs is empty"},
 		{"no nodes", Config{Jobs: []Job{{App: app}}}, "Config.Nodes must be >= 1"},
-		// A node spec describes each node; it does not size the fleet.
-		{"node spec but no nodes", Config{Jobs: []Job{{App: app}}, NodeSpec: cluster.PaperTopology()[1]}, "Config.Nodes must be >= 1"},
 		{"missing app", Config{Jobs: []Job{{}}, Nodes: 2}, "has no App"},
 		{"too wide", Config{Jobs: []Job{{App: app, Nodes: 3}}, Nodes: 2}, "requests 3 nodes"},
 		{"duplicate ids", Config{Jobs: []Job{{ID: "x", App: app}, {ID: "x", App: app}}, Nodes: 2}, "share ID"},
@@ -429,33 +426,29 @@ func TestPartitionLossFatalWithoutRetries(t *testing.T) {
 	}
 }
 
-// Retries are bounded: a job that keeps losing its partition eventually
-// fails the run. Faults only apply to attempt 0, so the loop is forced the
-// way production hits it: each attempt lands on the next elastic slot,
-// which the provider reclaims while the attempt runs.
+// Retries are bounded: a job that loses its partition fails the run once
+// the budget is spent. Faults apply to attempt 0 only and retries run
+// fault-free, so a job loses its partition at most once: a budget of 0
+// fails the run, and a larger budget spends exactly one retry.
 func TestRetriesAreBounded(t *testing.T) {
 	run := func(retries int) (*Metrics, error) {
-		var reclaims []Preemption
-		for node := 0; node < 4; node++ {
-			reclaims = append(reclaims, Preemption{Node: node, At: sim.Millis(float64(10 * (node + 1)))})
-		}
+		doomed := new(fault.Schedule).Crash(0, sim.Millis(5))
 		return Run(Config{
-			Jobs:       []Job{{ID: "cursed", App: smallApp("cursed", 10, sim.Millis(20))}},
-			Nodes:      5,
+			Jobs:       []Job{{ID: "cursed", App: smallApp("cursed", 10, sim.Millis(20)), Faults: doomed}},
+			Nodes:      1,
 			Seed:       1,
 			MaxRetries: retries,
-			Elastic:    &Autoscale{MinNodes: 5, Preemptions: reclaims},
 		})
 	}
-	if _, err := run(3); !errors.Is(err, core.ErrPartitionLost) {
-		t.Fatalf("err = %v, want core.ErrPartitionLost after retry budget", err)
+	if _, err := run(0); !errors.Is(err, core.ErrPartitionLost) {
+		t.Fatalf("err = %v, want core.ErrPartitionLost with no retry budget", err)
 	}
-	m, err := run(4)
+	m, err := run(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Jobs[0]; got.Retries != 4 || len(got.Nodes) != 1 || got.Nodes[0] != 4 {
-		t.Fatalf("with a budget of 4: %d retries on %v, want 4 on [4]", got.Retries, got.Nodes)
+	if got := m.Jobs[0].Retries; got != 1 {
+		t.Fatalf("with a budget of 3: %d retries, want 1", got)
 	}
 	if _, err := Run(Config{Jobs: []Job{{App: smallApp("j", 4, sim.Millis(1))}}, Nodes: 1, Seed: 1, MaxRetries: -1}); err == nil {
 		t.Fatal("negative MaxRetries accepted")

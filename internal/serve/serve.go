@@ -16,7 +16,7 @@
 //	GET  /metrics             Prometheus text exposition
 //	GET  /healthz             liveness; 503 while draining
 //
-// The full method+pattern table lives in one place (newMux); the dataset
+// The full method+pattern table lives in one place (v1Routes); the dataset
 // endpoints are documented in datasets.go. Every error is a
 // {"error":{"code","message"}} document with the matching HTTP status.
 //
@@ -37,7 +37,6 @@ import (
 	"strconv"
 	"sync"
 
-	"rocket/internal/cluster"
 	"rocket/internal/jobspec"
 	"rocket/internal/obs"
 	"rocket/internal/pairstore"
@@ -48,9 +47,6 @@ import (
 type Config struct {
 	// Nodes is the size of the shared simulated cluster (required).
 	Nodes int
-	// NodeSpec is each node's hardware; the zero value is the scheduler's
-	// default (DAS-5 node, one TitanX Maxwell).
-	NodeSpec cluster.NodeSpec
 	// Policy selects the placement order; default FIFO.
 	Policy sched.Policy
 	// MaxQueued, MaxRunning, MaxRetries, Workers, Seed: see sched.Config.
@@ -108,7 +104,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	q, err := sched.StartOnline(sched.Config{
 		Nodes:      cfg.Nodes,
-		NodeSpec:   cfg.NodeSpec,
 		Policy:     cfg.Policy,
 		MaxQueued:  cfg.MaxQueued,
 		MaxRunning: cfg.MaxRunning,

@@ -378,7 +378,7 @@ func TestArrivalsInterleaveInContractOrder(t *testing.T) {
 // instant each token arrives, and hash (time, value, hops) on every
 // receipt — both ordering rules at once.
 func tokenRing(nEntities, hops int) uint64 {
-	e := NewEnv(WithSeed(99))
+	e := NewEnv()
 	hash := make([]uint64, nEntities)
 	q := NewArrivals(e, func(f func()) { f() })
 	var forward func(dst int, v uint64, hop int)

@@ -25,8 +25,6 @@ type Env struct {
 	// GlobalEvents).
 	flushed     uint64
 	flushedHeap uint64
-	// seed is the value recorded by WithSeed (see Seed).
-	seed uint64
 }
 
 // globalEvents accumulates dispatches over all Envs in the process,
@@ -79,13 +77,7 @@ type event struct {
 }
 
 // NewEnv returns an empty environment at virtual time zero.
-func NewEnv(opts ...EnvOption) *Env {
-	var cfg envConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return &Env{seed: cfg.seed}
-}
+func NewEnv() *Env { return &Env{} }
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }

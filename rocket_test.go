@@ -126,11 +126,10 @@ func TestStartQueueOnlineThroughPublicAPI(t *testing.T) {
 	}
 }
 
-// The queue rocket.Serve starts sizes its fleet from Nodes alone: a node
-// spec describes each node, so a spec without Nodes is refused with the
-// scheduler's Nodes error.
+// The queue rocket.Serve starts sizes its fleet from Nodes alone, so a
+// config without Nodes is refused with the scheduler's Nodes error.
 func TestRunQueueNeedsQueueNodes(t *testing.T) {
-	_, err := rocket.Serve(rocket.ServeConfig{NodeSpec: rocket.PaperTopology()[1], Seed: 2})
+	_, err := rocket.Serve(rocket.ServeConfig{Seed: 2})
 	if err == nil || !strings.Contains(err.Error(), "Config.Nodes must be >= 1") {
 		t.Fatalf("Serve without Nodes: err = %v, want the Nodes error", err)
 	}

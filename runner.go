@@ -100,8 +100,8 @@ func WithHostSlots(n int) Option {
 	return func(r *Runner) { r.cfg.HostSlots = n }
 }
 
-// WithCollectResults stores comparison outputs in Metrics.Results
-// (real-kernel runs).
+// WithCollectResults stores every computed pair in Metrics.Results, with
+// its comparison output (nil for cost-model applications).
 func WithCollectResults(enabled bool) Option {
 	return func(r *Runner) { r.cfg.CollectResults = enabled }
 }
@@ -168,7 +168,7 @@ func (r *Runner) Run(app Application) (*Metrics, error) {
 	if r.topo == nil {
 		return nil, errNoPlatform
 	}
-	c, err := cluster.New(r.topo, cluster.DefaultConfig())
+	c, err := cluster.New(r.topo)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ func TestRunnerClusterMatchesTopology(t *testing.T) {
 	app := microscopy.New(microscopy.Params{N: 24, Seed: 1})
 
 	spec := rocket.DAS5Node(rocket.TitanXMaxwell)
-	cl, err := cluster.New([]rocket.NodeSpec{spec, spec}, cluster.DefaultConfig())
+	cl, err := cluster.New([]rocket.NodeSpec{spec, spec})
 	if err != nil {
 		t.Fatal(err)
 	}
