@@ -7,7 +7,7 @@
 GO ?= go
 COVERAGE_FLOOR ?= 75.0
 
-.PHONY: build test race-stress alloc-stress bench bench-sim bench-repo loc coverage smoke smoke-scenarios smoke-incremental smoke-trace fuzz-smoke lint ci fmt
+.PHONY: build test race-stress alloc-stress bench bench-sim bench-repo loc coverage smoke smoke-scenarios smoke-incremental smoke-trace fuzz-smoke portable lint ci fmt
 
 build:
 	$(GO) build ./...
@@ -183,7 +183,8 @@ smoke-trace:
 # manifest codec (seed corpus under internal/jobspec/testdata), the
 # columnar segment codec — truncated or bit-flipped segment files must
 # fail with a structured *CorruptError, never a panic — the store against
-# its map model (seed corpora under internal/pairstore/testdata), the
+# its map model and the store's radix sort against a comparison sort
+# (seed corpora under internal/pairstore/testdata), the
 # scheduler over generated queue programs (internal/sched/testdata), and
 # the scenario decoder (internal/scenario/testdata): Parse never panics
 # and an accepted scenario compiles to a valid, repeatable schedule.
@@ -191,9 +192,19 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzManifestRoundTrip -fuzztime=10s ./internal/jobspec/
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentRoundTrip -fuzztime=10s ./internal/pairstore/
 	$(GO) test -run='^$$' -fuzz=FuzzStoreOps -fuzztime=10s ./internal/pairstore/
+	$(GO) test -run='^$$' -fuzz=FuzzSortKeys -fuzztime=10s ./internal/pairstore/
 	$(GO) test -run='^$$' -fuzz=FuzzQueueProgram -fuzztime=10s ./internal/sched/
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioParse -fuzztime=10s ./internal/scenario/
 	$(GO) test -run='^$$' -fuzz=FuzzKeyHeap -fuzztime=10s ./internal/sim/
+
+# Same seed, same bytes on a 32-bit word and without the amd64 assembly
+# (GOARCH=386 uses pure-Go math): vet, the experiments' and the
+# pairstore's goldens, the bloom filter's sizing near int's limit and
+# the radix sort's seed corpus, about 25 s.
+portable:
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test -count=1 -run='^(TestExperimentsGolden|TestStorageGolden)$$' ./internal/experiments/
+	GOARCH=386 $(GO) test -count=1 -run='^(TestIngestGolden|TestBloomSizingBelowWrap|FuzzSortKeys)$$' ./internal/pairstore/
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -208,7 +219,7 @@ lint:
 fmt:
 	gofmt -w .
 
-ci: lint build test race-stress alloc-stress bench-sim
+ci: lint build test race-stress alloc-stress bench-sim portable
 	$(MAKE) coverage
 	$(MAKE) fuzz-smoke
 	$(MAKE) smoke

@@ -64,10 +64,11 @@ func buildStorePlan(cfg Config) (*storePlan, error) {
 		p.missing = make(map[pairIJ]struct{})
 		// Probe the snapshot in chunks so the store lock is taken once
 		// per batch, not once per pair (the base region is O(base²)).
-		// HasMany sorts each chunk internally and resolves it against
-		// sealed columnar segments with one merge-walk per segment over
-		// the store's cached key columns, so each block is decoded once
-		// per plan however many chunks return to it.
+		// HasMany radix-sorts a chunk's keys in place, in a buffer the
+		// store keeps, and resolves them against sealed columnar
+		// segments with one merge-walk per segment over the store's
+		// cached key columns: a block is decoded at most once per plan
+		// while the blocks the plan touches fit the block cache.
 		const probeChunk = 4096
 		var (
 			keys = make([]pairstore.Key, 0, probeChunk)

@@ -222,16 +222,6 @@ type probe struct {
 	i int
 }
 
-func keyCmp(a, b Key) int {
-	switch {
-	case a.A < b.A, a.A == b.A && a.B < b.B:
-		return -1
-	case a == b:
-		return 0
-	}
-	return 1
-}
-
 // probeSorted resolves probes, sorted by key, against the segment in
 // one forward merge-walk. out[p.i] is set for every key the segment
 // holds; the rest are returned, still sorted, packed into the front of

@@ -9,6 +9,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"rocket/internal/testutil"
 )
 
 // deltaStore builds the benchmark's store_delta shape at a twenty-fifth
@@ -114,6 +116,39 @@ func TestPlanDecodesEachBlockOnce(t *testing.T) {
 	}
 	if after := s.Stats(); after.BlockDecodes != mid.BlockDecodes {
 		t.Fatalf("second plan decoded %d more blocks", after.BlockDecodes-mid.BlockDecodes)
+	}
+}
+
+// TestHasManyAllocatesNothing: once its blocks are cached, HasMany of a
+// 4 096-key chunk allocates nothing. The probes are sorted in place in
+// the buffer the store keeps, so a scratch buffer per call, or per
+// sort, would show here. The chunk spans every segment and holds absent
+// keys, so the walk meets fences, bloom filters and cached columns.
+func TestHasManyAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations make MemStats deltas meaningless")
+	}
+	s, dg := deltaStore(t)
+	if st := s.Stats(); st.Segments < 2 {
+		t.Fatalf("%d sealed segments, want at least 2", st.Segments)
+	}
+	keys := make([]Key, 0, 4096)
+	var resident []bool // items from 400 on were never ingested
+	for i := 0; len(keys) < cap(keys); i++ {
+		for j := i + 1; j < len(dg) && len(keys) < cap(keys); j++ {
+			keys = append(keys, Key{A: dg[i], B: dg[j]})
+			resident = append(resident, j < 400)
+		}
+	}
+	snap := s.Snapshot()
+	out := make([]bool, len(keys))
+	snap.HasMany(keys, out) // warm: decode the blocks, size the probe buffer
+	objs, _ := testutil.Allocs(func() { snap.HasMany(keys, out) }, 3)
+	if objs != 0 {
+		t.Errorf("a warm HasMany of %d keys allocated %d objects, want 0", len(keys), objs)
+	}
+	if !slices.Equal(out, resident) {
+		t.Fatal("HasMany answered wrong")
 	}
 }
 

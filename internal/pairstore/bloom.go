@@ -22,9 +22,10 @@ type bloom struct {
 // higher false-positive rate, never a wrong answer.
 const maxBloomWords = (1<<32 - 1) / 64
 
-// bloomWords is the word count of a filter for n keys.
+// bloomWords is the word count of a filter for n keys, computed in 64
+// bits: n·bloomBitsPerKey overflows a 32-bit int past ≈ 214.7 M keys.
 func bloomWords(n int) int {
-	return min((n*bloomBitsPerKey+63)/64, maxBloomWords)
+	return int(min((int64(n)*bloomBitsPerKey+63)/64, maxBloomWords))
 }
 
 // newBloom sizes a filter for n keys. n == 0 yields an empty filter

@@ -558,7 +558,7 @@ func (s *Store) sealLocked() {
 	if len(recs) > 0 {
 		// Keys are unique within a seal, so every correct sort yields the
 		// same order, and the same segment bytes.
-		slices.SortFunc(recs, func(a, b sealRec) int { return keyCmp(a.key, b.key) })
+		sortKeys(recs)
 		for i, r := range recs {
 			if i == 0 || r.key.A != recs[i-1].key.A {
 				dict = append(dict, uint64(r.key.A)) // A digests now arrive sorted
@@ -870,9 +870,10 @@ func (sn *Snapshot) HasMany(keys []Key, out []bool) {
 	if len(sn.segs) == 0 {
 		return
 	}
-	// Sort the unresolved probes once; each segment is then a single
-	// ordered merge-walk, newest segment first (first record wins).
-	slices.SortFunc(probes, func(a, b probe) int { return keyCmp(a.k, b.k) })
+	// Sort the unresolved probes once, in place in the store's buffer;
+	// each segment is then a single ordered merge-walk, newest segment
+	// first (first record wins).
+	sortKeys(probes)
 	for _, seg := range sn.segs {
 		if len(probes) == 0 {
 			break

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -379,16 +380,25 @@ func TestHasManyAgreesWithHas(t *testing.T) {
 // words it was 0 and the first add panicked. Checked through bloomWords,
 // without allocating the 512 MB a filter at the limit takes.
 func TestBloomSizingBelowWrap(t *testing.T) {
-	if maxBloomWords*64 >= 1<<32 {
-		t.Fatalf("%d words hold %d bits, not below 2³²", maxBloomWords, maxBloomWords*64)
+	if bits := int64(maxBloomWords) * 64; bits >= 1<<32 {
+		t.Fatalf("%d words hold %d bits, not below 2³²", maxBloomWords, bits)
 	}
-	for _, c := range []struct{ n, words int }{
+	// n is an int64 so that the table compiles where int has 32 bits; a
+	// size past that int is not a segment size there.
+	for _, c := range []struct {
+		n     int64
+		words int
+	}{
 		{0, 0}, {1, 1}, {1_000_000, 156_250}, // below the clamp nothing moves
+		{214_748_365, 33_554_433},    // n·10 overflows a 32-bit int
 		{429_496_720, maxBloomWords}, // the last unclamped size
 		{429_496_725, maxBloomWords}, // would be exactly 2²⁶ words: m == 0
-		{1 << 30, maxBloomWords}, {1 << 40, maxBloomWords},
+		{1 << 30, maxBloomWords}, {math.MaxInt32, maxBloomWords}, {1 << 40, maxBloomWords},
 	} {
-		if got := bloomWords(c.n); got != c.words {
+		if int64(int(c.n)) != c.n {
+			continue
+		}
+		if got := bloomWords(int(c.n)); got != c.words {
 			t.Errorf("bloomWords(%d) = %d, want %d", c.n, got, c.words)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -87,6 +88,56 @@ func TestRealKernelsThroughPublicAPI(t *testing.T) {
 		if score < -1.01 || score > 1.01 {
 			t.Fatalf("NCC score %v out of range", score)
 		}
+	}
+}
+
+// The root's pair-store door end to end, at a tiny scale: a cold run
+// fills a batch, the batch is merged, sealed, saved and reloaded, and a
+// delta run over four appended items serves the whole base region from
+// the reloaded store (HasMany over its sealed segment) and computes only
+// the pairs touching new items.
+func TestPairStoreDeltaRun(t *testing.T) {
+	digest := rocket.PairDigestFunc("corpus", "forensics", 7)
+	run := func(n int, opts ...rocket.Option) *rocket.Metrics {
+		t.Helper()
+		opts = append([]rocket.Option{
+			rocket.WithHomogeneous(2, rocket.DAS5Node(rocket.TitanXMaxwell)),
+			rocket.WithSeed(1),
+			rocket.WithItemDigest(digest),
+		}, opts...)
+		m, err := rocket.New(opts...).Run(forensics.New(forensics.Params{N: n, Seed: 7}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	store, batch := rocket.NewPairStore(), rocket.NewPairBatch()
+	run(12, rocket.WithStoreBatch(batch))
+	if got := store.Merge(batch); got != 66 {
+		t.Fatalf("merged %d of the cold run's results, want 66", got)
+	}
+	store.Seal()
+	path := filepath.Join(t.TempDir(), "store.json")
+	if err := store.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := rocket.LoadPairStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	batch = rocket.NewPairBatch()
+	m := run(16, rocket.WithStoreSnapshot(reloaded.Snapshot()), rocket.WithBaseItems(12), rocket.WithStoreBatch(batch))
+	if delta := rocket.DeltaPairs(16, 12); m.StoreHits != 66 || m.StoreMisses != 0 || int64(m.Pairs) != delta || delta != 54 {
+		t.Fatalf("delta run: %d hits, %d misses, %d pairs; want 66, 0 and %d = 54", m.StoreHits, m.StoreMisses, m.Pairs, delta)
+	}
+	if uint64(batch.Len()) != m.Pairs {
+		t.Fatalf("delta batch holds %d results for %d computed pairs", batch.Len(), m.Pairs)
+	}
+	reloaded.Merge(batch)
+	reloaded.Seal()
+	if got := reloaded.Len(); got != 16*15/2 {
+		t.Fatalf("store holds %d results after the delta, want %d", got, 16*15/2)
 	}
 }
 
