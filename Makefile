@@ -25,10 +25,10 @@ race-stress:
 # The allocation gates must hold
 # while tests share the CPU, as they do under `go test ./...`. Six copies
 # run at once, eight rounds each; a round runs every allocation gate
-# (experiments' goldens, the pairstore ingest budget, core's and the
-# fleet's allocation tests) from prebuilt test binaries. All 48 rounds
-# must pass.
-ALLOC_GATES = experiments:Golden pairstore:TestIngestAllocationBudget \
+# (experiments' goldens, the pairstore ingest budget and warm HasMany,
+# core's and the fleet's allocation tests) from prebuilt test binaries.
+# All 48 rounds must pass.
+ALLOC_GATES = experiments:Golden pairstore:'TestIngestAllocationBudget|TestHasManyAllocatesNothing' \
 	core:'TestAllocations|TestRunFixedCost|TestSpansAllocateOnlyTheRing' \
 	fleet:TestFleetAllocationBudget
 alloc-stress:
