@@ -199,12 +199,13 @@ fuzz-smoke:
 
 # Same seed, same bytes on a 32-bit word and without the amd64 assembly
 # (GOARCH=386 uses pure-Go math): vet, the experiments' and the
-# pairstore's goldens, the bloom filter's sizing near int's limit and
-# the radix sort's seed corpus, about 25 s.
+# pairstore's goldens, the bloom filter's sizing near int's limit, the
+# exact count of HasMany's segment walks, and the radix sort's and the
+# store model's seed corpora, about 25 s.
 portable:
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test -count=1 -run='^(TestExperimentsGolden|TestStorageGolden)$$' ./internal/experiments/
-	GOARCH=386 $(GO) test -count=1 -run='^(TestIngestGolden|TestBloomSizingBelowWrap|FuzzSortKeys)$$' ./internal/pairstore/
+	GOARCH=386 $(GO) test -count=1 -run='^(TestIngestGolden|TestBloomSizingBelowWrap|TestHasManySegmentVisits|FuzzSortKeys|FuzzStoreOps)$$' ./internal/pairstore/
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

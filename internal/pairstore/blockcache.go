@@ -144,6 +144,9 @@ func (s *segment) decodeKeyCols(i int, z *inflater) (*keyBlock, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := s.checkTombs(i, tomb); err != nil {
+		return nil, err
+	}
 	kb.tomb = append([]byte(nil), tomb...)
 	return kb, nil
 }

@@ -2,6 +2,7 @@ package pairstore
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
@@ -121,9 +122,11 @@ func TestPlanDecodesEachBlockOnce(t *testing.T) {
 
 // TestHasManyAllocatesNothing: once its blocks are cached, HasMany of a
 // 4 096-key chunk allocates nothing. The probes are sorted in place in
-// the buffer the store keeps, so a scratch buffer per call, or per
-// sort, would show here. The chunk spans every segment and holds absent
-// keys, so the walk meets fences, bloom filters and cached columns.
+// the buffer the store keeps, and the walk order is the one the store
+// built when its segments last changed, so a scratch buffer or an order
+// per call, or per sort, would show here. The chunk spans every segment
+// and holds absent keys, so the walk meets fences, bloom filters and
+// cached columns. Snapshot allocates the snapshot alone.
 func TestHasManyAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations make MemStats deltas meaningless")
@@ -140,7 +143,10 @@ func TestHasManyAllocatesNothing(t *testing.T) {
 			resident = append(resident, j < 400)
 		}
 	}
-	snap := s.Snapshot()
+	var snap *Snapshot
+	if objs, _ := testutil.Allocs(func() { snap = s.Snapshot() }, 3); objs != 1 {
+		t.Errorf("Snapshot of %d segments allocated %d objects, want 1: the segment orders are shared", len(s.newest), objs)
+	}
 	out := make([]bool, len(keys))
 	snap.HasMany(keys, out) // warm: decode the blocks, size the probe buffer
 	objs, _ := testutil.Allocs(func() { snap.HasMany(keys, out) }, 3)
@@ -149,6 +155,87 @@ func TestHasManyAllocatesNothing(t *testing.T) {
 	}
 	if !slices.Equal(out, resident) {
 		t.Fatal("HasMany answered wrong")
+	}
+}
+
+// visitSum is the SegmentVisits of probing, once each, every key the
+// segments hold, when each key has a record in one segment only and the
+// walks go in the order of segs: Σ (rank + 1) × rows.
+func visitSum(segs []*segment) uint64 {
+	var sum uint64
+	for rank, seg := range segs {
+		sum += uint64(rank+1) * uint64(seg.rows)
+	}
+	return sum
+}
+
+// TestHasManySegmentVisits is the exact count behind HasMany's walk
+// order. On a tombstone-free store every key is found in the first
+// segment walked that holds it, and the walks go largest segment first,
+// so a plan of every resident key makes visitSum(by size) visits. One
+// tombstone anywhere puts the walks back in newest-first order.
+func TestHasManySegmentVisits(t *testing.T) {
+	s, dg := deltaStore(t)
+	bySize := func() []*segment {
+		segs := slices.Clone(s.newest)
+		slices.SortStableFunc(segs, func(a, b *segment) int { return cmp.Compare(b.rows, a.rows) })
+		return segs
+	}
+	want, newest := visitSum(bySize()), visitSum(s.newest)
+	if want >= newest {
+		t.Fatalf("store shape lost its point: %d visits largest first, %d newest first", want, newest)
+	}
+	before := s.Stats().SegmentVisits
+	if plan := planBase(s.Snapshot(), dg, 400, nil); bytes.Contains(plan, []byte{0}) {
+		t.Fatal("plan missed a resident pair")
+	}
+	if got := s.Stats().SegmentVisits - before; got != want {
+		t.Fatalf("tombstone-free plan: %d segment visits, want %d (newest first: %d)", got, want, newest)
+	}
+	t.Logf("%d segments, %.3f visits per probe (newest first: %.3f)",
+		len(s.newest), float64(want)/float64(s.Len()), float64(newest)/float64(s.Len()))
+
+	// A key put and retracted in one log seals as a lone tombstone, the
+	// only record of its key (its pair is reversed, so no plan asks for
+	// it). The first such seal fills L0 and cascades into a bottom-level
+	// merge, which drops the tombstone. The pairs up to item 440 come next,
+	// auto-sealed and sealed into L0 until its next tier merge, then a
+	// tombstone that stays: one segment on each of three levels.
+	retractSeal := func(i int) Key {
+		gone := Key{A: dg[i], B: dg[0]}
+		s.Put(Entry{Key: gone})
+		s.retract(gone)
+		s.Seal()
+		return gone
+	}
+	retractSeal(1)
+	for _, j := range [][2]int{{400, 420}, {420, 440}} {
+		b := NewBatch()
+		for n := j[0]; n < j[1]; n++ {
+			for i := 0; i < n; i++ {
+				b.Add(Entry{Key: Key{A: dg[i], B: dg[n]}, Version: 440})
+			}
+		}
+		s.Merge(b)
+		s.Seal()
+	}
+	gone := retractSeal(2)
+	if st := s.Stats(); st.Tombstones != 1 || st.Levels < 3 {
+		t.Fatalf("%d tombstones on %d levels, want 1 on at least 3", st.Tombstones, st.Levels)
+	}
+	want = visitSum(s.newest)
+	if want == visitSum(bySize()) {
+		t.Fatal("with the tombstone both orders make the same visits")
+	}
+	before = s.Stats().SegmentVisits
+	snap := s.Snapshot()
+	out := []bool{true}
+	snap.HasMany([]Key{gone}, out)
+	if plan := planBase(snap, dg, 440, nil); out[0] || bytes.Contains(plan, []byte{0}) {
+		t.Fatalf("plan beside a tombstone answered wrong (retracted key live=%v)", out[0])
+	}
+	if got := s.Stats().SegmentVisits - before; got != want {
+		t.Fatalf("plan beside a tombstone: %d segment visits, want %d newest first", got, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package pairstore
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -15,7 +16,10 @@ import (
 // replication design) network transfer, so the decoder is a trust
 // boundary. Both block decoders stand behind it — the full one and the
 // probe-side key-column one — so each is driven over every block, intact
-// and damaged: they must agree where they succeed and fail together.
+// and damaged: they must agree where they succeed and fail together. A
+// third leftover byte re-encodes the segment with a HEAD declaring no
+// tombstones, the count HasMany's walk order trusts: every block that
+// holds one must then fail.
 func FuzzSegmentRoundTrip(f *testing.F) {
 	seed := func(pairs ...uint64) []byte {
 		var b []byte
@@ -122,6 +126,30 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 					if failed != hit {
 						t.Fatalf("data damaged at %d (cut=%v): block %d [%d,%d) failed=%v", pos, cut, blk, m.off, m.off+m.length, failed)
 					}
+				}
+			}
+		}
+		if len(rest) >= 3 && rest[2] != 0 {
+			// A HEAD that declares no tombstones over blocks that hold some
+			// (its checksum intact): the file decodes, and exactly the
+			// blocks with a tombstone bit fail, in both decoders.
+			lie := *seg
+			lie.tombs = 0
+			dec, err := decodeSegmentFile(lie.encodeFile())
+			if err != nil {
+				t.Fatalf("segment declaring 0 tombstones: %v", err)
+			}
+			for blk := range dec.blocks {
+				failed, err := corruptOrEqual(dec, blk)
+				if err != nil {
+					t.Fatalf("segment declaring 0 tombstones: %v", err)
+				}
+				d, err := seg.decodeBlock(blk, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := slices.ContainsFunc(d.tomb, func(b byte) bool { return b != 0 }); failed != want {
+					t.Fatalf("segment declaring 0 tombstones: block %d failed=%v, holds tombstones=%v", blk, failed, want)
 				}
 			}
 		}

@@ -210,6 +210,11 @@ type Stats struct {
 	BlockDecodes    uint64 `json:"block_decodes,omitempty"`
 	BlockCacheHits  uint64 `json:"block_cache_hits,omitempty"`
 	BlockCacheBytes int64  `json:"block_cache_bytes,omitempty"`
+	// SegmentVisits counts the probe–segment visits HasMany made: each
+	// sealed segment's walk adds the probes still unresolved when it
+	// starts. A plan of keys that each live in one segment makes
+	// Σ rank × rows visits, ranks counted from 1 in walk order.
+	SegmentVisits uint64 `json:"segment_visits,omitempty"`
 }
 
 // memEntry is one mutable-log slot: the entry, a link to the previous
@@ -344,6 +349,12 @@ type Store struct {
 	// into the store. See SetMaintenanceHooks.
 	onSeal    func(rows int)
 	onCompact func(inputs int)
+
+	// newest and probeOrder are the sealed segments in the two orders
+	// snapshots read them in (see reorderLocked). Both are rebuilt, never
+	// mutated, when the segment set changes, so snapshots share them.
+	newest     []*segment
+	probeOrder []*segment
 }
 
 // SetMaintenanceHooks installs observers for seals and compactions (the
@@ -380,16 +391,36 @@ func entryBytes(e Entry) int64 {
 	return EntryOverheadBytes + int64(len(e.Value))
 }
 
-// segmentsNewestFirst flattens the levels into probe order: L0 newest
-// seal first, then deeper (older) tiers.
-func (s *Store) segmentsNewestFirst() []*segment {
-	var out []*segment
+// reorderLocked rebuilds the segment orders after the segment set
+// changed (seal, tier merge, Compact, Load). newest is L0's newest seal
+// first, then the deeper, older tiers: the order in which the first
+// record found is the winning one. probeOrder is the order HasMany
+// walks. With no tombstone in any segment every sealed record is live,
+// so a key is live exactly when some segment holds it and the order of
+// the walks cannot change an answer; it is then largest segment first
+// (ties newest first), which resolves most probes in the first walks.
+// With a tombstone anywhere it is newest.
+func (s *Store) reorderLocked() {
+	var newest []*segment
+	tombs := 0
 	for _, level := range s.levels {
 		for i := len(level) - 1; i >= 0; i-- {
-			out = append(out, level[i])
+			newest = append(newest, level[i])
+			tombs += level[i].tombs
 		}
 	}
-	return out
+	s.newest, s.probeOrder = newest, newest
+	if tombs == 0 && len(newest) > 1 {
+		// An insertion sort of the few segments: stable, so ties stay
+		// newest first.
+		order := slices.Clone(newest)
+		for i := 1; i < len(order); i++ {
+			for j := i; j > 0 && order[j].rows > order[j-1].rows; j-- {
+				order[j], order[j-1] = order[j-1], order[j]
+			}
+		}
+		s.probeOrder = order
+	}
 }
 
 // lookupLocked resolves k against the memtable and every segment,
@@ -586,6 +617,7 @@ func (s *Store) sealLocked() {
 		s.onSeal(len(recs))
 	}
 	s.maybeTierLocked()
+	s.reorderLocked()
 }
 
 // maybeTierLocked merges any level that reached the fanout into the
@@ -628,6 +660,7 @@ func (s *Store) maybeTierLocked() {
 func (s *Store) Compact() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.reorderLocked()
 	sealDrop := s.stats.CompactedAway
 	if len(s.mem.entries) > 0 {
 		s.sealLocked()
@@ -784,30 +817,32 @@ func (s *Store) Stats() Stats {
 
 // Snapshot returns an immutable view of the store. Runs consult the
 // snapshot only; concurrent appends, seals, and compactions never
-// change what a snapshot reports. Taking a snapshot is O(segments): it
-// pins the current mutable-log prefix and the current segment list —
-// both never mutated afterward (appends go past the prefix, Seal swaps
-// in a fresh log, compaction builds new segments).
+// change what a snapshot reports. Taking a snapshot is O(1): it pins
+// the current mutable-log prefix and the current segment orders — none
+// of them mutated afterward (appends go past the prefix, Seal swaps in
+// a fresh log, a changed segment set gets new order slices).
 func (s *Store) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return &Snapshot{
-		s:      s,
-		mem:    s.mem,
-		memLen: len(s.mem.entries),
-		segs:   s.segmentsNewestFirst(),
-		live:   s.live,
+		s:          s,
+		mem:        s.mem,
+		memLen:     len(s.mem.entries),
+		segs:       s.newest,
+		probeOrder: s.probeOrder,
+		live:       s.live,
 	}
 }
 
 // Snapshot is an immutable point-in-time view of a store. The zero
 // value is an empty snapshot.
 type Snapshot struct {
-	s      *Store
-	mem    *memtable
-	memLen int
-	segs   []*segment // newest first
-	live   int
+	s          *Store
+	mem        *memtable
+	memLen     int
+	segs       []*segment // newest first
+	probeOrder []*segment // HasMany's walk order (Store.reorderLocked)
+	live       int
 }
 
 // resolve returns the winning record for k at snapshot time.
@@ -843,7 +878,11 @@ func (sn *Snapshot) Get(k Key) (Entry, bool) {
 // O(base²) keys at job start, where per-key locking would dominate —
 // and probes sealed segments with one sorted merge-walk each over the
 // block cache's key columns (predicate pushdown: segments and blocks
-// are skipped by fence and dictionary, uncached blocks by bloom).
+// are skipped by fence and dictionary, uncached blocks by bloom). A key
+// found in a segment is not carried into the next walk. The walks go
+// largest segment first when no segment holds a tombstone — a key is
+// then live exactly when some segment holds it, whatever the order —
+// and newest first otherwise, where the first record found wins.
 func (sn *Snapshot) HasMany(keys []Key, out []bool) {
 	if sn == nil || sn.s == nil {
 		for i := range keys {
@@ -867,17 +906,17 @@ func (sn *Snapshot) HasMany(keys []Key, out []bool) {
 		}
 	}
 	c.probes = probes[:0]
-	if len(sn.segs) == 0 {
+	if len(sn.probeOrder) == 0 {
 		return
 	}
 	// Sort the unresolved probes once, in place in the store's buffer;
-	// each segment is then a single ordered merge-walk, newest segment
-	// first (first record wins).
+	// each segment is then a single ordered merge-walk, in probeOrder.
 	sortKeys(probes)
-	for _, seg := range sn.segs {
+	for _, seg := range sn.probeOrder {
 		if len(probes) == 0 {
 			break
 		}
+		c.st.SegmentVisits += uint64(len(probes))
 		probes = seg.probeSorted(probes, out, c)
 	}
 }

@@ -180,6 +180,7 @@ func Load(path string) (*Store, error) {
 	for _, e := range doc.Mem {
 		s.mem.add(e)
 	}
+	s.reorderLocked()
 	s.nextSeg = doc.NextSeg
 	s.live = doc.Live
 	s.stats = doc.Stats

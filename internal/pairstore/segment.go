@@ -341,6 +341,9 @@ func (s *segment) decodeBlock(i int, z *inflater, d *decodedBlock) (*decodedBloc
 	if d.tomb, err = r.bytes((n+7)/8, "block"); err != nil {
 		return nil, err
 	}
+	if err := s.checkTombs(i, d.tomb); err != nil {
+		return nil, err
+	}
 	// Versions.
 	var vprev int64
 	for k := 0; k < n; k++ {
@@ -369,6 +372,23 @@ func (s *segment) decodeBlock(i int, z *inflater, d *decodedBlock) (*decodedBloc
 		return nil, err
 	}
 	return d, nil
+}
+
+// checkTombs fails block i when its tombstone bitmap marks a row in a
+// segment whose HEAD declares no tombstones: HasMany's walk order
+// trusts that count (Store.reorderLocked), and a block that contradicts
+// it counts as absent, as every corrupt block does, so either walk
+// order gives the same answers.
+func (s *segment) checkTombs(i int, tomb []byte) error {
+	if s.tombs > 0 {
+		return nil
+	}
+	for _, b := range tomb {
+		if b != 0 {
+			return corrupt("block", "block %d holds tombstones, the segment declares none", i)
+		}
+	}
+	return nil
 }
 
 // findBlock returns the index of the only block that can contain k, or

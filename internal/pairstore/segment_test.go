@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -215,12 +217,12 @@ func TestCompactEdgeCases(t *testing.T) {
 			s.Put(Entry{Key: Key{A: Digest(i), B: Digest(i + 1)}})
 		}
 		s.Seal()
-		before := s.segmentsNewestFirst()
+		before := s.newest
 		if len(before) != 1 {
 			t.Fatalf("expected 1 segment, have %d", len(before))
 		}
 		s.Compact()
-		after := s.segmentsNewestFirst()
+		after := s.newest
 		if len(after) != 1 || after[0] != before[0] {
 			t.Fatal("tombstone-free single-segment compaction rewrote the segment")
 		}
@@ -235,11 +237,11 @@ func TestCompactEdgeCases(t *testing.T) {
 			s.retract(Key{A: Digest(i), B: 1})
 		}
 		s.Seal() // a segment of pure tombstones
-		if got := len(s.segmentsNewestFirst()); got != 2 {
+		if got := len(s.newest); got != 2 {
 			t.Fatalf("expected 2 segments before compact, have %d", got)
 		}
 		s.Compact()
-		if got := len(s.segmentsNewestFirst()); got != 0 {
+		if got := len(s.newest); got != 0 {
 			t.Fatalf("tombstone-only store left %d segments after compact", got)
 		}
 		st := s.Stats()
@@ -446,5 +448,68 @@ func TestSegIterStopsAtCorruptBlock(t *testing.T) {
 	}
 	if _, ok := it.next(); ok {
 		t.Fatal("iterator resumed after a corrupt block")
+	}
+}
+
+// TestUndeclaredTombstoneIsCorrupt: a loaded segment's tombstone count
+// is the one its HEAD declares, and HasMany's walk order trusts it. A
+// block holding a tombstone in a segment that declares none is a
+// *CorruptError in both decoders, so it counts as absent, and the
+// largest-first and newest-first walks give the same answers.
+func TestUndeclaredTombstoneIsCorrupt(t *testing.T) {
+	s := New()
+	keys := make([]Key, 0, 65)
+	for i := 0; i < 64; i++ {
+		keys = append(keys, Key{A: Digest(i), B: 1})
+		s.Put(Entry{Key: keys[i]})
+	}
+	s.Seal()
+	gone, later := keys[5], Key{A: 100, B: 1}
+	keys = append(keys, later)
+	s.Put(Entry{Key: later})
+	s.retract(gone)
+	s.Seal() // two rows: later, and the tombstone of gone
+	path := filepath.Join(t.TempDir(), "store.json")
+	if err := s.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	liar := *s.newest[0]
+	if liar.tombs != 1 || liar.rows != 2 {
+		t.Fatalf("newest segment holds %d rows, %d tombstones; want 2, 1", liar.rows, liar.tombs)
+	}
+	liar.tombs = 0
+	if err := os.WriteFile(filepath.Join(segmentDir(path), liar.file), liar.encodeFile(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := r.newest[0]
+	if seg.tombs != 0 || r.probeOrder[0] == seg {
+		t.Fatalf("reloaded: %d tombstones declared, walked first=%v; want 0, false", seg.tombs, r.probeOrder[0] == seg)
+	}
+	_, errK := seg.decodeKeyCols(0, &inflater{})
+	_, errF := seg.decodeBlock(0, nil, nil)
+	for _, err := range []error{errK, errF} {
+		var ce *CorruptError
+		if !errors.As(err, &ce) || !strings.Contains(ce.Reason, "declares none") {
+			t.Fatalf("block with an undeclared tombstone decoded with error %v", err)
+		}
+	}
+	want := make([]bool, len(keys))
+	for i := range want {
+		want[i] = keys[i] != later // the corrupt block is absent: later too, gone's tombstone too
+	}
+	for _, order := range []struct {
+		name string
+		segs []*segment
+	}{{"largest first", r.probeOrder}, {"newest first", r.newest}} {
+		r.probeOrder = order.segs
+		out := make([]bool, len(keys))
+		r.Snapshot().HasMany(keys, out)
+		if !slices.Equal(out, want) {
+			t.Fatalf("%s: HasMany = %v, want %v", order.name, out, want)
+		}
 	}
 }

@@ -154,6 +154,7 @@ func TestIncrementalServeAndReplay(t *testing.T) {
 		"rocketd_store_compactions_total ",
 		"# TYPE rocketd_store_block_decodes_total counter\nrocketd_store_block_decodes_total ",
 		"# TYPE rocketd_store_block_cache_bytes gauge\nrocketd_store_block_cache_bytes ",
+		"# TYPE rocketd_store_segment_visits_total counter\nrocketd_store_segment_visits_total ",
 	} {
 		if !strings.Contains(buf.String(), gauge) {
 			t.Fatalf("store gauge %q missing from /metrics:\n%s", gauge, buf.String())

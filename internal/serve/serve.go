@@ -440,6 +440,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "rocketd_store_block_decodes_total %d\n", st.BlockDecodes)
 	fmt.Fprintf(w, "# HELP rocketd_store_block_cache_bytes Decoded key columns held by the store's bounded block cache.\n# TYPE rocketd_store_block_cache_bytes gauge\n")
 	fmt.Fprintf(w, "rocketd_store_block_cache_bytes %d\n", st.BlockCacheBytes)
+	fmt.Fprintf(w, "# HELP rocketd_store_segment_visits_total Segment walks of batch planning probes: each sealed segment a HasMany walks counts the keys still unresolved when it starts.\n# TYPE rocketd_store_segment_visits_total counter\n")
+	fmt.Fprintf(w, "rocketd_store_segment_visits_total %d\n", st.SegmentVisits)
 	fmt.Fprintf(w, "# HELP rocketd_store_seals_total Mutable-log promotions into sorted columnar segments.\n# TYPE rocketd_store_seals_total counter\n")
 	fmt.Fprintf(w, "rocketd_store_seals_total %d\n", st.Seals)
 	fmt.Fprintf(w, "# HELP rocketd_store_compactions_total Tier merges and full compactions.\n# TYPE rocketd_store_compactions_total counter\n")

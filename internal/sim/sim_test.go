@@ -26,6 +26,19 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
+// TestMillisTruncates pins Millis to truncation toward zero: 1.9 ns is
+// 1 ns on both sides of zero, not the nearest 2.
+func TestMillisTruncates(t *testing.T) {
+	for _, c := range []struct {
+		ms   float64
+		want Time
+	}{{1.9e-6, 1}, {-1.9e-6, -1}, {0.9e-6, 0}, {2.5e-6, 2}} {
+		if got := Millis(c.ms); got != c.want {
+			t.Errorf("Millis(%g) = %d ns, want %d", c.ms, int64(got), int64(c.want))
+		}
+	}
+}
+
 func TestTimeConversions(t *testing.T) {
 	if Millis(1.5) != 1500*Microsecond {
 		t.Errorf("Millis(1.5) = %v", Millis(1.5))

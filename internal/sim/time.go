@@ -28,8 +28,10 @@ const (
 	Hour             = 60 * Minute
 )
 
-// Millis returns f milliseconds of virtual time, rounding to the nearest
-// nanosecond.
+// Millis returns f milliseconds of virtual time, truncated toward zero
+// to a whole nanosecond (the float-to-integer conversion). Sampled
+// durations go through it, so the truncation is part of every run's
+// output and stays.
 func Millis(f float64) Time { return Time(f * float64(Millisecond)) }
 
 // Micros returns f microseconds of virtual time.
