@@ -26,14 +26,14 @@ race-stress:
 # while tests share the CPU, as they do under `go test ./...`. Six copies
 # run at once, eight rounds each; a round runs every allocation gate
 # (experiments' goldens, the pairstore ingest budget and warm HasMany,
-# core's and the fleet's allocation tests) from prebuilt test binaries.
-# All 48 rounds must pass.
+# core's and the fleet's allocation tests, the sim engine's zero-allocation
+# dispatch tests) from prebuilt test binaries. All 48 rounds must pass.
 ALLOC_GATES = experiments:Golden pairstore:'TestIngestAllocationBudget|TestHasManyAllocatesNothing' \
 	core:'TestAllocations|TestRunFixedCost|TestSpansAllocateOnlyTheRing' \
-	fleet:TestFleetAllocationBudget
+	fleet:TestFleetAllocationBudget sim:TestZeroAlloc
 alloc-stress:
 	rm -rf /tmp/rocket-alloc-stress && mkdir -p /tmp/rocket-alloc-stress
-	for pkg in experiments pairstore core fleet; do \
+	for pkg in experiments pairstore core fleet sim; do \
 		$(GO) test -c -o /tmp/rocket-alloc-stress/$$pkg.test ./internal/$$pkg || exit 1; \
 	done
 	for copy in 1 2 3 4 5 6; do \
@@ -187,7 +187,9 @@ smoke-trace:
 # (seed corpora under internal/pairstore/testdata), the
 # scheduler over generated queue programs (internal/sched/testdata), and
 # the scenario decoder (internal/scenario/testdata): Parse never panics
-# and an accepted scenario compiles to a valid, repeatable schedule.
+# and an accepted scenario compiles to a valid, repeatable schedule. Last,
+# the engine's key heap against a sort and its arrival queue against a
+# linear-scan reference of the dispatch order (internal/sim/testdata).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzManifestRoundTrip -fuzztime=10s ./internal/jobspec/
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentRoundTrip -fuzztime=10s ./internal/pairstore/
@@ -196,6 +198,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzQueueProgram -fuzztime=10s ./internal/sched/
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioParse -fuzztime=10s ./internal/scenario/
 	$(GO) test -run='^$$' -fuzz=FuzzKeyHeap -fuzztime=10s ./internal/sim/
+	$(GO) test -run='^$$' -fuzz=FuzzArrivalsOrder -fuzztime=10s ./internal/sim/
 
 # Same seed, same bytes on a 32-bit word and without the amd64 assembly
 # (GOARCH=386 uses pure-Go math): vet, the experiments' and the

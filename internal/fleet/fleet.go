@@ -4,7 +4,7 @@
 // dense cross-node traffic, where the all-pairs runtime in internal/core
 // spends its events on per-pair pipelines instead.
 //
-// A message is a typed record in a sim.Arrivals heap — kind, endpoints,
+// A message is a typed record in a sim.Arrivals queue — kind, endpoints,
 // one payload word — dispatched by a switch over its kind, and every timer
 // is an argument event on a method value bound once per run, so no
 // message and no timer allocates.

@@ -17,20 +17,33 @@ import "fmt"
 //  3. An arrival counts as one dispatched event (EventsProcessed).
 //
 // Because a record must arrive strictly after the instant it was pushed
-// at, pushing straight into a heap at send time is enough to keep that
-// order: no arrival can be queued behind the clock.
+// at, inserting it in order at send time is enough to keep that order: no
+// arrival can be queued behind the clock.
 //
-// The records sit in a slab and the heap sifts only their keys, as the
-// Env's eventQueue does. The free slab slots are the indices in the
-// heap's spare tail, keys[len(keys):len(slab)], so the keys and the slab
-// always grow together, in one step, and nothing else is allocated.
+// The records sit in one Ring kept sorted by (at, src, seq), a total
+// order since every seq is unique, so the head is always the next
+// arrival. Push appends a record at the tail and moves it toward the head
+// past every record it orders before. That costs O(1 + records passed):
+// the queue is cheap only while records are pushed nearly in arrival
+// order. The fleet's are, because cluster.NICs.Send makes each arrival
+// the sender's NIC departure plus NetLatency, so every record in flight
+// lies within a few hundred ns of now + NetLatency.
 type Arrivals[T any] struct {
 	env     *Env
 	deliver func(T)
-	keys    keyHeap
-	slab    []T
+	ring    Ring[arrival[T]]
 	seq     uint64
 }
+
+// arrival is one queued record with its ordering fields.
+type arrival[T any] struct {
+	at  Time
+	seq uint64
+	src uint32
+	msg T
+}
+
+func (a *arrival[T]) key() key { return key{at: a.at, seq: a.seq, src: a.src} }
 
 // NewArrivals returns an empty queue on e. deliver runs each record in
 // scheduler context with e's clock at the record's arrival time; bind it
@@ -49,32 +62,25 @@ func (q *Arrivals[T]) Push(at Time, src uint32, msg T) {
 		panic("sim: arrival pushed on closed Env")
 	}
 	q.seq++
-	n := len(q.keys)
-	idx := int32(n)
-	if n < len(q.slab) {
-		idx = q.keys[:n+1][n].idx // the first free slot of the spare tail
-	} else {
-		// No free slot. The keys are as full as the slab, and keyHeap.push
-		// grows them to the same capacity.
-		if n == cap(q.slab) {
-			q.slab = append(make([]T, 0, growCap(n)), q.slab...)
+	r := &q.ring
+	r.Push(arrival[T]{at: at, seq: q.seq, src: src, msg: msg})
+	k, mask := key{at: at, seq: q.seq, src: src}, len(r.buf)-1
+	for i := (r.head + r.n - 1) & mask; i != r.head; {
+		p := (i - 1) & mask
+		if below(k, r.buf[p].key()) == 0 {
+			break
 		}
-		q.slab = q.slab[:n+1]
+		r.buf[i], r.buf[p] = r.buf[p], r.buf[i]
+		i = p
 	}
-	q.slab[idx] = msg
-	q.keys.push(key{at: at, seq: q.seq, src: src, idx: idx})
 }
 
-// pop removes the earliest record and returns its arrival time and
-// message, and frees its slot.
-func (q *Arrivals[T]) pop() (Time, T) {
-	k := q.keys.pop()
-	n := len(q.keys)
-	q.keys[:n+1][n].idx = k.idx // the slot joins the spare tail
-	msg := q.slab[k.idx]
-	var zero T
-	q.slab[k.idx] = zero // the record may hold pointers
-	return k.at, msg
+// next returns the earliest record, or nil when none is queued.
+func (q *Arrivals[T]) next() *arrival[T] {
+	if q.ring.n == 0 {
+		return nil
+	}
+	return &q.ring.buf[q.ring.head]
 }
 
 // RunUntil is Env.RunUntil over both streams: it dispatches arrivals and
@@ -99,12 +105,12 @@ func (q *Arrivals[T]) RunUntil(t Time) uint64 {
 		if local {
 			lt = e.events.minTime(e.now)
 		}
-		if len(q.keys) > 0 && q.keys[0].at <= t && (!local || q.keys[0].at <= lt) {
+		if a := q.next(); a != nil && a.at <= t && (!local || a.at <= lt) {
 			// The clock moves only when nothing local is queued at the
 			// current instant: with the now-lane non-empty lt is now, so
 			// the arrival is at now too.
-			at, msg := q.pop()
-			e.now = at
+			e.now = a.at
+			msg := q.ring.Pop().msg
 			e.eventsProcessed++
 			q.deliver(msg)
 			continue

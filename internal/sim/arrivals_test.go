@@ -94,9 +94,9 @@ func TestShardedRunUntil(t *testing.T) {
 	}
 }
 
-// The sharded engine's lookahead was the least delay of a message; what
-// is left of it is that a message arrives strictly after it is sent.
-func TestSendBelowLookaheadPanics(t *testing.T) {
+// A message arrives strictly after it is sent: a push for the send
+// instant panics.
+func TestPushAtSendInstantPanics(t *testing.T) {
 	e := NewEnv()
 	q := NewArrivals(e, func(int) {})
 	e.RunUntil(Micros(5))
@@ -110,7 +110,7 @@ func TestSendBelowLookaheadPanics(t *testing.T) {
 
 // A message pushed outside any run and still queued at Close is dropped:
 // it never runs, and running the closed Env dispatches nothing.
-func TestCloseDrainCountsUnflushedCoupler(t *testing.T) {
+func TestCloseDropsArrivalPushedOutsideRun(t *testing.T) {
 	e := NewEnv()
 	ran := false
 	q := NewArrivals(e, func(int) { ran = true })
@@ -123,7 +123,7 @@ func TestCloseDrainCountsUnflushedCoupler(t *testing.T) {
 
 // A message sent during a run, due after the horizon that run stopped at,
 // is dropped by Close like the local events queued beside it.
-func TestCloseDrainsCouplersBeforeDropping(t *testing.T) {
+func TestCloseDropsArrivalPastHorizon(t *testing.T) {
 	e := NewEnv()
 	ran := false
 	q := NewArrivals(e, func(int) { ran = true })
@@ -142,7 +142,7 @@ func TestCloseDrainsCouplersBeforeDropping(t *testing.T) {
 	}
 }
 
-func TestSendOnClosedSetPanics(t *testing.T) {
+func TestPushOnClosedEnvPanics(t *testing.T) {
 	e := NewEnv()
 	q := NewArrivals(e, func(int) {})
 	e.Close()
@@ -154,7 +154,7 @@ func TestSendOnClosedSetPanics(t *testing.T) {
 	q.Push(Millis(2), 0, 1)
 }
 
-func TestShardedReentrancyPanics(t *testing.T) {
+func TestRunInsideArrivalPanics(t *testing.T) {
 	e := NewEnv()
 	var got interface{}
 	q := NewArrivals(e, func(int) {
@@ -168,9 +168,9 @@ func TestShardedReentrancyPanics(t *testing.T) {
 	}
 }
 
-// A message between two entities of one Env takes the arrival heap, never
+// A message between two entities of one Env takes the arrival queue, never
 // the Env's event queue, and is delivered from it.
-func TestSameShardSendTakesMergePath(t *testing.T) {
+func TestArrivalBypassesEventQueue(t *testing.T) {
 	e := NewEnv()
 	ran := false
 	q := NewArrivals(e, func(int) { ran = true })
@@ -187,7 +187,7 @@ func TestSameShardSendTakesMergePath(t *testing.T) {
 
 // A panic in a local event or in a delivery reaches the caller of
 // Arrivals.RunUntil with its value.
-func TestShardPanicPropagates(t *testing.T) {
+func TestArrivalsRunUntilPropagatesPanics(t *testing.T) {
 	recovered := func(setup func(e *Env, q *Arrivals[string])) (got interface{}) {
 		e := NewEnv()
 		q := NewArrivals(e, func(s string) { panic(s) })
@@ -208,8 +208,9 @@ func TestShardPanicPropagates(t *testing.T) {
 	}
 }
 
-// A message that rides as a value through the arrival heap costs nothing
-// once the heap has grown: push, order and deliver are allocation-free.
+// A message that rides as a value through the arrival queue costs nothing
+// once the queue has grown: push, order and deliver are allocation-free,
+// also for a push that lands before the tail.
 func TestZeroAllocArrival(t *testing.T) {
 	type msg struct {
 		to   int32
@@ -223,14 +224,15 @@ func TestZeroAllocArrival(t *testing.T) {
 	}
 	q.RunUntil(Millis(1))
 	allocs := testing.AllocsPerRun(1000, func() {
-		q.Push(e.Now()+1, 3, msg{word: 2})
-		q.RunUntil(e.Now() + 1)
+		q.Push(e.Now()+2, 3, msg{word: 2})
+		q.Push(e.Now()+1, 3, msg{word: 3}) // lands before the tail
+		q.RunUntil(e.Now() + 2)
 	})
 	if allocs != 0 {
-		t.Fatalf("arrival push+deliver allocates %.1f objects/message, want 0", allocs)
+		t.Fatalf("arrival push+deliver allocates %.1f objects/round, want 0", allocs)
 	}
-	if sum != 1024+2*1001 {
-		t.Fatalf("messages summed to %d, want %d", sum, 1024+2*1001)
+	if sum != 1024+5*1001 {
+		t.Fatalf("messages summed to %d, want %d", sum, 1024+5*1001)
 	}
 }
 
@@ -278,19 +280,64 @@ func (p *msgProgram) act(src int) {
 	}
 }
 
-// refArrival is an arrival under the reference driver's bookkeeping.
-type refArrival struct {
+// arrivalsReference states the order of the Arrivals type comment
+// directly: local events in (at, seq) order by linear scan
+// (laneReference), arrivals in (at, src, seq) order by linear scan, an
+// arrival first whenever it is not later than the earliest local event.
+type arrivalsReference[T any] struct {
+	ref     laneReference
+	deliver func(T)
+	pending []refArrival[T]
+	seq     uint64
+}
+
+// refArrival is an arrival under the reference's bookkeeping.
+type refArrival[T any] struct {
 	at  Time
 	src uint32
 	seq uint64
-	m   progMsg
+	m   T
 }
 
-// TestArrivalsInterleaveInContractOrder holds Arrivals.RunUntil to a
-// reference that states the order directly: local events in (at, seq)
-// order by linear scan (laneReference), arrivals in (at, src, seq) order
-// by linear scan, an arrival first whenever it is not later than the
-// earliest local event.
+func (r *arrivalsReference[T]) Push(at Time, src uint32, m T) {
+	r.seq++
+	r.pending = append(r.pending, refArrival[T]{at, src, r.seq, m})
+}
+
+func (r *arrivalsReference[T]) RunUntil(t Time) uint64 {
+	e := r.ref.e
+	start := e.eventsProcessed
+	for {
+		r.ref.collect()
+		a := -1
+		for i, x := range r.pending {
+			if y := r.pending[max(a, 0)]; a < 0 || x.at < y.at || x.at == y.at && (x.src < y.src || x.src == y.src && x.seq < y.seq) {
+				a = i
+			}
+		}
+		local := len(r.ref.pending) > 0
+		if a >= 0 && r.pending[a].at <= t && (!local || r.pending[a].at <= r.ref.pending[r.ref.min()].at) {
+			x := r.pending[a]
+			r.pending = slices.Delete(r.pending, a, a+1)
+			e.now = x.at
+			e.eventsProcessed++
+			r.deliver(x.m)
+			continue
+		}
+		if !local || r.ref.pending[r.ref.min()].at > t {
+			break
+		}
+		r.ref.step()
+	}
+	if e.now < t {
+		e.now = t
+	}
+	return e.eventsProcessed - start
+}
+
+// TestArrivalsInterleaveInContractOrder holds Arrivals.RunUntil to
+// arrivalsReference over 100 seeded programs of local events and
+// messages.
 func TestArrivalsInterleaveInContractOrder(t *testing.T) {
 	run := func(seed int64, reference bool) (log []laneRecord, now Time, events uint64) {
 		e := NewEnv()
@@ -299,42 +346,8 @@ func TestArrivalsInterleaveInContractOrder(t *testing.T) {
 		deliver := func(m progMsg) { p.visit(m.id ^ uint64(m.to)<<40) }
 		var runUntil func(Time) uint64
 		if reference {
-			ref := &laneReference{e: e}
-			var pending []refArrival
-			var seq uint64
-			p.send = func(at Time, src uint32, m progMsg) {
-				seq++
-				pending = append(pending, refArrival{at, src, seq, m})
-			}
-			runUntil = func(t Time) uint64 {
-				start := e.eventsProcessed
-				for {
-					ref.collect()
-					a := -1
-					for i, x := range pending {
-						if y := pending[max(a, 0)]; a < 0 || x.at < y.at || x.at == y.at && (x.src < y.src || x.src == y.src && x.seq < y.seq) {
-							a = i
-						}
-					}
-					local := len(ref.pending) > 0
-					if a >= 0 && pending[a].at <= t && (!local || pending[a].at <= ref.pending[ref.min()].at) {
-						x := pending[a]
-						pending = slices.Delete(pending, a, a+1)
-						e.now = x.at
-						e.eventsProcessed++
-						deliver(x.m)
-						continue
-					}
-					if !local || ref.pending[ref.min()].at > t {
-						break
-					}
-					ref.step()
-				}
-				if e.now < t {
-					e.now = t
-				}
-				return e.eventsProcessed - start
-			}
+			r := &arrivalsReference[progMsg]{ref: laneReference{e: e}, deliver: deliver}
+			p.send, runUntil = r.Push, r.RunUntil
 		} else {
 			q := NewArrivals(e, deliver)
 			p.send, runUntil = q.Push, q.RunUntil
@@ -370,6 +383,80 @@ func TestArrivalsInterleaveInContractOrder(t *testing.T) {
 	if callbacks < 20000 || arrivals < 4000 {
 		t.Fatalf("the programs did not cover the ground: %d callbacks, %d arrivals", callbacks, arrivals)
 	}
+}
+
+// arrivalDelays are the delays an arrivalsProgram draws from: a few ns,
+// so that records tie and land anywhere in the queue, the fleet's
+// latency and instants next to it, and one far ahead.
+var arrivalDelays = [8]Time{1, 2, 5, 100, 5 * Microsecond, 5*Microsecond + 1, 5*Microsecond + 100, Millisecond}
+
+// arrivalsProgram runs prog on one Env and an arrival queue (Arrivals,
+// or arrivalsReference when reference is set) and returns the dispatch
+// log, the final clock and the number of events dispatched. Each byte is
+// one operation, taken at top level or, one per callback, by the
+// callback that runs next. Bits 2-4 pick a delay d from arrivalDelays,
+// and the low two bits the operation: a push from sender b>>5 (eight
+// senders, so records tie on at both with equal and with different src)
+// to arrive at now+d (0 and 1), a local event at now+d-1 (2), or, at top
+// level only, RunUntil(now+d) (3). What is queued at the end runs out.
+func arrivalsProgram(prog []byte, reference bool) (log []laneRecord, now Time, events uint64) {
+	e := NewEnv()
+	var (
+		push     func(at Time, src uint32, id uint64)
+		runUntil func(Time) uint64
+		act      func(top bool) bool
+		next     int
+		lastID   uint64
+	)
+	visit := func(id uint64) {
+		log = append(log, laneRecord{e.now, id})
+		act(false)
+	}
+	act = func(top bool) bool {
+		if next == len(prog) {
+			return false
+		}
+		b := prog[next]
+		next++
+		lastID++
+		id, d := lastID, arrivalDelays[b>>2&7]
+		switch b & 3 {
+		case 0, 1:
+			push(e.now+d, uint32(b>>5), id)
+		case 2:
+			e.At(e.now+d-1, func() { visit(id) })
+		case 3:
+			if top {
+				events += runUntil(e.now + d)
+			}
+		}
+		return true
+	}
+	if reference {
+		r := &arrivalsReference[uint64]{ref: laneReference{e: e}, deliver: visit}
+		push, runUntil = r.Push, r.RunUntil
+	} else {
+		q := NewArrivals(e, visit)
+		push, runUntil = q.Push, q.RunUntil
+	}
+	for act(true) {
+	}
+	events += runUntil(1 << 62)
+	return log, e.now, events
+}
+
+// FuzzArrivalsOrder holds Arrivals to arrivalsReference on byte-driven
+// programs of pushes, local events and RunUntil steps.
+func FuzzArrivalsOrder(f *testing.F) {
+	f.Add([]byte{0x10, 0x30, 0x02, 0x0f, 0x04, 0x16, 0x1f})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		want, wantNow, wantEvents := arrivalsProgram(prog, true)
+		got, gotNow, gotEvents := arrivalsProgram(prog, false)
+		if !slices.Equal(got, want) || gotNow != wantNow || gotEvents != wantEvents {
+			t.Fatalf("dispatched %v (clock %v, %d events),\nreference %v (clock %v, %d events)",
+				got, gotNow, gotEvents, want, wantNow, wantEvents)
+		}
+	})
 }
 
 // tokenRing runs a token-ring workload over nEntities on one Env and

@@ -207,8 +207,8 @@ func BenchmarkArrivalsChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		round()
 	}
-	if e.PendingEvents() != 2048 || len(q.keys) != 200 {
-		b.Fatalf("%d timers and %d arrivals in flight, want 2048 and 200", e.PendingEvents(), len(q.keys))
+	if e.PendingEvents() != 2048 || q.ring.Len() != 200 {
+		b.Fatalf("%d timers and %d arrivals in flight, want 2048 and 200", e.PendingEvents(), q.ring.Len())
 	}
 }
 

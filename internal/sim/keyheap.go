@@ -29,13 +29,15 @@ func below(a, b key) uint64 {
 // pick returns a when sel is 0 and b when sel is 1, without a branch.
 func pick(sel uint64, a, b int) int { return a ^ (a^b)&-int(sel) }
 
-// keyHeap is a 4-ary min-heap of keys in (at, src, seq) order, the one
-// heap under both engine queues. Both give every entry a unique seq, so
-// the order is total and the pop sequence depends on the keys alone, not
-// on the arity or the sift. A 4-ary heap is half as deep as a binary one,
-// and a family of four keys spans 96 bytes, two or three cache lines.
-// Sifts move a hole instead of swapping entries, and pick the least child
-// by arithmetic select.
+// keyHeap is a 4-ary min-heap of keys in (at, src, seq) order, the heap
+// under the Env's event queue. The queue gives every entry a unique seq,
+// so the order is total and the pop sequence depends on the keys alone,
+// not on the arity or the sift. A 4-ary heap is half as deep as a binary
+// one, and a family of four keys spans 96 bytes, two or three cache
+// lines. Sifts move a hole instead of swapping entries, and pick the
+// least child by arithmetic select: in a deep queue such as the fleet's
+// timers, which child is least is unpredictable, and a branch on it
+// mispredicts (BenchmarkEventQueueChurn).
 type keyHeap []key
 
 // push adds k, growing the backing array in bulk when it is full.

@@ -4,8 +4,9 @@ package sim
 // a queue that drains and refills for a whole run reuses one buffer
 // instead of reslicing its front away and regrowing. It backs every
 // queue of the engine (resource waiters, mailbox messages and receivers)
-// and the fabric's in-order transfer queues. The zero value is an empty
-// ring; the buffer is allocated on first Push.
+// and the fabric's in-order transfer queues; Arrivals keeps its records
+// in one sorted, by moving each push from the tail toward the head. The
+// zero value is an empty ring; the buffer is allocated on first Push.
 type Ring[T any] struct {
 	buf  []T
 	head int
