@@ -16,11 +16,14 @@ test:
 	$(GO) test -race ./...
 
 # Exercise the parallel sweep
-# workers, the online submission paths, and fault recovery repeatedly
-# under -race at two GOMAXPROCS widths.
+# workers, the online submission paths, fault recovery and the pair
+# store's pipelined segment builds repeatedly under -race at two
+# GOMAXPROCS widths, then the pair store's ingest goldens and allocation
+# budget at one and two cores.
 race-stress:
-	GOMAXPROCS=2 $(GO) test -race -count=2 ./internal/sched/ ./internal/core/ ./internal/serve/
-	GOMAXPROCS=8 $(GO) test -race -count=2 ./internal/sched/ ./internal/core/ ./internal/serve/
+	GOMAXPROCS=2 $(GO) test -race -count=2 ./internal/sched/ ./internal/core/ ./internal/serve/ ./internal/pairstore/
+	GOMAXPROCS=8 $(GO) test -race -count=2 ./internal/sched/ ./internal/core/ ./internal/serve/ ./internal/pairstore/
+	$(GO) test -count=1 -cpu 1,2 -run '^TestIngest' ./internal/pairstore/
 
 # The allocation gates must hold
 # while tests share the CPU, as they do under `go test ./...`. Six copies

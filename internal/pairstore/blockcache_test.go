@@ -37,8 +37,10 @@ func deltaStore(t testing.TB) (*Store, []Digest) {
 			}
 		}
 		if v%2 == 0 {
-			for _, e := range b.entries {
-				s.Put(e)
+			for _, c := range b.chunks {
+				for _, e := range c {
+					s.Put(e)
+				}
 			}
 		} else if got := s.Merge(b); got != b.Len() {
 			t.Fatalf("version %d: merged %d of %d", n, got, b.Len())

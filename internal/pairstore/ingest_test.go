@@ -46,8 +46,10 @@ func ingestShape(t testing.TB, items int) (ingest func(s *Store) int) {
 		pairs := 0
 		for v, b := range versions {
 			if v%2 == 0 {
-				for _, e := range b.entries {
-					s.Put(e)
+				for _, c := range b.chunks {
+					for _, e := range c {
+						s.Put(e)
+					}
 				}
 			} else if got := s.Merge(b); got != b.Len() {
 				t.Fatalf("version %d: merged %d of %d", v, got, b.Len())
@@ -95,7 +97,11 @@ func saveDigest(t *testing.T, s *Store, path string) string {
 // auto-seals at 2¹⁰ entries, two tier levels, a tombstone in the log —
 // before and after a full Compact. The write path may get faster; what
 // it writes may not change. The goldens were taken before the streaming
-// seal and are never regenerated to make a change pass.
+// seal and are never regenerated to make a change pass. One stated edit:
+// when point probes began skipping the segments for keys with a digest
+// no dictionary holds, the manifest's bloom counters fell (probes
+// 58 196 → 4 214, negatives 57 675 → 4 176, false positives 520 → 37);
+// every other manifest field and every segment file kept its bytes.
 func TestIngestGolden(t *testing.T) {
 	s := New()
 	s.SetAutoSealThreshold(1 << 10)
@@ -108,8 +114,8 @@ func TestIngestGolden(t *testing.T) {
 	s.Compact()
 	got[1] = saveDigest(t, s, path)
 	want := [2]string{
-		"d56cc3e3d89d6d2f9c267970bf511b9835a691263e0aa3d46bbfb37d6f0ab59b",
-		"e9bec7273e2db4b5787ba07ad80d7ae8b47d4a5a95c445d4b1bb93ed788df79e",
+		"492022e7f17b253f75d135d6c3d723e2f55565a01ec7c104028e5f52948fe8b6",
+		"545886b6cc757c800a64ff4bff7d6f179c17f0f983c46f93c70b310696af361b",
 	}
 	if got != want {
 		t.Fatalf("persisted bytes changed:\n got %q\nwant %q", got, want)

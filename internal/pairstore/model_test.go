@@ -3,6 +3,7 @@ package pairstore
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 )
 
@@ -231,6 +232,34 @@ func checkView(t *testing.T, what string, live map[Key]Entry, v view, hasMany fu
 	}
 }
 
+// checkDigestSet holds the store's digest set to the union of its
+// segments' dictionaries: one missing a digest loses the keys it keys,
+// one keeping a stale digest holds memory and sends probes to segments
+// for nothing.
+func checkDigestSet(t *testing.T, at string, s *Store) {
+	t.Helper()
+	union := make(map[uint64]bool)
+	for _, level := range s.levels {
+		for _, seg := range level {
+			for _, v := range seg.dict {
+				union[v] = true
+			}
+		}
+	}
+	n := s.digests.n
+	if s.digests.zero {
+		n++
+	}
+	if n != len(union) {
+		t.Fatalf("%s: digest set holds %d digests, the segments' dictionaries %d", at, n, len(union))
+	}
+	for v := range union {
+		if !s.digests.has(Digest(v)) {
+			t.Fatalf("%s: digest set lacks %#x", at, v)
+		}
+	}
+}
+
 // modelAutoSeal maps a program's first byte to its auto-seal threshold:
 // 1 to 17 below 0x80, so seals land inside Merges, and 64 to 512 from
 // 0x80, so the log outgrows its first index table.
@@ -244,10 +273,11 @@ func modelAutoSeal(b byte) int {
 // checkStoreOps interprets prog as an op program — the first byte picks
 // the auto-seal threshold (modelAutoSeal), then each op byte and its operands:
 // Put (with or without a value), Delete, Merge of up to 12 entries with
-// duplicates, Seal, Compact, Snapshot — and runs it against a Store and
-// the model, comparing the store and every live snapshot after every op.
-// Snapshots are checked against the model's copy from when they were
-// taken, through every later seal and compaction.
+// duplicates, Seal, Compact, Snapshot, and a Save followed by a Load that
+// replaces the store — and runs it against a Store and the model,
+// comparing the store, its digest set and every live snapshot after
+// every op. Snapshots are checked against the model's copy from when
+// they were taken, through every later seal, compaction and reload.
 func checkStoreOps(t *testing.T, prog []byte) {
 	if len(prog) == 0 {
 		return
@@ -269,6 +299,7 @@ func checkStoreOps(t *testing.T, prog []byte) {
 		return prog[pos-1]
 	}
 	var touched []Key
+	var path string // where Save/Load goes, made on first use
 	entry := func(step int) Entry {
 		b := next()
 		e := Entry{Key: modelKey(b), Version: step}
@@ -302,9 +333,11 @@ func checkStoreOps(t *testing.T, prog []byte) {
 				b.Add(entry(step))
 			}
 			want := 0
-			for _, e := range b.entries {
-				if m.put(e) {
-					want++
+			for _, c := range b.chunks {
+				for _, e := range c {
+					if m.put(e) {
+						want++
+					}
 				}
 			}
 			what = fmt.Sprintf("Merge of %d", b.Len())
@@ -320,6 +353,19 @@ func checkStoreOps(t *testing.T, prog []byte) {
 			if got, want := s.Compact(), m.compact(); got != want {
 				t.Fatalf("step %d: Compact dropped %d, model %d", step, got, want)
 			}
+		case 15:
+			what = "Save/Load"
+			if path == "" {
+				path = filepath.Join(t.TempDir(), "store.json")
+			}
+			if err := s.Save(path); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			var err error
+			if s, err = Load(path); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			s.SetAutoSealThreshold(m.autoSeal)
 		default:
 			what = "Snapshot"
 			live := make(map[Key]Entry, len(m.live))
@@ -335,8 +381,9 @@ func checkStoreOps(t *testing.T, prog []byte) {
 		if got, want := [4]int{st.Entries, st.LogEntries, st.Tombstones, int(st.CompactedAway)}, m.stats(); got != want {
 			t.Fatalf("%s: Stats {Entries, LogEntries, Tombstones, CompactedAway} = %v, model %v", at, got, want)
 		}
+		checkDigestSet(t, at, s)
 		gets := touched
-		if what == "Seal" || what == "Compact" {
+		if what == "Seal" || what == "Compact" || what == "Save/Load" {
 			gets = modelProbe
 		}
 		checkView(t, at, m.live, s, func(keys []Key, out []bool) { s.Snapshot().HasMany(keys, out) }, modelProbe, gets)

@@ -163,7 +163,8 @@ type Stats struct {
 	BytesPerPair float64 `json:"bytes_per_pair"`
 	// IndexResidentBytes is the in-memory footprint of the sealed
 	// segments' probe structures (fence indexes, digest dictionaries,
-	// bloom filters) — bounded, unlike a per-pair map.
+	// bloom filters, and the store's union of those dictionaries) —
+	// bounded, unlike a per-pair map.
 	IndexResidentBytes int64 `json:"index_resident_bytes"`
 	// Puts counts accepted appends; DupPuts appends ignored because the
 	// key was already live.
@@ -355,6 +356,9 @@ type Store struct {
 	// mutated, when the segment set changes, so snapshots share them.
 	newest     []*segment
 	probeOrder []*segment
+	// digests is the union of the sealed segments' dictionaries, rebuilt
+	// with the orders; lookupLocked skips the segments for a key it lacks.
+	digests digestSet
 }
 
 // SetMaintenanceHooks installs observers for seals and compactions (the
@@ -421,15 +425,20 @@ func (s *Store) reorderLocked() {
 		}
 		s.probeOrder = order
 	}
+	s.digests.rebuild(s.levels)
 }
 
 // lookupLocked resolves k against the memtable and every segment,
 // newest first. found=false means no record at all. Without wantRow a
 // sealed record comes back as its key and tombstone flag only, which
-// spares the full decode of its block.
+// spares the full decode of its block. A key with a digest no segment's
+// dictionary holds is in no segment, so the walk is skipped.
 func (s *Store) lookupLocked(k Key, wantRow bool) (Entry, bool) {
 	if e, ok := s.mem.lookup(k, len(s.mem.entries)); ok {
 		return e, true
+	}
+	if !s.digests.has(k.A) || !s.digests.has(k.B) {
+		return Entry{}, false
 	}
 	for _, level := range s.levels {
 		for i := len(level) - 1; i >= 0; i-- {
@@ -497,9 +506,11 @@ func (s *Store) Merge(b *Batch) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	added := 0
-	for _, e := range b.entries {
-		if s.putLocked(e) {
-			added++
+	for _, c := range b.chunks {
+		for _, e := range c {
+			if s.putLocked(e) {
+				added++
+			}
 		}
 	}
 	return added
@@ -756,10 +767,10 @@ func mergeSegments(id uint64, inputs []*segment, dropTombs bool) (*segment, int)
 			}
 		}
 	}
-	if b.rows == 0 {
-		return nil, dropped
+	if seg := b.finish(); seg.rows > 0 {
+		return seg, dropped
 	}
-	return b.finish(), dropped
+	return nil, dropped
 }
 
 // RecordServe folds one run's store outcome into the stats: pairs
@@ -784,6 +795,7 @@ func (s *Store) Stats() Stats {
 	st.Bytes = s.mem.modeled
 	st.Tombstones = s.mem.tombs
 	st.BlockCacheBytes = s.cache.bytes
+	st.IndexResidentBytes = s.digests.sizeBytes()
 	segCount, diskRows := 0, 0
 	for _, level := range s.levels {
 		if len(level) > 0 {
@@ -931,23 +943,37 @@ func (sn *Snapshot) Len() int {
 
 // Batch collects the entries one run emits, in completion order. It is
 // single-writer (the run's event loop) and merged into a Store once the
-// run's results are final.
+// run's results are final. Entries are kept in chunks, each twice the
+// size of the one before, so Add never copies what it already holds
+// and a batch of n entries is at most 2n entries of memory.
 type Batch struct {
-	entries []Entry
+	chunks [][]Entry // every chunk full but the last
+	n      int
 }
+
+// firstBatchChunk is the size of a batch's first chunk.
+const firstBatchChunk = 64
 
 // NewBatch returns an empty batch.
 func NewBatch() *Batch { return &Batch{} }
 
 // Add appends one entry to the batch.
-func (b *Batch) Add(e Entry) { b.entries = append(b.entries, e) }
+func (b *Batch) Add(e Entry) {
+	k := len(b.chunks)
+	if k == 0 || len(b.chunks[k-1]) == cap(b.chunks[k-1]) {
+		b.chunks = append(b.chunks, make([]Entry, 0, firstBatchChunk<<k))
+		k++
+	}
+	b.chunks[k-1] = append(b.chunks[k-1], e)
+	b.n++
+}
 
 // Len returns the number of collected entries.
 func (b *Batch) Len() int {
 	if b == nil {
 		return 0
 	}
-	return len(b.entries)
+	return b.n
 }
 
 // Bytes returns the modeled log footprint of the batch.
@@ -956,8 +982,10 @@ func (b *Batch) Bytes() int64 {
 		return 0
 	}
 	var total int64
-	for _, e := range b.entries {
-		total += entryBytes(e)
+	for _, c := range b.chunks {
+		for _, e := range c {
+			total += entryBytes(e)
+		}
 	}
 	return total
 }

@@ -131,6 +131,93 @@ func TestMergeBatch(t *testing.T) {
 	}
 }
 
+// TestBatchChunksKeepAddOrder: a batch keeps its entries in chunks that
+// double in size, each filled before the next is made, so Add never
+// copies; Len, Bytes and Merge see the entries in the order they were
+// added, across every chunk boundary.
+func TestBatchChunksKeepAddOrder(t *testing.T) {
+	const n = 1000
+	b := NewBatch()
+	var bytes int64
+	for i := 0; i < n; i++ {
+		e := Entry{Key: keyOf(i, i+1), Version: i}
+		if i%3 == 0 {
+			e.Value = json.RawMessage(`{"x":1}`)
+		}
+		b.Add(e)
+		bytes += entryBytes(e)
+	}
+	if b.Len() != n || b.Bytes() != bytes {
+		t.Fatalf("batch len %d bytes %d, want %d and %d", b.Len(), b.Bytes(), n, bytes)
+	}
+	i := 0
+	for k, c := range b.chunks {
+		if cap(c) != firstBatchChunk<<k || k < len(b.chunks)-1 && len(c) != cap(c) {
+			t.Fatalf("chunk %d holds %d of %d entries, want a capacity of %d, full unless last", k, len(c), cap(c), firstBatchChunk<<k)
+		}
+		for _, e := range c {
+			if e.Version != i {
+				t.Fatalf("entry %d of the batch has version %d", i, e.Version)
+			}
+			i++
+		}
+	}
+	// Merge puts in batch order: of two entries for one key, the first wins.
+	b.Add(Entry{Key: keyOf(0, 1), Version: -1})
+	s := New()
+	if got := s.Merge(b); got != n {
+		t.Fatalf("Merge added %d, want %d", got, n)
+	}
+	if e, ok := s.Get(keyOf(0, 1)); !ok || e.Version != 0 {
+		t.Fatalf("Get = %+v, %v; want the first entry added", e, ok)
+	}
+}
+
+// TestPutOfNewItemSkipsSegments: a key with a digest no sealed segment's
+// dictionary holds — any pair of a newly appended item — is resolved by
+// the store's digest set, without a bloom test on any segment, while a
+// key whose digests are both sealed still goes to the segments.
+func TestPutOfNewItemSkipsSegments(t *testing.T) {
+	s := New()
+	for j := 1; j < 40; j++ {
+		for i := 0; i < j; i++ {
+			s.Put(Entry{Key: keyOf(i, j)})
+		}
+		if j%13 == 0 {
+			s.Seal()
+		}
+	}
+	if st := s.Stats(); st.Segments != 3 {
+		t.Fatalf("%d segments, want 3", st.Segments)
+	}
+	probes := s.Stats().BloomProbes
+	for i := 0; i < 40; i++ {
+		if !s.Put(Entry{Key: keyOf(i, 40)}) {
+			t.Fatalf("pair (%d, 40) of a new item refused", i)
+		}
+	}
+	if _, ok := s.Get(keyOf(40, 41)); ok {
+		t.Fatal("Get found a pair of two unseen items")
+	}
+	if s.retract(keyOf(41, 3)) {
+		t.Fatal("retract deleted a pair of an unseen item")
+	}
+	if got := s.Stats().BloomProbes; got != probes {
+		t.Fatalf("keys with an unsealed digest made %d bloom probes, want 0", got-probes)
+	}
+	if s.Put(Entry{Key: keyOf(3, 17)}) {
+		t.Fatal("a sealed pair was put twice")
+	}
+	if got := s.Stats().BloomProbes; got == probes {
+		t.Fatal("a key with both digests sealed made no bloom probe")
+	}
+	// Sealed, item 40's pairs are found through the segments.
+	s.Seal()
+	if s.Put(Entry{Key: keyOf(7, 40)}) || !s.retract(keyOf(8, 40)) {
+		t.Fatal("a pair of item 40 was lost to the digest set when sealed")
+	}
+}
+
 func TestSealAndCompact(t *testing.T) {
 	s := New()
 	s.Put(Entry{Key: keyOf(0, 1), Value: json.RawMessage(`1`)})

@@ -184,3 +184,37 @@ func TestLoadRejectsFormat1(t *testing.T) {
 		t.Fatalf("Load touched the directory: %d entries, manifest %q", len(names), raw)
 	}
 }
+
+// TestDecodedSegmentOwnsItsBytes: a decoded segment must not pin the
+// file buffer it was parsed from — that would keep the bloom filter,
+// dictionary and block index bytes resident beside their decoded forms,
+// unseen by IndexResidentBytes. Overwriting the buffer after the decode
+// must leave every row readable.
+func TestDecodedSegmentOwnsItsBytes(t *testing.T) {
+	rows := randRows(5, 2*blockRows+9, 400)
+	seg := buildSegment(9, rows)
+	raw := seg.encodeFile()
+	dec, err := decodeSegmentFile(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range raw {
+		raw[i] = 0xa5
+	}
+	got, want := newSegIter(dec), newSegIter(seg)
+	n := 0
+	for {
+		g, ok := got.next()
+		w, wok := want.next()
+		if ok != wok || ok && !sameRow(g, w) {
+			t.Fatalf("row %d after the file buffer was overwritten: %+v (%v), want %+v (%v); %v", n, g, ok, w, wok, got.err)
+		}
+		if !ok {
+			break
+		}
+		n++
+	}
+	if n != len(rows) {
+		t.Fatalf("read %d rows, built %d", n, len(rows))
+	}
+}

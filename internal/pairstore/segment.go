@@ -120,12 +120,16 @@ func (s *segment) indexBytes() int64 {
 // segBuilder assembles a segment from rows arriving in sorted key
 // order. The dictionary must be fixed up front (it is the sorted union
 // of every digest the rows reference), which is what allows streaming
-// block emission during merges.
+// block emission during merges. The producer (a seal or a tier merge)
+// only fills each block's columns; the rest of a block — its bloom
+// adds, payload encoding and deflate — is done by the build's finisher
+// (finisher.go), on its own goroutine when the build spans more than one
+// block, and the finished blocks are appended in submission order.
 type segBuilder struct {
 	id       uint64
 	dict     []uint64
 	dictBits uint
-	filter   bloom
+	filter   bloom // written by the finisher until finish drains it
 
 	blocks  []blockMeta
 	data    []byte
@@ -135,34 +139,32 @@ type segBuilder struct {
 	minKey  Key
 	maxKey  Key
 
-	// The current block's columns, reused across blocks, and the
-	// previous row's dictionary indices.
-	curA         []uint64
-	curB         []uint64
-	curTomb      []bool
-	curVer       []int64
-	curVLen      []int
-	curVals      []byte
-	scratch      []byte
+	// prevA and prevB are the previous row's dictionary indices; cur is
+	// the block being filled, one of f's slots.
 	prevA, prevB uint64
-	z            deflater
+	f            *finisher
+	cur          *blockJob
+	async        bool // f's goroutine finishes the blocks
+	submitted    int  // blocks handed to f's goroutine
+	appended     int  // of them, appended to data
 }
 
 func newSegBuilder(id uint64, dict []uint64, estRows int) *segBuilder {
-	n := min(estRows, blockRows)
-	return &segBuilder{
+	b := &segBuilder{
 		id:       id,
 		dict:     dict,
 		dictBits: bitWidth(uint64(len(dict) - 1)),
 		filter:   newBloom(estRows),
 		blocks:   make([]blockMeta, 0, (estRows+blockRows-1)/blockRows),
 		data:     make([]byte, 0, estRows),
-		curA:     make([]uint64, 0, n),
-		curB:     make([]uint64, 0, n),
-		curTomb:  make([]bool, 0, n),
-		curVer:   make([]int64, 0, n),
-		curVLen:  make([]int, 0, n),
+		f:        acquireFinisher(),
 	}
+	b.cur = &b.f.slots[0]
+	if estRows > blockRows {
+		b.async = true
+		b.f.start(b)
+	}
+	return b
 }
 
 func dictIndex(dict []uint64, d Digest) uint64 {
@@ -183,45 +185,70 @@ func (b *segBuilder) add(r row) {
 		b.prevB += uint64(gallop(b.dict[b.prevB:], uint64(r.key.B)))
 	}
 	b.maxKey = r.key
-	b.curA = append(b.curA, b.prevA)
-	b.curB = append(b.curB, b.prevB)
-	b.curTomb = append(b.curTomb, r.tomb)
-	b.curVer = append(b.curVer, int64(r.ver))
-	b.curVLen = append(b.curVLen, len(r.val))
-	b.curVals = append(b.curVals, r.val...)
-	b.filter.add(r.key)
+	j := b.cur
+	j.a = append(j.a, b.prevA)
+	j.b = append(j.b, b.prevB)
+	j.tomb = append(j.tomb, r.tomb)
+	j.ver = append(j.ver, int64(r.ver))
+	j.vlen = append(j.vlen, len(r.val))
+	j.vals = append(j.vals, r.val...)
 	b.rows++
 	if r.tomb {
 		b.tombs++
 	}
 	b.modeled += EntryOverheadBytes + int64(len(r.val))
-	if len(b.curA) == blockRows {
+	if len(j.a) == blockRows {
 		b.flushBlock()
 	}
 }
 
+// flushBlock hands the current block on and moves to the next slot.
+// Inline, the block is finished and appended at once. Asynchronously it
+// goes to the finisher; once every slot is in flight the oldest is
+// waited for and appended first, so blocks land in submission order.
 func (b *segBuilder) flushBlock() {
-	n := len(b.curA)
-	if n == 0 {
+	if len(b.cur.a) == 0 {
 		return
 	}
-	first := Key{A: Digest(b.dict[b.curA[0]]), B: Digest(b.dict[b.curB[0]])}
-	last := Key{A: Digest(b.dict[b.curA[n-1]]), B: Digest(b.dict[b.curB[n-1]])}
+	if !b.async {
+		b.complete(b.cur)
+		b.appendBlock(b.cur)
+		return
+	}
+	b.f.jobs <- b.cur
+	b.submitted++
+	if b.submitted-b.appended == len(b.f.slots) {
+		b.appendBlock(<-b.f.done)
+		b.appended++
+	}
+	b.cur = &b.f.slots[b.submitted%len(b.f.slots)]
+}
 
-	p := b.scratch[:0]
+// complete finishes one block: its keys go into the bloom filter, its
+// columns into the payload, and the payload is framed (and deflated,
+// by the finisher's deflater) into j.out.
+func (b *segBuilder) complete(j *blockJob) {
+	n := len(j.a)
+	for i := 0; i < n; i++ {
+		b.filter.add(Key{A: Digest(b.dict[j.a[i]]), B: Digest(b.dict[j.b[i]])})
+	}
+	j.first = Key{A: Digest(b.dict[j.a[0]]), B: Digest(b.dict[j.b[0]])}
+	j.last = Key{A: Digest(b.dict[j.a[n-1]]), B: Digest(b.dict[j.b[n-1]])}
+
+	p := j.payload[:0]
 	p = putUvarint(p, uint64(n))
 	// Column A: absolute first index, then non-negative deltas (rows are
 	// key-sorted, so A indices never decrease within a block).
-	p = putUvarint(p, b.curA[0])
+	p = putUvarint(p, j.a[0])
 	for i := 1; i < n; i++ {
-		p = putUvarint(p, b.curA[i]-b.curA[i-1])
+		p = putUvarint(p, j.a[i]-j.a[i-1])
 	}
 	// Column B: bit-packed at the dictionary width.
-	p = packBits(p, b.curB[:n], b.dictBits)
+	p = packBits(p, j.b, b.dictBits)
 	// Tombstone bitmap.
 	tb := len(p)
 	p = append(p, make([]byte, (n+7)/8)...)
-	for i, t := range b.curTomb {
+	for i, t := range j.tomb {
 		if t {
 			p[tb+i/8] |= 1 << (i % 8)
 		}
@@ -230,31 +257,41 @@ func (b *segBuilder) flushBlock() {
 	// collapse to zeros, which flate then erases).
 	prev := int64(0)
 	for i := 0; i < n; i++ {
-		p = putVarint(p, b.curVer[i]-prev)
-		prev = b.curVer[i]
+		p = putVarint(p, j.ver[i]-prev)
+		prev = j.ver[i]
 	}
 	// Value lengths, then the concatenated value bytes.
 	for i := 0; i < n; i++ {
-		p = putUvarint(p, uint64(b.curVLen[i]))
+		p = putUvarint(p, uint64(j.vlen[i]))
 	}
-	p = append(p, b.curVals...)
-	b.scratch = p
-
-	off := len(b.data)
-	b.data = compressBlock(b.data, p, &b.z)
-	b.blocks = append(b.blocks, blockMeta{
-		first: first, last: last, rows: n, off: off, length: len(b.data) - off,
-	})
-	b.curA = b.curA[:0]
-	b.curB = b.curB[:0]
-	b.curTomb = b.curTomb[:0]
-	b.curVer = b.curVer[:0]
-	b.curVLen = b.curVLen[:0]
-	b.curVals = b.curVals[:0]
+	p = append(p, j.vals...)
+	j.payload = p
+	j.out = compressBlock(j.out[:0], p, &b.f.z)
 }
 
+// appendBlock appends a finished block to the segment and empties its
+// slot for reuse.
+func (b *segBuilder) appendBlock(j *blockJob) {
+	off := len(b.data)
+	b.data = append(b.data, j.out...)
+	b.blocks = append(b.blocks, blockMeta{
+		first: j.first, last: j.last, rows: len(j.a), off: off, length: len(j.out),
+	})
+	j.reset()
+}
+
+// finish flushes the last block, drains the finisher and returns the
+// segment; the builder must not be used afterwards.
 func (b *segBuilder) finish() *segment {
 	b.flushBlock()
+	if b.async {
+		for ; b.appended < b.submitted; b.appended++ {
+			b.appendBlock(<-b.f.done)
+		}
+		b.f.stop()
+	}
+	b.f.release()
+	b.f, b.cur = nil, nil
 	return &segment{
 		id:      b.id,
 		rows:    b.rows,
@@ -546,7 +583,7 @@ func readKey(r *byteReader, section string) (Key, error) {
 
 // decodeSegmentFile parses and validates a segment file. Every section
 // checksum is verified here; block payload checksums are verified
-// lazily on first decode.
+// lazily on first decode. The segment keeps nothing of raw.
 func decodeSegmentFile(raw []byte) (*segment, error) {
 	r := &byteReader{b: raw}
 	magic, err := r.bytes(len(segMagic), "magic")
@@ -692,12 +729,16 @@ func decodeSegmentFile(raw []byte) (*segment, error) {
 		return nil, corrupt("BIDX", "blocks hold %d rows, header declares %d", totalRows, s.rows)
 	}
 
-	if s.data, err = readSection(r, "DATA"); err != nil {
+	data, err := readSection(r, "DATA")
+	if err != nil {
 		return nil, err
 	}
-	if off != len(s.data) {
-		return nil, corrupt("DATA", "block index spans %d bytes, data section holds %d", off, len(s.data))
+	if off != len(data) {
+		return nil, corrupt("DATA", "block index spans %d bytes, data section holds %d", off, len(data))
 	}
+	// A copy: a sub-slice would keep the whole file resident, its bloom
+	// filter, dictionary and block index bytes beside their decoded forms.
+	s.data = bytes.Clone(data)
 	s.diskBytes = int64(len(raw))
 	return s, nil
 }
