@@ -14,14 +14,7 @@ import (
 func TestPipelinedBuildMatchesInline(t *testing.T) {
 	for _, n := range []int{blockRows + 1, 2 * blockRows, 5*blockRows + 123, 9*blockRows - 1} {
 		rows := randRows(int64(n), n, 2*n)
-		slices.SortFunc(rows, func(a, b row) int { return keyCmp(a.key, b.key) })
-		var dict []uint64
-		for _, r := range rows {
-			dict = append(dict, uint64(r.key.A), uint64(r.key.B))
-		}
-		slices.Sort(dict)
-		dict = slices.Compact(dict)
-
+		dict := segmentInput(rows)
 		piped := newSegBuilder(1, dict, n)
 		if !piped.async {
 			t.Fatalf("%d rows: a multi-block build was not pipelined", n)
@@ -58,15 +51,12 @@ func TestWarmBuildAllocatesOnlyItsSegment(t *testing.T) {
 	digest := DigestFunc("warm", "app", 1)
 	for _, items := range []int{60, 100, 250} { // one block, two, eight
 		var rows []row
-		var dict []uint64
 		for i := 0; i < items; i++ {
-			dict = append(dict, uint64(digest(i)))
 			for j := i + 1; j < items; j++ {
 				rows = append(rows, row{key: PairKey(digest, i, j), ver: items})
 			}
 		}
-		slices.SortFunc(rows, func(a, b row) int { return keyCmp(a.key, b.key) })
-		slices.Sort(dict)
+		dict := segmentInput(rows)
 		build := func() {
 			b := newSegBuilder(1, dict, len(rows))
 			for _, r := range rows {

@@ -13,17 +13,23 @@ import (
 	"testing"
 )
 
-// buildSegment sorts rows by key and assembles a segment from them,
-// the way a seal does from its log. Rows must reference each key at most
-// once.
-func buildSegment(id uint64, rows []row) *segment {
+// segmentInput sorts rows by key and returns the dictionary a build of
+// them takes: every digest they reference, sorted.
+func segmentInput(rows []row) []uint64 {
 	slices.SortFunc(rows, func(a, b row) int { return keyCmp(a.key, b.key) })
 	var dict []uint64
 	for _, r := range rows {
 		dict = append(dict, uint64(r.key.A), uint64(r.key.B))
 	}
 	slices.Sort(dict)
-	b := newSegBuilder(id, slices.Compact(dict), len(rows))
+	return slices.Compact(dict)
+}
+
+// buildSegment sorts rows by key and assembles a segment from them,
+// the way a seal does from its log. Rows must reference each key at most
+// once.
+func buildSegment(id uint64, rows []row) *segment {
+	b := newSegBuilder(id, segmentInput(rows), len(rows))
 	for _, r := range rows {
 		b.add(r)
 	}
