@@ -28,10 +28,10 @@ race-stress:
 # The allocation gates must hold
 # while tests share the CPU, as they do under `go test ./...`. Six copies
 # run at once, eight rounds each; a round runs every allocation gate
-# (experiments' goldens, the pairstore ingest budget and warm HasMany,
+# (experiments' goldens, the pairstore ingest budget, warm HasMany and Save,
 # core's and the fleet's allocation tests, the sim engine's zero-allocation
 # dispatch tests) from prebuilt test binaries. All 48 rounds must pass.
-ALLOC_GATES = experiments:Golden pairstore:'TestIngestAllocationBudget|TestHasManyAllocatesNothing' \
+ALLOC_GATES = experiments:Golden pairstore:'TestIngestAllocationBudget|TestHasManyAllocatesNothing|TestSaveAllocatesOneDeflater' \
 	core:'TestAllocations|TestRunFixedCost|TestSpansAllocateOnlyTheRing' \
 	fleet:TestFleetAllocationBudget sim:TestZeroAlloc
 alloc-stress:
@@ -206,12 +206,12 @@ fuzz-smoke:
 # Same seed, same bytes on a 32-bit word and without the amd64 assembly
 # (GOARCH=386 uses pure-Go math): vet, the experiments' and the
 # pairstore's goldens, the bloom filter's sizing near int's limit, the
-# exact count of HasMany's segment walks, and the radix sort's and the
-# store model's seed corpora, about 25 s.
+# exact count of HasMany's segment visits, the residency index's tests,
+# and the radix sort's and the store model's seed corpora, about 25 s.
 portable:
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test -count=1 -run='^(TestExperimentsGolden|TestStorageGolden)$$' ./internal/experiments/
-	GOARCH=386 $(GO) test -count=1 -run='^(TestIngestGolden|TestBloomSizingBelowWrap|TestHasManySegmentVisits|FuzzSortKeys|FuzzStoreOps)$$' ./internal/pairstore/
+	GOARCH=386 $(GO) test -count=1 -run='^(TestIngestGolden|TestBloomSizingBelowWrap|TestHasManySegmentVisits|TestIndexDenseAndSparseRows|TestIndexMatchesRows|TestIndexSkipsCorruptBlock|TestIndexTombstoneShadowsOlderRow|TestIndexNoLargerThanKeyColumns|FuzzSortKeys|FuzzStoreOps)$$' ./internal/pairstore/
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -64,11 +64,10 @@ func buildStorePlan(cfg Config) (*storePlan, error) {
 		p.missing = make(map[pairIJ]struct{})
 		// Probe the snapshot in chunks so the store lock is taken once
 		// per batch, not once per pair (the base region is O(base²)).
-		// HasMany radix-sorts a chunk's keys in place, in a buffer the
-		// store keeps, and resolves them against sealed columnar
-		// segments with one merge-walk per segment over the store's
-		// cached key columns: a block is decoded at most once per plan
-		// while the blocks the plan touches fit the block cache.
+		// HasMany answers each key from the sealed segments' residency
+		// indexes, two dictionary lookups and one set test per segment
+		// visited; a segment's index is built from its blocks, each
+		// inflated once, on the first chunk that reaches it.
 		const probeChunk = 4096
 		var (
 			keys = make([]pairstore.Key, 0, probeChunk)

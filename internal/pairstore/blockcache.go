@@ -1,18 +1,18 @@
 package pairstore
 
-// The probe-side block cache: the decoded key columns of sealed blocks,
+// The point-probe block cache: the decoded key columns of sealed blocks,
 // shared by every segment of a store and bounded in bytes.
 //
-// A delta planner walks pairs in item order while segments are sorted
-// by digest, so successive probe batches land on the same few blocks of
-// every segment again and again; inflating a block per visit was the
-// planner's dominant cost (17.7 decodes per block on a 2.0M-pair plan).
-// Membership needs only the key columns and the tombstone bitmap, so
-// those are what is kept — the B column still bit-packed, ≈ 1.5 bytes
-// per row at a 2 000-digest dictionary. While blockCacheLimit covers
-// the blocks a plan touches each is decoded once; beyond it the least
-// recently used are dropped and decoded again on their next visit. The
-// store lock every probe path already holds guards all of it.
+// Point probes (Get, Put's and Merge's duplicate checks, retract) that
+// pass a segment's bloom filter decide membership from a block's key
+// columns and tombstone bitmap, so those are what is kept — the B column
+// still bit-packed, ≈ 1.5 bytes per row at a 2 000-digest dictionary.
+// A retried job merges keys the store already holds, landing on the same
+// blocks again and again; while blockCacheLimit covers them each is
+// decoded once, and beyond it the least recently used are dropped and
+// decoded again on their next visit. Batch probes do not come here:
+// they read the residency index (resindex.go). The store lock every
+// probe path already holds guards all of it.
 
 import (
 	"encoding/binary"
@@ -55,52 +55,21 @@ func (kb *keyBlock) bytes() int64 {
 	return structBytes + int64(4*(len(kb.aVal)+len(kb.aStart))+len(kb.b)+len(kb.tomb))
 }
 
-// gallop returns the first index of ascending s holding a value ≥ v
-// (len(s) if none), in O(log answer): the probes of a sorted walk land
-// a few entries past the previous one.
-func gallop(s []uint64, v uint64) int {
-	lo, step := 0, 1
-	for lo+step <= len(s) && s[lo+step-1] < v {
-		lo += step
-		step *= 2
+// row returns the row holding key (ai, bi) and whether there is one.
+func (kb *keyBlock) row(ai, bi uint32) (int, bool) {
+	run, ok := slices.BinarySearch(kb.aVal, ai)
+	if !ok {
+		return 0, false
 	}
-	i, _ := slices.BinarySearch(s[lo:min(lo+step, len(s))], v)
-	return lo + i
-}
-
-// gallopB is gallop over rows [lo, hi) of the packed B column.
-func (kb *keyBlock) gallopB(lo, hi int, v uint32) int {
-	step := 1
-	for lo+step <= hi && kb.bAt(lo+step-1) < v {
-		lo += step
-		step *= 2
-	}
-	hi = min(lo+step, hi)
-	for lo < hi {
-		if mid := int(uint(lo+hi) / 2); kb.bAt(mid) < v {
+	lo, end := int(kb.aStart[run]), int(kb.aStart[run+1])
+	for hi := end; lo < hi; {
+		if mid := int(uint(lo+hi) / 2); kb.bAt(mid) < bi {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo
-}
-
-// seek advances a (run, row) cursor to the first row at or after key
-// (ai, bi) and reports whether that row holds exactly it. Keys must be
-// sought in ascending order; (0, 0) starts a walk or a point probe.
-func (kb *keyBlock) seek(run, pos int, ai, bi uint32) (int, int, bool) {
-	if run < len(kb.aVal) && kb.aVal[run] < ai {
-		next, _ := slices.BinarySearch(kb.aVal[run:], ai)
-		run += next
-		pos = int(kb.aStart[run])
-	}
-	if run == len(kb.aVal) || kb.aVal[run] != ai {
-		return run, pos, false
-	}
-	end := int(kb.aStart[run+1])
-	pos = kb.gallopB(pos, end, bi)
-	return run, pos, pos < end && kb.bAt(pos) == bi
+	return lo, lo < end && kb.bAt(lo) == bi
 }
 
 // decodeKeyCols decodes block i's key columns and tombstone bitmap,
@@ -151,15 +120,16 @@ func (s *segment) decodeKeyCols(i int, z *inflater) (*keyBlock, error) {
 	return kb, nil
 }
 
-// blockCache is the store-wide LRU of key blocks plus the scratch the
-// probe paths reuse under the same lock.
+// blockCache is the store-wide LRU of key blocks plus the inflater the
+// probe paths and index builds reuse under the same lock, and the words
+// an index build writes before copying them out (resindex.go).
 type blockCache struct {
-	limit  int64 // blockCacheLimit, except in tests
-	bytes  int64
-	lru    keyBlock // list sentinel: lru.next is the most recently used
-	z      inflater
-	probes []probe // HasMany's sort buffer
-	st     *Stats
+	limit int64 // blockCacheLimit, except in tests
+	bytes int64
+	lru   keyBlock // list sentinel: lru.next is the most recently used
+	z     inflater
+	words []uint64
+	st    *Stats
 }
 
 func (c *blockCache) init(st *Stats) {
@@ -217,83 +187,4 @@ func (c *blockCache) drop(segs []*segment) {
 		}
 		s.kb, s.dead = nil, true
 	}
-}
-
-// probe is one unresolved HasMany key and its position in the batch.
-type probe struct {
-	k Key
-	i int
-}
-
-// probeSorted resolves probes, sorted by key, against the segment in
-// one forward merge-walk. out[p.i] is set for every key the segment
-// holds; the rest are returned, still sorted, packed into the front of
-// probes.
-func (s *segment) probeSorted(probes []probe, out []bool, c *blockCache) []probe {
-	rest := probes[:0]
-	w := segWalk{s: s, c: c}
-	for _, p := range probes {
-		if tomb, ok := w.find(p.k); ok {
-			out[p.i] = !tomb
-		} else {
-			rest = append(rest, p)
-		}
-	}
-	return rest
-}
-
-// segWalk is the state of one merge-walk: cursors into the dictionary
-// (A resolved once per run of equal A, B galloped from the previous
-// one), the block fences, and the current block's key columns. All of
-// them only move forward, so keys must arrive in ascending order.
-type segWalk struct {
-	s        *segment
-	c        *blockCache
-	ai, bi   int // dictionary cursors for A and, within one A, for B
-	blk      int
-	kb       *keyBlock // key columns of block blk, once a probe needed them
-	run, pos int       // cursor inside kb
-}
-
-func (w *segWalk) find(k Key) (tomb, ok bool) {
-	s := w.s
-	if w.ai < len(s.dict) && s.dict[w.ai] < uint64(k.A) { // a new run of A
-		w.ai += gallop(s.dict[w.ai:], uint64(k.A))
-		w.bi = 0
-	}
-	if w.ai == len(s.dict) || s.dict[w.ai] != uint64(k.A) {
-		return false, false
-	}
-	w.bi += gallop(s.dict[w.bi:], uint64(k.B))
-	for w.blk < len(s.blocks) && keyLess(s.blocks[w.blk].last, k) {
-		w.blk++
-		w.kb, w.run, w.pos = nil, 0, 0
-	}
-	if w.bi == len(s.dict) || s.dict[w.bi] != uint64(k.B) ||
-		w.blk == len(s.blocks) || keyLess(k, s.blocks[w.blk].first) {
-		return false, false
-	}
-	// The bloom filter is consulted only where the exact lookup would
-	// have to inflate the block: against cached key columns that lookup
-	// is a few comparisons, cheaper than the filter's seven probes.
-	filtered := w.kb == nil && (s.kb == nil || s.kb[w.blk] == nil)
-	if filtered {
-		w.c.st.BloomProbes++
-		if !s.filter.test(k) {
-			w.c.st.BloomNegatives++
-			return false, false
-		}
-	}
-	if w.kb == nil {
-		if w.kb, _ = w.c.keyCols(s, w.blk); w.kb == nil {
-			return false, false // corrupt block: reported absent, as by point probes
-		}
-	}
-	if w.run, w.pos, ok = w.kb.seek(w.run, w.pos, uint32(w.ai), uint32(w.bi)); !ok {
-		if filtered {
-			w.c.st.BloomFalsePositives++
-		}
-		return false, false
-	}
-	return w.kb.isTomb(w.pos), true
 }

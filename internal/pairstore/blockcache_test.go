@@ -90,9 +90,9 @@ func planBase(snap *Snapshot, dg []Digest, n int, check func()) []byte {
 }
 
 // TestPlanDecodesEachBlockOnce is the count behind the planning
-// speed-up: a plan whose blocks fit the cache inflates each block at
-// most once, however often its i-major chunks come back to it, and a
-// second plan inflates nothing.
+// speed-up: a plan inflates each block at most once, building the
+// segments' residency indexes, however often its i-major chunks come
+// back to a segment, and a second plan inflates nothing.
 func TestPlanDecodesEachBlockOnce(t *testing.T) {
 	s, dg := deltaStore(t)
 	snap := s.Snapshot()
@@ -104,9 +104,6 @@ func TestPlanDecodesEachBlockOnce(t *testing.T) {
 	mid := s.Stats()
 	if d := mid.BlockDecodes - before.BlockDecodes; d == 0 || d > uint64(mid.Blocks) {
 		t.Fatalf("first plan decoded %d blocks of %d", d, mid.Blocks)
-	}
-	if mid.BlockCacheHits == before.BlockCacheHits {
-		t.Fatal("first plan never hit the block cache")
 	}
 	// The 440-item region adds absent keys: every answer must still be exact.
 	second := planBase(snap, dg, 440, nil)
@@ -122,13 +119,12 @@ func TestPlanDecodesEachBlockOnce(t *testing.T) {
 	}
 }
 
-// TestHasManyAllocatesNothing: once its blocks are cached, HasMany of a
-// 4 096-key chunk allocates nothing. The probes are sorted in place in
-// the buffer the store keeps, and the walk order is the one the store
-// built when its segments last changed, so a scratch buffer or an order
-// per call, or per sort, would show here. The chunk spans every segment
-// and holds absent keys, so the walk meets fences, bloom filters and
-// cached columns. Snapshot allocates the snapshot alone.
+// TestHasManyAllocatesNothing: once its segments' residency indexes are
+// built, HasMany of a 4 096-key chunk allocates nothing. The walk order
+// is the one the store built when its segments last changed, so a
+// scratch buffer or an order per call would show here. The chunk spans
+// every segment and holds absent keys, so every segment's index is
+// read. Snapshot allocates the snapshot alone.
 func TestHasManyAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations make MemStats deltas meaningless")
@@ -150,7 +146,7 @@ func TestHasManyAllocatesNothing(t *testing.T) {
 		t.Errorf("Snapshot of %d segments allocated %d objects, want 1: the segment orders are shared", len(s.newest), objs)
 	}
 	out := make([]bool, len(keys))
-	snap.HasMany(keys, out) // warm: decode the blocks, size the probe buffer
+	snap.HasMany(keys, out) // warm: build the indexes
 	objs, _ := testutil.Allocs(func() { snap.HasMany(keys, out) }, 3)
 	if objs != 0 {
 		t.Errorf("a warm HasMany of %d keys allocated %d objects, want 0", len(keys), objs)
@@ -270,11 +266,31 @@ func TestDuplicateMergeDecodesEachBlockOnce(t *testing.T) {
 	}
 }
 
-// TestBlockCacheBound shrinks the cache to two blocks: plans stay exact
-// and the cached bytes never pass the limit.
+// TestBlockCacheBound: point probes under a cache shrunk to two blocks
+// stay exact, the cached bytes never pass the limit, and evicted blocks
+// are inflated again, where under the default limit each block is
+// inflated once. The Gets go i-major over pairs, so they come back to
+// every segment's blocks again and again.
 func TestBlockCacheBound(t *testing.T) {
+	gets := func(s *Store, dg []Digest, each func()) (found []bool, keyColDecodes uint64) {
+		before, hits := s.Stats().BlockDecodes, uint64(0)
+		for i := 0; i < len(dg); i++ {
+			for j := i + 1; j < len(dg); j += 61 {
+				_, ok := s.Get(Key{A: dg[i], B: dg[j]})
+				if found = append(found, ok); ok {
+					hits++
+				}
+				each()
+			}
+		}
+		// Every hit adds one full decode of its row's block.
+		return found, s.Stats().BlockDecodes - before - hits
+	}
 	s, dg := deltaStore(t)
-	want := planBase(s.Snapshot(), dg, 440, nil)
+	want, once := gets(s, dg, func() {})
+	if blocks := uint64(s.Stats().Blocks); once == 0 || once > blocks {
+		t.Fatalf("Gets under the default cache inflated %d key columns of %d blocks", once, blocks)
+	}
 
 	s, _ = deltaStore(t)
 	kb, err := s.levels[len(s.levels)-1][0].decodeKeyCols(0, nil)
@@ -283,32 +299,47 @@ func TestBlockCacheBound(t *testing.T) {
 	}
 	s.cache.limit = 2*kb.bytes() + 1
 	peak := int64(0)
-	got := planBase(s.Snapshot(), dg, 440, func() {
+	got, decodes := gets(s, dg, func() {
 		peak = max(peak, s.Stats().BlockCacheBytes)
 	})
-	if !bytes.Equal(got, want) {
-		t.Fatal("plan under a two-block cache differs from the plan under the default cache")
+	if !slices.Equal(got, want) {
+		t.Fatal("Gets under a two-block cache differ from Gets under the default cache")
 	}
 	if peak == 0 || peak > s.cache.limit {
 		t.Fatalf("cache peaked at %d bytes under a limit of %d", peak, s.cache.limit)
 	}
-	if st := s.Stats(); st.BlockDecodes <= uint64(st.Blocks) {
-		t.Fatalf("a two-block cache cannot have served %d blocks in %d decodes", st.Blocks, st.BlockDecodes)
+	if blocks := uint64(s.Stats().Blocks); decodes <= blocks {
+		t.Fatalf("a two-block cache cannot have served %d blocks in %d inflations", blocks, decodes)
 	}
 }
 
 // TestPlanBesideMaintenance: a snapshot's plan is the same before,
 // during and after Merge+Seal+Compact on another goroutine (run under
-// -race), and the segments compaction replaced give their cached blocks
-// back and are not admitted again.
+// -race). The segments compaction retired give their cached blocks back
+// and keep their residency indexes, so the plans of the old snapshot
+// inflate each of their blocks at most once between them.
 func TestPlanBesideMaintenance(t *testing.T) {
 	s, dg := deltaStore(t)
+	// No auto-seal inside the Merge below, so no sealed dictionary holds
+	// the new items and its duplicate checks inflate nothing.
+	s.SetAutoSealThreshold(1 << 20)
 	snap := s.Snapshot()
-	want := planBase(snap, dg, 440, nil)
 	old := snap.segs
-	if s.Stats().BlockCacheBytes == 0 {
-		t.Fatal("plan left nothing cached")
+	blocks := 0
+	for _, seg := range old {
+		blocks += len(seg.blocks)
 	}
+	var want []byte
+	for i := 0; i < 440; i++ {
+		for j := i + 1; j < 440; j++ {
+			bit := byte(0)
+			if j < 400 {
+				bit = 1
+			}
+			want = append(want, bit)
+		}
+	}
+	before := s.Stats().BlockDecodes
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -330,15 +361,21 @@ func TestPlanBesideMaintenance(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if got := planBase(snap, dg, 440, nil); !bytes.Equal(got, want) {
-		t.Error("plan after compaction differs from the plan before it")
+	for r := 0; r < 2; r++ {
+		if got := planBase(snap, dg, 440, nil); !bytes.Equal(got, want) {
+			t.Errorf("plan %d after compaction differs from the plan before it", r)
+		}
+	}
+	if d := s.Stats().BlockDecodes - before; d == 0 || d > uint64(blocks) {
+		t.Fatalf("four plans of a snapshot whose segments were retired inflated %d of their %d blocks", d, blocks)
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, seg := range old {
-		if !seg.dead || seg.kb != nil {
-			t.Fatalf("replaced segment %d still holds cached blocks (dead=%v)", seg.id, seg.dead)
+		if !seg.dead || seg.kb != nil || seg.res == nil {
+			t.Fatalf("replaced segment %d: dead=%v, cached blocks %v, index %v; want dead, none, kept",
+				seg.id, seg.dead, seg.kb != nil, seg.res != nil)
 		}
 	}
 	live := int64(0)
@@ -375,7 +412,7 @@ func keyColsMatch(seg *segment, blk int) error {
 				return fmt.Errorf("block %d row %d: key columns (%d,%d,%v), full decode (%d,%d,%v)",
 					blk, i, a, kb.bAt(i), kb.isTomb(i), d.aIdx[i], d.bIdx[i], d.isTomb(i))
 			}
-			if _, pos, ok := kb.seek(0, 0, a, kb.bAt(i)); !ok || pos != i {
+			if pos, ok := kb.row(a, kb.bAt(i)); !ok || pos != i {
 				return fmt.Errorf("block %d row %d: seek lands on %d (found=%v)", blk, i, pos, ok)
 			}
 		}

@@ -71,7 +71,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 			return
 		}
 		seg := buildSegment(3, rows)
-		enc := seg.encodeFile()
+		enc := seg.encodeFile(nil)
 		dec, err := decodeSegmentFile(enc)
 		if err != nil {
 			t.Fatalf("round trip decode failed: %v", err)
@@ -135,7 +135,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 			// blocks with a tombstone bit fail, in both decoders.
 			lie := *seg
 			lie.tombs = 0
-			dec, err := decodeSegmentFile(lie.encodeFile())
+			dec, err := decodeSegmentFile(lie.encodeFile(nil))
 			if err != nil {
 				t.Fatalf("segment declaring 0 tombstones: %v", err)
 			}

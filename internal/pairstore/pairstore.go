@@ -163,8 +163,8 @@ type Stats struct {
 	BytesPerPair float64 `json:"bytes_per_pair"`
 	// IndexResidentBytes is the in-memory footprint of the sealed
 	// segments' probe structures (fence indexes, digest dictionaries,
-	// bloom filters, and the store's union of those dictionaries) —
-	// bounded, unlike a per-pair map.
+	// bloom filters, the residency indexes HasMany has built, and the
+	// store's union of the dictionaries) — bounded, unlike a per-pair map.
 	IndexResidentBytes int64 `json:"index_resident_bytes"`
 	// Puts counts accepted appends; DupPuts appends ignored because the
 	// key was already live.
@@ -189,9 +189,9 @@ type Stats struct {
 	// entries plus eliminated tombstones).
 	Compactions   uint64 `json:"compactions"`
 	CompactedAway uint64 `json:"compacted_away"`
-	// BloomProbes counts segment probes that consulted a bloom filter:
-	// every point probe (Get, has, Put's duplicate check) and the
-	// HasMany probes whose block was not in the block cache.
+	// BloomProbes counts the segment probes that consulted a bloom
+	// filter: point probes only (Get, retract, Put's and Merge's
+	// duplicate checks); HasMany reads the residency index instead.
 	// BloomNegatives are the probes the filter answered "definitely
 	// absent" without decoding a block; BloomFalsePositives the probes
 	// that went on to the exact lookup and found nothing. BloomHitRate
@@ -201,20 +201,21 @@ type Stats struct {
 	BloomFalsePositives uint64  `json:"bloom_false_positives"`
 	BloomHitRate        float64 `json:"bloom_hit_rate"`
 	// Blocks is the number of blocks across the sealed segments.
-	// BlockDecodes counts the blocks probes inflated (block-cache misses,
-	// plus the row decode behind each Get hit in a segment) and
-	// BlockCacheHits the block lookups the cache answered; a plan whose
-	// blocks fit the cache decodes each at most once. BlockCacheBytes is
-	// the decoded key columns currently cached, at most blockCacheLimit
+	// BlockDecodes counts the blocks probes inflated: block-cache misses
+	// and the row decode behind each Get hit in a segment, plus one per
+	// block when HasMany builds a segment's residency index, so a plan
+	// inflates each block at most once. BlockCacheHits counts the point
+	// probes' block lookups the cache answered. BlockCacheBytes is the
+	// decoded key columns currently cached, at most blockCacheLimit
 	// (8 MiB).
 	Blocks          int    `json:"blocks,omitempty"`
 	BlockDecodes    uint64 `json:"block_decodes,omitempty"`
 	BlockCacheHits  uint64 `json:"block_cache_hits,omitempty"`
 	BlockCacheBytes int64  `json:"block_cache_bytes,omitempty"`
 	// SegmentVisits counts the probe–segment visits HasMany made: each
-	// sealed segment's walk adds the probes still unresolved when it
-	// starts. A plan of keys that each live in one segment makes
-	// Σ rank × rows visits, ranks counted from 1 in walk order.
+	// sealed segment a key reaches unresolved adds one. A plan of keys
+	// that each live in one segment makes Σ rank × rows visits, ranks
+	// counted from 1 in walk order.
 	SegmentVisits uint64 `json:"segment_visits,omitempty"`
 }
 
@@ -887,14 +888,14 @@ func (sn *Snapshot) Get(k Key) (Entry, bool) {
 // HasMany reports, for each key, whether it was live at snapshot time,
 // writing into out (which must be at least len(keys) long). It takes
 // the store lock once for the whole batch — delta planners probe
-// O(base²) keys at job start, where per-key locking would dominate —
-// and probes sealed segments with one sorted merge-walk each over the
-// block cache's key columns (predicate pushdown: segments and blocks
-// are skipped by fence and dictionary, uncached blocks by bloom). A key
-// found in a segment is not carried into the next walk. The walks go
-// largest segment first when no segment holds a tombstone — a key is
-// then live exactly when some segment holds it, whatever the order —
-// and newest first otherwise, where the first record found wins.
+// O(base²) keys at job start, where per-key locking would dominate. A
+// key the mutable log does not resolve visits the sealed segments in
+// probeOrder, each answering from its residency index (resindex.go,
+// built on the first visit) with two dictionary lookups and one set test;
+// the first segment that holds a record of the key resolves it. The
+// walk goes largest segment first when no segment holds a tombstone — a
+// key is then live exactly when some segment holds it, whatever the
+// order — and newest first otherwise, where the first record found wins.
 func (sn *Snapshot) HasMany(keys []Key, out []bool) {
 	if sn == nil || sn.s == nil {
 		for i := range keys {
@@ -905,32 +906,25 @@ func (sn *Snapshot) HasMany(keys []Key, out []bool) {
 	sn.s.mu.Lock()
 	defer sn.s.mu.Unlock()
 
-	// The mutable log resolves by map lookup; unresolved keys fall
-	// through to the sealed segments.
 	c := &sn.s.cache
-	probes := c.probes[:0]
+	visits := uint64(0)
 	for i, k := range keys {
-		if e, ok := sn.mem.lookup(k, sn.memLen); ok {
-			out[i] = !e.Tombstone
-		} else {
-			out[i] = false
-			probes = append(probes, probe{k, i})
+		if sn.memLen > 0 {
+			if e, ok := sn.mem.lookup(k, sn.memLen); ok {
+				out[i] = !e.Tombstone
+				continue
+			}
+		}
+		out[i] = false
+		for _, seg := range sn.probeOrder {
+			visits++
+			if live, ok := seg.index(c).lookup(seg.dict, k); ok {
+				out[i] = live
+				break
+			}
 		}
 	}
-	c.probes = probes[:0]
-	if len(sn.probeOrder) == 0 {
-		return
-	}
-	// Sort the unresolved probes once, in place in the store's buffer;
-	// each segment is then a single ordered merge-walk, in probeOrder.
-	sortKeys(probes)
-	for _, seg := range sn.probeOrder {
-		if len(probes) == 0 {
-			break
-		}
-		c.st.SegmentVisits += uint64(len(probes))
-		probes = seg.probeSorted(probes, out, c)
-	}
+	c.st.SegmentVisits += visits
 }
 
 // Len returns the number of live keys at snapshot time.

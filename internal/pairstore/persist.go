@@ -93,11 +93,12 @@ func (s *Store) Save(path string) error {
 		Stats:   s.stats,
 	}
 	referenced := make(map[string]bool)
+	var z deflater
 	for l, level := range s.levels {
 		doc.Levels[l] = make([]string, len(level))
 		for i, seg := range level {
 			if seg.file == "" {
-				raw := seg.encodeFile()
+				raw := seg.encodeFile(&z)
 				name := segmentFileName(raw)
 				full := filepath.Join(dir, name)
 				if _, err := os.Stat(full); err != nil {

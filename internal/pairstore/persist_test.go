@@ -1,12 +1,17 @@
 package pairstore
 
 import (
+	"compress/flate"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rocket/internal/testutil"
 )
 
 func TestSaveLoadColumnarRoundTrip(t *testing.T) {
@@ -193,7 +198,7 @@ func TestLoadRejectsFormat1(t *testing.T) {
 func TestDecodedSegmentOwnsItsBytes(t *testing.T) {
 	rows := randRows(5, 2*blockRows+9, 400)
 	seg := buildSegment(9, rows)
-	raw := seg.encodeFile()
+	raw := seg.encodeFile(nil)
 	dec, err := decodeSegmentFile(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -216,5 +221,40 @@ func TestDecodedSegmentOwnsItsBytes(t *testing.T) {
 	}
 	if n != len(rows) {
 		t.Fatalf("read %d rows, built %d", n, len(rows))
+	}
+}
+
+// TestSaveAllocatesOneDeflater: a Save compresses every segment's
+// dictionary through one flate writer, so saving a store of six
+// segments allocates less than two writers' worth beyond four times the
+// bytes it writes. A writer per segment allocated six.
+func TestSaveAllocatesOneDeflater(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations make MemStats deltas meaningless")
+	}
+	_, writer := testutil.Allocs(func() { flate.NewWriter(io.Discard, flate.DefaultCompression) }, 3)
+	stores := make([]*Store, 3)
+	for i := range stores {
+		stores[i], _ = deltaStore(t)
+	}
+	if n := len(stores[0].newest); n < 6 {
+		t.Fatalf("store of %d segments, want at least 6", n)
+	}
+	dir := t.TempDir()
+	run := 0
+	_, saved := testutil.Allocs(func() {
+		if err := stores[run].Save(filepath.Join(dir, fmt.Sprint(run), "store.json")); err != nil {
+			t.Error(err)
+		}
+		run++
+	}, len(stores))
+	var written int64
+	for _, seg := range stores[0].newest {
+		written += seg.diskBytes
+	}
+	t.Logf("Save allocated %d B; one flate writer %d B; segment files %d B", saved, writer, written)
+	if limit := 2*writer + 4*uint64(written); saved > limit {
+		t.Fatalf("Save of %d segments allocated %d B, over %d (two flate writers of %d B, four times the %d B written)",
+			len(stores[0].newest), saved, limit, writer, written)
 	}
 }

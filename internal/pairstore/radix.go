@@ -1,13 +1,13 @@
 package pairstore
 
-// The store's one sort, used for HasMany's probes and the seal's
-// records: an in-place MSD radix sort (American flag sort; McIlroy,
-// Bostic and McIlroy, "Engineering Radix Sort", 1993).
+// The seal's sort of its records: an in-place MSD radix sort (American
+// flag sort; McIlroy, Bostic and McIlroy, "Engineering Radix Sort",
+// 1993).
 //
 // A key is read as one 128-bit big-endian number, A before B, in 8-bit
 // digits, so the order is keyLess order. Pair keys share long prefixes:
-// a 4 096-probe chunk holds two or three A digests, and after A's first
-// two digits each bucket of a seal holds one. So each bucket first
+// after A's first two digits each bucket of a seal holds one A digest.
+// So each bucket first
 // finds the first digit its keys do not all share, in one pass (the OR
 // of every key XOR the first), and skips the shared ones without
 // counting or moving anything. Buckets of at most radixCutoff records
@@ -20,29 +20,18 @@ import "math/bits"
 // 256-way count costs more than the few comparisons it saves.
 const radixCutoff = 24
 
-// keyed is what sortKeys orders: a record carrying its key. The method
-// has a value receiver; a pointer method in the constraint made the
-// records escape to the heap.
-type keyed interface {
-	probe | sealRec
-	sortKey() Key
-}
-
-func (p probe) sortKey() Key   { return p.k }
-func (r sealRec) sortKey() Key { return r.key }
-
 // sortKeys sorts xs by key, in place. Records with equal keys end in an
 // unspecified order.
-func sortKeys[T keyed](xs []T) {
+func sortKeys(xs []sealRec) {
 	if len(xs) <= radixCutoff {
 		insertionSort(xs)
 		return
 	}
 	// The first digit not every key shares: its byte in A, else in B.
-	k0 := xs[0].sortKey()
+	k0 := xs[0].key
 	var da, db uint64
 	for i := 1; i < len(xs); i++ {
-		k := xs[i].sortKey()
+		k := xs[i].key
 		da |= uint64(k.A ^ k0.A)
 		db |= uint64(k.B ^ k0.B)
 	}
@@ -60,7 +49,7 @@ func sortKeys[T keyed](xs []T) {
 	// holding a record of it, end[d] the bucket's end.
 	var next, end [256]int
 	for i := range xs {
-		end[digit(xs[i].sortKey(), inA, shift)]++
+		end[digit(xs[i].key, inA, shift)]++
 	}
 	off := 0
 	for d := range end {
@@ -71,7 +60,7 @@ func sortKeys[T keyed](xs []T) {
 	for d := range end {
 		for i := next[d]; i < end[d]; i = next[d] {
 			x := xs[i]
-			for xd := digit(x.sortKey(), inA, shift); xd != d; xd = digit(x.sortKey(), inA, shift) {
+			for xd := digit(x.key, inA, shift); xd != d; xd = digit(x.key, inA, shift) {
 				j := next[xd]
 				next[xd]++
 				x, xs[j] = xs[j], x
@@ -100,10 +89,10 @@ func digit(k Key, inA bool, shift uint) int {
 
 // insertionSort finishes a bucket of at most radixCutoff records. Each key
 // is read once, into an array on the stack that moves with the records.
-func insertionSort[T keyed](xs []T) {
+func insertionSort(xs []sealRec) {
 	var keys [radixCutoff]Key
 	for i := range xs {
-		x, k := xs[i], xs[i].sortKey()
+		x, k := xs[i], xs[i].key
 		j := i
 		for ; j > 0 && keyLess(k, keys[j-1]); j-- {
 			xs[j], keys[j] = xs[j-1], keys[j-1]

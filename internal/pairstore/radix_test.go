@@ -59,9 +59,9 @@ func sortInput(raw []byte) []Key {
 	return keys
 }
 
-// FuzzSortKeys holds the radix sort to a comparison sort, on both record
-// types it is instantiated for: the keys must come out in keyCmp order,
-// and every record must come out whole, exactly once.
+// FuzzSortKeys holds the radix sort to a comparison sort on the seal's
+// records: the keys must come out in keyCmp order, and every record must
+// come out whole, exactly once.
 func FuzzSortKeys(f *testing.F) {
 	for _, n := range []uint16{0, 1, 2, radixCutoff, radixCutoff + 1, 300, 5000} {
 		for _, m := range []byte{0, 1, 7, 31} {
@@ -73,29 +73,22 @@ func FuzzSortKeys(f *testing.F) {
 		want := slices.Clone(keys)
 		slices.SortFunc(want, keyCmp)
 
-		probes := make([]probe, len(keys))
 		recs := make([]sealRec, len(keys))
 		for i, k := range keys {
-			probes[i] = probe{k, i}
 			recs[i] = sealRec{key: k, ver: 3 * i, pos: int32(i), tomb: i%2 == 0, val: i%3 == 0}
 		}
-		sortKeys(probes)
 		sortKeys(recs)
-		seenP := make([]bool, len(keys))
-		seenR := make([]bool, len(keys))
+		seen := make([]bool, len(keys))
 		for j := range want {
-			p, r := probes[j], recs[j]
-			if p.k != want[j] || r.key != want[j] {
-				t.Fatalf("%d keys: at %d probe %x and record %x, want %x", len(keys), j, p.k, r.key, want[j])
-			}
-			if seenP[p.i] || keys[p.i] != p.k {
-				t.Fatalf("probe %d at %d duplicated or torn", p.i, j)
+			r := recs[j]
+			if r.key != want[j] {
+				t.Fatalf("%d keys: at %d record %x, want %x", len(keys), j, r.key, want[j])
 			}
 			i := int(r.pos)
-			if seenR[i] || keys[i] != r.key || r.ver != 3*i || r.tomb != (i%2 == 0) || r.val != (i%3 == 0) {
+			if seen[i] || keys[i] != r.key || r.ver != 3*i || r.tomb != (i%2 == 0) || r.val != (i%3 == 0) {
 				t.Fatalf("record %d at %d duplicated or torn: %+v", i, j, r)
 			}
-			seenP[p.i], seenR[i] = true, true
+			seen[i] = true
 		}
 	})
 }

@@ -22,9 +22,10 @@ package pairstore
 // the digest dictionary, and the bloom filter stay decoded in memory;
 // the block payloads are opaque bytes decoded on demand (their key
 // columns held in the store's bounded block cache, blockcache.go). That
-// bounded index is what lets delta planning push predicates down — skip
+// bounded index is what lets point probes push predicates down — skip
 // whole segments by fence and bloom, whole blocks by fence — instead of
-// holding a per-pair map resident.
+// holding a per-pair map resident. Batch probes read the residency index
+// (resindex.go), built from the blocks on the first batch that needs it.
 
 import (
 	"bytes"
@@ -80,9 +81,11 @@ type segment struct {
 	// kb holds the block cache's entries for this segment, by block
 	// (nil until the first is cached); dead marks a segment compaction
 	// has replaced, which only older snapshots still read and the cache
-	// no longer admits. Both are guarded by the store lock.
+	// no longer admits; res is the residency index, once a HasMany has
+	// built it. All three are guarded by the store lock.
 	kb   []*keyBlock
 	dead bool
+	res  *resIndex
 }
 
 type decodedBlock struct {
@@ -110,11 +113,15 @@ func (s *segment) rowAt(d *decodedBlock, i int) row {
 }
 
 // indexBytes is the segment's bounded resident footprint: fence index,
-// dictionary, and bloom filter. Block payloads are excluded — they are
-// the storage medium, decoded on demand.
+// dictionary, bloom filter and, once built, residency index. Block
+// payloads are excluded — they are the storage medium, decoded on demand.
 func (s *segment) indexBytes() int64 {
 	const blockMetaBytes = 48 // 2 keys + 3 ints
-	return int64(len(s.blocks))*blockMetaBytes + int64(len(s.dict))*8 + s.filter.sizeBytes()
+	n := int64(len(s.blocks))*blockMetaBytes + int64(len(s.dict))*8 + s.filter.sizeBytes()
+	if s.res != nil {
+		n += s.res.sizeBytes()
+	}
+	return n
 }
 
 // segBuilder assembles a segment from rows arriving in sorted key
@@ -170,6 +177,19 @@ func newSegBuilder(id uint64, dict []uint64, estRows int) *segBuilder {
 func dictIndex(dict []uint64, d Digest) uint64 {
 	i, _ := slices.BinarySearch(dict, uint64(d))
 	return uint64(i)
+}
+
+// gallop returns the first index of ascending s holding a value ≥ v
+// (len(s) if none), in O(log answer): within a run of one A a segment
+// build finds each B a few dictionary entries past the previous one.
+func gallop(s []uint64, v uint64) int {
+	lo, step := 0, 1
+	for lo+step <= len(s) && s[lo+step-1] < v {
+		lo += step
+		step *= 2
+	}
+	i, _ := slices.BinarySearch(s[lo:min(lo+step, len(s))], v)
+	return lo + i
 }
 
 func (b *segBuilder) add(r row) {
@@ -413,9 +433,10 @@ func (s *segment) decodeBlock(i int, z *inflater, d *decodedBlock) (*decodedBloc
 
 // checkTombs fails block i when its tombstone bitmap marks a row in a
 // segment whose HEAD declares no tombstones: HasMany's walk order
-// trusts that count (Store.reorderLocked), and a block that contradicts
-// it counts as absent, as every corrupt block does, so either walk
-// order gives the same answers.
+// trusts that count (Store.reorderLocked), and so does the residency
+// index, which keeps tombstone rows only for a segment declaring some.
+// A block that contradicts it counts as absent, as every corrupt block
+// does, so either walk order gives the same answers.
 func (s *segment) checkTombs(i int, tomb []byte) error {
 	if s.tombs > 0 {
 		return nil
@@ -458,7 +479,7 @@ func (s *segment) find(k Key, c *blockCache) (blk, r int, tomb, ok bool) {
 	bi, okB := slices.BinarySearch(s.dict, uint64(k.B))
 	if blk = s.findBlock(k); okA && okB && blk >= 0 {
 		if kb, err := c.keyCols(s, blk); err == nil {
-			if _, r, ok = kb.seek(0, 0, uint32(ai), uint32(bi)); ok {
+			if r, ok = kb.row(uint32(ai), uint32(bi)); ok {
 				return blk, r, kb.isTomb(r), true
 			}
 		}
@@ -513,8 +534,13 @@ func (it *segIter) next() (row, bool) {
 	return row{}, false
 }
 
-// encodeFile serializes the segment to its on-disk form.
-func (s *segment) encodeFile() []byte {
+// encodeFile serializes the segment to its on-disk form, compressing
+// the dictionary with z (a fresh deflater when nil). One deflater serves
+// every segment of a Save: a flate writer is ≈ 0.9 MB.
+func (s *segment) encodeFile(z *deflater) []byte {
+	if z == nil {
+		z = &deflater{}
+	}
 	out := append([]byte(nil), segMagic...)
 
 	// HEAD: id, rows, tombs, modeled, fences.
@@ -537,7 +563,7 @@ func (s *segment) encodeFile() []byte {
 		}
 		prev = v
 	}
-	out = appendSection(out, "DICT", compressBlock(nil, d, &deflater{}))
+	out = appendSection(out, "DICT", compressBlock(nil, d, z))
 
 	// BLOM: word count + little-endian words.
 	bl := putUvarint(nil, uint64(len(s.filter.bits)))
@@ -615,7 +641,7 @@ func decodeSegmentFile(raw []byte) (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rows > 1<<40 || tombs > rows {
+	if rows >= 1<<32 || tombs > rows {
 		return nil, corrupt("HEAD", "implausible rows=%d tombs=%d", rows, tombs)
 	}
 	s.rows, s.tombs, s.modeled = int(rows), int(tombs), int64(modeled)

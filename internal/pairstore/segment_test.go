@@ -79,7 +79,7 @@ func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 3, blockRows, blockRows + 1, 3*blockRows + 17} {
 		rows := randRows(int64(n), n, 4*n+10)
 		seg := buildSegment(7, rows)
-		raw := seg.encodeFile()
+		raw := seg.encodeFile(nil)
 		dec, err := decodeSegmentFile(raw)
 		if err != nil {
 			t.Fatalf("n=%d: decode: %v", n, err)
@@ -117,7 +117,7 @@ func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 // silently wrong segment.
 func TestSegmentCorruption(t *testing.T) {
 	rows := randRows(99, 2*blockRows+100, 5000)
-	raw := buildSegment(1, rows).encodeFile()
+	raw := buildSegment(1, rows).encodeFile(nil)
 
 	for _, cut := range []int{0, 4, len(segMagic), len(segMagic) + 7, len(raw) / 3, len(raw) / 2, len(raw) - 1} {
 		if _, err := decodeSegmentFile(raw[:cut]); err == nil {
@@ -156,7 +156,7 @@ func TestSegmentCompression(t *testing.T) {
 		}
 	}
 	seg := buildSegment(0, rows)
-	raw := seg.encodeFile()
+	raw := seg.encodeFile(nil)
 	bpp := float64(len(raw)) / float64(len(rows))
 	if bpp > 8 {
 		t.Fatalf("all-pairs segment costs %.2f bytes/pair, want <= 8", bpp)
@@ -343,7 +343,7 @@ func TestSnapshotImmuneToSealAndCompact(t *testing.T) {
 	}
 }
 
-// TestHasManyAgreesWithHas cross-checks the sorted merge-walk against
+// TestHasManyAgreesWithHas cross-checks the residency indexes against
 // per-key probes over a store with several sealed levels.
 func TestHasManyAgreesWithHas(t *testing.T) {
 	s := New()
@@ -415,7 +415,7 @@ func TestBloomSizingBelowWrap(t *testing.T) {
 // TestDecodeRejectsOversizedBloom: a BLOM section declaring more words
 // than a filter may hold is a *CorruptError, before any is read.
 func TestDecodeRejectsOversizedBloom(t *testing.T) {
-	raw := buildSegment(1, randRows(5, 100, 50)).encodeFile()
+	raw := buildSegment(1, randRows(5, 100, 50)).encodeFile(nil)
 	r := &byteReader{b: raw, off: len(segMagic)}
 	for _, tag := range []string{"HEAD", "DICT"} {
 		if _, err := readSection(r, tag); err != nil {
@@ -484,7 +484,7 @@ func TestUndeclaredTombstoneIsCorrupt(t *testing.T) {
 		t.Fatalf("newest segment holds %d rows, %d tombstones; want 2, 1", liar.rows, liar.tombs)
 	}
 	liar.tombs = 0
-	if err := os.WriteFile(filepath.Join(segmentDir(path), liar.file), liar.encodeFile(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(segmentDir(path), liar.file), liar.encodeFile(nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Load(path)

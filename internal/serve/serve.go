@@ -432,15 +432,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "rocketd_store_disk_bytes %d\n", st.DiskBytes)
 	fmt.Fprintf(w, "# HELP rocketd_store_bytes_per_pair On-disk bytes per pair across persisted segments.\n# TYPE rocketd_store_bytes_per_pair gauge\n")
 	fmt.Fprintf(w, "rocketd_store_bytes_per_pair %g\n", st.BytesPerPair)
-	fmt.Fprintf(w, "# HELP rocketd_store_index_resident_bytes Resident probe-index footprint (fences, dictionaries, bloom filters).\n# TYPE rocketd_store_index_resident_bytes gauge\n")
+	fmt.Fprintf(w, "# HELP rocketd_store_index_resident_bytes Resident probe-index footprint (fences, dictionaries, bloom filters, built residency indexes).\n# TYPE rocketd_store_index_resident_bytes gauge\n")
 	fmt.Fprintf(w, "rocketd_store_index_resident_bytes %d\n", st.IndexResidentBytes)
-	fmt.Fprintf(w, "# HELP rocketd_store_bloom_hit_rate Share of bloom-filter consultations answered absent without a block decode; point probes (Get, Has, Put duplicate checks) always consult the filter, batch planning probes only for blocks missing from the block cache.\n# TYPE rocketd_store_bloom_hit_rate gauge\n")
+	fmt.Fprintf(w, "# HELP rocketd_store_bloom_hit_rate Share of bloom-filter consultations answered absent without a block decode; only point probes (Get, retractions, Put and Merge duplicate checks) consult the filter, batch planning probes read the residency index.\n# TYPE rocketd_store_bloom_hit_rate gauge\n")
 	fmt.Fprintf(w, "rocketd_store_bloom_hit_rate %g\n", st.BloomHitRate)
-	fmt.Fprintf(w, "# HELP rocketd_store_block_decodes_total Segment blocks inflated to answer probes (block-cache misses plus the row decode behind each Get hit).\n# TYPE rocketd_store_block_decodes_total counter\n")
+	fmt.Fprintf(w, "# HELP rocketd_store_block_decodes_total Segment blocks inflated to answer probes (block-cache misses, the row decode behind each Get hit, and each block once when a segment's residency index is built).\n# TYPE rocketd_store_block_decodes_total counter\n")
 	fmt.Fprintf(w, "rocketd_store_block_decodes_total %d\n", st.BlockDecodes)
 	fmt.Fprintf(w, "# HELP rocketd_store_block_cache_bytes Decoded key columns held by the store's bounded block cache.\n# TYPE rocketd_store_block_cache_bytes gauge\n")
 	fmt.Fprintf(w, "rocketd_store_block_cache_bytes %d\n", st.BlockCacheBytes)
-	fmt.Fprintf(w, "# HELP rocketd_store_segment_visits_total Segment walks of batch planning probes: each sealed segment a HasMany walks counts the keys still unresolved when it starts.\n# TYPE rocketd_store_segment_visits_total counter\n")
+	fmt.Fprintf(w, "# HELP rocketd_store_segment_visits_total Segment visits of batch planning probes: each sealed segment a HasMany key reaches unresolved counts one.\n# TYPE rocketd_store_segment_visits_total counter\n")
 	fmt.Fprintf(w, "rocketd_store_segment_visits_total %d\n", st.SegmentVisits)
 	fmt.Fprintf(w, "# HELP rocketd_store_seals_total Mutable-log promotions into sorted columnar segments.\n# TYPE rocketd_store_seals_total counter\n")
 	fmt.Fprintf(w, "rocketd_store_seals_total %d\n", st.Seals)
