@@ -211,7 +211,7 @@ fuzz-smoke:
 portable:
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test -count=1 -run='^(TestExperimentsGolden|TestStorageGolden)$$' ./internal/experiments/
-	GOARCH=386 $(GO) test -count=1 -run='^(TestIngestGolden|TestBloomSizingBelowWrap|TestHasManySegmentVisits|TestIndexDenseAndSparseRows|TestIndexMatchesRows|TestIndexSkipsCorruptBlock|TestIndexTombstoneShadowsOlderRow|TestIndexNoLargerThanKeyColumns|FuzzSortKeys|FuzzStoreOps)$$' ./internal/pairstore/
+	GOARCH=386 $(GO) test -count=1 -run='^(TestIngestGolden|TestBloomSizingBelowWrap|TestHasManySegmentVisits|TestIndexDenseAndSparseRows|TestIndexMatchesRows|TestIndexSkipsCorruptBlock|TestIndexTombstoneShadowsOlderRow|TestIndexNoLargerThanKeyColumns|TestIndexBoundDropsIdle|FuzzSortKeys|FuzzStoreOps)$$' ./internal/pairstore/
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

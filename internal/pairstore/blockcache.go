@@ -4,15 +4,17 @@ package pairstore
 // shared by every segment of a store and bounded in bytes.
 //
 // Point probes (Get, Put's and Merge's duplicate checks, retract) that
-// pass a segment's bloom filter decide membership from a block's key
-// columns and tombstone bitmap, so those are what is kept — the B column
-// still bit-packed, ≈ 1.5 bytes per row at a 2 000-digest dictionary.
+// pass the bloom filter of a segment without a residency index decide
+// membership from a block's key columns and tombstone bitmap, so those
+// are what is kept — the B column still bit-packed, ≈ 1.5 bytes per row
+// at a 2 000-digest dictionary.
 // A retried job merges keys the store already holds, landing on the same
 // blocks again and again; while blockCacheLimit covers them each is
 // decoded once, and beyond it the least recently used are dropped and
-// decoded again on their next visit. Batch probes do not come here:
-// they read the residency index (resindex.go). The store lock every
-// probe path already holds guards all of it.
+// decoded again on their next visit. Batch probes do not come here, nor
+// point probes of a segment a batch has indexed: they read the
+// residency index (resindex.go), which holds the same answers. The
+// store lock every probe path already holds guards all of it.
 
 import (
 	"encoding/binary"
@@ -121,19 +123,27 @@ func (s *segment) decodeKeyCols(i int, z *inflater) (*keyBlock, error) {
 }
 
 // blockCache is the store-wide LRU of key blocks plus the inflater the
-// probe paths and index builds reuse under the same lock, and the words
-// an index build writes before copying them out (resindex.go).
+// probe paths and index builds reuse under the same lock. It also keeps
+// the books of the residency indexes (resindex.go): the live segments
+// that have one, their bytes, the count of HasMany calls, and the words
+// an index build writes before copying them out, kept for the builds of
+// the same HasMany.
 type blockCache struct {
 	limit int64 // blockCacheLimit, except in tests
 	bytes int64
 	lru   keyBlock // list sentinel: lru.next is the most recently used
 	z     inflater
-	words []uint64
 	st    *Stats
+
+	indexed    []*segment
+	indexBytes int64
+	indexLimit int64 // indexLimit, except in tests
+	calls      uint64
+	words      []uint64
 }
 
 func (c *blockCache) init(st *Stats) {
-	c.limit, c.st = blockCacheLimit, st
+	c.limit, c.indexLimit, c.st = blockCacheLimit, indexLimit, st
 	c.lru.next, c.lru.prev = &c.lru, &c.lru
 }
 
@@ -177,13 +187,18 @@ func (c *blockCache) keyCols(s *segment, blk int) (*keyBlock, error) {
 	return kb, nil
 }
 
-// drop releases the cached blocks of segments compaction has replaced.
+// drop releases the cached blocks of segments compaction has replaced
+// and takes their residency indexes out of the bound, leaving them to
+// the snapshots that still read the segments.
 func (c *blockCache) drop(segs []*segment) {
 	for _, s := range segs {
 		for _, kb := range s.kb {
 			if kb != nil {
 				c.evict(kb)
 			}
+		}
+		if i := slices.Index(c.indexed, s); i >= 0 {
+			c.unindex(i)
 		}
 		s.kb, s.dead = nil, true
 	}

@@ -328,6 +328,27 @@ func TestPlanBesideMaintenance(t *testing.T) {
 	blocks := 0
 	for _, seg := range old {
 		blocks += len(seg.blocks)
+		// A Get of each block's first key caches the block.
+		for blk := range seg.blocks {
+			kb, err := seg.decodeKeyCols(blk, &inflater{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := Key{A: Digest(seg.dict[kb.aVal[0]]), B: Digest(seg.dict[kb.bAt(0)])}
+			if _, ok := snap.Get(k); !ok {
+				t.Fatalf("segment %d block %d: its first key reads absent", seg.id, blk)
+			}
+		}
+	}
+	s.mu.Lock()
+	for _, seg := range old {
+		if seg.kb == nil {
+			t.Errorf("segment %d: Gets of its blocks cached none of them", seg.id)
+		}
+	}
+	s.mu.Unlock()
+	if s.Stats().BlockCacheBytes == 0 {
+		t.Fatal("Gets left nothing cached")
 	}
 	var want []byte
 	for i := 0; i < 440; i++ {

@@ -163,8 +163,9 @@ type Stats struct {
 	BytesPerPair float64 `json:"bytes_per_pair"`
 	// IndexResidentBytes is the in-memory footprint of the sealed
 	// segments' probe structures (fence indexes, digest dictionaries,
-	// bloom filters, the residency indexes HasMany has built, and the
-	// store's union of the dictionaries) — bounded, unlike a per-pair map.
+	// bloom filters, the residency indexes HasMany has built and kept,
+	// and the store's union of the dictionaries) — bounded, unlike a
+	// per-pair map.
 	IndexResidentBytes int64 `json:"index_resident_bytes"`
 	// Puts counts accepted appends; DupPuts appends ignored because the
 	// key was already live.
@@ -194,8 +195,9 @@ type Stats struct {
 	// duplicate checks); HasMany reads the residency index instead.
 	// BloomNegatives are the probes the filter answered "definitely
 	// absent" without decoding a block; BloomFalsePositives the probes
-	// that went on to the exact lookup and found nothing. BloomHitRate
-	// is BloomNegatives / BloomProbes.
+	// that went on to the exact lookup (key columns, or the residency
+	// index where one is built) and found nothing. BloomHitRate is
+	// BloomNegatives / BloomProbes.
 	BloomProbes         uint64  `json:"bloom_probes"`
 	BloomNegatives      uint64  `json:"bloom_negatives"`
 	BloomFalsePositives uint64  `json:"bloom_false_positives"`
@@ -205,9 +207,9 @@ type Stats struct {
 	// and the row decode behind each Get hit in a segment, plus one per
 	// block when HasMany builds a segment's residency index, so a plan
 	// inflates each block at most once. BlockCacheHits counts the point
-	// probes' block lookups the cache answered. BlockCacheBytes is the
-	// decoded key columns currently cached, at most blockCacheLimit
-	// (8 MiB).
+	// probes' block lookups the cache answered, in segments without a
+	// residency index. BlockCacheBytes is the decoded key columns
+	// currently cached, at most blockCacheLimit (8 MiB).
 	Blocks          int    `json:"blocks,omitempty"`
 	BlockDecodes    uint64 `json:"block_decodes,omitempty"`
 	BlockCacheHits  uint64 `json:"block_cache_hits,omitempty"`
@@ -890,12 +892,14 @@ func (sn *Snapshot) Get(k Key) (Entry, bool) {
 // the store lock once for the whole batch — delta planners probe
 // O(base²) keys at job start, where per-key locking would dominate. A
 // key the mutable log does not resolve visits the sealed segments in
-// probeOrder, each answering from its residency index (resindex.go,
-// built on the first visit) with two dictionary lookups and one set test;
-// the first segment that holds a record of the key resolves it. The
-// walk goes largest segment first when no segment holds a tombstone — a
-// key is then live exactly when some segment holds it, whatever the
-// order — and newest first otherwise, where the first record found wins.
+// probeOrder, each answering from its residency index (resindex.go) with
+// two dictionary lookups and one set test; the first segment that holds
+// a record of the key resolves it. A segment without an index builds it
+// for the first key whose two digests its dictionary holds and skips
+// the keys before. The walk goes largest segment first when no segment
+// holds a tombstone — a key is then live exactly when some segment
+// holds it, whatever the order — and newest first otherwise, where the
+// first record found wins.
 func (sn *Snapshot) HasMany(keys []Key, out []bool) {
 	if sn == nil || sn.s == nil {
 		for i := range keys {
@@ -907,6 +911,7 @@ func (sn *Snapshot) HasMany(keys []Key, out []bool) {
 	defer sn.s.mu.Unlock()
 
 	c := &sn.s.cache
+	c.calls++
 	visits := uint64(0)
 	for i, k := range keys {
 		if sn.memLen > 0 {
@@ -918,13 +923,21 @@ func (sn *Snapshot) HasMany(keys []Key, out []bool) {
 		out[i] = false
 		for _, seg := range sn.probeOrder {
 			visits++
-			if live, ok := seg.index(c).lookup(seg.dict, k); ok {
+			x := seg.res
+			if x == nil {
+				if !seg.holdsDigests(k) {
+					continue
+				}
+				x = c.index(seg)
+			}
+			if live, ok := x.lookup(seg.dict, k, c.calls); ok {
 				out[i] = live
 				break
 			}
 		}
 	}
 	c.st.SegmentVisits += visits
+	c.words = nil
 }
 
 // Len returns the number of live keys at snapshot time.

@@ -28,16 +28,35 @@ package pairstore
 // 32-bit slots at load ½ instead, the index of a 6 000-row seal
 // outgrew its key columns.)
 //
-// The first HasMany to visit a segment builds its index under the store
-// lock, inflating each block's key columns once and caching none of
-// them. The index lives on the segment, so it lasts as long as the last
-// snapshot that reads the segment: a segment a compaction retired is
-// indexed at most once, however many plans of old snapshots read it.
+// Once built, the index also answers the point probes that pass the
+// segment's bloom filter, so the block cache takes no more key columns
+// of the segment.
+//
+// The first HasMany to visit a segment with a key whose two digests its
+// dictionary holds builds the segment's index under the store lock,
+// inflating each block's key columns once and caching none of them; a
+// segment that holds no key of a plan is never indexed for it. The
+// indexes of a store's live segments are bounded by indexLimit: a build
+// that passes it drops the indexes of the segments the current HasMany
+// has not read, least recently read first. The bound is soft — a batch
+// never loses an index it has read. A segment compaction retired leaves
+// the bound and keeps its index, which so lasts as long as the last
+// snapshot that reads the segment: such a segment is indexed at most
+// once, however many plans of old snapshots read it.
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
+
+// indexLimit bounds the bytes of the residency indexes a store keeps for
+// its live segments: about 14 million rows at the ≈ 0.6 bytes per row
+// of store_delta's indexes.
+const indexLimit = 8 << 20
 
 // resIndex is one segment's residency index.
 type resIndex struct {
+	used  uint64   // the HasMany call that read it last (blockCache.calls)
 	dir   []uint32 // dir[b] is the first dictionary index whose digest's top bits are ≥ b
 	shift uint     // 64 − log₂(len(dir) − 1)
 	width uint     // bits per unit: the dictionary's index width, at least 1
@@ -60,13 +79,59 @@ type rowSet struct {
 	words []uint64
 }
 
-// index returns s's residency index, building it on the first call.
-// The caller holds the store lock.
-func (s *segment) index(c *blockCache) *resIndex {
-	if s.res == nil {
-		s.res = s.buildIndex(c)
+// index returns s's residency index, building it on the first call. A
+// build that takes the live segments' indexes past the limit drops
+// those of the segments the current HasMany has not read, least
+// recently read first. The caller holds the store lock.
+func (c *blockCache) index(s *segment) *resIndex {
+	if s.res != nil {
+		return s.res
+	}
+	s.res = s.buildIndex(c)
+	s.res.used = c.calls
+	if s.dead {
+		return s.res
+	}
+	c.indexed = append(c.indexed, s)
+	c.indexBytes += s.res.sizeBytes()
+	for c.indexBytes > c.indexLimit {
+		lru := -1
+		for i, o := range c.indexed {
+			if o.res.used < c.calls && (lru < 0 || o.res.used < c.indexed[lru].res.used) {
+				lru = i
+			}
+		}
+		if lru < 0 {
+			break
+		}
+		c.unindex(lru).res = nil
 	}
 	return s.res
+}
+
+// unindex takes c.indexed[i] out of the bound and returns it.
+func (c *blockCache) unindex(i int) *segment {
+	s := c.indexed[i]
+	c.indexBytes -= s.res.sizeBytes()
+	c.indexed = slices.Delete(c.indexed, i, i+1)
+	return s
+}
+
+// holdsDigests reports whether s's dictionary holds both of k's
+// digests, which every key s holds a record of does. It remembers the
+// last A digest the dictionary lacked: a plan's keys come in runs of
+// one A, so a plan of other items costs a segment it never indexes one
+// comparison per key.
+func (s *segment) holdsDigests(k Key) bool {
+	if s.lacksA.ok && s.lacksA.d == k.A {
+		return false
+	}
+	if _, ok := slices.BinarySearch(s.dict, uint64(k.A)); !ok {
+		s.lacksA.d, s.lacksA.ok = k.A, true
+		return false
+	}
+	_, ok := slices.BinarySearch(s.dict, uint64(k.B))
+	return ok
 }
 
 // buildIndex inflates every block's key columns once, counting each in
@@ -141,8 +206,9 @@ func (x *resIndex) find(dict []uint64, d Digest) (uint32, bool) {
 }
 
 // lookup reports whether the segment holds a record of k (ok) and
-// whether that record is live.
-func (x *resIndex) lookup(dict []uint64, k Key) (live, ok bool) {
+// whether that record is live. A key whose two digests the dictionary
+// holds marks the index read by HasMany call call.
+func (x *resIndex) lookup(dict []uint64, k Key, call uint64) (live, ok bool) {
 	if k.A != x.lastA {
 		a, okA := x.find(dict, k.A)
 		x.lastA, x.lastAt = k.A, 0
@@ -157,6 +223,7 @@ func (x *resIndex) lookup(dict []uint64, k Key) (live, ok bool) {
 	if !okB {
 		return false, false
 	}
+	x.used = call
 	a := x.lastAt - 1
 	if x.live.has(x, a, b) {
 		return true, true

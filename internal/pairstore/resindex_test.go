@@ -1,7 +1,9 @@
 package pairstore
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -19,7 +21,7 @@ func rowAnswers(rows []row) map[Key]bool {
 func checkLookup(t *testing.T, seg *segment, c *blockCache, want map[Key]bool, k Key) {
 	t.Helper()
 	wantLive, wantOK := want[k]
-	if live, ok := seg.index(c).lookup(seg.dict, k); live != wantLive || ok != wantOK {
+	if live, ok := c.index(seg).lookup(seg.dict, k, c.calls); live != wantLive || ok != wantOK {
 		t.Fatalf("lookup(%x) = live %v, found %v; rows say live %v, found %v", k, live, ok, wantLive, wantOK)
 	}
 }
@@ -54,7 +56,7 @@ func TestIndexDenseAndSparseRows(t *testing.T) {
 		t.Fatalf("dictionary of %d digests, want 100", len(seg.dict))
 	}
 	c := newTestCache()
-	x := seg.index(c)
+	x := c.index(seg)
 	for _, r := range []struct {
 		set  *rowSet
 		a    int
@@ -183,10 +185,159 @@ func TestIndexNoLargerThanKeyColumns(t *testing.T) {
 			}
 			cols += kb.bytes()
 		}
-		idx := seg.index(&s.cache).sizeBytes()
+		idx := s.cache.index(seg).sizeBytes()
 		t.Logf("segment %d: %d rows, %d digests: index %d B, key columns %d B", seg.id, seg.rows, len(seg.dict), idx, cols)
 		if idx > cols {
 			t.Errorf("segment %d (%d rows, %d digests): index %d B, key columns %d B", seg.id, seg.rows, len(seg.dict), idx, cols)
 		}
+	}
+}
+
+// TestIndexBoundDropsIdle: three segments over disjoint items, each
+// holding one dataset's pairs, under a one-byte index bound. A plan
+// indexes only the segment whose dictionary holds its digests; a plan's
+// build drops the indexes the plan has not read and keeps those it has,
+// whatever the bound; and the segments
+// compaction retires leave the bound and keep their indexes for the
+// snapshot that still reads them.
+func TestIndexBoundDropsIdle(t *testing.T) {
+	s := New()
+	const items = 30
+	var sets [3][]Key
+	for d := range sets {
+		digest := DigestFunc("bound", fmt.Sprint("dataset", d), 1)
+		for j := 1; j < items; j++ {
+			for i := 0; i < j; i++ {
+				k := Key{A: digest(i), B: digest(j)}
+				sets[d] = append(sets[d], k)
+				s.Put(Entry{Key: k})
+			}
+		}
+		s.Seal()
+	}
+	s.cache.indexLimit = 1
+	snap := s.Snapshot()
+	var segs [3]*segment // by dataset
+	for d, keys := range sets {
+		for _, seg := range snap.segs {
+			if _, ok := slices.BinarySearch(seg.dict, uint64(keys[0].A)); ok {
+				segs[d] = seg
+			}
+		}
+		if segs[d] == nil || len(snap.segs) != 3 {
+			t.Fatalf("dataset %d: no segment of %d holds it", d, len(snap.segs))
+		}
+	}
+	plan := func(ds ...int) {
+		t.Helper()
+		var keys []Key
+		for _, d := range ds {
+			keys = append(keys, sets[d]...)
+		}
+		out := make([]bool, len(keys))
+		snap.HasMany(keys, out)
+		for i, ok := range out {
+			if !ok {
+				t.Fatalf("plan of datasets %v: key %d reads absent", ds, i)
+			}
+		}
+	}
+	indexed := func(want ...int) {
+		t.Helper()
+		var got []int
+		bytes := int64(0)
+		for d, seg := range segs {
+			if seg.res != nil {
+				got = append(got, d)
+				bytes += seg.res.sizeBytes()
+			}
+		}
+		if !slices.Equal(got, want) || s.cache.indexBytes != bytes {
+			t.Fatalf("datasets %v indexed (%d B, books say %d B), want %v", got, bytes, s.cache.indexBytes, want)
+		}
+	}
+	plan(0)
+	indexed(0)
+	plan(1)
+	indexed(1)
+	plan(1, 2)
+	indexed(1, 2)
+	plan(0, 2)
+	indexed(0, 2)
+
+	s.Compact()
+	if len(s.cache.indexed) != 0 || s.cache.indexBytes != 0 {
+		t.Fatalf("after compaction the bound holds %d indexes, %d B", len(s.cache.indexed), s.cache.indexBytes)
+	}
+	decodes := s.Stats().BlockDecodes
+	plan(0, 1, 2)
+	for d, seg := range segs {
+		if seg.res == nil || s.cache.indexBytes != 0 {
+			t.Fatalf("retired segment of dataset %d: index %v, bound holds %d B", d, seg.res != nil, s.cache.indexBytes)
+		}
+	}
+	if d := s.Stats().BlockDecodes - decodes; d != uint64(len(segs[1].blocks)) {
+		t.Fatalf("a plan of the retired segments inflated %d blocks, want dataset 1's %d", d, len(segs[1].blocks))
+	}
+}
+
+// TestIndexAnswersPointProbes: once a plan has indexed the segments,
+// Gets take membership from the indexes — versions and values read as
+// put, a retracted key and absent keys read absent — and leave the
+// block cache empty, one full decode per record found.
+func TestIndexAnswersPointProbes(t *testing.T) {
+	s := New()
+	s.SetAutoSealThreshold(1 << 20)
+	digest := DigestFunc("points", "index", 1)
+	var keys []Key
+	for j := 1; j < 120; j++ {
+		for i := 0; i < j; i++ {
+			k := Key{A: digest(i), B: digest(j)}
+			keys = append(keys, k)
+			s.Put(Entry{Key: k, Version: j, Value: []byte(fmt.Sprint(i, j))})
+		}
+		if j%40 == 0 {
+			s.Seal()
+		}
+	}
+	gone := keys[len(keys)/2]
+	s.retract(gone)
+	s.Seal()
+	out := make([]bool, len(keys))
+	s.Snapshot().HasMany(keys, out)
+	st := s.Stats()
+	if st.Segments < 3 || st.BlockCacheBytes != 0 {
+		t.Fatalf("%d segments, %d cached bytes after the plan", st.Segments, st.BlockCacheBytes)
+	}
+	hits := 0
+	for n, k := range keys {
+		if n%7 != 0 && k != gone {
+			continue
+		}
+		hits++
+		e, ok := s.Get(k)
+		if k == gone {
+			if ok {
+				t.Fatal("the retracted key reads live")
+			}
+			continue
+		}
+		var i, j int
+		fmt.Sscan(string(e.Value), &i, &j)
+		if !ok || k != (Key{A: digest(i), B: digest(j)}) || e.Version != j {
+			t.Fatalf("Get(%x) = %v, %v", k, e, ok)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		if _, ok := s.Get(Key{A: digest(i % 120), B: digest(200 + i)}); ok {
+			t.Fatal("an absent key reads live")
+		}
+	}
+	after := s.Stats()
+	if after.BlockCacheBytes != 0 || after.BlockCacheHits != 0 {
+		t.Fatalf("Gets of indexed segments cached %d bytes, %d hits", after.BlockCacheBytes, after.BlockCacheHits)
+	}
+	if d := after.BlockDecodes - st.BlockDecodes; d != uint64(hits) {
+		t.Fatalf("%d hits, the retracted key's among them, decoded %d blocks, want one each", hits, d)
 	}
 }

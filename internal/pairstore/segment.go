@@ -82,10 +82,16 @@ type segment struct {
 	// (nil until the first is cached); dead marks a segment compaction
 	// has replaced, which only older snapshots still read and the cache
 	// no longer admits; res is the residency index, once a HasMany has
-	// built it. All three are guarded by the store lock.
-	kb   []*keyBlock
-	dead bool
-	res  *resIndex
+	// built it, and lacksA the last A digest HasMany found absent from
+	// the dictionary of the segment without one. All four are guarded
+	// by the store lock.
+	kb     []*keyBlock
+	dead   bool
+	res    *resIndex
+	lacksA struct {
+		d  Digest
+		ok bool
+	}
 }
 
 type decodedBlock struct {
@@ -459,11 +465,13 @@ func (s *segment) findBlock(k Key) int {
 	return i
 }
 
-// find locates k through the block cache's key columns: the block and
-// row holding it and whether that row is a tombstone. Point probes keep
-// the bloom filter in front — most are for absent keys (ingestion's
-// duplicate checks), where it spares the dictionary and fence searches
-// and, on a cold block, the inflate.
+// find locates k: the block and row holding it (-1, -1 when the
+// residency index answered) and whether that row is a tombstone. Point
+// probes keep the bloom filter in front — most are for absent keys
+// (ingestion's duplicate checks), where it spares the dictionary and
+// fence searches and, on a cold block, the inflate. A segment with a
+// residency index answers the keys that pass the filter from it and
+// adds no key columns of its blocks to the block cache.
 func (s *segment) find(k Key, c *blockCache) (blk, r int, tomb, ok bool) {
 	if keyLess(k, s.minKey) || keyLess(s.maxKey, k) {
 		return 0, 0, false, false
@@ -471,6 +479,13 @@ func (s *segment) find(k Key, c *blockCache) (blk, r int, tomb, ok bool) {
 	c.st.BloomProbes++
 	if !s.filter.test(k) {
 		c.st.BloomNegatives++
+		return 0, 0, false, false
+	}
+	if s.res != nil {
+		if live, ok := s.res.lookup(s.dict, k, c.calls); ok {
+			return -1, -1, !live, true
+		}
+		c.st.BloomFalsePositives++
 		return 0, 0, false, false
 	}
 	// The dictionary is a second cheap filter: a digest absent from it
@@ -496,10 +511,26 @@ func (s *segment) get(k Key, c *blockCache, wantRow bool) (row, bool) {
 	if !ok || !wantRow {
 		return row{key: k, tomb: tomb}, ok
 	}
+	if blk < 0 {
+		if blk = s.findBlock(k); blk < 0 {
+			return row{}, false
+		}
+	}
 	c.st.BlockDecodes++
 	d, err := s.decodeBlock(blk, nil, nil)
 	if err != nil {
 		return row{}, false
+	}
+	if r < 0 {
+		ai, _ := slices.BinarySearch(s.dict, uint64(k.A))
+		bi, _ := slices.BinarySearch(s.dict, uint64(k.B))
+		a, b := uint64(ai), uint64(bi)
+		r = sort.Search(len(d.aIdx), func(i int) bool {
+			return d.aIdx[i] > a || d.aIdx[i] == a && d.bIdx[i] >= b
+		})
+		if r == len(d.aIdx) || d.aIdx[r] != a || d.bIdx[r] != b {
+			return row{}, false
+		}
 	}
 	return s.rowAt(d, r), true
 }
