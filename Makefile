@@ -28,10 +28,11 @@ race-stress:
 # The allocation gates must hold
 # while tests share the CPU, as they do under `go test ./...`. Six copies
 # run at once, eight rounds each; a round runs every allocation gate
-# (experiments' goldens, the pairstore ingest budget, warm HasMany and Save,
-# core's and the fleet's allocation tests, the sim engine's zero-allocation
-# dispatch tests) from prebuilt test binaries. All 48 rounds must pass.
-ALLOC_GATES = experiments:Golden pairstore:'TestIngestAllocationBudget|TestHasManyAllocatesNothing|TestSaveAllocatesOneDeflater' \
+# (experiments' goldens, the pairstore ingest budget, warm HasMany, Get
+# hits and inflates, Save and Load, core's and the fleet's allocation
+# tests, the sim engine's zero-allocation dispatch tests) from prebuilt
+# test binaries. All 48 rounds must pass.
+ALLOC_GATES = experiments:Golden pairstore:'TestIngestAllocationBudget|TestHasManyAllocatesNothing|TestGetHitAllocatesNothing|TestInflateAllocatesNothing|TestSaveAllocatesOneDeflater|TestLoadAllocatesOneInflater' \
 	core:'TestAllocations|TestRunFixedCost|TestSpansAllocateOnlyTheRing' \
 	fleet:TestFleetAllocationBudget sim:TestZeroAlloc
 alloc-stress:
@@ -198,6 +199,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentRoundTrip -fuzztime=10s ./internal/pairstore/
 	$(GO) test -run='^$$' -fuzz=FuzzStoreOps -fuzztime=10s ./internal/pairstore/
 	$(GO) test -run='^$$' -fuzz=FuzzSortKeys -fuzztime=10s ./internal/pairstore/
+	$(GO) test -run='^$$' -fuzz=FuzzInflate -fuzztime=10s ./internal/pairstore/
 	$(GO) test -run='^$$' -fuzz=FuzzQueueProgram -fuzztime=10s ./internal/sched/
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioParse -fuzztime=10s ./internal/scenario/
 	$(GO) test -run='^$$' -fuzz=FuzzKeyHeap -fuzztime=10s ./internal/sim/
@@ -207,11 +209,12 @@ fuzz-smoke:
 # (GOARCH=386 uses pure-Go math): vet, the experiments' and the
 # pairstore's goldens, the bloom filter's sizing near int's limit, the
 # exact count of HasMany's segment visits, the residency index's tests,
-# and the radix sort's and the store model's seed corpora, about 25 s.
+# the one-row walk's bit offsets, the inflater, and the radix sort's,
+# the store model's and the inflater's seed corpora, about 30 s.
 portable:
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test -count=1 -run='^(TestExperimentsGolden|TestStorageGolden)$$' ./internal/experiments/
-	GOARCH=386 $(GO) test -count=1 -run='^(TestIngestGolden|TestBloomSizingBelowWrap|TestHasManySegmentVisits|TestIndexDenseAndSparseRows|TestIndexMatchesRows|TestIndexSkipsCorruptBlock|TestIndexTombstoneShadowsOlderRow|TestIndexNoLargerThanKeyColumns|TestIndexBoundDropsIdle|FuzzSortKeys|FuzzStoreOps)$$' ./internal/pairstore/
+	GOARCH=386 $(GO) test -count=1 -run='^(TestIngestGolden|TestBloomSizingBelowWrap|TestHasManySegmentVisits|TestIndexDenseAndSparseRows|TestIndexMatchesRows|TestIndexSkipsCorruptBlock|TestIndexTombstoneShadowsOlderRow|TestIndexNoLargerThanKeyColumns|TestIndexBoundDropsIdle|TestRowReadMatchesFullDecode|TestInflateMatchesFlate|FuzzSortKeys|FuzzStoreOps|FuzzInflate)$$' ./internal/pairstore/
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

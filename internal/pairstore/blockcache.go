@@ -123,11 +123,11 @@ func (s *segment) decodeKeyCols(i int, z *inflater) (*keyBlock, error) {
 }
 
 // blockCache is the store-wide LRU of key blocks plus the inflater the
-// probe paths and index builds reuse under the same lock. It also keeps
-// the books of the residency indexes (resindex.go): the live segments
-// that have one, their bytes, the count of HasMany calls, and the words
-// an index build writes before copying them out, kept for the builds of
-// the same HasMany.
+// probe paths, Get hits' row reads and index builds reuse under the same
+// lock. It also keeps the books of the residency indexes (resindex.go):
+// the live segments that have one, their bytes, the count of HasMany
+// calls, and the words an index build writes before copying them out,
+// kept for the builds of the same HasMany.
 type blockCache struct {
 	limit int64 // blockCacheLimit, except in tests
 	bytes int64

@@ -283,7 +283,7 @@ func TestBlockCacheBound(t *testing.T) {
 				each()
 			}
 		}
-		// Every hit adds one full decode of its row's block.
+		// Every hit inflates its row's block once more, to read the row.
 		return found, s.Stats().BlockDecodes - before - hits
 	}
 	s, dg := deltaStore(t)
@@ -501,20 +501,31 @@ func TestSegmentNamesStable(t *testing.T) {
 
 // corruptOrEqual is the fuzz target's check on one block of a segment
 // whose data bytes were damaged after the section checksums passed:
-// both decoders must fail, with a *CorruptError, or both must succeed
-// and agree.
+// both decoders must fail, with a *CorruptError, and the one-row walk
+// must then read no row; or both must succeed and agree, and the walk
+// read the rows the full decoder does (every 61st, and the last).
 func corruptOrEqual(seg *segment, blk int) (failed bool, err error) {
 	_, errK := seg.decodeKeyCols(blk, &inflater{})
-	_, errF := seg.decodeBlock(blk, nil, nil)
+	d, errF := seg.decodeBlock(blk, nil, nil)
 	if (errK == nil) != (errF == nil) {
 		return false, fmt.Errorf("block %d: key-column decoder says %v, full decoder %v", blk, errK, errF)
 	}
 	if errK == nil {
-		return false, keyColsMatch(seg, blk)
+		if err := keyColsMatch(seg, blk); err != nil {
+			return false, err
+		}
+		var z inflater
+		read := func(k Key, r int) (row, bool, error) { return seg.readRow(blk, k, r, &z) }
+		for i := 0; i < len(d.aIdx); i += 61 {
+			if err := rowReadsMatch(d, seg, i, read); err != nil {
+				return false, fmt.Errorf("block %d: %v", blk, err)
+			}
+		}
+		return false, rowReadsMatch(d, seg, len(d.aIdx)-1, read)
 	}
 	var ce *CorruptError
 	if !errors.As(errK, &ce) || !errors.As(errF, &ce) {
 		return true, fmt.Errorf("block %d: errors %T / %T are not *CorruptError", blk, errK, errF)
 	}
-	return true, nil
+	return true, rowReadFailsClosed(seg, blk)
 }

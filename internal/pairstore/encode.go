@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 )
 
 // CorruptError reports a structurally invalid segment file: a failed
@@ -241,15 +240,6 @@ func compressBlock(dst, payload []byte, z *deflater) []byte {
 	return append(dst, stored...)
 }
 
-// inflater is the reusable half of block decompression: the flate
-// reader with its 32KB window and the output buffer. The probe cache
-// owns one, so a cache miss allocates neither.
-type inflater struct {
-	zr  io.ReadCloser
-	src bytes.Reader
-	buf []byte
-}
-
 // decompressBlock reverses compressBlock, verifying the checksum and
 // the decompressed length. With a non-nil z the result lives in z's
 // buffer and is valid only until z's next use.
@@ -292,35 +282,14 @@ func decompressBlock(b []byte, z *inflater) ([]byte, error) {
 		if z == nil {
 			z = &inflater{}
 		}
-		z.src.Reset(stored)
-		if z.zr == nil {
-			z.zr = flate.NewReader(&z.src)
-		} else if err := z.zr.(flate.Resetter).Reset(&z.src, nil); err != nil {
-			return nil, corrupt("block", "flate: %v", err)
+		if uint64(cap(z.buf)) < rawLen {
+			z.buf = make([]byte, rawLen)
 		}
-		// One byte of slack, so a stream running past rawLen is caught
-		// without growing the buffer.
-		if uint64(cap(z.buf)) <= rawLen {
-			z.buf = make([]byte, rawLen+1)
+		out := z.buf[:rawLen]
+		if err := z.inflate(out, stored); err != nil {
+			return nil, err
 		}
-		buf, n := z.buf[:rawLen+1], 0
-		for {
-			m, err := z.zr.Read(buf[n:])
-			n += m
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, corrupt("block", "flate: %v", err)
-			}
-			if n == len(buf) {
-				return nil, corrupt("block", "decompressed past declared length %d", rawLen)
-			}
-		}
-		if uint64(n) != rawLen {
-			return nil, corrupt("block", "decompressed %d bytes, declared %d", n, rawLen)
-		}
-		return z.buf[:n], nil
+		return out, nil
 	default:
 		return nil, corrupt("block", "unknown codec %d", codecB[0])
 	}

@@ -16,7 +16,9 @@ import (
 // replication design) network transfer, so the decoder is a trust
 // boundary. Both block decoders stand behind it — the full one and the
 // probe-side key-column one — so each is driven over every block, intact
-// and damaged: they must agree where they succeed and fail together. A
+// and damaged: they must agree where they succeed and fail together; and
+// so does a Get hit's one-row walk, which must read the full decoder's
+// rows where it succeeds and no row where it fails. A
 // third leftover byte re-encodes the segment with a HEAD declaring no
 // tombstones, the count HasMany's walk order trusts: every block that
 // holds one must then fail.
@@ -41,6 +43,19 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		}
 	}
 	f.Add(append(seed(multi...), 0x90, 0x21))
+	// A 12-bit dictionary (2 250 digests) for the one-row walk: 2 100
+	// pairs with an A digest each, 2 100 over 30 A and 70 B digests, then
+	// a directive that damages a block and lies about tombstones.
+	var wide []uint64
+	for i := uint64(0); i < 2100; i++ {
+		wide = append(wide, (i+1)*0x9e3779b97f4a7c15, (i%50+1)*0xbf58476d1ce4e5b9)
+	}
+	for i := uint64(0); i < 30; i++ {
+		for j := uint64(0); j < 70; j++ {
+			wide = append(wide, (i+3000)*0x9e3779b97f4a7c15, (j+100)*0xbf58476d1ce4e5b9)
+		}
+	}
+	f.Add(append(seed(wide...), 0xc0, 0x08, 0x01))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// Interpret the input as little-endian digest pairs; leftover
@@ -72,7 +87,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		}
 		seg := buildSegment(3, rows)
 		enc := seg.encodeFile(nil)
-		dec, err := decodeSegmentFile(enc)
+		dec, err := decodeSegmentFile(enc, nil)
 		if err != nil {
 			t.Fatalf("round trip decode failed: %v", err)
 		}
@@ -135,7 +150,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 			// blocks with a tombstone bit fail, in both decoders.
 			lie := *seg
 			lie.tombs = 0
-			dec, err := decodeSegmentFile(lie.encodeFile(nil))
+			dec, err := decodeSegmentFile(lie.encodeFile(nil), nil)
 			if err != nil {
 				t.Fatalf("segment declaring 0 tombstones: %v", err)
 			}
@@ -159,7 +174,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 			if mask != 0 {
 				mut := append([]byte(nil), enc...)
 				mut[pos] ^= mask
-				if _, err := decodeSegmentFile(mut); err == nil {
+				if _, err := decodeSegmentFile(mut, nil); err == nil {
 					t.Fatalf("bit flip at %d (mask %02x) decoded successfully", pos, mask)
 				} else {
 					var ce *CorruptError
@@ -169,7 +184,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 				}
 			}
 			cut := int(rest[0]) * len(enc) / 256
-			if _, err := decodeSegmentFile(enc[:cut]); err == nil {
+			if _, err := decodeSegmentFile(enc[:cut], nil); err == nil {
 				t.Fatalf("truncation at %d decoded successfully", cut)
 			} else {
 				var ce *CorruptError

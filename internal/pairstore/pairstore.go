@@ -204,7 +204,7 @@ type Stats struct {
 	BloomHitRate        float64 `json:"bloom_hit_rate"`
 	// Blocks is the number of blocks across the sealed segments.
 	// BlockDecodes counts the blocks probes inflated: block-cache misses
-	// and the row decode behind each Get hit in a segment, plus one per
+	// and the row read behind each Get hit in a segment, plus one per
 	// block when HasMany builds a segment's residency index, so a plan
 	// inflates each block at most once. BlockCacheHits counts the point
 	// probes' block lookups the cache answered, in segments without a
@@ -434,7 +434,7 @@ func (s *Store) reorderLocked() {
 // lookupLocked resolves k against the memtable and every segment,
 // newest first. found=false means no record at all. Without wantRow a
 // sealed record comes back as its key and tombstone flag only, which
-// spares the full decode of its block. A key with a digest no segment's
+// spares reading its row from the block. A key with a digest no segment's
 // dictionary holds is in no segment, so the walk is skipped.
 func (s *Store) lookupLocked(k Key, wantRow bool) (Entry, bool) {
 	if e, ok := s.mem.lookup(k, len(s.mem.entries)); ok {

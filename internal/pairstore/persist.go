@@ -158,6 +158,9 @@ func Load(path string) (*Store, error) {
 		return nil, fmt.Errorf("pairstore: %s: unknown format %d", path, doc.Format)
 	}
 	s := New()
+	// Every segment's dictionary is inflated by the store's own inflater,
+	// which its probes then reuse.
+	z := &s.cache.z
 	dir := segmentDir(path)
 	s.levels = make([][]*segment, len(doc.Levels))
 	for l, names := range doc.Levels {
@@ -167,7 +170,7 @@ func Load(path string) (*Store, error) {
 			if err != nil {
 				return nil, &CorruptError{Path: full, Section: "file", Reason: err.Error()}
 			}
-			seg, err := decodeSegmentFile(segRaw)
+			seg, err := decodeSegmentFile(segRaw, z)
 			if err != nil {
 				if ce, ok := err.(*CorruptError); ok {
 					ce.Path = full

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"rocket/internal/testutil"
 )
@@ -199,7 +200,7 @@ func TestDecodedSegmentOwnsItsBytes(t *testing.T) {
 	rows := randRows(5, 2*blockRows+9, 400)
 	seg := buildSegment(9, rows)
 	raw := seg.encodeFile(nil)
-	dec, err := decodeSegmentFile(raw)
+	dec, err := decodeSegmentFile(raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,5 +257,88 @@ func TestSaveAllocatesOneDeflater(t *testing.T) {
 	if limit := 2*writer + 4*uint64(written); saved > limit {
 		t.Fatalf("Save of %d segments allocated %d B, over %d (two flate writers of %d B, four times the %d B written)",
 			len(stores[0].newest), saved, limit, writer, written)
+	}
+}
+
+// TestLoadAllocatesOneInflater: a Load inflates every segment's
+// dictionary with the store's own inflater. Loading a manifest that
+// lists each segment file twice allocates, beyond loading the store, no
+// more than reading and decoding its files once more through one warm
+// inflater, plus one inflater's size of slack for the manifest and the
+// store's longer segment lists. An inflater per segment allocated one
+// more inflater and dictionary buffer for each of the six extra files.
+func TestLoadAllocatesOneInflater(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations make MemStats deltas meaningless")
+	}
+	s, _ := deltaStore(t)
+	if n := len(s.newest); n < 6 {
+		t.Fatalf("store of %d segments, want at least 6", n)
+	}
+	once := filepath.Join(t.TempDir(), "store.json")
+	if err := s.Save(once); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(once)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc manifestDoc
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	twice := filepath.Join(t.TempDir(), "store.json")
+	if err := os.Mkdir(segmentDir(twice), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for l, names := range doc.Levels {
+		for _, name := range names {
+			seg, err := os.ReadFile(filepath.Join(segmentDir(once), name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(segmentDir(twice), name), seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, filepath.Join(segmentDir(once), name))
+		}
+		doc.Levels[l] = append(names, names...)
+	}
+	if raw, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(twice, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	load := func(path string) uint64 {
+		_, b := testutil.Allocs(func() {
+			if _, err := Load(path); err != nil {
+				t.Error(err)
+			}
+		}, 3)
+		return b
+	}
+	var z inflater
+	decode := func() {
+		for _, f := range files {
+			raw, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := decodeSegmentFile(raw, &z); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	decode() // warm: z's buffer holds the largest dictionary
+	_, files1 := testutil.Allocs(decode, 3)
+	once1, twice1 := load(once), load(twice)
+	limit := once1 + files1 + uint64(unsafe.Sizeof(z))
+	t.Logf("Load of %d segments %d B, of each twice %d B; the files once more %d B, an inflater %d B", len(files), once1, twice1, files1, unsafe.Sizeof(z))
+	if twice1 > limit {
+		t.Fatalf("Load of %d segment files listed twice allocated %d B, over %d: the %d B of a Load of each once, %d B to read and decode them through one inflater, and %d B of slack",
+			len(files), twice1, limit, once1, files1, unsafe.Sizeof(z))
 	}
 }

@@ -334,32 +334,33 @@ func (b *segBuilder) finish() *segment {
 
 // blockPayload returns a reader over block i's decompressed payload,
 // positioned after the row count, which it checks against the index.
-func (s *segment) blockPayload(i int, z *inflater) (*byteReader, int, error) {
+func (s *segment) blockPayload(i int, z *inflater) (byteReader, int, error) {
 	m := s.blocks[i]
 	if m.off < 0 || m.off+m.length > len(s.data) {
-		return nil, 0, corrupt("block", "block %d spans [%d,%d) of %d data bytes", i, m.off, m.off+m.length, len(s.data))
+		return byteReader{}, 0, corrupt("block", "block %d spans [%d,%d) of %d data bytes", i, m.off, m.off+m.length, len(s.data))
 	}
 	payload, err := decompressBlock(s.data[m.off:m.off+m.length], z)
 	if err != nil {
-		return nil, 0, err
+		return byteReader{}, 0, err
 	}
-	r := &byteReader{b: payload}
+	r := byteReader{b: payload}
 	nU, err := r.uvarint("block")
 	if err != nil {
-		return nil, 0, err
+		return byteReader{}, 0, err
 	}
 	n := int(nU)
 	if n != m.rows || n <= 0 || n > blockRows {
-		return nil, 0, corrupt("block", "block %d declares %d rows, index says %d", i, n, m.rows)
+		return byteReader{}, 0, corrupt("block", "block %d declares %d rows, index says %d", i, n, m.rows)
 	}
 	return r, n, nil
 }
 
-// decodeBlock decodes every column of block i: what Get hits, block
-// iterators and merges need. Probes decide membership from the key
-// columns alone (decodeKeyCols). With a non-nil z and d (an iterator's)
-// the block is decoded into d, whose tombstones and values live in z's
-// buffer until z's next use.
+// decodeBlock decodes every column of block i: what block iterators and
+// merges need, which read every row. Probes decide membership from the
+// key columns alone (decodeKeyCols), and a Get hit reads its one row
+// (readRow). With a non-nil z and d (an iterator's) the block is decoded
+// into d, whose tombstones and values live in z's buffer until z's next
+// use.
 func (s *segment) decodeBlock(i int, z *inflater, d *decodedBlock) (*decodedBlock, error) {
 	r, n, err := s.blockPayload(i, z)
 	if err != nil {
@@ -504,8 +505,10 @@ func (s *segment) find(k Key, c *blockCache) (blk, r int, tomb, ok bool) {
 }
 
 // get returns the row for k, if present. Only a hit that wants the
-// row's version and value pays a full block decode; otherwise the row
-// carries just the key and the tombstone flag.
+// row's version and value reads the block, and only that row of it
+// (readRow), inflated into the block cache's inflater, which the store
+// lock guards; otherwise the row carries just the key and the tombstone
+// flag. The value aliases that inflater's buffer until its next use.
 func (s *segment) get(k Key, c *blockCache, wantRow bool) (row, bool) {
 	blk, r, tomb, ok := s.find(k, c)
 	if !ok || !wantRow {
@@ -517,22 +520,8 @@ func (s *segment) get(k Key, c *blockCache, wantRow bool) (row, bool) {
 		}
 	}
 	c.st.BlockDecodes++
-	d, err := s.decodeBlock(blk, nil, nil)
-	if err != nil {
-		return row{}, false
-	}
-	if r < 0 {
-		ai, _ := slices.BinarySearch(s.dict, uint64(k.A))
-		bi, _ := slices.BinarySearch(s.dict, uint64(k.B))
-		a, b := uint64(ai), uint64(bi)
-		r = sort.Search(len(d.aIdx), func(i int) bool {
-			return d.aIdx[i] > a || d.aIdx[i] == a && d.bIdx[i] >= b
-		})
-		if r == len(d.aIdx) || d.aIdx[r] != a || d.bIdx[r] != b {
-			return row{}, false
-		}
-	}
-	return s.rowAt(d, r), true
+	got, ok, err := s.readRow(blk, k, r, &c.z)
+	return got, ok && err == nil
 }
 
 // segIter streams a segment's rows in key order, one block at a time,
@@ -638,10 +627,12 @@ func readKey(r *byteReader, section string) (Key, error) {
 	}, nil
 }
 
-// decodeSegmentFile parses and validates a segment file. Every section
+// decodeSegmentFile parses and validates a segment file, inflating its
+// dictionary with z (a fresh inflater when nil); a Load passes every
+// segment the store's own. Every section
 // checksum is verified here; block payload checksums are verified
 // lazily on first decode. The segment keeps nothing of raw.
-func decodeSegmentFile(raw []byte) (*segment, error) {
+func decodeSegmentFile(raw []byte, z *inflater) (*segment, error) {
 	r := &byteReader{b: raw}
 	magic, err := r.bytes(len(segMagic), "magic")
 	if err != nil {
@@ -687,7 +678,7 @@ func decodeSegmentFile(raw []byte) (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	dictRaw, err := decompressBlock(dictSec, nil)
+	dictRaw, err := decompressBlock(dictSec, z)
 	if err != nil {
 		return nil, err
 	}

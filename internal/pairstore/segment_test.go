@@ -80,7 +80,7 @@ func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 		rows := randRows(int64(n), n, 4*n+10)
 		seg := buildSegment(7, rows)
 		raw := seg.encodeFile(nil)
-		dec, err := decodeSegmentFile(raw)
+		dec, err := decodeSegmentFile(raw, nil)
 		if err != nil {
 			t.Fatalf("n=%d: decode: %v", n, err)
 		}
@@ -120,7 +120,7 @@ func TestSegmentCorruption(t *testing.T) {
 	raw := buildSegment(1, rows).encodeFile(nil)
 
 	for _, cut := range []int{0, 4, len(segMagic), len(segMagic) + 7, len(raw) / 3, len(raw) / 2, len(raw) - 1} {
-		if _, err := decodeSegmentFile(raw[:cut]); err == nil {
+		if _, err := decodeSegmentFile(raw[:cut], nil); err == nil {
 			t.Fatalf("truncation at %d decoded successfully", cut)
 		} else {
 			var ce *CorruptError
@@ -133,7 +133,7 @@ func TestSegmentCorruption(t *testing.T) {
 	for pos := 0; pos < len(raw); pos += step {
 		mut := append([]byte(nil), raw...)
 		mut[pos] ^= 0x40
-		if _, err := decodeSegmentFile(mut); err == nil {
+		if _, err := decodeSegmentFile(mut, nil); err == nil {
 			t.Fatalf("bit flip at %d decoded successfully", pos)
 		} else {
 			var ce *CorruptError
@@ -428,7 +428,7 @@ func TestDecodeRejectsOversizedBloom(t *testing.T) {
 	}
 	blom := append(putUvarint(nil, 1<<26), make([]byte, 64)...)
 	mut := append(appendSection(append([]byte(nil), raw[:start]...), "BLOM", blom), raw[r.off:]...)
-	_, err := decodeSegmentFile(mut)
+	_, err := decodeSegmentFile(mut, nil)
 	var ce *CorruptError
 	if !errors.As(err, &ce) || ce.Section != "BLOM" || !strings.Contains(ce.Reason, "at most") {
 		t.Fatalf("decoding a BLOM section of 2²⁶ words: %v", err)
