@@ -209,12 +209,12 @@ fuzz-smoke:
 # (GOARCH=386 uses pure-Go math): vet, the experiments' and the
 # pairstore's goldens, the bloom filter's sizing near int's limit, the
 # exact count of HasMany's segment visits, the residency index's tests,
-# the one-row walk's bit offsets, the inflater, and the radix sort's,
+# the one-row walk's bit offsets and refusals, the inflater, and the radix sort's,
 # the store model's and the inflater's seed corpora, about 30 s.
 portable:
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test -count=1 -run='^(TestExperimentsGolden|TestStorageGolden)$$' ./internal/experiments/
-	GOARCH=386 $(GO) test -count=1 -run='^(TestIngestGolden|TestBloomSizingBelowWrap|TestHasManySegmentVisits|TestIndexDenseAndSparseRows|TestIndexMatchesRows|TestIndexSkipsCorruptBlock|TestIndexTombstoneShadowsOlderRow|TestIndexNoLargerThanKeyColumns|TestIndexBoundDropsIdle|TestRowReadMatchesFullDecode|TestInflateMatchesFlate|FuzzSortKeys|FuzzStoreOps|FuzzInflate)$$' ./internal/pairstore/
+	GOARCH=386 $(GO) test -count=1 -run='^(TestIngestGolden|TestBloomSizingBelowWrap|TestHasManySegmentVisits|TestIndexDenseAndSparseRows|TestIndexMatchesRows|TestIndexSkipsCorruptBlock|TestIndexTombstoneShadowsOlderRow|TestIndexNoLargerThanKeyColumns|TestIndexBoundDropsIdle|TestRowReadMatchesFullDecode|TestRowReadRefusesOverlongVarints|TestInflateMatchesFlate|FuzzSortKeys|FuzzStoreOps|FuzzInflate)$$' ./internal/pairstore/
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

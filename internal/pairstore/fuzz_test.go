@@ -18,7 +18,11 @@ import (
 // probe-side key-column one — so each is driven over every block, intact
 // and damaged: they must agree where they succeed and fail together; and
 // so does a Get hit's one-row walk, which must read the full decoder's
-// rows where it succeeds and no row where it fails. A
+// rows where it succeeds and no row where it fails. A Get's walk reads
+// only its row's share of the version and value-length columns, so it
+// is also driven over payloads damaged inside the block checksum and
+// re-framed raw: it must never panic, and must read the full decoder's
+// rows wherever that accepts the damaged payload. A
 // third leftover byte re-encodes the segment with a HEAD declaring no
 // tombstones, the count HasMany's walk order trusts: every block that
 // holds one must then fail.
@@ -141,6 +145,31 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 					if failed != hit {
 						t.Fatalf("data damaged at %d (cut=%v): block %d [%d,%d) failed=%v", pos, cut, blk, m.off, m.off+m.length, failed)
 					}
+				}
+			}
+		}
+		if len(rest) >= 2 {
+			// Damage inside a block's checksum: flip one byte of its
+			// inflated payload, then cut it short, each re-framed raw with
+			// a valid checksum, so the column decoders meet the damage
+			// themselves. The walk must not panic, and must read the full
+			// decoder's rows wherever that accepts the payload.
+			blk := int(rest[0]) % len(seg.blocks)
+			m := seg.blocks[blk]
+			p, err := decompressBlock(seg.data[m.off:m.off+m.length], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pos := int(rest[0]) * len(p) / 256
+			for _, cut := range []bool{false, true} {
+				mut := append([]byte(nil), p...)
+				if cut {
+					mut = mut[:pos]
+				} else {
+					mut[pos] ^= rest[1]
+				}
+				if err := walkDamagedPayload(seg, blk, mut); err != nil {
+					t.Fatalf("payload damaged at %d (cut=%v): %v", pos, cut, err)
 				}
 			}
 		}

@@ -7,9 +7,20 @@ package pairstore
 // slices to use one. The walk reads each column only as far as the row
 // and skips the rest of a varint column by counting the bytes that end
 // a varint (those below 0x80), eight at a time.
+//
+// The walk refuses what it reads that decodeBlock would refuse, but it
+// does not read all that decodeBlock checks: the version and
+// value-length varints past its row, value lengths past its row against
+// the payload, and of the key columns all but the A deltas up to the
+// key's run (none of them when the key columns gave the row). A Get walks a block only after
+// decodeKeyCols has accepted the same bytes, for the key-column cache or
+// the residency index, and that checks the key columns and the
+// tombstone bitmap in full; the tail of the version and value-length
+// columns has only the payload's CRC-32 behind it.
 
 import (
 	"encoding/binary"
+	"math"
 	"math/bits"
 	"slices"
 )
@@ -79,60 +90,20 @@ func (s *segment) walkRow(blk int, p []byte, off, n int, k Key, r int) (got row,
 	off += bBytes + tBytes
 	got = row{key: k, tomb: tomb[r/8]&(1<<(r%8)) != 0}
 
-	// Versions: zigzag deltas, read from a word at a time: runs of one
-	// version are zero bytes, eight skipped at once, and most deltas
-	// take one or two bytes.
-	var ver int64
-	for i := 0; i <= r; i++ {
-		var u uint64
-		if off+8 > len(p) {
-			next := 0
-			if u, next = uvarintAt(p, off); next < 0 {
-				return row{}, false, corrupt("block", "truncated varint at offset %d", off)
-			}
-			off = next
-		} else if w := binary.LittleEndian.Uint64(p[off:]); w == 0 && i+8 <= r+1 {
-			i, off = i+7, off+8
-			continue
-		} else if w&0x80 == 0 {
-			u, off = w&0x7f, off+1
-		} else if w&0x8000 == 0 {
-			u, off = w&0x7f|w>>1&0x3f80, off+2
-		} else {
-			u, off = uvarintAt(p, off)
-		}
-		ver += int64(u>>1) ^ -int64(u&1)
+	// Versions are zigzag deltas and value lengths plain varints, each
+	// column read to the row and skipped past the rest; the lengths
+	// before row r sum to the value's offset.
+	deltas, last, off, err := varintRun(p, off, r+1, math.MaxUint64, true)
+	if err != nil {
+		return row{}, false, err
 	}
-	got.ver = int(ver)
+	got.ver = int(int64(deltas + last))
 	if off, err = skipVarints(p, off, n-r-1); err != nil {
 		return row{}, false, err
 	}
-
-	// Value lengths: their sum before row r is the value's offset. Eight
-	// one-byte lengths are summed at once, in four 16-bit lanes.
-	var at, l uint64
-	for i := 0; i <= r; {
-		if i+8 <= r && off+8 <= len(p) {
-			if w := binary.LittleEndian.Uint64(p[off:]); w&0x8080808080808080 == 0 {
-				const lanes = 0x00ff00ff00ff00ff
-				at += ((w & lanes) + (w >> 8 & lanes)) * 0x0001000100010001 >> 48
-				i, off = i+8, off+8
-				continue
-			}
-		}
-		u, next := uvarintAt(p, off)
-		if next < 0 {
-			return row{}, false, corrupt("block", "truncated uvarint at offset %d", off)
-		}
-		if u > uint64(len(p)) {
-			return row{}, false, corrupt("block", "row %d value length %d exceeds the payload", i, u)
-		}
-		if i < r {
-			at += u
-		} else {
-			l = u
-		}
-		i, off = i+1, next
+	at, l, off, err := varintRun(p, off, r+1, uint64(len(p)), false)
+	if err != nil {
+		return row{}, false, err
 	}
 	if off, err = skipVarints(p, off, n-r-1); err != nil {
 		return row{}, false, err
@@ -154,21 +125,16 @@ func aRun(p []byte, off, n int, a, dn uint64) (lo, hi, end int, err error) {
 	var cur uint64
 	i := 0
 	for ; i < n; i++ {
-		// Within a run the deltas are zero bytes: eight at a time.
-		for i > 0 && i+8 <= n && off+8 <= len(p) && binary.LittleEndian.Uint64(p[off:]) == 0 {
-			i, off = i+8, off+8
-		}
-		if i == n {
-			break
-		}
-		d, next := uvarintAt(p, off)
-		if next < 0 {
-			return 0, 0, 0, corrupt("block", "truncated uvarint at offset %d", off)
+		var d uint64
+		if off < len(p) && p[off] < 0x80 {
+			d, off = uint64(p[off]), off+1
+		} else if d, off = uvarintAt(p, off); off < 0 {
+			return 0, 0, 0, corrupt("block", "row %d: malformed uvarint", i)
 		}
 		if d >= dn-cur {
 			return 0, 0, 0, corrupt("block", "row %d references dictionary index beyond %d", i, dn)
 		}
-		cur, off = cur+d, next
+		cur += d
 		if cur >= a {
 			break
 		}
@@ -176,10 +142,8 @@ func aRun(p []byte, off, n int, a, dn uint64) (lo, hi, end int, err error) {
 	if i == n || cur != a {
 		return 0, 0, 0, nil
 	}
+	// The run's other rows are zero deltas, one byte each.
 	lo, hi = i, i+1
-	for hi+8 <= n && off+8 <= len(p) && binary.LittleEndian.Uint64(p[off:]) == 0 {
-		hi, off = hi+8, off+8
-	}
 	for hi < n && off < len(p) && p[off] == 0 {
 		hi, off = hi+1, off+1
 	}
@@ -189,13 +153,33 @@ func aRun(p []byte, off, n int, a, dn uint64) (lo, hi, end int, err error) {
 	return lo, hi, end, nil
 }
 
-// uvarintAt decodes the unsigned varint at p[off:], returning it and the
-// offset past it, or a negative offset when it is malformed. A one-byte
-// varint, the common case, is read inline.
-func uvarintAt(p []byte, off int) (uint64, int) {
-	if off < len(p) && p[off] < 0x80 {
-		return uint64(p[off]), off + 1
+// varintRun reads the count ≥ 1 varints at p[off:], each at most
+// limit, and returns the sum of all but the last, the last, and the
+// offset past them. With zigzag set each is a signed delta, zigzag
+// encoded, and the sum wraps as int64 addition does. The walk's per-row
+// loops read a one-byte varint inline and call uvarintAt, which the
+// compiler does not inline, only for longer ones.
+func varintRun(p []byte, off, count int, limit uint64, zigzag bool) (sum, last uint64, end int, err error) {
+	for i := 0; i < count; i++ {
+		sum += last
+		if off < len(p) && p[off] < 0x80 {
+			last, off = uint64(p[off]), off+1
+		} else if last, off = uvarintAt(p, off); off < 0 {
+			return 0, 0, 0, corrupt("block", "row %d: malformed varint", i)
+		}
+		if last > limit {
+			return 0, 0, 0, corrupt("block", "row %d: %d exceeds the %d-byte payload", i, last, limit)
+		}
+		if zigzag {
+			last = uint64(int64(last>>1) ^ -int64(last&1))
+		}
 	}
+	return sum, last, off, nil
+}
+
+// uvarintAt decodes the unsigned varint at p[off:], returning it and the
+// offset past it, or a negative offset when it is malformed.
+func uvarintAt(p []byte, off int) (uint64, int) {
 	v, n := binary.Uvarint(p[off:])
 	if n <= 0 {
 		return 0, -1

@@ -1,10 +1,14 @@
 package pairstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rocket/internal/testutil"
@@ -143,6 +147,124 @@ func rowReadFailsClosed(seg *segment, blk int) error {
 		}
 	}
 	return nil
+}
+
+// rawFramed returns a copy of seg whose block blk is payload framed as
+// a raw block with a valid checksum: damage to payload then reaches the
+// column decoders, which no check of the container stands in front of.
+func rawFramed(seg *segment, blk int, payload []byte) *segment {
+	frame := putUvarint(putUvarint([]byte{codecRaw}, uint64(len(payload))), uint64(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crcTable))
+	mut := *seg
+	mut.data = append(frame, payload...)
+	mut.blocks = slices.Clone(seg.blocks)
+	mut.blocks[blk].off, mut.blocks[blk].length = 0, len(mut.data)
+	return &mut
+}
+
+// walkDamagedPayload walks every 61st row and the last of block blk of
+// seg with its inflated payload replaced by payload, a damaged copy,
+// framed raw (rawFramed). No walk may panic. Where decodeBlock accepts
+// the payload, the walk must read each row as it does: placed by row,
+// and searched for when the damage left the keys ascending. Where
+// decodeBlock refuses it, a walk may still read a row, because it does
+// not check the columns past its row (rowread.go).
+func walkDamagedPayload(seg *segment, blk int, payload []byte) error {
+	mut := rawFramed(seg, blk, payload)
+	var z inflater
+	walk := func(k Key, r int) (row, bool, error) { return mut.readRow(blk, k, r, &z) }
+	d, err := mut.decodeBlock(blk, nil, nil)
+	if err != nil {
+		m := seg.blocks[blk]
+		for _, k := range []Key{m.first, m.last} {
+			for r := -1; r < m.rows; r += 61 {
+				walk(k, r)
+			}
+		}
+		return nil
+	}
+	keys := make([]Key, len(d.aIdx))
+	for i := range keys {
+		keys[i] = mut.rowAt(d, i).key
+	}
+	ascending := slices.IsSortedFunc(keys, func(a, b Key) int {
+		if keyLess(a, b) {
+			return -1
+		}
+		return 1
+	})
+	for i := 0; i < len(keys); i = min(i+61, len(keys)-1) {
+		want := mut.rowAt(d, i)
+		for _, r := range []int{i, -1} {
+			if r < 0 && !ascending {
+				continue
+			}
+			if got, ok, err := walk(want.key, r); err != nil || !ok || !sameRow(got, want) {
+				return fmt.Errorf("block %d row %d (r=%d) of an accepted damaged payload: read %+v, found=%v, err=%v; full decode %+v", blk, i, r, got, ok, err, want)
+			}
+		}
+		if i == len(keys)-1 {
+			break
+		}
+	}
+	return nil
+}
+
+// TestRowReadRefusesOverlongVarints: a raw block whose version or
+// value-length column opens with a varint too long for 64 bits (ten
+// 0xff bytes, or nine and then a 0x02) is refused by the walk for every
+// row, with a *CorruptError and without a panic, as decodeBlock refuses
+// it.
+func TestRowReadRefusesOverlongVarints(t *testing.T) {
+	seg := buildSegment(1, rowReadRows(5, 40, 9))
+	p, err := decompressBlock(seg.data[:seg.blocks[0].length], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The column offsets: the row count, n A deltas, the bit-packed B
+	// column and the tombstone bitmap, then n versions and n lengths.
+	n := seg.blocks[0].rows
+	skip := func(off, count int) int {
+		for ; count > 0; count-- {
+			_, l := binary.Uvarint(p[off:])
+			off += l
+		}
+		return off
+	}
+	width := bitWidth(uint64(len(seg.dict) - 1))
+	vers := skip(skip(0, 1), n) + (n*int(width)+7)/8 + (n+7)/8
+	lens := skip(vers, n)
+	overlong := [][]byte{
+		bytes.Repeat([]byte{0xff}, 10),
+		append(bytes.Repeat([]byte{0xff}, 9), 0x02),
+	}
+	for _, col := range []struct {
+		name string
+		off  int
+	}{{"version", vers}, {"value-length", lens}} {
+		for _, bad := range overlong {
+			_, l := binary.Uvarint(p[col.off:])
+			mut := slices.Concat(p[:col.off], bad, p[col.off+l:])
+			dmg := rawFramed(seg, 0, mut)
+			if _, err := dmg.decodeBlock(0, nil, nil); err == nil {
+				t.Fatalf("%s column % x: decodeBlock accepts it", col.name, bad)
+			}
+			d, err := seg.decodeBlock(0, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				k := seg.rowAt(d, i).key
+				for _, r := range []int{i, -1} {
+					got, ok, err := dmg.readRow(0, k, r, &inflater{})
+					var ce *CorruptError
+					if ok || !errors.As(err, &ce) {
+						t.Fatalf("%s column % x, row %d (r=%d): read %+v, found=%v, err=%v; want a *CorruptError", col.name, bad, i, r, got, ok, err)
+					}
+				}
+			}
+		}
+	}
 }
 
 // getHitStore is a store of three sealed segments whose keys alternate
